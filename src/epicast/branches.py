@@ -35,6 +35,10 @@ GATING_MODES = ("gated", "average", "last")
 TOKENIZER_MODES = ("graph", "mlp")
 
 
+class PromptGraphError(RuntimeError):
+    """Learned prompt edge weights left a block-graph node without a positive degree."""
+
+
 def _init_linear(rng: np.random.Generator, fan_in: int, fan_out: int, name: str, frozen=False):
     W = Parameter(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out)), name=f"{name}.W", frozen=frozen)
     b = Parameter(np.zeros(fan_out), name=f"{name}.b", frozen=frozen)
@@ -100,14 +104,21 @@ def _propagation_matrix(block: Tensor) -> Tensor:
 
     Messages travel along edge direction: entry (i, j) of the transposed,
     self-looped adjacency weights how much node j contributes to node i.
-    Self-loops keep every degree >= 1, so the normalization never divides
-    by zero.
+    Self-loops keep every degree >= 1 while the edge weights are
+    nonnegative.  Negative learned prompt edge weights can break that; the
+    degree is then rejected, never clipped, so a valid state's numbers stay
+    exactly those of the plain normalization.
     """
     size = block.data.shape[0]
     hat = add(block, constant(np.eye(size)))
     # transpose so that rows index the receiving node
     incoming = transpose(hat, (1, 0))
     deg = tsum(incoming, axis=1, keepdims=True)
+    if np.any(deg.data <= 0):
+        raise PromptGraphError(
+            f"the prompt edge weights (prompts.forward, prompts.backward) leave a block-graph "
+            f"node with degree {deg.data.min():.6g}; degrees must stay positive"
+        )
     inv_sqrt = div(constant(np.ones((size, 1))), sqrt(deg))
     return mul(mul(incoming, inv_sqrt), transpose(inv_sqrt, (1, 0)))
 

@@ -6,7 +6,8 @@ output directory so a run can be reproduced from its artifacts alone.  All
 commands are deterministic given the same config and seed.
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 checkpoint error,
-5 diverged, 1 anything else.
+5 diverged (non-finite loss or prediction, or learned prompt edge weights
+that leave the block graph without a positive degree), 1 anything else.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .backbone import BackboneConfig, BackboneConfigError
+from .branches import PromptGraphError
 from .data import (
     DataError,
     EpidemicDataset,
@@ -197,30 +199,33 @@ def _load_dataset(cfg: RunConfig) -> EpidemicDataset:
 
 
 def _configs(cfg: RunConfig, ds: EpidemicDataset) -> tuple[ModelConfig, BackboneConfig, TrainConfig]:
-    model_cfg = ModelConfig(
-        n_regions=ds.N,
-        w=cfg["w"],
-        width=cfg["backbone.width"],
-        mob_hidden=cfg["model.mob_hidden"],
-        epsilon=cfg["epsilon"],
-        seed=cfg["seed"],
-    )
-    backbone_cfg = BackboneConfig(
-        mode=cfg["backbone.mode"],
-        depth=cfg["backbone.depth"],
-        width=cfg["backbone.width"],
-        heads=cfg["backbone.heads"],
-        seed=cfg["backbone.seed"],
-        max_positions=cfg["backbone.max_positions"],
-    )
-    train_cfg = TrainConfig(
-        mob_weight=cfg["train.lambda"],
-        lr=cfg["train.lr"],
-        max_epochs=cfg["train.max_epochs"],
-        patience=cfg["train.patience"],
-        seed=cfg["seed"],
-        loss_form=cfg["train.loss_form"],
-    )
+    try:  # the config dataclasses validate their own fields
+        model_cfg = ModelConfig(
+            n_regions=ds.N,
+            w=cfg["w"],
+            width=cfg["backbone.width"],
+            mob_hidden=cfg["model.mob_hidden"],
+            epsilon=cfg["epsilon"],
+            seed=cfg["seed"],
+        )
+        backbone_cfg = BackboneConfig(
+            mode=cfg["backbone.mode"],
+            depth=cfg["backbone.depth"],
+            width=cfg["backbone.width"],
+            heads=cfg["backbone.heads"],
+            seed=cfg["backbone.seed"],
+            max_positions=cfg["backbone.max_positions"],
+        )
+        train_cfg = TrainConfig(
+            mob_weight=cfg["train.lambda"],
+            lr=cfg["train.lr"],
+            max_epochs=cfg["train.max_epochs"],
+            patience=cfg["train.patience"],
+            seed=cfg["seed"],
+            loss_form=cfg["train.loss_form"],
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return model_cfg, backbone_cfg, train_cfg
 
 
@@ -400,7 +405,7 @@ def main(argv=None) -> int:
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return 4
-    except (TrainingDivergedError, ForecastDivergedError) as exc:
+    except (TrainingDivergedError, ForecastDivergedError, PromptGraphError) as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return 5
     except Exception as exc:  # pragma: no cover - last resort

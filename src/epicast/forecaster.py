@@ -23,6 +23,7 @@ from .backbone import backbone_forward
 from .branches import epi_adapt, mob_adapt, patch_grid
 from .data import EpidemicDataset, window_features
 from .model import ModelState
+from .tensor import no_grad
 from .trainer import epi_token_sequence, mob_token_sequence
 
 
@@ -77,8 +78,10 @@ class ForecastResult:
             json.dump(self.mobility_summary(), fh, indent=1, sort_keys=True)
 
 
+@no_grad()
 def forecast(model: ModelState, ds: EpidemicDataset, context_end: int, steps: int) -> ForecastResult:
-    """Generate `steps` future patches (steps * w days) after day `context_end`."""
+    """Generate `steps` future patches (steps * w days) after day `context_end`;
+    records no tape."""
     cfg = model.config
     w = cfg.w
     if steps < 1:

@@ -45,6 +45,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.n_regions < 1 or self.w < 1 or self.width < 1:
             raise ValueError("n_regions, w, and width must all be positive")
+        if self.mob_hidden < 0:
+            raise ValueError(f"mob_hidden must be >= 0 (0 means width), got {self.mob_hidden}")
         if self.tokenizer_mode not in TOKENIZER_MODES:
             raise ValueError(f"unknown tokenizer mode {self.tokenizer_mode!r}")
         if self.gating_mode not in GATING_MODES:

@@ -69,14 +69,9 @@ class PromptedGraph:
 
 
 def _cross_slice_masks(w: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    size = w * n
-    fwd = np.zeros((size, size))
-    bwd = np.zeros((size, size))
-    for k in range(1, w):
-        for i in range(n):
-            fwd[(k - 1) * n + i, k * n + i] = 1.0
-            bwd[k * n + i, (k - 1) * n + i] = 1.0
-    return fwd, bwd
+    """Unit edges from each node to the same region one slice later (forward)
+    and one slice earlier (backward): the diagonals n above and below."""
+    return np.eye(w * n, k=n), np.eye(w * n, k=-n)
 
 
 def build_prompted_graph(A_window: np.ndarray, prompts: PromptParams) -> PromptedGraph:

@@ -7,17 +7,46 @@ order and accumulates ``grad`` on every tensor that requires it.  Parameters
 are tensors with a name and a ``frozen`` flag: frozen parameters still
 receive gradients (so gradients can flow *through* a frozen backbone) but
 optimizers must never update them.
+
+A tape's lifetime follows reference counting alone:
+
+- A node holds its inputs and a backward closure over those inputs, never
+  over itself, so a tape has no reference cycles and dies with its output.
+- Gradients are lazy.  Leaves (Parameters included) own an eagerly zeroed
+  ``grad``; an interior node has ``grad = None`` until its first
+  accumulation, which adopts the incoming array without a copy.  That array
+  may be shared with a sibling input or be a read-only broadcast view, so a
+  node adds in place only into a gradient array it owns.
+- ``backward()`` releases the tape as it walks it: once a node has pushed
+  its gradient to its inputs, its inputs, closure and gradient are dropped.
+  A second backward through a released node raises AutodiffError.
+- Under ``with no_grad():`` ops record nothing and return tensors that do
+  not require gradients.  Validation and forecasting run this way.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
+
+_grad_enabled = True
 
 
 class AutodiffError(RuntimeError):
     """Misuse of the tape: backward on a non-scalar, repeated backward, etc."""
+
+
+@contextmanager
+def no_grad():
+    """Record no tape inside the block; nests, and restores the mode on exit."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -35,8 +64,28 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+def _accumulate(t: "Tensor", g: np.ndarray) -> None:
+    """Add `g` into t.grad, in place only if t owns its gradient array."""
+    if t.grad is None:
+        t.grad, t._owns_grad = g, False
+    elif t._owns_grad:
+        t.grad += g
+    else:
+        t.grad, t._owns_grad = t.grad + g, True
+
+
+def _owned_grad(t: "Tensor") -> np.ndarray:
+    """t.grad as an array t owns, zeroed or copied on first need."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    elif not t._owns_grad:
+        t.grad = np.array(t.grad)
+    t._owns_grad = True
+    return t.grad
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward", "_backward_done")
+    __slots__ = ("data", "grad", "requires_grad", "_owns_grad", "_prev", "_backward", "_backward_done")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -45,6 +94,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(arr) if requires_grad else None
+        self._owns_grad = True
         self._prev: tuple = ()
         self._backward = None
         self._backward_done = False
@@ -53,12 +103,17 @@ class Tensor:
 
     @classmethod
     def _result(cls, data: np.ndarray, prev: tuple, backward) -> "Tensor":
-        """Interior node; skips the finiteness scan done for leaf tensors."""
+        """Interior node; skips the finiteness scan done for leaf tensors.
+
+        `backward(g)` pushes the node's gradient `g` to the tensors in `prev`;
+        it is kept only when some input requires a gradient and no_grad is off.
+        """
         out = cls.__new__(cls)
         out.data = data
-        out.requires_grad = any(p.requires_grad for p in prev)
-        out.grad = np.zeros_like(data) if out.requires_grad else None
+        out.grad = None
+        out._owns_grad = False
         out._backward_done = False
+        out.requires_grad = _grad_enabled and any(p.requires_grad for p in prev)
         if out.requires_grad:
             out._prev = prev
             out._backward = backward
@@ -84,17 +139,17 @@ class Tensor:
     def zero_grad(self):
         if self.requires_grad:
             self.grad = np.zeros_like(self.data)
+            self._owns_grad = True
 
     # -- backward pass --------------------------------------------------------
 
     def backward(self):
-        """Accumulate d(self)/d(x) into x.grad for every reachable tensor x."""
+        """Accumulate d(self)/d(x) into x.grad for every reachable tensor x,
+        releasing each interior node once its gradient has been pushed on."""
         if self.data.size != 1:
             raise AutodiffError(f"backward requires a scalar, got shape {self.data.shape}")
         if not self.requires_grad:
             raise AutodiffError("backward on a tensor with no recorded inputs")
-        if self._backward_done:
-            raise AutodiffError("backward already ran on this tensor; rebuild the graph")
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -105,16 +160,20 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward_done:
+                raise AutodiffError("backward already ran through this graph; rebuild the graph")
             visited.add(id(node))
             stack.append((node, True))
             for child in node._prev:
                 if child.requires_grad and id(child) not in visited:
                     stack.append((child, False))
-        self.grad = self.grad + np.ones_like(self.data)
-        for node in reversed(topo):
+        _accumulate(self, np.ones_like(self.data))
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
-                node._backward()
-        self._backward_done = True
+                node._backward(node.grad)
+                node._prev, node._backward, node.grad = (), None, None
+                node._backward_done = True
 
     # -- operator sugar ---------------------------------------------------------
 
@@ -179,71 +238,60 @@ def constant(data) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
-    out = Tensor._result(a.data + b.data, (a, b), None)
 
-    def _bw():
+    def _bw(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(out.grad, a.data.shape)
+            _accumulate(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(out.grad, b.data.shape)
+            _accumulate(b, _unbroadcast(g, b.data.shape))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._result(a.data + b.data, (a, b), _bw)
 
 
 def sub(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
-    out = Tensor._result(a.data - b.data, (a, b), None)
 
-    def _bw():
+    def _bw(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(out.grad, a.data.shape)
+            _accumulate(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            b.grad -= _unbroadcast(out.grad, b.data.shape)
+            _accumulate(b, -_unbroadcast(g, b.data.shape))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._result(a.data - b.data, (a, b), _bw)
 
 
 def mul(a, b) -> Tensor:
     """Elementwise (and scalar) multiply with numpy broadcasting."""
     a, b = astensor(a), astensor(b)
-    out = Tensor._result(a.data * b.data, (a, b), None)
 
-    def _bw():
+    def _bw(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(out.grad * b.data, a.data.shape)
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(out.grad * a.data, b.data.shape)
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._result(a.data * b.data, (a, b), _bw)
 
 
 def div(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
-    out = Tensor._result(a.data / b.data, (a, b), None)
 
-    def _bw():
+    def _bw(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(out.grad / b.data, a.data.shape)
+            _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(-out.grad * a.data / (b.data * b.data), b.data.shape)
+            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._result(a.data / b.data, (a, b), _bw)
 
 
 def square(a) -> Tensor:
     a = astensor(a)
-    out = Tensor._result(a.data * a.data, (a,), None)
 
-    def _bw():
-        if a.requires_grad:
-            a.grad += 2.0 * a.data * out.grad
+    def _bw(g):
+        _accumulate(a, 2.0 * a.data * g)
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._result(a.data * a.data, (a,), _bw)
 
 
 def sqrt(a) -> Tensor:
@@ -251,14 +299,11 @@ def sqrt(a) -> Tensor:
     if np.any(a.data < 0):
         raise ValueError("sqrt of negative input")
     root = np.sqrt(a.data)
-    out = Tensor._result(root, (a,), None)
 
-    def _bw():
-        if a.requires_grad:
-            a.grad += out.grad / (2.0 * root)
+    def _bw(g):
+        _accumulate(a, g / (2.0 * root))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._result(root, (a,), _bw)
 
 
 # -- matrix ops ------------------------------------------------------------------
@@ -268,72 +313,57 @@ def matmul(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
     if a.data.ndim < 1 or b.data.ndim < 1:
         raise ValueError("matmul requires at least 1-d operands")
-    out = Tensor._result(a.data @ b.data, (a, b), None)
 
-    def _bw():
+    def _bw(g):
         if a.requires_grad:
-            ga = out.grad @ np.swapaxes(b.data, -1, -2)
-            a.grad += _unbroadcast(ga, a.data.shape)
+            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
         if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ out.grad
-            b.grad += _unbroadcast(gb, b.data.shape)
+            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._result(a.data @ b.data, (a, b), _bw)
 
 
 def transpose(a, axes: tuple) -> Tensor:
     a = astensor(a)
     inv = np.argsort(axes)
-    out = Tensor._result(np.transpose(a.data, axes), (a,), None)
 
-    def _bw():
-        if a.requires_grad:
-            a.grad += np.transpose(out.grad, inv)
+    def _bw(g):
+        _accumulate(a, np.transpose(g, inv))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._result(np.transpose(a.data, axes), (a,), _bw)
 
 
 def reshape(a, shape) -> Tensor:
     a = astensor(a)
-    out = Tensor._result(a.data.reshape(shape), (a,), None)
 
-    def _bw():
-        if a.requires_grad:
-            a.grad += out.grad.reshape(a.data.shape)
+    def _bw(g):
+        _accumulate(a, g.reshape(a.data.shape))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._result(a.data.reshape(shape), (a,), _bw)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [astensor(t) for t in tensors]
-    out = Tensor._result(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), None)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def _bw():
+    def _bw(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
-                idx = [slice(None)] * out.grad.ndim
+                idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
-                t.grad += out.grad[tuple(idx)]
+                _accumulate(t, g[tuple(idx)])
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._result(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), _bw)
 
 
 def getitem(a, idx) -> Tensor:
     a = astensor(a)
-    out = Tensor._result(a.data[idx], (a,), None)
 
-    def _bw():
-        if a.requires_grad:
-            np.add.at(a.grad, idx, out.grad)
+    def _bw(g):
+        np.add.at(_owned_grad(a), idx, g)
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._result(a.data[idx], (a,), _bw)
 
 
 # -- reductions -------------------------------------------------------------------
@@ -341,33 +371,26 @@ def getitem(a, idx) -> Tensor:
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = astensor(a)
-    out = Tensor._result(a.data.sum(axis=axis, keepdims=keepdims), (a,), None)
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        if a.requires_grad:
-            a.grad += np.broadcast_to(g, a.data.shape)
+        _accumulate(a, np.broadcast_to(g, a.data.shape))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._result(a.data.sum(axis=axis, keepdims=keepdims), (a,), _bw)
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = astensor(a)
-    out = Tensor._result(a.data.mean(axis=axis, keepdims=keepdims), (a,), None)
-    count = a.data.size / out.data.size
+    mean = a.data.mean(axis=axis, keepdims=keepdims)
+    count = a.data.size / mean.size
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        if a.requires_grad:
-            a.grad += np.broadcast_to(g, a.data.shape) / count
+        _accumulate(a, np.broadcast_to(g, a.data.shape) / count)
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._result(mean, (a,), _bw)
 
 
 # -- nonlinearities ----------------------------------------------------------------
@@ -376,14 +399,11 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 def relu(a) -> Tensor:
     a = astensor(a)
     mask = a.data > 0
-    out = Tensor._result(np.where(mask, a.data, 0.0), (a,), None)
 
-    def _bw():
-        if a.requires_grad:
-            a.grad += np.where(mask, out.grad, 0.0)
+    def _bw(g):
+        _accumulate(a, np.where(mask, g, 0.0))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._result(np.where(mask, a.data, 0.0), (a,), _bw)
 
 
 def sigmoid(a) -> Tensor:
@@ -391,27 +411,21 @@ def sigmoid(a) -> Tensor:
     # split by sign for overflow-free exponentials
     x = a.data
     s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    out = Tensor._result(s, (a,), None)
 
-    def _bw():
-        if a.requires_grad:
-            a.grad += out.grad * s * (1.0 - s)
+    def _bw(g):
+        _accumulate(a, g * s * (1.0 - s))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._result(s, (a,), _bw)
 
 
 def tanh(a) -> Tensor:
     a = astensor(a)
     t = np.tanh(a.data)
-    out = Tensor._result(t, (a,), None)
 
-    def _bw():
-        if a.requires_grad:
-            a.grad += out.grad * (1.0 - t * t)
+    def _bw(g):
+        _accumulate(a, g * (1.0 - t * t))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._result(t, (a,), _bw)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -423,15 +437,12 @@ def gelu(a) -> Tensor:
     x = a.data
     inner = _GELU_C * (x + 0.044715 * x**3)
     t = np.tanh(inner)
-    out = Tensor._result(0.5 * x * (1.0 + t), (a,), None)
 
-    def _bw():
-        if a.requires_grad:
-            dinner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
-            a.grad += out.grad * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
+    def _bw(g):
+        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
+        _accumulate(a, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._result(0.5 * x * (1.0 + t), (a,), _bw)
 
 
 def softmax(a) -> Tensor:
@@ -444,15 +455,11 @@ def softmax(a) -> Tensor:
     shifted = x - np.max(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor._result(s, (a,), None)
 
-    def _bw():
-        if a.requires_grad:
-            g = out.grad
-            a.grad += (g - (g * s).sum(axis=-1, keepdims=True)) * s
+    def _bw(g):
+        _accumulate(a, (g - (g * s).sum(axis=-1, keepdims=True)) * s)
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._result(s, (a,), _bw)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:

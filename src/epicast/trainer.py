@@ -18,7 +18,7 @@ from .backbone import backbone_forward
 from .branches import TokenSequence, epi_adapt, epi_tokenize, mob_adapt, mob_tokenize, patch_grid, stack_tokens
 from .data import EpidemicDataset
 from .model import ModelState, count_params
-from .tensor import Tensor, add, constant, mul, sqrt, square, sub, tmean, tsum
+from .tensor import Tensor, add, constant, mul, no_grad, sqrt, square, sub, tmean, tsum
 
 LOSS_FORMS = ("mean-squared", "mean-l2-norm")
 
@@ -44,8 +44,17 @@ class TrainConfig:
     def __post_init__(self):
         if self.mob_weight < 0:
             raise ValueError(f"mobility loss weight must be >= 0, got {self.mob_weight}")
+        if not self.lr > 0:  # also rejects NaN
+            raise ValueError(f"learning rate must be > 0, got {self.lr}")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not self.eps > 0:
+            raise ValueError(f"eps must be > 0, got {self.eps}")
         if self.loss_form not in LOSS_FORMS:
             raise ValueError(f"unknown loss form {self.loss_form!r}; choose from {LOSS_FORMS}")
 
@@ -151,8 +160,10 @@ def training_loss(model: ModelState, ds: EpidemicDataset, train_range: range, cf
     return sequence_loss(model, ds.X, ds.A, ds.M, grid, cfg)
 
 
+@no_grad()
 def validation_loss(model: ModelState, ds: EpidemicDataset, val_range: range, cfg: TrainConfig) -> float:
-    """Objective on patches overlapping the validation range, full history as context."""
+    """Objective on patches overlapping the validation range, full history as
+    context; records no tape."""
     grid = patch_grid(0, val_range.stop, model.config.w)
     tail = sum(1 for s, e in grid if e > val_range.start)
     loss = sequence_loss(model, ds.X, ds.A, ds.M, grid, cfg, target_tail=tail)

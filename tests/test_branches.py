@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from epicast.branches import (
+    PromptGraphError,
     epi_adapt,
     epi_tokenize,
     init_adapter,
@@ -161,6 +162,13 @@ def test_token_gradients_flow_to_every_parameter(setup):
         p.zero_grad()
     report = grad_check(loss, params)
     assert report.max_rel_error < 1e-4, report.per_param
+
+
+def test_negative_prompt_degree_raises_named_error(setup):
+    w, n, d, proj, mob, prompts, X, A = setup
+    prompts.w_backward.data = np.array(-3.0)
+    with pytest.raises(PromptGraphError, match="prompt edge weights"):
+        epi_tokenize(X, A, prompts, proj)
 
 
 def test_shape_validation(setup):

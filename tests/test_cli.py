@@ -3,6 +3,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from epicast.cli import (
@@ -17,6 +18,7 @@ from epicast.cli import (
     parse_config_file,
     resolve_config,
 )
+from epicast.model import load_checkpoint, save_checkpoint
 
 FAST = {
     "synth.regions": "4",
@@ -196,6 +198,25 @@ def test_exit_two_on_unknown_key(tmp_path):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("wth = 3\n")
     assert main(["train", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("line", ["train.patience = 0", "train.lr = -1", "model.mob_hidden = -2"])
+def test_exit_two_on_out_of_range_config_value(tmp_path, line):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text("\n".join(f"{k} = {v}" for k, v in FAST.items()) + f"\n{line}\n")
+    assert main(["train", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out" / "checkpoint.bin").exists()
+
+
+def test_exit_five_on_negative_prompt_degree(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("\n".join(f"{k} = {v}" for k, v in FAST.items()) + "\n")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_file), "--out", str(out)]) == 0
+    model = load_checkpoint(out / "checkpoint.bin")
+    model.prompts.w_backward.data = np.array(-3.0)
+    save_checkpoint(model, out / "checkpoint.bin")
+    assert main(["forecast", "--config", str(cfg_file), "--out", str(out)]) == 5
 
 
 def test_exit_three_on_bad_data(tmp_path):

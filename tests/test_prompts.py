@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from epicast.gradcheck import grad_check
-from epicast.prompts import build_prompted_graph, init_prompts
+from epicast.prompts import _cross_slice_masks, build_prompted_graph, init_prompts
 from epicast.tensor import constant, mul, tsum
 
 
@@ -98,6 +98,18 @@ def test_prompt_gradient_is_shared_across_edge_positions():
     loss().backward()
     expected_fwd = sum(C[(k - 1) * n + i, k * n + i] for k in range(1, w) for i in range(n))
     assert float(p.w_forward.grad) == pytest.approx(expected_fwd)
+
+
+@pytest.mark.parametrize("w, n", [(1, 3), (2, 1), (3, 4), (7, 5)])
+def test_cross_slice_masks_match_loop_reference(w, n):
+    fwd_ref = np.zeros((w * n, w * n))
+    bwd_ref = np.zeros((w * n, w * n))
+    for k in range(1, w):
+        for i in range(n):
+            fwd_ref[(k - 1) * n + i, k * n + i] = 1.0
+            bwd_ref[k * n + i, (k - 1) * n + i] = 1.0
+    fwd, bwd = _cross_slice_masks(w, n)
+    assert fwd.tobytes() == fwd_ref.tobytes() and bwd.tobytes() == bwd_ref.tobytes()
 
 
 def test_slice_offsets():

@@ -1,0 +1,189 @@
+"""Tape lifetime: lazy interior gradients, release after backward, no_grad."""
+
+import gc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import epicast.forecaster as forecaster_mod
+import epicast.trainer as trainer_mod
+from epicast.backbone import BackboneConfig
+from epicast.branches import patch_grid
+from epicast.data import SirParams, SplitSpec, split_dataset, synth_sir
+from epicast.forecaster import forecast
+from epicast.model import ModelConfig, build_model
+from epicast.tensor import AutodiffError, Parameter, add, mul, no_grad, square, tsum
+from epicast.trainer import TrainConfig, sequence_loss, train, training_loss, validation_loss
+
+
+def _ds(n=4, days=30, w=3, seed=5):
+    return synth_sir(n, days, SirParams(beta=0.5, gamma_rec=0.2, population=2000), rng_seed=seed, w=w, scale=True)
+
+
+def _model(ds, width=8, seed=0):
+    mc = ModelConfig(n_regions=ds.N, w=ds.w, width=width, seed=seed)
+    bc = BackboneConfig(mode="frozen-transformer", depth=2, width=width, heads=2, seed=seed + 1)
+    return build_model(mc, bc)
+
+
+# -- lazy gradients and release ----------------------------------------------------------
+
+
+def test_interior_gradients_are_lazy_and_leaves_eager():
+    p = Parameter(np.ones(3), name="p")
+    h = mul(p, 2.0)
+    assert h.grad is None
+    np.testing.assert_array_equal(p.grad, np.zeros(3))
+
+
+def test_backward_releases_the_tape():
+    p = Parameter(np.array([1.0, 2.0]), name="p")
+    h = square(p)
+    loss = tsum(h)
+    loss.backward()
+    for node in (h, loss):
+        assert node._prev == () and node._backward is None and node.grad is None
+    np.testing.assert_array_equal(p.grad, [2.0, 4.0])
+
+
+def test_backward_through_a_released_node_raises():
+    p = Parameter(np.ones(2), name="p")
+    shared = square(p)
+    tsum(shared).backward()
+    with pytest.raises(AutodiffError):
+        tsum(mul(shared, 3.0)).backward()
+
+
+def test_leaf_backward_can_repeat():
+    p = Parameter(2.0, name="p")
+    p.backward()
+    p.backward()
+    assert p.grad == 2.0
+
+
+def test_shared_gradient_arrays_are_never_written_in_place():
+    # add hands the same array to both inputs: u adopts it from the outer add,
+    # then takes a second gradient from s, while v adopts that same array
+    p = Parameter(np.ones(3), name="p")
+    q = Parameter(np.ones(3), name="q")
+    u = mul(p, 2.0)
+    v = mul(q, 3.0)
+    s = add(u, v)
+    tsum(add(s, u)).backward()
+    np.testing.assert_array_equal(p.grad, np.full(3, 4.0))
+    np.testing.assert_array_equal(q.grad, np.full(3, 3.0))
+
+
+def test_read_only_broadcast_gradients_accumulate():
+    # tsum passes a read-only broadcast view; h adopts it and must not add into it
+    p = Parameter(np.ones((2, 3)), name="p")
+    h = mul(p, 1.0)
+    add(tsum(h), add(tsum(h), tsum(h))).backward()
+    np.testing.assert_array_equal(p.grad, np.full((2, 3), 3.0))
+
+
+def test_training_cycle_leaves_no_cyclic_garbage():
+    ds = _ds(n=10, days=40)
+    splits = split_dataset(ds, SplitSpec(test_len=3, val_len=3))
+    model = _model(ds)
+    gc.collect()
+    gc.disable()
+    try:
+        train(model, ds, splits.train, splits.val, TrainConfig(max_epochs=2, patience=10))
+        forecast(model, ds, context_end=ds.T - 6, steps=2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# -- no_grad ---------------------------------------------------------------------------------
+
+
+def test_no_grad_nests_and_restores_on_raise():
+    p = Parameter(1.0, name="p")
+    with no_grad():
+        with no_grad():
+            assert not mul(p, 2.0).requires_grad
+        assert not mul(p, 2.0).requires_grad
+    assert mul(p, 2.0).requires_grad
+    with pytest.raises(KeyError):
+        with no_grad():
+            raise KeyError("body failed")
+    out = mul(p, 2.0)
+    assert out.requires_grad and out._prev
+
+
+def _spy(monkeypatch, module, name):
+    """Record every tensor `module.name` returns."""
+    seen = []
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        out = original(*args, **kwargs)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+def _poisoned_grads(model):
+    rng = np.random.default_rng(9)
+    for p in model.parameters():
+        p.grad = rng.normal(size=p.data.shape)
+    return [p.grad.copy() for p in model.parameters()]
+
+
+def test_validation_loss_records_no_tape_and_keeps_grads(monkeypatch):
+    ds = _ds()
+    splits = split_dataset(ds, SplitSpec(test_len=3, val_len=3))
+    model = _model(ds)
+    before = _poisoned_grads(model)
+    losses = _spy(monkeypatch, trainer_mod, "sequence_loss")
+    value = validation_loss(model, ds, splits.val, TrainConfig())
+    assert isinstance(value, float)
+    assert len(losses) == 1 and not losses[0].requires_grad and losses[0]._prev == ()
+    for p, saved in zip(model.parameters(), before):
+        np.testing.assert_array_equal(p.grad, saved)
+
+
+def test_forecast_records_no_tape_and_keeps_grads(monkeypatch):
+    ds = _ds()
+    model = _model(ds)
+    before = _poisoned_grads(model)
+    outputs = _spy(monkeypatch, forecaster_mod, "backbone_forward")
+    forecast(model, ds, context_end=24, steps=2)
+    assert len(outputs) == 4
+    assert all(not t.requires_grad and t._prev == () for t in outputs)
+    for p, saved in zip(model.parameters(), before):
+        np.testing.assert_array_equal(p.grad, saved)
+
+
+@given(
+    n=st.integers(min_value=2, max_value=5),
+    w=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=15, deadline=None)
+def test_forward_under_no_grad_is_bitwise_equal(n, w, seed):
+    ds = _ds(n=n, days=6 * w + 6, w=w, seed=seed)
+    model = _model(ds, seed=seed % 7)
+    grid = patch_grid(0, ds.T, w)
+    with_grad = sequence_loss(model, ds.X, ds.A, ds.M, grid, TrainConfig())
+    with no_grad():
+        without = sequence_loss(model, ds.X, ds.A, ds.M, grid, TrainConfig())
+    assert with_grad.requires_grad and not without.requires_grad
+    assert np.asarray(with_grad.data).tobytes() == np.asarray(without.data).tobytes()
+
+
+def test_training_loss_still_records_after_validation():
+    ds = _ds()
+    splits = split_dataset(ds, SplitSpec(test_len=3, val_len=3))
+    model = _model(ds)
+    validation_loss(model, ds, splits.val, TrainConfig())
+    loss = training_loss(model, ds, splits.train, TrainConfig())
+    assert loss.requires_grad
+    loss.backward()
+    assert any(np.any(p.grad != 0) for p in model.trainable_parameters())

@@ -182,6 +182,25 @@ def test_divergence_reported_with_epoch(monkeypatch):
     assert exc.value.epoch == 1
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"lr": 0.0},
+        {"lr": -1.0},
+        {"lr": float("nan")},
+        {"max_epochs": 0},
+        {"patience": 0},
+        {"beta1": 1.0},
+        {"beta1": -0.1},
+        {"beta2": 1.0},
+        {"eps": 0.0},
+    ],
+)
+def test_train_config_rejects_bad_values(bad):
+    with pytest.raises(ValueError):
+        TrainConfig(**bad)
+
+
 def test_too_short_training_range_rejected():
     ds = _tiny_ds()
     model = _tiny_model(ds)
