@@ -26,6 +26,7 @@ from .tensor import (
     constant,
     gelu,
     layer_norm,
+    linear,
     matmul,
     mul,
     reshape,
@@ -162,7 +163,7 @@ def _attention(x: Tensor, state: BackboneState, layer: int, mask: Tensor) -> Ten
     p = state.params
 
     def proj(nm):
-        return add(matmul(x, p[f"layer{layer}.attn.{nm}.W"]), p[f"layer{layer}.attn.{nm}.b"])
+        return linear(x, p[f"layer{layer}.attn.{nm}.W"], p[f"layer{layer}.attn.{nm}.b"])
 
     def split(t):  # (N, P, D) -> (N, H, P, dh)
         return transpose(reshape(t, (N, P, H, dh)), (0, 2, 1, 3))
@@ -172,7 +173,7 @@ def _attention(x: Tensor, state: BackboneState, layer: int, mask: Tensor) -> Ten
     weights = softmax(add(scores, mask))
     mixed = matmul(weights, v)  # (N, H, P, dh)
     merged = reshape(transpose(mixed, (0, 2, 1, 3)), (N, P, D))
-    return add(matmul(merged, p[f"layer{layer}.attn.o.W"]), p[f"layer{layer}.attn.o.b"])
+    return linear(merged, p[f"layer{layer}.attn.o.W"], p[f"layer{layer}.attn.o.b"])
 
 
 def backbone_forward(tokens: Tensor, state: BackboneState) -> Tensor:
@@ -194,20 +195,23 @@ def backbone_forward(tokens: Tensor, state: BackboneState) -> Tensor:
 
     if cfg.mode in ("frozen-transformer", "trainable-transformer"):
         if P > cfg.max_positions:
-            raise ValueError(f"sequence of {P} patches exceeds max_positions={cfg.max_positions}")
+            raise BackboneConfigError(
+                f"sequence of {P} patches exceeds backbone.max_positions={cfg.max_positions}; "
+                "use a shorter history, a larger w (days per patch) or a larger backbone.max_positions"
+            )
         x = add(x, p["pos_emb"][:P])
         mask = constant(_causal_mask(P))
         for layer in range(cfg.depth):
             attn_in = layer_norm(x, p[f"layer{layer}.ln1.g"], p[f"layer{layer}.ln1.b"])
             x = add(x, _attention(attn_in, state, layer, mask))
             ffn_in = layer_norm(x, p[f"layer{layer}.ln2.g"], p[f"layer{layer}.ln2.b"])
-            h = gelu(add(matmul(ffn_in, p[f"layer{layer}.ffn.1.W"]), p[f"layer{layer}.ffn.1.b"]))
-            h = add(matmul(h, p[f"layer{layer}.ffn.2.W"]), p[f"layer{layer}.ffn.2.b"])
+            h = gelu(linear(ffn_in, p[f"layer{layer}.ffn.1.W"], p[f"layer{layer}.ffn.1.b"]))
+            h = linear(h, p[f"layer{layer}.ffn.2.W"], p[f"layer{layer}.ffn.2.b"])
             x = add(x, h)
         x = layer_norm(x, p["ln_f.g"], p["ln_f.b"])
     elif cfg.mode == "mlp":
-        h = gelu(add(matmul(x, p["mlp.1.W"]), p["mlp.1.b"]))
-        x = add(x, add(matmul(h, p["mlp.2.W"]), p["mlp.2.b"]))
+        h = gelu(linear(x, p["mlp.1.W"], p["mlp.1.b"]))
+        x = add(x, linear(h, p["mlp.2.W"], p["mlp.2.b"]))
     elif cfg.mode == "rnn":
         h = constant(np.zeros((N, 1, D)))
         outs = []

@@ -21,6 +21,7 @@ from .tensor import (
     concat,
     constant,
     div,
+    linear,
     matmul,
     mul,
     relu,
@@ -173,13 +174,13 @@ def epi_tokenize(
         graph = build_prompted_graph(A_window, prompts)
         prop = _propagation_matrix(graph.block_adjacency)
         H0 = constant(X_window.reshape(w * n, F))
-        H1 = relu(add(matmul(matmul(prop, H0), proj.W1), proj.b1))
-        H2 = add(matmul(matmul(prop, H1), proj.W2), proj.b2)
+        H1 = relu(linear(matmul(prop, H0), proj.W1, proj.b1))
+        H2 = linear(matmul(prop, H1), proj.W2, proj.b2)
         slices = [H2[k * n : (k + 1) * n] for k in range(w)]
     elif tokenizer_mode == "mlp":
         H0 = constant(X_window.reshape(w * n, F))
-        H1 = relu(add(matmul(H0, proj.W1), proj.b1))
-        H2 = add(matmul(H1, proj.W2), proj.b2)
+        H1 = relu(linear(H0, proj.W1, proj.b1))
+        H2 = linear(H1, proj.W2, proj.b2)
         slices = [H2[k * n : (k + 1) * n] for k in range(w)]
     else:
         raise ValueError(f"unknown tokenizer mode {tokenizer_mode!r}")
@@ -193,18 +194,18 @@ def mob_tokenize(M_t: np.ndarray, proj: MobProjector) -> Tensor:
         raise ValueError(f"expected square mobility matrix, got {M_t.shape}")
     if proj.W1.data.shape[0] != M_t.shape[0]:
         raise ValueError(f"projector expects N={proj.W1.data.shape[0]}, matrix has N={M_t.shape[0]}")
-    H1 = relu(add(matmul(constant(M_t), proj.W1), proj.b1))
-    return add(matmul(H1, proj.W2), proj.b2)
+    H1 = relu(linear(constant(M_t), proj.W1, proj.b1))
+    return linear(H1, proj.W2, proj.b2)
 
 
 def epi_adapt(tokens: Tensor, adapter: Adapter) -> Tensor:
     """Backbone output -> case-block space; raw (clamping happens at inference)."""
-    return add(matmul(tokens, adapter.W), adapter.b)
+    return linear(tokens, adapter.W, adapter.b)
 
 
 def mob_adapt(tokens: Tensor, adapter: Adapter) -> Tensor:
     """Backbone output -> mobility rows, clamped at zero (flows are nonnegative)."""
-    return relu(add(matmul(tokens, adapter.W), adapter.b))
+    return relu(linear(tokens, adapter.W, adapter.b))
 
 
 # -- patch grid and token sequences -----------------------------------------------------

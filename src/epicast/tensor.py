@@ -22,6 +22,12 @@ A tape's lifetime follows reference counting alone:
   A second backward through a released node raises AutodiffError.
 - Under ``with no_grad():`` ops record nothing and return tensors that do
   not require gradients.  Validation and forecasting run this way.
+
+Besides the primitive ops there are two fused ones, each a single tape node
+with a hand-written backward: ``linear`` (``x @ W + b``) and ``layer_norm``.
+Their forwards are bitwise equal to the same computation composed from the
+primitives, and tests validate both forwards and gradients against that
+composed form.
 """
 
 from __future__ import annotations
@@ -323,6 +329,25 @@ def matmul(a, b) -> Tensor:
     return Tensor._result(a.data @ b.data, (a, b), _bw)
 
 
+def linear(x, W, b) -> Tensor:
+    """Affine map ``x @ W + b`` as one node: x is (..., in), W (in, out), b (out,)."""
+    x, W, b = astensor(x), astensor(W), astensor(b)
+    out = x.data @ W.data
+    out += b.data
+
+    def _bw(g):
+        if x.requires_grad:
+            _accumulate(x, g @ W.data.T)
+        if W.requires_grad:
+            # one GEMM over all rows, not a batched matmul summed over the batch
+            rows = x.data.reshape(-1, x.data.shape[-1])
+            _accumulate(W, rows.T @ g.reshape(-1, g.shape[-1]))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.data.shape))
+
+    return Tensor._result(out, (x, W, b), _bw)
+
+
 def transpose(a, axes: tuple) -> Tensor:
     a = astensor(a)
     inv = np.argsort(axes)
@@ -357,11 +382,23 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return Tensor._result(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), _bw)
 
 
+def _is_basic_index(idx) -> bool:
+    """True for an int, a slice or a tuple of them: each element is hit once."""
+    items = idx if isinstance(idx, tuple) else (idx,)
+    return all(isinstance(i, (int, np.integer, slice)) and not isinstance(i, bool) for i in items)
+
+
 def getitem(a, idx) -> Tensor:
     a = astensor(a)
+    basic = _is_basic_index(idx)
 
     def _bw(g):
-        np.add.at(_owned_grad(a), idx, g)
+        grad = _owned_grad(a)
+        if basic:
+            grad[idx] += g
+        else:
+            # advanced indices may repeat an element; add.at counts every hit
+            np.add.at(grad, idx, g)
 
     return Tensor._result(a.data[idx], (a,), _bw)
 
@@ -435,7 +472,11 @@ def gelu(a) -> Tensor:
     """Gaussian error linear unit (tanh approximation, smooth everywhere)."""
     a = astensor(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x**3)
+    # x * x * x, not x**3: numpy evaluates an integer power above 2 with a
+    # per-element libm pow, tens of times slower than two multiplications.  The
+    # backward recomputes x * x: keeping it in the closure would hold one more
+    # input-sized array per gelu on the tape.
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
 
     def _bw(g):
@@ -463,10 +504,29 @@ def softmax(a) -> Tensor:
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    x = astensor(x)
-    mu = tmean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = tmean(square(centered), axis=-1, keepdims=True)
-    std = sqrt(add(var, eps))
-    return add(mul(div(centered, std), gain), bias)
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    One node; the forward runs the numpy ops of the composition
+    ``(x - mean) / sqrt(var + eps) * gain + bias`` in the same order, so the
+    output is bitwise equal to it.
+    """
+    x, gain, bias = astensor(x), astensor(gain), astensor(bias)
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    normed = centered / std
+    out = normed * gain.data
+    out += bias.data
+
+    def _bw(g):
+        if x.requires_grad:
+            gn = g * gain.data
+            dx = gn - gn.mean(axis=-1, keepdims=True)
+            dx -= normed * (gn * normed).mean(axis=-1, keepdims=True)
+            dx /= std
+            _accumulate(x, dx)
+        if gain.requires_grad:
+            _accumulate(gain, _unbroadcast(g * normed, gain.data.shape))
+        if bias.requires_grad:
+            _accumulate(bias, _unbroadcast(g, bias.data.shape))
+
+    return Tensor._result(out, (x, gain, bias), _bw)

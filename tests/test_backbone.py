@@ -95,7 +95,7 @@ def test_gradients_flow_through_frozen_layers():
 
 def test_sequence_longer_than_positions_rejected():
     cfg = BackboneConfig(mode="frozen-transformer", depth=1, width=8, heads=2, max_positions=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(BackboneConfigError, match="5 patches exceeds backbone.max_positions=4"):
         backbone_forward(_tokens(P=5), build_backbone(cfg))
 
 

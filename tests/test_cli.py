@@ -233,3 +233,13 @@ def test_exit_four_on_missing_checkpoint(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("\n".join(f"{k} = {v}" for k, v in FAST.items()) + "\n")
     assert main(["forecast", "--config", str(cfg_file), "--out", str(tmp_path / "fresh")]) == 4
+
+
+def test_exit_two_on_history_longer_than_max_positions(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    extra = {"synth.days": "80", "w": "1"}
+    cfg_file.write_text("\n".join(f"{k} = {v}" for k, v in {**FAST, **extra}.items()) + "\n")
+    assert main(["train", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "74 patches" in err and "backbone.max_positions=64" in err and "larger w" in err
+    assert not (tmp_path / "out" / "checkpoint.bin").exists()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epicast.gradcheck import grad_check, relative_error
 from epicast.tensor import (
@@ -15,8 +17,10 @@ from epicast.tensor import (
     gelu,
     getitem,
     layer_norm,
+    linear,
     matmul,
     mul,
+    no_grad,
     relu,
     reshape,
     sigmoid,
@@ -153,6 +157,8 @@ OP_CASES = {
     "getitem": lambda a, b: getitem(a, (slice(1, 3), slice(None))),
     "reshape": lambda a, b: reshape(a, (12,)),
     "transpose": lambda a, b: transpose(a, (1, 0)),
+    "linear": lambda a, b: linear(a, transpose(b, (1, 0)), tsum(b, axis=1)),
+    "layer_norm": lambda a, b: layer_norm(a, getitem(b, 0), getitem(b, 1)),
 }
 
 
@@ -214,3 +220,137 @@ def test_frozen_parameter_still_receives_grad():
 
 def test_relative_error_zero_when_both_zero():
     assert relative_error(0.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "idx",
+    [1, np.int64(2), (slice(1, 3), 0), (0, slice(None, None, 2)), ([1, 1, 2], [3, 3, 0])],
+    ids=["int", "np-int", "slice-int", "int-step", "fancy-pairs"],
+)
+def test_getitem_backward_matches_add_at(idx):
+    rng = np.random.default_rng(5)
+    a = Parameter(rng.normal(size=(3, 4)), name="a")
+    weights = rng.normal(size=a.data[idx].shape)
+    tsum(mul(getitem(a, idx), constant(weights))).backward()
+    expected = np.zeros((3, 4))
+    np.add.at(expected, idx, weights)
+    np.testing.assert_array_equal(a.grad, expected)
+
+
+def test_repeated_fancy_index_accumulates_every_hit():
+    a = Parameter(np.zeros(4), name="a")
+    tsum(getitem(a, [1, 1, 1, 3])).backward()
+    np.testing.assert_array_equal(a.grad, [0.0, 3.0, 0.0, 1.0])
+
+
+# -- fused kernels against their composition from primitive ops --------------------------------
+
+
+def _linear_composed(x, W, b):
+    return add(matmul(x, W), b)
+
+
+def _layer_norm_composed(x, gain, bias, eps=1e-5):
+    mu = tmean(x, axis=-1, keepdims=True)
+    centered = sub(x, mu)
+    var = tmean(square(centered), axis=-1, keepdims=True)
+    std = sqrt(add(var, eps))
+    return add(mul(div(centered, std), gain), bias)
+
+
+def _assert_rel_close(actual, expected, scale, rel=1e-12):
+    """max |actual - expected| within `rel` of `scale`, the size of the terms summed."""
+    assert np.max(np.abs(actual - expected)) <= rel * scale
+
+
+def _forward_backward(op, arrays, weights):
+    params = [Parameter(a, name=f"p{i}") for i, a in enumerate(arrays)]
+    out = op(*params)
+    tsum(mul(out, constant(weights))).backward()
+    return out.data, [p.grad for p in params]
+
+
+_lead = st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=2)
+
+
+@given(
+    lead=_lead,
+    n_in=st.integers(min_value=1, max_value=7),
+    n_out=st.integers(min_value=1, max_value=7),
+    seed=st.integers(min_value=0, max_value=2**16),
+    scale=st.floats(min_value=1e-3, max_value=1e3),
+)
+@settings(max_examples=40, deadline=None)
+def test_linear_equals_composed_form(lead, n_in, n_out, seed, scale):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(*lead, n_in)) * scale, rng.normal(size=(n_in, n_out)), rng.normal(size=n_out)]
+    weights = rng.normal(size=(*lead, n_out))
+    out, grads = _forward_backward(linear, arrays, weights)
+    ref, ref_grads = _forward_backward(_linear_composed, arrays, weights)
+    np.testing.assert_array_equal(out, ref)
+    # the W gradient sums x * g over all rows, in a different order than the reference
+    rows = np.abs(arrays[0].reshape(-1, n_in)).T @ np.abs(weights.reshape(-1, n_out))
+    scales = [np.max(np.abs(ref_grads[0])), np.max(rows), np.max(np.abs(ref_grads[2]))]
+    for g, r, sc in zip(grads, ref_grads, scales):
+        _assert_rel_close(g, r, sc)
+
+
+@given(
+    lead=_lead,
+    d=st.integers(min_value=1, max_value=9),
+    seed=st.integers(min_value=0, max_value=2**16),
+    scale=st.floats(min_value=1e-2, max_value=1e3),
+)
+@settings(max_examples=40, deadline=None)
+def test_layer_norm_equals_composed_form(lead, d, seed, scale):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(*lead, d)) * scale, rng.normal(size=d), rng.normal(size=d)]
+    weights = rng.normal(size=(*lead, d))
+    out, grads = _forward_backward(layer_norm, arrays, weights)
+    ref, ref_grads = _forward_backward(_layer_norm_composed, arrays, weights)
+    np.testing.assert_array_equal(out, ref)
+    # the x gradient is a difference of terms of size |g * gain| / std that
+    # cancel on short rows (d = 2 makes it nearly zero), so both evaluations
+    # are accurate relative to that size, not to the result's
+    std = np.sqrt(arrays[0].var(axis=-1, keepdims=True) + 1e-5)
+    scales = [np.max(np.abs(weights * arrays[1]) / std)] + [np.max(np.abs(r)) for r in ref_grads[1:]]
+    for g, r, sc in zip(grads, ref_grads, scales):
+        _assert_rel_close(g, r, sc)
+
+
+def test_gelu_matches_power_formula():
+    x = np.linspace(-10.0, 10.0, 20001)
+    c = np.sqrt(2.0 / np.pi)
+    expected = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * np.power(x, 3))))
+    np.testing.assert_allclose(gelu(Tensor(x)).data, expected, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("op", ["linear", "layer_norm"])
+def test_fused_ops_pass_gradients_to_frozen_parameters(op):
+    rng = np.random.default_rng(8)
+    x = Parameter(rng.normal(size=(2, 3, 4)), name="x")
+    if op == "linear":
+        W = Parameter(rng.normal(size=(4, 5)), name="W", frozen=True)
+        b = Parameter(rng.normal(size=5), name="b", frozen=True)
+        out = linear(x, W, b)
+    else:
+        W = Parameter(rng.normal(size=4), name="gain", frozen=True)
+        b = Parameter(rng.normal(size=4), name="bias", frozen=True)
+        out = layer_norm(x, W, b)
+    tsum(mul(out, constant(rng.normal(size=out.data.shape)))).backward()
+    assert W.frozen and b.frozen
+    assert np.any(W.grad != 0) and np.any(b.grad != 0) and np.any(x.grad != 0)
+
+
+def test_fused_ops_record_nothing_under_no_grad():
+    rng = np.random.default_rng(9)
+    x = Parameter(rng.normal(size=(3, 4)), name="x")
+    W = Parameter(rng.normal(size=(4, 2)), name="W")
+    b = Parameter(rng.normal(size=2), name="b")
+    gain = Parameter(np.ones(4), name="gain")
+    bias = Parameter(np.zeros(4), name="bias")
+    with no_grad():
+        outs = [linear(x, W, b), layer_norm(x, gain, bias)]
+    for out in outs:
+        assert not out.requires_grad
+        assert out._prev == () and out._backward is None
