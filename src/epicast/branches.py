@@ -1,10 +1,11 @@
 """Dual-branch tokenization and the adapters mapping back to raw spaces.
 
 Epidemic branch: message passing over the prompted block graph of a token
-window, followed by gated blending of the per-slice embeddings into one
-backbone-width token per region.  Mobility branch: a two-layer feedforward
-map from a region's outflow row to a token.  Each branch has its own adapter
-(token -> case block, token -> mobility row); the two share no parameters.
+window, blockwise over its per-day slices, followed by gated blending of the
+per-slice embeddings into one backbone-width token per region.  Mobility
+branch: a two-layer feedforward map from a region's outflow row to a token.
+Each branch has its own adapter (token -> case block, token -> mobility row);
+the two share no parameters.
 """
 
 from __future__ import annotations
@@ -13,22 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prompts import PromptParams, build_prompted_graph
+from .prompts import PromptedGraph, PromptParams, build_prompted_graph
 from .tensor import (
     Parameter,
     Tensor,
-    add,
+    _accumulate,
     concat,
     constant,
-    div,
     linear,
-    matmul,
     mul,
     relu,
     reshape,
     sigmoid,
-    sqrt,
-    transpose,
+    tmean,
     tsum,
 )
 
@@ -100,49 +98,76 @@ def init_adapter(rng: np.random.Generator, D: int, out: int, name: str) -> Adapt
     return Adapter(W, b)
 
 
-def _propagation_matrix(block: Tensor) -> Tensor:
-    """Self-looped, degree-normalized message matrix for the block graph.
+def propagate(graph: PromptedGraph, H: Tensor) -> Tensor:
+    """One message-passing step ``D^-1/2 (B + I)^T D^-1/2 H`` over the block graph.
 
-    Messages travel along edge direction: entry (i, j) of the transposed,
-    self-looped adjacency weights how much node j contributes to node i.
-    Self-loops keep every degree >= 1 while the edge weights are
-    nonnegative.  Negative learned prompt edge weights can break that; the
-    degree is then rejected, never clipped, so a valid state's numbers stay
-    exactly those of the plain normalization.
+    B is the graph's (w*N)^2 block adjacency and H its node features, laid
+    out as (w, N, F).  Messages travel along edge direction, so node (k, i)
+    receives ``A_k[j, i]`` from (k, j), its own features through the
+    self-loop, ``w_forward`` from (k-1, i) and ``w_backward`` from (k+1, i).
+    The degree follows in closed form (Kipf & Welling symmetric
+    normalization, applied blockwise):
+    ``deg_k = 1 + colsum(A_k) + w_forward [k > 0] + w_backward [k < w-1]``.
+
+    One tape node over (H, w_forward, w_backward) with a hand-written
+    backward; B itself is never built.  Self-loops keep every degree >= 1
+    while the edge weights are nonnegative.  Negative learned prompt edge
+    weights can break that; the degree is then rejected, never clipped, so
+    a valid state's numbers are those of the plain normalization.
     """
-    size = block.data.shape[0]
-    hat = add(block, constant(np.eye(size)))
-    # transpose so that rows index the receiving node
-    incoming = transpose(hat, (1, 0))
-    deg = tsum(incoming, axis=1, keepdims=True)
-    if np.any(deg.data <= 0):
+    A, wf, wb = graph.slices, graph.w_forward, graph.w_backward
+    deg = 1.0 + A.sum(axis=1)  # (w, N): in-strength of every node
+    deg[1:] += wf.data
+    deg[:-1] += wb.data
+    if np.any(deg <= 0):
         raise PromptGraphError(
             f"the prompt edge weights (prompts.forward, prompts.backward) leave a block-graph "
-            f"node with degree {deg.data.min():.6g}; degrees must stay positive"
+            f"node with degree {deg.min():.6g}; degrees must stay positive"
         )
-    inv_sqrt = div(constant(np.ones((size, 1))), sqrt(deg))
-    return mul(mul(incoming, inv_sqrt), transpose(inv_sqrt, (1, 0)))
+    s = (1.0 / np.sqrt(deg))[:, :, None]
+    Z = s * H.data
+    U = np.swapaxes(A, 1, 2) @ Z
+    U += Z
+    U[1:] += wf.data * Z[:-1]
+    U[:-1] += wb.data * Z[1:]
+    out = s * U
+
+    def _bw(g):
+        # Z is recomputed and U never kept, so the closure holds no array
+        # beyond s and the output
+        Z = s * H.data
+        dU = s * g
+        dZ = A @ dU
+        dZ += dU
+        dZ[:-1] += wf.data * dU[1:]
+        dZ[1:] += wb.data * dU[:-1]
+        if H.requires_grad:
+            _accumulate(H, s * dZ)
+        if wf.requires_grad or wb.requires_grad:
+            # s = deg^-1/2 enters as out = s * U and Z = s * H, so
+            # dL/ds = sum_F(g * U + dZ * H) and dL/ddeg = -s^3 / 2 * dL/ds;
+            # one factor s turns g * U into g * out and dZ * H into dZ * Z
+            ds_scaled = (g * out).sum(axis=-1, keepdims=True) + (dZ * Z).sum(axis=-1, keepdims=True)
+            ddeg = -0.5 * (s * s) * ds_scaled
+            if wf.requires_grad:
+                _accumulate(wf, np.asarray((dU[1:] * Z[:-1]).sum() + ddeg[1:].sum()))
+            if wb.requires_grad:
+                _accumulate(wb, np.asarray((dU[:-1] * Z[1:]).sum() + ddeg[:-1].sum()))
+
+    return Tensor._result(out, (H, wf, wb), _bw)
 
 
-def _gate_blend(slices: list[Tensor], prompts: PromptParams, gating_mode: str) -> Tensor:
-    """Blend per-slice embeddings (each N x D) into one token per region."""
-    w = len(slices)
+def _gate_blend(H: Tensor, prompts: PromptParams, gating_mode: str) -> Tensor:
+    """Blend per-slice embeddings H (w, N, D) into one token (N, D) per region."""
+    w = H.data.shape[0]
     if gating_mode == "gated":
-        gates = sigmoid(prompts.gamma)
-        out = mul(gates[0], slices[0])
-        for k in range(1, w):
-            out = add(out, mul(gates[k], slices[k]))
-        return out
+        return tsum(mul(reshape(sigmoid(prompts.gamma), (w, 1, 1)), H), axis=0)
     if gating_mode == "average":
-        out = slices[0]
-        for k in range(1, w):
-            out = add(out, slices[k])
-        return mul(out, 1.0 / w)
+        return tmean(H, axis=0)
     if gating_mode == "last":
         # keep the last slice's gate so a window of one day degenerates to
         # the gated form exactly
-        gates = sigmoid(prompts.gamma)
-        return mul(gates[w - 1], slices[w - 1])
+        return mul(sigmoid(prompts.gamma)[w - 1], H[w - 1])
     raise ValueError(f"unknown gating mode {gating_mode!r}")
 
 
@@ -157,9 +182,12 @@ def epi_tokenize(
     """One epidemic token (N, D) from a w-day window of features and graphs.
 
     In "graph" mode the features of all w*N (slice, region) nodes are pushed
-    through two message-passing layers over the prompted block graph; in
-    "mlp" mode the adjacency is ignored and the same weights act as a plain
-    per-node feedforward.
+    through two message-passing layers over the prompted block graph, each
+    one blockwise ``propagate`` node over the (w, N, N) slices with the
+    closed-form degree; the dense block adjacency is never built.  In "mlp"
+    mode the adjacency is ignored and the same weights act as a plain
+    per-node feedforward.  Either way the (w, N, D) output is blended over
+    the slices into the token.
     """
     X_window = np.asarray(X_window, dtype=np.float64)
     A_window = np.asarray(A_window, dtype=np.float64)
@@ -168,23 +196,19 @@ def epi_tokenize(
     w, n, F = X_window.shape
     if proj.W1.data.shape[0] != F:
         raise ValueError(f"projector expects F={proj.W1.data.shape[0]}, features have F={F}")
+    H0 = constant(X_window)
     if tokenizer_mode == "graph":
         if A_window.shape != (w, n, n):
             raise ValueError(f"adjacency stack {A_window.shape} does not match features {X_window.shape}")
         graph = build_prompted_graph(A_window, prompts)
-        prop = _propagation_matrix(graph.block_adjacency)
-        H0 = constant(X_window.reshape(w * n, F))
-        H1 = relu(linear(matmul(prop, H0), proj.W1, proj.b1))
-        H2 = linear(matmul(prop, H1), proj.W2, proj.b2)
-        slices = [H2[k * n : (k + 1) * n] for k in range(w)]
+        H1 = relu(linear(propagate(graph, H0), proj.W1, proj.b1))
+        H2 = linear(propagate(graph, H1), proj.W2, proj.b2)
     elif tokenizer_mode == "mlp":
-        H0 = constant(X_window.reshape(w * n, F))
         H1 = relu(linear(H0, proj.W1, proj.b1))
         H2 = linear(H1, proj.W2, proj.b2)
-        slices = [H2[k * n : (k + 1) * n] for k in range(w)]
     else:
         raise ValueError(f"unknown tokenizer mode {tokenizer_mode!r}")
-    return _gate_blend(slices, prompts, gating_mode)
+    return _gate_blend(H2, prompts, gating_mode)
 
 
 def mob_tokenize(M_t: np.ndarray, proj: MobProjector) -> Tensor:

@@ -5,9 +5,11 @@ full key list); every command writes the fully resolved config into its
 output directory so a run can be reproduced from its artifacts alone.  All
 commands are deterministic given the same config and seed.
 
-Exit codes: 0 ok, 2 config error, 3 data error, 4 checkpoint error,
-5 diverged (non-finite loss or prediction, or learned prompt edge weights
-that leave the block graph without a positive degree), 1 anything else.
+Exit codes: 0 ok, 2 config error (a forecast context outside the data
+included), 3 data error, 4 checkpoint error (a checkpoint served with another
+w or region count than it was trained with included), 5 diverged (non-finite
+loss or prediction, or learned prompt edge weights that leave the block graph
+without a positive degree), 1 anything else.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ from .evalharness import (
     metric_report,
     run_ablation,
 )
-from .forecaster import ForecastDivergedError, forecast
-from .model import ModelConfig, build_model, count_params, load_checkpoint, save_checkpoint
+from .forecaster import ForecastDivergedError, InsufficientContextError, forecast
+from .model import ModelConfig, ModelState, build_model, count_params, load_checkpoint, save_checkpoint
 from .serialize import CheckpointError
 from .trainer import TrainConfig, TrainingDivergedError, train
 
@@ -235,6 +237,18 @@ def _checkpoint_path(cfg: RunConfig, out: Path) -> Path:
     return out / "checkpoint.bin"
 
 
+def _check_served_space(model: ModelState, cfg: RunConfig, ds: EpidemicDataset, ckpt: Path) -> None:
+    """A checkpoint serves only the window length and region count it was trained on."""
+    if model.config.w != cfg["w"]:
+        raise CheckpointError(
+            f"{ckpt} was trained with w={model.config.w}, but the config sets w={cfg['w']}"
+        )
+    if model.config.n_regions != ds.N:
+        raise CheckpointError(
+            f"{ckpt} was trained on {model.config.n_regions} regions, but the dataset has {ds.N}"
+        )
+
+
 # -- commands -------------------------------------------------------------------------
 
 
@@ -284,6 +298,7 @@ def cmd_forecast(cfg: RunConfig) -> Path:
     ckpt = _checkpoint_path(cfg, out)
     model = load_checkpoint(ckpt)
     ds = _load_dataset(cfg)
+    _check_served_space(model, cfg, ds, ckpt)
     context_end = cfg["forecast.context_end"]
     if context_end is None:
         context_end = ds.T - cfg["split.test"]
@@ -303,6 +318,7 @@ def cmd_evaluate(cfg: RunConfig) -> Path:
     ckpt = _checkpoint_path(cfg, out)
     model = load_checkpoint(ckpt)
     ds = _load_dataset(cfg)
+    _check_served_space(model, cfg, ds, ckpt)
     horizon = cfg["horizon"]
     context_end = ds.T - cfg["split.test"]
     if context_end + horizon > ds.T:
@@ -396,7 +412,7 @@ def main(argv=None) -> int:
         cfg = resolve_config(raw, seed_override=args.seed, out_override=args.out)
         COMMANDS[args.command](cfg)
         return 0
-    except (ConfigError, BackboneConfigError) as exc:
+    except (ConfigError, BackboneConfigError, InsufficientContextError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DataError, FileNotFoundError) as exc:

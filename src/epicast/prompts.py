@@ -1,11 +1,11 @@
 """Prompted spatio-temporal graph: learnable cross-slice edges and time gates.
 
-The token window's w per-day mobility graphs are stacked into one block
-adjacency over w*N nodes.  Two learnable scalars add direction-aware edges
-between the same region at consecutive time slices (forward: past -> present,
-backward: present -> past), shared across all regions and slice pairs.  A
-length-w gate vector weights the per-slice embeddings when they are blended
-into the final token.
+The token window's w per-day mobility graphs form one block graph over w*N
+nodes.  Two learnable scalars add direction-aware edges between the same
+region at consecutive time slices (forward: past -> present, backward:
+present -> past), shared across all regions and slice pairs.  A length-w gate
+vector weights the per-slice embeddings when they are blended into the final
+token.
 """
 
 from __future__ import annotations
@@ -60,12 +60,47 @@ def init_prompts(w: int) -> PromptParams:
 
 @dataclass
 class PromptedGraph:
-    """Block adjacency over w time slices of N regions each."""
+    """The block graph over w time slices of N regions, kept in structured form.
 
-    n_slices: int
-    n_regions: int
-    block_adjacency: Tensor  # (w*N, w*N), differentiable w.r.t. the prompt scalars
-    slice_offsets: list[range]  # node-index range of each slice
+    Its (w*N)^2 block adjacency has only three non-zero block diagonals: the
+    per-day adjacencies on the diagonal, ``w_forward`` times the identity
+    from slice k-1 to slice k, and ``w_backward`` times the identity from
+    slice k to slice k-1.  Message passing works on ``slices`` directly
+    (``branches.propagate``); the dense matrix is assembled only on request,
+    for inspection and tests.
+    """
+
+    slices: np.ndarray  # (w, N, N) per-day adjacencies
+    w_forward: Parameter  # scalar
+    w_backward: Parameter  # scalar
+
+    @property
+    def n_slices(self) -> int:
+        return self.slices.shape[0]
+
+    @property
+    def n_regions(self) -> int:
+        return self.slices.shape[1]
+
+    @property
+    def slice_offsets(self) -> list[range]:
+        """Node-index range of each slice in the block adjacency."""
+        n = self.n_regions
+        return [range(k * n, (k + 1) * n) for k in range(self.n_slices)]
+
+    @property
+    def block_adjacency(self) -> Tensor:
+        """The dense (w*N, w*N) block matrix, differentiable w.r.t. the prompt scalars."""
+        w, n = self.n_slices, self.n_regions
+        size = w * n
+        base = np.zeros((size, size))
+        for k in range(w):
+            base[k * n : (k + 1) * n, k * n : (k + 1) * n] = self.slices[k]
+        fwd_mask, bwd_mask = _cross_slice_masks(w, n)
+        return add(
+            add(constant(base), mul(self.w_forward, constant(fwd_mask))),
+            mul(self.w_backward, constant(bwd_mask)),
+        )
 
 
 def _cross_slice_masks(w: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -75,7 +110,7 @@ def _cross_slice_masks(w: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_prompted_graph(A_window: np.ndarray, prompts: PromptParams) -> PromptedGraph:
-    """Assemble the (w*N)^2 block matrix from per-slice adjacencies and prompts.
+    """The prompted block graph of a token window, from per-slice adjacencies.
 
     Within-slice blocks are the given adjacencies; the only cross-slice
     entries link each region to itself in the neighbouring slices, all drawn
@@ -84,21 +119,7 @@ def build_prompted_graph(A_window: np.ndarray, prompts: PromptParams) -> Prompte
     A_window = np.asarray(A_window, dtype=np.float64)
     if A_window.ndim != 3 or A_window.shape[1] != A_window.shape[2]:
         raise ValueError(f"expected (w, N, N) adjacency stack, got {A_window.shape}")
-    w, n, _ = A_window.shape
+    w = A_window.shape[0]
     if w != prompts.window:
         raise ValueError(f"adjacency stack has {w} slices but prompts cover {prompts.window}")
-    size = w * n
-    base = np.zeros((size, size))
-    for k in range(w):
-        base[k * n : (k + 1) * n, k * n : (k + 1) * n] = A_window[k]
-    fwd_mask, bwd_mask = _cross_slice_masks(w, n)
-    block = add(
-        add(constant(base), mul(prompts.w_forward, constant(fwd_mask))),
-        mul(prompts.w_backward, constant(bwd_mask)),
-    )
-    return PromptedGraph(
-        n_slices=w,
-        n_regions=n,
-        block_adjacency=block,
-        slice_offsets=[range(k * n, (k + 1) * n) for k in range(w)],
-    )
+    return PromptedGraph(slices=A_window, w_forward=prompts.w_forward, w_backward=prompts.w_backward)

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from epicast.backbone import BackboneConfig
 from epicast.branches import (
     PromptGraphError,
     epi_adapt,
@@ -13,11 +16,16 @@ from epicast.branches import (
     mob_adapt,
     mob_tokenize,
     patch_grid,
+    propagate,
     stack_tokens,
 )
+from epicast.data import SirParams, SplitSpec, split_dataset, synth_sir
+from epicast.forecaster import forecast
 from epicast.gradcheck import grad_check
-from epicast.prompts import init_prompts
-from epicast.tensor import Tensor, constant, mul, tsum
+from epicast.model import ModelConfig, build_model
+from epicast.prompts import PromptedGraph, build_prompted_graph, init_prompts
+from epicast.tensor import Parameter, Tensor, add, constant, div, matmul, mul, reshape, sqrt, transpose, tsum
+from epicast.trainer import TrainConfig, training_loss, validation_loss
 
 
 @pytest.fixture
@@ -169,6 +177,82 @@ def test_negative_prompt_degree_raises_named_error(setup):
     prompts.w_backward.data = np.array(-3.0)
     with pytest.raises(PromptGraphError, match="prompt edge weights"):
         epi_tokenize(X, A, prompts, proj)
+
+
+# -- blockwise propagation against the dense block graph ------------------------------
+
+
+def _dense_propagation_matrix(block: Tensor) -> Tensor:
+    """Oracle: the self-looped, symmetrically normalized, transposed block
+    adjacency, built densely over all w*N nodes."""
+    size = block.data.shape[0]
+    incoming = transpose(add(block, constant(np.eye(size))), (1, 0))
+    deg = tsum(incoming, axis=1, keepdims=True)
+    inv_sqrt = div(constant(np.ones((size, 1))), sqrt(deg))
+    return mul(mul(incoming, inv_sqrt), transpose(inv_sqrt, (1, 0)))
+
+
+def _dense_propagate(graph, H: Tensor) -> Tensor:
+    w, n, F = H.data.shape
+    prop = _dense_propagation_matrix(graph.block_adjacency)
+    return reshape(matmul(prop, reshape(H, (w * n, F))), (w, n, F))
+
+
+def _max_rel(got, want) -> float:
+    scale = np.abs(want).max() if np.size(want) else 0.0
+    return float(np.abs(got - want).max() / scale) if scale > 0 else float(np.abs(got).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    w=st.integers(1, 7),
+    n=st.integers(1, 12),
+    F=st.integers(1, 8),
+    density=st.floats(0.0, 1.0),
+    # each weight stays above -1/2, so every degree stays above 0
+    w_forward=st.floats(-0.45, 3.0),
+    w_backward=st.floats(-0.45, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_propagate_matches_dense_oracle(w, n, F, density, w_forward, w_backward, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(0.0, 2.0, size=(w, n, n)) * (rng.uniform(size=(w, n, n)) < density)
+    X = rng.normal(size=(w, n, F))
+    C = rng.normal(size=(w, n, F))
+    results = []
+    for fn in (propagate, _dense_propagate):
+        prompts = init_prompts(w)
+        prompts.w_forward.data = np.array(w_forward)
+        prompts.w_backward.data = np.array(w_backward)
+        H = Parameter(X, name="H")
+        Y = fn(build_prompted_graph(A, prompts), H)
+        tsum(mul(Y, constant(C))).backward()
+        results.append((Y.data, H.grad, prompts.w_forward.grad, prompts.w_backward.grad))
+    (Y, dH, dwf, dwb), (Y_ref, dH_ref, dwf_ref, dwb_ref) = results
+    assert _max_rel(Y, Y_ref) <= 1e-12
+    assert _max_rel(dH, dH_ref) <= 1e-10
+    for got, want in ((dwf, dwf_ref), (dwb, dwb_ref)):
+        assert abs(got - want) <= 1e-10 * max(abs(want), 1.0)
+
+
+def test_hot_paths_never_build_the_dense_block(monkeypatch):
+    def refuse(graph):
+        raise AssertionError("dense block adjacency built on a hot path")
+
+    monkeypatch.setattr(PromptedGraph, "block_adjacency", property(refuse))
+    ds = synth_sir(4, 30, SirParams(beta=0.5, gamma_rec=0.2, population=2000), rng_seed=5, w=3, scale=True)
+    splits = split_dataset(ds, SplitSpec(test_len=3, val_len=3))
+    model = build_model(
+        ModelConfig(n_regions=4, w=3, width=8, seed=0),
+        BackboneConfig(mode="frozen-transformer", depth=1, width=8, heads=2, seed=1),
+    )
+    cfg = TrainConfig()
+    loss = training_loss(model, ds, splits.train, cfg)
+    loss.backward()
+    assert model.prompts.w_forward.grad != 0
+    assert np.isfinite(validation_loss(model, ds, splits.val, cfg))
+    result = forecast(model, ds, splits.test.start, steps=2)
+    assert result.cases.shape == (2 * ds.w, ds.N)
 
 
 def test_shape_validation(setup):

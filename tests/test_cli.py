@@ -243,3 +243,37 @@ def test_exit_two_on_history_longer_than_max_positions(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "74 patches" in err and "backbone.max_positions=64" in err and "larger w" in err
     assert not (tmp_path / "out" / "checkpoint.bin").exists()
+
+
+def _write_cfg(path, extra=None):
+    path.write_text("\n".join(f"{k} = {v}" for k, v in {**FAST, **(extra or {})}.items()) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("command", ["forecast", "evaluate"])
+@pytest.mark.parametrize(
+    "served, named",
+    [({"w": "1"}, ["w=3", "w=1"]), ({"synth.regions": "5"}, ["4 regions", "has 5"])],
+)
+def test_exit_four_on_checkpoint_served_in_another_model_space(tmp_path, capsys, command, served, named):
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(_write_cfg(tmp_path / "train.cfg")), "--out", str(out)]) == 0
+    capsys.readouterr()
+    serve_cfg = _write_cfg(tmp_path / "serve.cfg", served)
+    assert main([command, "--config", str(serve_cfg), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "checkpoint error" in err and all(part in err for part in named), err
+    assert not (out / "forecast.csv").exists() and not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "context_end, message", [(500, "beyond dataset length 24"), (1, "at least one full patch")]
+)
+def test_exit_two_on_out_of_range_context_end(tmp_path, capsys, context_end, message):
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(_write_cfg(tmp_path / "train.cfg")), "--out", str(out)]) == 0
+    capsys.readouterr()
+    cfg = _write_cfg(tmp_path / "serve.cfg", {"forecast.context_end": str(context_end)})
+    assert main(["forecast", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err, err

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epicast.branches import propagate
 from epicast.gradcheck import grad_check, relative_error
+from epicast.prompts import PromptedGraph
 from epicast.tensor import (
     AutodiffError,
     Parameter,
@@ -136,6 +138,9 @@ def _p(rng, shape, name, away_from_zero=False):
     return Parameter(data, name=name)
 
 
+# a 3-slice window of 2 regions, one edge absent
+_SLICES = np.array([[[0.0, 0.5], [1.0, 0.2]], [[0.3, 0.0], [0.7, 0.4]], [[0.9, 0.1], [0.0, 0.6]]])
+
 OP_CASES = {
     "add": lambda a, b: add(a, b),
     "sub": lambda a, b: sub(a, b),
@@ -159,6 +164,11 @@ OP_CASES = {
     "transpose": lambda a, b: transpose(a, (1, 0)),
     "linear": lambda a, b: linear(a, transpose(b, (1, 0)), tsum(b, axis=1)),
     "layer_norm": lambda a, b: layer_norm(a, getitem(b, 0), getitem(b, 1)),
+    # prompt weights drawn from b: forward >= -0.3 keeps every degree positive
+    "propagate": lambda a, b: propagate(
+        PromptedGraph(_SLICES, sub(square(getitem(b, (0, 0))), 0.3), square(getitem(b, (1, 1)))),
+        reshape(a, (3, 2, 2)),
+    ),
 }
 
 
