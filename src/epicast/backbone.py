@@ -9,6 +9,16 @@ a single gated recurrent layer, and a pure identity.
 Each region's patch-token sequence is processed as an independent batch item;
 causal masking guarantees the output at position p depends only on positions
 <= p, and that output is read as the prediction for patch p+1.
+
+Inference decodes incrementally, the way language models serve next-token
+prediction.  A ``DecodeCache`` remembers how many positions of a growing
+sequence have run and what later positions need from them: each transformer
+layer's keys and values, or the recurrent hidden state.  The first call
+prefills the whole context, computing exactly what a call without a cache
+computes; each later call runs only the positions appended since.  Positions
+stay absolute (``pos_emb[p]``), so a cached prefix is valid only while the
+sequence grows at its end.  Cached arrays have no tape behind them, so a
+cache is refused while gradients are recorded.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ from .tensor import (
     concat,
     constant,
     gelu,
+    grad_enabled,
     layer_norm,
     linear,
     matmul,
@@ -41,6 +52,10 @@ MODES = ("frozen-transformer", "trainable-transformer", "mlp", "rnn", "identity"
 
 class BackboneConfigError(ValueError):
     pass
+
+
+class DecodeCacheError(RuntimeError):
+    """A decode cache used while the tape records, or with no new position to run."""
 
 
 @dataclass(frozen=True)
@@ -86,6 +101,20 @@ class BackboneState:
             path,
             meta={"kind": "backbone", "config": self.config.__dict__},
         )
+
+
+@dataclass
+class DecodeCache:
+    """Incremental-decoding state of one growing (P, N, D) token sequence.
+
+    `length` positions have run.  Transformers keep each layer's keys and
+    values, each (N, heads, length, width // heads); `rnn` keeps its last
+    hidden state (N, 1, width); `mlp` and `identity` need nothing more.
+    """
+
+    length: int = 0
+    kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    h: np.ndarray | None = None
 
 
 def _param(state: BackboneState, name: str, data: np.ndarray) -> Parameter:
@@ -155,7 +184,9 @@ def _causal_mask(P: int) -> np.ndarray:
     return mask
 
 
-def _attention(x: Tensor, state: BackboneState, layer: int, mask: Tensor) -> Tensor:
+def _attention(
+    x: Tensor, state: BackboneState, layer: int, mask: Tensor, cache: DecodeCache | None
+) -> Tensor:
     cfg = state.config
     N, P, D = x.data.shape
     H = cfg.heads
@@ -169,6 +200,14 @@ def _attention(x: Tensor, state: BackboneState, layer: int, mask: Tensor) -> Ten
         return transpose(reshape(t, (N, P, H, dh)), (0, 2, 1, 3))
 
     q, k, v = split(proj("q")), split(proj("k")), split(proj("v"))
+    if cache is not None:
+        if layer < len(cache.kv):  # decode: attend to the cached positions too
+            k_past, v_past = cache.kv[layer]
+            k = constant(np.concatenate([k_past, k.data], axis=2))
+            v = constant(np.concatenate([v_past, v.data], axis=2))
+            cache.kv[layer] = (k.data, v.data)
+        else:  # prefill
+            cache.kv.append((k.data, v.data))
     scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
     weights = softmax(add(scores, mask))
     mixed = matmul(weights, v)  # (N, H, P, dh)
@@ -176,8 +215,13 @@ def _attention(x: Tensor, state: BackboneState, layer: int, mask: Tensor) -> Ten
     return linear(merged, p[f"layer{layer}.attn.o.W"], p[f"layer{layer}.attn.o.b"])
 
 
-def backbone_forward(tokens: Tensor, state: BackboneState) -> Tensor:
-    """(P, N, D) tokens -> (P, N, D) predictions; output p predicts patch p+1."""
+def backbone_forward(tokens: Tensor, state: BackboneState, cache: DecodeCache | None = None) -> Tensor:
+    """(P, N, D) tokens -> (P, N, D) predictions; output p predicts patch p+1.
+
+    With a `cache` (inference only, under no_grad), only positions
+    cache.length .. P-1 run: their (P - cache.length, N, D) outputs are
+    returned and the cache advances to P.
+    """
     cfg = state.config
     if tokens.data.ndim != 3:
         raise ValueError(f"expected (P, N, D) tokens, got shape {tokens.data.shape}")
@@ -186,24 +230,35 @@ def backbone_forward(tokens: Tensor, state: BackboneState) -> Tensor:
         raise ValueError("need at least one patch")
     if cfg.mode != "identity" and D != cfg.width:
         raise ValueError(f"token width {D} does not match backbone width {cfg.width}")
+    if "transformer" in cfg.mode and P > cfg.max_positions:
+        raise BackboneConfigError(
+            f"sequence of {P} patches exceeds backbone.max_positions={cfg.max_positions}; "
+            "use a shorter history, a larger w (days per patch) or a larger backbone.max_positions"
+        )
+    start = 0
+    if cache is not None:
+        if grad_enabled():
+            raise DecodeCacheError(
+                "a decode cache is for inference only: call backbone_forward under no_grad()"
+            )
+        start = cache.length
+        if start >= P:
+            raise DecodeCacheError(f"the cache already holds {start} positions of a {P}-patch sequence")
+        tokens = tokens[start:]
+        cache.length = P
 
     if cfg.mode == "identity":
         return tokens
 
     p = state.params
-    x = transpose(tokens, (1, 0, 2))  # (N, P, D): one sequence per region
+    x = transpose(tokens, (1, 0, 2))  # (N, P - start, D): one sequence per region
 
     if cfg.mode in ("frozen-transformer", "trainable-transformer"):
-        if P > cfg.max_positions:
-            raise BackboneConfigError(
-                f"sequence of {P} patches exceeds backbone.max_positions={cfg.max_positions}; "
-                "use a shorter history, a larger w (days per patch) or a larger backbone.max_positions"
-            )
-        x = add(x, p["pos_emb"][:P])
-        mask = constant(_causal_mask(P))
+        x = add(x, p["pos_emb"][start:P])
+        mask = constant(_causal_mask(P)[start:])
         for layer in range(cfg.depth):
             attn_in = layer_norm(x, p[f"layer{layer}.ln1.g"], p[f"layer{layer}.ln1.b"])
-            x = add(x, _attention(attn_in, state, layer, mask))
+            x = add(x, _attention(attn_in, state, layer, mask, cache))
             ffn_in = layer_norm(x, p[f"layer{layer}.ln2.g"], p[f"layer{layer}.ln2.b"])
             h = gelu(linear(ffn_in, p[f"layer{layer}.ffn.1.W"], p[f"layer{layer}.ffn.1.b"]))
             h = linear(h, p[f"layer{layer}.ffn.2.W"], p[f"layer{layer}.ffn.2.b"])
@@ -213,9 +268,9 @@ def backbone_forward(tokens: Tensor, state: BackboneState) -> Tensor:
         h = gelu(linear(x, p["mlp.1.W"], p["mlp.1.b"]))
         x = add(x, linear(h, p["mlp.2.W"], p["mlp.2.b"]))
     elif cfg.mode == "rnn":
-        h = constant(np.zeros((N, 1, D)))
+        h = constant(np.zeros((N, 1, D)) if cache is None or cache.h is None else cache.h)
         outs = []
-        for t in range(P):
+        for t in range(P - start):
             xt = x[:, t : t + 1, :]
             z = sigmoid(add(add(matmul(xt, p["rnn.Wz"]), matmul(h, p["rnn.Uz"])), p["rnn.bz"]))
             r = sigmoid(add(add(matmul(xt, p["rnn.Wr"]), matmul(h, p["rnn.Ur"])), p["rnn.br"]))
@@ -223,6 +278,8 @@ def backbone_forward(tokens: Tensor, state: BackboneState) -> Tensor:
             one_minus_z = add(mul(z, -1.0), 1.0)
             h = add(mul(one_minus_z, h), mul(z, cand))
             outs.append(h)
+        if cache is not None:
+            cache.h = h.data
         x = concat(outs, axis=1)
 
     return transpose(x, (1, 0, 2))

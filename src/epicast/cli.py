@@ -5,11 +5,12 @@ full key list); every command writes the fully resolved config into its
 output directory so a run can be reproduced from its artifacts alone.  All
 commands are deterministic given the same config and seed.
 
-Exit codes: 0 ok, 2 config error (a forecast context outside the data
-included), 3 data error, 4 checkpoint error (a checkpoint served with another
-w or region count than it was trained with included), 5 diverged (non-finite
-loss or prediction, or learned prompt edge weights that leave the block graph
-without a positive degree), 1 anything else.
+Exit codes: 0 ok, 2 config error (out-of-range synth.* values and a forecast
+context outside the data included), 3 data error, 4 checkpoint error (a
+checkpoint served with another w or region count than it was trained with
+included), 5 diverged (non-finite loss or prediction, or learned prompt edge
+weights that leave the block graph without a positive degree), 1 anything
+else.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ from pathlib import Path
 from .backbone import BackboneConfig, BackboneConfigError
 from .branches import PromptGraphError
 from .data import (
+    CaseTable,
     DataError,
     EpidemicDataset,
+    MobilityTable,
     SirParams,
     SplitSpec,
     build_dataset,
@@ -185,18 +188,26 @@ def _echo_config(cfg: RunConfig, out: Path, command: str) -> None:
         json.dump(doc, fh, indent=1, sort_keys=True)
 
 
+def _synth_tables(cfg: RunConfig) -> tuple[CaseTable, MobilityTable]:
+    """The synthetic SIR tables the `synth.*` keys describe; bad values are config errors."""
+    try:
+        params = SirParams(
+            beta=cfg["synth.beta"],
+            gamma_rec=cfg["synth.gamma_rec"],
+            seed_region=cfg["synth.seed_region"],
+            population=cfg["synth.population"],
+        )
+        return synth_sir_tables(cfg["synth.regions"], cfg["synth.days"], params, rng_seed=cfg["seed"])
+    except ValueError as exc:
+        raise ConfigError(f"synth: {exc}") from exc
+
+
 def _load_dataset(cfg: RunConfig) -> EpidemicDataset:
     if cfg["data.cases"] is not None:
         cases = load_cases(cfg["data.cases"])
         mobility = load_mobility(cfg["data.mobility"], dates=cases.dates)
         return build_dataset(cases, mobility, w=cfg["w"], epsilon=cfg["epsilon"], scale=cfg["scale"])
-    params = SirParams(
-        beta=cfg["synth.beta"],
-        gamma_rec=cfg["synth.gamma_rec"],
-        seed_region=cfg["synth.seed_region"],
-        population=cfg["synth.population"],
-    )
-    cases, mobility = synth_sir_tables(cfg["synth.regions"], cfg["synth.days"], params, rng_seed=cfg["seed"])
+    cases, mobility = _synth_tables(cfg)
     return build_dataset(cases, mobility, w=cfg["w"], epsilon=cfg["epsilon"], scale=cfg["scale"])
 
 
@@ -255,13 +266,7 @@ def _check_served_space(model: ModelState, cfg: RunConfig, ds: EpidemicDataset, 
 def cmd_synth(cfg: RunConfig) -> Path:
     out = _out_dir(cfg)
     _echo_config(cfg, out, "synth")
-    params = SirParams(
-        beta=cfg["synth.beta"],
-        gamma_rec=cfg["synth.gamma_rec"],
-        seed_region=cfg["synth.seed_region"],
-        population=cfg["synth.population"],
-    )
-    cases, mobility = synth_sir_tables(cfg["synth.regions"], cfg["synth.days"], params, rng_seed=cfg["seed"])
+    cases, mobility = _synth_tables(cfg)
     write_cases_csv(cases, out / "cases.csv")
     write_mobility_csv(mobility, out / "mobility.csv")
     print(f"synth: wrote {out/'cases.csv'} and {out/'mobility.csv'} "

@@ -6,6 +6,13 @@ get the next w-day case block.  The generated patch (cases + structure) is
 rolled into the context, so later steps condition on earlier predictions:
 one step is direct forecasting, several steps is multi-step forecasting.
 
+Both backbone passes decode incrementally: step 1 prefills the context grid,
+and each later step runs the backbone on the one position it appended (see
+``backbone.DecodeCache``).  The grid only grows at its end, because its first
+day stays fixed as the context advances by whole patches.  Tokens are still
+recomputed over the whole grid at every step, because the benchmark's traced
+self-check pins one tokenizer call per patch and step.
+
 Feature rows for generated days are built by the same windowing code used at
 ingestion, so training and inference see identically constructed inputs.
 """
@@ -19,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backbone import backbone_forward
+from .backbone import DecodeCache, backbone_forward
 from .branches import epi_adapt, mob_adapt, patch_grid
 from .data import EpidemicDataset, window_features
 from .model import ModelState
@@ -101,14 +108,15 @@ def forecast(model: ModelState, ds: EpidemicDataset, context_end: int, steps: in
     blocks: list[np.ndarray] = []
     mob_steps: list[np.ndarray] = []
     adj_steps: list[np.ndarray] = []
+    mob_cache, epi_cache = DecodeCache(), DecodeCache()
 
     for step in range(1, steps + 1):
         grid = patch_grid(0, t_cur, w)
 
         if cfg.mobility_enabled and cfg.adjacency_mode == "predicted":
             mob_seq = mob_token_sequence(model, M_ctx, grid)
-            mob_out = backbone_forward(mob_seq.tokens, model.backbone)
-            M_next = mob_adapt(mob_out[len(grid) - 1], model.mob_adapter).data
+            mob_out = backbone_forward(mob_seq.tokens, model.backbone, mob_cache)
+            M_next = mob_adapt(mob_out[-1], model.mob_adapter).data
         elif cfg.adjacency_mode == "window_average":
             M_next = M_ctx[t_cur - w : t_cur].mean(axis=0)
         elif cfg.adjacency_mode == "last":
@@ -122,8 +130,8 @@ def forecast(model: ModelState, ds: EpidemicDataset, context_end: int, steps: in
 
         X_feats = window_features(counts, w)
         epi_seq = epi_token_sequence(model, X_feats, A_ctx, grid)
-        epi_out = backbone_forward(epi_seq.tokens, model.backbone)
-        block = epi_adapt(epi_out[len(grid) - 1], model.epi_adapter).data
+        epi_out = backbone_forward(epi_seq.tokens, model.backbone, epi_cache)
+        block = epi_adapt(epi_out[-1], model.epi_adapter).data
         if not np.all(np.isfinite(block)):
             raise ForecastDivergedError(step, "case prediction")
         block = np.maximum(block, 0.0)  # (N, w): column k is day k of the new patch

@@ -2,10 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from epicast.backbone import BackboneConfig, BackboneConfigError, backbone_forward, build_backbone
+from epicast.backbone import (
+    MODES,
+    BackboneConfig,
+    BackboneConfigError,
+    DecodeCache,
+    DecodeCacheError,
+    backbone_forward,
+    build_backbone,
+)
 from epicast.gradcheck import grad_check
-from epicast.tensor import Parameter, Tensor, constant, mul, tsum
+from epicast.tensor import Parameter, Tensor, constant, mul, no_grad, tsum
 
 
 def _tokens(P=5, N=3, D=8, seed=0):
@@ -139,3 +149,87 @@ def test_weight_file_shape_mismatch(tmp_path):
     state.export_weights(path)
     with pytest.raises(BackboneConfigError):
         build_backbone(BackboneConfig(mode="frozen-transformer", depth=1, width=16, heads=2), weights_path=path)
+
+
+# -- incremental decoding --------------------------------------------------------------------
+
+
+def _decode(tokens, state, cuts):
+    """Run `tokens` through one cache, one call per prefix end in `cuts`; concatenate the outputs."""
+    cache = DecodeCache()
+    with no_grad():
+        outs = [backbone_forward(Tensor(tokens.data[:end]), state, cache).data for end in cuts]
+    assert cache.length == cuts[-1]
+    return outs
+
+
+def _assert_close_to_largest(got, want, tol=1e-12):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), np.max(np.abs(got - want))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_prefill_then_decode_matches_full_forward(mode):
+    state = build_backbone(BackboneConfig(mode=mode, depth=2, width=8, heads=2, seed=3))
+    context, steps = 5, 8
+    tokens = _tokens(P=context + steps, N=3, D=8, seed=2)
+    outs = _decode(tokens, state, list(range(context, context + steps + 1)))
+    full = backbone_forward(tokens, state).data
+    assert [o.shape[0] for o in outs] == [context] + [1] * steps
+    prefix = backbone_forward(Tensor(tokens.data[:context]), state).data
+    assert outs[0].tobytes() == prefix.tobytes()  # the prefill is the no-cache forward
+    decoded = np.concatenate(outs, axis=0)
+    if mode in ("rnn", "identity"):
+        assert decoded.tobytes() == full.tobytes()
+    else:
+        _assert_close_to_largest(decoded, full)
+
+
+@given(
+    mode=st.sampled_from(MODES),
+    n=st.integers(min_value=1, max_value=3),
+    chunks=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=5),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_causal_prefix_property(mode, n, chunks, seed):
+    """Outputs at positions < p depend only on tokens < p, so a cached prefix stays valid."""
+    state = build_backbone(BackboneConfig(mode=mode, depth=2, width=4, heads=2, seed=seed % 5))
+    cuts = list(np.cumsum(chunks))
+    tokens = _tokens(P=cuts[-1], N=n, D=4, seed=seed)
+    full = backbone_forward(tokens, state).data
+    for end in cuts:  # a no-cache forward over any prefix is that prefix of the full forward
+        _assert_close_to_largest(backbone_forward(Tensor(tokens.data[:end]), state).data, full[:end])
+    decoded = np.concatenate(_decode(tokens, state, cuts), axis=0)
+    _assert_close_to_largest(decoded, full)
+    if mode in ("rnn", "identity"):
+        assert decoded.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_cache_refused_while_the_tape_records(mode):
+    state = build_backbone(BackboneConfig(mode=mode, depth=1, width=8, heads=2))
+    cache = DecodeCache()
+    with pytest.raises(DecodeCacheError, match="inference only"):
+        backbone_forward(_tokens(P=3, D=8), state, cache)
+    assert cache == DecodeCache()
+
+
+def test_cache_with_no_new_position_refused():
+    state = build_backbone(BackboneConfig(mode="frozen-transformer", depth=1, width=8, heads=2))
+    cache = DecodeCache()
+    with no_grad():
+        backbone_forward(_tokens(P=3, D=8), state, cache)
+        with pytest.raises(DecodeCacheError, match="already holds 3 positions of a 3-patch"):
+            backbone_forward(_tokens(P=3, D=8), state, cache)
+
+
+def test_decode_past_max_positions_rejected():
+    cfg = BackboneConfig(mode="frozen-transformer", depth=1, width=8, heads=2, max_positions=4)
+    state = build_backbone(cfg)
+    tokens = _tokens(P=5, D=8)
+    cache = DecodeCache()
+    with no_grad():
+        backbone_forward(Tensor(tokens.data[:4]), state, cache)
+        with pytest.raises(BackboneConfigError, match="5 patches exceeds backbone.max_positions=4"):
+            backbone_forward(tokens, state, cache)

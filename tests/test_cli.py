@@ -208,6 +208,26 @@ def test_exit_two_on_out_of_range_config_value(tmp_path, line):
     assert not (tmp_path / "out" / "checkpoint.bin").exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "train"])
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("synth.regions = 0", "at least one region and one day"),
+        ("synth.days = 0", "at least one region and one day"),
+        ("synth.population = 0", "population must be positive"),
+        ("synth.beta = -1", "beta must be >= 0"),
+        ("synth.gamma_rec = 1.5", "gamma_rec must lie in (0, 1)"),
+        ("synth.seed_region = 9", "seed_region 9 outside 0..3"),
+    ],
+)
+def test_exit_two_on_out_of_range_synth_value(tmp_path, capsys, command, line, message):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"synth.regions = 4\nsynth.days = 40\n{line}\n")
+    assert main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: synth:" in err and message in err, err
+
+
 def test_exit_five_on_negative_prompt_degree(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("\n".join(f"{k} = {v}" for k, v in FAST.items()) + "\n")

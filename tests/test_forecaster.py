@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from epicast.backbone import BackboneConfig
+from epicast import forecaster
+from epicast.backbone import BackboneConfig, backbone_forward
 from epicast.data import SirParams, SplitSpec, split_dataset, synth_sir
 from epicast.forecaster import ForecastDivergedError, InsufficientContextError, forecast
 from epicast.model import ModelConfig, build_model
@@ -14,9 +15,9 @@ def _ds(w=3, days=30, n=4, seed=5, **kw):
     return synth_sir(n, days, SirParams(beta=0.5, gamma_rec=0.2, population=2000), rng_seed=seed, w=w, scale=True, **kw)
 
 
-def _model(ds, width=8, seed=0, **cfg_kw):
+def _model(ds, width=8, seed=0, mode="frozen-transformer", **cfg_kw):
     mc = ModelConfig(n_regions=ds.N, w=ds.w, width=width, seed=seed, epsilon=ds.epsilon, **cfg_kw)
-    bc = BackboneConfig(mode="frozen-transformer", depth=2, width=width, heads=2, seed=seed + 1)
+    bc = BackboneConfig(mode=mode, depth=2, width=width, heads=2, seed=seed + 1)
     return build_model(mc, bc)
 
 
@@ -159,3 +160,27 @@ def test_disabled_mobility_emits_zero_structures():
     assert (res.mobility == 0).all()
     assert (res.adjacency == 0).all()
     assert res.cases.shape == (6, ds.N)
+
+
+@pytest.mark.parametrize("mode", ["frozen-transformer", "rnn"])
+def test_incremental_decoding_matches_full_recompute(monkeypatch, mode):
+    ds = _ds()
+    model = _model(ds, mode=mode, seed=3)
+    decoded = forecast(model, ds, context_end=24, steps=8)
+
+    calls = []
+
+    def full_recompute(tokens, state, cache):
+        """The oracle: rerun every position, then return the ones the cache has not seen."""
+        start, cache.length = cache.length, tokens.data.shape[0]
+        calls.append((start, cache.length))
+        return backbone_forward(tokens, state)[start:]
+
+    monkeypatch.setattr(forecaster, "backbone_forward", full_recompute)
+    oracle = forecast(model, ds, context_end=24, steps=8)
+    # step 1 prefills the 8 context patches per branch, then one new position per step and branch
+    assert calls == [(0, 8)] * 2 + [(p, p + 1) for p in range(8, 15) for _ in range(2)]
+    assert decoded.cases[:3].tobytes() == oracle.cases[:3].tobytes()
+    assert decoded.mobility[0].tobytes() == oracle.mobility[0].tobytes()
+    for got, want in ((decoded.cases, oracle.cases), (decoded.mobility, oracle.mobility)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
