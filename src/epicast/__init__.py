@@ -12,7 +12,6 @@ from .branches import (
     Adapter,
     EpiProjector,
     MobProjector,
-    TokenSequence,
     epi_adapt,
     epi_tokenize,
     mob_adapt,

@@ -246,17 +246,7 @@ def patch_grid(t_start: int, t_end: int, w: int) -> list[tuple[int, int]]:
     return [(first + p * w, first + (p + 1) * w) for p in range(n)]
 
 
-@dataclass
-class TokenSequence:
-    tokens: Tensor  # (P, N, D)
-    patch_days: list[tuple[int, int]]
-
-    @property
-    def n_patches(self) -> int:
-        return len(self.patch_days)
-
-
-def stack_tokens(tokens: list[Tensor], patch_days: list[tuple[int, int]]) -> TokenSequence:
+def stack_tokens(tokens: list[Tensor]) -> Tensor:
+    """P per-patch (N, D) tokens -> one (P, N, D) sequence."""
     n, d = tokens[0].data.shape
-    stacked = concat([reshape(t, (1, n, d)) for t in tokens], axis=0)
-    return TokenSequence(tokens=stacked, patch_days=list(patch_days))
+    return concat([reshape(t, (1, n, d)) for t in tokens], axis=0)

@@ -5,8 +5,9 @@ full key list); every command writes the fully resolved config into its
 output directory so a run can be reproduced from its artifacts alone.  All
 commands are deterministic given the same config and seed.
 
-Exit codes: 0 ok, 2 config error (out-of-range synth.* values and a forecast
-context outside the data included), 3 data error, 4 checkpoint error (a
+Exit codes: 0 ok, 2 config error (out-of-range synth.* values, a training
+range shorter than two patches and a forecast context outside the data
+included), 3 data error, 4 checkpoint error (a broken sidecar and a
 checkpoint served with another w or region count than it was trained with
 included), 5 diverged (non-finite loss or prediction, or learned prompt edge
 weights that leave the block graph without a positive degree), 1 anything
@@ -51,7 +52,7 @@ from .evalharness import (
 from .forecaster import ForecastDivergedError, InsufficientContextError, forecast
 from .model import ModelConfig, ModelState, build_model, count_params, load_checkpoint, save_checkpoint
 from .serialize import CheckpointError
-from .trainer import TrainConfig, TrainingDivergedError, train
+from .trainer import TrainConfig, TrainingDivergedError, TrainingRangeError, train
 
 
 class ConfigError(ValueError):
@@ -234,7 +235,6 @@ def _configs(cfg: RunConfig, ds: EpidemicDataset) -> tuple[ModelConfig, Backbone
             lr=cfg["train.lr"],
             max_epochs=cfg["train.max_epochs"],
             patience=cfg["train.patience"],
-            seed=cfg["seed"],
             loss_form=cfg["train.loss_form"],
         )
     except ValueError as exc:
@@ -417,7 +417,7 @@ def main(argv=None) -> int:
         cfg = resolve_config(raw, seed_override=args.seed, out_override=args.out)
         COMMANDS[args.command](cfg)
         return 0
-    except (ConfigError, BackboneConfigError, InsufficientContextError) as exc:
+    except (ConfigError, BackboneConfigError, InsufficientContextError, TrainingRangeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DataError, FileNotFoundError) as exc:

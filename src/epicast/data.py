@@ -5,10 +5,10 @@ Two CSV schemas are ingested:
 * cases:    ``date,region_id,new_cases``  (one row per day and region)
 * mobility: ``date,src_region,dst_region,weight``  (absent pairs = zero flow)
 
-``build_dataset`` turns the two tables into aligned dense tensors: per-day
-feature rows holding the last ``w`` daily counts, per-day mobility matrices,
-and the adjacency derived from them by thresholding.  ``synth_sir`` generates
-a fully deterministic SIR-on-a-mobility-graph dataset for testing.
+Each loads into a dense table: (T, N) counts, (T, R, R) flows.  ``build_dataset``
+aligns the two into per-day feature rows holding the last ``w`` daily counts,
+per-day mobility matrices, and the adjacency derived from them by thresholding.
+``synth_sir`` generates a fully deterministic SIR-on-a-mobility-graph dataset.
 """
 
 from __future__ import annotations
@@ -101,26 +101,23 @@ class CaseTable:
 
 @dataclass
 class MobilityTable:
-    """Per-day directed flows (src, dst, weight); pairs not listed are zero."""
+    """Daily directed flows as a dense table: ``flows[t, i, j]`` is the flow
+    from ``regions[i]`` to ``regions[j]`` on ``dates[t]``; unlisted pairs are zero."""
 
     dates: list[dt.date]
-    flows: list[list[tuple[str, str, float]]]  # one list of triples per date
+    regions: list[str]
+    flows: np.ndarray  # (T, R, R) float64, finite and >= 0
 
     def __post_init__(self):
-        if len(self.flows) != len(self.dates):
-            raise MalformedRowError("one flow list per date required")
-        for day in self.flows:
-            for src, dst, wgt in day:
-                if not np.isfinite(wgt) or wgt < 0:
-                    raise NegativeWeightError(f"flow {src}->{dst} has weight {wgt}")
-
-    def region_ids(self) -> set[str]:
-        out: set[str] = set()
-        for day in self.flows:
-            for src, dst, _ in day:
-                out.add(src)
-                out.add(dst)
-        return out
+        T, R = len(self.dates), len(self.regions)
+        self.flows = np.asarray(self.flows, dtype=np.float64)
+        if self.flows.shape != (T, R, R):
+            raise MalformedRowError(f"flows shape {self.flows.shape} != ({T}, {R}, {R})")
+        bad = np.argwhere(~(np.isfinite(self.flows) & (self.flows >= 0)))
+        if len(bad):
+            t, i, j = bad[0]
+            wgt = self.flows[t, i, j]
+            raise NegativeWeightError(f"flow {self.regions[i]}->{self.regions[j]} on {self.dates[t]} has weight {wgt}")
 
 
 def load_cases(path) -> CaseTable:
@@ -171,16 +168,18 @@ def load_cases(path) -> CaseTable:
 
 
 def load_mobility(path, dates: list[dt.date] | None = None) -> MobilityTable:
-    """Parse a mobility CSV.
+    """Parse a mobility CSV into a dense table.
 
     When `dates` is given it fixes the date axis (so an empty file yields
     all-zero flows over those dates); otherwise the axis is the sorted set of
-    dates present in the file.
+    dates present in the file.  The region axis is the sorted set of ids the
+    file names, zero-weight rows included.  Rows are added in file order, so
+    rows repeating a (date, src, dst) sum.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"mobility file not found: {path}")
-    rows: dict[dt.date, list[tuple[str, str, float]]] = {}
+    rows: list[tuple[dt.date, str, str, float]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -200,15 +199,20 @@ def load_mobility(path, dates: list[dt.date] | None = None) -> MobilityTable:
                 raise MalformedRowError(f"{path}:{lineno}: bad weight {row[3]!r}") from exc
             if not np.isfinite(wgt) or wgt < 0:
                 raise NegativeWeightError(f"{path}:{lineno}: negative or non-finite weight {wgt}")
-            rows.setdefault(day, []).append((src, dst, wgt))
+            rows.append((day, src, dst, wgt))
     if dates is None:
-        dates = sorted(rows)
+        dates = sorted({day for day, _, _, _ in rows})
     else:
-        outside = set(rows) - set(dates)
+        outside = {day for day, _, _, _ in rows} - set(dates)
         if outside:
             raise MalformedRowError(f"{path}: rows on dates outside the expected axis: {sorted(outside)[:3]}")
-    flows = [rows.get(day, []) for day in dates]
-    return MobilityTable(dates=list(dates), flows=flows)
+    regions = sorted({src for _, src, _, _ in rows} | {dst for _, _, dst, _ in rows})
+    t_of = {day: t for t, day in enumerate(dates)}
+    r_of = {region: i for i, region in enumerate(regions)}
+    flows = np.zeros((len(dates), len(regions), len(regions)), dtype=np.float64)
+    for day, src, dst, wgt in rows:
+        flows[t_of[day], r_of[src], r_of[dst]] += wgt
+    return MobilityTable(dates=list(dates), regions=regions, flows=flows)
 
 
 # -- dense dataset -----------------------------------------------------------------
@@ -279,7 +283,7 @@ def build_dataset(
     end = min(cases.dates[-1], mobility.dates[-1])
     if start > end:
         raise EmptyOverlapError(f"case dates end {cases.dates[-1]}, mobility starts {mobility.dates[0]}")
-    unknown = mobility.region_ids() - set(cases.regions)
+    unknown = set(mobility.regions) - set(cases.regions)
     if unknown:
         raise RegionMismatchError(f"mobility references unknown regions: {sorted(unknown)[:3]}")
 
@@ -289,12 +293,12 @@ def build_dataset(
     counts = cases.counts[c0 : c1 + 1]
     T, N = counts.shape
     region_index = {r: i for i, r in enumerate(cases.regions)}
+    idx = [region_index[r] for r in mobility.regions]
+    mob_t = {day: k for k, day in enumerate(mobility.dates)}
+    days = [t for t, day in enumerate(dates) if day in mob_t]
 
-    M_raw = np.zeros((T, N, N), dtype=np.float64)
-    mob_by_date = dict(zip(mobility.dates, mobility.flows))
-    for t, day in enumerate(dates):
-        for src, dst, wgt in mob_by_date.get(day, []):
-            M_raw[t, region_index[src], region_index[dst]] += wgt
+    M_raw = np.zeros((T, N, N), dtype=np.float64)  # days without mobility rows keep zero flow
+    M_raw[np.ix_(days, idx, idx)] = mobility.flows[[mob_t[dates[t]] for t in days]]
 
     if scale:
         case_scale = counts.max(axis=0).astype(np.float64)
@@ -460,16 +464,8 @@ def synth_sir_tables(
     start = dt.date(2021, 1, 1)
     dates = [start + dt.timedelta(days=t) for t in range(n_days)]
     regions = [f"R{i:03d}" for i in range(n_regions)]
-    flows: list[list[tuple[str, str, float]]] = []
-    for t in range(n_days):
-        day = []
-        for i in range(n_regions):
-            for j in range(n_regions):
-                if sim.mobility[t, i, j] > 0:
-                    day.append((regions[i], regions[j], float(sim.mobility[t, i, j])))
-        flows.append(day)
     cases = CaseTable(dates=dates, regions=regions, counts=sim.counts)
-    mobility = MobilityTable(dates=list(dates), flows=flows)
+    mobility = MobilityTable(dates=list(dates), regions=list(regions), flows=sim.mobility)
     return cases, mobility
 
 
@@ -502,6 +498,6 @@ def write_mobility_csv(mobility: MobilityTable, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "src_region", "dst_region", "weight"])
-        for day, triples in zip(mobility.dates, mobility.flows):
-            for src, dst, wgt in triples:
-                writer.writerow([day.isoformat(), src, dst, f"{wgt:.10g}"])
+        for t, i, j in np.argwhere(mobility.flows):  # nonzero entries in (t, i, j) order
+            day, src, dst = mobility.dates[t], mobility.regions[i], mobility.regions[j]
+            writer.writerow([day.isoformat(), src, dst, f"{mobility.flows[t, i, j]:.10g}"])

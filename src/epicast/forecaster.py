@@ -114,8 +114,7 @@ def forecast(model: ModelState, ds: EpidemicDataset, context_end: int, steps: in
         grid = patch_grid(0, t_cur, w)
 
         if cfg.mobility_enabled and cfg.adjacency_mode == "predicted":
-            mob_seq = mob_token_sequence(model, M_ctx, grid)
-            mob_out = backbone_forward(mob_seq.tokens, model.backbone, mob_cache)
+            mob_out = backbone_forward(mob_token_sequence(model, M_ctx, grid), model.backbone, mob_cache)
             M_next = mob_adapt(mob_out[-1], model.mob_adapter).data
         elif cfg.adjacency_mode == "window_average":
             M_next = M_ctx[t_cur - w : t_cur].mean(axis=0)
@@ -129,8 +128,7 @@ def forecast(model: ModelState, ds: EpidemicDataset, context_end: int, steps: in
         A_next = np.where(M_next_raw > ds.epsilon, M_next, 0.0)
 
         X_feats = window_features(counts, w)
-        epi_seq = epi_token_sequence(model, X_feats, A_ctx, grid)
-        epi_out = backbone_forward(epi_seq.tokens, model.backbone, epi_cache)
+        epi_out = backbone_forward(epi_token_sequence(model, X_feats, A_ctx, grid), model.backbone, epi_cache)
         block = epi_adapt(epi_out[-1], model.epi_adapter).data
         if not np.all(np.isfinite(block)):
             raise ForecastDivergedError(step, "case prediction")

@@ -147,9 +147,12 @@ def load_checkpoint(path) -> ModelState:
     tensors, meta = load_tensors(path)
     if meta.get("kind") != "model-checkpoint":
         raise CheckpointError(f"{path} is not a model checkpoint")
-    cfg = ModelConfig(**meta["model_config"])
-    backbone_cfg = BackboneConfig(**meta["backbone_config"])
-    model = build_model(cfg, backbone_cfg)
+    try:  # unknown keys raise TypeError, out-of-range values ValueError
+        cfg = ModelConfig(**meta["model_config"])
+        backbone_cfg = BackboneConfig(**meta["backbone_config"])
+        model = build_model(cfg, backbone_cfg)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad model or backbone config: {exc}") from exc
     for p in model.parameters():
         if p.name not in tensors:
             raise CheckpointError(f"checkpoint missing tensor {p.name!r}")

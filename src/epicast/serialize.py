@@ -49,19 +49,22 @@ def load_tensors(bin_path) -> tuple[dict[str, np.ndarray], dict]:
         raise CheckpointError(f"weight file not found: {bin_path}")
     if not side.exists():
         raise CheckpointError(f"sidecar not found: {side}")
-    with open(side) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "flat-f8-le":
-        raise CheckpointError(f"unsupported weight format: {doc.get('format')!r}")
-    blob = bin_path.read_bytes()
-    if len(blob) != doc["total_bytes"]:
-        raise CheckpointError(
-            f"weight file is {len(blob)} bytes, sidecar expects {doc['total_bytes']}"
-        )
-    out: dict[str, np.ndarray] = {}
-    for entry in doc["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=entry["offset"])
-        out[entry["name"]] = arr.reshape(shape).astype(np.float64)
+    try:  # bad JSON, a non-object document, a missing key, or a bad shape or offset
+        with open(side) as fh:
+            doc = json.load(fh)
+        if doc.get("format") != "flat-f8-le":
+            raise CheckpointError(f"{side}: unsupported weight format {doc.get('format')!r}")
+        blob = bin_path.read_bytes()
+        if len(blob) != doc["total_bytes"]:
+            raise CheckpointError(
+                f"weight file is {len(blob)} bytes, sidecar expects {doc['total_bytes']}"
+            )
+        out: dict[str, np.ndarray] = {}
+        for entry in doc["tensors"]:
+            shape = tuple(entry["shape"])
+            count = int(np.prod(shape)) if shape else 1
+            arr = np.frombuffer(blob, dtype="<f8", count=count, offset=entry["offset"])
+            out[entry["name"]] = arr.reshape(shape).astype(np.float64)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{side}: broken sidecar: {exc!r}") from exc
     return out, doc.get("meta", {})

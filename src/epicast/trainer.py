@@ -15,12 +15,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backbone import backbone_forward
-from .branches import TokenSequence, epi_adapt, epi_tokenize, mob_adapt, mob_tokenize, patch_grid, stack_tokens
+from .branches import epi_adapt, epi_tokenize, mob_adapt, mob_tokenize, patch_grid, stack_tokens
 from .data import EpidemicDataset
 from .model import ModelState, count_params
 from .tensor import Tensor, add, constant, mul, no_grad, sqrt, square, sub, tmean, tsum
 
 LOSS_FORMS = ("mean-squared", "mean-l2-norm")
+
+
+class TrainingRangeError(ValueError):
+    """A training range too short to hold the two patches next-token training needs."""
 
 
 class TrainingDivergedError(RuntimeError):
@@ -35,7 +39,6 @@ class TrainConfig:
     lr: float = 1e-3
     max_epochs: int = 200
     patience: int = 10
-    seed: int = 0
     loss_form: str = "mean-squared"
     beta1: float = 0.9
     beta2: float = 0.999
@@ -95,7 +98,8 @@ def compute_loss(
 # -- sequence forward ---------------------------------------------------------------
 
 
-def epi_token_sequence(model: ModelState, X: np.ndarray, A: np.ndarray, grid) -> TokenSequence:
+def epi_token_sequence(model: ModelState, X: np.ndarray, A: np.ndarray, grid) -> Tensor:
+    """(P, N, D) epidemic tokens, one per patch of `grid`."""
     cfg = model.config
     tokens = [
         epi_tokenize(
@@ -108,12 +112,13 @@ def epi_token_sequence(model: ModelState, X: np.ndarray, A: np.ndarray, grid) ->
         )
         for s, e in grid
     ]
-    return stack_tokens(tokens, grid)
+    return stack_tokens(tokens)
 
 
-def mob_token_sequence(model: ModelState, M: np.ndarray, grid) -> TokenSequence:
+def mob_token_sequence(model: ModelState, M: np.ndarray, grid) -> Tensor:
+    """(P, N, D) mobility tokens, one per patch of `grid` from its last day."""
     tokens = [mob_tokenize(M[e - 1], model.mob_proj) for s, e in grid]
-    return stack_tokens(tokens, grid)
+    return stack_tokens(tokens)
 
 
 def sequence_loss(
@@ -134,15 +139,13 @@ def sequence_loss(
     P = len(grid)
     if P < 2:
         raise ValueError(f"need at least 2 patches for next-token training, got {P}")
-    epi_seq = epi_token_sequence(model, X, A, grid)
-    preds = backbone_forward(epi_seq.tokens, model.backbone)
+    preds = backbone_forward(epi_token_sequence(model, X, A, grid), model.backbone)
     x_pred = epi_adapt(preds[: P - 1], model.epi_adapter)
     x_true = np.stack([X[e - 1] for s, e in grid[1:]])
     m_pred = None
     m_true = None
     if model.config.mobility_enabled:
-        mob_seq = mob_token_sequence(model, M, grid)
-        mob_out = backbone_forward(mob_seq.tokens, model.backbone)
+        mob_out = backbone_forward(mob_token_sequence(model, M, grid), model.backbone)
         m_pred = mob_adapt(mob_out[: P - 1], model.mob_adapter)
         m_true = np.stack([M[e - 1] for s, e in grid[1:]])
     if target_tail is not None:
@@ -251,7 +254,7 @@ def train(
     """
     grid = patch_grid(train_range.start, train_range.stop, model.config.w)
     if len(grid) < 2:
-        raise ValueError(
+        raise TrainingRangeError(
             f"training range of {len(train_range)} days yields {len(grid)} patches; need >= 2"
         )
     trainables = model.trainable_parameters()

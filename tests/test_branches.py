@@ -290,7 +290,7 @@ def test_stack_tokens(setup):
     w, n, d, proj, mob, prompts, X, A = setup
     t1 = epi_tokenize(X, A, prompts, proj)
     t2 = epi_tokenize(X * 0.5, A, prompts, proj)
-    seq = stack_tokens([t1, t2], [(0, 3), (3, 6)])
-    assert seq.tokens.data.shape == (2, n, d)
-    assert seq.n_patches == 2
-    np.testing.assert_array_equal(seq.tokens.data[0], t1.data)
+    seq = stack_tokens([t1, t2])
+    assert seq.data.shape == (2, n, d)
+    np.testing.assert_array_equal(seq.data[0], t1.data)
+    np.testing.assert_array_equal(seq.data[1], t2.data)

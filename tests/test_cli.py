@@ -265,6 +265,42 @@ def test_exit_two_on_history_longer_than_max_positions(tmp_path, capsys):
     assert not (tmp_path / "out" / "checkpoint.bin").exists()
 
 
+def test_exit_two_on_training_range_shorter_than_two_patches(tmp_path, capsys):
+    cfg_file = _write_cfg(tmp_path / "run.cfg", {"synth.days": "20", "w": "7", "horizon": "7",
+                                                 "split.val": "7", "split.test": "7"})
+    assert main(["train", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: training range of 6 days yields 0 patches" in err, err
+    assert not (tmp_path / "out" / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda text: text[: len(text) // 2], "broken sidecar: JSONDecodeError"),
+        (lambda text: "[]", "broken sidecar: AttributeError"),
+        (lambda text: text.replace('"total_bytes"', '"total_byte"'), "broken sidecar: KeyError('total_bytes')"),
+        (lambda text: text.replace('"mob_hidden"', '"mob_hiden"'), "unexpected keyword argument 'mob_hiden'"),
+        (lambda text: text.replace('"w": 3', '"w": 0'), "must all be positive"),
+    ],
+    ids=["truncated-json", "json-list", "no-total-bytes", "unknown-config-key", "w-zero"],
+)
+def test_exit_four_on_broken_checkpoint_sidecar(tmp_path, capsys, corrupt, message):
+    cfg_file = _write_cfg(tmp_path / "run.cfg")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_file), "--out", str(out)]) == 0
+    side = out / "checkpoint.bin.json"
+    text = side.read_text()
+    broken = corrupt(text)
+    assert broken != text
+    side.write_text(broken)
+    capsys.readouterr()
+    assert main(["forecast", "--config", str(cfg_file), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "checkpoint error" in err and "checkpoint.bin" in err and message in err, err
+    assert not (out / "forecast.csv").exists()
+
+
 def _write_cfg(path, extra=None):
     path.write_text("\n".join(f"{k} = {v}" for k, v in {**FAST, **(extra or {})}.items()) + "\n")
     return path

@@ -109,8 +109,8 @@ def test_load_mobility_empty_file_over_three_dates(tmp_path):
     dates = [dt.date(2020, 3, 10) + dt.timedelta(days=d) for d in range(3)]
     table = load_mobility(_mob_csv(tmp_path, []), dates=dates)
     assert table.dates == dates
-    assert all(day == [] for day in table.flows)
-    assert table.region_ids() == set()
+    assert table.regions == []
+    assert table.flows.shape == (3, 0, 0)
 
 
 def test_load_mobility_negative_weight(tmp_path):
@@ -128,15 +128,40 @@ def test_load_mobility_malformed_row(tmp_path):
         load_mobility(_mob_csv(tmp_path, ["2020-03-10,a,b"]))
 
 
+def test_load_mobility_dense_axes_and_summed_duplicates(tmp_path):
+    rows = ["2020-03-11,b,a,2.5", "2020-03-10,c,c,0", "2020-03-11,b,a,1.25", "2020-03-10,a,b,4"]
+    table = load_mobility(_mob_csv(tmp_path, rows))
+    assert table.dates == [dt.date(2020, 3, 10), dt.date(2020, 3, 11)]
+    assert table.regions == ["a", "b", "c"]  # the zero-weight row still names c
+    expected = np.zeros((2, 3, 3))
+    expected[0, 0, 1] = 4.0
+    expected[1, 1, 0] = 3.75
+    np.testing.assert_array_equal(table.flows, expected)
+
+
+def test_mobility_table_rejects_bad_shape_and_names_first_bad_flow():
+    dates = [dt.date(2020, 3, 10), dt.date(2020, 3, 11)]
+    with pytest.raises(MalformedRowError):
+        MobilityTable(dates=dates, regions=["a", "b"], flows=np.zeros((2, 2, 3)))
+    flows = np.zeros((2, 2, 2))
+    flows[1, 0, 1] = -1.0
+    flows[1, 1, 0] = np.nan
+    with pytest.raises(NegativeWeightError, match="a->b on 2020-03-11"):
+        MobilityTable(dates=dates, regions=["a", "b"], flows=flows)
+    flows[1, 0, 1] = np.inf
+    with pytest.raises(NegativeWeightError, match="a->b on 2020-03-11"):
+        MobilityTable(dates=dates, regions=["a", "b"], flows=flows)
+
+
 # -- build_dataset --------------------------------------------------------------------
 
 
-def _tiny_tables(counts_by_day, flows=None):
+def _tiny_tables(counts_by_day):
     dates = [dt.date(2021, 1, 1) + dt.timedelta(days=d) for d in range(len(counts_by_day))]
     regions = ["r0"]
     counts = np.array([[c] for c in counts_by_day])
     cases = CaseTable(dates=dates, regions=regions, counts=counts)
-    mobility = MobilityTable(dates=dates, flows=flows or [[] for _ in dates])
+    mobility = MobilityTable(dates=dates, regions=[], flows=np.zeros((len(dates), 0, 0)))
     return cases, mobility
 
 
@@ -175,7 +200,9 @@ def test_build_dataset_scaled_round_trip():
 def test_build_dataset_region_mismatch():
     cases, _ = _tiny_tables([1, 2, 3])
     dates = cases.dates
-    mobility = MobilityTable(dates=dates, flows=[[("ghost", "r0", 1.0)], [], []])
+    flows = np.zeros((3, 2, 2))
+    flows[0, 0, 1] = 1.0  # ghost -> r0 on the first day
+    mobility = MobilityTable(dates=dates, regions=["ghost", "r0"], flows=flows)
     with pytest.raises(RegionMismatchError):
         build_dataset(cases, mobility, w=2)
 
@@ -183,9 +210,54 @@ def test_build_dataset_region_mismatch():
 def test_build_dataset_empty_overlap():
     cases, _ = _tiny_tables([1, 2, 3])
     far = [dt.date(2022, 1, 1) + dt.timedelta(days=d) for d in range(3)]
-    mobility = MobilityTable(dates=far, flows=[[] for _ in far])
+    mobility = MobilityTable(dates=far, regions=[], flows=np.zeros((3, 0, 0)))
     with pytest.raises(EmptyOverlapError):
         build_dataset(cases, mobility, w=2)
+
+
+@st.composite
+def _mobility_rows(draw):
+    """Case regions and dates plus mobility rows on a subset of both: repeated
+    (date, src, dst) triples, zero weights and days without rows included."""
+    n_regions = draw(st.integers(1, 4))
+    n_days = draw(st.integers(1, 6))
+    regions = [f"r{i}" for i in range(n_regions)]
+    named = draw(st.lists(st.sampled_from(regions), min_size=1, max_size=n_regions, unique=True))
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False))
+    row = st.tuples(st.integers(0, n_days - 1), st.sampled_from(named), st.sampled_from(named), weight)
+    rows = draw(st.lists(row, max_size=30))
+    return regions, n_days, rows
+
+
+@given(data=_mobility_rows(), fix_axis=st.booleans(), scale=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_build_dataset_mobility_matches_row_oracle(tmp_path_factory, data, fix_axis, scale):
+    regions, n_days, rows = data
+    dates = [dt.date(2021, 1, 1) + dt.timedelta(days=d) for d in range(n_days)]
+    cases = CaseTable(dates=dates, regions=regions, counts=np.ones((n_days, len(regions)), dtype=np.int64))
+    path = _mob_csv(
+        tmp_path_factory.mktemp("mob"),
+        [f"{dates[d].isoformat()},{src},{dst},{wgt!r}" for d, src, dst, wgt in rows],
+    )
+    mobility = load_mobility(path, dates=dates if fix_axis else None)
+    if not fix_axis and not rows:
+        with pytest.raises(EmptyOverlapError):
+            build_dataset(cases, mobility, w=2, scale=scale)
+        return
+    ds = build_dataset(cases, mobility, w=2, scale=scale)
+
+    # oracle: add every row, in file order, into the day and region pair it names
+    kept = dates if fix_axis else dates[min(r[0] for r in rows) : max(r[0] for r in rows) + 1]
+    assert ds.dates == kept
+    index = {r: i for i, r in enumerate(regions)}
+    M_raw = np.zeros((len(kept), len(regions), len(regions)))
+    for t, day in enumerate(kept):
+        for d, src, dst, wgt in rows:
+            if dates[d] == day:
+                M_raw[t, index[src], index[dst]] += wgt
+    mob_scale = (float(M_raw.max()) or 1.0) if scale else 1.0
+    assert ds.mob_scale == mob_scale
+    assert ds.M.tobytes() == (M_raw / mob_scale).tobytes()
 
 
 def test_adjacency_threshold_sparsity():
@@ -276,6 +348,16 @@ def test_sir_different_seeds_differ():
     a = synth_sir(6, 25, rng_seed=1, w=3)
     b = synth_sir(6, 25, rng_seed=2, w=3)
     assert not np.array_equal(a.M, b.M)
+
+
+def test_synth_tables_hand_over_the_simulated_mobility():
+    params = SirParams(beta=0.5, gamma_rec=0.2)
+    sim = simulate_sir(6, 20, params, rng_seed=3)
+    cases, mobility = synth_sir_tables(6, 20, params, rng_seed=3)
+    assert mobility.dates == cases.dates
+    assert mobility.regions == cases.regions
+    assert mobility.flows.shape == sim.mobility.shape
+    assert mobility.flows.tobytes() == sim.mobility.tobytes()
 
 
 def test_sir_population_conserved_exactly():

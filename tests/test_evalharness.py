@@ -258,8 +258,9 @@ def test_adj2aver_matches_full_on_direct_forecast_with_constant_adjacency():
     regions = [f"r{i}" for i in range(3)]
     counts = rng.integers(0, 40, size=(days, 3))
     cases = CaseTable(dates=dates, regions=regions, counts=counts)
-    const_flow = [("r0", "r1", 5.0), ("r1", "r2", 2.0), ("r2", "r0", 7.0), ("r0", "r0", 9.0)]
-    mobility = MobilityTable(dates=dates, flows=[list(const_flow) for _ in dates])
+    const_flow = np.zeros((3, 3))
+    const_flow[0, 1], const_flow[1, 2], const_flow[2, 0], const_flow[0, 0] = 5.0, 2.0, 7.0, 9.0
+    mobility = MobilityTable(dates=dates, regions=regions, flows=np.tile(const_flow, (days, 1, 1)))
     ds = build_dataset(cases, mobility, w=3)
 
     mc = ModelConfig(n_regions=3, w=3, width=8, seed=0)

@@ -85,8 +85,8 @@ def test_checkpoint_round_trip(tmp_path):
     X = rng.uniform(0, 1, size=(6, 4, 3))
     A = rng.uniform(0, 1, size=(6, 4, 4))
     grid = [(0, 3), (3, 6)]
-    before = epi_token_sequence(model, X, A, grid).tokens.data
-    after = epi_token_sequence(loaded, X, A, grid).tokens.data
+    before = epi_token_sequence(model, X, A, grid).data
+    after = epi_token_sequence(loaded, X, A, grid).data
     np.testing.assert_array_equal(before, after)
 
 

@@ -12,6 +12,7 @@ from epicast.trainer import (
     Adam,
     TrainConfig,
     TrainingDivergedError,
+    TrainingRangeError,
     compute_loss,
     train,
     training_loss,
@@ -204,7 +205,7 @@ def test_train_config_rejects_bad_values(bad):
 def test_too_short_training_range_rejected():
     ds = _tiny_ds()
     model = _tiny_model(ds)
-    with pytest.raises(ValueError):
+    with pytest.raises(TrainingRangeError, match="4 days yields 1 patches"):  # a ValueError
         train(model, ds, range(0, 4), range(4, 8), TrainConfig())
 
 
