@@ -5,10 +5,12 @@ full key list); every command writes the fully resolved config into its
 output directory so a run can be reproduced from its artifacts alone.  All
 commands are deterministic given the same config and seed.
 
-Exit codes: 0 ok, 2 config error (out-of-range synth.* values, a training
-range shorter than two patches and a forecast context outside the data
-included), 3 data error, 4 checkpoint error (a broken sidecar and a
-checkpoint served with another w or region count than it was trained with
+Exit codes: 0 ok, 2 config error (out-of-range synth.* values, an unknown
+ablation variant, a training range shorter than two patches, a forecast
+context outside the data, a scored horizon longer than the test range and a
+report input that is not a metrics file included), 3 data error, 4 checkpoint
+error (a broken sidecar, a missing or misshapen tensor, and a checkpoint
+served with another w, region count or epsilon than it was trained with
 included), 5 diverged (non-finite loss or prediction, or learned prompt edge
 weights that leave the block graph without a positive degree), 1 anything
 else.
@@ -43,9 +45,11 @@ from .data import (
 from .evalharness import (
     ABLATION_VARIANTS,
     BASELINES,
+    HorizonRangeError,
     MetricReport,
     baseline_predict,
     emit_report,
+    horizon_truth,
     metric_report,
     run_ablation,
 )
@@ -118,6 +122,10 @@ class RunConfig:
     def steps(self) -> int:
         return self.values["horizon"] // self.values["w"]
 
+    @property
+    def variants(self) -> list[str]:
+        return [v.strip() for v in self.values["ablate.variants"].split(",") if v.strip()]
+
     def resolved(self) -> dict:
         return dict(sorted(self.values.items(), key=lambda kv: kv[0]))
 
@@ -170,7 +178,11 @@ def resolve_config(raw: dict, seed_override=None, out_override=None) -> RunConfi
     for key in ("data.cases", "data.mobility", "backbone.weights"):
         if values[key] is not None and not Path(values[key]).exists():
             raise ConfigError(f"{key} points at a missing file: {values[key]}")
-    return RunConfig(values=values)
+    cfg = RunConfig(values=values)
+    unknown = [v for v in cfg.variants if v not in ABLATION_VARIANTS]
+    if unknown:
+        raise ConfigError(f"unknown ablation variants {unknown}; choose from {sorted(ABLATION_VARIANTS)}")
+    return cfg
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -249,7 +261,8 @@ def _checkpoint_path(cfg: RunConfig, out: Path) -> Path:
 
 
 def _check_served_space(model: ModelState, cfg: RunConfig, ds: EpidemicDataset, ckpt: Path) -> None:
-    """A checkpoint serves only the window length and region count it was trained on."""
+    """A checkpoint serves only the window length, region count and adjacency
+    threshold it was trained on."""
     if model.config.w != cfg["w"]:
         raise CheckpointError(
             f"{ckpt} was trained with w={model.config.w}, but the config sets w={cfg['w']}"
@@ -257,6 +270,11 @@ def _check_served_space(model: ModelState, cfg: RunConfig, ds: EpidemicDataset, 
     if model.config.n_regions != ds.N:
         raise CheckpointError(
             f"{ckpt} was trained on {model.config.n_regions} regions, but the dataset has {ds.N}"
+        )
+    if model.config.epsilon != cfg["epsilon"]:
+        raise CheckpointError(
+            f"{ckpt} was trained with epsilon={model.config.epsilon}, "
+            f"but the config sets epsilon={cfg['epsilon']}"
         )
 
 
@@ -326,11 +344,7 @@ def cmd_evaluate(cfg: RunConfig) -> Path:
     _check_served_space(model, cfg, ds, ckpt)
     horizon = cfg["horizon"]
     context_end = ds.T - cfg["split.test"]
-    if context_end + horizon > ds.T:
-        raise ConfigError(
-            f"horizon {horizon} does not fit in the test range of {cfg['split.test']} days"
-        )
-    truth = ds.counts[context_end : context_end + horizon].astype(float)
+    truth = horizon_truth(ds, context_end, horizon)
     name = cfg["dataset.name"]
     reports = []
     result = forecast(model, ds, context_end, cfg.steps)
@@ -353,9 +367,8 @@ def cmd_ablate(cfg: RunConfig) -> Path:
     ds = _load_dataset(cfg)
     model_cfg, backbone_cfg, train_cfg = _configs(cfg, ds)
     split = SplitSpec(test_len=cfg["split.test"], val_len=cfg["split.val"])
-    variants = [v.strip() for v in cfg["ablate.variants"].split(",") if v.strip()]
     reports = []
-    for variant in variants:
+    for variant in cfg.variants:
         rep = run_ablation(
             variant,
             ds,
@@ -365,6 +378,7 @@ def cmd_ablate(cfg: RunConfig) -> Path:
             backbone_cfg,
             steps=cfg.steps,
             dataset_name=cfg["dataset.name"],
+            backbone_weights=cfg["backbone.weights"],
         )
         reports.append(rep)
         print(f"ablate [{variant:>10s}] rmse={rep.region_avg_rmse:.4f} mae={rep.region_avg_mae:.4f}")
@@ -383,10 +397,12 @@ def cmd_report(cfg: RunConfig) -> Path:
         path = Path(part.strip())
         if not path.exists():
             raise ConfigError(f"report input not found: {path}")
-        with open(path) as fh:
-            doc = json.load(fh)
-        for entry in doc.get("reports", []):
-            reports.append(MetricReport(**entry))
+        try:  # not JSON, not an object, or an entry with unknown or missing keys
+            with open(path) as fh:
+                doc = json.load(fh)
+            reports.extend(MetricReport(**entry) for entry in doc.get("reports", []))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"report input {path} is not a metrics file: {exc}") from exc
     csv_path, json_path = emit_report(reports, out)
     print(f"report: combined {len(reports)} reports -> {csv_path}")
     return out
@@ -417,7 +433,9 @@ def main(argv=None) -> int:
         cfg = resolve_config(raw, seed_override=args.seed, out_override=args.out)
         COMMANDS[args.command](cfg)
         return 0
-    except (ConfigError, BackboneConfigError, InsufficientContextError, TrainingRangeError) as exc:
+    except (
+        ConfigError, BackboneConfigError, InsufficientContextError, TrainingRangeError, HorizonRangeError
+    ) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DataError, FileNotFoundError) as exc:

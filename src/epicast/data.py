@@ -256,10 +256,6 @@ class EpidemicDataset:
     def F(self) -> int:
         return self.w
 
-    def counts_model(self) -> np.ndarray:
-        """Raw counts mapped into model space (float)."""
-        return self.counts.astype(np.float64) / self.case_scale[None, :]
-
 
 def build_dataset(
     cases: CaseTable,

@@ -25,6 +25,10 @@ from .trainer import TrainConfig, train
 BASELINES = ("AVG", "AVG_WINDOW", "LAST_DAY", "LIN_REG")
 
 
+class HorizonRangeError(ValueError):
+    """A forecast horizon longer than the test range it is scored on."""
+
+
 # -- metrics -----------------------------------------------------------------------
 
 
@@ -84,6 +88,15 @@ def metric_report(
         region_avg_mae=float(np.mean(m)),
         config=config or {},
     )
+
+
+def horizon_truth(ds: EpidemicDataset, context_end: int, horizon: int) -> np.ndarray:
+    """The (horizon, N) raw counts a forecast from `context_end` is scored against."""
+    if context_end + horizon > ds.T:
+        raise HorizonRangeError(
+            f"horizon {horizon} does not fit in the test range of {ds.T - context_end} days"
+        )
+    return ds.counts[context_end : context_end + horizon].astype(np.float64)
 
 
 # -- statistical baselines ------------------------------------------------------------
@@ -180,23 +193,29 @@ def run_ablation(
     backbone_cfg: BackboneConfig,
     steps: int = 1,
     dataset_name: str = "synthetic",
+    backbone_weights=None,
 ) -> MetricReport:
-    """Train the variant, forecast the test range, and score it."""
+    """Train the variant, forecast the test range, and score it.
+
+    `backbone_weights` load only into variants that keep the configured
+    backbone; variants that swap it build theirs from its seed."""
     model_cfg, backbone_cfg = apply_variant(variant, model_cfg, backbone_cfg)
+    spec = ABLATION_VARIANTS[variant]
     splits = split_dataset(ds, split)
-    model = build_model(model_cfg, backbone_cfg)
-    model, _report = train(model, ds, splits.train, splits.val, train_cfg)
     horizon = steps * model_cfg.w
     context_end = splits.test.start
+    truth = horizon_truth(ds, context_end, horizon)
+    weights = backbone_weights if spec.backbone_mode is None else None
+    model = build_model(model_cfg, backbone_cfg, backbone_weights=weights)
+    model, _report = train(model, ds, splits.train, splits.val, train_cfg)
     result = forecast(model, ds, context_end, steps)
-    truth = ds.counts[context_end : context_end + horizon].astype(np.float64)
     return metric_report(
         truth,
-        result.cases[: truth.shape[0]],
+        result.cases,
         dataset=dataset_name,
         horizon=horizon,
         model=variant,
-        config={"variant": asdict(ABLATION_VARIANTS[variant]), "steps": steps},
+        config={"variant": asdict(spec), "steps": steps},
     )
 
 

@@ -6,6 +6,12 @@ get the next w-day case block.  The generated patch (cases + structure) is
 rolled into the context, so later steps condition on earlier predictions:
 one step is direct forecasting, several steps is multi-step forecasting.
 
+The rollout lives in one preallocated history: counts (end, N) and the
+mobility and adjacency tensors (end, N, N), where end is the context end plus
+steps * w days.  The context days are copied in once; step t reads the views
+of the first t days and writes its generated patch into rows t .. t+w in
+place.  The returned cases, mobility and adjacency are slices of that history.
+
 Both backbone passes decode incrementally: step 1 prefills the context grid,
 and each later step runs the backbone on the one position it appended (see
 ``backbone.DecodeCache``).  The grid only grows at its end, because its first
@@ -100,58 +106,48 @@ def forecast(model: ModelState, ds: EpidemicDataset, context_end: int, steps: in
             f"need at least one full patch ({w} days) of context, got {context_end}"
         )
 
-    counts = ds.counts_model()[:context_end]  # (t, N) model space
-    A_ctx = ds.A[:context_end].copy()
-    M_ctx = ds.M[:context_end].copy()
-    t_cur = context_end
-
-    blocks: list[np.ndarray] = []
-    mob_steps: list[np.ndarray] = []
-    adj_steps: list[np.ndarray] = []
+    horizon = steps * w
+    end = context_end + horizon
+    counts = np.empty((end, ds.N))  # model space
+    A = np.empty((end, ds.N, ds.N))
+    M = np.empty((end, ds.N, ds.N))
+    counts[:context_end] = ds.counts[:context_end] / ds.case_scale
+    A[:context_end] = ds.A[:context_end]
+    M[:context_end] = ds.M[:context_end]
     mob_cache, epi_cache = DecodeCache(), DecodeCache()
 
-    for step in range(1, steps + 1):
-        grid = patch_grid(0, t_cur, w)
+    for step, t in enumerate(range(context_end, end, w), start=1):
+        grid = patch_grid(0, t, w)
 
         if cfg.mobility_enabled and cfg.adjacency_mode == "predicted":
-            mob_out = backbone_forward(mob_token_sequence(model, M_ctx, grid), model.backbone, mob_cache)
+            mob_out = backbone_forward(mob_token_sequence(model, M[:t], grid), model.backbone, mob_cache)
             M_next = mob_adapt(mob_out[-1], model.mob_adapter).data
         elif cfg.adjacency_mode == "window_average":
-            M_next = M_ctx[t_cur - w : t_cur].mean(axis=0)
+            M_next = M[t - w : t].mean(axis=0)
         elif cfg.adjacency_mode == "last":
-            M_next = M_ctx[t_cur - 1].copy()
+            M_next = M[t - 1]
         else:  # mobility branch disabled entirely
             M_next = np.zeros((ds.N, ds.N))
         if not np.all(np.isfinite(M_next)):
             raise ForecastDivergedError(step, "mobility prediction")
-        M_next_raw = M_next * ds.mob_scale
-        A_next = np.where(M_next_raw > ds.epsilon, M_next, 0.0)
 
-        X_feats = window_features(counts, w)
-        epi_out = backbone_forward(epi_token_sequence(model, X_feats, A_ctx, grid), model.backbone, epi_cache)
+        X_feats = window_features(counts[:t], w)
+        epi_out = backbone_forward(epi_token_sequence(model, X_feats, A[:t], grid), model.backbone, epi_cache)
         block = epi_adapt(epi_out[-1], model.epi_adapter).data
         if not np.all(np.isfinite(block)):
             raise ForecastDivergedError(step, "case prediction")
-        block = np.maximum(block, 0.0)  # (N, w): column k is day k of the new patch
 
-        counts = np.concatenate([counts, block.T], axis=0)
-        A_ctx = np.concatenate([A_ctx, np.repeat(A_next[None], w, axis=0)], axis=0)
-        M_ctx = np.concatenate([M_ctx, np.repeat(M_next[None], w, axis=0)], axis=0)
-        t_cur += w
+        counts[t : t + w] = np.maximum(block, 0.0).T  # block column k is day k of the new patch
+        A[t : t + w] = np.where(M_next * ds.mob_scale > ds.epsilon, M_next, 0.0)
+        M[t : t + w] = M_next
 
-        blocks.append(block.T)  # (w, N)
-        mob_steps.append(M_next_raw)
-        adj_steps.append(np.where(M_next_raw > ds.epsilon, M_next_raw, 0.0))
-
-    horizon = steps * w
-    cases_model = np.concatenate(blocks, axis=0)  # (h, N)
-    cases_raw = cases_model * ds.case_scale[None, :]
+    mobility = M[context_end::w] * ds.mob_scale
     base_date = ds.dates[context_end - 1]
     dates = [base_date + dt.timedelta(days=k + 1) for k in range(horizon)]
     return ForecastResult(
-        cases=cases_raw,
-        mobility=np.stack(mob_steps),
-        adjacency=np.stack(adj_steps),
+        cases=counts[context_end:] * ds.case_scale,
+        mobility=mobility,
+        adjacency=np.where(mobility > ds.epsilon, mobility, 0.0),
         steps=steps,
         horizon=horizon,
         context_end=context_end,

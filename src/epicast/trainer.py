@@ -203,10 +203,6 @@ class Adam:
             # would otherwise degrade them to immutable scalars)
             p.data = np.asarray(p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
 
-    def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
-
 
 # -- training loop ----------------------------------------------------------------------
 

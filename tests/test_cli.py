@@ -18,7 +18,9 @@ from epicast.cli import (
     parse_config_file,
     resolve_config,
 )
+from epicast.backbone import BackboneConfig, build_backbone
 from epicast.model import load_checkpoint, save_checkpoint
+from epicast.serialize import load_tensors, save_tensors
 
 FAST = {
     "synth.regions": "4",
@@ -309,7 +311,11 @@ def _write_cfg(path, extra=None):
 @pytest.mark.parametrize("command", ["forecast", "evaluate"])
 @pytest.mark.parametrize(
     "served, named",
-    [({"w": "1"}, ["w=3", "w=1"]), ({"synth.regions": "5"}, ["4 regions", "has 5"])],
+    [
+        ({"w": "1"}, ["w=3", "w=1"]),
+        ({"synth.regions": "5"}, ["4 regions", "has 5"]),
+        ({"epsilon": "1000000"}, ["epsilon=0.0", "epsilon=1000000.0"]),
+    ],
 )
 def test_exit_four_on_checkpoint_served_in_another_model_space(tmp_path, capsys, command, served, named):
     out = tmp_path / "out"
@@ -333,3 +339,103 @@ def test_exit_two_on_out_of_range_context_end(tmp_path, capsys, context_end, mes
     assert main(["forecast", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and message in err, err
+
+
+def _drop_first_tensor(named):
+    del named[next(iter(named))]
+
+
+def _reshape_first_tensor(named):
+    name = next(iter(named))
+    named[name] = named[name].reshape(-1)[:-1]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_drop_first_tensor, "checkpoint missing tensor"),
+        (_reshape_first_tensor, "expected ("),
+        (None, "sidecar expects"),
+    ],
+    ids=["missing-tensor", "wrong-shape", "blob-size"],
+)
+def test_exit_four_on_checkpoint_tensors_that_disagree_with_the_model(tmp_path, capsys, corrupt, message):
+    cfg_file = _write_cfg(tmp_path / "run.cfg")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_file), "--out", str(out)]) == 0
+    ckpt = out / "checkpoint.bin"
+    if corrupt is None:  # one float short of what the sidecar indexes
+        ckpt.write_bytes(ckpt.read_bytes()[:-8])
+    else:
+        named, meta = load_tensors(ckpt)
+        corrupt(named)
+        save_tensors(named, ckpt, meta=meta)
+    capsys.readouterr()
+    assert main(["forecast", "--config", str(cfg_file), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "checkpoint error" in err and message in err, err
+    assert not (out / "forecast.csv").exists()
+
+
+def test_exit_two_on_unknown_ablation_variant(tmp_path, capsys):
+    cfg_file = _write_cfg(tmp_path / "run.cfg", {"ablate.variants": "full,Bogus"})
+    assert main(["ablate", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: unknown ablation variants ['Bogus']" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "ablate"])
+def test_exit_two_on_horizon_longer_than_test_range(tmp_path, capsys, monkeypatch, command):
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(_write_cfg(tmp_path / "train.cfg")), "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the horizon was checked")
+
+    monkeypatch.setattr("epicast.evalharness.train", no_training)
+    cfg = _write_cfg(tmp_path / "score.cfg", {"horizon": "6"})
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: horizon 6 does not fit in the test range of 3 days" in err, err
+    assert not (out / "metrics.csv").exists()
+
+
+def test_ablate_full_loads_backbone_weights_like_train(tmp_path):
+    weights = tmp_path / "backbone.bin"
+    build_backbone(BackboneConfig(depth=1, width=8, heads=2, seed=123)).export_weights(weights)
+    run = tmp_path / "run"
+    cfg = _write_cfg(tmp_path / "run.cfg", {"backbone.weights": str(weights), "ablate.variants": "full,LLM2Trans"})
+    seeded = _write_cfg(tmp_path / "seeded.cfg", {"ablate.variants": "LLM2Trans"})
+    assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+    assert main(["evaluate", "--config", str(cfg), "--out", str(run)]) == 0
+    assert main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "ablate")]) == 0
+    assert main(["ablate", "--config", str(seeded), "--out", str(tmp_path / "seeded")]) == 0
+
+    def rows(out):
+        return {r["model"]: r["per_region_rmse"] for r in json.loads((out / "metrics.json").read_text())["reports"]}
+
+    ablated = rows(tmp_path / "ablate")
+    assert ablated["full"] == rows(run)["model"]
+    # a variant that swaps the backbone builds it from the seed, weights or not
+    assert ablated["LLM2Trans"] == rows(tmp_path / "seeded")["LLM2Trans"]
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("{not json", "Expecting property name"),
+        ('{"reports": [{"dataset": "x", "horizon": 3, "bogus": 1}]}', "unexpected keyword argument 'bogus'"),
+        ("[]", "'list' object has no attribute 'get'"),
+    ],
+    ids=["not-json", "unknown-key", "json-list"],
+)
+def test_exit_two_on_report_input_that_is_not_a_metrics_file(tmp_path, capsys, content, message):
+    bad = tmp_path / "metrics.json"
+    bad.write_text(content)
+    cfg = _write_cfg(tmp_path / "report.cfg", {"report.inputs": str(bad)})
+    assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: report input" in err and message in err, err
+    assert not (tmp_path / "out" / "metrics.csv").exists()

@@ -153,6 +153,25 @@ def test_divergence_reports_step_index():
     assert exc.value.step == 1
 
 
+def test_mobility_divergence_reports_step_index():
+    ds = _ds()
+    model = _model(ds)
+    model.mob_adapter.b.data = np.full_like(model.mob_adapter.b.data, np.inf)
+    with pytest.raises(ForecastDivergedError, match="non-finite mobility prediction at forecast step 1"):
+        forecast(model, ds, context_end=24, steps=2)
+
+
+@pytest.mark.parametrize("mode", ["window_average", "last"])
+def test_history_modes_carry_the_rolled_in_structure(mode):
+    # from step 2 on, the last w days of the history all hold step 1's matrix
+    ds = _ds(epsilon=5.0)
+    model = _model(ds, adjacency_mode=mode)
+    res = forecast(model, ds, context_end=24, steps=4)
+    for s in range(1, res.steps):
+        np.testing.assert_allclose(res.mobility[s], res.mobility[0], rtol=1e-12)
+        np.testing.assert_allclose(res.adjacency[s], res.adjacency[0], rtol=1e-12)
+
+
 def test_disabled_mobility_emits_zero_structures():
     ds = _ds()
     model = _model(ds, tokenizer_mode="mlp", mobility_enabled=False)

@@ -183,6 +183,16 @@ def test_divergence_reported_with_epoch(monkeypatch):
     assert exc.value.epoch == 1
 
 
+def test_nonfinite_validation_loss_reported_with_epoch():
+    ds = _tiny_ds()
+    model = _tiny_model(ds)
+    splits = split_dataset(ds, SplitSpec(test_len=3, val_len=3))
+    ds.X[splits.val.start :] = np.nan  # the training patches never read these days
+    assert np.isfinite(training_loss(model, ds, splits.train, TrainConfig()).data)
+    with pytest.raises(TrainingDivergedError, match="non-finite loss nan at epoch 1"):
+        train(model, ds, splits.train, splits.val, TrainConfig(max_epochs=5))
+
+
 @pytest.mark.parametrize(
     "bad",
     [
