@@ -73,6 +73,10 @@ class BackboneConfig:
             raise BackboneConfigError(f"unknown backbone mode {self.mode!r}; choose from {MODES}")
         if self.width < 1 or self.depth < 0:
             raise BackboneConfigError(f"bad width/depth: {self.width}/{self.depth}")
+        if self.seed < 0:
+            raise BackboneConfigError(f"backbone seed must be >= 0, got {self.seed}")
+        if self.max_positions < 1:
+            raise BackboneConfigError(f"max_positions must be >= 1, got {self.max_positions}")
         if "transformer" in self.mode:
             if self.heads < 1 or self.width % self.heads != 0:
                 raise BackboneConfigError(

@@ -5,10 +5,11 @@ full key list); every command writes the fully resolved config into its
 output directory so a run can be reproduced from its artifacts alone.  All
 commands are deterministic given the same config and seed.
 
-Exit codes: 0 ok, 2 config error (out-of-range synth.* values, an unknown
-ablation variant, a training range shorter than two patches, a forecast
-context outside the data, a scored horizon longer than the test range and a
-report input that is not a metrics file included), 3 data error, 4 checkpoint
+Exit codes: 0 ok, 2 config error (out-of-range synth.*, train.*, model,
+backbone, split, seed and epsilon values, splits that hold out the whole
+series, an unknown ablation variant, a training range shorter than two patches, a forecast context outside the
+data, a scored horizon longer than the test range and a report input that is
+a directory or not a metrics file included), 3 data error, 4 checkpoint
 error (a broken sidecar, a missing or misshapen tensor, and a checkpoint
 served with another w, region count or epsilon than it was trained with
 included), 5 diverged (non-finite loss or prediction, or learned prompt edge
@@ -31,6 +32,7 @@ from .data import (
     CaseTable,
     DataError,
     EpidemicDataset,
+    InvalidSplitError,
     MobilityTable,
     SirParams,
     SplitSpec,
@@ -121,6 +123,10 @@ class RunConfig:
     @property
     def steps(self) -> int:
         return self.values["horizon"] // self.values["w"]
+
+    @property
+    def split(self) -> SplitSpec:
+        return SplitSpec(test_len=self.values["split.test"], val_len=self.values["split.val"])
 
     @property
     def variants(self) -> list[str]:
@@ -219,9 +225,12 @@ def _load_dataset(cfg: RunConfig) -> EpidemicDataset:
     if cfg["data.cases"] is not None:
         cases = load_cases(cfg["data.cases"])
         mobility = load_mobility(cfg["data.mobility"], dates=cases.dates)
+    else:
+        cases, mobility = _synth_tables(cfg)
+    try:  # data faults raise DataError; a ValueError is a bad w or epsilon
         return build_dataset(cases, mobility, w=cfg["w"], epsilon=cfg["epsilon"], scale=cfg["scale"])
-    cases, mobility = _synth_tables(cfg)
-    return build_dataset(cases, mobility, w=cfg["w"], epsilon=cfg["epsilon"], scale=cfg["scale"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _configs(cfg: RunConfig, ds: EpidemicDataset) -> tuple[ModelConfig, BackboneConfig, TrainConfig]:
@@ -296,7 +305,7 @@ def cmd_train(cfg: RunConfig) -> Path:
     out = _out_dir(cfg)
     _echo_config(cfg, out, "train")
     ds = _load_dataset(cfg)
-    splits = split_dataset(ds, SplitSpec(test_len=cfg["split.test"], val_len=cfg["split.val"]))
+    splits = split_dataset(ds, cfg.split)
     model_cfg, backbone_cfg, train_cfg = _configs(cfg, ds)
     model = build_model(model_cfg, backbone_cfg, backbone_weights=cfg["backbone.weights"])
     model, report = train(model, ds, splits.train, splits.val, train_cfg)
@@ -324,7 +333,7 @@ def cmd_forecast(cfg: RunConfig) -> Path:
     _check_served_space(model, cfg, ds, ckpt)
     context_end = cfg["forecast.context_end"]
     if context_end is None:
-        context_end = ds.T - cfg["split.test"]
+        context_end = ds.T - cfg.split.test_len
     result = forecast(model, ds, context_end, cfg.steps)
     result.write_csv(out / "forecast.csv")
     result.write_mobility_json(out / "forecast_mobility.json")
@@ -343,7 +352,7 @@ def cmd_evaluate(cfg: RunConfig) -> Path:
     ds = _load_dataset(cfg)
     _check_served_space(model, cfg, ds, ckpt)
     horizon = cfg["horizon"]
-    context_end = ds.T - cfg["split.test"]
+    context_end = ds.T - cfg.split.test_len
     truth = horizon_truth(ds, context_end, horizon)
     name = cfg["dataset.name"]
     reports = []
@@ -366,13 +375,12 @@ def cmd_ablate(cfg: RunConfig) -> Path:
     _echo_config(cfg, out, "ablate")
     ds = _load_dataset(cfg)
     model_cfg, backbone_cfg, train_cfg = _configs(cfg, ds)
-    split = SplitSpec(test_len=cfg["split.test"], val_len=cfg["split.val"])
     reports = []
     for variant in cfg.variants:
         rep = run_ablation(
             variant,
             ds,
-            split,
+            cfg.split,
             train_cfg,
             model_cfg,
             backbone_cfg,
@@ -397,11 +405,11 @@ def cmd_report(cfg: RunConfig) -> Path:
         path = Path(part.strip())
         if not path.exists():
             raise ConfigError(f"report input not found: {path}")
-        try:  # not JSON, not an object, or an entry with unknown or missing keys
+        try:  # a directory, not JSON, not an object, or an entry with unknown or missing keys
             with open(path) as fh:
                 doc = json.load(fh)
             reports.extend(MetricReport(**entry) for entry in doc.get("reports", []))
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, OSError, TypeError, ValueError) as exc:
             raise ConfigError(f"report input {path} is not a metrics file: {exc}") from exc
     csv_path, json_path = emit_report(reports, out)
     print(f"report: combined {len(reports)} reports -> {csv_path}")
@@ -433,8 +441,9 @@ def main(argv=None) -> int:
         cfg = resolve_config(raw, seed_override=args.seed, out_override=args.out)
         COMMANDS[args.command](cfg)
         return 0
-    except (
-        ConfigError, BackboneConfigError, InsufficientContextError, TrainingRangeError, HorizonRangeError
+    except (  # an InvalidSplitError is a DataError, but the split is a config value
+        ConfigError, BackboneConfigError, InsufficientContextError, TrainingRangeError, HorizonRangeError,
+        InvalidSplitError,
     ) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

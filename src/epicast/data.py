@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class DataError(Exception):
@@ -225,14 +226,8 @@ def window_features(counts: np.ndarray, w: int) -> np.ndarray:
     counts[t-w+1 .. t] with missing history as zeros.
     """
     counts = np.asarray(counts, dtype=np.float64)
-    T, N = counts.shape
-    X = np.zeros((T, N, w), dtype=np.float64)
-    for k in range(w):
-        # feature column k holds the value from (w-1-k) days back
-        lag = w - 1 - k
-        if lag < T:
-            X[lag:, :, k] = counts[: T - lag]
-    return X
+    padded = np.concatenate((np.zeros((w - 1, counts.shape[1])), counts))  # np.pad is slower here
+    return sliding_window_view(padded, w, axis=0).copy()
 
 
 @dataclass
@@ -273,6 +268,8 @@ def build_dataset(
     """
     if w < 1:
         raise ValueError(f"window length must be >= 1, got {w}")
+    if not np.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     if not mobility.dates:
         raise EmptyOverlapError("mobility table has no dates")
     start = max(cases.dates[0], mobility.dates[0])

@@ -53,6 +53,10 @@ class ModelConfig:
             raise ValueError(f"unknown gating mode {self.gating_mode!r}")
         if self.adjacency_mode not in ADJACENCY_MODES:
             raise ValueError(f"unknown adjacency mode {self.adjacency_mode!r}")
+        if not np.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be finite, got {self.epsilon}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

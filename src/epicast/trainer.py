@@ -45,8 +45,8 @@ class TrainConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.mob_weight < 0:
-            raise ValueError(f"mobility loss weight must be >= 0, got {self.mob_weight}")
+        if not (np.isfinite(self.mob_weight) and self.mob_weight >= 0):
+            raise ValueError(f"mobility loss weight must be finite and >= 0, got {self.mob_weight}")
         if not self.lr > 0:  # also rejects NaN
             raise ValueError(f"learning rate must be > 0, got {self.lr}")
         if self.max_epochs < 1:
@@ -84,8 +84,8 @@ def compute_loss(
     loss_form: str = "mean-squared",
 ) -> Tensor:
     """Combined token-wise loss: epidemic branch + mob_weight * mobility branch."""
-    if mob_weight < 0:
-        raise ValueError(f"mobility loss weight must be >= 0, got {mob_weight}")
+    if not (np.isfinite(mob_weight) and mob_weight >= 0):
+        raise ValueError(f"mobility loss weight must be finite and >= 0, got {mob_weight}")
     if loss_form not in LOSS_FORMS:
         raise ValueError(f"unknown loss form {loss_form!r}")
     loss = _token_discrepancy(x_pred, np.asarray(x_true, dtype=np.float64), loss_form)
@@ -133,29 +133,23 @@ def sequence_loss(
     """Next-token training loss over a patch grid.
 
     Position p's backbone output is the prediction for patch p+1, so targets
-    are patches 1..P-1 (0-indexed).  `target_tail` restricts the loss to the
-    last k targets (used for validation-range scoring).
+    are patches 1..P-1 (0-indexed), read at their last days.  `target_tail`
+    restricts the loss to the last k targets (used for validation-range
+    scoring): only the positions that predict them are adapted.
     """
     P = len(grid)
     if P < 2:
         raise ValueError(f"need at least 2 patches for next-token training, got {P}")
+    first = 0 if target_tail is None else P - 1 - min(target_tail, P - 1)
+    ends = [e - 1 for _, e in grid[first + 1 :]]
     preds = backbone_forward(epi_token_sequence(model, X, A, grid), model.backbone)
-    x_pred = epi_adapt(preds[: P - 1], model.epi_adapter)
-    x_true = np.stack([X[e - 1] for s, e in grid[1:]])
-    m_pred = None
-    m_true = None
+    x_pred = epi_adapt(preds[first : P - 1], model.epi_adapter)
+    m_pred = m_true = None
     if model.config.mobility_enabled:
         mob_out = backbone_forward(mob_token_sequence(model, M, grid), model.backbone)
-        m_pred = mob_adapt(mob_out[: P - 1], model.mob_adapter)
-        m_true = np.stack([M[e - 1] for s, e in grid[1:]])
-    if target_tail is not None:
-        k = min(target_tail, P - 1)
-        x_pred = x_pred[P - 1 - k :]
-        x_true = x_true[P - 1 - k :]
-        if m_pred is not None:
-            m_pred = m_pred[P - 1 - k :]
-            m_true = m_true[P - 1 - k :]
-    return compute_loss(x_pred, x_true, m_pred, m_true, cfg.mob_weight, cfg.loss_form)
+        m_pred = mob_adapt(mob_out[first : P - 1], model.mob_adapter)
+        m_true = M[ends]
+    return compute_loss(x_pred, X[ends], m_pred, m_true, cfg.mob_weight, cfg.loss_form)
 
 
 def training_loss(model: ModelState, ds: EpidemicDataset, train_range: range, cfg: TrainConfig) -> Tensor:

@@ -89,6 +89,12 @@ def test_invalid_heads_width_combo():
         BackboneConfig(mode="rocket-ship")
 
 
+@pytest.mark.parametrize("bad", [{"seed": -5}, {"max_positions": 0}, {"max_positions": -1}])
+def test_backbone_config_rejects_out_of_range_seed_and_positions(bad):
+    with pytest.raises(BackboneConfigError):
+        BackboneConfig(**bad)
+
+
 def test_gradients_flow_through_frozen_layers():
     cfg = BackboneConfig(mode="frozen-transformer", depth=2, width=8, heads=2, seed=5)
     state = build_backbone(cfg)
@@ -96,10 +102,10 @@ def test_gradients_flow_through_frozen_layers():
     C = constant(np.random.default_rng(3).normal(size=(4, 3, 8)))
     loss = tsum(mul(backbone_forward(upstream, state), C))
     loss.backward()
-    assert np.any(upstream.grad != 0)
+    assert upstream.grad is not None and np.any(upstream.grad != 0)
     # frozen weights also accumulate grads (pass-through), they are just not updatable
     attn_w = state.params["layer0.attn.q.W"]
-    assert np.any(attn_w.grad != 0)
+    assert attn_w.grad is not None and np.any(attn_w.grad != 0)
     assert attn_w.frozen
 
 

@@ -165,7 +165,7 @@ def test_token_gradients_flow_to_every_parameter(setup):
 
     loss().backward()
     for p in params:
-        assert np.any(p.grad != 0), f"dead branch: {p.name}"
+        assert p.grad is not None and np.any(p.grad != 0), f"dead branch: {p.name}"
     for p in params:
         p.zero_grad()
     report = grad_check(loss, params)
@@ -249,7 +249,7 @@ def test_hot_paths_never_build_the_dense_block(monkeypatch):
     cfg = TrainConfig()
     loss = training_loss(model, ds, splits.train, cfg)
     loss.backward()
-    assert model.prompts.w_forward.grad != 0
+    assert model.prompts.w_forward.grad is not None and model.prompts.w_forward.grad != 0
     assert np.isfinite(validation_loss(model, ds, splits.val, cfg))
     result = forecast(model, ds, splits.test.start, steps=2)
     assert result.cases.shape == (2 * ds.w, ds.N)

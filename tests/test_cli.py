@@ -202,12 +202,50 @@ def test_exit_two_on_unknown_key(tmp_path):
     assert main(["train", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
 
 
-@pytest.mark.parametrize("line", ["train.patience = 0", "train.lr = -1", "model.mob_hidden = -2"])
-def test_exit_two_on_out_of_range_config_value(tmp_path, line):
+@pytest.mark.parametrize(
+    "line",
+    [
+        "train.patience = 0",
+        "train.lr = -1",
+        "model.mob_hidden = -2",
+        "train.lambda = nan",
+        "train.lambda = inf",
+        "epsilon = nan",
+        "epsilon = inf",
+        "backbone.seed = -5",
+        "backbone.max_positions = -1",
+        "split.test = 0",
+        "split.val = 0",
+    ],
+)
+def test_exit_two_on_out_of_range_config_value(tmp_path, capsys, line):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("\n".join(f"{k} = {v}" for k, v in FAST.items()) + f"\n{line}\n")
     assert main(["train", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+    assert "config error:" in capsys.readouterr().err
     assert not (tmp_path / "out" / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("train", "seed", "-1"),
+        ("train", "epsilon", "nan"),
+        ("forecast", "epsilon", "nan"),
+        ("evaluate", "epsilon", "nan"),
+        ("forecast", "split.test", "0"),
+    ],
+)
+def test_exit_two_on_out_of_range_config_value_with_csv_data(tmp_path, capsys, command, key, value):
+    synth_out = cmd_synth(_cfg(tmp_path / "data"))
+    data = {"data.cases": str(synth_out / "cases.csv"), "data.mobility": str(synth_out / "mobility.csv")}
+    out = tmp_path / "out"
+    if command != "train":  # serving commands need a trained checkpoint
+        assert main(["train", "--config", str(_write_cfg(tmp_path / "ok.cfg", data)), "--out", str(out)]) == 0
+    bad = _write_cfg(tmp_path / "bad.cfg", {**data, key: value})
+    capsys.readouterr()
+    assert main([command, "--config", str(bad), "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["synth", "train"])
@@ -428,12 +466,16 @@ def test_ablate_full_loads_backbone_weights_like_train(tmp_path):
         ("{not json", "Expecting property name"),
         ('{"reports": [{"dataset": "x", "horizon": 3, "bogus": 1}]}', "unexpected keyword argument 'bogus'"),
         ("[]", "'list' object has no attribute 'get'"),
+        (None, "Is a directory"),
     ],
-    ids=["not-json", "unknown-key", "json-list"],
+    ids=["not-json", "unknown-key", "json-list", "directory"],
 )
 def test_exit_two_on_report_input_that_is_not_a_metrics_file(tmp_path, capsys, content, message):
     bad = tmp_path / "metrics.json"
-    bad.write_text(content)
+    if content is None:
+        bad.mkdir()
+    else:
+        bad.write_text(content)
     cfg = _write_cfg(tmp_path / "report.cfg", {"report.inputs": str(bad)})
     assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err

@@ -207,6 +207,13 @@ def test_build_dataset_region_mismatch():
         build_dataset(cases, mobility, w=2)
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+def test_build_dataset_rejects_nonfinite_epsilon(epsilon):
+    cases, mobility = _tiny_tables([1, 2, 3])
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        build_dataset(cases, mobility, w=2, epsilon=epsilon)
+
+
 def test_build_dataset_empty_overlap():
     cases, _ = _tiny_tables([1, 2, 3])
     far = [dt.date(2022, 1, 1) + dt.timedelta(days=d) for d in range(3)]
@@ -267,12 +274,13 @@ def test_adjacency_threshold_sparsity():
     assert np.all((ds.A > 0) <= (ds.M > 0))  # A positive implies M positive
 
 
-def test_window_features_matches_hand_loop():
+@pytest.mark.parametrize("T, w", [(9, 4), (9, 1), (1, 1), (1, 3), (5, 5), (4, 7), (30, 7)])
+def test_window_features_matches_hand_loop(T, w):
     rng = np.random.default_rng(0)
-    counts = rng.integers(0, 20, size=(9, 3)).astype(float)
-    w = 4
+    counts = rng.integers(0, 20, size=(T, 3)).astype(float)
     X = window_features(counts, w)
-    for t in range(9):
+    assert X.shape == (T, 3, w) and X.flags.c_contiguous and X.flags.owndata
+    for t in range(T):
         for i in range(3):
             for k in range(w):
                 day = t - (w - 1 - k)

@@ -99,6 +99,24 @@ def test_metric_report_region_average():
     assert len(rep.per_region_rmse) == 2
 
 
+@given(
+    h=st.integers(min_value=1, max_value=300),
+    n=st.integers(min_value=1, max_value=20),
+    seed=st.integers(min_value=0, max_value=2**31),
+    scale=st.floats(min_value=1e-3, max_value=1e6),
+)
+@settings(max_examples=150, deadline=None)
+def test_metric_report_equals_column_metrics_bitwise(h, n, seed, scale):
+    rng = np.random.default_rng(seed)
+    truth = rng.normal(size=(h, n)) * scale
+    pred = rng.normal(size=(h, n)) * scale
+    rep = metric_report(truth, pred, "synthetic", h, "model")
+    assert rep.per_region_rmse == [rmse(truth[:, i], pred[:, i]) for i in range(n)]
+    assert rep.per_region_mae == [mae(truth[:, i], pred[:, i]) for i in range(n)]
+    assert rep.region_avg_rmse == float(np.mean(rep.per_region_rmse))
+    assert rep.region_avg_mae == float(np.mean(rep.per_region_mae))
+
+
 # -- baselines ----------------------------------------------------------------------------
 
 
@@ -173,6 +191,20 @@ def test_baselines_match_independent_reimplementations():
         inter = ybar - slope * xbar
         expected = [slope * (t + k) + inter for k in range(h)]
         np.testing.assert_allclose(baseline_predict("LIN_REG", ds, t, h)[:, 0], expected, atol=1e-9)
+
+
+@pytest.mark.parametrize("t, n, h", [(2, 1, 1), (3, 5, 4), (40, 34, 56), (113, 129, 7)])
+def test_lin_reg_matches_per_region_polyfit_loop(t, n, h):
+    rng = np.random.default_rng(t * n)
+    hist = rng.integers(0, 500, size=(t, n)).astype(float)
+    future = np.arange(t, t + h, dtype=float)
+    expected = np.zeros((h, n))
+    for i in range(n):
+        slope, intercept = np.polyfit(np.arange(t, dtype=float), hist[:, i], 1)
+        expected[:, i] = slope * future + intercept
+    got = baseline_predict("LIN_REG", _history_ds(hist), t, h)
+    assert got.shape == (h, n)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_baseline_errors():

@@ -112,6 +112,12 @@ def test_backbone_hash_tracks_backbone_only():
     assert backbone_hash(model) != h0
 
 
+@pytest.mark.parametrize("bad", [{"seed": -1}, {"epsilon": float("nan")}, {"epsilon": float("inf")}])
+def test_model_config_rejects_negative_seed_and_nonfinite_epsilon(bad):
+    with pytest.raises(ValueError):
+        ModelConfig(n_regions=4, **bad)
+
+
 def test_width_mismatch_rejected():
     mc = ModelConfig(n_regions=4, w=3, width=8)
     bc = BackboneConfig(mode="frozen-transformer", depth=1, width=16, heads=2)

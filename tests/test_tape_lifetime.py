@@ -186,4 +186,4 @@ def test_training_loss_still_records_after_validation():
     loss = training_loss(model, ds, splits.train, TrainConfig())
     assert loss.requires_grad
     loss.backward()
-    assert any(np.any(p.grad != 0) for p in model.trainable_parameters())
+    assert any(p.grad is not None and np.any(p.grad != 0) for p in model.trainable_parameters())

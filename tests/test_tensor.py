@@ -349,7 +349,7 @@ def test_fused_ops_pass_gradients_to_frozen_parameters(op):
         out = layer_norm(x, W, b)
     tsum(mul(out, constant(rng.normal(size=out.data.shape)))).backward()
     assert W.frozen and b.frozen
-    assert np.any(W.grad != 0) and np.any(b.grad != 0) and np.any(x.grad != 0)
+    assert all(p.grad is not None and np.any(p.grad != 0) for p in (W, b, x))
 
 
 def test_fused_ops_record_nothing_under_no_grad():

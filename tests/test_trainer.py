@@ -1,19 +1,24 @@
 """Losses, the Adam update, early stopping, and the freezing contract."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import epicast.trainer as trainer_mod
-from epicast.backbone import BackboneConfig
+from epicast.backbone import BackboneConfig, backbone_forward
+from epicast.branches import epi_adapt, mob_adapt, patch_grid
 from epicast.data import SplitSpec, SirParams, split_dataset, synth_sir
 from epicast.model import ModelConfig, backbone_hash, build_model
-from epicast.tensor import Parameter, Tensor, constant, mul, tsum
+from epicast.tensor import Parameter, Tensor, constant, mul, no_grad, tsum
 from epicast.trainer import (
     Adam,
     TrainConfig,
     TrainingDivergedError,
     TrainingRangeError,
     compute_loss,
+    epi_token_sequence,
+    mob_token_sequence,
     train,
     training_loss,
     validation_loss,
@@ -65,6 +70,8 @@ def test_loss_rejects_bad_inputs():
         compute_loss(pred, np.zeros((1, 2, 2)), None, None)
     with pytest.raises(ValueError):
         compute_loss(pred, np.zeros((1, 1, 2)), None, None, mob_weight=-1.0)
+    with pytest.raises(ValueError):
+        compute_loss(pred, np.zeros((1, 1, 2)), None, None, mob_weight=float("nan"))
     with pytest.raises(ValueError):
         compute_loss(pred, np.zeros((1, 1, 2)), None, None, loss_form="harmonic")
 
@@ -205,6 +212,8 @@ def test_nonfinite_validation_loss_reported_with_epoch():
         {"beta1": -0.1},
         {"beta2": 1.0},
         {"eps": 0.0},
+        {"mob_weight": float("nan")},
+        {"mob_weight": float("inf")},
     ],
 )
 def test_train_config_rejects_bad_values(bad):
@@ -238,6 +247,36 @@ def test_validation_loss_uses_history_context():
     assert np.isfinite(v) and v >= 0
     t = float(training_loss(model, ds, splits.train, TrainConfig()).data)
     assert np.isfinite(t)
+
+
+@no_grad()
+def _validation_loss_oracle(model, ds, val_range, cfg):
+    """Adapt every position of the history grid, then keep the targets that
+    overlap the validation range."""
+    grid = patch_grid(0, val_range.stop, ds.w)
+    P = len(grid)
+    first = P - 1 - min(sum(1 for s, e in grid if e > val_range.start), P - 1)
+    preds = backbone_forward(epi_token_sequence(model, ds.X, ds.A, grid), model.backbone)
+    x_pred = epi_adapt(preds[: P - 1], model.epi_adapter)[first:]
+    x_true = np.stack([ds.X[e - 1] for s, e in grid[1:]])[first:]
+    m_pred = m_true = None
+    if model.config.mobility_enabled:
+        mob_out = backbone_forward(mob_token_sequence(model, ds.M, grid), model.backbone)
+        m_pred = mob_adapt(mob_out[: P - 1], model.mob_adapter)[first:]
+        m_true = np.stack([ds.M[e - 1] for s, e in grid[1:]])[first:]
+    return float(compute_loss(x_pred, x_true, m_pred, m_true, cfg.mob_weight, cfg.loss_form).data)
+
+
+@pytest.mark.parametrize("w, val_len", [(3, 3), (3, 4), (3, 7), (2, 1), (7, 7)])
+@pytest.mark.parametrize("mobility", [True, False])
+def test_validation_loss_equals_adapt_everything_then_slice_oracle(w, val_len, mobility):
+    ds = _tiny_ds(n=5, days=40, w=w)
+    splits = split_dataset(ds, SplitSpec(test_len=3, val_len=val_len))
+    model = _tiny_model(ds)
+    model.config = replace(model.config, mobility_enabled=mobility)
+    for loss_form in ("mean-squared", "mean-l2-norm"):
+        cfg = TrainConfig(mob_weight=0.7, loss_form=loss_form)
+        assert validation_loss(model, ds, splits.val, cfg) == _validation_loss_oracle(model, ds, splits.val, cfg)
 
 
 def test_loss_decrease_over_500_epochs_tiny_dataset():
