@@ -8,7 +8,11 @@ a single gated recurrent layer, and a pure identity.
 
 Each region's patch-token sequence is processed as an independent batch item;
 causal masking guarantees the output at position p depends only on positions
-<= p, and that output is read as the prediction for patch p+1.
+<= p, and that output is read as the prediction for patch p+1.  Each
+attention layer computes its weights ``softmax(q kᵀ / sqrt(dh) + mask)`` as
+one tape node (``tensor.attention_weights``) that keeps only the weights, so
+the raw, scaled and masked scores never reach the tape; the causal mask is a
+plain array, -inf above the diagonal, cut to the rows of the positions run.
 
 Inference decodes incrementally, the way language models serve next-token
 prediction.  A ``DecodeCache`` remembers how many positions of a growing
@@ -32,6 +36,7 @@ from .tensor import (
     Parameter,
     Tensor,
     add,
+    attention_weights,
     concat,
     constant,
     gelu,
@@ -42,7 +47,6 @@ from .tensor import (
     mul,
     reshape,
     sigmoid,
-    softmax,
     tanh,
     transpose,
 )
@@ -189,7 +193,7 @@ def _causal_mask(P: int) -> np.ndarray:
 
 
 def _attention(
-    x: Tensor, state: BackboneState, layer: int, mask: Tensor, cache: DecodeCache | None
+    x: Tensor, state: BackboneState, layer: int, mask: np.ndarray, cache: DecodeCache | None
 ) -> Tensor:
     cfg = state.config
     N, P, D = x.data.shape
@@ -212,8 +216,7 @@ def _attention(
             cache.kv[layer] = (k.data, v.data)
         else:  # prefill
             cache.kv.append((k.data, v.data))
-    scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    weights = softmax(add(scores, mask))
+    weights = attention_weights(q, k, mask, 1.0 / np.sqrt(dh))
     mixed = matmul(weights, v)  # (N, H, P, dh)
     merged = reshape(transpose(mixed, (0, 2, 1, 3)), (N, P, D))
     return linear(merged, p[f"layer{layer}.attn.o.W"], p[f"layer{layer}.attn.o.b"])
@@ -259,7 +262,7 @@ def backbone_forward(tokens: Tensor, state: BackboneState, cache: DecodeCache | 
 
     if cfg.mode in ("frozen-transformer", "trainable-transformer"):
         x = add(x, p["pos_emb"][start:P])
-        mask = constant(_causal_mask(P)[start:])
+        mask = _causal_mask(P)[start:]
         for layer in range(cfg.depth):
             attn_in = layer_norm(x, p[f"layer{layer}.ln1.g"], p[f"layer{layer}.ln1.b"])
             x = add(x, _attention(attn_in, state, layer, mask, cache))

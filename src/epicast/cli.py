@@ -10,9 +10,9 @@ backbone, split, seed and epsilon values, splits that hold out the whole
 series, an unknown ablation variant, a training range shorter than two patches, a forecast context outside the
 data, a scored horizon longer than the test range and a report input that is
 a directory or not a metrics file included), 3 data error, 4 checkpoint
-error (a broken sidecar, a missing or misshapen tensor, and a checkpoint
-served with another w, region count or epsilon than it was trained with
-included), 5 diverged (non-finite loss or prediction, or learned prompt edge
+error (a broken sidecar, a missing or misshapen tensor, a NaN or inf in a
+checkpoint or backbone weight file, and a checkpoint served with another w,
+region count or epsilon than it was trained with included), 5 diverged (non-finite loss or prediction, or learned prompt edge
 weights that leave the block graph without a positive degree), 1 anything
 else.
 """

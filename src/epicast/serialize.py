@@ -14,7 +14,7 @@ import numpy as np
 
 
 class CheckpointError(RuntimeError):
-    """Missing, truncated, or inconsistent weight files."""
+    """Missing, truncated, inconsistent or non-finite weight files."""
 
 
 def sidecar_path(bin_path) -> Path:
@@ -42,7 +42,8 @@ def save_tensors(named: dict[str, np.ndarray], bin_path, meta: dict | None = Non
 
 
 def load_tensors(bin_path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read tensors and sidecar meta back; raises CheckpointError on mismatch."""
+    """Read tensors and sidecar meta back; raises CheckpointError on a mismatch
+    or on a tensor holding NaN or inf, naming the file and the tensor."""
     bin_path = Path(bin_path)
     side = sidecar_path(bin_path)
     if not bin_path.exists():
@@ -64,6 +65,8 @@ def load_tensors(bin_path) -> tuple[dict[str, np.ndarray], dict]:
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
             arr = np.frombuffer(blob, dtype="<f8", count=count, offset=entry["offset"])
+            if not np.all(np.isfinite(arr)):
+                raise CheckpointError(f"{bin_path}: tensor {entry['name']!r} holds non-finite values")
             out[entry["name"]] = arr.reshape(shape).astype(np.float64)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{side}: broken sidecar: {exc!r}") from exc

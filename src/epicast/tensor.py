@@ -23,11 +23,20 @@ A tape's lifetime follows reference counting alone:
 - Under ``with no_grad():`` ops record nothing and return tensors that do
   not require gradients.  Validation and forecasting run this way.
 
-Besides the primitive ops there are two fused ones, each a single tape node
-with a hand-written backward: ``linear`` (``x @ W + b``) and ``layer_norm``.
-Their forwards are bitwise equal to the same computation composed from the
+Besides the primitive ops there are three fused ones, each a single tape node
+with a hand-written backward: ``linear`` (``x @ W + b``), ``layer_norm`` and
+``attention_weights`` (``softmax(q @ kᵀ · scale + mask)``, which keeps only
+the weights for its backward, never the raw, scaled or masked scores).  Their
+forwards are bitwise equal to the same computation composed from the
 primitives, and tests validate both forwards and gradients against that
 composed form.
+
+The kernels of ``gelu``, ``softmax``, ``layer_norm`` and ``attention_weights``
+write into one or two arrays they own, with ``out=`` and in-place ops, instead
+of a fresh input-sized temporary per numpy op: each temporary is a new large
+allocation whose pages fault in on first touch, which costs more than the
+arithmetic.  They run the composed form's numpy ops in the same order, so
+every result is bitwise unchanged.
 """
 
 from __future__ import annotations
@@ -425,7 +434,8 @@ def sigmoid(a) -> Tensor:
     a = astensor(a)
     # split by sign for overflow-free exponentials
     x = a.data
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def _bw(g):
         _accumulate(a, g * s * (1.0 - s))
@@ -447,21 +457,58 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(a) -> Tensor:
-    """Gaussian error linear unit (tanh approximation, smooth everywhere)."""
+    """Gaussian error linear unit (tanh approximation, smooth everywhere).
+
+    Forward: ``0.5 * x * (1 + t)`` with ``t = tanh(c * (x + 0.044715 * x * x * x))``;
+    backward: ``g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * c * (1 + 3 * 0.044715 * x * x))``.
+    """
     a = astensor(a)
     x = a.data
     # x * x * x, not x**3: numpy evaluates an integer power above 2 with a
     # per-element libm pow, tens of times slower than two multiplications.  The
     # backward recomputes x * x: keeping it in the closure would hold one more
     # input-sized array per gelu on the tape.
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = 0.5 * x
+    out *= 1.0 + t
 
     def _bw(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
-        _accumulate(a, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner))
+        b = np.multiply(t, t)
+        np.subtract(1.0, b, out=b)
+        d = 0.5 * x
+        d *= b
+        np.multiply(x, 3 * 0.044715, out=b)
+        b *= x
+        b += 1.0
+        b *= _GELU_C
+        d *= b  # 0.5 * x * (1 - t * t) * dinner
+        np.add(t, 1.0, out=b)
+        b *= 0.5
+        b += d
+        b *= g
+        _accumulate(a, b)
 
-    return Tensor._result(0.5 * x * (1.0 + t), (a,), _bw)
+    return Tensor._result(out, (a,), _bw)
+
+
+def _exp_normalize(shifted: np.ndarray) -> np.ndarray:
+    """Softmax of rows already shifted by their max, in place in `shifted`."""
+    np.exp(shifted, out=shifted)
+    shifted /= shifted.sum(axis=-1, keepdims=True)
+    return shifted
+
+
+def _softmax_backward(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``(g - (g * s).sum(-1)) * s``, the softmax backward, in one new array."""
+    out = g * s
+    np.subtract(g, out.sum(axis=-1, keepdims=True), out=out)
+    out *= s
+    return out
 
 
 def softmax(a) -> Tensor:
@@ -471,14 +518,41 @@ def softmax(a) -> Tensor:
     """
     a = astensor(a)
     x = a.data
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = _exp_normalize(x - np.max(x, axis=-1, keepdims=True))
 
     def _bw(g):
-        _accumulate(a, (g - (g * s).sum(axis=-1, keepdims=True)) * s)
+        _accumulate(a, _softmax_backward(g, s))
 
     return Tensor._result(s, (a,), _bw)
+
+
+def attention_weights(q, k, mask: np.ndarray, scale: float) -> Tensor:
+    """``softmax(q @ kᵀ * scale + mask)`` over the last axis, as one node.
+
+    q is (..., P, dh) and k (..., S, dh) with the same leading axes; `mask`
+    is an additive array broadcast to (..., P, S), -inf where a query must not
+    see a key.  Only the weights are kept for the backward, which pushes the
+    softmax gradient through the scale into q and k.  Forward and gradients
+    are bitwise those of the composed primitive ops.
+    """
+    q, k = astensor(q), astensor(k)
+    if q.data.shape[:-2] != k.data.shape[:-2]:
+        raise ValueError(f"query {q.data.shape} and key {k.data.shape} batch axes differ")
+    s = q.data @ np.swapaxes(k.data, -1, -2)
+    s *= scale
+    s += mask
+    s -= s.max(axis=-1, keepdims=True)
+    _exp_normalize(s)
+
+    def _bw(g):
+        gs = _softmax_backward(g, s)
+        gs *= scale
+        if q.requires_grad:
+            _accumulate(q, gs @ k.data)
+        if k.requires_grad:
+            _accumulate(k, np.swapaxes(np.swapaxes(q.data, -1, -2) @ gs, -1, -2))
+
+    return Tensor._result(s, (q, k), _bw)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -489,17 +563,22 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     output is bitwise equal to it.
     """
     x, gain, bias = astensor(x), astensor(gain), astensor(bias)
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
-    normed = centered / std
-    out = normed * gain.data
+    normed = x.data - x.data.mean(axis=-1, keepdims=True)  # centered, until divided by std
+    out = normed * normed
+    std = out.mean(axis=-1, keepdims=True)
+    std += eps
+    np.sqrt(std, out=std)
+    normed /= std
+    np.multiply(normed, gain.data, out=out)
     out += bias.data
 
     def _bw(g):
         if x.requires_grad:
             gn = g * gain.data
             dx = gn - gn.mean(axis=-1, keepdims=True)
-            dx -= normed * (gn * normed).mean(axis=-1, keepdims=True)
+            gn *= normed
+            np.multiply(normed, gn.mean(axis=-1, keepdims=True), out=gn)
+            dx -= gn
             dx /= std
             _accumulate(x, dx)
         if gain.requires_grad:

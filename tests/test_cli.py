@@ -415,6 +415,39 @@ def test_exit_four_on_checkpoint_tensors_that_disagree_with_the_model(tmp_path, 
     assert not (out / "forecast.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["forecast", "evaluate"])
+@pytest.mark.parametrize(
+    "name, value", [("epi_adapter.W", np.nan), ("backbone.layer0.attn.q.W", np.inf)], ids=["nan-adapter", "inf-backbone"]
+)
+def test_exit_four_on_non_finite_checkpoint_tensor(tmp_path, capsys, command, name, value):
+    cfg_file = _write_cfg(tmp_path / "run.cfg")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_file), "--out", str(out)]) == 0
+    ckpt = out / "checkpoint.bin"
+    named, meta = load_tensors(ckpt)
+    named[name].flat[0] = value
+    save_tensors(named, ckpt, meta=meta)
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg_file), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "checkpoint error" in err and "checkpoint.bin" in err and f"tensor {name!r}" in err, err
+    assert "non-finite" in err and not (out / "forecast.csv").exists() and not (out / "metrics.csv").exists()
+
+
+def test_exit_four_on_non_finite_backbone_weight_file(tmp_path, capsys):
+    weights = tmp_path / "backbone.bin"
+    build_backbone(BackboneConfig(depth=1, width=8, heads=2, seed=123)).export_weights(weights)
+    named, meta = load_tensors(weights)
+    named["layer0.ffn.1.W"].flat[3] = np.nan
+    save_tensors(named, weights, meta=meta)
+    out = tmp_path / "out"
+    cfg_file = _write_cfg(tmp_path / "run.cfg", {"backbone.weights": str(weights)})
+    assert main(["train", "--config", str(cfg_file), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "checkpoint error" in err and "backbone.bin" in err and "tensor 'layer0.ffn.1.W'" in err, err
+    assert not (out / "checkpoint.bin").exists()
+
+
 def test_exit_two_on_unknown_ablation_variant(tmp_path, capsys):
     cfg_file = _write_cfg(tmp_path / "run.cfg", {"ablate.variants": "full,Bogus"})
     assert main(["ablate", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2

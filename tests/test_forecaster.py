@@ -5,7 +5,7 @@ import pytest
 
 from epicast import forecaster
 from epicast.backbone import BackboneConfig, backbone_forward
-from epicast.data import SirParams, SplitSpec, split_dataset, synth_sir
+from epicast.data import SirParams, SplitSpec, split_dataset, synth_sir, window_features
 from epicast.forecaster import ForecastDivergedError, InsufficientContextError, forecast
 from epicast.model import ModelConfig, build_model
 from epicast.trainer import TrainConfig, train
@@ -203,3 +203,27 @@ def test_incremental_decoding_matches_full_recompute(monkeypatch, mode):
     assert decoded.mobility[0].tobytes() == oracle.mobility[0].tobytes()
     for got, want in ((decoded.cases, oracle.cases), (decoded.mobility, oracle.mobility)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("w, context_end", [(1, 5), (3, 24), (3, 25), (7, 14)])
+def test_features_are_the_full_rewindowed_history(monkeypatch, w, context_end):
+    """Step t's feature rows, built a patch at a time, are bitwise what
+    windowing the whole rolled-out history up to day t gives.  Unscaled, so
+    the history is exactly the context counts and the forecast cases."""
+    ds = synth_sir(4, 6 * w + 8, SirParams(beta=0.5, gamma_rec=0.2, population=2000), rng_seed=5, w=w)
+    model = _model(ds, seed=2)
+    seen, windowed = [], []
+    original = forecaster.epi_token_sequence
+
+    def spy(model, X, A, grid):
+        seen.append(X.copy())
+        return original(model, X, A, grid)
+
+    monkeypatch.setattr(forecaster, "epi_token_sequence", spy)
+    monkeypatch.setattr(forecaster, "window_features", lambda *a: windowed.append(a) or window_features(*a))
+    res = forecast(model, ds, context_end=context_end, steps=4)
+    history = np.concatenate([ds.counts[:context_end].astype(np.float64), res.cases])
+    assert [len(X) for X in seen] == [context_end + s * w for s in range(4)]
+    assert len(windowed) == 4  # one call per step
+    for X in seen:
+        assert X.tobytes() == window_features(history[: len(X)], w).tobytes()

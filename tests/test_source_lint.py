@@ -1,8 +1,10 @@
-"""Source checks for numeric pitfalls that tests of values cannot see."""
+"""Source checks for numeric pitfalls and coverage gaps that tests of values cannot see."""
 
 import ast
 import sys
 from pathlib import Path
+
+from test_tensor import OP_CASES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "epicast"
 
@@ -73,3 +75,49 @@ def test_the_check_sees_a_foreign_import():
         "import scipy.linalg\nfrom scipy import sparse\n"
     )
     assert list(_foreign_imports(ast.parse(source))) == [(7, "scipy.linalg"), (8, "scipy")]
+
+
+def _taping_functions(tree):
+    """Top-level functions that record a tape node with a backward: a call of
+    ``Tensor._result`` whose backward argument is not the literal None."""
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_result"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "Tensor"
+                and not (len(node.args) > 2 and isinstance(node.args[2], ast.Constant) and node.args[2].value is None)
+            ):
+                yield fn.name
+                break
+
+
+def _without_fd_case(tree, cases):
+    covered = set().union(*(case.__code__.co_names for case in cases.values()))
+    return [name for name in _taping_functions(tree) if name not in covered]
+
+
+def test_every_taping_op_has_a_finite_difference_case():
+    hits = [
+        f"{path.name}:{name}"
+        for path in (SRC / "tensor.py", SRC / "branches.py")
+        for name in _without_fd_case(ast.parse(path.read_text(), filename=str(path)), OP_CASES)
+    ]
+    assert not hits, (
+        f"{hits} record a tape node with a hand-written backward but no OP_CASES entry in "
+        "tests/test_tensor.py calls them, so no finite-difference check covers that backward"
+    )
+
+
+def test_the_check_sees_an_op_without_a_case():
+    source = (
+        "def covered(a):\n    return Tensor._result(a.data, (a,), _bw)\n"
+        "def fused(a, b):\n    def _bw(g):\n        pass\n    return Tensor._result(a.data + b.data, (a, b), _bw)\n"
+        "def leaf(x):\n    return Tensor._result(x, (), None)\n"
+        "def helper(a):\n    return covered(a)\n"
+    )
+    assert _without_fd_case(ast.parse(source), {"covered": lambda a, b: covered(a)}) == ["fused"]  # noqa: F821

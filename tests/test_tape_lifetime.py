@@ -14,7 +14,7 @@ from epicast.branches import patch_grid
 from epicast.data import SirParams, SplitSpec, split_dataset, synth_sir
 from epicast.forecaster import forecast
 from epicast.model import ModelConfig, build_model
-from epicast.tensor import AutodiffError, Parameter, add, mul, no_grad, square, tsum
+from epicast.tensor import AutodiffError, Parameter, Tensor, add, mul, no_grad, square, tsum
 from epicast.trainer import TrainConfig, sequence_loss, train, training_loss, validation_loss
 
 
@@ -187,3 +187,42 @@ def test_training_loss_still_records_after_validation():
     assert loss.requires_grad
     loss.backward()
     assert any(p.grad is not None and np.any(p.grad != 0) for p in model.trainable_parameters())
+
+
+# -- what a training tape keeps ----------------------------------------------------------
+
+
+def _kept_arrays(loss):
+    """Every ndarray a tape keeps alive: node data and backward-closure cells,
+    the tensors and tensor lists in those cells included."""
+    arrays, seen, stack = {}, set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        arrays[id(node.data)] = node.data
+        stack.extend(node._prev)
+        for cell in getattr(node._backward, "__closure__", None) or ():
+            value = cell.cell_contents
+            items = value if isinstance(value, (list, tuple)) else [value]
+            for item in items:
+                if isinstance(item, np.ndarray):
+                    arrays[id(item)] = item
+                elif isinstance(item, Tensor):
+                    stack.append(item)
+    return list(arrays.values())
+
+
+def test_training_tape_keeps_only_the_attention_weights_of_each_score_shape():
+    ds = _ds(n=5, days=40, w=3)
+    splits = split_dataset(ds, SplitSpec(test_len=3, val_len=3))
+    model = _model(ds, width=8)  # 2 layers, 2 heads of width 4
+    P = len(patch_grid(splits.train.start, splits.train.stop, ds.w))
+    assert P not in (4, 8, ds.N)
+    loss = training_loss(model, ds, splits.train, TrainConfig())
+    scores = [a for a in _kept_arrays(loss) if a.shape == (ds.N, 2, P, P)]
+    assert len(scores) == 2 * 2  # one per layer, per branch
+    for weights in scores:  # softmax rows over the visible (causal) keys
+        np.testing.assert_allclose(weights.sum(axis=-1), 1.0)
+        assert np.all(np.triu(weights, k=1) == 0.0)

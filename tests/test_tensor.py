@@ -1,5 +1,7 @@
 """Autodiff core: op correctness, per-op gradient checks, tape semantics."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from epicast.tensor import (
     Parameter,
     Tensor,
     add,
+    attention_weights,
     concat,
     constant,
     div,
@@ -141,6 +144,9 @@ def _p(rng, shape, name, away_from_zero=False):
 # a 3-slice window of 2 regions, one edge absent
 _SLICES = np.array([[[0.0, 0.5], [1.0, 0.2]], [[0.3, 0.0], [0.7, 0.4]], [[0.9, 0.1], [0.0, 0.6]]])
 
+# decode-shaped: 2 queries over 3 keys, each query hiding the keys after it
+_DECODE_MASK = np.triu(np.full((3, 3), -np.inf), k=1)[1:]
+
 OP_CASES = {
     "add": lambda a, b: add(a, b),
     "sub": lambda a, b: sub(a, b),
@@ -164,6 +170,9 @@ OP_CASES = {
     "transpose": lambda a, b: transpose(a, (1, 0)),
     "linear": lambda a, b: linear(a, transpose(b, (1, 0)), tsum(b, axis=1)),
     "layer_norm": lambda a, b: layer_norm(a, getitem(b, 0), getitem(b, 1)),
+    "attention_weights": lambda a, b: attention_weights(
+        reshape(getitem(a, slice(0, 2)), (1, 2, 2, 2)), reshape(b, (1, 2, 3, 2)), _DECODE_MASK, 0.7
+    ),
     # prompt weights drawn from b: forward >= -0.3 keeps every degree positive
     "propagate": lambda a, b: propagate(
         PromptedGraph(_SLICES, sub(square(getitem(b, (0, 0))), 0.3), square(getitem(b, (1, 1)))),
@@ -364,3 +373,147 @@ def test_fused_ops_record_nothing_under_no_grad():
     for out in outs:
         assert not out.requires_grad
         assert out._prev == () and out._backward is None
+
+
+# -- in-place kernels against the composed numpy expressions they replaced ----------------
+
+
+def _gelu_composed(x, g):
+    c = math.sqrt(2.0 / math.pi)
+    t = np.tanh(c * (x + 0.044715 * (x * x * x)))
+    dinner = c * (1.0 + 3 * 0.044715 * x * x)
+    return 0.5 * x * (1.0 + t), g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
+
+
+def _softmax_composed(x, g):
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
+    return s, (g - (g * s).sum(axis=-1, keepdims=True)) * s
+
+
+def _layer_norm_composed_numpy(x, gain, bias, g, eps=1e-5):
+    centered = x - x.mean(axis=-1, keepdims=True)
+    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    normed = centered / std
+    out = normed * gain
+    out += bias
+    gn = g * gain
+    dx = gn - gn.mean(axis=-1, keepdims=True)
+    dx -= normed * (gn * normed).mean(axis=-1, keepdims=True)
+    dx /= std
+    if x.ndim == 1:  # nothing to sum over
+        return out, dx, g * normed, g
+    lead = tuple(range(x.ndim - 1))
+    return out, dx, (g * normed).sum(axis=lead), g.sum(axis=lead)
+
+
+def _node_grads(node, g, inputs):
+    """The arrays `node`'s backward hands each input for upstream gradient g."""
+    for t in inputs:
+        t.grad = None
+    node._backward(g)
+    return [t.grad for t in inputs]
+
+
+def _assert_bitwise(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """Arrays of magnitude 1e-150 .. 1e3 with some exact zeros, C-ordered or not."""
+    shape = tuple(draw(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**16)))
+    scale = 10.0 ** draw(st.integers(min_value=-150, max_value=3))
+    x = rng.normal(size=shape) * scale
+    x[rng.random(shape) < 0.2] = 0.0
+    g = rng.normal(size=shape)
+    if draw(st.booleans()):  # not C-ordered, as the backbone's residual stream is not
+        x = np.asfortranarray(x)
+    return x, g
+
+
+@given(_kernel_inputs())
+@settings(max_examples=60, deadline=None)
+def test_gelu_is_bitwise_the_composed_expression(inputs):
+    x, g = inputs
+    a = Parameter(x, name="a")
+    out = gelu(a)
+    ref_out, ref_grad = _gelu_composed(x, g)
+    _assert_bitwise(out.data, ref_out)
+    _assert_bitwise(_node_grads(out, g, [a])[0], ref_grad)
+
+
+@given(_kernel_inputs())
+@settings(max_examples=60, deadline=None)
+def test_softmax_is_bitwise_the_composed_expression(inputs):
+    x, g = inputs
+    a = Parameter(x, name="a")
+    out = softmax(a)
+    ref_out, ref_grad = _softmax_composed(x, g)
+    _assert_bitwise(out.data, ref_out)
+    _assert_bitwise(_node_grads(out, g, [a])[0], ref_grad)
+
+
+@given(_kernel_inputs(), st.integers(min_value=0, max_value=2**16))
+@settings(max_examples=60, deadline=None)
+def test_layer_norm_is_bitwise_the_composed_expression(inputs, seed):
+    x, g = inputs
+    rng = np.random.default_rng(seed)
+    gain, bias = rng.normal(size=x.shape[-1]), rng.normal(size=x.shape[-1])
+    params = [Parameter(x, name="x"), Parameter(gain, name="gain"), Parameter(bias, name="bias")]
+    out = layer_norm(*params)
+    ref_out, *ref_grads = _layer_norm_composed_numpy(x, gain, bias, g)
+    _assert_bitwise(out.data, ref_out)
+    for grad, ref in zip(_node_grads(out, g, params), ref_grads):
+        _assert_bitwise(grad, ref)
+
+
+def test_sigmoid_is_bitwise_the_three_exponential_expression():
+    x = np.concatenate([np.linspace(-750.0, 750.0, 3001), [0.0, -0.0, 1e-300, -1e-300, 36.7, -36.7]])
+    expected = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    _assert_bitwise(sigmoid(Tensor(x)).data, expected)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=3),
+    heads=st.integers(min_value=1, max_value=3),
+    queries=st.integers(min_value=1, max_value=6),
+    extra_keys=st.integers(min_value=0, max_value=4),
+    dh=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**16),
+    magnitude=st.floats(min_value=1e-3, max_value=30.0),
+    hidden=st.floats(min_value=0.0, max_value=0.5),
+)
+@settings(max_examples=60, deadline=None)
+def test_attention_weights_are_bitwise_the_composed_ops(n, heads, queries, extra_keys, dh, seed, magnitude, hidden):
+    """P' queries over S = P' + extra_keys keys: a causal mask cut to its last P'
+    rows (a decode step when extra_keys > 0) plus random -inf entries, one key
+    per query always left visible."""
+    keys = queries + extra_keys
+    rng = np.random.default_rng(seed)
+    q_data = rng.normal(size=(n, heads, queries, dh)) * magnitude
+    k_data = rng.normal(size=(n, heads, keys, dh)) * magnitude
+    mask = np.triu(np.full((keys, keys), -np.inf), k=1)[extra_keys:]
+    mask[rng.random(mask.shape) < hidden] = -np.inf
+    mask[np.arange(queries), extra_keys + np.arange(queries)] = rng.normal(size=queries)
+    scale = 1.0 / np.sqrt(dh)
+    g = rng.normal(size=(n, heads, queries, keys))
+
+    def run(op):
+        q, k = Parameter(q_data, name="q"), Parameter(k_data, name="k")
+        out = op(q, k)
+        q.grad = k.grad = None
+        tsum(mul(out, constant(g))).backward()
+        return out.data, q.grad, k.grad
+
+    fused = run(lambda q, k: attention_weights(q, k, mask, scale))
+    composed = run(lambda q, k: softmax(add(mul(matmul(q, transpose(k, (0, 1, 3, 2))), scale), constant(mask))))
+    for actual, expected in zip(fused, composed):
+        _assert_bitwise(actual, expected)
+
+
+def test_attention_weights_reject_mismatched_batch_axes():
+    with pytest.raises(ValueError, match="batch axes differ"):
+        attention_weights(Tensor(np.ones((2, 1, 3, 4))), Tensor(np.ones((1, 1, 3, 4))), np.zeros((3, 3)), 1.0)
