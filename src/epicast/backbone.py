@@ -1,10 +1,11 @@
 """Swappable sequence backbone performing next-token prediction over patches.
 
 The default is a randomly initialized, frozen, pre-norm causal transformer:
-every parameter carries frozen=True, so gradients flow through it to the
-projectors and prompts but no optimizer step ever touches it.  Variants for
-ablations: the same transformer trainable, a position-wise feedforward block,
-a single gated recurrent layer, and a pure identity.
+every parameter is a constant (frozen=True) that holds no gradient and that no
+optimizer step ever touches, while gradients still flow through its layers to
+the projectors and prompts.  Variants for ablations: the same transformer
+trainable, a position-wise feedforward block, a single gated recurrent layer,
+and a pure identity.
 
 Each region's patch-token sequence is processed as an independent batch item;
 causal masking guarantees the output at position p depends only on positions
@@ -182,7 +183,6 @@ def build_backbone(cfg: BackboneConfig, weights_path=None) -> BackboneState:
                     f"weight {full!r} has shape {arr.shape}, expected {param.data.shape}"
                 )
             param.data = arr.astype(np.float64)
-            param.zero_grad()
     return state
 
 

@@ -38,9 +38,9 @@ class PromptGraphError(RuntimeError):
     """Learned prompt edge weights left a block-graph node without a positive degree."""
 
 
-def _init_linear(rng: np.random.Generator, fan_in: int, fan_out: int, name: str, frozen=False):
-    W = Parameter(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out)), name=f"{name}.W", frozen=frozen)
-    b = Parameter(np.zeros(fan_out), name=f"{name}.b", frozen=frozen)
+def _init_linear(rng: np.random.Generator, fan_in: int, fan_out: int, name: str):
+    W = Parameter(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out)), name=f"{name}.W")
+    b = Parameter(np.zeros(fan_out), name=f"{name}.b")
     return W, b
 
 

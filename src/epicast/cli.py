@@ -6,15 +6,17 @@ output directory so a run can be reproduced from its artifacts alone.  All
 commands are deterministic given the same config and seed.
 
 Exit codes: 0 ok, 2 config error (out-of-range synth.*, train.*, model,
-backbone, split, seed and epsilon values, splits that hold out the whole
-series, an unknown ablation variant, a training range shorter than two patches, a forecast context outside the
-data, a scored horizon longer than the test range and a report input that is
-a directory or not a metrics file included), 3 data error, 4 checkpoint
-error (a broken sidecar, a missing or misshapen tensor, a NaN or inf in a
-checkpoint or backbone weight file, and a checkpoint served with another w,
-region count or epsilon than it was trained with included), 5 diverged (non-finite loss or prediction, or learned prompt edge
-weights that leave the block graph without a positive degree), 1 anything
-else.
+backbone, split, seed and epsilon values, size keys whose parameters cannot
+be allocated, splits that hold out the whole series, an unknown ablation
+variant, a training range shorter than two patches, a forecast context outside
+the data, a scored horizon longer than the test range and a report input that
+is a directory or not a metrics file included), 3 data error, 4 checkpoint
+error (a broken sidecar or one whose sizes cannot be allocated, a missing or
+misshapen tensor, a NaN or inf in a checkpoint or backbone weight file, and a
+checkpoint served with another w, region count or epsilon than it was trained
+with included), 5 diverged (non-finite loss or prediction, or learned prompt
+edge weights that leave the block graph without a positive degree), 1
+anything else.
 """
 
 from __future__ import annotations
@@ -56,7 +58,15 @@ from .evalharness import (
     run_ablation,
 )
 from .forecaster import ForecastDivergedError, InsufficientContextError, forecast
-from .model import ModelConfig, ModelState, build_model, count_params, load_checkpoint, save_checkpoint
+from .model import (
+    ModelConfig,
+    ModelSizeError,
+    ModelState,
+    build_model,
+    count_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from .serialize import CheckpointError
 from .trainer import TrainConfig, TrainingDivergedError, TrainingRangeError, train
 
@@ -443,7 +453,7 @@ def main(argv=None) -> int:
         return 0
     except (  # an InvalidSplitError is a DataError, but the split is a config value
         ConfigError, BackboneConfigError, InsufficientContextError, TrainingRangeError, HorizonRangeError,
-        InvalidSplitError,
+        InvalidSplitError, ModelSizeError,
     ) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -44,8 +44,14 @@ def grad_check(f, params: list[Parameter], h: float = 1e-5, guard: float = 1e-6)
     """Compare tape gradients of the scalar `f()` against central differences.
 
     `f` must be a deterministic zero-argument callable that rebuilds its
-    computation from the current parameter values on every call.
+    computation from the current parameter values on every call.  Every
+    parameter must be trainable: a frozen one has no gradient to check.
     """
+    for p in params:
+        if p.frozen:
+            raise ValueError(
+                f"grad_check: parameter {p.name!r} is frozen; frozen parameters have no gradient"
+            )
     loss = f()
     if not isinstance(loss, Tensor) or loss.data.size != 1:
         raise ValueError("grad_check requires f to return a scalar Tensor")

@@ -29,6 +29,10 @@ class EmptyModelError(ValueError):
     """Parameter accounting on a model with no parameters at all."""
 
 
+class ModelSizeError(ValueError):
+    """Size keys that ask for more parameter memory than can be allocated."""
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     n_regions: int
@@ -89,7 +93,10 @@ class ModelState:
 
 
 def build_model(cfg: ModelConfig, backbone_cfg: BackboneConfig, backbone_weights=None) -> ModelState:
-    """Construct all branch parameters (seeded) around a built backbone."""
+    """Construct all branch parameters (seeded) around a built backbone.
+
+    Raises ModelSizeError, naming the size keys, when the parameters do not fit
+    in memory."""
     if "transformer" in backbone_cfg.mode or backbone_cfg.mode in ("mlp", "rnn"):
         if backbone_cfg.width != cfg.width:
             raise ValueError(
@@ -97,15 +104,23 @@ def build_model(cfg: ModelConfig, backbone_cfg: BackboneConfig, backbone_weights
             )
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     hidden = cfg.mob_hidden or cfg.width
-    return ModelState(
-        config=cfg,
-        epi_proj=init_epi_projector(rng, F=cfg.w, D=cfg.width),
-        mob_proj=init_mob_projector(rng, N=cfg.n_regions, hidden=hidden, D=cfg.width),
-        epi_adapter=init_adapter(rng, D=cfg.width, out=cfg.w, name="epi_adapter"),
-        mob_adapter=init_adapter(rng, D=cfg.width, out=cfg.n_regions, name="mob_adapter"),
-        prompts=init_prompts(cfg.w),
-        backbone=build_backbone(backbone_cfg, weights_path=backbone_weights),
-    )
+    try:
+        return ModelState(
+            config=cfg,
+            epi_proj=init_epi_projector(rng, F=cfg.w, D=cfg.width),
+            mob_proj=init_mob_projector(rng, N=cfg.n_regions, hidden=hidden, D=cfg.width),
+            epi_adapter=init_adapter(rng, D=cfg.width, out=cfg.w, name="epi_adapter"),
+            mob_adapter=init_adapter(rng, D=cfg.width, out=cfg.n_regions, name="mob_adapter"),
+            prompts=init_prompts(cfg.w),
+            backbone=build_backbone(backbone_cfg, weights_path=backbone_weights),
+        )
+    except MemoryError as exc:
+        raise ModelSizeError(
+            f"model parameters do not fit in memory ({exc}); lower the size keys: "
+            f"n_regions={cfg.n_regions}, width={cfg.width}, mob_hidden={cfg.mob_hidden}, "
+            f"backbone depth={backbone_cfg.depth}, max_positions={backbone_cfg.max_positions}, "
+            f"ffn_mult={backbone_cfg.ffn_mult}"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -164,5 +179,4 @@ def load_checkpoint(path) -> ModelState:
         if arr.shape != p.data.shape:
             raise CheckpointError(f"tensor {p.name!r} has shape {arr.shape}, expected {p.data.shape}")
         p.data = arr
-        p.zero_grad()
     return model

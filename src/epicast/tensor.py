@@ -4,19 +4,22 @@ A Tensor wraps an ndarray and, when it participates in a differentiable
 computation, remembers how to push gradients back to its inputs.  Calling
 ``backward()`` on a scalar walks the recorded graph in reverse topological
 order and accumulates ``grad`` on every tensor that requires it.  Parameters
-are tensors with a name and a ``frozen`` flag: frozen parameters still
-receive gradients (so gradients can flow *through* a frozen backbone) but
-optimizers must never update them.
+are named leaves.  A frozen parameter is a constant: it does not require a
+gradient, so it never holds a ``grad`` and no optimizer updates it.  Ops
+still push gradients *through* a frozen layer to the inputs that require
+them; they just record no node whose inputs are all constant and compute no
+gradient for a frozen weight.
 
 A tape's lifetime follows reference counting alone:
 
 - A node holds its inputs and a backward closure over those inputs, never
   over itself, so a tape has no reference cycles and dies with its output.
-- Gradients are lazy.  Leaves (Parameters included) own an eagerly zeroed
-  ``grad``; an interior node has ``grad = None`` until its first
-  accumulation, which adopts the incoming array without a copy.  That array
-  may be shared with a sibling input or be a read-only broadcast view, so a
-  node adds in place only into a gradient array it owns.
+- Gradients are lazy.  Leaves that require a gradient (trainable Parameters
+  included) own an eagerly zeroed ``grad``; an interior node has
+  ``grad = None`` until its first accumulation, which adopts the incoming
+  array without a copy.  That array may be shared with a sibling input or be
+  a read-only broadcast view, so a node adds in place only into a gradient
+  array it owns.
 - ``backward()`` releases the tape as it walks it: once a node has pushed
   its gradient to its inputs, its inputs, closure and gradient are dropped.
   A second backward through a released node raises AutodiffError.
@@ -200,14 +203,18 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Named trainable tensor; frozen parameters are never updated in place."""
+    """Named leaf tensor.  Trainable unless `frozen`; a frozen one is a constant
+    that requires no gradient, so it has ``grad = None`` for its whole life."""
 
-    __slots__ = ("name", "frozen")
+    __slots__ = ("name",)
 
     def __init__(self, data, name: str, frozen: bool = False):
-        super().__init__(data, requires_grad=True)
+        super().__init__(data, requires_grad=not frozen)
         self.name = name
-        self.frozen = bool(frozen)
+
+    @property
+    def frozen(self) -> bool:
+        return not self.requires_grad
 
     def __repr__(self):
         tag = "frozen" if self.frozen else "trainable"

@@ -47,8 +47,8 @@ class TrainConfig:
     def __post_init__(self):
         if not (np.isfinite(self.mob_weight) and self.mob_weight >= 0):
             raise ValueError(f"mobility loss weight must be finite and >= 0, got {self.mob_weight}")
-        if not self.lr > 0:  # also rejects NaN
-            raise ValueError(f"learning rate must be > 0, got {self.lr}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"learning rate must be finite and > 0, got {self.lr}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 1:
@@ -171,11 +171,12 @@ def validation_loss(model: ModelState, ds: EpidemicDataset, val_range: range, cf
 
 
 class Adam:
-    """Adam with bias correction; silently skips nothing: frozen params are
-    rejected up front so the update loop touches trainables only."""
+    """Adam with bias correction over the given tensors that require a
+    gradient: a frozen parameter requires none, has no ``grad`` to step on, and
+    is dropped up front, so the update loop touches trainables only."""
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = [p for p in params if not getattr(p, "frozen", False)]
+        self.params = [p for p in params if p.requires_grad]
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2

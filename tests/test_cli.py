@@ -207,6 +207,7 @@ def test_exit_two_on_unknown_key(tmp_path):
     [
         "train.patience = 0",
         "train.lr = -1",
+        "train.lr = inf",
         "model.mob_hidden = -2",
         "train.lambda = nan",
         "train.lambda = inf",
@@ -305,6 +306,22 @@ def test_exit_two_on_history_longer_than_max_positions(tmp_path, capsys):
     assert not (tmp_path / "out" / "checkpoint.bin").exists()
 
 
+@pytest.mark.parametrize(
+    "line, sizes",
+    [
+        ("model.mob_hidden = 100000000000", "mob_hidden=100000000000"),
+        ("backbone.max_positions = 100000000000", "max_positions=100000000000"),
+    ],
+)
+def test_exit_two_on_parameters_too_large_to_allocate(tmp_path, capsys, line, sizes):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text("\n".join(f"{k} = {v}" for k, v in FAST.items()) + f"\n{line}\n")
+    assert main(["train", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: model parameters do not fit in memory" in err and sizes in err, err
+    assert not (tmp_path / "out" / "checkpoint.bin").exists()
+
+
 def test_exit_two_on_training_range_shorter_than_two_patches(tmp_path, capsys):
     cfg_file = _write_cfg(tmp_path / "run.cfg", {"synth.days": "20", "w": "7", "horizon": "7",
                                                  "split.val": "7", "split.test": "7"})
@@ -322,8 +339,12 @@ def test_exit_two_on_training_range_shorter_than_two_patches(tmp_path, capsys):
         (lambda text: text.replace('"total_bytes"', '"total_byte"'), "broken sidecar: KeyError('total_bytes')"),
         (lambda text: text.replace('"mob_hidden"', '"mob_hiden"'), "unexpected keyword argument 'mob_hiden'"),
         (lambda text: text.replace('"w": 3', '"w": 0'), "must all be positive"),
+        (
+            lambda text: text.replace('"mob_hidden": 0', '"mob_hidden": 100000000000'),
+            "do not fit in memory",
+        ),
     ],
-    ids=["truncated-json", "json-list", "no-total-bytes", "unknown-config-key", "w-zero"],
+    ids=["truncated-json", "json-list", "no-total-bytes", "unknown-config-key", "w-zero", "mob-hidden-huge"],
 )
 def test_exit_four_on_broken_checkpoint_sidecar(tmp_path, capsys, corrupt, message):
     cfg_file = _write_cfg(tmp_path / "run.cfg")

@@ -1,6 +1,7 @@
 """The finite-difference harness itself, on functions with known gradients."""
 
 import numpy as np
+import pytest
 
 from epicast.gradcheck import grad_check
 from epicast.tensor import Parameter, add, constant, gelu, matmul, mul, transpose, tsum
@@ -47,3 +48,10 @@ def test_constant_function_reports_zero_error():
 
     report = grad_check(loss, [p])
     assert report.max_rel_error == 0.0
+
+
+def test_frozen_parameter_is_a_named_error():
+    live = Parameter(np.ones(2), name="live")
+    frozen = Parameter(np.ones(2), name="backbone.ln_f.g", frozen=True)
+    with pytest.raises(ValueError, match=r"'backbone.ln_f.g' is frozen; frozen parameters have no gradient"):
+        grad_check(lambda: tsum(mul(live, frozen)), [live, frozen])

@@ -181,6 +181,31 @@ OP_CASES = {
 }
 
 
+# the cases whose output depends on both a and b
+TWO_INPUT_CASES = (
+    "add", "sub", "mul", "div", "matmul", "concat", "linear", "layer_norm", "attention_weights", "propagate",
+)
+
+
+@pytest.mark.parametrize("frozen", ["a", "b"])
+@pytest.mark.parametrize("name", TWO_INPUT_CASES)
+def test_frozen_input_gets_no_grad_and_leaves_the_other_bitwise(name, frozen):
+    rng = np.random.default_rng(sorted(OP_CASES).index(name))
+    data = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(3, 4))}
+    weights = rng.normal(size=OP_CASES[name](Tensor(data["a"]), Tensor(data["b"])).data.shape)
+
+    def grads(frozen_name):
+        p = {k: Parameter(v, name=k, frozen=k == frozen_name) for k, v in data.items()}
+        tsum(mul(OP_CASES[name](p["a"], p["b"]), constant(weights))).backward()
+        return {k: t.grad for k, t in p.items()}
+
+    live = "b" if frozen == "a" else "a"
+    both, one = grads(None), grads(frozen)
+    assert np.any(both["a"] != 0) and np.any(both["b"] != 0)  # the case reads both inputs
+    assert one[frozen] is None
+    assert one[live].tobytes() == both[live].tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(OP_CASES))
 def test_op_gradient_matches_finite_differences(name):
     rng = np.random.default_rng(hash(name) % 2**32)
@@ -227,14 +252,19 @@ def test_layer_norm_normalizes():
     np.testing.assert_allclose(out.data.std(axis=-1), 1.0, atol=1e-3)
 
 
-def test_frozen_parameter_still_receives_grad():
+def test_frozen_parameter_receives_no_grad():
     frozen = Parameter(np.ones(3), name="w", frozen=True)
     live = Parameter(np.full(3, 2.0), name="v")
+    assert frozen.frozen and not frozen.requires_grad and frozen.grad is None
+    assert not live.frozen and live.requires_grad
     loss = tsum(mul(frozen, live))
     loss.backward()
-    np.testing.assert_allclose(frozen.grad, live.data)
-    np.testing.assert_allclose(live.grad, frozen.data)
-    assert frozen.frozen and not live.frozen
+    assert frozen.grad is None
+    np.testing.assert_array_equal(live.grad, frozen.data)
+    frozen.zero_grad()
+    assert frozen.grad is None
+    with pytest.raises(AttributeError):  # one stored bit: `frozen` is read-only
+        frozen.frozen = False
 
 
 def test_relative_error_zero_when_both_zero():
@@ -346,19 +376,24 @@ def test_gelu_matches_power_formula():
 
 @pytest.mark.parametrize("op", ["linear", "layer_norm"])
 def test_fused_ops_pass_gradients_to_frozen_parameters(op):
+    """Frozen W/b (or gain/bias) get no gradient; x gets bitwise the same one as
+    with them trainable."""
     rng = np.random.default_rng(8)
-    x = Parameter(rng.normal(size=(2, 3, 4)), name="x")
-    if op == "linear":
-        W = Parameter(rng.normal(size=(4, 5)), name="W", frozen=True)
-        b = Parameter(rng.normal(size=5), name="b", frozen=True)
-        out = linear(x, W, b)
-    else:
-        W = Parameter(rng.normal(size=4), name="gain", frozen=True)
-        b = Parameter(rng.normal(size=4), name="bias", frozen=True)
-        out = layer_norm(x, W, b)
-    tsum(mul(out, constant(rng.normal(size=out.data.shape)))).backward()
-    assert W.frozen and b.frozen
-    assert all(p.grad is not None and np.any(p.grad != 0) for p in (W, b, x))
+    x_data = rng.normal(size=(2, 3, 4))
+    shapes = {"linear": ((4, 5), (5,)), "layer_norm": ((4,), (4,))}[op]
+    W_data, b_data = (rng.normal(size=s) for s in shapes)
+    weights = rng.normal(size=(2, 3, shapes[1][0]))
+    grads = {}
+    for frozen in (False, True):
+        x = Parameter(x_data, name="x")
+        W = Parameter(W_data, name="W", frozen=frozen)
+        b = Parameter(b_data, name="b", frozen=frozen)
+        out = linear(x, W, b) if op == "linear" else layer_norm(x, W, b)
+        tsum(mul(out, constant(weights))).backward()
+        assert all((p.grad is None) == frozen for p in (W, b))
+        grads[frozen] = x.grad
+    assert np.any(grads[True] != 0)
+    assert grads[True].tobytes() == grads[False].tobytes()
 
 
 def test_fused_ops_record_nothing_under_no_grad():

@@ -148,6 +148,16 @@ def test_frozen_backbone_bytes_unchanged_by_training():
     assert backbone_hash(model) == before
 
 
+def test_frozen_backbone_holds_no_gradients_after_training():
+    ds = _tiny_ds()
+    model = _tiny_model(ds)
+    splits = split_dataset(ds, SplitSpec(test_len=3, val_len=3))
+    model, _ = train(model, ds, splits.train, splits.val, TrainConfig(max_epochs=1))
+    assert model.backbone.parameters()
+    assert all(p.grad is None for p in model.backbone.parameters())
+    assert all(p.grad is not None for p in model.trainable_parameters())
+
+
 def test_early_stopping_rule(monkeypatch):
     ds = _tiny_ds()
     model = _tiny_model(ds)
