@@ -19,6 +19,7 @@ from .tensor import (
     Parameter,
     Tensor,
     _accumulate,
+    _input_nodes,
     concat,
     constant,
     linear,
@@ -131,30 +132,37 @@ def propagate(graph: PromptedGraph, H: Tensor) -> Tensor:
     U[1:] += wf.data * Z[:-1]
     U[:-1] += wb.data * Z[1:]
     out = s * U
+    nodes = _input_nodes(H, wf, wb)
+    if nodes is None:
+        return Tensor._result(out, (), None)
+    nH, nwf, nwb = nodes
+    wf_data, wb_data = wf.data, wb.data
+    # only the edge-weight gradients read H and the output
+    H_data, out_data = (H.data, out) if nwf is not None or nwb is not None else (None, None)
 
     def _bw(g):
         # Z is recomputed and U never kept, so the closure holds no array
-        # beyond s and the output
-        Z = s * H.data
+        # beyond s, H and the output
         dU = s * g
         dZ = A @ dU
         dZ += dU
-        dZ[:-1] += wf.data * dU[1:]
-        dZ[1:] += wb.data * dU[:-1]
-        if H.requires_grad:
-            _accumulate(H, s * dZ)
-        if wf.requires_grad or wb.requires_grad:
+        dZ[:-1] += wf_data * dU[1:]
+        dZ[1:] += wb_data * dU[:-1]
+        if nH is not None:
+            _accumulate(nH, s * dZ)
+        if nwf is not None or nwb is not None:
+            Z = s * H_data
             # s = deg^-1/2 enters as out = s * U and Z = s * H, so
             # dL/ds = sum_F(g * U + dZ * H) and dL/ddeg = -s^3 / 2 * dL/ds;
             # one factor s turns g * U into g * out and dZ * H into dZ * Z
-            ds_scaled = (g * out).sum(axis=-1, keepdims=True) + (dZ * Z).sum(axis=-1, keepdims=True)
+            ds_scaled = (g * out_data).sum(axis=-1, keepdims=True) + (dZ * Z).sum(axis=-1, keepdims=True)
             ddeg = -0.5 * (s * s) * ds_scaled
-            if wf.requires_grad:
-                _accumulate(wf, np.asarray((dU[1:] * Z[:-1]).sum() + ddeg[1:].sum()))
-            if wb.requires_grad:
-                _accumulate(wb, np.asarray((dU[:-1] * Z[1:]).sum() + ddeg[:-1].sum()))
+            if nwf is not None:
+                _accumulate(nwf, np.asarray((dU[1:] * Z[:-1]).sum() + ddeg[1:].sum()))
+            if nwb is not None:
+                _accumulate(nwb, np.asarray((dU[:-1] * Z[1:]).sum() + ddeg[:-1].sum()))
 
-    return Tensor._result(out, (H, wf, wb), _bw)
+    return Tensor._result(out, nodes, _bw)
 
 
 def _gate_blend(H: Tensor, prompts: PromptParams, gating_mode: str) -> Tensor:

@@ -10,10 +10,21 @@ still push gradients *through* a frozen layer to the inputs that require
 them; they just record no node whose inputs are all constant and compute no
 gradient for a frozen weight.
 
+The tape is kept apart from the data.  A recorded op gets a small node: a
+gradient slot, its input nodes and a backward closure.  The closure captures
+exactly the arrays its backward reads (``mul`` the *other* operand, ``linear``
+its input only when the weight needs a gradient, ``gelu`` its input and the
+tanh, ``add``, ``reshape`` or ``tsum`` shapes only), and no node ever holds
+its own output tensor.  So an intermediate array that no backward reads (a
+residual sum, a GELU output, a merged-heads copy) is freed during the forward
+as soon as the forward drops it.  A leaf that requires a gradient is its own
+node, with no inputs and no backward, and owns its ``grad``.
+
 A tape's lifetime follows reference counting alone:
 
-- A node holds its inputs and a backward closure over those inputs, never
-  over itself, so a tape has no reference cycles and dies with its output.
+- A node holds its input nodes and a backward closure over saved arrays,
+  never over itself or a tensor, so a tape has no reference cycles and dies
+  with its output.
 - Gradients are lazy.  Leaves that require a gradient (trainable Parameters
   included) own an eagerly zeroed ``grad``; an interior node has
   ``grad = None`` until its first accumulation, which adopts the incoming
@@ -24,7 +35,8 @@ A tape's lifetime follows reference counting alone:
   its gradient to its inputs, its inputs, closure and gradient are dropped.
   A second backward through a released node raises AutodiffError.
 - Under ``with no_grad():`` ops record nothing and return tensors that do
-  not require gradients.  Validation and forecasting run this way.
+  not require gradients; neither they nor ops whose inputs are all constant
+  build a node or a closure.  Validation and forecasting run this way.
 
 Besides the primitive ops there are three fused ones, each a single tape node
 with a hand-written backward: ``linear`` (``x @ W + b``), ``layer_norm`` and
@@ -38,8 +50,10 @@ The kernels of ``gelu``, ``softmax``, ``layer_norm`` and ``attention_weights``
 write into one or two arrays they own, with ``out=`` and in-place ops, instead
 of a fresh input-sized temporary per numpy op: each temporary is a new large
 allocation whose pages fault in on first touch, which costs more than the
-arithmetic.  They run the composed form's numpy ops in the same order, so
-every result is bitwise unchanged.
+arithmetic.  Where ``gelu`` still needs a temporary, it runs that part one
+leading-axis block at a time (``_blocks``), so the temporary is one block big.
+The kernels run the composed form's numpy ops in the same order, so every
+result is bitwise unchanged.
 """
 
 from __future__ import annotations
@@ -87,28 +101,63 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _accumulate(t: "Tensor", g: np.ndarray) -> None:
-    """Add `g` into t.grad, in place only if t owns its gradient array."""
-    if t.grad is None:
-        t.grad, t._owns_grad = g, False
-    elif t._owns_grad:
-        t.grad += g
+def _accumulate(node, g: np.ndarray) -> None:
+    """Add `g` into node.grad, in place only if the node owns its gradient array."""
+    if node.grad is None:
+        node.grad, node._owns_grad = g, False
+    elif node._owns_grad:
+        node.grad += g
     else:
-        t.grad, t._owns_grad = t.grad + g, True
+        node.grad, node._owns_grad = node.grad + g, True
 
 
-def _owned_grad(t: "Tensor") -> np.ndarray:
-    """t.grad as an array t owns, zeroed or copied on first need."""
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    elif not t._owns_grad:
-        t.grad = np.array(t.grad)
-    t._owns_grad = True
-    return t.grad
+def _layout(a: np.ndarray) -> tuple | None:
+    """The axis order, slowest first, of ``np.zeros_like(a)``'s memory; None for C order.
+
+    numpy lays out a C- (or 1-d) array's copy in C order, an F-contiguous
+    one's in F order and any other's by decreasing absolute stride, ties in
+    axis order.
+    """
+    if a.flags.c_contiguous or a.ndim <= 1:
+        return None
+    if a.flags.f_contiguous:
+        return tuple(range(a.ndim - 1, -1, -1))
+    return tuple(sorted(range(a.ndim), key=lambda i: -abs(a.strides[i])))
+
+
+def _owned_grad(node, shape: tuple, layout: tuple | None) -> np.ndarray:
+    """node.grad as an array the node owns, zeroed (laid out as `layout`) or
+    copied on first need."""
+    if node.grad is None:
+        if layout is None:
+            node.grad = np.zeros(shape)
+        else:
+            node.grad = np.zeros([shape[i] for i in layout]).transpose(np.argsort(layout))
+    elif not node._owns_grad:
+        node.grad = np.array(node.grad)
+    node._owns_grad = True
+    return node.grad
+
+
+class _Node:
+    """The tape's record of one op: gradient slot, input nodes, backward closure."""
+
+    __slots__ = ("grad", "_owns_grad", "_prev", "_backward", "_backward_done")
+
+    def __init__(self, prev: tuple, backward):
+        self.grad = None
+        self._owns_grad = False
+        self._prev = prev
+        self._backward = backward
+        self._backward_done = False
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_owns_grad", "_prev", "_backward", "_backward_done")
+    __slots__ = ("data", "grad", "requires_grad", "_owns_grad", "_node")
+
+    # a leaf that requires a gradient is its own tape node: no inputs, no backward
+    _backward = None
+    _backward_done = False
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -118,32 +167,35 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(arr) if requires_grad else None
         self._owns_grad = True
-        self._prev: tuple = ()
-        self._backward = None
-        self._backward_done = False
+        self._node = None
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def _result(cls, data: np.ndarray, prev: tuple, backward) -> "Tensor":
-        """Interior node; skips the finiteness scan done for leaf tensors.
+    def _result(cls, data: np.ndarray, inputs: tuple, backward) -> "Tensor":
+        """Interior tensor; skips the finiteness scan done for leaf tensors.
 
-        `backward(g)` pushes the node's gradient `g` to the tensors in `prev`;
-        it is kept only when some input requires a gradient and no_grad is off.
+        With a `backward`, the tensor gets a new tape node whose inputs are the
+        nodes in `inputs` (from ``_input_nodes``; None marks a constant input)
+        and `backward(g)` pushes the node's gradient `g` to them.  With None it
+        is a constant.  The node keeps the closure, never `data`.
         """
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
         out._owns_grad = False
-        out._backward_done = False
-        out.requires_grad = _grad_enabled and any(p.requires_grad for p in prev)
-        if out.requires_grad:
-            out._prev = prev
-            out._backward = backward
+        out.requires_grad = backward is not None
+        if backward is None:
+            out._node = None
         else:
-            out._prev = ()
-            out._backward = None
+            prev = inputs if None not in inputs else tuple([n for n in inputs if n is not None])
+            out._node = _Node(prev, backward)
         return out
+
+    @property
+    def _prev(self) -> tuple:
+        """The input nodes of this tensor's op; empty for a leaf or a constant."""
+        return () if self._node is None else self._node._prev
 
     @property
     def shape(self) -> tuple:
@@ -173,9 +225,10 @@ class Tensor:
             raise AutodiffError(f"backward requires a scalar, got shape {self.data.shape}")
         if not self.requires_grad:
             raise AutodiffError("backward on a tensor with no recorded inputs")
-        topo: list[Tensor] = []
+        root = self if self._node is None else self._node  # a leaf is its own node
+        topo: list = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -188,9 +241,9 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for child in node._prev:
-                if child.requires_grad and id(child) not in visited:
+                if id(child) not in visited:
                     stack.append((child, False))
-        _accumulate(self, np.ones_like(self.data))
+        _accumulate(root, np.ones_like(self.data))
         while topo:
             node = topo.pop()
             if node._backward is not None:
@@ -221,6 +274,18 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.data.shape}, {tag})"
 
 
+def _input_nodes(*tensors: Tensor) -> tuple | None:
+    """The input nodes an op records, one per tensor, or None when the op
+    records nothing: under no_grad, or when no input requires a gradient.  A
+    tensor's node is its op's node, itself for a leaf that requires a
+    gradient, or None for a constant.  An op checks this before it builds its
+    closure."""
+    if not _grad_enabled:
+        return None
+    nodes = tuple([t._node if t._node is not None else t if t.requires_grad else None for t in tensors])
+    return None if nodes.count(None) == len(nodes) else nodes
+
+
 def astensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -238,60 +303,94 @@ def constant(data) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
+    out = a.data + b.data
+    nodes = _input_nodes(a, b)
+    if nodes is None:
+        return Tensor._result(out, (), None)
+    na, nb = nodes
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def _bw(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape))
+        if na is not None:
+            _accumulate(na, _unbroadcast(g, a_shape))
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(g, b_shape))
 
-    return Tensor._result(a.data + b.data, (a, b), _bw)
+    return Tensor._result(out, nodes, _bw)
 
 
 def sub(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
+    out = a.data - b.data
+    nodes = _input_nodes(a, b)
+    if nodes is None:
+        return Tensor._result(out, (), None)
+    na, nb = nodes
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def _bw(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, -_unbroadcast(g, b.data.shape))
+        if na is not None:
+            _accumulate(na, _unbroadcast(g, a_shape))
+        if nb is not None:
+            _accumulate(nb, -_unbroadcast(g, b_shape))
 
-    return Tensor._result(a.data - b.data, (a, b), _bw)
+    return Tensor._result(out, nodes, _bw)
 
 
 def mul(a, b) -> Tensor:
     """Elementwise (and scalar) multiply with numpy broadcasting."""
     a, b = astensor(a), astensor(b)
+    out = a.data * b.data
+    nodes = _input_nodes(a, b)
+    if nodes is None:
+        return Tensor._result(out, (), None)
+    na, nb = nodes
+    a_shape, b_shape = a.data.shape, b.data.shape
+    # each input's gradient reads the other operand
+    a_data = a.data if nb is not None else None
+    b_data = b.data if na is not None else None
 
     def _bw(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if na is not None:
+            _accumulate(na, _unbroadcast(g * b_data, a_shape))
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(g * a_data, b_shape))
 
-    return Tensor._result(a.data * b.data, (a, b), _bw)
+    return Tensor._result(out, nodes, _bw)
 
 
 def div(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
+    out = a.data / b.data
+    nodes = _input_nodes(a, b)
+    if nodes is None:
+        return Tensor._result(out, (), None)
+    na, nb = nodes
+    a_shape, b_shape = a.data.shape, b.data.shape
+    a_data, b_data = (a.data if nb is not None else None), b.data
 
     def _bw(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        if na is not None:
+            _accumulate(na, _unbroadcast(g / b_data, a_shape))
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(-g * a_data / (b_data * b_data), b_shape))
 
-    return Tensor._result(a.data / b.data, (a, b), _bw)
+    return Tensor._result(out, nodes, _bw)
 
 
 def square(a) -> Tensor:
     a = astensor(a)
+    x = a.data
+    out = x * x
+    nodes = _input_nodes(a)
+    if nodes is None:
+        return Tensor._result(out, (), None)
+    (na,) = nodes
 
     def _bw(g):
-        _accumulate(a, 2.0 * a.data * g)
+        _accumulate(na, 2.0 * x * g)
 
-    return Tensor._result(a.data * a.data, (a,), _bw)
+    return Tensor._result(out, nodes, _bw)
 
 
 def sqrt(a) -> Tensor:
@@ -299,11 +398,15 @@ def sqrt(a) -> Tensor:
     if np.any(a.data < 0):
         raise ValueError("sqrt of negative input")
     root = np.sqrt(a.data)
+    nodes = _input_nodes(a)
+    if nodes is None:
+        return Tensor._result(root, (), None)
+    (na,) = nodes
 
     def _bw(g):
-        _accumulate(a, g / (2.0 * root))
+        _accumulate(na, g / (2.0 * root))
 
-    return Tensor._result(root, (a,), _bw)
+    return Tensor._result(root, nodes, _bw)
 
 
 # -- matrix ops ------------------------------------------------------------------
@@ -313,14 +416,22 @@ def matmul(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
     if a.data.ndim < 1 or b.data.ndim < 1:
         raise ValueError("matmul requires at least 1-d operands")
+    out = a.data @ b.data
+    nodes = _input_nodes(a, b)
+    if nodes is None:
+        return Tensor._result(out, (), None)
+    na, nb = nodes
+    a_shape, b_shape = a.data.shape, b.data.shape
+    a_data = a.data if nb is not None else None
+    b_data = b.data if na is not None else None
 
     def _bw(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        if na is not None:
+            _accumulate(na, _unbroadcast(g @ np.swapaxes(b_data, -1, -2), a_shape))
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_shape))
 
-    return Tensor._result(a.data @ b.data, (a, b), _bw)
+    return Tensor._result(out, nodes, _bw)
 
 
 def linear(x, W, b) -> Tensor:
@@ -328,52 +439,73 @@ def linear(x, W, b) -> Tensor:
     x, W, b = astensor(x), astensor(W), astensor(b)
     out = x.data @ W.data
     out += b.data
+    nodes = _input_nodes(x, W, b)
+    if nodes is None:
+        return Tensor._result(out, (), None)
+    nx, nW, nb = nodes
+    b_shape = b.data.shape
+    x_data = x.data if nW is not None else None  # only W's gradient reads x
+    W_data = W.data if nx is not None else None
 
     def _bw(g):
-        if x.requires_grad:
-            _accumulate(x, g @ W.data.T)
-        if W.requires_grad:
+        if nx is not None:
+            _accumulate(nx, g @ W_data.T)
+        if nW is not None:
             # one GEMM over all rows, not a batched matmul summed over the batch
-            rows = x.data.reshape(-1, x.data.shape[-1])
-            _accumulate(W, rows.T @ g.reshape(-1, g.shape[-1]))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape))
+            rows = x_data.reshape(-1, x_data.shape[-1])
+            _accumulate(nW, rows.T @ g.reshape(-1, g.shape[-1]))
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(g, b_shape))
 
-    return Tensor._result(out, (x, W, b), _bw)
+    return Tensor._result(out, nodes, _bw)
 
 
 def transpose(a, axes: tuple) -> Tensor:
     a = astensor(a)
+    out = np.transpose(a.data, axes)
+    nodes = _input_nodes(a)
+    if nodes is None:
+        return Tensor._result(out, (), None)
+    (na,) = nodes
     inv = np.argsort(axes)
 
     def _bw(g):
-        _accumulate(a, np.transpose(g, inv))
+        _accumulate(na, np.transpose(g, inv))
 
-    return Tensor._result(np.transpose(a.data, axes), (a,), _bw)
+    return Tensor._result(out, nodes, _bw)
 
 
 def reshape(a, shape) -> Tensor:
     a = astensor(a)
+    out = a.data.reshape(shape)
+    nodes = _input_nodes(a)
+    if nodes is None:
+        return Tensor._result(out, (), None)
+    (na,) = nodes
+    a_shape = a.data.shape
 
     def _bw(g):
-        _accumulate(a, g.reshape(a.data.shape))
+        _accumulate(na, g.reshape(a_shape))
 
-    return Tensor._result(a.data.reshape(shape), (a,), _bw)
+    return Tensor._result(out, nodes, _bw)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [astensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    out = np.concatenate([t.data for t in tensors], axis=axis)
+    nodes = _input_nodes(*tensors)
+    if nodes is None:
+        return Tensor._result(out, (), None)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
     def _bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
+        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            if node is not None:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
-                _accumulate(t, g[tuple(idx)])
+                _accumulate(node, g[tuple(idx)])
 
-    return Tensor._result(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), _bw)
+    return Tensor._result(out, nodes, _bw)
 
 
 def _is_basic_index(idx) -> bool:
@@ -384,17 +516,25 @@ def _is_basic_index(idx) -> bool:
 
 def getitem(a, idx) -> Tensor:
     a = astensor(a)
+    out = a.data[idx]
+    nodes = _input_nodes(a)
+    if nodes is None:
+        return Tensor._result(out, (), None)
+    (na,) = nodes
     basic = _is_basic_index(idx)
+    # the gradient keeps the memory layout np.zeros_like(a.data) would have,
+    # so every later sum over it runs in the same order
+    a_shape, a_layout = a.data.shape, _layout(a.data)
 
     def _bw(g):
-        grad = _owned_grad(a)
+        grad = _owned_grad(na, a_shape, a_layout)
         if basic:
             grad[idx] += g
         else:
             # advanced indices may repeat an element; add.at counts every hit
             np.add.at(grad, idx, g)
 
-    return Tensor._result(a.data[idx], (a,), _bw)
+    return Tensor._result(out, nodes, _bw)
 
 
 # -- reductions -------------------------------------------------------------------
@@ -402,26 +542,37 @@ def getitem(a, idx) -> Tensor:
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = astensor(a)
+    out = a.data.sum(axis=axis, keepdims=keepdims)
+    nodes = _input_nodes(a)
+    if nodes is None:
+        return Tensor._result(out, (), None)
+    (na,) = nodes
+    a_shape = a.data.shape
 
     def _bw(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.data.shape))
+        _accumulate(na, np.broadcast_to(g, a_shape))
 
-    return Tensor._result(a.data.sum(axis=axis, keepdims=keepdims), (a,), _bw)
+    return Tensor._result(out, nodes, _bw)
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = astensor(a)
     mean = a.data.mean(axis=axis, keepdims=keepdims)
+    nodes = _input_nodes(a)
+    if nodes is None:
+        return Tensor._result(mean, (), None)
+    (na,) = nodes
+    a_shape = a.data.shape
     count = a.data.size / mean.size
 
     def _bw(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.data.shape) / count)
+        _accumulate(na, np.broadcast_to(g, a_shape) / count)
 
-    return Tensor._result(mean, (a,), _bw)
+    return Tensor._result(mean, nodes, _bw)
 
 
 # -- nonlinearities ----------------------------------------------------------------
@@ -430,11 +581,16 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 def relu(a) -> Tensor:
     a = astensor(a)
     mask = a.data > 0
+    out = np.where(mask, a.data, 0.0)
+    nodes = _input_nodes(a)
+    if nodes is None:
+        return Tensor._result(out, (), None)
+    (na,) = nodes
 
     def _bw(g):
-        _accumulate(a, np.where(mask, g, 0.0))
+        _accumulate(na, np.where(mask, g, 0.0))
 
-    return Tensor._result(np.where(mask, a.data, 0.0), (a,), _bw)
+    return Tensor._result(out, nodes, _bw)
 
 
 def sigmoid(a) -> Tensor:
@@ -443,24 +599,41 @@ def sigmoid(a) -> Tensor:
     x = a.data
     e = np.exp(-np.abs(x))
     s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    nodes = _input_nodes(a)
+    if nodes is None:
+        return Tensor._result(s, (), None)
+    (na,) = nodes
 
     def _bw(g):
-        _accumulate(a, g * s * (1.0 - s))
+        _accumulate(na, g * s * (1.0 - s))
 
-    return Tensor._result(s, (a,), _bw)
+    return Tensor._result(s, nodes, _bw)
 
 
 def tanh(a) -> Tensor:
     a = astensor(a)
     t = np.tanh(a.data)
+    nodes = _input_nodes(a)
+    if nodes is None:
+        return Tensor._result(t, (), None)
+    (na,) = nodes
 
     def _bw(g):
-        _accumulate(a, g * (1.0 - t * t))
+        _accumulate(na, g * (1.0 - t * t))
 
-    return Tensor._result(t, (a,), _bw)
+    return Tensor._result(t, nodes, _bw)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def _blocks(*arrays: np.ndarray):
+    """Matching leading-axis slices of same-shape arrays, for running an
+    elementwise kernel one block at a time.  A block-sized temporary comes
+    from memory the allocator already holds; an input-sized one is a fresh
+    allocation whose pages fault in on first touch.  Elementwise results do
+    not depend on the blocking."""
+    return zip(*(np.atleast_2d(a) for a in arrays))
 
 
 def gelu(a) -> Tensor:
@@ -473,8 +646,8 @@ def gelu(a) -> Tensor:
     x = a.data
     # x * x * x, not x**3: numpy evaluates an integer power above 2 with a
     # per-element libm pow, tens of times slower than two multiplications.  The
-    # backward recomputes x * x: keeping it in the closure would hold one more
-    # input-sized array per gelu on the tape.
+    # backward keeps x and t and recomputes x * x: keeping it too would hold
+    # one more input-sized array per gelu on the tape.
     t = x * x
     t *= x
     t *= 0.044715
@@ -482,25 +655,31 @@ def gelu(a) -> Tensor:
     t *= _GELU_C
     np.tanh(t, out=t)
     out = 0.5 * x
-    out *= 1.0 + t
+    for o, tt in _blocks(out, t):
+        o *= 1.0 + tt
+    nodes = _input_nodes(a)
+    if nodes is None:
+        return Tensor._result(out, (), None)
+    (na,) = nodes
 
     def _bw(g):
         b = np.multiply(t, t)
         np.subtract(1.0, b, out=b)
-        d = 0.5 * x
-        d *= b
-        np.multiply(x, 3 * 0.044715, out=b)
-        b *= x
-        b += 1.0
-        b *= _GELU_C
-        d *= b  # 0.5 * x * (1 - t * t) * dinner
-        np.add(t, 1.0, out=b)
-        b *= 0.5
-        b += d
-        b *= g
-        _accumulate(a, b)
+        for bb, xx, tt, gg in _blocks(b, x, t, g):
+            d = 0.5 * xx
+            d *= bb
+            np.multiply(xx, 3 * 0.044715, out=bb)
+            bb *= xx
+            bb += 1.0
+            bb *= _GELU_C
+            d *= bb  # 0.5 * x * (1 - t * t) * dinner
+            np.add(tt, 1.0, out=bb)
+            bb *= 0.5
+            bb += d
+            bb *= gg
+        _accumulate(na, b)
 
-    return Tensor._result(out, (a,), _bw)
+    return Tensor._result(out, nodes, _bw)
 
 
 def _exp_normalize(shifted: np.ndarray) -> np.ndarray:
@@ -526,11 +705,15 @@ def softmax(a) -> Tensor:
     a = astensor(a)
     x = a.data
     s = _exp_normalize(x - np.max(x, axis=-1, keepdims=True))
+    nodes = _input_nodes(a)
+    if nodes is None:
+        return Tensor._result(s, (), None)
+    (na,) = nodes
 
     def _bw(g):
-        _accumulate(a, _softmax_backward(g, s))
+        _accumulate(na, _softmax_backward(g, s))
 
-    return Tensor._result(s, (a,), _bw)
+    return Tensor._result(s, nodes, _bw)
 
 
 def attention_weights(q, k, mask: np.ndarray, scale: float) -> Tensor:
@@ -550,16 +733,22 @@ def attention_weights(q, k, mask: np.ndarray, scale: float) -> Tensor:
     s += mask
     s -= s.max(axis=-1, keepdims=True)
     _exp_normalize(s)
+    nodes = _input_nodes(q, k)
+    if nodes is None:
+        return Tensor._result(s, (), None)
+    nq, nk = nodes
+    q_data = q.data if nk is not None else None
+    k_data = k.data if nq is not None else None
 
     def _bw(g):
         gs = _softmax_backward(g, s)
         gs *= scale
-        if q.requires_grad:
-            _accumulate(q, gs @ k.data)
-        if k.requires_grad:
-            _accumulate(k, np.swapaxes(np.swapaxes(q.data, -1, -2) @ gs, -1, -2))
+        if nq is not None:
+            _accumulate(nq, gs @ k_data)
+        if nk is not None:
+            _accumulate(nk, np.swapaxes(np.swapaxes(q_data, -1, -2) @ gs, -1, -2))
 
-    return Tensor._result(s, (q, k), _bw)
+    return Tensor._result(s, nodes, _bw)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -578,19 +767,26 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     normed /= std
     np.multiply(normed, gain.data, out=out)
     out += bias.data
+    nodes = _input_nodes(x, gain, bias)
+    if nodes is None:
+        return Tensor._result(out, (), None)
+    nx, ngain, nbias = nodes
+    gain_shape, bias_shape, gain_data = gain.data.shape, bias.data.shape, gain.data
+    if nx is None and ngain is None:  # only the bias gradient, which reads no array
+        normed = None
 
     def _bw(g):
-        if x.requires_grad:
-            gn = g * gain.data
+        if nx is not None:
+            gn = g * gain_data
             dx = gn - gn.mean(axis=-1, keepdims=True)
             gn *= normed
             np.multiply(normed, gn.mean(axis=-1, keepdims=True), out=gn)
             dx -= gn
             dx /= std
-            _accumulate(x, dx)
-        if gain.requires_grad:
-            _accumulate(gain, _unbroadcast(g * normed, gain.data.shape))
-        if bias.requires_grad:
-            _accumulate(bias, _unbroadcast(g, bias.data.shape))
+            _accumulate(nx, dx)
+        if ngain is not None:
+            _accumulate(ngain, _unbroadcast(g * normed, gain_shape))
+        if nbias is not None:
+            _accumulate(nbias, _unbroadcast(g, bias_shape))
 
-    return Tensor._result(out, (x, gain, bias), _bw)
+    return Tensor._result(out, nodes, _bw)

@@ -1,0 +1,79 @@
+"""No peeking: nothing from the test range may reach training or inference.
+
+Perturbing every count and flow on or after the first test day must leave
+the training and validation losses, the checkpoint bytes and a forecast
+whose context ends at that day bitwise unchanged.
+"""
+
+import dataclasses
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import Phase, Verbosity, given, settings
+from hypothesis import strategies as st
+
+from epicast.backbone import BackboneConfig
+from epicast.data import SirParams, SplitSpec, build_dataset, split_dataset, synth_sir_tables
+from epicast.forecaster import forecast
+from epicast.model import ModelConfig, build_model, save_checkpoint
+from epicast.trainer import TrainConfig, train
+
+N, DAYS, W = 10, 60, 3
+SPEC = SplitSpec(test_len=2 * W, val_len=2 * W)
+
+
+def _run(cases, mobility, scale):
+    """Training and validation losses, checkpoint bytes and a forecast from the
+    first test day, as bytes."""
+    ds = build_dataset(cases, mobility, w=W, scale=scale)
+    splits = split_dataset(ds, SPEC)
+    model = build_model(
+        ModelConfig(n_regions=N, w=W, width=8, seed=0),
+        BackboneConfig(mode="frozen-transformer", depth=1, width=8, heads=2, seed=1),
+    )
+    model, report = train(model, ds, splits.train, splits.val, TrainConfig(max_epochs=2, patience=5))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.bin"
+        save_checkpoint(model, path)
+        checkpoint = b"".join(p.read_bytes() for p in sorted(Path(tmp).iterdir()))
+    fc = forecast(model, ds, context_end=splits.test.start, steps=2)
+    losses = np.array(report.train_losses + report.val_losses).tobytes()
+    return losses, checkpoint, fc.cases.tobytes() + fc.mobility.tobytes() + fc.adjacency.tobytes()
+
+
+def _assert_no_peek(scale, data_seed, perturb_seed, bump):
+    cases, mobility = synth_sir_tables(N, DAYS, SirParams(beta=0.5, gamma_rec=0.2, population=5000), data_seed)
+    first_test_day = split_dataset(DAYS, SPEC).test.start
+    rng = np.random.default_rng(perturb_seed)
+    counts, flows = cases.counts.copy(), mobility.flows.copy()
+    counts[first_test_day:] += rng.integers(1, bump + 1, size=counts[first_test_day:].shape)
+    flows[first_test_day:] = rng.random(flows[first_test_day:].shape) * bump
+    perturbed = _run(dataclasses.replace(cases, counts=counts), dataclasses.replace(mobility, flows=flows), scale)
+    assert _run(cases, mobility, scale) == perturbed
+
+
+_perturbations = given(
+    data_seed=st.integers(min_value=0, max_value=2**16),
+    perturb_seed=st.integers(min_value=0, max_value=2**16),
+    bump=st.integers(min_value=1, max_value=10**4),
+)
+
+
+@_perturbations
+@settings(max_examples=3, deadline=None, phases=(Phase.explicit, Phase.generate))
+def test_test_range_data_reaches_no_loss_checkpoint_or_forecast(data_seed, perturb_seed, bump):
+    _assert_no_peek(False, data_seed, perturb_seed, bump)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="scale = true divides by maxima over the whole series, test range included",
+)
+@_perturbations
+# quiet: the expected failure writes no falsifying-example report or patch file
+@settings(max_examples=3, deadline=None, phases=(Phase.explicit, Phase.generate), verbosity=Verbosity.quiet)
+def test_scaled_test_range_data_reaches_no_loss_checkpoint_or_forecast(data_seed, perturb_seed, bump):
+    _assert_no_peek(True, data_seed, perturb_seed, bump)

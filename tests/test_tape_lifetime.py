@@ -1,6 +1,7 @@
 """Tape lifetime: lazy interior gradients, release after backward, no_grad."""
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from epicast.branches import patch_grid
 from epicast.data import SirParams, SplitSpec, split_dataset, synth_sir
 from epicast.forecaster import forecast
 from epicast.model import ModelConfig, build_model
-from epicast.tensor import AutodiffError, Parameter, Tensor, add, mul, no_grad, square, tsum
+from epicast.tensor import AutodiffError, Parameter, add, mul, no_grad, square, tsum
 from epicast.trainer import TrainConfig, sequence_loss, train, training_loss, validation_loss
 
 
@@ -42,9 +43,10 @@ def test_backward_releases_the_tape():
     p = Parameter(np.array([1.0, 2.0]), name="p")
     h = square(p)
     loss = tsum(h)
+    nodes = [t._node for t in (h, loss)]
     loss.backward()
-    for node in (h, loss):
-        assert node._prev == () and node._backward is None and node.grad is None
+    for node in nodes:
+        assert node._prev == () and node._backward is None and node.grad is None and node._backward_done
     np.testing.assert_array_equal(p.grad, [2.0, 4.0])
 
 
@@ -193,36 +195,61 @@ def test_training_loss_still_records_after_validation():
 
 
 def _kept_arrays(loss):
-    """Every ndarray a tape keeps alive: node data and backward-closure cells,
-    the tensors and tensor lists in those cells included."""
-    arrays, seen, stack = {}, set(), [loss]
+    """Every ndarray a tape keeps alive for its backward: the cells of the
+    backward closures of every node reachable from `loss`, tuples and lists
+    in those cells included."""
+    arrays, seen, stack = {}, set(), [loss._node]
     while stack:
         node = stack.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
-        arrays[id(node.data)] = node.data
         stack.extend(node._prev)
         for cell in getattr(node._backward, "__closure__", None) or ():
             value = cell.cell_contents
-            items = value if isinstance(value, (list, tuple)) else [value]
-            for item in items:
+            for item in value if isinstance(value, (list, tuple)) else [value]:
                 if isinstance(item, np.ndarray):
                     arrays[id(item)] = item
-                elif isinstance(item, Tensor):
-                    stack.append(item)
     return list(arrays.values())
 
 
-def test_training_tape_keeps_only_the_attention_weights_of_each_score_shape():
+def _train_setup():
     ds = _ds(n=5, days=40, w=3)
     splits = split_dataset(ds, SplitSpec(test_len=3, val_len=3))
-    model = _model(ds, width=8)  # 2 layers, 2 heads of width 4
+    model = _model(ds, width=8)  # 2 layers, 2 heads of width 4, ffn width 4 * 8
     P = len(patch_grid(splits.train.start, splits.train.stop, ds.w))
-    assert P not in (4, 8, ds.N)
+    assert P not in (4, 8, 32, ds.N)
+    return ds, splits, model, P
+
+
+def test_training_tape_keeps_only_the_attention_weights_of_each_score_shape():
+    ds, splits, model, P = _train_setup()
     loss = training_loss(model, ds, splits.train, TrainConfig())
     scores = [a for a in _kept_arrays(loss) if a.shape == (ds.N, 2, P, P)]
     assert len(scores) == 2 * 2  # one per layer, per branch
     for weights in scores:  # softmax rows over the visible (causal) keys
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0)
         assert np.all(np.triu(weights, k=1) == 0.0)
+
+
+def test_frozen_training_tape_keeps_only_gelu_input_and_tanh_of_the_ffn_width():
+    """Of the (N, P, 4 * width) arrays of each feedforward block, only the two
+    the GELU backward reads stay on the tape: not the GELU output, which the
+    frozen second layer's backward does not read."""
+    ds, splits, model, P = _train_setup()
+    loss = training_loss(model, ds, splits.train, TrainConfig())
+    hidden = [a for a in _kept_arrays(loss) if a.shape == (ds.N, P, 4 * 8)]
+    assert len(hidden) == 2 * 2 * 2  # gelu's x and t, per layer, per branch
+
+
+def test_backbone_outputs_die_before_the_loss(monkeypatch):
+    """No backward reads the backbone's output arrays, so the tape holds none of
+    them: they are freed during the forward, while the loss lives on."""
+    ds, splits, model, _ = _train_setup()
+    outputs = _spy(monkeypatch, trainer_mod, "backbone_forward")
+    loss = training_loss(model, ds, splits.train, TrainConfig())
+    refs = [weakref.ref(t.data) for t in outputs]
+    del outputs[:]
+    assert len(refs) == 2 and all(ref() is None for ref in refs)
+    loss.backward()
+    assert any(np.any(p.grad != 0) for p in model.trainable_parameters())

@@ -1,6 +1,7 @@
 """Autodiff core: op correctness, per-op gradient checks, tape semantics."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ from epicast.tensor import (
     AutodiffError,
     Parameter,
     Tensor,
+    _layout,
+    _Node,
+    _owned_grad,
     add,
     attention_weights,
     concat,
@@ -208,7 +212,7 @@ def test_frozen_input_gets_no_grad_and_leaves_the_other_bitwise(name, frozen):
 
 @pytest.mark.parametrize("name", sorted(OP_CASES))
 def test_op_gradient_matches_finite_differences(name):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))  # stable across processes, unlike hash()
     a = _p(rng, (3, 4), "a", away_from_zero=(name == "relu"))
     b = _p(rng, (3, 4), "b")
     weights = rng.normal(size=OP_CASES[name](a, b).data.shape)
@@ -284,6 +288,22 @@ def test_getitem_backward_matches_add_at(idx):
     expected = np.zeros((3, 4))
     np.add.at(expected, idx, weights)
     np.testing.assert_array_equal(a.grad, expected)
+
+
+@given(shape=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_getitem_gradient_is_laid_out_as_zeros_like(shape, data):
+    """The gradient getitem zeroes for its input, from the shape and layout it
+    recorded, has np.zeros_like(input)'s strides for any view (transposed,
+    strided, reversed, broadcast), so every later sum over it runs in the
+    same order."""
+    x = np.zeros(shape).transpose(data.draw(st.permutations(range(len(shape)))))
+    steps = data.draw(st.lists(st.sampled_from([1, 2, -1]), min_size=x.ndim, max_size=x.ndim))
+    x = x[tuple(slice(None, None, step) for step in steps)]
+    if data.draw(st.booleans()):
+        x = np.broadcast_to(x[..., :1], x.shape)  # zero stride on the last axis
+    grad = _owned_grad(_Node((), None), x.shape, _layout(x))
+    assert grad.shape == x.shape and grad.strides == np.zeros_like(x).strides
 
 
 def test_repeated_fancy_index_accumulates_every_hit():
@@ -407,7 +427,7 @@ def test_fused_ops_record_nothing_under_no_grad():
         outs = [linear(x, W, b), layer_norm(x, gain, bias)]
     for out in outs:
         assert not out.requires_grad
-        assert out._prev == () and out._backward is None
+        assert out._node is None and out._prev == ()
 
 
 # -- in-place kernels against the composed numpy expressions they replaced ----------------
@@ -442,11 +462,12 @@ def _layer_norm_composed_numpy(x, gain, bias, g, eps=1e-5):
     return out, dx, (g * normed).sum(axis=lead), g.sum(axis=lead)
 
 
-def _node_grads(node, g, inputs):
-    """The arrays `node`'s backward hands each input for upstream gradient g."""
+def _node_grads(out, g, inputs):
+    """The arrays the backward of `out`'s tape node hands each input (leaves,
+    each its own node) for upstream gradient g."""
     for t in inputs:
         t.grad = None
-    node._backward(g)
+    out._node._backward(g)
     return [t.grad for t in inputs]
 
 
