@@ -1,14 +1,16 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-A Tensor wraps an ndarray and, when it participates in a differentiable
-computation, remembers how to push gradients back to its inputs.  Calling
-``backward()`` on a scalar walks the recorded graph in reverse topological
-order and accumulates ``grad`` on every tensor that requires it.  Parameters
-are named leaves.  A frozen parameter is a constant: it does not require a
-gradient, so it never holds a ``grad`` and no optimizer updates it.  Ops
-still push gradients *through* a frozen layer to the inputs that require
-them; they just record no node whose inputs are all constant and compute no
-gradient for a frozen weight.
+A Tensor is an ndarray plus an optional tape node.  Every differentiable
+tensor has exactly one node: the output of a recorded op has the node the op
+recorded, and a trainable Parameter has a node with no inputs and no backward
+that owns its gradient.  A constant has none.  ``requires_grad``, ``grad`` and
+``Parameter.frozen`` are read-only views of the node.  Calling ``backward()``
+on a scalar walks the recorded graph in reverse topological order and
+accumulates ``grad`` on every node it reaches.  Parameters are named leaves.
+A frozen parameter is a constant: it has no node, so it never holds a
+``grad`` and no optimizer updates it.  Ops still push gradients *through* a
+frozen layer to the inputs that require them; they just record no node whose
+inputs are all constant and compute no gradient for a frozen weight.
 
 The tape is kept apart from the data.  A recorded op gets a small node: a
 gradient slot, its input nodes and a backward closure.  The closure captures
@@ -17,26 +19,25 @@ its input only when the weight needs a gradient, ``gelu`` its input and the
 tanh, ``add``, ``reshape`` or ``tsum`` shapes only), and no node ever holds
 its own output tensor.  So an intermediate array that no backward reads (a
 residual sum, a GELU output, a merged-heads copy) is freed during the forward
-as soon as the forward drops it.  A leaf that requires a gradient is its own
-node, with no inputs and no backward, and owns its ``grad``.
+as soon as the forward drops it.
 
 A tape's lifetime follows reference counting alone:
 
 - A node holds its input nodes and a backward closure over saved arrays,
   never over itself or a tensor, so a tape has no reference cycles and dies
   with its output.
-- Gradients are lazy.  Leaves that require a gradient (trainable Parameters
-  included) own an eagerly zeroed ``grad``; an interior node has
-  ``grad = None`` until its first accumulation, which adopts the incoming
-  array without a copy.  That array may be shared with a sibling input or be
-  a read-only broadcast view, so a node adds in place only into a gradient
-  array it owns.
-- ``backward()`` releases the tape as it walks it: once a node has pushed
-  its gradient to its inputs, its inputs, closure and gradient are dropped.
-  A second backward through a released node raises AutodiffError.
-- Under ``with no_grad():`` ops record nothing and return tensors that do
-  not require gradients; neither they nor ops whose inputs are all constant
-  build a node or a closure.  Validation and forecasting run this way.
+- Gradients are lazy.  A trainable Parameter's node owns an eagerly zeroed
+  ``grad``; an op's node has ``grad = None`` until its first accumulation,
+  which adopts the incoming array without a copy.  That array may be shared
+  with a sibling input or be a read-only broadcast view, so a node adds in
+  place only into a gradient array it owns.
+- ``backward()`` releases the tape as it walks it: once an op's node has
+  pushed its gradient to its inputs, its inputs, closure and gradient are
+  dropped, and ``_prev = None`` marks it released.  A second backward through
+  a released node raises AutodiffError.
+- Under ``with no_grad():`` ops record nothing and return constants; neither
+  they nor ops whose inputs are all constant build a node or a closure.
+  Validation and forecasting run this way.
 
 Besides the primitive ops there are three fused ones, each a single tape node
 with a hand-written backward: ``linear`` (``x @ W + b``), ``layer_norm`` and
@@ -140,51 +141,45 @@ def _owned_grad(node, shape: tuple, layout: tuple | None) -> np.ndarray:
 
 
 class _Node:
-    """The tape's record of one op: gradient slot, input nodes, backward closure."""
+    """A differentiable tensor's one tape node: gradient slot, input nodes and
+    backward closure (no inputs and no backward for a trainable Parameter's);
+    ``_prev`` is None once backward has released it."""
 
-    __slots__ = ("grad", "_owns_grad", "_prev", "_backward", "_backward_done")
+    __slots__ = ("grad", "_owns_grad", "_prev", "_backward")
 
     def __init__(self, prev: tuple, backward):
         self.grad = None
         self._owns_grad = False
         self._prev = prev
         self._backward = backward
-        self._backward_done = False
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_owns_grad", "_node")
+    """An array plus its tape node: None for a constant."""
 
-    # a leaf that requires a gradient is its own tape node: no inputs, no backward
-    _backward = None
-    _backward_done = False
+    __slots__ = ("data", "_node")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise ValueError("tensor data must be finite")
         self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(arr) if requires_grad else None
-        self._owns_grad = True
         self._node = None
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
     def _result(cls, data: np.ndarray, inputs: tuple, backward) -> "Tensor":
-        """Interior tensor; skips the finiteness scan done for leaf tensors.
+        """An op's output; skips the finiteness scan done for leaf tensors.
 
-        With a `backward`, the tensor gets a new tape node whose inputs are the
-        nodes in `inputs` (from ``_input_nodes``; None marks a constant input)
-        and `backward(g)` pushes the node's gradient `g` to them.  With None it
-        is a constant.  The node keeps the closure, never `data`.
+        With a `backward`, the tensor gets a new tape node, its one node, whose
+        inputs are the nodes in `inputs` (from ``_input_nodes``; None marks a
+        constant input) and `backward(g)` pushes the node's gradient `g` to
+        them.  With None it is a constant.  The node keeps the closure, never
+        `data`.
         """
         out = cls.__new__(cls)
         out.data = data
-        out.grad = None
-        out._owns_grad = False
-        out.requires_grad = backward is not None
         if backward is None:
             out._node = None
         else:
@@ -193,28 +188,26 @@ class Tensor:
         return out
 
     @property
-    def _prev(self) -> tuple:
-        """The input nodes of this tensor's op; empty for a leaf or a constant."""
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
+
+    @property
+    def _prev(self) -> tuple | None:
+        """The input nodes of this tensor's op: empty for a leaf or a constant,
+        None once backward has released them."""
         return () if self._node is None else self._node._prev
-
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def zero_grad(self):
-        if self.requires_grad:
-            self.grad = np.zeros_like(self.data)
-            self._owns_grad = True
+        node = self._node
+        if node is not None:
+            node.grad, node._owns_grad = np.zeros_like(self.data), True
 
     # -- backward pass --------------------------------------------------------
 
@@ -223,9 +216,9 @@ class Tensor:
         releasing each interior node once its gradient has been pushed on."""
         if self.data.size != 1:
             raise AutodiffError(f"backward requires a scalar, got shape {self.data.shape}")
-        if not self.requires_grad:
+        root = self._node
+        if root is None:
             raise AutodiffError("backward on a tensor with no recorded inputs")
-        root = self if self._node is None else self._node  # a leaf is its own node
         topo: list = []
         visited: set[int] = set()
         stack: list = [(root, False)]
@@ -236,7 +229,7 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
-            if node._backward_done:
+            if node._prev is None:
                 raise AutodiffError("backward already ran through this graph; rebuild the graph")
             visited.add(id(node))
             stack.append((node, True))
@@ -248,26 +241,29 @@ class Tensor:
             node = topo.pop()
             if node._backward is not None:
                 node._backward(node.grad)
-                node._prev, node._backward, node.grad = (), None, None
-                node._backward_done = True
+                node._prev = node._backward = node.grad = None
 
     def __getitem__(self, idx):
         return getitem(self, idx)
 
 
 class Parameter(Tensor):
-    """Named leaf tensor.  Trainable unless `frozen`; a frozen one is a constant
-    that requires no gradient, so it has ``grad = None`` for its whole life."""
+    """Named leaf tensor.  Trainable unless `frozen`: a trainable one has a node
+    with no inputs and no backward that owns its eagerly zeroed gradient; a
+    frozen one is a constant, so it has ``grad = None`` for its whole life."""
 
     __slots__ = ("name",)
 
     def __init__(self, data, name: str, frozen: bool = False):
-        super().__init__(data, requires_grad=not frozen)
+        super().__init__(data)
         self.name = name
+        if not frozen:
+            self._node = _Node((), None)
+            self.zero_grad()
 
     @property
     def frozen(self) -> bool:
-        return not self.requires_grad
+        return self._node is None
 
     def __repr__(self):
         tag = "frozen" if self.frozen else "trainable"
@@ -275,14 +271,12 @@ class Parameter(Tensor):
 
 
 def _input_nodes(*tensors: Tensor) -> tuple | None:
-    """The input nodes an op records, one per tensor, or None when the op
-    records nothing: under no_grad, or when no input requires a gradient.  A
-    tensor's node is its op's node, itself for a leaf that requires a
-    gradient, or None for a constant.  An op checks this before it builds its
-    closure."""
+    """The input nodes an op records, one per tensor (None for a constant), or
+    None when the op records nothing: under no_grad, or when no input requires
+    a gradient.  An op checks this before it builds its closure."""
     if not _grad_enabled:
         return None
-    nodes = tuple([t._node if t._node is not None else t if t.requires_grad else None for t in tensors])
+    nodes = tuple([t._node for t in tensors])
     return None if nodes.count(None) == len(nodes) else nodes
 
 
@@ -293,7 +287,8 @@ def astensor(x) -> Tensor:
 def constant(data) -> Tensor:
     """Non-differentiable tensor that skips the finiteness scan.
 
-    Exists for additive attention masks, which legitimately hold -inf.
+    Wraps op inputs that no gradient reaches: windows, loss targets, cached
+    keys and values, prompt masks.
     """
     return Tensor._result(np.asarray(data, dtype=np.float64), (), None)
 

@@ -15,7 +15,7 @@ from epicast.branches import patch_grid
 from epicast.data import SirParams, SplitSpec, split_dataset, synth_sir
 from epicast.forecaster import forecast
 from epicast.model import ModelConfig, build_model
-from epicast.tensor import AutodiffError, Parameter, add, mul, no_grad, square, tsum
+from epicast.tensor import AutodiffError, Parameter, Tensor, _Node, add, mul, no_grad, square, tsum
 from epicast.trainer import TrainConfig, sequence_loss, train, training_loss, validation_loss
 
 
@@ -45,8 +45,9 @@ def test_backward_releases_the_tape():
     loss = tsum(h)
     nodes = [t._node for t in (h, loss)]
     loss.backward()
-    for node in nodes:
-        assert node._prev == () and node._backward is None and node.grad is None and node._backward_done
+    for node in nodes:  # released: _prev None marks it
+        assert node._prev is None and node._backward is None and node.grad is None
+    assert p._node._prev == () and p._node._backward is None  # a leaf's node is never released
     np.testing.assert_array_equal(p.grad, [2.0, 4.0])
 
 
@@ -100,6 +101,40 @@ def test_training_cycle_leaves_no_cyclic_garbage():
         gc.enable()
 
 
+# -- one kind of node ----------------------------------------------------------------------
+
+
+def test_a_tensor_is_its_data_and_one_optional_node():
+    assert Tensor.__slots__ == ("data", "_node")
+    assert not any(hasattr(Tensor, name) for name in ("_backward", "_backward_done", "_owns_grad"))
+    with pytest.raises(TypeError):
+        Tensor(np.ones(2), requires_grad=True)
+    live, frozen = Parameter(np.ones(2), name="live"), Parameter(np.ones(2), name="frozen", frozen=True)
+    assert isinstance(live._node, _Node) and live._node._prev == () and live._node._backward is None
+    assert frozen._node is None
+    for t in (live, frozen, mul(live, 2.0)):
+        for view in ("requires_grad", "grad", "frozen"):
+            if hasattr(t, view):
+                with pytest.raises(AttributeError):
+                    setattr(t, view, getattr(t, view))
+
+
+def test_a_training_tape_holds_only_nodes():
+    """Walking `_prev` from a training loss reaches only tape nodes: each
+    trainable parameter through its own leaf node, never the tensor itself."""
+    ds, splits, model, _ = _train_setup()
+    loss = training_loss(model, ds, splits.train, TrainConfig())
+    seen, stack = {}, list(loss._prev)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._prev)
+    assert all(type(node) is _Node for node in seen.values())
+    leaves = {id(node) for node in seen.values() if node._backward is None}
+    assert leaves == {id(p._node) for p in model.trainable_parameters()}
+
+
 # -- no_grad ---------------------------------------------------------------------------------
 
 
@@ -132,10 +167,20 @@ def _spy(monkeypatch, module, name):
 
 
 def _poisoned_grads(model):
+    """Put a random gradient on every trainable parameter's node; return a copy
+    of every parameter's gradient, None for a frozen one."""
     rng = np.random.default_rng(9)
-    for p in model.parameters():
-        p.grad = rng.normal(size=p.data.shape)
-    return [p.grad.copy() for p in model.parameters()]
+    for p in model.trainable_parameters():
+        p._node.grad = rng.normal(size=p.data.shape)
+    return [None if p.grad is None else p.grad.copy() for p in model.parameters()]
+
+
+def _assert_grads_kept(model, before):
+    for p, saved in zip(model.parameters(), before):
+        if saved is None:
+            assert p.grad is None
+        else:
+            np.testing.assert_array_equal(p.grad, saved)
 
 
 def test_validation_loss_records_no_tape_and_keeps_grads(monkeypatch):
@@ -147,8 +192,7 @@ def test_validation_loss_records_no_tape_and_keeps_grads(monkeypatch):
     value = validation_loss(model, ds, splits.val, TrainConfig())
     assert isinstance(value, float)
     assert len(losses) == 1 and not losses[0].requires_grad and losses[0]._prev == ()
-    for p, saved in zip(model.parameters(), before):
-        np.testing.assert_array_equal(p.grad, saved)
+    _assert_grads_kept(model, before)
 
 
 def test_forecast_records_no_tape_and_keeps_grads(monkeypatch):
@@ -159,8 +203,7 @@ def test_forecast_records_no_tape_and_keeps_grads(monkeypatch):
     forecast(model, ds, context_end=24, steps=2)
     assert len(outputs) == 4
     assert all(not t.requires_grad and t._prev == () for t in outputs)
-    for p, saved in zip(model.parameters(), before):
-        np.testing.assert_array_equal(p.grad, saved)
+    _assert_grads_kept(model, before)
 
 
 @given(

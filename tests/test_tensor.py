@@ -45,7 +45,7 @@ from epicast.tensor import (
 
 
 def test_sigmoid_symmetry_point():
-    assert sigmoid(Tensor(0.0)).item() == 0.5
+    assert float(sigmoid(Tensor(0.0)).data) == 0.5
 
 
 def test_softmax_of_constant_vector():
@@ -463,10 +463,11 @@ def _layer_norm_composed_numpy(x, gain, bias, g, eps=1e-5):
 
 
 def _node_grads(out, g, inputs):
-    """The arrays the backward of `out`'s tape node hands each input (leaves,
-    each its own node) for upstream gradient g."""
+    """The arrays the backward of `out`'s tape node hands each input (trainable
+    leaves) for upstream gradient g: each leaf's node starts with no gradient,
+    so it adopts the array handed to it."""
     for t in inputs:
-        t.grad = None
+        t._node.grad = None
     out._node._backward(g)
     return [t.grad for t in inputs]
 
@@ -560,7 +561,7 @@ def test_attention_weights_are_bitwise_the_composed_ops(n, heads, queries, extra
     def run(op):
         q, k = Parameter(q_data, name="q"), Parameter(k_data, name="k")
         out = op(q, k)
-        q.grad = k.grad = None
+        q._node.grad = k._node.grad = None
         tsum(mul(out, constant(g))).backward()
         return out.data, q.grad, k.grad
 
