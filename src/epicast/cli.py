@@ -7,7 +7,9 @@ commands are deterministic given the same config and seed.
 
 Exit codes: 0 ok, 2 config error (out-of-range synth.*, train.*, model,
 backbone, split, seed and epsilon values, size keys whose parameters cannot
-be allocated, splits that hold out the whole series, an unknown ablation
+be allocated, synth.regions and synth.days whose series cannot be allocated,
+a w longer than the series or whose windows cannot be allocated, a forecast
+horizon whose rollout cannot be allocated, splits that hold out the whole series, an unknown ablation
 variant, a training range shorter than two patches, a forecast context outside
 the data, a scored horizon longer than the test range and a report input that
 is a directory or not a metrics file included), 3 data error, 4 checkpoint
@@ -57,7 +59,7 @@ from .evalharness import (
     metric_report,
     run_ablation,
 )
-from .forecaster import ForecastDivergedError, InsufficientContextError, forecast
+from .forecaster import ForecastDivergedError, ForecastSizeError, InsufficientContextError, forecast
 from .model import (
     ModelConfig,
     ModelSizeError,
@@ -217,8 +219,17 @@ def _echo_config(cfg: RunConfig, out: Path, command: str) -> None:
         json.dump(doc, fh, indent=1, sort_keys=True)
 
 
+def _synth_size_error(cfg: RunConfig, exc: MemoryError) -> ConfigError:
+    """A synthetic series too large to allocate, as a config error naming its size keys."""
+    return ConfigError(
+        f"synth.regions = {cfg['synth.regions']} and synth.days = {cfg['synth.days']} "
+        f"do not fit in memory ({exc})"
+    )
+
+
 def _synth_tables(cfg: RunConfig) -> tuple[CaseTable, MobilityTable]:
-    """The synthetic SIR tables the `synth.*` keys describe; bad values are config errors."""
+    """The synthetic SIR tables the `synth.*` keys describe; bad values and
+    sizes are config errors."""
     try:
         params = SirParams(
             beta=cfg["synth.beta"],
@@ -229,18 +240,25 @@ def _synth_tables(cfg: RunConfig) -> tuple[CaseTable, MobilityTable]:
         return synth_sir_tables(cfg["synth.regions"], cfg["synth.days"], params, rng_seed=cfg["seed"])
     except ValueError as exc:
         raise ConfigError(f"synth: {exc}") from exc
+    except MemoryError as exc:
+        raise _synth_size_error(cfg, exc) from exc
 
 
 def _load_dataset(cfg: RunConfig) -> EpidemicDataset:
-    if cfg["data.cases"] is not None:
+    synthetic = cfg["data.cases"] is None
+    if synthetic:
+        cases, mobility = _synth_tables(cfg)
+    else:
         cases = load_cases(cfg["data.cases"])
         mobility = load_mobility(cfg["data.mobility"], dates=cases.dates)
-    else:
-        cases, mobility = _synth_tables(cfg)
     try:  # data faults raise DataError; a ValueError is a bad w or epsilon
         return build_dataset(cases, mobility, w=cfg["w"], epsilon=cfg["epsilon"], scale=cfg["scale"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except MemoryError as exc:
+        if not synthetic:  # a data file too large to hold is not a config error
+            raise
+        raise _synth_size_error(cfg, exc) from exc
 
 
 def _configs(cfg: RunConfig, ds: EpidemicDataset) -> tuple[ModelConfig, BackboneConfig, TrainConfig]:
@@ -453,7 +471,7 @@ def main(argv=None) -> int:
         return 0
     except (  # an InvalidSplitError is a DataError, but the split is a config value
         ConfigError, BackboneConfigError, InsufficientContextError, TrainingRangeError, HorizonRangeError,
-        InvalidSplitError, ModelSizeError,
+        InvalidSplitError, ModelSizeError, ForecastSizeError,
     ) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

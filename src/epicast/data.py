@@ -285,6 +285,8 @@ def build_dataset(
     dates = cases.dates[c0 : c1 + 1]
     counts = cases.counts[c0 : c1 + 1]
     T, N = counts.shape
+    if w > T:
+        raise ValueError(f"window length w={w} is longer than the {T}-day series: no patch fits")
     region_index = {r: i for i, r in enumerate(cases.regions)}
     idx = [region_index[r] for r in mobility.regions]
     mob_t = {day: k for k, day in enumerate(mobility.dates)}
@@ -306,7 +308,10 @@ def build_dataset(
     counts_model = counts.astype(np.float64) / case_scale[None, :]
     M = M_raw / mob_scale
     A = np.where(M_raw > epsilon, M, 0.0)
-    X = window_features(counts_model, w)
+    try:
+        X = window_features(counts_model, w)
+    except MemoryError as exc:
+        raise ValueError(f"window length w={w} over {T} days and {N} regions does not fit in memory ({exc})") from exc
     return EpidemicDataset(
         N=N,
         T=T,
@@ -366,8 +371,8 @@ class SirParams:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
         if not (0 < self.gamma_rec < 1):
             raise ValueError(f"gamma_rec must lie in (0, 1), got {self.gamma_rec}")
-        if self.population <= 0:
-            raise ValueError(f"population must be positive, got {self.population}")
+        if not 0 < self.population < 2**63:  # counts are int64
+            raise ValueError(f"population must be positive and below 2**63, got {self.population}")
 
 
 @dataclass

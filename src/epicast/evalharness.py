@@ -220,8 +220,9 @@ def load_reference_results() -> dict:
         return json.load(fh)
 
 
-def reference_for(dataset: str, horizon: int, backbone: str = REFERENCE_BACKBONE) -> dict | None:
-    refs = load_reference_results()["results"]
+def reference_for(refdoc: dict, dataset: str, horizon: int, backbone: str = REFERENCE_BACKBONE) -> dict | None:
+    """The published row of `refdoc` (see load_reference_results) for a dataset and horizon, or None."""
+    refs = refdoc["results"]
     try:
         return refs[dataset][str(horizon)][backbone]
     except KeyError:
@@ -239,7 +240,7 @@ def emit_report(reports: list[MetricReport], out_dir) -> tuple[Path, Path]:
     json_path = out_dir / "metrics.json"
     rows = []
     for rep in reports:
-        ref = reference_for(rep.dataset, rep.horizon)
+        ref = reference_for(refdoc, rep.dataset, rep.horizon)
         rows.append(
             {
                 "dataset": rep.dataset,

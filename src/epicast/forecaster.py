@@ -46,6 +46,10 @@ class InsufficientContextError(ValueError):
     pass
 
 
+class ForecastSizeError(ValueError):
+    """A forecast horizon whose rollout history cannot be allocated."""
+
+
 class ForecastDivergedError(RuntimeError):
     def __init__(self, step: int, what: str):
         super().__init__(f"non-finite {what} at forecast step {step}")
@@ -96,7 +100,8 @@ class ForecastResult:
 @no_grad()
 def forecast(model: ModelState, ds: EpidemicDataset, context_end: int, steps: int) -> ForecastResult:
     """Generate `steps` future patches (steps * w days) after day `context_end`;
-    records no tape."""
+    records no tape.  Raises ForecastSizeError when the rollout history does
+    not fit in memory."""
     cfg = model.config
     w = cfg.w
     if steps < 1:
@@ -110,10 +115,16 @@ def forecast(model: ModelState, ds: EpidemicDataset, context_end: int, steps: in
 
     horizon = steps * w
     end = context_end + horizon
-    counts = np.empty((end, ds.N))  # model space
-    X = np.empty((end, ds.N, w))
-    A = np.empty((end, ds.N, ds.N))
-    M = np.empty((end, ds.N, ds.N))
+    try:
+        counts = np.empty((end, ds.N))  # model space
+        X = np.empty((end, ds.N, w))
+        A = np.empty((end, ds.N, ds.N))
+        M = np.empty((end, ds.N, ds.N))
+    except (MemoryError, ValueError) as exc:  # past 2**63 bytes numpy raises ValueError
+        raise ForecastSizeError(
+            f"a horizon of {horizon} days ({steps} steps of w={w}) from day {context_end} "
+            f"does not fit in memory ({exc})"
+        ) from exc
     counts[:context_end] = ds.counts[:context_end] / ds.case_scale
     A[:context_end] = ds.A[:context_end]
     M[:context_end] = ds.M[:context_end]

@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+import epicast.cli as cli_mod
+import epicast.data as data_mod
 from epicast.cli import (
     ConfigError,
     cmd_ablate,
@@ -320,6 +322,65 @@ def test_exit_two_on_parameters_too_large_to_allocate(tmp_path, capsys, line, si
     err = capsys.readouterr().err
     assert "config error: model parameters do not fit in memory" in err and sizes in err, err
     assert not (tmp_path / "out" / "checkpoint.bin").exists()
+
+
+# Sizes whose arrays are larger than the 128 TiB user address space, so the
+# allocation fails at once on any machine, whatever its overcommit setting.
+@pytest.mark.parametrize(
+    "command, extra, named",
+    [
+        ("synth", {"synth.days": str(10**13)}, "synth.days = 10000000000000"),
+        ("train", {"synth.regions": str(10**7)}, "synth.regions = 10000000"),
+        ("forecast", {"horizon": str(3 * 10**13)}, "horizon of 30000000000000 days"),
+        ("forecast", {"horizon": str(3 * 10**18)}, "horizon of 3000000000000000000 days"),  # past 2**63 bytes
+        ("train", {"w": str(10**13), "horizon": str(10**13)}, "w=10000000000000"),
+    ],
+)
+def test_exit_two_on_sizes_too_large_to_allocate(tmp_path, capsys, command, extra, named):
+    out = tmp_path / "out"
+    if command == "forecast":  # serving needs a trained checkpoint
+        assert main(["train", "--config", str(_write_cfg(tmp_path / "ok.cfg")), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main([command, "--config", str(_write_cfg(tmp_path / "bad.cfg", extra)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and named in err, err
+
+
+@pytest.mark.parametrize("synthetic", [True, False])
+def test_dataset_too_large_to_build_is_a_config_error_only_for_synthetic_data(
+    tmp_path, capsys, monkeypatch, synthetic
+):
+    extra = {}
+    if not synthetic:
+        data = cmd_synth(_cfg(tmp_path / "data"))
+        extra = {"data.cases": str(data / "cases.csv"), "data.mobility": str(data / "mobility.csv")}
+
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 PiB")
+
+    monkeypatch.setattr(cli_mod, "build_dataset", too_large)
+    code = main(["train", "--config", str(_write_cfg(tmp_path / "run.cfg", extra)), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if synthetic:
+        assert code == 2 and "config error: synth.regions = 4 and synth.days = 24" in err, err
+    else:  # a data file too large to hold is not a config error
+        assert code == 1 and "config error" not in err, err
+
+
+@pytest.mark.parametrize("synthetic", [True, False])
+def test_windows_too_large_to_allocate_name_w(tmp_path, capsys, monkeypatch, synthetic):
+    extra = {}
+    if not synthetic:
+        data = cmd_synth(_cfg(tmp_path / "data"))
+        extra = {"data.cases": str(data / "cases.csv"), "data.mobility": str(data / "mobility.csv")}
+
+    def too_large(counts, w):
+        raise MemoryError("Unable to allocate 1.00 PiB")
+
+    monkeypatch.setattr(data_mod, "window_features", too_large)
+    code = main(["train", "--config", str(_write_cfg(tmp_path / "run.cfg", extra)), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2 and "config error: window length w=3 over 24 days" in err, err
 
 
 def test_exit_two_on_training_range_shorter_than_two_patches(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import epicast.data as data_mod
 from epicast.data import (
     CaseTable,
     DateFormatError,
@@ -251,10 +252,10 @@ def test_build_dataset_mobility_matches_row_oracle(tmp_path_factory, data, fix_a
         with pytest.raises(EmptyOverlapError):
             build_dataset(cases, mobility, w=2, scale=scale)
         return
-    ds = build_dataset(cases, mobility, w=2, scale=scale)
+    kept = dates if fix_axis else dates[min(r[0] for r in rows) : max(r[0] for r in rows) + 1]
+    ds = build_dataset(cases, mobility, w=min(2, len(kept)), scale=scale)  # w <= T, so 1-day joins build too
 
     # oracle: add every row, in file order, into the day and region pair it names
-    kept = dates if fix_axis else dates[min(r[0] for r in rows) : max(r[0] for r in rows) + 1]
     assert ds.dates == kept
     index = {r: i for i, r in enumerate(regions)}
     M_raw = np.zeros((len(kept), len(regions), len(regions)))
@@ -265,6 +266,24 @@ def test_build_dataset_mobility_matches_row_oracle(tmp_path_factory, data, fix_a
     mob_scale = (float(M_raw.max()) or 1.0) if scale else 1.0
     assert ds.mob_scale == mob_scale
     assert ds.M.tobytes() == (M_raw / mob_scale).tobytes()
+
+
+def test_build_dataset_rejects_w_longer_than_the_series():
+    cases, mobility = synth_sir_tables(2, 5, rng_seed=0)
+    assert build_dataset(cases, mobility, w=5).X.shape == (5, 2, 5)
+    with pytest.raises(ValueError, match="w=6 is longer than the 5-day series"):
+        build_dataset(cases, mobility, w=6)
+
+
+def test_build_dataset_names_w_when_its_windows_do_not_fit(monkeypatch):
+    cases, mobility = synth_sir_tables(2, 5, rng_seed=0)
+
+    def too_large(counts, w):
+        raise MemoryError("Unable to allocate 1.00 PiB")
+
+    monkeypatch.setattr(data_mod, "window_features", too_large)
+    with pytest.raises(ValueError, match="window length w=3 over 5 days and 2 regions does not fit in memory"):
+        build_dataset(cases, mobility, w=3)
 
 
 def test_adjacency_threshold_sparsity():

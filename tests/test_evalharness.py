@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import epicast.evalharness as evalharness
 from epicast.backbone import BackboneConfig
 from epicast.data import SirParams, SplitSpec, synth_sir
 from epicast.evalharness import (
@@ -312,12 +313,12 @@ def test_adj2aver_matches_full_on_direct_forecast_with_constant_adjacency():
 
 
 def test_reference_lookup_england_3day():
-    ref = reference_for("England", 3)
+    ref = reference_for(load_reference_results(), "England", 3)
     assert ref == {"rmse": 5.41, "mae": 3.83}
 
 
 def test_reference_lookup_spain_14day_multistep():
-    ref = reference_for("Spain", 14)
+    ref = reference_for(load_reference_results(), "Spain", 14)
     assert ref["rmse"] == 56.85
 
 
@@ -352,6 +353,25 @@ def test_emit_report_synthetic_has_blank_refs(tmp_path):
     with open(csv_path) as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["ref_rmse"] == ""
+
+
+def test_emit_report_reads_the_reference_file_once(tmp_path, monkeypatch):
+    reads = []
+
+    def counting():
+        reads.append(1)
+        return load_reference_results()
+
+    monkeypatch.setattr(evalharness, "load_reference_results", counting)
+    reports = [
+        MetricReport(dataset=name, horizon=h, model="model", per_region_rmse=[1.0], per_region_mae=[0.5],
+                     region_avg_rmse=1.0, region_avg_mae=0.5)
+        for name, h in [("England", 3), ("Spain", 14), ("synthetic", 3)] * 4
+    ]
+    csv_path, _ = emit_report(reports, tmp_path)
+    assert len(reads) == 1
+    rows = list(csv.DictReader(open(csv_path)))
+    assert [r["ref_rmse"] for r in rows[:3]] == ["5.41", "56.85", ""]
 
 
 def test_emit_report_requires_reports(tmp_path):
