@@ -20,6 +20,7 @@ from .branches import (
 )
 from .data import (
     CaseTable,
+    ConfigError,
     DataError,
     EpidemicDataset,
     MobilityTable,

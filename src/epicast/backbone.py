@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import ConfigError
 from .serialize import load_tensors, save_tensors
 from .tensor import (
     Parameter,
@@ -55,7 +56,7 @@ from .tensor import (
 MODES = ("frozen-transformer", "trainable-transformer", "mlp", "rnn", "identity")
 
 
-class BackboneConfigError(ValueError):
+class BackboneConfigError(ConfigError):
     pass
 
 

@@ -5,20 +5,14 @@ full key list); every command writes the fully resolved config into its
 output directory so a run can be reproduced from its artifacts alone.  All
 commands are deterministic given the same config and seed.
 
-Exit codes: 0 ok, 2 config error (out-of-range synth.*, train.*, model,
-backbone, split, seed and epsilon values, size keys whose parameters cannot
-be allocated, synth.regions and synth.days whose series cannot be allocated,
-a w longer than the series or whose windows cannot be allocated, a forecast
-horizon whose rollout cannot be allocated, splits that hold out the whole series, an unknown ablation
-variant, a training range shorter than two patches, a forecast context outside
-the data, a scored horizon longer than the test range and a report input that
-is a directory or not a metrics file included), 3 data error, 4 checkpoint
-error (a broken sidecar or one whose sizes cannot be allocated, a missing or
-misshapen tensor, a NaN or inf in a checkpoint or backbone weight file, and a
-checkpoint served with another w, region count or epsilon than it was trained
-with included), 5 diverged (non-finite loss or prediction, or learned prompt
-edge weights that leave the block graph without a positive degree), 1
-anything else.
+Exit codes:
+
+- 0: success.
+- 1: anything else.
+- 2: config error, ``ConfigError`` and its subclasses.
+- 3: data error, a ``DataError`` or a missing data file.
+- 4: checkpoint error, a ``CheckpointError``.
+- 5: diverged, a non-finite loss or prediction or a prompt graph without a positive degree.
 """
 
 from __future__ import annotations
@@ -30,13 +24,13 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .backbone import BackboneConfig, BackboneConfigError
+from .backbone import BackboneConfig
 from .branches import PromptGraphError
 from .data import (
     CaseTable,
+    ConfigError,
     DataError,
     EpidemicDataset,
-    InvalidSplitError,
     MobilityTable,
     SirParams,
     SplitSpec,
@@ -51,7 +45,6 @@ from .data import (
 from .evalharness import (
     ABLATION_VARIANTS,
     BASELINES,
-    HorizonRangeError,
     MetricReport,
     baseline_predict,
     emit_report,
@@ -59,10 +52,9 @@ from .evalharness import (
     metric_report,
     run_ablation,
 )
-from .forecaster import ForecastDivergedError, ForecastSizeError, InsufficientContextError, forecast
+from .forecaster import ForecastDivergedError, forecast
 from .model import (
     ModelConfig,
-    ModelSizeError,
     ModelState,
     build_model,
     count_params,
@@ -70,11 +62,7 @@ from .model import (
     save_checkpoint,
 )
 from .serialize import CheckpointError
-from .trainer import TrainConfig, TrainingDivergedError, TrainingRangeError, train
-
-
-class ConfigError(ValueError):
-    pass
+from .trainer import TrainConfig, TrainingDivergedError, train
 
 
 def _parse_bool(text: str) -> bool:
@@ -86,37 +74,38 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-# key -> (parser, default); None default means "unset"
+# key -> (parser, default); None default means "unset".  A key that feeds a
+# config dataclass field takes that field's default.
 CONFIG_SCHEMA: dict = {
     "dataset.name": (str, "synthetic"),
     "data.cases": (str, None),
     "data.mobility": (str, None),
     "synth.regions": (int, 10),
     "synth.days": (int, 60),
-    "synth.beta": (float, 0.4),
-    "synth.gamma_rec": (float, 0.2),
-    "synth.seed_region": (int, 0),
-    "synth.population": (int, 5000),
-    "w": (int, 3),
+    "synth.beta": (float, SirParams.beta),
+    "synth.gamma_rec": (float, SirParams.gamma_rec),
+    "synth.seed_region": (int, SirParams.seed_region),
+    "synth.population": (int, SirParams.population),
+    "w": (int, ModelConfig.w),
     "horizon": (int, 3),
-    "epsilon": (float, 0.0),
+    "epsilon": (float, ModelConfig.epsilon),
     "scale": (_parse_bool, False),
     "split.test": (int, 3),
     "split.val": (int, 3),
-    "backbone.mode": (str, "frozen-transformer"),
-    "backbone.depth": (int, 2),
-    "backbone.width": (int, 64),
-    "backbone.heads": (int, 4),
-    "backbone.max_positions": (int, 64),
+    "backbone.mode": (str, BackboneConfig.mode),
+    "backbone.depth": (int, BackboneConfig.depth),
+    "backbone.width": (int, BackboneConfig.width),
+    "backbone.heads": (int, BackboneConfig.heads),
+    "backbone.max_positions": (int, BackboneConfig.max_positions),
     "backbone.seed": (int, None),
     "backbone.weights": (str, None),
-    "model.mob_hidden": (int, 0),
-    "train.lambda": (float, 1.0),
-    "train.lr": (float, 1e-3),
-    "train.max_epochs": (int, 200),
-    "train.patience": (int, 10),
-    "train.loss_form": (str, "mean-squared"),
-    "seed": (int, 0),
+    "model.mob_hidden": (int, ModelConfig.mob_hidden),
+    "train.lambda": (float, TrainConfig.mob_weight),
+    "train.lr": (float, TrainConfig.lr),
+    "train.max_epochs": (int, TrainConfig.max_epochs),
+    "train.patience": (int, TrainConfig.patience),
+    "train.loss_form": (str, TrainConfig.loss_form),
+    "seed": (int, ModelConfig.seed),
     "checkpoint": (str, None),
     "forecast.context_end": (int, None),
     "ablate.variants": (str, ",".join(ABLATION_VARIANTS)),
@@ -228,8 +217,8 @@ def _synth_size_error(cfg: RunConfig, exc: MemoryError) -> ConfigError:
 
 
 def _synth_tables(cfg: RunConfig) -> tuple[CaseTable, MobilityTable]:
-    """The synthetic SIR tables the `synth.*` keys describe; bad values and
-    sizes are config errors."""
+    """The synthetic SIR tables the `synth.*` keys describe; a series too
+    large to allocate is a config error."""
     try:
         params = SirParams(
             beta=cfg["synth.beta"],
@@ -238,7 +227,7 @@ def _synth_tables(cfg: RunConfig) -> tuple[CaseTable, MobilityTable]:
             population=cfg["synth.population"],
         )
         return synth_sir_tables(cfg["synth.regions"], cfg["synth.days"], params, rng_seed=cfg["seed"])
-    except ValueError as exc:
+    except ConfigError as exc:
         raise ConfigError(f"synth: {exc}") from exc
     except MemoryError as exc:
         raise _synth_size_error(cfg, exc) from exc
@@ -251,10 +240,8 @@ def _load_dataset(cfg: RunConfig) -> EpidemicDataset:
     else:
         cases = load_cases(cfg["data.cases"])
         mobility = load_mobility(cfg["data.mobility"], dates=cases.dates)
-    try:  # data faults raise DataError; a ValueError is a bad w or epsilon
+    try:
         return build_dataset(cases, mobility, w=cfg["w"], epsilon=cfg["epsilon"], scale=cfg["scale"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     except MemoryError as exc:
         if not synthetic:  # a data file too large to hold is not a config error
             raise
@@ -262,32 +249,29 @@ def _load_dataset(cfg: RunConfig) -> EpidemicDataset:
 
 
 def _configs(cfg: RunConfig, ds: EpidemicDataset) -> tuple[ModelConfig, BackboneConfig, TrainConfig]:
-    try:  # the config dataclasses validate their own fields
-        model_cfg = ModelConfig(
-            n_regions=ds.N,
-            w=cfg["w"],
-            width=cfg["backbone.width"],
-            mob_hidden=cfg["model.mob_hidden"],
-            epsilon=cfg["epsilon"],
-            seed=cfg["seed"],
-        )
-        backbone_cfg = BackboneConfig(
-            mode=cfg["backbone.mode"],
-            depth=cfg["backbone.depth"],
-            width=cfg["backbone.width"],
-            heads=cfg["backbone.heads"],
-            seed=cfg["backbone.seed"],
-            max_positions=cfg["backbone.max_positions"],
-        )
-        train_cfg = TrainConfig(
-            mob_weight=cfg["train.lambda"],
-            lr=cfg["train.lr"],
-            max_epochs=cfg["train.max_epochs"],
-            patience=cfg["train.patience"],
-            loss_form=cfg["train.loss_form"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    model_cfg = ModelConfig(
+        n_regions=ds.N,
+        w=cfg["w"],
+        width=cfg["backbone.width"],
+        mob_hidden=cfg["model.mob_hidden"],
+        epsilon=cfg["epsilon"],
+        seed=cfg["seed"],
+    )
+    backbone_cfg = BackboneConfig(
+        mode=cfg["backbone.mode"],
+        depth=cfg["backbone.depth"],
+        width=cfg["backbone.width"],
+        heads=cfg["backbone.heads"],
+        seed=cfg["backbone.seed"],
+        max_positions=cfg["backbone.max_positions"],
+    )
+    train_cfg = TrainConfig(
+        mob_weight=cfg["train.lambda"],
+        lr=cfg["train.lr"],
+        max_epochs=cfg["train.max_epochs"],
+        patience=cfg["train.patience"],
+        loss_form=cfg["train.loss_form"],
+    )
     return model_cfg, backbone_cfg, train_cfg
 
 
@@ -469,10 +453,7 @@ def main(argv=None) -> int:
         cfg = resolve_config(raw, seed_override=args.seed, out_override=args.out)
         COMMANDS[args.command](cfg)
         return 0
-    except (  # an InvalidSplitError is a DataError, but the split is a config value
-        ConfigError, BackboneConfigError, InsufficientContextError, TrainingRangeError, HorizonRangeError,
-        InvalidSplitError, ModelSizeError, ForecastSizeError,
-    ) as exc:
+    except ConfigError as exc:  # before DataError: an InvalidSplitError is both
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DataError, FileNotFoundError) as exc:

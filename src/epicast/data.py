@@ -26,6 +26,10 @@ class DataError(Exception):
     """Base class for dataset validation failures."""
 
 
+class ConfigError(ValueError):
+    """A configured value outside its domain; the CLI exits 2 on it and its subclasses."""
+
+
 class MalformedRowError(DataError):
     pass
 
@@ -58,8 +62,8 @@ class EmptyOverlapError(DataError):
     pass
 
 
-class InvalidSplitError(DataError):
-    pass
+class InvalidSplitError(DataError, ConfigError):
+    """A split that holds out nothing or the whole series."""
 
 
 def _parse_date(text: str, where: str) -> dt.date:
@@ -267,9 +271,9 @@ def build_dataset(
     optimization, it is not a fitted preprocessing step).
     """
     if w < 1:
-        raise ValueError(f"window length must be >= 1, got {w}")
+        raise ConfigError(f"window length must be >= 1, got {w}")
     if not np.isfinite(epsilon):
-        raise ValueError(f"epsilon must be finite, got {epsilon}")
+        raise ConfigError(f"epsilon must be finite, got {epsilon}")
     if not mobility.dates:
         raise EmptyOverlapError("mobility table has no dates")
     start = max(cases.dates[0], mobility.dates[0])
@@ -286,7 +290,7 @@ def build_dataset(
     counts = cases.counts[c0 : c1 + 1]
     T, N = counts.shape
     if w > T:
-        raise ValueError(f"window length w={w} is longer than the {T}-day series: no patch fits")
+        raise ConfigError(f"window length w={w} is longer than the {T}-day series: no patch fits")
     region_index = {r: i for i, r in enumerate(cases.regions)}
     idx = [region_index[r] for r in mobility.regions]
     mob_t = {day: k for k, day in enumerate(mobility.dates)}
@@ -311,7 +315,7 @@ def build_dataset(
     try:
         X = window_features(counts_model, w)
     except MemoryError as exc:
-        raise ValueError(f"window length w={w} over {T} days and {N} regions does not fit in memory ({exc})") from exc
+        raise ConfigError(f"window length w={w} over {T} days and {N} regions does not fit in memory ({exc})") from exc
     return EpidemicDataset(
         N=N,
         T=T,
@@ -368,11 +372,11 @@ class SirParams:
 
     def __post_init__(self):
         if self.beta < 0 or not np.isfinite(self.beta):
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+            raise ConfigError(f"beta must be >= 0, got {self.beta}")
         if not (0 < self.gamma_rec < 1):
-            raise ValueError(f"gamma_rec must lie in (0, 1), got {self.gamma_rec}")
+            raise ConfigError(f"gamma_rec must lie in (0, 1), got {self.gamma_rec}")
         if not 0 < self.population < 2**63:  # counts are int64
-            raise ValueError(f"population must be positive and below 2**63, got {self.population}")
+            raise ConfigError(f"population must be positive and below 2**63, got {self.population}")
 
 
 @dataclass
@@ -387,6 +391,7 @@ class SirSimulation:
     population: np.ndarray  # (N,)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a huge beta * S overflows to inf, and inf * 0 is nan
 def simulate_sir(
     n_regions: int,
     n_days: int,
@@ -402,10 +407,15 @@ def simulate_sir(
     """
     p = sir_params or SirParams()
     if n_regions < 1 or n_days < 1:
-        raise ValueError("need at least one region and one day")
+        raise ConfigError("need at least one region and one day")
     if not (0 <= p.seed_region < n_regions):
-        raise ValueError(f"seed_region {p.seed_region} outside 0..{n_regions - 1}")
-    rng = np.random.default_rng(rng_seed)
+        raise ConfigError(f"seed_region {p.seed_region} outside 0..{n_regions - 1}")
+    try:
+        rng = np.random.default_rng(rng_seed)
+    except ValueError as exc:  # a negative seed
+        raise ConfigError(str(exc)) from exc
+    if n_days * n_regions * n_regions * 8 >= 2**63:  # past what numpy can address
+        raise MemoryError(f"a ({n_days}, {n_regions}, {n_regions}) float64 mobility series passes 2**63 bytes")
 
     pop = np.full(n_regions, p.population, dtype=np.int64)
     # stationary flow graph: sparse off-diagonal travel plus heavy stay-at-home diagonal
@@ -433,8 +443,11 @@ def simulate_sir(
         contact = M[t].T.copy()
         contact /= contact.sum(axis=1, keepdims=True) + 1e-12
         pressure = contact @ (I / pop)
-        new_inf = np.rint(p.beta * S * pressure).astype(np.int64)
-        new_inf = np.minimum(new_inf, S)
+        rate = p.beta * S * pressure
+        rate[pressure == 0] = 0.0  # no pressure, no new cases, even where beta * S is inf
+        fits = rate < S  # clamp to S before the cast, so no rate past int64 is cast
+        new_inf = S.copy()
+        new_inf[fits] = np.rint(rate[fits])
         new_rec = np.minimum(np.rint(p.gamma_rec * I).astype(np.int64), I)
         S = S - new_inf
         I = I + new_inf - new_rec

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import BackboneConfig
-from .data import EpidemicDataset, SplitSpec, split_dataset
+from .data import ConfigError, EpidemicDataset, SplitSpec, split_dataset
 from .forecaster import forecast
 from .model import ModelConfig, build_model
 from .trainer import TrainConfig, train
@@ -26,7 +26,7 @@ from .trainer import TrainConfig, train
 BASELINES = ("AVG", "AVG_WINDOW", "LAST_DAY", "LIN_REG")
 
 
-class HorizonRangeError(ValueError):
+class HorizonRangeError(ConfigError):
     """A forecast horizon longer than the test range it is scored on."""
 
 

@@ -36,17 +36,17 @@ import numpy as np
 
 from .backbone import DecodeCache, backbone_forward
 from .branches import epi_adapt, mob_adapt, patch_grid
-from .data import EpidemicDataset, window_features
+from .data import ConfigError, EpidemicDataset, window_features
 from .model import ModelState
 from .tensor import no_grad
 from .trainer import epi_token_sequence, mob_token_sequence
 
 
-class InsufficientContextError(ValueError):
+class InsufficientContextError(ConfigError):
     pass
 
 
-class ForecastSizeError(ValueError):
+class ForecastSizeError(ConfigError):
     """A forecast horizon whose rollout history cannot be allocated."""
 
 

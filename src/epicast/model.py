@@ -18,6 +18,7 @@ from .branches import (
     init_epi_projector,
     init_mob_projector,
 )
+from .data import ConfigError
 from .prompts import PromptParams, init_prompts
 from .serialize import CheckpointError, load_tensors, save_tensors
 from .tensor import Parameter
@@ -29,7 +30,7 @@ class EmptyModelError(ValueError):
     """Parameter accounting on a model with no parameters at all."""
 
 
-class ModelSizeError(ValueError):
+class ModelSizeError(ConfigError):
     """Size keys that ask for more parameter memory than can be allocated."""
 
 
@@ -48,19 +49,19 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.n_regions < 1 or self.w < 1 or self.width < 1:
-            raise ValueError("n_regions, w, and width must all be positive")
+            raise ConfigError("n_regions, w, and width must all be positive")
         if self.mob_hidden < 0:
-            raise ValueError(f"mob_hidden must be >= 0 (0 means width), got {self.mob_hidden}")
+            raise ConfigError(f"mob_hidden must be >= 0 (0 means width), got {self.mob_hidden}")
         if self.tokenizer_mode not in TOKENIZER_MODES:
-            raise ValueError(f"unknown tokenizer mode {self.tokenizer_mode!r}")
+            raise ConfigError(f"unknown tokenizer mode {self.tokenizer_mode!r}")
         if self.gating_mode not in GATING_MODES:
-            raise ValueError(f"unknown gating mode {self.gating_mode!r}")
+            raise ConfigError(f"unknown gating mode {self.gating_mode!r}")
         if self.adjacency_mode not in ADJACENCY_MODES:
-            raise ValueError(f"unknown adjacency mode {self.adjacency_mode!r}")
+            raise ConfigError(f"unknown adjacency mode {self.adjacency_mode!r}")
         if not np.isfinite(self.epsilon):
-            raise ValueError(f"epsilon must be finite, got {self.epsilon}")
+            raise ConfigError(f"epsilon must be finite, got {self.epsilon}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -16,14 +16,14 @@ import numpy as np
 
 from .backbone import backbone_forward
 from .branches import epi_adapt, epi_tokenize, mob_adapt, mob_tokenize, patch_grid, stack_tokens
-from .data import EpidemicDataset
+from .data import ConfigError, EpidemicDataset
 from .model import ModelState, count_params
 from .tensor import Tensor, add, constant, mul, no_grad, sqrt, square, sub, tmean, tsum
 
 LOSS_FORMS = ("mean-squared", "mean-l2-norm")
 
 
-class TrainingRangeError(ValueError):
+class TrainingRangeError(ConfigError):
     """A training range too short to hold the two patches next-token training needs."""
 
 
@@ -46,20 +46,20 @@ class TrainConfig:
 
     def __post_init__(self):
         if not (np.isfinite(self.mob_weight) and self.mob_weight >= 0):
-            raise ValueError(f"mobility loss weight must be finite and >= 0, got {self.mob_weight}")
+            raise ConfigError(f"mobility loss weight must be finite and >= 0, got {self.mob_weight}")
         if not (np.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"learning rate must be finite and > 0, got {self.lr}")
+            raise ConfigError(f"learning rate must be finite and > 0, got {self.lr}")
         if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
+            raise ConfigError(f"patience must be >= 1, got {self.patience}")
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
         if not self.eps > 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
+            raise ConfigError(f"eps must be > 0, got {self.eps}")
         if self.loss_form not in LOSS_FORMS:
-            raise ValueError(f"unknown loss form {self.loss_form!r}; choose from {LOSS_FORMS}")
+            raise ConfigError(f"unknown loss form {self.loss_form!r}; choose from {LOSS_FORMS}")
 
 
 def _token_discrepancy(pred: Tensor, true: np.ndarray, loss_form: str) -> Tensor:

@@ -334,6 +334,8 @@ def test_exit_two_on_parameters_too_large_to_allocate(tmp_path, capsys, line, si
         ("forecast", {"horizon": str(3 * 10**13)}, "horizon of 30000000000000 days"),
         ("forecast", {"horizon": str(3 * 10**18)}, "horizon of 3000000000000000000 days"),  # past 2**63 bytes
         ("train", {"w": str(10**13), "horizon": str(10**13)}, "w=10000000000000"),
+        ("synth", {"synth.days": str(10**17)}, "synth.regions = 4 and synth.days = 100000000000000000"),  # past 2**63 bytes
+        ("train", {"synth.regions": str(10**20)}, "synth.regions = 100000000000000000000 and synth.days = 24"),
     ],
 )
 def test_exit_two_on_sizes_too_large_to_allocate(tmp_path, capsys, command, extra, named):
@@ -365,6 +367,22 @@ def test_dataset_too_large_to_build_is_a_config_error_only_for_synthetic_data(
         assert code == 2 and "config error: synth.regions = 4 and synth.days = 24" in err, err
     else:  # a data file too large to hold is not a config error
         assert code == 1 and "config error" not in err, err
+
+
+def test_a_value_error_outside_the_config_checks_is_not_a_config_error(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(cli_mod, "build_dataset", broken)
+    code = main(["train", "--config", str(_write_cfg(tmp_path / "run.cfg")), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1 and "config error" not in err and "a bug" in err, err
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_a_huge_synth_beta_exits_zero(tmp_path, command):
+    cfg_file = _write_cfg(tmp_path / "run.cfg", {"synth.beta": "1e300", "train.max_epochs": "1"})
+    assert main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("synthetic", [True, False])

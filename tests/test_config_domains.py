@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epicast.cli import CONFIG_SCHEMA, main
+from epicast.cli import CONFIG_SCHEMA, main, resolve_config
+from epicast.evalharness import ABLATION_VARIANTS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -170,15 +171,15 @@ def test_values_just_inside_a_domain_never_exit_one(workdir, key, data):
     assert code != 1, (key, value, err)
 
 
-def _readme_ranges() -> dict[str, str]:
-    """key -> range cell of the README's config table."""
+def _readme_column(column: int) -> dict[str, str]:
+    """key -> cell of the README's config table in the given column."""
     rows, inside = {}, False
     for line in README.read_text().splitlines():
         if line.startswith("| key | default | range |"):
             inside = True
         elif inside and line.startswith("| `"):
             cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
-            rows[cells[0].strip("`")] = cells[2]
+            rows[cells[0].strip("`")] = cells[column]
         elif inside and not line.startswith("|"):
             break
     return rows
@@ -191,4 +192,22 @@ def test_the_domain_table_covers_every_schema_key():
 
 
 def test_readme_states_every_key_with_the_same_range():
-    assert _readme_ranges() == {key: d.text for key, d in DOMAINS.items()}
+    assert _readme_column(2) == {key: d.text for key, d in DOMAINS.items()}
+
+
+DERIVED = ("backbone.seed", "checkpoint", "out", "forecast.context_end")  # worked out from other keys
+
+
+def test_readme_states_every_key_with_its_default():
+    cells = _readme_column(1)
+    defaults = resolve_config({}).values
+    assert set(cells) == set(defaults)
+    for key, cell in cells.items():
+        if key in DERIVED:
+            assert cell != "unset", key
+        elif key == "ablate.variants":
+            assert cell == "all ten" and defaults[key].split(",") == list(ABLATION_VARIANTS), key
+        elif defaults[key] is None:
+            assert cell == "unset", key
+        else:
+            assert CONFIG_SCHEMA[key][0](cell.split()[0].strip("`")) == defaults[key], (key, cell)

@@ -1,6 +1,7 @@
 """Data pipeline: CSV ingestion, windowing, splitting, synthetic SIR."""
 
 import datetime as dt
+import warnings
 
 import numpy as np
 import pytest
@@ -391,6 +392,20 @@ def test_sir_population_conserved_exactly():
     sim = simulate_sir(8, 40, SirParams(beta=0.5, gamma_rec=0.2), rng_seed=7)
     totals = sim.susceptible + sim.infected + sim.recovered
     assert (totals == sim.population[None, :]).all()
+
+
+@given(beta=st.floats(0.0, 1e308), population=st.integers(1, 2**63 - 1), seed=st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_sir_any_finite_beta_keeps_counts_in_range_without_warnings(beta, population, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sim = simulate_sir(3, 8, SirParams(beta=beta, population=population), rng_seed=seed)
+    before = np.concatenate((sim.population[None, :], sim.susceptible[:-1]))
+    assert (sim.counts >= 0).all() and (sim.counts <= before).all()
+    assert (sim.susceptible + sim.infected + sim.recovered == sim.population[None, :]).all()
+    # a region that no infected region (itself included) sends travellers to gets no new cases
+    exposed = np.einsum("tji,tj->ti", sim.mobility[1:] > 0, sim.infected[:-1] > 0)
+    assert (sim.counts[1:][~exposed] == 0).all()
 
 
 def test_sir_rejects_bad_params():
