@@ -410,10 +410,9 @@ def simulate_sir(
         raise ConfigError("need at least one region and one day")
     if not (0 <= p.seed_region < n_regions):
         raise ConfigError(f"seed_region {p.seed_region} outside 0..{n_regions - 1}")
-    try:
-        rng = np.random.default_rng(rng_seed)
-    except ValueError as exc:  # a negative seed
-        raise ConfigError(str(exc)) from exc
+    if rng_seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {rng_seed}")
+    rng = np.random.default_rng(rng_seed)
     if n_days * n_regions * n_regions * 8 >= 2**63:  # past what numpy can address
         raise MemoryError(f"a ({n_days}, {n_regions}, {n_regions}) float64 mobility series passes 2**63 bytes")
 

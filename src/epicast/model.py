@@ -105,13 +105,23 @@ def build_model(cfg: ModelConfig, backbone_cfg: BackboneConfig, backbone_weights
             )
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     hidden = cfg.mob_hidden or cfg.width
+    # entries of the largest weight matrix: of the projectors and adapters
+    # (N x H, H x D, and w, N or D by D), then of the backbone's
+    D = cfg.width
+    largest = max(cfg.n_regions * hidden, hidden * D, max(cfg.w, cfg.n_regions, D) * D)
+    if backbone_cfg.mode not in ("rnn", "identity"):
+        largest = max(largest, backbone_cfg.ffn_mult * D * D)  # feedforward weights
+    if "transformer" in backbone_cfg.mode:
+        largest = max(largest, backbone_cfg.max_positions * D)  # position table
     try:
+        if largest * 8 >= 2**63:  # numpy raises ValueError, not MemoryError, past this
+            raise MemoryError(f"a weight matrix of {largest} float64 entries passes 2**63 bytes")
         return ModelState(
             config=cfg,
-            epi_proj=init_epi_projector(rng, F=cfg.w, D=cfg.width),
-            mob_proj=init_mob_projector(rng, N=cfg.n_regions, hidden=hidden, D=cfg.width),
-            epi_adapter=init_adapter(rng, D=cfg.width, out=cfg.w, name="epi_adapter"),
-            mob_adapter=init_adapter(rng, D=cfg.width, out=cfg.n_regions, name="mob_adapter"),
+            epi_proj=init_epi_projector(rng, F=cfg.w, D=D),
+            mob_proj=init_mob_projector(rng, N=cfg.n_regions, hidden=hidden, D=D),
+            epi_adapter=init_adapter(rng, D=D, out=cfg.w, name="epi_adapter"),
+            mob_adapter=init_adapter(rng, D=D, out=cfg.n_regions, name="mob_adapter"),
             prompts=init_prompts(cfg.w),
             backbone=build_backbone(backbone_cfg, weights_path=backbone_weights),
         )

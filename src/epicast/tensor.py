@@ -15,11 +15,12 @@ inputs are all constant and compute no gradient for a frozen weight.
 The tape is kept apart from the data.  A recorded op gets a small node: a
 gradient slot, its input nodes and a backward closure.  The closure captures
 exactly the arrays its backward reads (``mul`` the *other* operand, ``linear``
-its input only when the weight needs a gradient, ``gelu`` its input and the
-tanh, ``add``, ``reshape`` or ``tsum`` shapes only), and no node ever holds
-its own output tensor.  So an intermediate array that no backward reads (a
-residual sum, a GELU output, a merged-heads copy) is freed during the forward
-as soon as the forward drops it.
+its input only when the weight needs a gradient, ``gelu`` its derivative,
+computed in the forward over the tanh's buffer, ``add``, ``reshape`` or
+``tsum`` shapes only), and no node ever holds its own output tensor.  So an
+intermediate array that no backward reads (a residual sum, a GELU input or
+output, a merged-heads copy) is freed during the forward as soon as the
+forward drops it.
 
 A tape's lifetime follows reference counting alone:
 
@@ -640,39 +641,42 @@ def gelu(a) -> Tensor:
     a = astensor(a)
     x = a.data
     # x * x * x, not x**3: numpy evaluates an integer power above 2 with a
-    # per-element libm pow, tens of times slower than two multiplications.  The
-    # backward keeps x and t and recomputes x * x: keeping it too would hold
-    # one more input-sized array per gelu on the tape.
-    t = x * x
+    # per-element libm pow, tens of times slower than two multiplications.
+    # t and out are arrays in x's layout even for a 0-d x, whose x * x would
+    # be a numpy scalar with no buffer to write into.
+    t = np.multiply(x, x, out=np.empty_like(x))
     t *= x
     t *= 0.044715
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
-    out = 0.5 * x
-    for o, tt in _blocks(out, t):
-        o *= 1.0 + tt
+    out = np.multiply(0.5, x, out=np.empty_like(x))
     nodes = _input_nodes(a)
     if nodes is None:
+        for o, tt in _blocks(out, t):
+            o *= 1.0 + tt
         return Tensor._result(out, (), None)
     (na,) = nodes
+    # The backward reads only the derivative: write it over t, block by block,
+    # finishing out from t + 1 on the way, and keep that one array, not x and t.
+    for o, tt, xx in _blocks(out, t, x):
+        b = tt * tt
+        np.subtract(1.0, b, out=b)
+        d = 0.5 * xx
+        d *= b
+        np.multiply(xx, 3 * 0.044715, out=b)
+        b *= xx
+        b += 1.0
+        b *= _GELU_C
+        d *= b  # 0.5 * x * (1 - t * t) * dinner
+        tt += 1.0
+        o *= tt
+        tt *= 0.5
+        tt += d
+    deriv = t
 
     def _bw(g):
-        b = np.multiply(t, t)
-        np.subtract(1.0, b, out=b)
-        for bb, xx, tt, gg in _blocks(b, x, t, g):
-            d = 0.5 * xx
-            d *= bb
-            np.multiply(xx, 3 * 0.044715, out=bb)
-            bb *= xx
-            bb += 1.0
-            bb *= _GELU_C
-            d *= bb  # 0.5 * x * (1 - t * t) * dinner
-            np.add(tt, 1.0, out=bb)
-            bb *= 0.5
-            bb += d
-            bb *= gg
-        _accumulate(na, b)
+        _accumulate(na, np.multiply(deriv, g, out=deriv))
 
     return Tensor._result(out, nodes, _bw)
 

@@ -313,6 +313,8 @@ def test_exit_two_on_history_longer_than_max_positions(tmp_path, capsys):
     [
         ("model.mob_hidden = 100000000000", "mob_hidden=100000000000"),
         ("backbone.max_positions = 100000000000", "max_positions=100000000000"),
+        ("model.mob_hidden = 1000000000000000000", "mob_hidden=1000000000000000000"),  # past 2**63 bytes
+        ("backbone.max_positions = 1000000000000000000", "max_positions=1000000000000000000"),
     ],
 )
 def test_exit_two_on_parameters_too_large_to_allocate(tmp_path, capsys, line, sizes):
@@ -614,3 +616,11 @@ def test_exit_two_on_report_input_that_is_not_a_metrics_file(tmp_path, capsys, c
     err = capsys.readouterr().err
     assert "config error: report input" in err and message in err, err
     assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "synth", "ablate"])
+def test_negative_seed_with_synthetic_data_names_the_seed(tmp_path, capsys, command):
+    cfg_file = _write_cfg(tmp_path / "bad.cfg", {"seed": "-1"})
+    assert main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: synth: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv")) and not (tmp_path / "out" / "checkpoint.bin").exists()

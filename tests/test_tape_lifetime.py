@@ -15,7 +15,7 @@ from epicast.branches import patch_grid
 from epicast.data import SirParams, SplitSpec, split_dataset, synth_sir
 from epicast.forecaster import forecast
 from epicast.model import ModelConfig, build_model
-from epicast.tensor import AutodiffError, Parameter, Tensor, _Node, add, mul, no_grad, square, tsum
+from epicast.tensor import AutodiffError, Parameter, Tensor, _Node, add, gelu, mul, no_grad, square, tsum
 from epicast.trainer import TrainConfig, sequence_loss, train, training_loss, validation_loss
 
 
@@ -23,9 +23,9 @@ def _ds(n=4, days=30, w=3, seed=5):
     return synth_sir(n, days, SirParams(beta=0.5, gamma_rec=0.2, population=2000), rng_seed=seed, w=w, scale=True)
 
 
-def _model(ds, width=8, seed=0):
+def _model(ds, width=8, seed=0, mode="frozen-transformer"):
     mc = ModelConfig(n_regions=ds.N, w=ds.w, width=width, seed=seed)
-    bc = BackboneConfig(mode="frozen-transformer", depth=2, width=width, heads=2, seed=seed + 1)
+    bc = BackboneConfig(mode=mode, depth=2, width=width, heads=2, seed=seed + 1)
     return build_model(mc, bc)
 
 
@@ -256,10 +256,10 @@ def _kept_arrays(loss):
     return list(arrays.values())
 
 
-def _train_setup():
+def _train_setup(mode="frozen-transformer"):
     ds = _ds(n=5, days=40, w=3)
     splits = split_dataset(ds, SplitSpec(test_len=3, val_len=3))
-    model = _model(ds, width=8)  # 2 layers, 2 heads of width 4, ffn width 4 * 8
+    model = _model(ds, width=8, mode=mode)  # 2 layers, 2 heads of width 4, ffn width 4 * 8
     P = len(patch_grid(splits.train.start, splits.train.stop, ds.w))
     assert P not in (4, 8, 32, ds.N)
     return ds, splits, model, P
@@ -275,14 +275,28 @@ def test_training_tape_keeps_only_the_attention_weights_of_each_score_shape():
         assert np.all(np.triu(weights, k=1) == 0.0)
 
 
-def test_frozen_training_tape_keeps_only_gelu_input_and_tanh_of_the_ffn_width():
-    """Of the (N, P, 4 * width) arrays of each feedforward block, only the two
-    the GELU backward reads stay on the tape: not the GELU output, which the
-    frozen second layer's backward does not read."""
-    ds, splits, model, P = _train_setup()
+@pytest.mark.parametrize("mode, per_gelu", [("frozen-transformer", 1), ("trainable-transformer", 2)])
+def test_training_tape_keeps_the_gelu_derivative_of_the_ffn_width(mode, per_gelu):
+    """Of the (N, P, 4 * width) arrays of each feedforward block, the tape keeps
+    the derivative the GELU backward reads, and the GELU output only when the
+    second layer's W needs a gradient (its backward reads its input); never
+    the GELU input or its tanh."""
+    ds, splits, model, P = _train_setup(mode)
     loss = training_loss(model, ds, splits.train, TrainConfig())
     hidden = [a for a in _kept_arrays(loss) if a.shape == (ds.N, P, 4 * 8)]
-    assert len(hidden) == 2 * 2 * 2  # gelu's x and t, per layer, per branch
+    assert len(hidden) == 2 * 2 * per_gelu  # per layer, per branch
+
+
+def test_gelu_hands_its_input_the_derivative_it_saved():
+    """GELU's backward multiplies g into the derivative array it saved, in place,
+    and hands its input that array: it allocates no input-sized array."""
+    a = Parameter(np.linspace(-3.0, 3.0, 12).reshape(3, 4), name="a")
+    out = gelu(a)
+    saved = [c.cell_contents for c in out._node._backward.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+    assert len(saved) == 1 and saved[0].shape == a.data.shape
+    a._node.grad = None  # so the leaf adopts the array handed to it
+    out._node._backward(np.full((3, 4), 2.0))
+    assert a.grad is saved[0]
 
 
 def test_backbone_outputs_die_before_the_loss(monkeypatch):
