@@ -9,8 +9,9 @@ Exit codes:
 
 - 0: success.
 - 1: anything else.
-- 2: config error, ``ConfigError`` and its subclasses.
-- 3: data error, a ``DataError`` or a missing data file.
+- 2: config error, ``ConfigError`` and its subclasses, a missing data file among them.
+- 3: data error, a ``DataError``: a data file that is a directory, unreadable,
+  not UTF-8 or malformed.
 - 4: checkpoint error, a ``CheckpointError``.
 - 5: diverged, a non-finite loss or prediction or a prompt graph without a positive degree.
 """
@@ -37,6 +38,7 @@ from .data import (
     build_dataset,
     load_cases,
     load_mobility,
+    read_file,
     split_dataset,
     synth_sir_tables,
     write_cases_csv,
@@ -138,11 +140,8 @@ class RunConfig:
 
 
 def parse_config_file(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_file(path, ConfigError, "config file").splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -182,9 +181,9 @@ def resolve_config(raw: dict, seed_override=None, out_override=None) -> RunConfi
         raise ConfigError(f"horizon {horizon} must be a multiple of the token window w={w}")
     if (values["data.cases"] is None) != (values["data.mobility"] is None):
         raise ConfigError("data.cases and data.mobility must be given together")
-    for key in ("data.cases", "data.mobility", "backbone.weights"):
-        if values[key] is not None and not Path(values[key]).exists():
-            raise ConfigError(f"{key} points at a missing file: {values[key]}")
+    for key in ("data.cases", "data.mobility", "backbone.weights"):  # before any output is written
+        if values[key] is not None and not (values[key] and Path(values[key]).exists()):  # Path("") is "."
+            raise ConfigError(f"{key} points at a missing file: {values[key]!r}")
     cfg = RunConfig(values=values)
     unknown = [v for v in cfg.variants if v not in ABLATION_VARIANTS]
     if unknown:
@@ -198,7 +197,10 @@ def _out_dir(cfg: RunConfig) -> Path:
         stamp = dt.datetime.now().strftime("%Y%m%d-%H%M%S")
         out = f"runs/{stamp}-seed{cfg['seed']}"
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # a file, a path under a file, no permission, a NUL byte
+        raise ConfigError(f"out {out!r} cannot be made a directory: {exc}") from exc
     return path
 
 
@@ -414,14 +416,12 @@ def cmd_report(cfg: RunConfig) -> Path:
         raise ConfigError("report.inputs must list metrics.json files (comma separated)")
     reports: list[MetricReport] = []
     for part in cfg["report.inputs"].split(","):
-        path = Path(part.strip())
-        if not path.exists():
-            raise ConfigError(f"report input not found: {path}")
-        try:  # a directory, not JSON, not an object, or an entry with unknown or missing keys
-            with open(path) as fh:
-                doc = json.load(fh)
+        path = part.strip()
+        text = read_file(path, ConfigError, "report input")
+        try:  # not JSON or nested too deeply, not an object, or an entry with unknown or missing keys
+            doc = json.loads(text)
             reports.extend(MetricReport(**entry) for entry in doc.get("reports", []))
-        except (AttributeError, OSError, TypeError, ValueError) as exc:
+        except (AttributeError, RecursionError, TypeError, ValueError) as exc:
             raise ConfigError(f"report input {path} is not a metrics file: {exc}") from exc
     csv_path, json_path = emit_report(reports, out)
     print(f"report: combined {len(reports)} reports -> {csv_path}")
@@ -456,7 +456,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:  # before DataError: an InvalidSplitError is both
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, FileNotFoundError) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except CheckpointError as exc:

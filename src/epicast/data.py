@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -64,6 +64,20 @@ class EmptyOverlapError(DataError):
 
 class InvalidSplitError(DataError, ConfigError):
     """A split that holds out nothing or the whole series."""
+
+
+def read_file(path, error: type[Exception], what: str, binary: bool = False) -> str | bytes:
+    """The contents of the input file at `path`: UTF-8 text, or bytes with `binary`.
+
+    Every input file is read here, so what an unreadable file means is decided
+    in one place: one that is missing, a directory, unreadable or not UTF-8
+    raises `error` with a message that starts with `what` and the path."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return data if binary else data.decode("utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL byte in the path
+        raise error(f"{what} {path}: {exc}") from exc
 
 
 def _parse_date(text: str, where: str) -> dt.date:
@@ -127,36 +141,34 @@ class MobilityTable:
 
 def load_cases(path) -> CaseTable:
     """Parse a case CSV; raises a named DataError per kind of defect."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"case file not found: {path}")
+    reader = csv.reader(io.StringIO(read_file(path, DataError, "case file"), newline=""))
     per_date: dict[dt.date, dict[str, int]] = {}
     regions: set[str] = set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["date", "region_id", "new_cases"]:
-            raise MalformedRowError(f"{path}: expected header 'date,region_id,new_cases'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise MalformedRowError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            day = _parse_date(row[0], f"{path}:{lineno}")
-            region = row[1].strip()
-            if not region:
-                raise MalformedRowError(f"{path}:{lineno}: empty region id")
-            try:
-                count = int(row[2])
-            except ValueError as exc:
-                raise MalformedRowError(f"{path}:{lineno}: bad count {row[2]!r}") from exc
-            if count < 0:
-                raise NegativeCountError(f"{path}:{lineno}: negative count {count}")
-            bucket = per_date.setdefault(day, {})
-            if region in bucket:
-                raise DuplicateRowError(f"{path}:{lineno}: duplicate entry for ({day}, {region})")
-            bucket[region] = count
-            regions.add(region)
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != ["date", "region_id", "new_cases"]:
+        raise MalformedRowError(f"{path}: expected header 'date,region_id,new_cases'")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise MalformedRowError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+        day = _parse_date(row[0], f"{path}:{lineno}")
+        region = row[1].strip()
+        if not region:
+            raise MalformedRowError(f"{path}:{lineno}: empty region id")
+        try:
+            count = int(row[2])
+        except ValueError as exc:
+            raise MalformedRowError(f"{path}:{lineno}: bad count {row[2]!r}") from exc
+        if count < 0:
+            raise NegativeCountError(f"{path}:{lineno}: negative count {count}")
+        if count >= 2**63:
+            raise MalformedRowError(f"{path}:{lineno}: count {count} does not fit in 64 bits")
+        bucket = per_date.setdefault(day, {})
+        if region in bucket:
+            raise DuplicateRowError(f"{path}:{lineno}: duplicate entry for ({day}, {region})")
+        bucket[region] = count
+        regions.add(region)
     if not per_date:
         raise MalformedRowError(f"{path}: no data rows")
     dates = sorted(per_date)
@@ -181,30 +193,26 @@ def load_mobility(path, dates: list[dt.date] | None = None) -> MobilityTable:
     file names, zero-weight rows included.  Rows are added in file order, so
     rows repeating a (date, src, dst) sum.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"mobility file not found: {path}")
+    reader = csv.reader(io.StringIO(read_file(path, DataError, "mobility file"), newline=""))
     rows: list[tuple[dt.date, str, str, float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["date", "src_region", "dst_region", "weight"]
-        if header is None or [h.strip() for h in header] != expected:
-            raise MalformedRowError(f"{path}: expected header 'date,src_region,dst_region,weight'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise MalformedRowError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            day = _parse_date(row[0], f"{path}:{lineno}")
-            src, dst = row[1].strip(), row[2].strip()
-            try:
-                wgt = float(row[3])
-            except ValueError as exc:
-                raise MalformedRowError(f"{path}:{lineno}: bad weight {row[3]!r}") from exc
-            if not np.isfinite(wgt) or wgt < 0:
-                raise NegativeWeightError(f"{path}:{lineno}: negative or non-finite weight {wgt}")
-            rows.append((day, src, dst, wgt))
+    header = next(reader, None)
+    expected = ["date", "src_region", "dst_region", "weight"]
+    if header is None or [h.strip() for h in header] != expected:
+        raise MalformedRowError(f"{path}: expected header 'date,src_region,dst_region,weight'")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise MalformedRowError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+        day = _parse_date(row[0], f"{path}:{lineno}")
+        src, dst = row[1].strip(), row[2].strip()
+        try:
+            wgt = float(row[3])
+        except ValueError as exc:
+            raise MalformedRowError(f"{path}:{lineno}: bad weight {row[3]!r}") from exc
+        if not np.isfinite(wgt) or wgt < 0:
+            raise NegativeWeightError(f"{path}:{lineno}: negative or non-finite weight {wgt}")
+        rows.append((day, src, dst, wgt))
     if dates is None:
         dates = sorted({day for day, _, _, _ in rows})
     else:

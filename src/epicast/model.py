@@ -3,6 +3,7 @@ parameter accounting, and flat-file checkpoints."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -105,17 +106,12 @@ def build_model(cfg: ModelConfig, backbone_cfg: BackboneConfig, backbone_weights
             )
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     hidden = cfg.mob_hidden or cfg.width
-    # entries of the largest weight matrix: of the projectors and adapters
-    # (N x H, H x D, and w, N or D by D), then of the backbone's
     D = cfg.width
-    largest = max(cfg.n_regions * hidden, hidden * D, max(cfg.w, cfg.n_regions, D) * D)
-    if backbone_cfg.mode not in ("rnn", "identity"):
-        largest = max(largest, backbone_cfg.ffn_mult * D * D)  # feedforward weights
-    if "transformer" in backbone_cfg.mode:
-        largest = max(largest, backbone_cfg.max_positions * D)  # position table
+    nbytes = 8 * parameter_count(cfg, backbone_cfg)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     try:
-        if largest * 8 >= 2**63:  # numpy raises ValueError, not MemoryError, past this
-            raise MemoryError(f"a weight matrix of {largest} float64 entries passes 2**63 bytes")
+        if nbytes >= memory:  # layers allocate one by one, so no single allocation fails first
+            raise MemoryError(f"{nbytes} bytes of float64 parameters, physical memory {memory}")
         return ModelState(
             config=cfg,
             epi_proj=init_epi_projector(rng, F=cfg.w, D=D),
@@ -128,10 +124,31 @@ def build_model(cfg: ModelConfig, backbone_cfg: BackboneConfig, backbone_weights
     except MemoryError as exc:
         raise ModelSizeError(
             f"model parameters do not fit in memory ({exc}); lower the size keys: "
-            f"n_regions={cfg.n_regions}, width={cfg.width}, mob_hidden={cfg.mob_hidden}, "
-            f"backbone depth={backbone_cfg.depth}, max_positions={backbone_cfg.max_positions}, "
-            f"ffn_mult={backbone_cfg.ffn_mult}"
+            f"n_regions={cfg.n_regions}, w={cfg.w}, backbone.width={cfg.width}, "
+            f"model.mob_hidden={cfg.mob_hidden}, backbone.depth={backbone_cfg.depth}, "
+            f"backbone.max_positions={backbone_cfg.max_positions}, ffn_mult={backbone_cfg.ffn_mult}"
         ) from exc
+
+
+def parameter_count(cfg: ModelConfig, backbone_cfg: BackboneConfig) -> int:
+    """The number of parameters `build_model` allocates, worked out from the
+    two configs alone, so a model too large to hold is refused before any
+    parameter is allocated."""
+    N, w, D, H, f = cfg.n_regions, cfg.w, cfg.width, cfg.mob_hidden or cfg.width, backbone_cfg.ffn_mult
+    # projectors (w -> D -> D, N -> H -> D), adapters (D -> w, D -> N), and
+    # the prompts' two edge weights and w gates
+    total = (w + 1) * D + (D + 1) * D + (N + 1) * H + (H + 1) * D + (D + 1) * (w + N) + 2 + w
+    ffn = (D + 1) * f * D + (f * D + 1) * D  # two linears, D -> fD -> D
+    if "transformer" in backbone_cfg.mode:
+        # position table, final LayerNorm, and per layer two LayerNorms,
+        # four D x D attention linears and the feedforward
+        layer = 4 * D + 4 * (D + 1) * D + ffn
+        total += backbone_cfg.max_positions * D + 2 * D + backbone_cfg.depth * layer
+    elif backbone_cfg.mode == "mlp":
+        total += ffn
+    elif backbone_cfg.mode == "rnn":
+        total += 3 * (2 * D + 1) * D  # W, U and b of three gates
+    return total
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import read_file
+
 
 class CheckpointError(RuntimeError):
     """Missing, truncated, inconsistent or non-finite weight files."""
@@ -23,39 +25,41 @@ def sidecar_path(bin_path) -> Path:
 
 
 def save_tensors(named: dict[str, np.ndarray], bin_path, meta: dict | None = None) -> Path:
-    """Write tensors to `bin_path` and an index to `bin_path + '.json'`."""
+    """Write tensors to `bin_path` and an index to `bin_path + '.json'`; raises
+    CheckpointError, naming the path, when either cannot be written."""
     bin_path = Path(bin_path)
-    bin_path.parent.mkdir(parents=True, exist_ok=True)
     index = []
     offset = 0
-    with open(bin_path, "wb") as fh:
-        for name, arr in named.items():
-            shape = list(np.shape(arr))  # before ascontiguousarray, which promotes 0-d to 1-d
-            arr = np.ascontiguousarray(arr, dtype="<f8")
-            fh.write(arr.tobytes())
-            index.append({"name": name, "shape": shape, "offset": offset})
-            offset += arr.nbytes
-    doc = {"format": "flat-f8-le", "total_bytes": offset, "tensors": index, "meta": meta or {}}
-    with open(sidecar_path(bin_path), "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+    try:  # a parent that is a file, no permission, or a NUL byte in the path
+        bin_path.parent.mkdir(parents=True, exist_ok=True)
+        with open(bin_path, "wb") as fh:
+            for name, arr in named.items():
+                shape = list(np.shape(arr))  # before ascontiguousarray, which promotes 0-d to 1-d
+                arr = np.ascontiguousarray(arr, dtype="<f8")
+                fh.write(arr.tobytes())
+                index.append({"name": name, "shape": shape, "offset": offset})
+                offset += arr.nbytes
+        doc = {"format": "flat-f8-le", "total_bytes": offset, "tensors": index, "meta": meta or {}}
+        with open(sidecar_path(bin_path), "w") as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True)
+    except (OSError, ValueError) as exc:
+        raise CheckpointError(f"cannot write weight file {bin_path}: {exc}") from exc
     return bin_path
 
 
 def load_tensors(bin_path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read tensors and sidecar meta back; raises CheckpointError on a mismatch
-    or on a tensor holding NaN or inf, naming the file and the tensor."""
-    bin_path = Path(bin_path)
+    """Read tensors and sidecar meta back; raises CheckpointError on an
+    unreadable file, a mismatch or a tensor holding NaN or inf, naming the file
+    and the tensor."""
+    blob = read_file(bin_path, CheckpointError, "weight file", binary=True)
     side = sidecar_path(bin_path)
-    if not bin_path.exists():
-        raise CheckpointError(f"weight file not found: {bin_path}")
-    if not side.exists():
-        raise CheckpointError(f"sidecar not found: {side}")
-    try:  # bad JSON, a non-object document, a missing key, or a bad shape or offset
-        with open(side) as fh:
-            doc = json.load(fh)
+    try:  # bad or too deeply nested JSON, a non-object document, a missing key, or a bad shape or offset
+        doc = json.loads(read_file(side, CheckpointError, "sidecar"))
         if doc.get("format") != "flat-f8-le":
             raise CheckpointError(f"{side}: unsupported weight format {doc.get('format')!r}")
-        blob = bin_path.read_bytes()
+        meta = doc.get("meta", {})
+        if not isinstance(meta, dict):
+            raise CheckpointError(f"{side}: meta is {type(meta).__name__}, not an object")
         if len(blob) != doc["total_bytes"]:
             raise CheckpointError(
                 f"weight file is {len(blob)} bytes, sidecar expects {doc['total_bytes']}"
@@ -68,6 +72,6 @@ def load_tensors(bin_path) -> tuple[dict[str, np.ndarray], dict]:
             if not np.all(np.isfinite(arr)):
                 raise CheckpointError(f"{bin_path}: tensor {entry['name']!r} holds non-finite values")
             out[entry["name"]] = arr.reshape(shape).astype(np.float64)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{side}: broken sidecar: {exc!r}") from exc
-    return out, doc.get("meta", {})
+    return out, meta

@@ -315,15 +315,22 @@ def test_exit_two_on_history_longer_than_max_positions(tmp_path, capsys):
         ("backbone.max_positions = 100000000000", "max_positions=100000000000"),
         ("model.mob_hidden = 1000000000000000000", "mob_hidden=1000000000000000000"),  # past 2**63 bytes
         ("backbone.max_positions = 1000000000000000000", "max_positions=1000000000000000000"),
+        # layers allocate one by one; width 512 makes it 25 TB, past any machine's memory
+        ("backbone.depth = 1000000\nbackbone.width = 512", "backbone.depth=1000000"),
     ],
 )
-def test_exit_two_on_parameters_too_large_to_allocate(tmp_path, capsys, line, sizes):
+def test_exit_two_on_parameters_too_large_to_allocate(tmp_path, capsys, monkeypatch, line, sizes):
+    monkeypatch.setattr("epicast.model.build_backbone", _no_backbone)
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("\n".join(f"{k} = {v}" for k, v in FAST.items()) + f"\n{line}\n")
     assert main(["train", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "config error: model parameters do not fit in memory" in err and sizes in err, err
     assert not (tmp_path / "out" / "checkpoint.bin").exists()
+
+
+def _no_backbone(*args, **kwargs):
+    raise AssertionError("backbone parameters allocated before the size check")
 
 
 # Sizes whose arrays are larger than the 128 TiB user address space, so the
@@ -424,13 +431,18 @@ def test_exit_two_on_training_range_shorter_than_two_patches(tmp_path, capsys):
             lambda text: text.replace('"mob_hidden": 0', '"mob_hidden": 100000000000'),
             "do not fit in memory",
         ),
+        (  # width 512 makes it 25 TB, past any machine's memory
+            lambda text: text.replace('"depth": 1', '"depth": 1000000').replace('"width": 8', '"width": 512'),
+            "backbone.depth=1000000",
+        ),
     ],
-    ids=["truncated-json", "json-list", "no-total-bytes", "unknown-config-key", "w-zero", "mob-hidden-huge"],
+    ids=["truncated-json", "json-list", "no-total-bytes", "unknown-config-key", "w-zero", "mob-hidden-huge", "depth-huge"],
 )
-def test_exit_four_on_broken_checkpoint_sidecar(tmp_path, capsys, corrupt, message):
+def test_exit_four_on_broken_checkpoint_sidecar(tmp_path, capsys, monkeypatch, corrupt, message):
     cfg_file = _write_cfg(tmp_path / "run.cfg")
     out = tmp_path / "out"
     assert main(["train", "--config", str(cfg_file), "--out", str(out)]) == 0
+    monkeypatch.setattr("epicast.model.build_backbone", _no_backbone)
     side = out / "checkpoint.bin.json"
     text = side.read_text()
     broken = corrupt(text)

@@ -73,7 +73,7 @@ DOMAINS = {
     "split.test": Domain(SPLIT, "train", low=1, high=DAYS - 2 - 1),
     "split.val": Domain(SPLIT, "train", low=1, high=DAYS - 2 - 1),
     "backbone.mode": Domain("`frozen-transformer`, `trainable-transformer`, `mlp`, `rnn`, `identity`"),
-    "backbone.depth": Domain("≥ 0", "train", low=0),  # no upper draws: layers allocate one by one
+    "backbone.depth": Domain("≥ 0", "train", low=0),  # no upper draws: the parameter bound is this machine's memory
     "backbone.width": Domain("≥ 1", "train", low=1),
     "backbone.heads": Domain(
         "1 … backbone.width, dividing it (transformer modes)", "train", low=1, high=WIDTH, excluded=(3, 5, 6, 7)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import epicast.data as data_mod
 from epicast.data import (
     CaseTable,
+    DataError,
     DateFormatError,
     DateGapError,
     DuplicateRowError,
@@ -73,7 +74,7 @@ def test_load_cases_duplicate_row(tmp_path):
 
 
 def test_load_cases_missing_file(tmp_path):
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(DataError):
         load_cases(tmp_path / "nope.csv")
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from epicast.backbone import BackboneConfig
+from epicast.backbone import MODES, BackboneConfig
 from epicast.model import (
     EmptyModelError,
     ModelConfig,
@@ -11,6 +11,7 @@ from epicast.model import (
     build_model,
     count_params,
     load_checkpoint,
+    parameter_count,
     save_checkpoint,
 )
 from epicast.serialize import CheckpointError
@@ -35,6 +36,13 @@ def test_frozen_ratio_shrinks_with_backbone_size():
     big = count_params(_model(width=256, depth=4))
     assert small.ratio < 1.0
     assert big.ratio < small.ratio
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_parameter_count_is_what_build_model_allocates(mode):
+    mc = ModelConfig(n_regions=5, w=3, width=8, mob_hidden=6)
+    bc = BackboneConfig(mode=mode, depth=2, width=8, heads=2, max_positions=7, ffn_mult=3)
+    assert parameter_count(mc, bc) == count_params(build_model(mc, bc)).total
 
 
 def test_empty_model_ratio_is_an_error():

@@ -121,3 +121,54 @@ def test_the_check_sees_an_op_without_a_case():
         "def helper(a):\n    return covered(a)\n"
     )
     assert _without_fd_case(ast.parse(source), {"covered": lambda a, b: covered(a)}) == ["fused"]  # noqa: F821
+
+
+# the one reader, the config's check that a named data file exists before any
+# output is written, and the reader of the package's own data
+READERS = ("read_file", "resolve_config", "load_reference_results")
+
+
+def _file_reads(tree):
+    """Calls outside READERS that open a file for reading, read one, parse JSON
+    from one, or test whether one exists."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name in READERS:
+            continue
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name == "open":
+                mode = node.args[1] if len(node.args) > 1 else next((k.value for k in node.keywords if k.arg == "mode"), None)
+                if not (isinstance(mode, ast.Constant) and set("wax") & set(mode.value)):
+                    yield node.lineno, "open"
+            elif name in ("read_text", "read_bytes", "exists"):
+                yield node.lineno, name
+            elif name == "load" and isinstance(func.value, ast.Name) and func.value.id == "json":
+                yield node.lineno, "json.load"
+
+
+def test_every_input_file_is_read_by_the_one_reader():
+    hits = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in _file_reads(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not hits, (
+        f"files read at {hits}: read an input file with data.read_file, which decides in one "
+        "place what a missing, unreadable or non-UTF-8 file means"
+    )
+
+
+def test_the_check_sees_a_read_outside_the_reader():
+    source = (
+        "def read_file(path):\n    return open(path, 'rb').read()\n"
+        "def load(path):\n    if path.exists():\n        return json.load(open(path))\n"
+        "def text(path):\n    return path.read_text() + path.read_bytes() + json.loads('1')\n"
+        "def write(path):\n    with open(path, 'w') as fh, path.open(mode='ab'):\n        pass\n"
+        "class Store:\n    def get(self, path):\n        return path.open(mode='r')\n"
+    )
+    assert sorted(_file_reads(ast.parse(source))) == [
+        (4, "exists"), (5, "json.load"), (5, "open"), (7, "read_bytes"), (7, "read_text"), (13, "open"),
+    ]
