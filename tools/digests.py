@@ -1,6 +1,7 @@
 """Bitwise ledger: sha256 digests of what epicast computes at fixed shapes.
 
-For each case (a backbone mode at a fixed synthetic shape) the ledger holds
+For each case (a backbone mode at a fixed synthetic shape, and for three
+cases a tokenizer or gating mode other than graph + gated) the ledger holds
 the sha256 of
 
 - ``train_losses``, ``gradients``, ``val_losses``: every epoch's training
@@ -50,14 +51,21 @@ MODES = ("frozen-transformer", "trainable-transformer", "mlp", "rnn")
 # (N, T, w, scale, epochs, forecast steps)
 SHAPES = ((34, 120, 7, False, 3, 8), (10, 186, 3, False, 3, 8), (12, 60, 3, True, 3, 8))
 LARGE = ("frozen-transformer", (129, 120, 7, False, 1, 3))
+# the tokenizer and gating modes besides graph + gated, each on the frozen
+# transformer at N12-T60-w3, unscaled so that a change to how scales are fitted
+# leaves them in place
+TOKEN_SHAPE = (12, 60, 3, False, 3, 8)
+TOKEN_MODES = ({"tokenizer_mode": "mlp"}, {"gating_mode": "average"}, {"gating_mode": "last"})
 
 
 def cases() -> dict[str, tuple]:
-    """Case name -> (backbone mode, shape), in ledger order."""
+    """Case name -> (backbone mode, shape, ModelConfig keywords), in ledger order."""
     out = {}
-    for mode, shape in [(m, s) for s in SHAPES for m in MODES] + [LARGE]:
+    plain = [(m, s, {}) for s in SHAPES for m in MODES] + [(*LARGE, {})]
+    for mode, shape, model_kw in plain + [("frozen-transformer", TOKEN_SHAPE, kw) for kw in TOKEN_MODES]:
         N, T, w, scale, _, _ = shape
-        out[f"{mode}/N{N}-T{T}-w{w}{'-scaled' if scale else ''}"] = (mode, shape)
+        name = f"{mode}/N{N}-T{T}-w{w}{'-scaled' if scale else ''}"
+        out[name + "".join(f"/{k.split('_')[0]}-{v}" for k, v in model_kw.items())] = (mode, shape, model_kw)
     return out
 
 
@@ -79,12 +87,12 @@ def _sha(arrays) -> str:
     return h.hexdigest()
 
 
-def digest_case(mode: str, shape: tuple) -> dict[str, str]:
+def digest_case(mode: str, shape: tuple, model_kw: dict) -> dict[str, str]:
     N, T, w, scale, epochs, steps = shape
     ds = synth_sir(N, T, rng_seed=SEED, w=w, scale=scale)
     splits = split_dataset(ds, SplitSpec(test_len=steps * w, val_len=2 * w))
     model = build_model(
-        ModelConfig(n_regions=N, w=w, width=WIDTH, seed=SEED),
+        ModelConfig(n_regions=N, w=w, width=WIDTH, seed=SEED, **model_kw),
         BackboneConfig(mode=mode, depth=DEPTH, width=WIDTH, heads=HEADS, seed=SEED),
     )
     cfg = TrainConfig()
@@ -127,8 +135,8 @@ def main(argv=None) -> int:
     table = cases()
     if args.record:
         doc = {"environment": environment(), "cases": {}}
-        for name, (mode, shape) in table.items():
-            doc["cases"][name] = digest_case(mode, shape)
+        for name, case in table.items():
+            doc["cases"][name] = digest_case(*case)
             print(f"recorded {name}", flush=True)
         LEDGER.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         return 0
@@ -139,8 +147,8 @@ def main(argv=None) -> int:
         print(f"environment differs: ledger {doc['environment']}, here {env}; nothing checked")
         return 0
     moved = []
-    for name, (mode, shape) in table.items():
-        got = digest_case(mode, shape)
+    for name, case in table.items():
+        got = digest_case(*case)
         here = [f"{name}:{key}" for key, want in doc["cases"][name].items() if got.get(key) != want]
         print(f"{name}: {'moved ' + ', '.join(here) if here else 'ok'}", flush=True)
         moved += here
