@@ -187,10 +187,10 @@ def build_backbone(cfg: BackboneConfig, weights_path=None) -> BackboneState:
     return state
 
 
-def _causal_mask(P: int) -> np.ndarray:
-    mask = np.zeros((P, P))
-    mask[np.triu_indices(P, k=1)] = -np.inf
-    return mask
+def _causal_mask(start: int, P: int) -> np.ndarray:
+    """The additive mask of the queries at positions start..P-1 over the keys
+    0..P-1: -inf where a key comes after its query, 0 elsewhere."""
+    return np.where(np.arange(P) > np.arange(start, P)[:, None], -np.inf, 0.0)
 
 
 def _attention(
@@ -263,7 +263,7 @@ def backbone_forward(tokens: Tensor, state: BackboneState, cache: DecodeCache | 
 
     if cfg.mode in ("frozen-transformer", "trainable-transformer"):
         x = add(x, p["pos_emb"][start:P])
-        mask = _causal_mask(P)[start:]
+        mask = _causal_mask(start, P)
         for layer in range(cfg.depth):
             attn_in = layer_norm(x, p[f"layer{layer}.ln1.g"], p[f"layer{layer}.ln1.b"])
             x = add(x, _attention(attn_in, state, layer, mask, cache))

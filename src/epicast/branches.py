@@ -19,16 +19,15 @@ from .tensor import (
     Parameter,
     Tensor,
     _accumulate,
+    _affine,
     _input_nodes,
+    _sigmoid,
+    _unbroadcast,
+    _weight_grad,
     concat,
-    constant,
     linear,
-    mul,
     relu,
     reshape,
-    sigmoid,
-    tmean,
-    tsum,
 )
 
 GATING_MODES = ("gated", "average", "last")
@@ -99,84 +98,104 @@ def init_adapter(rng: np.random.Generator, D: int, out: int, name: str) -> Adapt
     return Adapter(W, b)
 
 
-def propagate(graph: PromptedGraph, H: Tensor) -> Tensor:
-    """One message-passing step ``D^-1/2 (B + I)^T D^-1/2 H`` over the block graph.
+def _degree_scale(graph: PromptedGraph) -> np.ndarray:
+    """``deg^-1/2`` of every block-graph node, as a (w, N, 1) array.
 
-    B is the graph's (w*N)^2 block adjacency and H its node features, laid
-    out as (w, N, F).  Messages travel along edge direction, so node (k, i)
-    receives ``A_k[j, i]`` from (k, j), its own features through the
-    self-loop, ``w_forward`` from (k-1, i) and ``w_backward`` from (k+1, i).
     The degree follows in closed form (Kipf & Welling symmetric
     normalization, applied blockwise):
     ``deg_k = 1 + colsum(A_k) + w_forward [k > 0] + w_backward [k < w-1]``.
-
-    One tape node over (H, w_forward, w_backward) with a hand-written
-    backward; B itself is never built.  Self-loops keep every degree >= 1
-    while the edge weights are nonnegative.  Negative learned prompt edge
-    weights can break that; the degree is then rejected, never clipped, so
-    a valid state's numbers are those of the plain normalization.
+    Self-loops keep every degree >= 1 while the edge weights are
+    nonnegative.  Negative learned prompt edge weights can break that; the
+    degree is then rejected, never clipped, so a valid state's numbers are
+    those of the plain normalization.
     """
-    A, wf, wb = graph.slices, graph.w_forward, graph.w_backward
-    deg = 1.0 + A.sum(axis=1)  # (w, N): in-strength of every node
-    deg[1:] += wf.data
-    deg[:-1] += wb.data
+    deg = 1.0 + graph.slices.sum(axis=1)  # (w, N): in-strength of every node
+    deg[1:] += graph.w_forward.data
+    deg[:-1] += graph.w_backward.data
     if np.any(deg <= 0):
         raise PromptGraphError(
             f"the prompt edge weights (prompts.forward, prompts.backward) leave a block-graph "
             f"node with degree {deg.min():.6g}; degrees must stay positive"
         )
-    s = (1.0 / np.sqrt(deg))[:, :, None]
-    Z = s * H.data
+    return (1.0 / np.sqrt(deg))[:, :, None]
+
+
+def _propagate(A: np.ndarray, s: np.ndarray, wf, wb, H: np.ndarray) -> np.ndarray:
+    """One message-passing step ``D^-1/2 (B + I)^T D^-1/2 H`` over the block graph.
+
+    B is the (w*N)^2 block adjacency of the slices A (w, N, N) and H its node
+    features, laid out as (w, N, F); s is ``_degree_scale``.  Messages travel
+    along edge direction, so node (k, i) receives ``A_k[j, i]`` from (k, j),
+    its own features through the self-loop, ``wf`` from (k-1, i) and ``wb``
+    from (k+1, i).  B itself is never built.
+    """
+    Z = s * H
     U = np.swapaxes(A, 1, 2) @ Z
     U += Z
-    U[1:] += wf.data * Z[:-1]
-    U[:-1] += wb.data * Z[1:]
-    out = s * U
-    nodes = _input_nodes(H, wf, wb)
-    if nodes is None:
-        return Tensor._result(out, (), None)
-    nH, nwf, nwb = nodes
-    wf_data, wb_data = wf.data, wb.data
-    # only the edge-weight gradients read H and the output
-    H_data, out_data = (H.data, out) if nwf is not None or nwb is not None else (None, None)
-
-    def _bw(g):
-        # Z is recomputed and U never kept, so the closure holds no array
-        # beyond s, H and the output
-        dU = s * g
-        dZ = A @ dU
-        dZ += dU
-        dZ[:-1] += wf_data * dU[1:]
-        dZ[1:] += wb_data * dU[:-1]
-        if nH is not None:
-            _accumulate(nH, s * dZ)
-        if nwf is not None or nwb is not None:
-            Z = s * H_data
-            # s = deg^-1/2 enters as out = s * U and Z = s * H, so
-            # dL/ds = sum_F(g * U + dZ * H) and dL/ddeg = -s^3 / 2 * dL/ds;
-            # one factor s turns g * U into g * out and dZ * H into dZ * Z
-            ds_scaled = (g * out_data).sum(axis=-1, keepdims=True) + (dZ * Z).sum(axis=-1, keepdims=True)
-            ddeg = -0.5 * (s * s) * ds_scaled
-            if nwf is not None:
-                _accumulate(nwf, np.asarray((dU[1:] * Z[:-1]).sum() + ddeg[1:].sum()))
-            if nwb is not None:
-                _accumulate(nwb, np.asarray((dU[:-1] * Z[1:]).sum() + ddeg[:-1].sum()))
-
-    return Tensor._result(out, nodes, _bw)
+    U[1:] += wf * Z[:-1]
+    U[:-1] += wb * Z[1:]
+    return s * U
 
 
-def _gate_blend(H: Tensor, prompts: PromptParams, gating_mode: str) -> Tensor:
-    """Blend per-slice embeddings H (w, N, D) into one token (N, D) per region."""
-    w = H.data.shape[0]
+def _propagate_backward(A: np.ndarray, s: np.ndarray, wf, wb, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For an output gradient g of ``_propagate``: the gradients dU of its
+    unscaled sum and dZ of its scaled input; H's gradient is ``s * dZ``."""
+    dU = s * g
+    dZ = A @ dU
+    dZ += dU
+    dZ[:-1] += wf * dU[1:]
+    dZ[1:] += wb * dU[:-1]
+    return dU, dZ
+
+
+def _edge_grads(nodes, s, H, out, g, dU, dZ) -> None:
+    """Accumulate into the (w_forward, w_backward) nodes, None for a constant,
+    their gradients through one ``_propagate`` of H to out."""
+    nwf, nwb = nodes
+    Z = s * H
+    # s = deg^-1/2 enters as out = s * U and Z = s * H, so
+    # dL/ds = sum_F(g * U + dZ * H) and dL/ddeg = -s^3 / 2 * dL/ds;
+    # one factor s turns g * U into g * out and dZ * H into dZ * Z
+    ds_scaled = (g * out).sum(axis=-1, keepdims=True) + (dZ * Z).sum(axis=-1, keepdims=True)
+    ddeg = -0.5 * (s * s) * ds_scaled
+    if nwf is not None:
+        _accumulate(nwf, np.asarray((dU[1:] * Z[:-1]).sum() + ddeg[1:].sum()))
+    if nwb is not None:
+        _accumulate(nwb, np.asarray((dU[:-1] * Z[1:]).sum() + ddeg[:-1].sum()))
+
+
+def _blend(H: np.ndarray, sg: np.ndarray | None, gating_mode: str) -> np.ndarray:
+    """Blend per-slice embeddings H (w, N, D) into one token (N, D) per region,
+    with sg the gates ``sigmoid(gamma)`` (None in the average mode)."""
     if gating_mode == "gated":
-        return tsum(mul(reshape(sigmoid(prompts.gamma), (w, 1, 1)), H), axis=0)
+        return (sg.reshape(-1, 1, 1) * H).sum(axis=0)
     if gating_mode == "average":
-        return tmean(H, axis=0)
-    if gating_mode == "last":
-        # keep the last slice's gate so a window of one day degenerates to
-        # the gated form exactly
-        return mul(sigmoid(prompts.gamma)[w - 1], H[w - 1])
-    raise ValueError(f"unknown gating mode {gating_mode!r}")
+        return H.mean(axis=0)
+    # keep the last slice's gate so a window of one day degenerates to the
+    # gated form exactly
+    return sg[-1] * H[-1]
+
+
+def _blend_backward(g, shape, sg, gating_mode, H, ngamma) -> np.ndarray:
+    """The gradient of the blended slices for a token gradient g.  Accumulates
+    gamma's gradient into ngamma, None when gamma is a constant; only that
+    gradient reads H, the slices themselves."""
+    w = shape[0]
+    if gating_mode == "average":
+        return np.broadcast_to(np.expand_dims(g, 0), shape) / w
+    if gating_mode == "gated":
+        g = np.broadcast_to(np.expand_dims(g, 0), shape)
+        if ngamma is not None:
+            dsg = _unbroadcast(g * H, (w, 1, 1)).reshape(w)
+            _accumulate(ngamma, dsg * sg * (1.0 - sg))
+        return g * sg.reshape(w, 1, 1)
+    if ngamma is not None:
+        dsg = np.zeros(w)
+        dsg[w - 1] += _unbroadcast(g * H[w - 1], ())
+        _accumulate(ngamma, dsg * sg * (1.0 - sg))
+    dH = np.zeros(shape)
+    dH[w - 1] += g * sg[w - 1]
+    return dH
 
 
 def epi_tokenize(
@@ -190,44 +209,129 @@ def epi_tokenize(
     """One epidemic token (N, D) from a w-day window of features and graphs.
 
     In "graph" mode the features of all w*N (slice, region) nodes are pushed
-    through two message-passing layers over the prompted block graph, each
-    one blockwise ``propagate`` node over the (w, N, N) slices with the
-    closed-form degree; the dense block adjacency is never built.  In "mlp"
-    mode the adjacency is ignored and the same weights act as a plain
-    per-node feedforward.  Either way the (w, N, D) output is blended over
-    the slices into the token.
+    through two message-passing layers over the prompted block graph,
+    ``H1 = relu(P1 @ W1 + b1)`` with ``P1 = prop(X)`` and
+    ``H2 = P2 @ W2 + b2`` with ``P2 = prop(H1)``, each ``prop`` blockwise
+    over the (w, N, N) slices with the closed-form degree; the dense block
+    adjacency is never built.  In "mlp" mode the adjacency is ignored and the
+    same weights act as a plain per-node feedforward (P1 is X, P2 is H1).
+    Either way the (w, N, D) output H2 is blended over the slices into the
+    token.
+
+    One tape node per call, over the parameters the modes read.  It keeps
+    the two propagated maps and the degree scale, or in "mlp" mode only the
+    window.  Its backward rebuilds H1 and H2 with one GEMM each, then runs the
+    backward of the composed ops (blend, linear, prop, relu, linear, prop) in
+    their order, so the token and every gradient are bitwise those of that
+    composition.
     """
     X_window = np.asarray(X_window, dtype=np.float64)
     A_window = np.asarray(A_window, dtype=np.float64)
     if X_window.ndim != 3:
         raise ValueError(f"expected (w, N, F) features, got {X_window.shape}")
     w, n, F = X_window.shape
-    if proj.W1.data.shape[0] != F:
-        raise ValueError(f"projector expects F={proj.W1.data.shape[0]}, features have F={F}")
-    H0 = constant(X_window)
-    if tokenizer_mode == "graph":
+    W1, b1, W2, b2 = (p.data for p in proj.parameters())
+    if W1.shape[0] != F:
+        raise ValueError(f"projector expects F={W1.shape[0]}, features have F={F}")
+    if gating_mode not in GATING_MODES:
+        raise ValueError(f"unknown gating mode {gating_mode!r}")
+    if tokenizer_mode not in TOKENIZER_MODES:
+        raise ValueError(f"unknown tokenizer mode {tokenizer_mode!r}")
+    graph_mode = tokenizer_mode == "graph"
+    if graph_mode:
         if A_window.shape != (w, n, n):
             raise ValueError(f"adjacency stack {A_window.shape} does not match features {X_window.shape}")
         graph = build_prompted_graph(A_window, prompts)
-        H1 = relu(linear(propagate(graph, H0), proj.W1, proj.b1))
-        H2 = linear(propagate(graph, H1), proj.W2, proj.b2)
-    elif tokenizer_mode == "mlp":
-        H1 = relu(linear(H0, proj.W1, proj.b1))
-        H2 = linear(H1, proj.W2, proj.b2)
+        A, s, wf, wb = graph.slices, _degree_scale(graph), graph.w_forward.data, graph.w_backward.data
+        P1 = _propagate(A, s, wf, wb, X_window)
+        edges = (graph.w_forward, graph.w_backward)
     else:
-        raise ValueError(f"unknown tokenizer mode {tokenizer_mode!r}")
-    return _gate_blend(H2, prompts, gating_mode)
+        P1, edges = X_window, ()
+    pre = _affine(P1, W1, b1)
+    H1 = np.where(pre > 0, pre, 0.0)
+    P2 = _propagate(A, s, wf, wb, H1) if graph_mode else None
+    gated = gating_mode != "average"
+    sg = _sigmoid(prompts.gamma.data) if gated else None
+    token = _blend(_affine(H1 if P2 is None else P2, W2, b2), sg, gating_mode)
+    nodes = _input_nodes(*proj.parameters(), *edges, *((prompts.gamma,) if gated else ()))
+    if nodes is None:
+        return Tensor._result(token, (), None)
+    nW1, nb1, nW2, nb2 = nodes[:4]
+    edge_nodes = nodes[4 : 4 + len(edges)]
+    ngamma = nodes[-1] if gated else None
+    learn_edges = any(node is not None for node in edge_nodes)
+    shape = (w, n, W2.shape[1])
+
+    def _bw(g):
+        pre = _affine(P1, W1, b1)
+        mask = pre > 0
+        H1 = np.where(mask, pre, 0.0)
+        x2 = H1 if P2 is None else P2
+        # blend, then the second linear layer
+        g2 = _blend_backward(g, shape, sg, gating_mode, None if ngamma is None else _affine(x2, W2, b2), ngamma)
+        if nW2 is not None:
+            _accumulate(nW2, _weight_grad(x2, g2))
+        if nb2 is not None:
+            _accumulate(nb2, _unbroadcast(g2, b2.shape))
+        if nW1 is None and nb1 is None and not learn_edges:
+            return
+        # the second propagation, relu and the first linear layer
+        g1 = g2 @ W2.T
+        if P2 is not None:
+            dU, dZ = _propagate_backward(A, s, wf, wb, g1)
+            if learn_edges:
+                _edge_grads(edge_nodes, s, H1, P2, g1, dU, dZ)
+            g1 = s * dZ
+        g1 = np.where(mask, g1, 0.0)
+        if nW1 is not None:
+            _accumulate(nW1, _weight_grad(P1, g1))
+        if nb1 is not None:
+            _accumulate(nb1, _unbroadcast(g1, b1.shape))
+        if learn_edges:  # the first propagation, of the window
+            g1 = g1 @ W1.T
+            dU, dZ = _propagate_backward(A, s, wf, wb, g1)
+            _edge_grads(edge_nodes, s, X_window, P1, g1, dU, dZ)
+
+    return Tensor._result(token, nodes, _bw)
 
 
 def mob_tokenize(M_t: np.ndarray, proj: MobProjector) -> Tensor:
-    """One mobility token (N, D): each region's outflow row through the MLP."""
+    """One mobility token (N, D): each region's outflow row through the MLP
+    ``relu(M_t @ W1 + b1) @ W2 + b2``.
+
+    One tape node per call, over the four weights.  It keeps nothing but the
+    matrix; its backward rebuilds the hidden layer with one GEMM and runs the
+    composed ops' backward in their order, so the gradients are bitwise theirs.
+    """
     M_t = np.asarray(M_t, dtype=np.float64)
     if M_t.ndim != 2 or M_t.shape[0] != M_t.shape[1]:
         raise ValueError(f"expected square mobility matrix, got {M_t.shape}")
-    if proj.W1.data.shape[0] != M_t.shape[0]:
-        raise ValueError(f"projector expects N={proj.W1.data.shape[0]}, matrix has N={M_t.shape[0]}")
-    H1 = relu(linear(constant(M_t), proj.W1, proj.b1))
-    return linear(H1, proj.W2, proj.b2)
+    W1, b1, W2, b2 = (p.data for p in proj.parameters())
+    if W1.shape[0] != M_t.shape[0]:
+        raise ValueError(f"projector expects N={W1.shape[0]}, matrix has N={M_t.shape[0]}")
+    pre = _affine(M_t, W1, b1)
+    out = _affine(np.where(pre > 0, pre, 0.0), W2, b2)
+    nodes = _input_nodes(*proj.parameters())
+    if nodes is None:
+        return Tensor._result(out, (), None)
+    nW1, nb1, nW2, nb2 = nodes
+
+    def _bw(g):
+        pre = _affine(M_t, W1, b1)
+        mask = pre > 0
+        if nW2 is not None:
+            _accumulate(nW2, _weight_grad(np.where(mask, pre, 0.0), g))
+        if nb2 is not None:
+            _accumulate(nb2, _unbroadcast(g, b2.shape))
+        if nW1 is None and nb1 is None:
+            return
+        g1 = np.where(mask, g @ W2.T, 0.0)
+        if nW1 is not None:
+            _accumulate(nW1, _weight_grad(M_t, g1))
+        if nb1 is not None:
+            _accumulate(nb1, _unbroadcast(g1, b1.shape))
+
+    return Tensor._result(out, nodes, _bw)
 
 
 def epi_adapt(tokens: Tensor, adapter: Adapter) -> Tensor:

@@ -418,9 +418,11 @@ def cmd_report(cfg: RunConfig) -> Path:
     for part in cfg["report.inputs"].split(","):
         path = part.strip()
         text = read_file(path, ConfigError, "report input")
-        try:  # not JSON or nested too deeply, not an object, or an entry with unknown or missing keys
-            doc = json.loads(text)
-            reports.extend(MetricReport(**entry) for entry in doc.get("reports", []))
+        try:  # not JSON or nested too deeply, not an object, or an entry with unknown, missing or mistyped keys
+            entries = json.loads(text).get("reports")
+            if not entries:
+                raise ValueError("its field 'reports' is missing or empty")
+            reports.extend(MetricReport.from_dict(entry) for entry in entries)
         except (AttributeError, RecursionError, TypeError, ValueError) as exc:
             raise ConfigError(f"report input {path} is not a metrics file: {exc}") from exc
     csv_path, json_path = emit_report(reports, out)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import io
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +80,17 @@ def read_file(path, error: type[Exception], what: str, binary: bool = False) -> 
         raise error(f"{what} {path}: {exc}") from exc
 
 
+# one line of text with its terminator, split where a file opened with
+# newline="" splits it: at "\r\n", "\r" or "\n"
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+
+
+def _csv_rows(text: str):
+    """A csv.reader over `text`, fed its lines one at a time, so parsing holds
+    no second copy of the file (an io.StringIO would, at 4 bytes a character)."""
+    return csv.reader(line.group() for line in _LINE.finditer(text))
+
+
 def _parse_date(text: str, where: str) -> dt.date:
     try:
         return dt.date.fromisoformat(text.strip())
@@ -141,7 +152,7 @@ class MobilityTable:
 
 def load_cases(path) -> CaseTable:
     """Parse a case CSV; raises a named DataError per kind of defect."""
-    reader = csv.reader(io.StringIO(read_file(path, DataError, "case file"), newline=""))
+    reader = _csv_rows(read_file(path, DataError, "case file"))
     per_date: dict[dt.date, dict[str, int]] = {}
     regions: set[str] = set()
     header = next(reader, None)
@@ -193,7 +204,7 @@ def load_mobility(path, dates: list[dt.date] | None = None) -> MobilityTable:
     file names, zero-weight rows included.  Rows are added in file order, so
     rows repeating a (date, src, dst) sum.
     """
-    reader = csv.reader(io.StringIO(read_file(path, DataError, "mobility file"), newline=""))
+    reader = _csv_rows(read_file(path, DataError, "mobility file"))
     rows: list[tuple[dt.date, str, str, float]] = []
     header = next(reader, None)
     expected = ["date", "src_region", "dst_region", "weight"]

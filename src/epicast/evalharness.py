@@ -66,6 +66,23 @@ class MetricReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    @classmethod
+    def from_dict(cls, entry: dict) -> "MetricReport":
+        """The report `to_dict` gave; TypeError on a missing, unknown or mistyped field."""
+        report = cls(**entry)
+        for name, kinds in _FIELD_TYPES.items():
+            value = getattr(report, name)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                expected = " or ".join(kind.__name__ for kind in kinds)
+                raise TypeError(f"field {name!r} is a {type(value).__name__}, expected {expected}")
+        return report
+
+
+_FIELD_TYPES = {
+    "dataset": (str,), "horizon": (int,), "model": (str,), "per_region_rmse": (list,), "per_region_mae": (list,),
+    "region_avg_rmse": (int, float), "region_avg_mae": (int, float), "config": (dict,),
+}  # fmt: skip
+
 
 def metric_report(
     truth: np.ndarray, pred: np.ndarray, dataset: str, horizon: int, model: str, config: dict | None = None

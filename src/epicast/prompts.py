@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Parameter, Tensor, add, constant, mul
+from .tensor import Parameter
 
 FORWARD_INIT = 1.0
 BACKWARD_INIT = 0.5
@@ -66,47 +66,12 @@ class PromptedGraph:
     per-day adjacencies on the diagonal, ``w_forward`` times the identity
     from slice k-1 to slice k, and ``w_backward`` times the identity from
     slice k to slice k-1.  Message passing works on ``slices`` directly
-    (``branches.propagate``); the dense matrix is assembled only on request,
-    for inspection and tests.
+    (``branches.epi_tokenize``); the dense matrix is never built.
     """
 
     slices: np.ndarray  # (w, N, N) per-day adjacencies
     w_forward: Parameter  # scalar
     w_backward: Parameter  # scalar
-
-    @property
-    def n_slices(self) -> int:
-        return self.slices.shape[0]
-
-    @property
-    def n_regions(self) -> int:
-        return self.slices.shape[1]
-
-    @property
-    def slice_offsets(self) -> list[range]:
-        """Node-index range of each slice in the block adjacency."""
-        n = self.n_regions
-        return [range(k * n, (k + 1) * n) for k in range(self.n_slices)]
-
-    @property
-    def block_adjacency(self) -> Tensor:
-        """The dense (w*N, w*N) block matrix, differentiable w.r.t. the prompt scalars."""
-        w, n = self.n_slices, self.n_regions
-        size = w * n
-        base = np.zeros((size, size))
-        for k in range(w):
-            base[k * n : (k + 1) * n, k * n : (k + 1) * n] = self.slices[k]
-        fwd_mask, bwd_mask = _cross_slice_masks(w, n)
-        return add(
-            add(constant(base), mul(self.w_forward, constant(fwd_mask))),
-            mul(self.w_backward, constant(bwd_mask)),
-        )
-
-
-def _cross_slice_masks(w: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit edges from each node to the same region one slice later (forward)
-    and one slice earlier (backward): the diagonals n above and below."""
-    return np.eye(w * n, k=n), np.eye(w * n, k=-n)
 
 
 def build_prompted_graph(A_window: np.ndarray, prompts: PromptParams) -> PromptedGraph:

@@ -355,25 +355,6 @@ def mul(a, b) -> Tensor:
     return Tensor._result(out, nodes, _bw)
 
 
-def div(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
-    out = a.data / b.data
-    nodes = _input_nodes(a, b)
-    if nodes is None:
-        return Tensor._result(out, (), None)
-    na, nb = nodes
-    a_shape, b_shape = a.data.shape, b.data.shape
-    a_data, b_data = (a.data if nb is not None else None), b.data
-
-    def _bw(g):
-        if na is not None:
-            _accumulate(na, _unbroadcast(g / b_data, a_shape))
-        if nb is not None:
-            _accumulate(nb, _unbroadcast(-g * a_data / (b_data * b_data), b_shape))
-
-    return Tensor._result(out, nodes, _bw)
-
-
 def square(a) -> Tensor:
     a = astensor(a)
     x = a.data
@@ -430,11 +411,23 @@ def matmul(a, b) -> Tensor:
     return Tensor._result(out, nodes, _bw)
 
 
+def _affine(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ W + b`` in one new array."""
+    out = x @ W
+    out += b
+    return out
+
+
+def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of W in ``x @ W + b`` for an output gradient g: one GEMM
+    over all rows, not a batched matmul summed over the batch."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
 def linear(x, W, b) -> Tensor:
     """Affine map ``x @ W + b`` as one node: x is (..., in), W (in, out), b (out,)."""
     x, W, b = astensor(x), astensor(W), astensor(b)
-    out = x.data @ W.data
-    out += b.data
+    out = _affine(x.data, W.data, b.data)
     nodes = _input_nodes(x, W, b)
     if nodes is None:
         return Tensor._result(out, (), None)
@@ -447,9 +440,7 @@ def linear(x, W, b) -> Tensor:
         if nx is not None:
             _accumulate(nx, g @ W_data.T)
         if nW is not None:
-            # one GEMM over all rows, not a batched matmul summed over the batch
-            rows = x_data.reshape(-1, x_data.shape[-1])
-            _accumulate(nW, rows.T @ g.reshape(-1, g.shape[-1]))
+            _accumulate(nW, _weight_grad(x_data, g))
         if nb is not None:
             _accumulate(nb, _unbroadcast(g, b_shape))
 
@@ -589,12 +580,15 @@ def relu(a) -> Tensor:
     return Tensor._result(out, nodes, _bw)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function, split by sign for overflow-free exponentials."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a) -> Tensor:
     a = astensor(a)
-    # split by sign for overflow-free exponentials
-    x = a.data
-    e = np.exp(-np.abs(x))
-    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    s = _sigmoid(a.data)
     nodes = _input_nodes(a)
     if nodes is None:
         return Tensor._result(s, (), None)

@@ -11,6 +11,7 @@ from epicast.backbone import (
     BackboneConfigError,
     DecodeCache,
     DecodeCacheError,
+    _causal_mask,
     backbone_forward,
     build_backbone,
 )
@@ -29,6 +30,16 @@ def test_identity_mode_returns_input():
     out = backbone_forward(tokens, state)
     np.testing.assert_array_equal(out.data, tokens.data)
     assert state.n_params() == 0
+
+
+@pytest.mark.parametrize("P", [1, 2, 5, 16])
+def test_causal_mask_builds_only_the_rows_that_run(P):
+    """The mask of the queries from `start` on is those rows of the full P x P
+    mask, bit for bit: 0 up to the query's own position, -inf after it."""
+    full = np.triu(np.full((P, P), -np.inf), k=1)
+    for start in range(P):
+        assert _causal_mask(start, P).tobytes() == full[start:].tobytes()
+        assert _causal_mask(start, P).shape == (P - start, P)
 
 
 @pytest.mark.parametrize("mode", ["frozen-transformer", "trainable-transformer", "mlp", "rnn"])

@@ -1,12 +1,20 @@
 """Dual-branch tokenizers, adapters, and the patch grid."""
 
+import sys
+
+import composed_reference as composed
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import epicast
 from epicast.backbone import BackboneConfig
 from epicast.branches import (
+    GATING_MODES,
+    TOKENIZER_MODES,
+    EpiProjector,
+    MobProjector,
     PromptGraphError,
     epi_adapt,
     epi_tokenize,
@@ -16,15 +24,14 @@ from epicast.branches import (
     mob_adapt,
     mob_tokenize,
     patch_grid,
-    propagate,
     stack_tokens,
 )
 from epicast.data import SirParams, SplitSpec, split_dataset, synth_sir
 from epicast.forecaster import forecast
 from epicast.gradcheck import grad_check
 from epicast.model import ModelConfig, build_model
-from epicast.prompts import PromptedGraph, build_prompted_graph, init_prompts
-from epicast.tensor import Parameter, Tensor, add, constant, div, matmul, mul, reshape, sqrt, transpose, tsum
+from epicast.prompts import PromptParams, build_prompted_graph, init_prompts
+from epicast.tensor import Parameter, Tensor, add, constant, matmul, mul, reshape, sqrt, transpose, tsum
 from epicast.trainer import TrainConfig, training_loss, validation_loss
 
 
@@ -179,6 +186,64 @@ def test_negative_prompt_degree_raises_named_error(setup):
         epi_tokenize(X, A, prompts, proj)
 
 
+# -- the fused tokenizers against the composed primitive ops ---------------------------
+
+PARAMETER_NAMES = ("W1", "b1", "W2", "b2", "mob.W1", "mob.b1", "mob.W2", "mob.b2", "forward", "backward", "gamma")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    w=st.integers(1, 5),
+    n=st.integers(1, 7),
+    F=st.integers(1, 4),
+    D=st.integers(1, 6),
+    patches=st.integers(1, 3),
+    tokenizer_mode=st.sampled_from(TOKENIZER_MODES),
+    gating_mode=st.sampled_from(GATING_MODES),
+    # each weight stays above -1/2, so every degree stays above 0
+    w_forward=st.floats(-0.45, 3.0),
+    w_backward=st.floats(-0.45, 3.0),
+    gamma_scale=st.floats(0.0, 4.0),
+    frozen=st.sets(st.sampled_from(PARAMETER_NAMES)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fused_tokenizers_are_bitwise_the_composed_ops(
+    w, n, F, D, patches, tokenizer_mode, gating_mode, w_forward, w_backward, gamma_scale, frozen, seed
+):
+    """Tokens of a few patches, stacked and weighted into one loss: every token
+    and every parameter gradient of the fused tokenizers equals the composed
+    form's bit for bit, in every tokenizer and gating mode and with any subset
+    of the parameters frozen."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(patches, w, n, F))
+    A = rng.uniform(0.0, 2.0, size=(patches, w, n, n)) * (rng.uniform(size=(patches, w, n, n)) < 0.6)
+    M = rng.uniform(0.0, 1.0, size=(patches, n, n))
+    C = rng.normal(size=(2, patches, n, D))
+    shapes = [(F, D), (D,), (D, D), (D,), (n, 5), (5,), (5, D), (D,)]
+    data = dict(zip(PARAMETER_NAMES, [rng.normal(size=shape) for shape in shapes]))
+    data.update(forward=np.array(w_forward), backward=np.array(w_backward), gamma=gamma_scale * rng.normal(size=w))
+
+    def run(epi, mob):
+        p = {name: Parameter(value, name=name, frozen=name in frozen) for name, value in data.items()}
+        proj = EpiProjector(p["W1"], p["b1"], p["W2"], p["b2"])
+        mob_proj = MobProjector(p["mob.W1"], p["mob.b1"], p["mob.W2"], p["mob.b2"])
+        prompts = PromptParams(p["forward"], p["backward"], p["gamma"])
+        epi_tokens = [epi(X[k], A[k], prompts, proj, gating_mode, tokenizer_mode) for k in range(patches)]
+        mob_tokens = [mob(M[k], mob_proj) for k in range(patches)]
+        loss = add(
+            tsum(mul(stack_tokens(epi_tokens), constant(C[0]))), tsum(mul(stack_tokens(mob_tokens), constant(C[1])))
+        )
+        if loss.requires_grad:
+            loss.backward()
+        tokens = [t.data.tobytes() for t in epi_tokens + mob_tokens]
+        return tokens, [None if t.grad is None else t.grad.tobytes() for t in p.values()]
+
+    fused, reference = run(epi_tokenize, mob_tokenize), run(composed.epi_tokenize, composed.mob_tokenize)
+    assert fused[0] == reference[0]
+    for name, got, want in zip(PARAMETER_NAMES, fused[1], reference[1]):
+        assert got == want, name
+
+
 # -- blockwise propagation against the dense block graph ------------------------------
 
 
@@ -188,13 +253,13 @@ def _dense_propagation_matrix(block: Tensor) -> Tensor:
     size = block.data.shape[0]
     incoming = transpose(add(block, constant(np.eye(size))), (1, 0))
     deg = tsum(incoming, axis=1, keepdims=True)
-    inv_sqrt = div(constant(np.ones((size, 1))), sqrt(deg))
+    inv_sqrt = composed.div(constant(np.ones((size, 1))), sqrt(deg))
     return mul(mul(incoming, inv_sqrt), transpose(inv_sqrt, (1, 0)))
 
 
 def _dense_propagate(graph, H: Tensor) -> Tensor:
     w, n, F = H.data.shape
-    prop = _dense_propagation_matrix(graph.block_adjacency)
+    prop = _dense_propagation_matrix(composed.block_adjacency(graph))
     return reshape(matmul(prop, reshape(H, (w * n, F))), (w, n, F))
 
 
@@ -220,7 +285,7 @@ def test_propagate_matches_dense_oracle(w, n, F, density, w_forward, w_backward,
     X = rng.normal(size=(w, n, F))
     C = rng.normal(size=(w, n, F))
     results = []
-    for fn in (propagate, _dense_propagate):
+    for fn in (composed.propagate, _dense_propagate):
         prompts = init_prompts(w)
         prompts.w_forward.data = np.array(w_forward)
         prompts.w_backward.data = np.array(w_backward)
@@ -235,11 +300,16 @@ def test_propagate_matches_dense_oracle(w, n, F, density, w_forward, w_backward,
         assert abs(got - want) <= 1e-10 * max(abs(want), 1.0)
 
 
-def test_hot_paths_never_build_the_dense_block(monkeypatch):
-    def refuse(graph):
-        raise AssertionError("dense block adjacency built on a hot path")
-
-    monkeypatch.setattr(PromptedGraph, "block_adjacency", property(refuse))
+def test_hot_paths_never_build_the_dense_block():
+    """The dense block matrix lives in the tests' reference only: no epicast
+    module can build it, and training, validation and forecasting run and
+    still give the prompt edge weights a gradient."""
+    modules = [m for name, m in sys.modules.items() if name == "epicast" or name.startswith("epicast.")]
+    assert len(modules) > 10 and epicast.prompts in modules
+    for mod in modules:
+        for name in ("block_adjacency", "slice_offsets", "_cross_slice_masks", "div"):
+            assert not hasattr(mod, name), f"{mod.__name__}.{name}"
+    assert not hasattr(epicast.prompts.PromptedGraph, "block_adjacency")
     ds = synth_sir(4, 30, SirParams(beta=0.5, gamma_rec=0.2, population=2000), rng_seed=5, w=3, scale=True)
     splits = split_dataset(ds, SplitSpec(test_len=3, val_len=3))
     model = build_model(

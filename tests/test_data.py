@@ -1,6 +1,8 @@
 """Data pipeline: CSV ingestion, windowing, splitting, synthetic SIR."""
 
+import csv
 import datetime as dt
+import io
 import warnings
 
 import numpy as np
@@ -140,6 +142,25 @@ def test_load_mobility_dense_axes_and_summed_duplicates(tmp_path):
     expected[0, 0, 1] = 4.0
     expected[1, 1, 0] = 3.75
     np.testing.assert_array_equal(table.flows, expected)
+
+
+# fields and line endings a CSV line can hold, quoted newlines and a NUL included
+_CSV_PIECES = ("a", "1", " ", "é", ",", '"', '""', "\r", "\n", "\r\n", '"x\ry"', '"x\ny"', '"x\r\ny"', "\x00")
+
+
+@given(text=st.lists(st.sampled_from(_CSV_PIECES), max_size=40).map("".join))
+@settings(max_examples=300, deadline=None)
+def test_csv_rows_are_those_of_the_file_object(text):
+    """The lazily split lines give csv.reader exactly the rows, or the error,
+    that reading the text as a file opened with newline="" gives."""
+
+    def rows(reader):
+        try:
+            return list(reader)
+        except csv.Error as exc:
+            return repr(exc)
+
+    assert rows(data_mod._csv_rows(text)) == rows(csv.reader(io.StringIO(text, newline="")))
 
 
 def test_mobility_table_rejects_bad_shape_and_names_first_bad_flow():

@@ -1,9 +1,9 @@
 """Every file the CLI reads fails with its kind's exit code, never exit 1.
 
 Hypothesis mutates a valid file of each kind (the case and mobility CSVs, the
-config, a checkpoint's sidecar and weight blob, and a `backbone.weights`
-sidecar and blob) and runs `cli.main` in-process on a tiny run: 4 regions,
-40 days, width 8, one epoch.  A mutation truncates the file, inserts bytes
+config, a checkpoint's sidecar and weight blob, a `backbone.weights` sidecar
+and blob, and a metrics file that `report` merges) and runs `cli.main`
+in-process on a tiny run: 4 regions, 40 days, width 8, one epoch.  A mutation truncates the file, inserts bytes
 (invalid UTF-8 included), replaces one CSV or JSON field with a token, or
 swaps the file for a directory.  The config is mutated byte by byte only:
 tests/test_config_domains.py covers its values, and a token such as 2**63 in a
@@ -39,6 +39,7 @@ out = out
 data.cases = cases.csv
 data.mobility = mobility.csv
 backbone.weights = backbone.bin
+report.inputs = metrics.json
 """
 
 # kind -> (the file, the command run on it, the exit code of that file unreadable)
@@ -50,6 +51,7 @@ TARGETS = {
     "checkpoint blob": ("out/checkpoint.bin", "forecast", 4),
     "weights sidecar": ("backbone.bin.json", "train", 4),
     "weights blob": ("backbone.bin", "train", 4),
+    "metrics": ("metrics.json", "report", 2),
     "config under train": ("run.cfg", "train", 2),  # explicit examples only
 }
 PREFIX = {2: "config error:", 3: "data error:", 4: "checkpoint error:", 5: "diverged:"}
@@ -146,7 +148,8 @@ def _run(root, command) -> tuple[int, str]:
 @pytest.fixture(scope="module")
 def template(tmp_path_factory):
     """A directory holding a valid file of every kind: the CSVs, the config,
-    exported backbone weights and a checkpoint trained on them."""
+    exported backbone weights, a checkpoint trained on them and the metrics
+    file of its evaluation."""
     root = tmp_path_factory.mktemp("inputs")
     (root / "run.cfg").write_text(CONFIG)
     synth = root / "synth.cfg"
@@ -155,6 +158,8 @@ def template(tmp_path_factory):
         assert main(["synth", "--config", str(synth), "--out", str(root)]) == 0
     build_backbone(BackboneConfig(depth=1, width=8, heads=2, seed=5)).export_weights(root / "backbone.bin")
     assert _run(root, "train") == (0, "")
+    assert _run(root, "evaluate") == (0, "")
+    shutil.move(root / "out" / "metrics.json", root / "metrics.json")
     return root
 
 
@@ -175,6 +180,8 @@ def template(tmp_path_factory):
 @example(case=("checkpoint sidecar", ("replace", "meta", "[1]")), expected=4)
 @example(case=("checkpoint sidecar", ("replace", "offset", "100000000000000000000")), expected=4)
 @example(case=("config under train", ("insert", 1.0, b"checkpoint = cases.csv/checkpoint.bin\n")), expected=4)
+@example(case=("metrics", ("replace", "reports", "[]")), expected=2)
+@example(case=("metrics", ("replace", "dataset", "[[1]]")), expected=2)
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 def test_a_mutated_input_file_never_exits_one(template, case, expected):
     kind, mutation = case

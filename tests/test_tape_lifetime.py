@@ -237,10 +237,19 @@ def test_training_loss_still_records_after_validation():
 # -- what a training tape keeps ----------------------------------------------------------
 
 
+def _closure_arrays(node):
+    """The ndarrays in the cells of a node's backward closure, tuples and
+    lists in those cells included."""
+    for cell in getattr(node._backward, "__closure__", None) or ():
+        value = cell.cell_contents
+        for item in value if isinstance(value, (list, tuple)) else [value]:
+            if isinstance(item, np.ndarray):
+                yield item
+
+
 def _kept_arrays(loss):
-    """Every ndarray a tape keeps alive for its backward: the cells of the
-    backward closures of every node reachable from `loss`, tuples and lists
-    in those cells included."""
+    """Every ndarray a tape keeps alive for its backward: the closure arrays
+    of every node reachable from `loss`."""
     arrays, seen, stack = {}, set(), [loss._node]
     while stack:
         node = stack.pop()
@@ -248,11 +257,7 @@ def _kept_arrays(loss):
             continue
         seen.add(id(node))
         stack.extend(node._prev)
-        for cell in getattr(node._backward, "__closure__", None) or ():
-            value = cell.cell_contents
-            for item in value if isinstance(value, (list, tuple)) else [value]:
-                if isinstance(item, np.ndarray):
-                    arrays[id(item)] = item
+        arrays.update((id(a), a) for a in _closure_arrays(node))
     return list(arrays.values())
 
 
@@ -285,6 +290,50 @@ def test_training_tape_keeps_the_gelu_derivative_of_the_ffn_width(mode, per_gelu
     loss = training_loss(model, ds, splits.train, TrainConfig())
     hidden = [a for a in _kept_arrays(loss) if a.shape == (ds.N, P, 4 * 8)]
     assert len(hidden) == 2 * 2 * per_gelu  # per layer, per branch
+
+
+def _tokenizer_tape(monkeypatch):
+    """A training loss and the epidemic and mobility tokens it was built from."""
+    ds, splits, model, P = _train_setup()
+    epi = _spy(monkeypatch, trainer_mod, "epi_tokenize")
+    mob = _spy(monkeypatch, trainer_mod, "mob_tokenize")
+    loss = training_loss(model, ds, splits.train, TrainConfig())
+    assert len(epi) == len(mob) == P
+    return ds, model, loss, epi, mob
+
+
+def test_a_training_tape_holds_one_node_per_tokenizer_call(monkeypatch):
+    """Each tokenizer call records one node, whose inputs are the trainable
+    parameters it reads, directly: seven for the graph tokenizer with gated
+    blending, four for the mobility MLP."""
+    ds, model, loss, epi, mob = _tokenizer_tape(monkeypatch)
+    leaves = {id(p._node) for p in model.trainable_parameters()}
+    for tokens, inputs in ((epi, 7), (mob, 4)):
+        for token in tokens:
+            assert len(token._prev) == inputs and all(id(node) in leaves for node in token._prev)
+
+
+def test_a_tokenizer_node_keeps_only_its_propagated_maps(monkeypatch):
+    """Besides parameters and views of the dataset, an epidemic tokenizer node
+    keeps the propagated maps P1 (w, N, F) and P2 (w, N, D) and arrays no larger
+    than (w, N): no hidden layer H1, no pre-blend H2, no relu mask.  A mobility
+    tokenizer node keeps nothing of its own."""
+    ds, model, loss, epi, mob = _tokenizer_tape(monkeypatch)
+    params = {id(p.data) for p in model.parameters()}
+
+    def own(token):
+        return [
+            a for a in _closure_arrays(token._node)
+            if id(a) not in params and not any(np.shares_memory(a, d) for d in (ds.X, ds.A, ds.M))
+        ]  # fmt: skip
+
+    w, N, F, D = ds.w, ds.N, ds.X.shape[-1], 8
+    assert F * w * N > w * N
+    for token in epi:
+        arrays = own(token)
+        assert sorted(a.shape for a in arrays if a.size > w * N) == sorted([(w, N, F), (w, N, D)])
+        assert all(a.dtype == np.float64 for a in arrays)
+    assert all(own(token) == [] for token in mob)
 
 
 def test_gelu_hands_its_input_the_derivative_it_saved():

@@ -5,12 +5,13 @@ import zlib
 
 import numpy as np
 import pytest
+from composed_reference import div, propagate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epicast.branches import propagate
+from epicast.branches import EpiProjector, MobProjector, epi_tokenize, mob_tokenize
 from epicast.gradcheck import grad_check, relative_error
-from epicast.prompts import PromptedGraph
+from epicast.prompts import PromptedGraph, PromptParams
 from epicast.tensor import (
     AutodiffError,
     Parameter,
@@ -22,7 +23,6 @@ from epicast.tensor import (
     attention_weights,
     concat,
     constant,
-    div,
     gelu,
     getitem,
     layer_norm,
@@ -148,6 +148,10 @@ def _p(rng, shape, name, away_from_zero=False):
 # a 3-slice window of 2 regions, one edge absent
 _SLICES = np.array([[[0.0, 0.5], [1.0, 0.2]], [[0.3, 0.0], [0.7, 0.4]], [[0.9, 0.1], [0.0, 0.6]]])
 
+# features of that window, and a 3-region mobility matrix
+_WINDOW = np.array([[[0.4, -1.2, 0.3, 0.9], [1.1, 0.2, -0.7, 0.5]]] * 3) * np.array([1.0, 0.6, -0.8])[:, None, None]
+_MOBILITY = np.array([[0.0, 0.8, 0.3], [0.5, 0.1, 0.0], [0.9, 0.4, 0.2]])
+
 # decode-shaped: 2 queries over 3 keys, each query hiding the keys after it
 _DECODE_MASK = np.triu(np.full((3, 3), -np.inf), k=1)[1:]
 
@@ -182,12 +186,24 @@ OP_CASES = {
         PromptedGraph(_SLICES, sub(square(getitem(b, (0, 0))), 0.3), square(getitem(b, (1, 1)))),
         reshape(a, (3, 2, 2)),
     ),
+    # a 3-day window of 2 regions with 4 features, tokens of width 3
+    "epi_tokenize": lambda a, b: epi_tokenize(
+        _WINDOW,
+        _SLICES,
+        PromptParams(sub(square(getitem(b, (0, 0))), 0.3), square(getitem(b, (1, 1))), getitem(a, (slice(None), 0))),
+        EpiProjector(transpose(a, (1, 0)), getitem(b, (slice(None), 3)), getitem(b, (slice(None), slice(0, 3))), tsum(a, axis=1)),
+    ),
+    # 3 regions, hidden width 4, tokens of width 3
+    "mob_tokenize": lambda a, b: mob_tokenize(
+        _MOBILITY, MobProjector(a, getitem(b, 0), transpose(b, (1, 0)), tsum(a, axis=1))
+    ),
 }
 
 
 # the cases whose output depends on both a and b
 TWO_INPUT_CASES = (
     "add", "sub", "mul", "div", "matmul", "concat", "linear", "layer_norm", "attention_weights", "propagate",
+    "epi_tokenize", "mob_tokenize",
 )
 
 
