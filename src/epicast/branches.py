@@ -6,6 +6,13 @@ per-slice embeddings into one backbone-width token per region.  Mobility
 branch: a two-layer feedforward map from a region's outflow row to a token.
 Each branch has its own adapter (token -> case block, token -> mobility row);
 the two share no parameters.
+
+Each tokenizer call is one fused tape node with a hand-written backward.  The
+epidemic node keeps only its two propagated maps and the degree scale and
+rebuilds its hidden layer and pre-blend slices in backward with one GEMM
+each; the mobility node keeps only its matrix.  Tokens and gradients are
+bitwise those of the same tokenizers composed from primitive tape ops, which
+the tests keep as their reference.
 """
 
 from __future__ import annotations
@@ -137,31 +144,28 @@ def _propagate(A: np.ndarray, s: np.ndarray, wf, wb, H: np.ndarray) -> np.ndarra
     return s * U
 
 
-def _propagate_backward(A: np.ndarray, s: np.ndarray, wf, wb, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For an output gradient g of ``_propagate``: the gradients dU of its
-    unscaled sum and dZ of its scaled input; H's gradient is ``s * dZ``."""
+def _propagate_backward(A: np.ndarray, s: np.ndarray, wf, wb, H, out, g, edge_nodes) -> np.ndarray:
+    """H's gradient for an output gradient g of ``out = _propagate(A, s, wf, wb, H)``.
+    Accumulates the edge weights' gradients into edge_nodes, the nodes of
+    (w_forward, w_backward), None for a constant."""
     dU = s * g
     dZ = A @ dU
     dZ += dU
     dZ[:-1] += wf * dU[1:]
     dZ[1:] += wb * dU[:-1]
-    return dU, dZ
-
-
-def _edge_grads(nodes, s, H, out, g, dU, dZ) -> None:
-    """Accumulate into the (w_forward, w_backward) nodes, None for a constant,
-    their gradients through one ``_propagate`` of H to out."""
-    nwf, nwb = nodes
-    Z = s * H
-    # s = deg^-1/2 enters as out = s * U and Z = s * H, so
-    # dL/ds = sum_F(g * U + dZ * H) and dL/ddeg = -s^3 / 2 * dL/ds;
-    # one factor s turns g * U into g * out and dZ * H into dZ * Z
-    ds_scaled = (g * out).sum(axis=-1, keepdims=True) + (dZ * Z).sum(axis=-1, keepdims=True)
-    ddeg = -0.5 * (s * s) * ds_scaled
-    if nwf is not None:
-        _accumulate(nwf, np.asarray((dU[1:] * Z[:-1]).sum() + ddeg[1:].sum()))
-    if nwb is not None:
-        _accumulate(nwb, np.asarray((dU[:-1] * Z[1:]).sum() + ddeg[:-1].sum()))
+    nwf, nwb = edge_nodes
+    if nwf is not None or nwb is not None:
+        Z = s * H
+        # s = deg^-1/2 enters as out = s * U and Z = s * H, so
+        # dL/ds = sum_F(g * U + dZ * H) and dL/ddeg = -s^3 / 2 * dL/ds;
+        # one factor s turns g * U into g * out and dZ * H into dZ * Z
+        ds_scaled = (g * out).sum(axis=-1, keepdims=True) + (dZ * Z).sum(axis=-1, keepdims=True)
+        ddeg = -0.5 * (s * s) * ds_scaled
+        if nwf is not None:
+            _accumulate(nwf, np.asarray((dU[1:] * Z[:-1]).sum() + ddeg[1:].sum()))
+        if nwb is not None:
+            _accumulate(nwb, np.asarray((dU[:-1] * Z[1:]).sum() + ddeg[:-1].sum()))
+    return s * dZ
 
 
 def _blend(H: np.ndarray, sg: np.ndarray | None, gating_mode: str) -> np.ndarray:
@@ -191,10 +195,10 @@ def _blend_backward(g, shape, sg, gating_mode, H, ngamma) -> np.ndarray:
         return g * sg.reshape(w, 1, 1)
     if ngamma is not None:
         dsg = np.zeros(w)
-        dsg[w - 1] += _unbroadcast(g * H[w - 1], ())
+        dsg[-1] += _unbroadcast(g * H[-1], ())
         _accumulate(ngamma, dsg * sg * (1.0 - sg))
     dH = np.zeros(shape)
-    dH[w - 1] += g * sg[w - 1]
+    dH[-1] += g * sg[-1]
     return dH
 
 
@@ -278,19 +282,14 @@ def epi_tokenize(
         # the second propagation, relu and the first linear layer
         g1 = g2 @ W2.T
         if P2 is not None:
-            dU, dZ = _propagate_backward(A, s, wf, wb, g1)
-            if learn_edges:
-                _edge_grads(edge_nodes, s, H1, P2, g1, dU, dZ)
-            g1 = s * dZ
+            g1 = _propagate_backward(A, s, wf, wb, H1, P2, g1, edge_nodes)
         g1 = np.where(mask, g1, 0.0)
         if nW1 is not None:
             _accumulate(nW1, _weight_grad(P1, g1))
         if nb1 is not None:
             _accumulate(nb1, _unbroadcast(g1, b1.shape))
         if learn_edges:  # the first propagation, of the window
-            g1 = g1 @ W1.T
-            dU, dZ = _propagate_backward(A, s, wf, wb, g1)
-            _edge_grads(edge_nodes, s, X_window, P1, g1, dU, dZ)
+            _propagate_backward(A, s, wf, wb, X_window, P1, g1 @ W1.T, edge_nodes)
 
     return Tensor._result(token, nodes, _bw)
 

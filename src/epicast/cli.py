@@ -418,7 +418,7 @@ def cmd_report(cfg: RunConfig) -> Path:
     for part in cfg["report.inputs"].split(","):
         path = part.strip()
         text = read_file(path, ConfigError, "report input")
-        try:  # not JSON or nested too deeply, not an object, or an entry with unknown, missing or mistyped keys
+        try:  # not JSON or nested too deeply, not an object, no reports, or an entry with a bad key
             entries = json.loads(text).get("reports")
             if not entries:
                 raise ValueError("its field 'reports' is missing or empty")

@@ -17,9 +17,10 @@ gradient slot, its input nodes and a backward closure.  The closure captures
 exactly the arrays its backward reads (``mul`` the *other* operand, ``linear``
 its input only when the weight needs a gradient, ``gelu`` its derivative,
 computed in the forward over the tanh's buffer, ``add``, ``reshape`` or
-``tsum`` shapes only), and no node ever holds its own output tensor.  So an
-intermediate array that no backward reads (a residual sum, a GELU input or
-output, a merged-heads copy) is freed during the forward as soon as the
+``tsum`` shapes only, a ``branches`` tokenizer its propagated maps, from
+which it rebuilds the rest), and no node ever holds its own output tensor.
+So an intermediate array that no backward reads (a residual sum, a GELU input
+or output, a merged-heads copy) is freed during the forward as soon as the
 forward drops it.
 
 A tape's lifetime follows reference counting alone:
@@ -43,8 +44,10 @@ A tape's lifetime follows reference counting alone:
 Besides the primitive ops there are three fused ones, each a single tape node
 with a hand-written backward: ``linear`` (``x @ W + b``), ``layer_norm`` and
 ``attention_weights`` (``softmax(q @ kᵀ · scale + mask)``, which keeps only
-the weights for its backward, never the raw, scaled or masked scores).  Their
-forwards are bitwise equal to the same computation composed from the
+the weights for its backward, never the raw, scaled or masked scores).  The
+two tokenizers in ``branches`` are fused the same way, from the numpy
+kernels ``_affine``, ``_weight_grad`` and ``_sigmoid`` shared with these ops.
+Their forwards are bitwise equal to the same computation composed from the
 primitives, and tests validate both forwards and gradients against that
 composed form.
 

@@ -2,9 +2,9 @@
 the dense block graph: references the tests hold ``epicast`` to.
 
 ``epi_tokenize`` and ``mob_tokenize`` here build the tokens from primitive
-tape ops, one node per op and per message-passing layer (``propagate``), as
-``epicast.branches`` did before its tokenizers became single fused nodes;
-the fused ones must match them bit for bit, tokens and gradients.
+tape ops, one node per op and per message-passing layer (``propagate``);
+the single fused nodes of ``epicast.branches`` must match them bit for bit,
+tokens and gradients.
 ``block_adjacency`` assembles the dense (w*N)^2 prompted block matrix that
 ``epicast`` never builds, the oracle ``propagate`` is checked against.
 """

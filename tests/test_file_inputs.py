@@ -3,12 +3,12 @@
 Hypothesis mutates a valid file of each kind (the case and mobility CSVs, the
 config, a checkpoint's sidecar and weight blob, a `backbone.weights` sidecar
 and blob, and a metrics file that `report` merges) and runs `cli.main`
-in-process on a tiny run: 4 regions, 40 days, width 8, one epoch.  A mutation truncates the file, inserts bytes
-(invalid UTF-8 included), replaces one CSV or JSON field with a token, or
-swaps the file for a directory.  The config is mutated byte by byte only:
-tests/test_config_domains.py covers its values, and a token such as 2**63 in a
-size key would ask for a long run.  The explicit examples are inputs that once
-exited 1, each with the code it must exit with.
+in-process on a tiny run: 4 regions, 40 days, width 8, one epoch.  A mutation
+truncates the file, inserts bytes (invalid UTF-8 included), replaces one CSV
+or JSON field with a token, or swaps the file for a directory.  The config is
+mutated byte by byte only: tests/test_config_domains.py covers its values, and
+a token such as 2**63 in a size key would ask for a long run.  The explicit
+examples are inputs that once exited 1, each with the code it must exit with.
 """
 
 import contextlib

@@ -149,7 +149,10 @@ def _p(rng, shape, name, away_from_zero=False):
 _SLICES = np.array([[[0.0, 0.5], [1.0, 0.2]], [[0.3, 0.0], [0.7, 0.4]], [[0.9, 0.1], [0.0, 0.6]]])
 
 # features of that window, and a 3-region mobility matrix
-_WINDOW = np.array([[[0.4, -1.2, 0.3, 0.9], [1.1, 0.2, -0.7, 0.5]]] * 3) * np.array([1.0, 0.6, -0.8])[:, None, None]
+_WINDOW = np.array(
+    [[[0.4, -1.2, 0.3, 0.9], [1.1, 0.2, -0.7, 0.5]], [[0.2, 0.8, -0.4, 0.1], [-0.6, 1.3, 0.5, -0.2]],
+     [[-0.9, 0.3, 0.6, 1.4], [0.7, -0.5, -1.1, 0.3]]]
+)  # fmt: skip
 _MOBILITY = np.array([[0.0, 0.8, 0.3], [0.5, 0.1, 0.0], [0.9, 0.4, 0.2]])
 
 # decode-shaped: 2 queries over 3 keys, each query hiding the keys after it
@@ -191,7 +194,9 @@ OP_CASES = {
         _WINDOW,
         _SLICES,
         PromptParams(sub(square(getitem(b, (0, 0))), 0.3), square(getitem(b, (1, 1))), getitem(a, (slice(None), 0))),
-        EpiProjector(transpose(a, (1, 0)), getitem(b, (slice(None), 3)), getitem(b, (slice(None), slice(0, 3))), tsum(a, axis=1)),
+        EpiProjector(
+            transpose(a, (1, 0)), getitem(b, (slice(None), 3)), getitem(b, (slice(None), slice(0, 3))), tsum(a, axis=1)
+        ),
     ),
     # 3 regions, hidden width 4, tokens of width 3
     "mob_tokenize": lambda a, b: mob_tokenize(
