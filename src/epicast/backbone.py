@@ -10,10 +10,15 @@ and a pure identity.
 Each region's patch-token sequence is processed as an independent batch item;
 causal masking guarantees the output at position p depends only on positions
 <= p, and that output is read as the prediction for patch p+1.  Each
-attention layer computes its weights ``softmax(q kᵀ / sqrt(dh) + mask)`` as
-one tape node (``tensor.attention_weights``) that keeps only the weights, so
-the raw, scaled and masked scores never reach the tape; the causal mask is a
-plain array, -inf above the diagonal, cut to the rows of the positions run.
+attention sublayer (LN1, the q/k/v projections, the weights
+``softmax(q kᵀ / sqrt(dh) + mask)``, the mix, the head merge and the output
+projection) is one tape node, ``attention_sublayer``, in training,
+validation and cached decoding alike.  It keeps only LN1's normalized input
+and rebuilds the rest in its backward, recomputing attention instead of
+storing it as activation checkpointing does (Chen et al., arXiv 1604.06174;
+FlashAttention, arXiv 2205.14135), so no q, k, v or (N, heads, P, P) weights
+reach the tape.  The causal mask is a plain array, -inf above the diagonal,
+cut to the rows of the positions run.
 
 Inference decodes incrementally, the way language models serve next-token
 prediction.  A ``DecodeCache`` remembers how many positions of a growing
@@ -37,8 +42,16 @@ from .serialize import load_tensors, save_tensors
 from .tensor import (
     Parameter,
     Tensor,
+    _accumulate,
+    _affine,
+    _exp_normalize,
+    _input_nodes,
+    _layer_norm,
+    _layer_norm_backward,
+    _softmax_backward,
+    _unbroadcast,
+    _weight_grad,
     add,
-    attention_weights,
     concat,
     constant,
     gelu,
@@ -47,7 +60,6 @@ from .tensor import (
     linear,
     matmul,
     mul,
-    reshape,
     sigmoid,
     tanh,
     transpose,
@@ -193,34 +205,105 @@ def _causal_mask(start: int, P: int) -> np.ndarray:
     return np.where(np.arange(P) > np.arange(start, P)[:, None], -np.inf, 0.0)
 
 
-def _attention(
-    x: Tensor, state: BackboneState, layer: int, mask: np.ndarray, cache: DecodeCache | None
+# the parameters of one attention sublayer, in the order its node records them
+_ATTENTION = ("ln1.g", "ln1.b", *(f"attn.{nm}.{wb}" for nm in "qkvo" for wb in "Wb"))
+
+
+def _attention_weights(q: np.ndarray, k: np.ndarray, mask: np.ndarray, scale: float) -> np.ndarray:
+    """``softmax(q @ kᵀ * scale + mask)`` over the last axis, in one new array."""
+    s = q @ np.swapaxes(k, -1, -2)
+    s *= scale
+    s += mask
+    s -= s.max(axis=-1, keepdims=True)
+    return _exp_normalize(s)
+
+
+def attention_sublayer(
+    x: Tensor, state: BackboneState, layer: int, mask: np.ndarray, cache: DecodeCache | None = None
 ) -> Tensor:
-    cfg = state.config
+    """One attention sublayer, ``o(attend(LN1(x)))`` for (N, P, D) x, as one tape node.
+
+    It runs LN1, the q/k/v projections, the weights
+    ``softmax(q kᵀ / sqrt(dh) + mask)`` of each head, the mix, the head merge
+    and the output projection, with the numpy ops of their composition in the
+    same order.  `mask` is the additive (P, S) causal mask.  With a `cache`,
+    the keys and values of the cached positions join this call's (a decode
+    step), and the cache keeps the joined arrays.
+
+    The node keeps only LN1's normalized input and std.  Its backward rebuilds
+    LN1's output, q, k and v (one GEMM each) and the weights, and the merged
+    heads only when the output projection's weight needs a gradient, then
+    runs the composed ops' backward expressions, freeing each rebuilt array
+    once read, so the output and every gradient are bitwise the composition's.
+    """
     N, P, D = x.data.shape
-    H = cfg.heads
+    H = state.config.heads
     dh = D // H
-    p = state.params
+    scale = 1.0 / np.sqrt(dh)
+    params = [state.params[f"layer{layer}.{name}"] for name in _ATTENTION]
+    gain, bias, Wq, bq, Wk, bk, Wv, bv, Wo, bo = (t.data for t in params)
 
-    def proj(nm):
-        return linear(x, p[f"layer{layer}.attn.{nm}.W"], p[f"layer{layer}.attn.{nm}.b"])
+    def heads(t):  # (N, P, D) -> (N, H, P, dh)
+        return t.reshape(N, P, H, dh).transpose(0, 2, 1, 3)
 
-    def split(t):  # (N, P, D) -> (N, H, P, dh)
-        return transpose(reshape(t, (N, P, H, dh)), (0, 2, 1, 3))
+    def merge(t):  # (N, H, P, dh) -> (N, P, D)
+        return t.transpose(0, 2, 1, 3).reshape(N, P, D)
 
-    q, k, v = split(proj("q")), split(proj("k")), split(proj("v"))
+    a, normed, std = _layer_norm(x.data, gain, bias)
+    q, k, v = (heads(_affine(a, W, b)) for W, b in ((Wq, bq), (Wk, bk), (Wv, bv)))
+    del a
     if cache is not None:
         if layer < len(cache.kv):  # decode: attend to the cached positions too
             k_past, v_past = cache.kv[layer]
-            k = constant(np.concatenate([k_past, k.data], axis=2))
-            v = constant(np.concatenate([v_past, v.data], axis=2))
-            cache.kv[layer] = (k.data, v.data)
+            k, v = np.concatenate([k_past, k], axis=2), np.concatenate([v_past, v], axis=2)
+            cache.kv[layer] = (k, v)
         else:  # prefill
-            cache.kv.append((k.data, v.data))
-    weights = attention_weights(q, k, mask, 1.0 / np.sqrt(dh))
-    mixed = matmul(weights, v)  # (N, H, P, dh)
-    merged = reshape(transpose(mixed, (0, 2, 1, 3)), (N, P, D))
-    return linear(merged, p[f"layer{layer}.attn.o.W"], p[f"layer{layer}.attn.o.b"])
+            cache.kv.append((k, v))
+    out = _affine(merge(_attention_weights(q, k, mask, scale) @ v), Wo, bo)
+    nodes = _input_nodes(x, *params)
+    if nodes is None:
+        return Tensor._result(out, (), None)
+    nx, ngain, nbias = nodes[:3]
+    projections = tuple(zip(nodes[3:9:2], nodes[4:9:2], (Wq, Wk, Wv), (bq, bk, bv)))
+    nWo, nbo = nodes[9:]
+
+    def _bw(g):
+        a = normed * gain
+        a += bias
+        q, k, v = (heads(_affine(a, W, b)) for _, _, W, b in projections)
+        if all(nW is None for nW, _, _, _ in projections):
+            a = None
+        weights = _attention_weights(q, k, mask, scale)
+        if nWo is not None:
+            _accumulate(nWo, _weight_grad(merge(weights @ v), g))
+        if nbo is not None:
+            _accumulate(nbo, _unbroadcast(g, bo.shape))
+        dmixed = heads(g @ Wo.T)
+        dv = merge(np.swapaxes(weights, -1, -2) @ dmixed)
+        ds = dmixed @ np.swapaxes(v, -1, -2)
+        dmixed = v = None
+        _softmax_backward(ds, weights)
+        weights = None
+        ds *= scale
+        dq = merge(ds @ k)
+        dk = merge(np.swapaxes(np.swapaxes(q, -1, -2) @ ds, -1, -2))
+        ds = q = k = None
+        da = None
+        for (nW, nb, W, b), d in zip(projections, (dq, dk, dv)):
+            if nW is not None:
+                _accumulate(nW, _weight_grad(a, d))
+            if nb is not None:
+                _accumulate(nb, _unbroadcast(d, b.shape))
+            # summed as (dq Wqᵀ + dk Wkᵀ) + dv Wvᵀ, the composition's order
+            da = d @ W.T if da is None else np.add(da, d @ W.T, out=da)
+        if nx is not None:
+            _accumulate(nx, _layer_norm_backward(da, normed, std, gain))
+        if ngain is not None:
+            _accumulate(ngain, _unbroadcast(da * normed, gain.shape))
+        if nbias is not None:
+            _accumulate(nbias, _unbroadcast(da, bias.shape))
+
+    return Tensor._result(out, nodes, _bw)
 
 
 def backbone_forward(tokens: Tensor, state: BackboneState, cache: DecodeCache | None = None) -> Tensor:
@@ -265,8 +348,7 @@ def backbone_forward(tokens: Tensor, state: BackboneState, cache: DecodeCache | 
         x = add(x, p["pos_emb"][start:P])
         mask = _causal_mask(start, P)
         for layer in range(cfg.depth):
-            attn_in = layer_norm(x, p[f"layer{layer}.ln1.g"], p[f"layer{layer}.ln1.b"])
-            x = add(x, _attention(attn_in, state, layer, mask, cache))
+            x = add(x, attention_sublayer(x, state, layer, mask, cache))
             ffn_in = layer_norm(x, p[f"layer{layer}.ln2.g"], p[f"layer{layer}.ln2.b"])
             h = gelu(linear(ffn_in, p[f"layer{layer}.ffn.1.W"], p[f"layer{layer}.ffn.1.b"]))
             h = linear(h, p[f"layer{layer}.ffn.2.W"], p[f"layer{layer}.ffn.2.b"])

@@ -28,6 +28,7 @@ from .tensor import (
     _accumulate,
     _affine,
     _input_nodes,
+    _select,
     _sigmoid,
     _unbroadcast,
     _weight_grad,
@@ -252,7 +253,7 @@ def epi_tokenize(
     else:
         P1, edges = X_window, ()
     pre = _affine(P1, W1, b1)
-    H1 = np.where(pre > 0, pre, 0.0)
+    H1 = _select(pre > 0, pre)
     P2 = _propagate(A, s, wf, wb, H1) if graph_mode else None
     gated = gating_mode != "average"
     sg = _sigmoid(prompts.gamma.data) if gated else None
@@ -269,7 +270,7 @@ def epi_tokenize(
     def _bw(g):
         pre = _affine(P1, W1, b1)
         mask = pre > 0
-        H1 = np.where(mask, pre, 0.0)
+        H1 = _select(mask, pre)
         x2 = H1 if P2 is None else P2
         # blend, then the second linear layer
         g2 = _blend_backward(g, shape, sg, gating_mode, None if ngamma is None else _affine(x2, W2, b2), ngamma)
@@ -283,7 +284,7 @@ def epi_tokenize(
         g1 = g2 @ W2.T
         if P2 is not None:
             g1 = _propagate_backward(A, s, wf, wb, H1, P2, g1, edge_nodes)
-        g1 = np.where(mask, g1, 0.0)
+        g1 = _select(mask, g1)
         if nW1 is not None:
             _accumulate(nW1, _weight_grad(P1, g1))
         if nb1 is not None:
@@ -309,7 +310,7 @@ def mob_tokenize(M_t: np.ndarray, proj: MobProjector) -> Tensor:
     if W1.shape[0] != M_t.shape[0]:
         raise ValueError(f"projector expects N={W1.shape[0]}, matrix has N={M_t.shape[0]}")
     pre = _affine(M_t, W1, b1)
-    out = _affine(np.where(pre > 0, pre, 0.0), W2, b2)
+    out = _affine(_select(pre > 0, pre), W2, b2)
     nodes = _input_nodes(*proj.parameters())
     if nodes is None:
         return Tensor._result(out, (), None)
@@ -319,12 +320,12 @@ def mob_tokenize(M_t: np.ndarray, proj: MobProjector) -> Tensor:
         pre = _affine(M_t, W1, b1)
         mask = pre > 0
         if nW2 is not None:
-            _accumulate(nW2, _weight_grad(np.where(mask, pre, 0.0), g))
+            _accumulate(nW2, _weight_grad(_select(mask, pre), g))
         if nb2 is not None:
             _accumulate(nb2, _unbroadcast(g, b2.shape))
         if nW1 is None and nb1 is None:
             return
-        g1 = np.where(mask, g @ W2.T, 0.0)
+        g1 = _select(mask, g @ W2.T)
         if nW1 is not None:
             _accumulate(nW1, _weight_grad(M_t, g1))
         if nb1 is not None:

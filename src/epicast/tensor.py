@@ -17,10 +17,11 @@ gradient slot, its input nodes and a backward closure.  The closure captures
 exactly the arrays its backward reads (``mul`` the *other* operand, ``linear``
 its input only when the weight needs a gradient, ``gelu`` its derivative,
 computed in the forward over the tanh's buffer, ``add``, ``reshape`` or
-``tsum`` shapes only, a ``branches`` tokenizer its propagated maps, from
-which it rebuilds the rest), and no node ever holds its own output tensor.
-So an intermediate array that no backward reads (a residual sum, a GELU input
-or output, a merged-heads copy) is freed during the forward as soon as the
+``tsum`` shapes only, a ``branches`` tokenizer its propagated maps and a
+``backbone`` attention sublayer its normalized input, from which they rebuild
+the rest), and no node ever holds its own output tensor.  So an intermediate
+array that no backward reads (a residual sum, a GELU input or output, the
+attention's q, k, v and weights) is freed during the forward as soon as the
 forward drops it.
 
 A tape's lifetime follows reference counting alone:
@@ -41,34 +42,61 @@ A tape's lifetime follows reference counting alone:
   they nor ops whose inputs are all constant build a node or a closure.
   Validation and forecasting run this way.
 
-Besides the primitive ops there are three fused ones, each a single tape node
-with a hand-written backward: ``linear`` (``x @ W + b``), ``layer_norm`` and
-``attention_weights`` (``softmax(q @ kᵀ · scale + mask)``, which keeps only
-the weights for its backward, never the raw, scaled or masked scores).  The
-two tokenizers in ``branches`` are fused the same way, from the numpy
-kernels ``_affine``, ``_weight_grad`` and ``_sigmoid`` shared with these ops.
-Their forwards are bitwise equal to the same computation composed from the
-primitives, and tests validate both forwards and gradients against that
-composed form.
+Besides the primitive ops there are two fused ones, each a single tape node
+with a hand-written backward: ``linear`` (``x @ W + b``) and ``layer_norm``.
+The two tokenizers in ``branches`` and the attention sublayer in ``backbone``
+are fused the same way, from the numpy kernels shared with these ops
+(``_affine``, ``_weight_grad``, ``_sigmoid``, ``_select``, ``_layer_norm``,
+``_exp_normalize``, ``_softmax_backward``).  Their forwards are bitwise equal
+to the same computation composed from the primitives, and tests validate
+both forwards and gradients against that composed form.
 
-The kernels of ``gelu``, ``softmax``, ``layer_norm`` and ``attention_weights``
-write into one or two arrays they own, with ``out=`` and in-place ops, instead
-of a fresh input-sized temporary per numpy op: each temporary is a new large
-allocation whose pages fault in on first touch, which costs more than the
-arithmetic.  Where ``gelu`` still needs a temporary, it runs that part one
-leading-axis block at a time (``_blocks``), so the temporary is one block big.
-The kernels run the composed form's numpy ops in the same order, so every
-result is bitwise unchanged.
+The kernels write into one or two arrays they own, with ``out=`` and in-place
+ops, instead of a fresh input-sized temporary per numpy op: each temporary is
+a new large allocation whose pages fault in on first touch, which costs more
+than the arithmetic.  Where ``gelu`` or the softmax backward still needs a
+temporary, it runs that part in blocks of whole leading-axis rows of about
+32,768 elements (``_blocks``), so the temporary is one block big.  ``_select``
+is ``np.where(mask, x, 0.0)`` as a bitwise AND, free of the branch per element
+that mispredicts on sign masks.  The kernels run the composed form's numpy
+ops in the same order, so every result is bitwise unchanged.
+
+At import, ``mallopt`` raises glibc's mmap and trim thresholds, so arrays up
+to 32 MiB come from the heap and freed heap pages stay mapped: otherwise
+each backward frees the tape, glibc hands the heap top back to the kernel,
+and the next forward faults it back in page by page.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from contextlib import contextmanager
 
 import numpy as np
 
 _grad_enabled = True
+
+
+def _keep_freed_pages_mapped() -> bool:
+    """Have glibc's malloc serve arrays up to 32 MiB from its heap and keep up
+    to 128 MiB of freed heap mapped; False where libc has no ``mallopt``.
+
+    Both thresholds are set because setting either alone turns off glibc's
+    dynamic thresholds.  Without them, every backward frees the tape, glibc
+    returns the top of the heap to the kernel, and the next forward faults
+    those pages back in.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+    return mallopt(M_MMAP_THRESHOLD, 32 << 20) == 1 and mallopt(M_TRIM_THRESHOLD, 128 << 20) == 1
+
+
+MALLOPT = _keep_freed_pages_mapped()
 
 
 class AutodiffError(RuntimeError):
@@ -568,17 +596,26 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 # -- nonlinearities ----------------------------------------------------------------
 
 
+def _select(mask: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.where(mask, x, 0.0)`` byte for byte, -0.0, NaN and inf included,
+    laid out the same, without a branch per element: x's bits ANDed with all
+    ones where `mask` holds and with zeros elsewhere."""
+    bits = np.array(mask, dtype=np.uint64)  # an array even for a 0-d mask, which compares to a scalar
+    np.negative(bits, out=bits)
+    return np.bitwise_and(x.view(np.uint64), bits, out=bits if bits.strides == x.strides else None).view(np.float64)
+
+
 def relu(a) -> Tensor:
     a = astensor(a)
     mask = a.data > 0
-    out = np.where(mask, a.data, 0.0)
+    out = _select(mask, a.data)
     nodes = _input_nodes(a)
     if nodes is None:
         return Tensor._result(out, (), None)
     (na,) = nodes
 
     def _bw(g):
-        _accumulate(na, np.where(mask, g, 0.0))
+        _accumulate(na, _select(mask, g))
 
     return Tensor._result(out, nodes, _bw)
 
@@ -620,13 +657,19 @@ def tanh(a) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
+_BLOCK = 1 << 15  # elements per block of a blocked kernel
+
+
 def _blocks(*arrays: np.ndarray):
-    """Matching leading-axis slices of same-shape arrays, for running an
-    elementwise kernel one block at a time.  A block-sized temporary comes
-    from memory the allocator already holds; an input-sized one is a fresh
-    allocation whose pages fault in on first touch.  Elementwise results do
-    not depend on the blocking."""
-    return zip(*(np.atleast_2d(a) for a in arrays))
+    """Matching blocks of whole leading-axis rows of same-shape arrays, about
+    ``_BLOCK`` elements each (one row if a row is larger), for running a
+    kernel one block at a time.  A block-sized temporary comes from memory the
+    allocator already holds; an input-sized one is a fresh allocation whose
+    pages fault in on first touch.  Elementwise results, and reductions over
+    the last axis, do not depend on the blocking."""
+    views = [np.atleast_2d(a) for a in arrays]
+    rows = max(1, _BLOCK // max(1, views[0][0].size))
+    return (tuple(v[i : i + rows] for v in views) for i in range(0, len(views[0]), rows))
 
 
 def gelu(a) -> Tensor:
@@ -686,11 +729,12 @@ def _exp_normalize(shifted: np.ndarray) -> np.ndarray:
 
 
 def _softmax_backward(g: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``(g - (g * s).sum(-1)) * s``, the softmax backward, in one new array."""
-    out = g * s
-    np.subtract(g, out.sum(axis=-1, keepdims=True), out=out)
-    out *= s
-    return out
+    """``(g - (g * s).sum(-1)) * s``, the softmax backward, written over `g`,
+    with one block-sized temporary."""
+    for gg, ss in _blocks(g, s):
+        gg -= (gg * ss).sum(axis=-1, keepdims=True)
+        gg *= ss
+    return g
 
 
 def softmax(a) -> Tensor:
@@ -707,44 +751,35 @@ def softmax(a) -> Tensor:
     (na,) = nodes
 
     def _bw(g):
-        _accumulate(na, _softmax_backward(g, s))
+        _accumulate(na, _softmax_backward(np.array(g), s))
 
     return Tensor._result(s, nodes, _bw)
 
 
-def attention_weights(q, k, mask: np.ndarray, scale: float) -> Tensor:
-    """``softmax(q @ kᵀ * scale + mask)`` over the last axis, as one node.
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
+    """LayerNorm's output ``normed * gain + bias``, its normalized input and
+    the std it was divided by, running the numpy ops of the composition
+    ``(x - mean) / sqrt(var + eps) * gain + bias`` in the same order."""
+    normed = x - x.mean(axis=-1, keepdims=True)  # centered, until divided by std
+    out = normed * normed
+    std = out.mean(axis=-1, keepdims=True)
+    std += eps
+    np.sqrt(std, out=std)
+    normed /= std
+    np.multiply(normed, gain, out=out)
+    out += bias
+    return out, normed, std
 
-    q is (..., P, dh) and k (..., S, dh) with the same leading axes; `mask`
-    is an additive array broadcast to (..., P, S), -inf where a query must not
-    see a key.  Only the weights are kept for the backward, which pushes the
-    softmax gradient through the scale into q and k.  Forward and gradients
-    are bitwise those of the composed primitive ops.
-    """
-    q, k = astensor(q), astensor(k)
-    if q.data.shape[:-2] != k.data.shape[:-2]:
-        raise ValueError(f"query {q.data.shape} and key {k.data.shape} batch axes differ")
-    s = q.data @ np.swapaxes(k.data, -1, -2)
-    s *= scale
-    s += mask
-    s -= s.max(axis=-1, keepdims=True)
-    _exp_normalize(s)
-    nodes = _input_nodes(q, k)
-    if nodes is None:
-        return Tensor._result(s, (), None)
-    nq, nk = nodes
-    q_data = q.data if nk is not None else None
-    k_data = k.data if nq is not None else None
 
-    def _bw(g):
-        gs = _softmax_backward(g, s)
-        gs *= scale
-        if nq is not None:
-            _accumulate(nq, gs @ k_data)
-        if nk is not None:
-            _accumulate(nk, np.swapaxes(np.swapaxes(q_data, -1, -2) @ gs, -1, -2))
-
-    return Tensor._result(s, nodes, _bw)
+def _layer_norm_backward(g: np.ndarray, normed: np.ndarray, std: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    """The gradient of LayerNorm's input for an output gradient g."""
+    gn = g * gain
+    dx = gn - gn.mean(axis=-1, keepdims=True)
+    gn *= normed
+    np.multiply(normed, gn.mean(axis=-1, keepdims=True), out=gn)
+    dx -= gn
+    dx /= std
+    return dx
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -755,14 +790,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     output is bitwise equal to it.
     """
     x, gain, bias = astensor(x), astensor(gain), astensor(bias)
-    normed = x.data - x.data.mean(axis=-1, keepdims=True)  # centered, until divided by std
-    out = normed * normed
-    std = out.mean(axis=-1, keepdims=True)
-    std += eps
-    np.sqrt(std, out=std)
-    normed /= std
-    np.multiply(normed, gain.data, out=out)
-    out += bias.data
+    out, normed, std = _layer_norm(x.data, gain.data, bias.data, eps)
     nodes = _input_nodes(x, gain, bias)
     if nodes is None:
         return Tensor._result(out, (), None)
@@ -773,13 +801,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 
     def _bw(g):
         if nx is not None:
-            gn = g * gain_data
-            dx = gn - gn.mean(axis=-1, keepdims=True)
-            gn *= normed
-            np.multiply(normed, gn.mean(axis=-1, keepdims=True), out=gn)
-            dx -= gn
-            dx /= std
-            _accumulate(nx, dx)
+            _accumulate(nx, _layer_norm_backward(g, normed, std, gain_data))
         if ngain is not None:
             _accumulate(ngain, _unbroadcast(g * normed, gain_shape))
         if nbias is not None:

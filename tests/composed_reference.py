@@ -7,26 +7,35 @@ the single fused nodes of ``epicast.branches`` must match them bit for bit,
 tokens and gradients.
 ``block_adjacency`` assembles the dense (w*N)^2 prompted block matrix that
 ``epicast`` never builds, the oracle ``propagate`` is checked against.
+``attention_sublayer`` composes one attention sublayer of the backbone from
+``layer_norm``, ``linear``, head reshapes and ``attention_weights``, one node
+each; ``epicast.backbone.attention_sublayer`` must match it bit for bit.
 """
 
 import numpy as np
 
+from epicast.backbone import DecodeCache
 from epicast.branches import PromptGraphError
 from epicast.prompts import PromptedGraph, PromptParams, build_prompted_graph
 from epicast.tensor import (
     Tensor,
     _accumulate,
+    _exp_normalize,
     _input_nodes,
+    _softmax_backward,
     _unbroadcast,
     add,
     astensor,
     constant,
+    layer_norm,
     linear,
+    matmul,
     mul,
     relu,
     reshape,
     sigmoid,
     tmean,
+    transpose,
     tsum,
 )
 
@@ -167,3 +176,69 @@ def epi_tokenize(X_window, A_window, prompts: PromptParams, proj, gating_mode="g
 def mob_tokenize(M_t, proj):
     """One mobility token (N, D), composed: each outflow row through the MLP."""
     return linear(relu(linear(constant(M_t), proj.W1, proj.b1)), proj.W2, proj.b2)
+
+
+def attention_weights(q, k, mask: np.ndarray, scale: float) -> Tensor:
+    """``softmax(q @ kᵀ * scale + mask)`` over the last axis, as one node.
+
+    q is (..., P, dh) and k (..., S, dh) with the same leading axes; `mask`
+    is an additive array broadcast to (..., P, S), -inf where a query must not
+    see a key.  Only the weights are kept for the backward, which pushes the
+    softmax gradient through the scale into q and k.  Forward and gradients
+    are bitwise those of the composed primitive ops.
+    """
+    q, k = astensor(q), astensor(k)
+    if q.data.shape[:-2] != k.data.shape[:-2]:
+        raise ValueError(f"query {q.data.shape} and key {k.data.shape} batch axes differ")
+    s = q.data @ np.swapaxes(k.data, -1, -2)
+    s *= scale
+    s += mask
+    s -= s.max(axis=-1, keepdims=True)
+    _exp_normalize(s)
+    nodes = _input_nodes(q, k)
+    if nodes is None:
+        return Tensor._result(s, (), None)
+    nq, nk = nodes
+    q_data = q.data if nk is not None else None
+    k_data = k.data if nq is not None else None
+
+    def _bw(g):
+        gs = _softmax_backward(np.array(g), s)
+        gs *= scale
+        if nq is not None:
+            _accumulate(nq, gs @ k_data)
+        if nk is not None:
+            _accumulate(nk, np.swapaxes(np.swapaxes(q_data, -1, -2) @ gs, -1, -2))
+
+    return Tensor._result(s, nodes, _bw)
+
+
+def attention_sublayer(x, state, layer: int, mask: np.ndarray, cache: DecodeCache | None = None) -> Tensor:
+    """One attention sublayer, composed: LN1, the q/k/v projections, the
+    per-head weights, the mix, the head merge and the output projection."""
+    x = astensor(x)
+    N, P, D = x.data.shape
+    H = state.config.heads
+    dh = D // H
+    p = state.params
+    a = layer_norm(x, p[f"layer{layer}.ln1.g"], p[f"layer{layer}.ln1.b"])
+
+    def proj(nm):
+        return linear(a, p[f"layer{layer}.attn.{nm}.W"], p[f"layer{layer}.attn.{nm}.b"])
+
+    def split(t):  # (N, P, D) -> (N, H, P, dh)
+        return transpose(reshape(t, (N, P, H, dh)), (0, 2, 1, 3))
+
+    q, k, v = split(proj("q")), split(proj("k")), split(proj("v"))
+    if cache is not None:
+        if layer < len(cache.kv):  # decode: attend to the cached positions too
+            k_past, v_past = cache.kv[layer]
+            k = constant(np.concatenate([k_past, k.data], axis=2))
+            v = constant(np.concatenate([v_past, v.data], axis=2))
+            cache.kv[layer] = (k.data, v.data)
+        else:  # prefill
+            cache.kv.append((k.data, v.data))
+    weights = attention_weights(q, k, mask, 1.0 / np.sqrt(dh))
+    mixed = matmul(weights, v)  # (N, H, P, dh)
+    merged = reshape(transpose(mixed, (0, 2, 1, 3)), (N, P, D))
+    return linear(merged, p[f"layer{layer}.attn.o.W"], p[f"layer{layer}.attn.o.b"])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from composed_reference import attention_sublayer as composed_attention_sublayer
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,9 @@ from epicast.backbone import (
     BackboneConfigError,
     DecodeCache,
     DecodeCacheError,
+    _ATTENTION,
     _causal_mask,
+    attention_sublayer,
     backbone_forward,
     build_backbone,
 )
@@ -253,3 +256,75 @@ def test_decode_past_max_positions_rejected():
         backbone_forward(Tensor(tokens.data[:4]), state, cache)
         with pytest.raises(BackboneConfigError, match="5 patches exceeds backbone.max_positions=4"):
             backbone_forward(tokens, state, cache)
+
+
+def _random_backbone(mode, width, heads, positions, rng):
+    """A one-layer transformer with every parameter drawn, gains and biases too."""
+    state = build_backbone(BackboneConfig(mode=mode, depth=1, width=width, heads=heads, max_positions=positions))
+    for p in state.parameters():
+        p.data = rng.normal(size=p.data.shape)
+    return state
+
+
+@given(
+    trainable=st.booleans(),
+    n=st.integers(min_value=1, max_value=4),
+    positions=st.integers(min_value=1, max_value=7),
+    heads=st.integers(min_value=1, max_value=3),
+    dh=st.integers(min_value=1, max_value=4),
+    transposed=st.booleans(),
+    magnitude=st.floats(min_value=1e-3, max_value=1e3),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_attention_sublayer_is_bitwise_the_composed_ops(trainable, n, positions, heads, dh, transposed, magnitude, seed):
+    """The fused sublayer's output, x's gradient and, when trainable, the
+    gradients of ln1.g, ln1.b and the q/k/v/o weights and biases are bitwise
+    those of LN1, the projections, attention_weights, the mix and the merge
+    composed from one tape node each."""
+    rng = np.random.default_rng(seed)
+    mode = "trainable-transformer" if trainable else "frozen-transformer"
+    width = heads * dh
+    x_data = rng.normal(size=(positions, n, width)) * magnitude
+    x_data = x_data.transpose(1, 0, 2) if transposed else np.ascontiguousarray(x_data.transpose(1, 0, 2))
+    g = rng.normal(size=(n, positions, width))
+    params_rng = rng.bit_generator.state
+
+    def run(sublayer):
+        rng.bit_generator.state = params_rng
+        state = _random_backbone(mode, width, heads, positions, rng)
+        x = Parameter(x_data, name="x")
+        out = sublayer(x, state, 0, _causal_mask(0, positions))
+        tsum(mul(out, constant(g))).backward()
+        return [out.data, x.grad] + [state.params[f"layer0.{name}"].grad for name in _ATTENTION if trainable]
+
+    fused, composed = run(attention_sublayer), run(composed_attention_sublayer)
+    for got, want in zip(fused, composed):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@given(
+    n=st.integers(min_value=1, max_value=3),
+    chunks=st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=4),
+    heads=st.integers(min_value=1, max_value=3),
+    dh=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=30, deadline=None)
+def test_attention_sublayer_decodes_bitwise_as_the_composed_ops(n, chunks, heads, dh, seed):
+    """A prefill and decode steps through a DecodeCache: every output and the
+    cached keys and values are bitwise the composed sublayer's."""
+    rng = np.random.default_rng(seed)
+    width, cuts = heads * dh, [0, *np.cumsum(chunks)]
+    state = _random_backbone("frozen-transformer", width, heads, cuts[-1], rng)
+    x = rng.normal(size=(n, cuts[-1], width))
+    caches = DecodeCache(), DecodeCache()
+    with no_grad():
+        for start, end in zip(cuts[:-1], cuts[1:]):
+            outs = [
+                sublayer(Tensor(x[:, start:end]), state, 0, _causal_mask(start, end), cache).data
+                for sublayer, cache in zip((attention_sublayer, composed_attention_sublayer), caches)
+            ]
+            assert outs[0].tobytes() == outs[1].tobytes()
+            for fused, composed in zip(caches[0].kv[0], caches[1].kv[0]):
+                assert fused.tobytes() == composed.tobytes()

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from epicast.cli import (
     resolve_config,
 )
 from epicast.backbone import BackboneConfig, build_backbone
-from epicast.model import load_checkpoint, save_checkpoint
+from epicast.model import ModelConfig, load_checkpoint, parameter_count, save_checkpoint
 from epicast.serialize import load_tensors, save_tensors
 
 FAST = {
@@ -331,6 +332,29 @@ def test_exit_two_on_parameters_too_large_to_allocate(tmp_path, capsys, monkeypa
 
 def _no_backbone(*args, **kwargs):
     raise AssertionError("backbone parameters allocated before the size check")
+
+
+def test_exit_two_when_gradients_and_adam_moments_do_not_fit(tmp_path, capsys, monkeypatch):
+    """Training holds a gradient and Adam's two moments for every trainable
+    parameter: a trainable backbone whose parameters alone fit in memory, but
+    not four times over, exits 2 naming the size keys.  The depth is worked
+    out from the parameter count; nothing that size is allocated."""
+    monkeypatch.setattr("epicast.model.build_backbone", _no_backbone)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    model_cfg = ModelConfig(n_regions=4, w=3, width=8)
+
+    def nbytes(depth):
+        return 8 * parameter_count(model_cfg, BackboneConfig("trainable-transformer", depth=depth, width=8, heads=2))
+
+    depth = memory // 2 // (nbytes(1) - nbytes(0))
+    assert nbytes(depth) < memory <= 4 * nbytes(depth)  # under a bound on the parameters alone
+    cfg_file = tmp_path / "big.cfg"
+    extra = {"backbone.mode": "trainable-transformer", "backbone.depth": str(depth)}
+    cfg_file.write_text("\n".join(f"{k} = {v}" for k, v in {**FAST, **extra}.items()) + "\n")
+    assert main(["train", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: model parameters do not fit in memory" in err and f"backbone.depth={depth}" in err, err
+    assert not (tmp_path / "out" / "checkpoint.bin").exists()
 
 
 # Sizes whose arrays are larger than the 128 TiB user address space, so the

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import epicast.backbone as backbone_mod
 import epicast.forecaster as forecaster_mod
 import epicast.trainer as trainer_mod
 from epicast.backbone import BackboneConfig
@@ -237,14 +238,20 @@ def test_training_loss_still_records_after_validation():
 # -- what a training tape keeps ----------------------------------------------------------
 
 
+def _arrays_in(value):
+    """The ndarrays in `value`, nested tuples and lists included."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays_in(item)
+
+
 def _closure_arrays(node):
-    """The ndarrays in the cells of a node's backward closure, tuples and
-    lists in those cells included."""
+    """The ndarrays in the cells of a node's backward closure, nested tuples
+    and lists in those cells included."""
     for cell in getattr(node._backward, "__closure__", None) or ():
-        value = cell.cell_contents
-        for item in value if isinstance(value, (list, tuple)) else [value]:
-            if isinstance(item, np.ndarray):
-                yield item
+        yield from _arrays_in(cell.cell_contents)
 
 
 def _kept_arrays(loss):
@@ -270,14 +277,24 @@ def _train_setup(mode="frozen-transformer"):
     return ds, splits, model, P
 
 
-def test_training_tape_keeps_only_the_attention_weights_of_each_score_shape():
-    ds, splits, model, P = _train_setup()
+@pytest.mark.parametrize("mode", ["frozen-transformer", "trainable-transformer"])
+def test_an_attention_node_keeps_only_its_normalized_input(monkeypatch, mode):
+    """Each attention sublayer is one node.  Besides parameters, it keeps LN1's
+    normalized input (N, P, D), its std (N, P, 1) and the causal mask (P, P):
+    no LN1 output, q, k, v, merged heads or (N, H, P, P) weights, which no
+    node of the tape keeps."""
+    ds, splits, model, P = _train_setup(mode)
+    attention = _spy(monkeypatch, backbone_mod, "attention_sublayer")
     loss = training_loss(model, ds, splits.train, TrainConfig())
-    scores = [a for a in _kept_arrays(loss) if a.shape == (ds.N, 2, P, P)]
-    assert len(scores) == 2 * 2  # one per layer, per branch
-    for weights in scores:  # softmax rows over the visible (causal) keys
-        np.testing.assert_allclose(weights.sum(axis=-1), 1.0)
-        assert np.all(np.triu(weights, k=1) == 0.0)
+    assert len(attention) == 2 * 2  # one per layer, per branch
+    params = {id(p.data) for p in model.parameters()}
+    for out in attention:
+        own = [a for a in _closure_arrays(out._node) if id(a) not in params]
+        assert sorted(a.shape for a in own) == sorted([(ds.N, P, 8), (ds.N, P, 1), (P, P)])
+    kept = [a.shape for a in _kept_arrays(loss)]
+    assert (ds.N, 2, P, P) not in kept
+    if mode == "frozen-transformer":  # LN1's, LN2's and ln_f's normalized inputs, per branch
+        assert kept.count((ds.N, P, 8)) == 2 * (2 * 2 + 1)
 
 
 @pytest.mark.parametrize("mode, per_gelu", [("frozen-transformer", 1), ("trainable-transformer", 2)])

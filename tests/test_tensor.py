@@ -5,7 +5,7 @@ import zlib
 
 import numpy as np
 import pytest
-from composed_reference import div, propagate
+from composed_reference import attention_weights, div, propagate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,8 +19,8 @@ from epicast.tensor import (
     _layout,
     _Node,
     _owned_grad,
+    _select,
     add,
-    attention_weights,
     concat,
     constant,
     gelu,
@@ -546,6 +546,33 @@ def test_layer_norm_is_bitwise_the_composed_expression(inputs, seed):
     _assert_bitwise(out.data, ref_out)
     for grad, ref in zip(_node_grads(out, g, params), ref_grads):
         _assert_bitwise(grad, ref)
+
+
+_SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -2.5]
+_SPECIAL.append(np.array([0xFFF8_0000_0000_0001], dtype=np.uint64).view(np.float64)[0])  # a NaN with a payload
+
+
+@given(
+    values=st.lists(st.sampled_from(_SPECIAL) | st.floats(width=64), min_size=1, max_size=60),
+    cols=st.integers(min_value=1, max_value=4),
+    mask_seed=st.integers(min_value=0, max_value=2**16),
+    sign_mask=st.booleans(),
+    layout=st.sampled_from(["C", "F", "reversed", "transposed", "broadcast", "0-d"]),
+)
+@settings(max_examples=100, deadline=None)
+def test_select_is_bitwise_np_where(values, cols, mask_seed, sign_mask, layout):
+    """relu's select writes np.where(mask, x, 0.0)'s bytes, laid out the same,
+    for arrays of signed zeros, NaNs, infinities and subnormals in any layout."""
+    rows = -(-len(values) // cols)
+    x = np.resize(np.array(values, dtype=np.float64), (rows, cols))
+    x = {
+        "C": x, "F": np.asfortranarray(x), "reversed": x[::-1], "transposed": x.T,
+        "broadcast": np.broadcast_to(x[:1], x.shape), "0-d": np.array(x[0, 0]),
+    }[layout]  # fmt: skip
+    mask = x > 0 if sign_mask else np.random.default_rng(mask_seed).random(x.shape) < 0.5
+    out, ref = _select(mask, x), np.where(mask, x, 0.0)
+    assert out.dtype == np.float64 and out.strides == ref.strides
+    _assert_bitwise(out, ref)
 
 
 def test_sigmoid_is_bitwise_the_three_exponential_expression():
