@@ -2,7 +2,7 @@
 
 Each backward frees the tape.  With glibc's default thresholds, malloc returns
 the top of the heap to the kernel then, and the next forward faults every page
-of it back in: about 2.8k-4.6k minor faults per epoch at the ``train_long``
+of it back in: about 2.8k-4.7k minor faults per epoch at the ``train_long``
 shape (10 regions, 186 days, w = 3, width 64).  ``epicast.tensor`` raises the
 mmap and trim thresholds at import, and a steady epoch then takes 1-24 faults.
 """
@@ -16,7 +16,7 @@ import pytest
 
 from epicast import tensor
 
-FAULTS_PER_EPOCH = 250  # measured 1-24 with the thresholds raised, 2.8k-4.6k without
+FAULTS_PER_EPOCH = 250  # measured 1-24 with the thresholds raised, 2.8k-4.7k without
 
 EPOCHS = """
 import resource
