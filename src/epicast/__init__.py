@@ -46,7 +46,7 @@ from .evalharness import (
 from .forecaster import ForecastResult, forecast
 from .gradcheck import GradCheckReport, grad_check
 from .model import ModelConfig, ModelState, build_model, count_params, load_checkpoint, save_checkpoint
-from .prompts import PromptParams, PromptedGraph, build_prompted_graph, init_prompts
+from .prompts import PromptGraphError, PromptParams, build_prompted_graph, init_prompts
 from .tensor import Parameter, Tensor
 from .trainer import Adam, TrainConfig, TrainReport, compute_loss, train
 

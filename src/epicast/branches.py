@@ -1,11 +1,14 @@
 """Dual-branch tokenization and the adapters mapping back to raw spaces.
 
 Epidemic branch: message passing over the prompted block graph of a token
-window, blockwise over its per-day slices, followed by gated blending of the
-per-slice embeddings into one backbone-width token per region.  Mobility
-branch: a two-layer feedforward map from a region's outflow row to a token.
-Each branch has its own adapter (token -> case block, token -> mobility row);
-the two share no parameters.
+window, blockwise over its per-day slices and normalized by
+``prompts.build_prompted_graph``, followed by gated blending of the per-slice
+embeddings into one backbone-width token per region.  Mobility branch: a
+two-layer feedforward map from a region's outflow row to a token.  Each
+branch has its own adapter (token -> case block, token -> mobility row); the
+two share no parameters.  ``epi_token_sequence`` and ``mob_token_sequence``
+tokenize every patch of a patch grid and stack the tokens into the (P, N, D)
+sequence that training and forecasting both hand to the backbone.
 
 Each tokenizer call is one fused tape node with a hand-written backward.  The
 epidemic node keeps only its two propagated maps and the degree scale and
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prompts import PromptedGraph, PromptParams, build_prompted_graph
+from .prompts import PromptParams, build_prompted_graph
 from .tensor import (
     Parameter,
     Tensor,
@@ -40,10 +43,6 @@ from .tensor import (
 
 GATING_MODES = ("gated", "average", "last")
 TOKENIZER_MODES = ("graph", "mlp")
-
-
-class PromptGraphError(RuntimeError):
-    """Learned prompt edge weights left a block-graph node without a positive degree."""
 
 
 def _init_linear(rng: np.random.Generator, fan_in: int, fan_out: int, name: str):
@@ -106,33 +105,12 @@ def init_adapter(rng: np.random.Generator, D: int, out: int, name: str) -> Adapt
     return Adapter(W, b)
 
 
-def _degree_scale(graph: PromptedGraph) -> np.ndarray:
-    """``deg^-1/2`` of every block-graph node, as a (w, N, 1) array.
-
-    The degree follows in closed form (Kipf & Welling symmetric
-    normalization, applied blockwise):
-    ``deg_k = 1 + colsum(A_k) + w_forward [k > 0] + w_backward [k < w-1]``.
-    Self-loops keep every degree >= 1 while the edge weights are
-    nonnegative.  Negative learned prompt edge weights can break that; the
-    degree is then rejected, never clipped, so a valid state's numbers are
-    those of the plain normalization.
-    """
-    deg = 1.0 + graph.slices.sum(axis=1)  # (w, N): in-strength of every node
-    deg[1:] += graph.w_forward.data
-    deg[:-1] += graph.w_backward.data
-    if np.any(deg <= 0):
-        raise PromptGraphError(
-            f"the prompt edge weights (prompts.forward, prompts.backward) leave a block-graph "
-            f"node with degree {deg.min():.6g}; degrees must stay positive"
-        )
-    return (1.0 / np.sqrt(deg))[:, :, None]
-
-
 def _propagate(A: np.ndarray, s: np.ndarray, wf, wb, H: np.ndarray) -> np.ndarray:
     """One message-passing step ``D^-1/2 (B + I)^T D^-1/2 H`` over the block graph.
 
     B is the (w*N)^2 block adjacency of the slices A (w, N, N) and H its node
-    features, laid out as (w, N, F); s is ``_degree_scale``.  Messages travel
+    features, laid out as (w, N, F); s is its ``deg^-1/2``
+    (``prompts.build_prompted_graph``).  Messages travel
     along edge direction, so node (k, i) receives ``A_k[j, i]`` from (k, j),
     its own features through the self-loop, ``wf`` from (k-1, i) and ``wb``
     from (k+1, i).  B itself is never built.
@@ -246,15 +224,14 @@ def epi_tokenize(
     if graph_mode:
         if A_window.shape != (w, n, n):
             raise ValueError(f"adjacency stack {A_window.shape} does not match features {X_window.shape}")
-        graph = build_prompted_graph(A_window, prompts)
-        A, s, wf, wb = graph.slices, _degree_scale(graph), graph.w_forward.data, graph.w_backward.data
-        P1 = _propagate(A, s, wf, wb, X_window)
-        edges = (graph.w_forward, graph.w_backward)
+        s, wf, wb = build_prompted_graph(A_window, prompts), prompts.w_forward.data, prompts.w_backward.data
+        P1 = _propagate(A_window, s, wf, wb, X_window)
+        edges = (prompts.w_forward, prompts.w_backward)
     else:
         P1, edges = X_window, ()
     pre = _affine(P1, W1, b1)
     H1 = _select(pre > 0, pre)
-    P2 = _propagate(A, s, wf, wb, H1) if graph_mode else None
+    P2 = _propagate(A_window, s, wf, wb, H1) if graph_mode else None
     gated = gating_mode != "average"
     sg = _sigmoid(prompts.gamma.data) if gated else None
     token = _blend(_affine(H1 if P2 is None else P2, W2, b2), sg, gating_mode)
@@ -283,14 +260,14 @@ def epi_tokenize(
         # the second propagation, relu and the first linear layer
         g1 = g2 @ W2.T
         if P2 is not None:
-            g1 = _propagate_backward(A, s, wf, wb, H1, P2, g1, edge_nodes)
+            g1 = _propagate_backward(A_window, s, wf, wb, H1, P2, g1, edge_nodes)
         g1 = _select(mask, g1)
         if nW1 is not None:
             _accumulate(nW1, _weight_grad(P1, g1))
         if nb1 is not None:
             _accumulate(nb1, _unbroadcast(g1, b1.shape))
         if learn_edges:  # the first propagation, of the window
-            _propagate_backward(A, s, wf, wb, X_window, P1, g1 @ W1.T, edge_nodes)
+            _propagate_backward(A_window, s, wf, wb, X_window, P1, g1 @ W1.T, edge_nodes)
 
     return Tensor._result(token, nodes, _bw)
 
@@ -359,6 +336,30 @@ def patch_grid(t_start: int, t_end: int, w: int) -> list[tuple[int, int]]:
 
 
 def stack_tokens(tokens: list[Tensor]) -> Tensor:
-    """P per-patch (N, D) tokens -> one (P, N, D) sequence."""
+    """P per-patch (N, D) tokens -> one (P, N, D) sequence: two tape nodes, a
+    concat along the region axis into (P*N, D) and a reshape that splits it."""
     n, d = tokens[0].data.shape
-    return concat([reshape(t, (1, n, d)) for t in tokens], axis=0)
+    return reshape(concat(tokens, axis=0), (len(tokens), n, d))
+
+
+def epi_token_sequence(model, X: np.ndarray, A: np.ndarray, grid) -> Tensor:
+    """(P, N, D) epidemic tokens of a ``model.ModelState``, one per patch of `grid`."""
+    cfg = model.config
+    tokens = [
+        epi_tokenize(
+            X[s:e],
+            A[s:e],
+            model.prompts,
+            model.epi_proj,
+            gating_mode=cfg.gating_mode,
+            tokenizer_mode=cfg.tokenizer_mode,
+        )
+        for s, e in grid
+    ]
+    return stack_tokens(tokens)
+
+
+def mob_token_sequence(model, M: np.ndarray, grid) -> Tensor:
+    """(P, N, D) mobility tokens of a ``model.ModelState``, one per patch of
+    `grid` from its last day."""
+    return stack_tokens([mob_tokenize(M[e - 1], model.mob_proj) for s, e in grid])

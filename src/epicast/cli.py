@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .backbone import BackboneConfig
-from .branches import PromptGraphError
 from .data import (
     CaseTable,
     ConfigError,
@@ -63,6 +62,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
+from .prompts import PromptGraphError
 from .serialize import CheckpointError
 from .trainer import TrainConfig, TrainingDivergedError, train
 

@@ -35,11 +35,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backbone import DecodeCache, backbone_forward
-from .branches import epi_adapt, mob_adapt, patch_grid
+from .branches import epi_adapt, epi_token_sequence, mob_adapt, mob_token_sequence, patch_grid
 from .data import ConfigError, EpidemicDataset, window_features
 from .model import ModelState
 from .tensor import no_grad
-from .trainer import epi_token_sequence, mob_token_sequence
 
 
 class InsufficientContextError(ConfigError):

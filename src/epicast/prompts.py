@@ -3,9 +3,11 @@
 The token window's w per-day mobility graphs form one block graph over w*N
 nodes.  Two learnable scalars add direction-aware edges between the same
 region at consecutive time slices (forward: past -> present, backward:
-present -> past), shared across all regions and slice pairs.  A length-w gate
-vector weights the per-slice embeddings when they are blended into the final
-token.
+present -> past), shared across all regions and slice pairs.  The graph is
+never built: ``build_prompted_graph`` returns its symmetric normalization, the
+one array message passing needs besides the slices and the two scalars.  A
+length-w gate vector weights the per-slice embeddings when they are blended
+into the final token.
 """
 
 from __future__ import annotations
@@ -58,28 +60,28 @@ def init_prompts(w: int) -> PromptParams:
     )
 
 
-@dataclass
-class PromptedGraph:
-    """The block graph over w time slices of N regions, kept in structured form.
-
-    Its (w*N)^2 block adjacency has only three non-zero block diagonals: the
-    per-day adjacencies on the diagonal, ``w_forward`` times the identity
-    from slice k-1 to slice k, and ``w_backward`` times the identity from
-    slice k to slice k-1.  Message passing works on ``slices`` directly
-    (``branches.epi_tokenize``); the dense matrix is never built.
-    """
-
-    slices: np.ndarray  # (w, N, N) per-day adjacencies
-    w_forward: Parameter  # scalar
-    w_backward: Parameter  # scalar
+class PromptGraphError(RuntimeError):
+    """Learned prompt edge weights left a block-graph node without a positive degree."""
 
 
-def build_prompted_graph(A_window: np.ndarray, prompts: PromptParams) -> PromptedGraph:
-    """The prompted block graph of a token window, from per-slice adjacencies.
+def build_prompted_graph(A_window: np.ndarray, prompts: PromptParams) -> np.ndarray:
+    """The normalization of a token window's prompted block graph: ``deg^-1/2``
+    of every (slice, region) node, as a (w, N, 1) array.
 
-    Within-slice blocks are the given adjacencies; the only cross-slice
-    entries link each region to itself in the neighbouring slices, all drawn
-    from the two shared learnable scalars.
+    The (w*N)^2 block adjacency has only three non-zero block diagonals: the
+    per-day adjacencies ``A_window[k]`` on the diagonal, ``w_forward`` times
+    the identity from slice k-1 to slice k, and ``w_backward`` times the
+    identity from slice k to slice k-1.  Message passing
+    (``branches.epi_tokenize``) works on the slices and the two scalars
+    directly; the dense matrix is never built.
+
+    With a self-loop on every node, the in-degree follows in closed form
+    (Kipf & Welling symmetric normalization, applied blockwise):
+    ``deg_k = 1 + colsum(A_k) + w_forward [k > 0] + w_backward [k < w-1]``.
+    It is >= 1 while the edge weights are nonnegative.  Negative learned edge
+    weights can break that; the degree is then rejected with PromptGraphError,
+    never clipped, so a valid state's numbers are those of the plain
+    normalization.
     """
     A_window = np.asarray(A_window, dtype=np.float64)
     if A_window.ndim != 3 or A_window.shape[1] != A_window.shape[2]:
@@ -87,4 +89,12 @@ def build_prompted_graph(A_window: np.ndarray, prompts: PromptParams) -> Prompte
     w = A_window.shape[0]
     if w != prompts.window:
         raise ValueError(f"adjacency stack has {w} slices but prompts cover {prompts.window}")
-    return PromptedGraph(slices=A_window, w_forward=prompts.w_forward, w_backward=prompts.w_backward)
+    deg = 1.0 + A_window.sum(axis=1)  # (w, N): in-strength of every node
+    deg[1:] += prompts.w_forward.data
+    deg[:-1] += prompts.w_backward.data
+    if np.any(deg <= 0):
+        raise PromptGraphError(
+            f"the prompt edge weights (prompts.forward, prompts.backward) leave a block-graph "
+            f"node with degree {deg.min():.6g}; degrees must stay positive"
+        )
+    return (1.0 / np.sqrt(deg))[:, :, None]

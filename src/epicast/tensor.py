@@ -737,25 +737,6 @@ def _softmax_backward(g: np.ndarray, s: np.ndarray) -> np.ndarray:
     return g
 
 
-def softmax(a) -> Tensor:
-    """Softmax along the last axis, stabilized by max subtraction.
-
-    -inf entries (e.g. causal masking) come out as exactly zero weight.
-    """
-    a = astensor(a)
-    x = a.data
-    s = _exp_normalize(x - np.max(x, axis=-1, keepdims=True))
-    nodes = _input_nodes(a)
-    if nodes is None:
-        return Tensor._result(s, (), None)
-    (na,) = nodes
-
-    def _bw(g):
-        _accumulate(na, _softmax_backward(np.array(g), s))
-
-    return Tensor._result(s, nodes, _bw)
-
-
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
     """LayerNorm's output ``normed * gain + bias``, its normalized input and
     the std it was divided by, running the numpy ops of the composition

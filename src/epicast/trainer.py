@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backbone import backbone_forward
-from .branches import epi_adapt, epi_tokenize, mob_adapt, mob_tokenize, patch_grid, stack_tokens
+from .branches import epi_adapt, epi_token_sequence, mob_adapt, mob_token_sequence, patch_grid
 from .data import ConfigError, EpidemicDataset
 from .model import ModelState, count_params
 from .tensor import Tensor, add, constant, mul, no_grad, sqrt, square, sub, tmean, tsum
@@ -96,29 +96,6 @@ def compute_loss(
 
 
 # -- sequence forward ---------------------------------------------------------------
-
-
-def epi_token_sequence(model: ModelState, X: np.ndarray, A: np.ndarray, grid) -> Tensor:
-    """(P, N, D) epidemic tokens, one per patch of `grid`."""
-    cfg = model.config
-    tokens = [
-        epi_tokenize(
-            X[s:e],
-            A[s:e],
-            model.prompts,
-            model.epi_proj,
-            gating_mode=cfg.gating_mode,
-            tokenizer_mode=cfg.tokenizer_mode,
-        )
-        for s, e in grid
-    ]
-    return stack_tokens(tokens)
-
-
-def mob_token_sequence(model: ModelState, M: np.ndarray, grid) -> Tensor:
-    """(P, N, D) mobility tokens, one per patch of `grid` from its last day."""
-    tokens = [mob_tokenize(M[e - 1], model.mob_proj) for s, e in grid]
-    return stack_tokens(tokens)
 
 
 def sequence_loss(

@@ -10,13 +10,14 @@ tokens and gradients.
 ``attention_sublayer`` composes one attention sublayer of the backbone from
 ``layer_norm``, ``linear``, head reshapes and ``attention_weights``, one node
 each; ``epicast.backbone.attention_sublayer`` must match it bit for bit.
+``softmax`` is the primitive op that ``attention_weights`` composes to; epicast
+keeps only its kernels (``tensor._exp_normalize``, ``tensor._softmax_backward``).
 """
 
 import numpy as np
 
 from epicast.backbone import DecodeCache
-from epicast.branches import PromptGraphError
-from epicast.prompts import PromptedGraph, PromptParams, build_prompted_graph
+from epicast.prompts import PromptParams, build_prompted_graph
 from epicast.tensor import (
     Tensor,
     _accumulate,
@@ -66,50 +67,42 @@ def cross_slice_masks(w: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.eye(w * n, k=n), np.eye(w * n, k=-n)
 
 
-def slice_offsets(graph: PromptedGraph) -> list[range]:
-    """Node-index range of each slice in the block adjacency."""
-    w, n, _ = graph.slices.shape
+def slice_offsets(A_window: np.ndarray) -> list[range]:
+    """Node-index range of each slice in the block adjacency of (w, N, N) slices."""
+    w, n, _ = A_window.shape
     return [range(k * n, (k + 1) * n) for k in range(w)]
 
 
-def block_adjacency(graph: PromptedGraph) -> Tensor:
-    """The dense (w*N, w*N) block matrix, differentiable w.r.t. the prompt scalars."""
-    w, n, _ = graph.slices.shape
+def block_adjacency(A_window: np.ndarray, prompts: PromptParams) -> Tensor:
+    """The dense (w*N, w*N) prompted block matrix of the slices A_window,
+    differentiable w.r.t. the prompt scalars."""
+    w, n, _ = A_window.shape
     size = w * n
     base = np.zeros((size, size))
     for k in range(w):
-        base[k * n : (k + 1) * n, k * n : (k + 1) * n] = graph.slices[k]
+        base[k * n : (k + 1) * n, k * n : (k + 1) * n] = A_window[k]
     fwd_mask, bwd_mask = cross_slice_masks(w, n)
     return add(
-        add(constant(base), mul(graph.w_forward, constant(fwd_mask))),
-        mul(graph.w_backward, constant(bwd_mask)),
+        add(constant(base), mul(prompts.w_forward, constant(fwd_mask))),
+        mul(prompts.w_backward, constant(bwd_mask)),
     )
 
 
-def propagate(graph: PromptedGraph, H: Tensor) -> Tensor:
+def propagate(A: np.ndarray, prompts: PromptParams, H: Tensor) -> Tensor:
     """One message-passing step ``D^-1/2 (B + I)^T D^-1/2 H`` over the block graph.
 
-    B is the graph's (w*N)^2 block adjacency and H its node features, laid
-    out as (w, N, F).  Messages travel along edge direction, so node (k, i)
-    receives ``A_k[j, i]`` from (k, j), its own features through the
-    self-loop, ``w_forward`` from (k-1, i) and ``w_backward`` from (k+1, i).
-    The degree follows in closed form (Kipf & Welling symmetric
-    normalization, applied blockwise):
-    ``deg_k = 1 + colsum(A_k) + w_forward [k > 0] + w_backward [k < w-1]``.
+    B is the (w*N)^2 prompted block adjacency of the slices A (w, N, N) and H
+    its node features, laid out as (w, N, F).  Messages travel along edge
+    direction, so node (k, i) receives ``A_k[j, i]`` from (k, j), its own
+    features through the self-loop, ``w_forward`` from (k-1, i) and
+    ``w_backward`` from (k+1, i).  ``D^-1/2`` is epicast's closed-form
+    ``build_prompted_graph``, which raises on a non-positive degree.
 
     One tape node over (H, w_forward, w_backward) with a hand-written
-    backward; B itself is never built.  A non-positive degree raises.
+    backward; B itself is never built.
     """
-    A, wf, wb = graph.slices, graph.w_forward, graph.w_backward
-    deg = 1.0 + A.sum(axis=1)  # (w, N): in-strength of every node
-    deg[1:] += wf.data
-    deg[:-1] += wb.data
-    if np.any(deg <= 0):
-        raise PromptGraphError(
-            f"the prompt edge weights (prompts.forward, prompts.backward) leave a block-graph "
-            f"node with degree {deg.min():.6g}; degrees must stay positive"
-        )
-    s = (1.0 / np.sqrt(deg))[:, :, None]
+    wf, wb = prompts.w_forward, prompts.w_backward
+    s = build_prompted_graph(A, prompts)
     Z = s * H.data
     U = np.swapaxes(A, 1, 2) @ Z
     U += Z
@@ -164,9 +157,8 @@ def epi_tokenize(X_window, A_window, prompts: PromptParams, proj, gating_mode="g
     layers over the prompted block graph, in "mlp" mode none, then the blend."""
     H0 = constant(X_window)
     if tokenizer_mode == "graph":
-        graph = build_prompted_graph(A_window, prompts)
-        H1 = relu(linear(propagate(graph, H0), proj.W1, proj.b1))
-        H2 = linear(propagate(graph, H1), proj.W2, proj.b2)
+        H1 = relu(linear(propagate(A_window, prompts, H0), proj.W1, proj.b1))
+        H2 = linear(propagate(A_window, prompts, H1), proj.W2, proj.b2)
     else:
         H1 = relu(linear(H0, proj.W1, proj.b1))
         H2 = linear(H1, proj.W2, proj.b2)
@@ -176,6 +168,25 @@ def epi_tokenize(X_window, A_window, prompts: PromptParams, proj, gating_mode="g
 def mob_tokenize(M_t, proj):
     """One mobility token (N, D), composed: each outflow row through the MLP."""
     return linear(relu(linear(constant(M_t), proj.W1, proj.b1)), proj.W2, proj.b2)
+
+
+def softmax(a) -> Tensor:
+    """Softmax along the last axis, stabilized by max subtraction.
+
+    -inf entries (e.g. causal masking) come out as exactly zero weight.
+    """
+    a = astensor(a)
+    x = a.data
+    s = _exp_normalize(x - np.max(x, axis=-1, keepdims=True))
+    nodes = _input_nodes(a)
+    if nodes is None:
+        return Tensor._result(s, (), None)
+    (na,) = nodes
+
+    def _bw(g):
+        _accumulate(na, _softmax_backward(np.array(g), s))
+
+    return Tensor._result(s, nodes, _bw)
 
 
 def attention_weights(q, k, mask: np.ndarray, scale: float) -> Tensor:

@@ -15,7 +15,6 @@ from epicast.branches import (
     TOKENIZER_MODES,
     EpiProjector,
     MobProjector,
-    PromptGraphError,
     epi_adapt,
     epi_tokenize,
     init_adapter,
@@ -30,7 +29,7 @@ from epicast.data import SirParams, SplitSpec, split_dataset, synth_sir
 from epicast.forecaster import forecast
 from epicast.gradcheck import grad_check
 from epicast.model import ModelConfig, build_model
-from epicast.prompts import PromptParams, build_prompted_graph, init_prompts
+from epicast.prompts import PromptGraphError, PromptParams, init_prompts
 from epicast.tensor import Parameter, Tensor, add, constant, matmul, mul, reshape, sqrt, transpose, tsum
 from epicast.trainer import TrainConfig, training_loss, validation_loss
 
@@ -257,9 +256,9 @@ def _dense_propagation_matrix(block: Tensor) -> Tensor:
     return mul(mul(incoming, inv_sqrt), transpose(inv_sqrt, (1, 0)))
 
 
-def _dense_propagate(graph, H: Tensor) -> Tensor:
+def _dense_propagate(A, prompts, H: Tensor) -> Tensor:
     w, n, F = H.data.shape
-    prop = _dense_propagation_matrix(composed.block_adjacency(graph))
+    prop = _dense_propagation_matrix(composed.block_adjacency(A, prompts))
     return reshape(matmul(prop, reshape(H, (w * n, F))), (w, n, F))
 
 
@@ -290,7 +289,7 @@ def test_propagate_matches_dense_oracle(w, n, F, density, w_forward, w_backward,
         prompts.w_forward.data = np.array(w_forward)
         prompts.w_backward.data = np.array(w_backward)
         H = Parameter(X, name="H")
-        Y = fn(build_prompted_graph(A, prompts), H)
+        Y = fn(A, prompts, H)
         tsum(mul(Y, constant(C))).backward()
         results.append((Y.data, H.grad, prompts.w_forward.grad, prompts.w_backward.grad))
     (Y, dH, dwf, dwb), (Y_ref, dH_ref, dwf_ref, dwb_ref) = results
@@ -309,7 +308,6 @@ def test_hot_paths_never_build_the_dense_block():
     for mod in modules:
         for name in ("block_adjacency", "slice_offsets", "_cross_slice_masks", "div"):
             assert not hasattr(mod, name), f"{mod.__name__}.{name}"
-    assert not hasattr(epicast.prompts.PromptedGraph, "block_adjacency")
     ds = synth_sir(4, 30, SirParams(beta=0.5, gamma_rec=0.2, population=2000), rng_seed=5, w=3, scale=True)
     splits = split_dataset(ds, SplitSpec(test_len=3, val_len=3))
     model = build_model(

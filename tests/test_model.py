@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from epicast.backbone import MODES, BackboneConfig
+from epicast.branches import epi_token_sequence
 from epicast.model import (
     EmptyModelError,
     ModelConfig,
@@ -15,7 +16,6 @@ from epicast.model import (
     save_checkpoint,
 )
 from epicast.serialize import CheckpointError
-from epicast.trainer import epi_token_sequence
 
 
 def _model(width=8, depth=2, mode="frozen-transformer", n=4, w=3, seed=0):

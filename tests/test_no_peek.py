@@ -2,7 +2,10 @@
 
 Perturbing every count and flow on or after the first test day must leave
 the training and validation losses, the checkpoint bytes and a forecast
-whose context ends at that day bitwise unchanged.
+whose context ends at that day bitwise unchanged.  Nearer in: perturbing
+every day from the end of the training range on must leave the training loss
+and its gradients bitwise unchanged at fixed parameters, since no training
+input or target may cross that day.
 """
 
 import dataclasses
@@ -14,11 +17,11 @@ import pytest
 from hypothesis import Phase, Verbosity, example, given, settings
 from hypothesis import strategies as st
 
-from epicast.backbone import BackboneConfig
+from epicast.backbone import MODES, BackboneConfig
 from epicast.data import SirParams, SplitSpec, build_dataset, split_dataset, synth_sir_tables
 from epicast.forecaster import forecast
 from epicast.model import ModelConfig, build_model, save_checkpoint
-from epicast.trainer import TrainConfig, train
+from epicast.trainer import TrainConfig, train, training_loss
 
 N, DAYS, W = 10, 60, 3
 SPEC = SplitSpec(test_len=2 * W, val_len=2 * W)
@@ -43,14 +46,19 @@ def _run(cases, mobility, scale):
     return losses, checkpoint, fc.cases.tobytes() + fc.mobility.tobytes() + fc.adjacency.tobytes()
 
 
+def _perturbed_from(day, cases, mobility, perturb_seed, bump):
+    """The tables with every count and flow from `day` on perturbed."""
+    rng = np.random.default_rng(perturb_seed)
+    counts, flows = cases.counts.copy(), mobility.flows.copy()
+    counts[day:] += rng.integers(1, bump + 1, size=counts[day:].shape)
+    flows[day:] = rng.random(flows[day:].shape) * bump
+    return dataclasses.replace(cases, counts=counts), dataclasses.replace(mobility, flows=flows)
+
+
 def _assert_no_peek(scale, data_seed, perturb_seed, bump):
     cases, mobility = synth_sir_tables(N, DAYS, SirParams(beta=0.5, gamma_rec=0.2, population=5000), data_seed)
     first_test_day = split_dataset(DAYS, SPEC).test.start
-    rng = np.random.default_rng(perturb_seed)
-    counts, flows = cases.counts.copy(), mobility.flows.copy()
-    counts[first_test_day:] += rng.integers(1, bump + 1, size=counts[first_test_day:].shape)
-    flows[first_test_day:] = rng.random(flows[first_test_day:].shape) * bump
-    perturbed = _run(dataclasses.replace(cases, counts=counts), dataclasses.replace(mobility, flows=flows), scale)
+    perturbed = _run(*_perturbed_from(first_test_day, cases, mobility, perturb_seed, bump), scale)
     assert _run(cases, mobility, scale) == perturbed
 
 
@@ -80,3 +88,42 @@ def test_test_range_data_reaches_no_loss_checkpoint_or_forecast(data_seed, pertu
 @settings(max_examples=3, deadline=None, phases=(Phase.explicit, Phase.generate), verbosity=Verbosity.quiet)
 def test_scaled_test_range_data_reaches_no_loss_checkpoint_or_forecast(data_seed, perturb_seed, bump):
     _assert_no_peek(True, data_seed, perturb_seed, bump)
+
+
+@given(
+    n=st.integers(min_value=2, max_value=5),
+    w=st.integers(min_value=1, max_value=4),
+    patches=st.integers(min_value=2, max_value=6),
+    mode=st.sampled_from(MODES),
+    # days before the first patch (they fall off the end-aligned grid) and held out after it
+    lead=st.integers(min_value=0, max_value=3),
+    val_len=st.integers(min_value=1, max_value=5),
+    test_len=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**16),
+    bump=st.integers(min_value=1, max_value=10**4),
+)
+@settings(max_examples=30, deadline=None)
+def test_days_from_train_stop_reach_no_training_loss_or_gradient(
+    n, w, patches, mode, lead, val_len, test_len, seed, bump
+):
+    """Unscaled, at fixed parameters: perturbing every count and flow from
+    ``train.stop`` on leaves the training loss and every gradient bitwise
+    unchanged, in every backbone mode."""
+    spec = SplitSpec(test_len=test_len, val_len=val_len)
+    days = lead % w + patches * w + val_len + test_len
+    cases, mobility = synth_sir_tables(n, days, SirParams(beta=0.5, gamma_rec=0.2, population=5000), seed)
+    train_stop = split_dataset(days, spec).train.stop
+
+    def loss_and_grads(tables):
+        ds = build_dataset(*tables, w=w)
+        model = build_model(
+            ModelConfig(n_regions=n, w=w, width=8, seed=seed % 7),
+            BackboneConfig(mode=mode, depth=1, width=8, heads=2, seed=seed % 5),
+        )
+        loss = training_loss(model, ds, split_dataset(ds, spec).train, TrainConfig())
+        loss.backward()
+        return [np.asarray(loss.data).tobytes()] + [p.grad.tobytes() for p in model.trainable_parameters()]
+
+    assert loss_and_grads((cases, mobility)) == loss_and_grads(
+        _perturbed_from(train_stop, cases, mobility, seed + 1, bump)
+    )

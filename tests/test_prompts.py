@@ -1,5 +1,5 @@
-"""Prompted graph construction, the dense block matrix of the tests' reference,
-and the learnable edge/gate parameters."""
+"""The prompted graph's normalization, the dense block matrix of the tests'
+reference, and the learnable edge/gate parameters."""
 
 import numpy as np
 import pytest
@@ -32,8 +32,7 @@ def test_init_rejects_bad_window():
 def test_single_slice_window_has_no_cross_edges():
     p = init_prompts(1)
     A = np.arange(9, dtype=float).reshape(1, 3, 3)
-    g = build_prompted_graph(A, p)
-    np.testing.assert_array_equal(block_adjacency(g).data, A[0])
+    np.testing.assert_array_equal(block_adjacency(A, p).data, A[0])
 
 
 def test_block_matrix_structure():
@@ -41,8 +40,7 @@ def test_block_matrix_structure():
     p = init_prompts(w)
     rng = np.random.default_rng(0)
     A = rng.uniform(0, 1, size=(w, n, n))
-    g = build_prompted_graph(A, p)
-    block = block_adjacency(g).data
+    block = block_adjacency(A, p).data
     assert block.shape == (w * n, w * n)
     # within-slice blocks are the original adjacencies
     for k in range(w):
@@ -60,8 +58,7 @@ def test_block_matrix_structure():
 
 def test_zero_adjacency_leaves_only_prompt_entries():
     p = init_prompts(2)
-    g = build_prompted_graph(np.zeros((2, 4, 4)), p)
-    values = set(np.unique(block_adjacency(g).data))
+    values = set(np.unique(block_adjacency(np.zeros((2, 4, 4)), p).data))
     assert values == {0.0, 0.5, 1.0}
 
 
@@ -71,8 +68,7 @@ def test_zeroed_prompts_give_block_diagonal():
     p.w_backward.data = np.array(0.0)
     rng = np.random.default_rng(1)
     A = rng.uniform(0, 1, size=(3, 4, 4))
-    g = build_prompted_graph(A, p)
-    block = block_adjacency(g).data
+    block = block_adjacency(A, p).data
     for k in range(3):
         for j in range(3):
             if k != j:
@@ -90,7 +86,7 @@ def test_prompt_gradient_is_shared_across_edge_positions():
     C = rng.normal(size=(w * n, w * n))
 
     def loss():
-        return tsum(mul(block_adjacency(build_prompted_graph(A, p)), constant(C)))
+        return tsum(mul(block_adjacency(A, p), constant(C)))
 
     report = grad_check(loss, [p.w_forward, p.w_backward])
     assert report.max_rel_error < 1e-7
@@ -115,10 +111,20 @@ def test_cross_slice_masks_match_loop_reference(w, n):
 
 
 def test_slice_offsets():
-    p = init_prompts(2)
-    g = build_prompted_graph(np.zeros((2, 3, 3)), p)
-    assert slice_offsets(g) == [range(0, 3), range(3, 6)]
-    assert g.slices.shape == (2, 3, 3)
+    assert slice_offsets(np.zeros((2, 3, 3))) == [range(0, 3), range(3, 6)]
+
+
+@pytest.mark.parametrize("w, n", [(1, 3), (2, 1), (3, 4), (7, 5)])
+def test_normalization_is_the_dense_block_graphs_degree(w, n):
+    """The closed-form scale is ``deg^-1/2`` of the self-looped dense block
+    matrix's column sums (in-degrees), one per (slice, region) node."""
+    p = init_prompts(w)
+    p.w_forward.data, p.w_backward.data = np.array(0.7), np.array(1.3)
+    A = np.random.default_rng(w * n).uniform(0, 1, size=(w, n, n))
+    s = build_prompted_graph(A, p)
+    assert s.shape == (w, n, 1)
+    deg = (block_adjacency(A, p).data + np.eye(w * n)).sum(axis=0)
+    np.testing.assert_allclose(s.reshape(-1), 1.0 / np.sqrt(deg), rtol=1e-14)
 
 
 def test_mismatched_slices_rejected():

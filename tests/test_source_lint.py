@@ -172,3 +172,34 @@ def test_the_check_sees_a_read_outside_the_reader():
     assert sorted(_file_reads(ast.parse(source))) == [
         (4, "exists"), (5, "json.load"), (5, "open"), (7, "read_bytes"), (7, "read_text"), (13, "open"),
     ]
+
+
+def _sibling_imports(tree, module):
+    """Lines that import the epicast module `module`, relatively or absolutely."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            target = f"epicast.{node.module}" if node.level == 1 and node.module else node.module
+            names = [f"epicast.{alias.name}" for alias in node.names] if node.level == 1 and not node.module else []
+        elif isinstance(node, ast.Import):
+            target, names = None, [alias.name for alias in node.names]
+        else:
+            continue
+        if target == f"epicast.{module}" or f"epicast.{module}" in names:
+            yield node.lineno
+
+
+def test_inference_imports_nothing_from_training():
+    path = SRC / "forecaster.py"
+    hits = list(_sibling_imports(ast.parse(path.read_text(), filename=str(path)), "trainer"))
+    assert not hits, (
+        f"forecaster.py imports the training module at lines {hits}: take what inference "
+        "shares with training (token sequences, adapters) from the module that defines it"
+    )
+
+
+def test_the_check_sees_an_import_of_the_trainer():
+    source = (
+        "from .trainer import sequence_loss\nfrom . import trainer\nimport epicast.trainer\n"
+        "from epicast.trainer import train\nfrom .branches import stack_tokens\nfrom .trainers import x\n"
+    )
+    assert list(_sibling_imports(ast.parse(source), "trainer")) == [1, 2, 3, 4]

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epicast.backbone as backbone_mod
+import epicast.branches as branches_mod
 import epicast.forecaster as forecaster_mod
 import epicast.trainer as trainer_mod
 from epicast.backbone import BackboneConfig
@@ -312,8 +313,8 @@ def test_training_tape_keeps_the_gelu_derivative_of_the_ffn_width(mode, per_gelu
 def _tokenizer_tape(monkeypatch):
     """A training loss and the epidemic and mobility tokens it was built from."""
     ds, splits, model, P = _train_setup()
-    epi = _spy(monkeypatch, trainer_mod, "epi_tokenize")
-    mob = _spy(monkeypatch, trainer_mod, "mob_tokenize")
+    epi = _spy(monkeypatch, branches_mod, "epi_tokenize")
+    mob = _spy(monkeypatch, branches_mod, "mob_tokenize")
     loss = training_loss(model, ds, splits.train, TrainConfig())
     assert len(epi) == len(mob) == P
     return ds, model, loss, epi, mob
@@ -328,6 +329,19 @@ def test_a_training_tape_holds_one_node_per_tokenizer_call(monkeypatch):
     for tokens, inputs in ((epi, 7), (mob, 4)):
         for token in tokens:
             assert len(token._prev) == inputs and all(id(node) in leaves for node in token._prev)
+
+
+def test_a_token_sequence_is_one_concat_and_one_reshape(monkeypatch):
+    """Each branch's (P, N, D) sequence is two nodes over its P tokenizer nodes:
+    a reshape whose one input is a concat of the tokens in patch order, with
+    no node per token in between."""
+    sequences = _spy(monkeypatch, branches_mod, "stack_tokens")
+    ds, model, loss, epi, mob = _tokenizer_tape(monkeypatch)
+    assert [seq.data.shape for seq in sequences] == [(len(epi), ds.N, 8)] * 2
+    for seq, tokens in zip(sequences, (epi, mob)):
+        (stacked,) = seq._prev
+        assert len(stacked._prev) == len(tokens)
+        assert all(node is token._node for node, token in zip(stacked._prev, tokens))
 
 
 def test_a_tokenizer_node_keeps_only_its_propagated_maps(monkeypatch):

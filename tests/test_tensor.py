@@ -5,13 +5,13 @@ import zlib
 
 import numpy as np
 import pytest
-from composed_reference import attention_weights, div, propagate
+from composed_reference import attention_weights, div, propagate, softmax
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epicast.branches import EpiProjector, MobProjector, epi_tokenize, mob_tokenize
 from epicast.gradcheck import grad_check, relative_error
-from epicast.prompts import PromptedGraph, PromptParams
+from epicast.prompts import PromptParams
 from epicast.tensor import (
     AutodiffError,
     Parameter,
@@ -33,7 +33,6 @@ from epicast.tensor import (
     relu,
     reshape,
     sigmoid,
-    softmax,
     sqrt,
     square,
     sub,
@@ -186,7 +185,8 @@ OP_CASES = {
     ),
     # prompt weights drawn from b: forward >= -0.3 keeps every degree positive
     "propagate": lambda a, b: propagate(
-        PromptedGraph(_SLICES, sub(square(getitem(b, (0, 0))), 0.3), square(getitem(b, (1, 1)))),
+        _SLICES,
+        PromptParams(sub(square(getitem(b, (0, 0))), 0.3), square(getitem(b, (1, 1))), constant(np.ones(3))),
         reshape(a, (3, 2, 2)),
     ),
     # a 3-day window of 2 regions with 4 features, tokens of width 3

@@ -7,7 +7,7 @@ import pytest
 
 import epicast.trainer as trainer_mod
 from epicast.backbone import BackboneConfig, backbone_forward
-from epicast.branches import epi_adapt, mob_adapt, patch_grid
+from epicast.branches import epi_adapt, epi_token_sequence, mob_adapt, mob_token_sequence, patch_grid
 from epicast.data import SplitSpec, SirParams, split_dataset, synth_sir
 from epicast.model import ModelConfig, backbone_hash, build_model
 from epicast.tensor import Parameter, Tensor, constant, mul, no_grad, tsum
@@ -17,8 +17,6 @@ from epicast.trainer import (
     TrainingDivergedError,
     TrainingRangeError,
     compute_loss,
-    epi_token_sequence,
-    mob_token_sequence,
     train,
     training_loss,
     validation_loss,
