@@ -3,7 +3,9 @@
 A run is described by one flat key=value text file (see CONFIG_SCHEMA for the
 full key list); every command writes the fully resolved config into its
 output directory so a run can be reproduced from its artifacts alone.  All
-commands are deterministic given the same config and seed.
+commands are deterministic given the same config and seed at a fixed BLAS
+thread count: OpenBLAS splits long GEMM reductions by thread, so a different
+``OPENBLAS_NUM_THREADS`` can move the last bits (ROADMAP item 4).
 
 Exit codes:
 
@@ -389,21 +391,19 @@ def cmd_ablate(cfg: RunConfig) -> Path:
     _echo_config(cfg, out, "ablate")
     ds = _load_dataset(cfg)
     model_cfg, backbone_cfg, train_cfg = _configs(cfg, ds)
-    reports = []
-    for variant in cfg.variants:
-        rep = run_ablation(
-            variant,
-            ds,
-            cfg.split,
-            train_cfg,
-            model_cfg,
-            backbone_cfg,
-            steps=cfg.steps,
-            dataset_name=cfg["dataset.name"],
-            backbone_weights=cfg["backbone.weights"],
-        )
-        reports.append(rep)
-        print(f"ablate [{variant:>10s}] rmse={rep.region_avg_rmse:.4f} mae={rep.region_avg_mae:.4f}")
+    reports = run_ablation(
+        cfg.variants,
+        ds,
+        cfg.split,
+        train_cfg,
+        model_cfg,
+        backbone_cfg,
+        steps=cfg.steps,
+        dataset_name=cfg["dataset.name"],
+        backbone_weights=cfg["backbone.weights"],
+    )
+    for rep in reports:
+        print(f"ablate [{rep.model:>10s}] rmse={rep.region_avg_rmse:.4f} mae={rep.region_avg_mae:.4f}")
     csv_path, json_path = emit_report(reports, out)
     print(f"ablate: wrote {csv_path} and {json_path}")
     return out

@@ -147,7 +147,7 @@ class VariantSpec:
     tokenizer_mode: str = "graph"
     gating_mode: str = "gated"
     backbone_mode: str | None = None  # None -> keep configured backbone
-    adjacency_mode: str = "predicted"
+    adjacency_mode: str = "predicted"  # read only by the forecast, so it never changes the trained model
     mobility_enabled: bool = True
 
 
@@ -183,7 +183,6 @@ def apply_variant(
         model_cfg,
         tokenizer_mode=spec.tokenizer_mode,
         gating_mode=spec.gating_mode,
-        adjacency_mode=spec.adjacency_mode,
         mobility_enabled=spec.mobility_enabled,
     )
     if spec.backbone_mode is not None:
@@ -192,7 +191,7 @@ def apply_variant(
 
 
 def run_ablation(
-    variant: str,
+    variants: list[str],
     ds: EpidemicDataset,
     split: SplitSpec,
     train_cfg: TrainConfig,
@@ -201,29 +200,30 @@ def run_ablation(
     steps: int = 1,
     dataset_name: str = "synthetic",
     backbone_weights=None,
-) -> MetricReport:
-    """Train the variant, forecast the test range, and score it.
+) -> list[MetricReport]:
+    """Train each distinct model once, forecast the test range once per
+    variant, and score it; the reports follow `variants`.
 
-    `backbone_weights` load only into variants that keep the configured
-    backbone; variants that swap it build theirs from its seed."""
-    model_cfg, backbone_cfg = apply_variant(variant, model_cfg, backbone_cfg)
-    spec = ABLATION_VARIANTS[variant]
+    A model is keyed by what training reads: the variant's configs and the
+    backbone weights it loads, which only variants that keep the configured
+    backbone do (the swaps build theirs from its seed).  So the `Adj2*`
+    variants, which change only the forecast's adjacency source, share the
+    full model's training."""
+    resolved = [apply_variant(variant, model_cfg, backbone_cfg) for variant in variants]
     splits = split_dataset(ds, split)
     horizon = steps * model_cfg.w
     context_end = splits.test.start
     truth = horizon_truth(ds, context_end, horizon)
-    weights = backbone_weights if spec.backbone_mode is None else None
-    model = build_model(model_cfg, backbone_cfg, backbone_weights=weights)
-    model, _report = train(model, ds, splits.train, splits.val, train_cfg)
-    result = forecast(model, ds, context_end, steps)
-    return metric_report(
-        truth,
-        result.cases,
-        dataset=dataset_name,
-        horizon=horizon,
-        model=variant,
-        config={"variant": asdict(spec), "steps": steps},
-    )
+    trained, reports = {}, []
+    for variant, configs in zip(variants, resolved):
+        spec = ABLATION_VARIANTS[variant]
+        key = (*configs, backbone_weights if spec.backbone_mode is None else None)
+        if key not in trained:
+            trained[key], _report = train(build_model(*key), ds, splits.train, splits.val, train_cfg)
+        result = forecast(trained[key], ds, context_end, steps, spec.adjacency_mode)
+        config = {"variant": asdict(spec), "steps": steps}
+        reports.append(metric_report(truth, result.cases, dataset_name, horizon, variant, config))
+    return reports
 
 
 # -- reference numbers and report emission --------------------------------------------------

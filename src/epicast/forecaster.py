@@ -23,6 +23,10 @@ self-check pins one tokenizer call per patch and step.
 
 Feature rows for generated days are built by the same windowing code used at
 ingestion, so training and inference see identically constructed inputs.
+
+Which mobility structure a step rolls in is a forecast argument, not part of
+the model: training never reads it, so one trained model serves every
+``ADJACENCY_MODES`` entry (the paper's Adj2Aver and Adj2Last ablations).
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ from .branches import epi_adapt, epi_token_sequence, mob_adapt, mob_token_sequen
 from .data import ConfigError, EpidemicDataset, window_features
 from .model import ModelState
 from .tensor import no_grad
+
+ADJACENCY_MODES = ("predicted", "window_average", "last")
 
 
 class InsufficientContextError(ConfigError):
@@ -97,12 +103,18 @@ class ForecastResult:
 
 
 @no_grad()
-def forecast(model: ModelState, ds: EpidemicDataset, context_end: int, steps: int) -> ForecastResult:
+def forecast(
+    model: ModelState, ds: EpidemicDataset, context_end: int, steps: int, adjacency_mode: str = "predicted"
+) -> ForecastResult:
     """Generate `steps` future patches (steps * w days) after day `context_end`;
-    records no tape.  Raises ForecastSizeError when the rollout history does
-    not fit in memory."""
+    records no tape.  Each step rolls in the mobility the model predicts, or
+    with `adjacency_mode` "window_average" the mean of the last w days' flows
+    and with "last" the last day's.  Raises ForecastSizeError when the rollout
+    history does not fit in memory."""
     cfg = model.config
     w = cfg.w
+    if adjacency_mode not in ADJACENCY_MODES:
+        raise ConfigError(f"unknown adjacency mode {adjacency_mode!r}; choose from {ADJACENCY_MODES}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if context_end > ds.T:
@@ -132,12 +144,12 @@ def forecast(model: ModelState, ds: EpidemicDataset, context_end: int, steps: in
     for step, t in enumerate(range(context_end, end, w), start=1):
         grid = patch_grid(0, t, w)
 
-        if cfg.mobility_enabled and cfg.adjacency_mode == "predicted":
+        if cfg.mobility_enabled and adjacency_mode == "predicted":
             mob_out = backbone_forward(mob_token_sequence(model, M[:t], grid), model.backbone, mob_cache)
             M_next = mob_adapt(mob_out[-1], model.mob_adapter).data
-        elif cfg.adjacency_mode == "window_average":
+        elif adjacency_mode == "window_average":
             M_next = M[t - w : t].mean(axis=0)
-        elif cfg.adjacency_mode == "last":
+        elif adjacency_mode == "last":
             M_next = M[t - 1]
         else:  # mobility branch disabled entirely
             M_next = np.zeros((ds.N, ds.N))
@@ -171,7 +183,7 @@ def forecast(model: ModelState, ds: EpidemicDataset, context_end: int, steps: in
         region_names=list(ds.region_names),
         meta={
             "w": w,
-            "adjacency_mode": cfg.adjacency_mode,
+            "adjacency_mode": adjacency_mode,
             "tokenizer_mode": cfg.tokenizer_mode,
             "gating_mode": cfg.gating_mode,
         },

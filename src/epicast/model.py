@@ -24,8 +24,6 @@ from .prompts import PromptParams, init_prompts
 from .serialize import CheckpointError, load_tensors, save_tensors
 from .tensor import Parameter
 
-ADJACENCY_MODES = ("predicted", "window_average", "last")
-
 
 class EmptyModelError(ValueError):
     """Parameter accounting on a model with no parameters at all."""
@@ -43,7 +41,6 @@ class ModelConfig:
     mob_hidden: int = 0  # 0 -> use width
     tokenizer_mode: str = "graph"
     gating_mode: str = "gated"
-    adjacency_mode: str = "predicted"
     mobility_enabled: bool = True
     epsilon: float = 0.0
     seed: int = 0
@@ -57,8 +54,6 @@ class ModelConfig:
             raise ConfigError(f"unknown tokenizer mode {self.tokenizer_mode!r}")
         if self.gating_mode not in GATING_MODES:
             raise ConfigError(f"unknown gating mode {self.gating_mode!r}")
-        if self.adjacency_mode not in ADJACENCY_MODES:
-            raise ConfigError(f"unknown adjacency mode {self.adjacency_mode!r}")
         if not np.isfinite(self.epsilon):
             raise ConfigError(f"epsilon must be finite, got {self.epsilon}")
         if self.seed < 0:
@@ -206,7 +201,13 @@ def load_checkpoint(path) -> ModelState:
     if meta.get("kind") != "model-checkpoint":
         raise CheckpointError(f"{path} is not a model checkpoint")
     try:  # unknown keys raise TypeError, out-of-range values ValueError
-        cfg = ModelConfig(**meta["model_config"])
+        saved = {**meta["model_config"]}
+        # older checkpoints store the forecast's adjacency source, which training
+        # only ever wrote as "predicted"; serving any other value as that would
+        # silently change the forecast
+        if (retired := saved.pop("adjacency_mode", "predicted")) != "predicted":
+            raise CheckpointError(f"{path}: model_config.adjacency_mode is {retired!r}; only 'predicted' loads")
+        cfg = ModelConfig(**saved)
         backbone_cfg = BackboneConfig(**meta["backbone_config"])
         model = build_model(cfg, backbone_cfg)
     except (KeyError, TypeError, ValueError) as exc:

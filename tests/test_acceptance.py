@@ -271,11 +271,10 @@ def test_criterion_10_ablation_coverage(tmp_path):
         tc = TrainConfig(max_epochs=2, patience=10, lr=1e-2)
         mc = ModelConfig(n_regions=4, w=3, width=8, seed=0)
         bc = BackboneConfig(mode="frozen-transformer", depth=1, width=8, heads=2, seed=1)
-        reports = []
-        for variant in ABLATION_VARIANTS:
-            rep = run_ablation(variant, ds, split, tc, mc, bc, steps=2)
+        reports = run_ablation(list(ABLATION_VARIANTS), ds, split, tc, mc, bc, steps=2)
+        assert [rep.model for rep in reports] == list(ABLATION_VARIANTS)
+        for rep in reports:
             assert np.isfinite(rep.region_avg_rmse) and np.isfinite(rep.region_avg_mae)
-            reports.append(rep)
         csv_path, json_path = emit_report(reports, tmp_path)
         assert csv_path.exists() and json_path.exists()
         assert len(reports) == 10

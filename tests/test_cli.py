@@ -459,8 +459,15 @@ def test_exit_two_on_training_range_shorter_than_two_patches(tmp_path, capsys):
             lambda text: text.replace('"depth": 1', '"depth": 1000000').replace('"width": 8', '"width": 512'),
             "backbone.depth=1000000",
         ),
+        (  # older checkpoints stored the forecast's adjacency source; only "predicted" loads
+            lambda text: text.replace('"gating_mode": "gated"', '"adjacency_mode": "last", "gating_mode": "gated"'),
+            "model_config.adjacency_mode is 'last'",
+        ),
     ],
-    ids=["truncated-json", "json-list", "no-total-bytes", "unknown-config-key", "w-zero", "mob-hidden-huge", "depth-huge"],
+    ids=[
+        "truncated-json", "json-list", "no-total-bytes", "unknown-config-key", "w-zero", "mob-hidden-huge",
+        "depth-huge", "retired-adjacency-mode",
+    ],
 )
 def test_exit_four_on_broken_checkpoint_sidecar(tmp_path, capsys, monkeypatch, corrupt, message):
     cfg_file = _write_cfg(tmp_path / "run.cfg")

@@ -2,21 +2,26 @@
 
 import csv
 import math
+import tempfile
+from dataclasses import asdict, replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import epicast.evalharness as evalharness
-from epicast.backbone import BackboneConfig
-from epicast.data import SirParams, SplitSpec, synth_sir
+from epicast.backbone import BackboneConfig, build_backbone
+from epicast.data import SirParams, SplitSpec, split_dataset, synth_sir
 from epicast.evalharness import (
     ABLATION_VARIANTS,
     MetricReport,
     apply_variant,
     baseline_predict,
     emit_report,
+    horizon_truth,
     load_reference_results,
     mae,
     metric_report,
@@ -24,8 +29,9 @@ from epicast.evalharness import (
     rmse,
     run_ablation,
 )
-from epicast.model import ModelConfig
-from epicast.trainer import TrainConfig
+from epicast.forecaster import forecast
+from epicast.model import ModelConfig, build_model
+from epicast.trainer import TrainConfig, train
 
 
 # -- independent oracles: straight loops, no numpy vectorization ------------------------
@@ -251,14 +257,15 @@ def test_apply_variant_settings():
     mc3, bc3 = apply_variant("Graph2MLP", mc, bc)
     assert mc3.tokenizer_mode == "mlp" and not mc3.mobility_enabled
     assert bc3.mode == bc.mode
-    mc4, _ = apply_variant("Adj2Aver", mc, bc)
-    assert mc4.adjacency_mode == "window_average"
+    mc4, bc4 = apply_variant("Adj2Aver", mc, bc)
+    assert ABLATION_VARIANTS["Adj2Aver"].adjacency_mode == "window_average"
+    assert (mc4, bc4) == (mc, bc)  # the adjacency source is a forecast argument, not a model setting
 
 
 def test_run_ablation_smoke():
     ds = synth_sir(4, 24, SirParams(beta=0.5, gamma_rec=0.2, population=2000), rng_seed=1, w=3, scale=True)
-    rep = run_ablation(
-        "wo_LLM",
+    [rep] = run_ablation(
+        ["wo_LLM"],
         ds,
         SplitSpec(test_len=3, val_len=3),
         TrainConfig(max_epochs=3, patience=10),
@@ -276,8 +283,6 @@ def test_adj2aver_matches_full_on_direct_forecast_with_constant_adjacency():
     # patch rolls into the context, so on a direct forecast the averaged-
     # adjacency variant coincides with the full model; with all window
     # adjacencies equal, the substituted matrix is exactly that constant
-    from dataclasses import replace
-
     from epicast.data import CaseTable, MobilityTable, build_dataset
     from epicast.forecaster import forecast
     from epicast.model import build_model
@@ -303,10 +308,59 @@ def test_adj2aver_matches_full_on_direct_forecast_with_constant_adjacency():
     model, _ = train(model, ds, splits.train, splits.val, TrainConfig(max_epochs=2, patience=5))
 
     full = forecast(model, ds, splits.test.start, 1)
-    model.config = replace(model.config, adjacency_mode="window_average")
-    averaged = forecast(model, ds, splits.test.start, 1)
+    averaged = forecast(model, ds, splits.test.start, 1, "window_average")
     np.testing.assert_array_equal(full.cases, averaged.cases)
     np.testing.assert_array_equal(averaged.mobility[0], ds.M[0])  # average of equal matrices
+
+
+def _trained_once_per_variant(variant, ds, split, tc, mc, bc, steps, weights):
+    """One build, train and forecast for one variant, as `ablate` ran each variant
+    before models were shared: the oracle `run_ablation` must match bitwise."""
+    spec = ABLATION_VARIANTS[variant]
+    variant_mc, variant_bc = apply_variant(variant, mc, bc)
+    key = (variant_mc, variant_bc, weights if spec.backbone_mode is None else None)
+    splits = split_dataset(ds, split)
+    model, _ = train(build_model(*key), ds, splits.train, splits.val, tc)
+    result = forecast(model, ds, splits.test.start, steps, spec.adjacency_mode)
+    truth = horizon_truth(ds, splits.test.start, steps * mc.w)
+    config = {"variant": asdict(spec), "steps": steps}
+    report = metric_report(truth, result.cases, "synthetic", steps * mc.w, variant, config)
+    return key, model, report
+
+
+@given(
+    mode=st.sampled_from(["frozen-transformer", "trainable-transformer"]),
+    variants=st.lists(st.sampled_from(list(ABLATION_VARIANTS)), min_size=1, max_size=4),
+    with_weights=st.booleans(),
+)
+@example(mode="frozen-transformer", variants=["Adj2Last", "wo_LLM", "full", "Adj2Aver"], with_weights=False)
+@example(mode="trainable-transformer", variants=["LLM2Trans", "Adj2Aver", "full"], with_weights=False)
+@example(mode="trainable-transformer", variants=["full", "LLM2Trans", "Adj2Last"], with_weights=True)
+@settings(max_examples=6, deadline=None)
+def test_run_ablation_trains_each_distinct_model_once(mode, variants, with_weights):
+    # a model is keyed by the variant's configs and the backbone weights it
+    # loads; variants that share a key train bitwise-equal parameters, so one
+    # training serves them all and every report is the per-variant report
+    ds = synth_sir(3, 21, SirParams(beta=0.5, gamma_rec=0.2, population=2000), rng_seed=2, w=3, scale=True)
+    split = SplitSpec(test_len=6, val_len=3)
+    tc = TrainConfig(max_epochs=2, patience=5, lr=1e-2)
+    mc = ModelConfig(n_regions=3, w=3, width=4, seed=0)
+    bc = BackboneConfig(mode=mode, depth=1, width=4, heads=2, seed=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        weights = None
+        if with_weights:
+            weights = Path(tmp) / "backbone.bin"
+            build_backbone(replace(bc, seed=9)).export_weights(weights)
+        oracle = [_trained_once_per_variant(v, ds, split, tc, mc, bc, 2, weights) for v in variants]
+        with mock.patch.object(evalharness, "train", wraps=evalharness.train) as counted:
+            reports = run_ablation(variants, ds, split, tc, mc, bc, steps=2, backbone_weights=weights)
+
+    first = {}
+    for key, model, _ in oracle:
+        params = [p.data.tobytes() for p in model.parameters()]
+        assert first.setdefault(key, params) == params
+    assert counted.call_count == len(first)
+    assert [repr(rep.to_dict()) for rep in reports] == [repr(rep.to_dict()) for _, _, rep in oracle]
 
 
 # -- references and report emission --------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from epicast import forecaster
 from epicast.backbone import BackboneConfig, backbone_forward
-from epicast.data import SirParams, SplitSpec, split_dataset, synth_sir, window_features
+from epicast.data import ConfigError, SirParams, SplitSpec, split_dataset, synth_sir, window_features
 from epicast.forecaster import ForecastDivergedError, InsufficientContextError, forecast
 from epicast.model import ModelConfig, build_model
 from epicast.trainer import TrainConfig, train
@@ -133,13 +133,22 @@ def test_csv_and_json_deterministic(tmp_path):
 def test_window_average_and_last_adjacency_modes():
     ds = _ds()
     for mode in ("window_average", "last"):
-        model = _model(ds, adjacency_mode=mode)
-        res = forecast(model, ds, context_end=24, steps=2)
+        res = forecast(_model(ds), ds, context_end=24, steps=2, adjacency_mode=mode)
+        assert res.meta["adjacency_mode"] == mode
         assert res.cases.shape == (6, ds.N)
         if mode == "last":
             np.testing.assert_allclose(res.mobility[0], ds.M[23] * ds.mob_scale)
         else:
             np.testing.assert_allclose(res.mobility[0], ds.M[21:24].mean(axis=0) * ds.mob_scale)
+
+
+def test_unknown_adjacency_mode_is_a_config_error():
+    ds = _ds()
+    model = _model(ds)
+    assert forecast(model, ds, context_end=24, steps=1).meta["adjacency_mode"] == "predicted"
+    modes = r"\('predicted', 'window_average', 'last'\)"
+    with pytest.raises(ConfigError, match=f"unknown adjacency mode 'historic'; choose from {modes}"):
+        forecast(model, ds, context_end=24, steps=1, adjacency_mode="historic")
 
 
 def test_divergence_reports_step_index():
@@ -165,8 +174,7 @@ def test_mobility_divergence_reports_step_index():
 def test_history_modes_carry_the_rolled_in_structure(mode):
     # from step 2 on, the last w days of the history all hold step 1's matrix
     ds = _ds(epsilon=5.0)
-    model = _model(ds, adjacency_mode=mode)
-    res = forecast(model, ds, context_end=24, steps=4)
+    res = forecast(_model(ds), ds, context_end=24, steps=4, adjacency_mode=mode)
     for s in range(1, res.steps):
         np.testing.assert_allclose(res.mobility[s], res.mobility[0], rtol=1e-12)
         np.testing.assert_allclose(res.adjacency[s], res.adjacency[0], rtol=1e-12)

@@ -15,7 +15,7 @@ from epicast.model import (
     parameter_count,
     save_checkpoint,
 )
-from epicast.serialize import CheckpointError
+from epicast.serialize import CheckpointError, load_tensors, save_tensors
 
 
 def _model(width=8, depth=2, mode="frozen-transformer", n=4, w=3, seed=0):
@@ -96,6 +96,40 @@ def test_checkpoint_round_trip(tmp_path):
     before = epi_token_sequence(model, X, A, grid).data
     after = epi_token_sequence(loaded, X, A, grid).data
     np.testing.assert_array_equal(before, after)
+
+
+def _with_retired_adjacency_mode(path, value):
+    """Rewrite a checkpoint's meta as older versions wrote it, with the forecast's
+    adjacency source stored as a model_config key."""
+    named, meta = load_tensors(path)
+    meta["model_config"]["adjacency_mode"] = value
+    save_tensors(named, path, meta=meta)
+
+
+def test_checkpoint_with_the_retired_predicted_adjacency_mode_loads(tmp_path):
+    model = _model()
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(model, path)
+    _with_retired_adjacency_mode(path, "predicted")
+    loaded = load_checkpoint(path)
+    assert loaded.config == model.config
+    for pa, pb in zip(model.parameters(), loaded.parameters()):
+        assert pa.data.tobytes() == pb.data.tobytes()
+
+
+@pytest.mark.parametrize("value", ["window_average", "last", "historic"])
+def test_checkpoint_with_another_retired_adjacency_mode_is_refused(tmp_path, value):
+    # loading it as "predicted" would silently serve another forecast
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(_model(), path)
+    _with_retired_adjacency_mode(path, value)
+    with pytest.raises(CheckpointError, match=f"model_config.adjacency_mode is '{value}'"):
+        load_checkpoint(path)
+
+
+def test_model_config_has_no_adjacency_mode():
+    with pytest.raises(TypeError, match="adjacency_mode"):
+        ModelConfig(n_regions=4, adjacency_mode="predicted")
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):

@@ -203,3 +203,34 @@ def test_the_check_sees_an_import_of_the_trainer():
         "from epicast.trainer import train\nfrom .branches import stack_tokens\nfrom .trainers import x\n"
     )
     assert list(_sibling_imports(ast.parse(source), "trainer")) == [1, 2, 3, 4]
+
+
+def _adjacency_names(tree):
+    """Lines whose code names the forecast's adjacency source: a variable, attribute,
+    keyword, parameter or import containing ``adjacency_mode`` in any case.  A string
+    is data, such as the retired checkpoint key `load_checkpoint` drops."""
+    fields = {ast.Name: "id", ast.Attribute: "attr", ast.keyword: "arg", ast.arg: "arg", ast.alias: "name"}
+    for node in ast.walk(tree):
+        name = getattr(node, fields.get(type(node), ""), None)
+        if name and "adjacency_mode" in name.lower():
+            yield node.lineno
+
+
+def test_training_modules_never_name_the_adjacency_source():
+    hits = [
+        f"{name}:{line}"
+        for name in ("model.py", "trainer.py", "branches.py")
+        for line in _adjacency_names(ast.parse((SRC / name).read_text(), filename=name))
+    ]
+    assert not hits, (
+        f"the adjacency source is named at {hits}: only a forecast reads it, so it is a "
+        "`forecaster.forecast` argument, validated there against ADJACENCY_MODES"
+    )
+
+
+def test_the_check_sees_a_named_adjacency_source():
+    source = (
+        "from .forecaster import ADJACENCY_MODES\nmode = cfg.adjacency_mode\nreplace(cfg, adjacency_mode='last')\n"
+        "def f(adjacency_mode):\n    pass\nadjacency_mode = 1\nmeta.pop('adjacency_mode')\n"
+    )
+    assert sorted(_adjacency_names(ast.parse(source))) == [1, 2, 3, 4, 6]
