@@ -42,15 +42,13 @@ from .serialize import load_tensors, save_tensors
 from .tensor import (
     Parameter,
     Tensor,
-    _accumulate,
     _affine,
+    _affine_grads,
     _exp_normalize,
     _input_nodes,
     _layer_norm,
-    _layer_norm_backward,
+    _layer_norm_grads,
     _softmax_backward,
-    _unbroadcast,
-    _weight_grad,
     add,
     concat,
     constant,
@@ -263,7 +261,6 @@ def attention_sublayer(
     nodes = _input_nodes(x, *params)
     if nodes is None:
         return Tensor._result(out, (), None)
-    nx, ngain, nbias = nodes[:3]
     projections = tuple(zip(nodes[3:9:2], nodes[4:9:2], (Wq, Wk, Wv), (bq, bk, bv)))
     nWo, nbo = nodes[9:]
 
@@ -274,10 +271,7 @@ def attention_sublayer(
         if all(nW is None for nW, _, _, _ in projections):
             a = None
         weights = _attention_weights(q, k, mask, scale)
-        if nWo is not None:
-            _accumulate(nWo, _weight_grad(merge(weights @ v), g))
-        if nbo is not None:
-            _accumulate(nbo, _unbroadcast(g, bo.shape))
+        _affine_grads(g, None if nWo is None else merge(weights @ v), nWo, nbo, bo.shape)
         dmixed = heads(g @ Wo.T)
         dv = merge(np.swapaxes(weights, -1, -2) @ dmixed)
         ds = dmixed @ np.swapaxes(v, -1, -2)
@@ -290,18 +284,10 @@ def attention_sublayer(
         ds = q = k = None
         da = None
         for (nW, nb, W, b), d in zip(projections, (dq, dk, dv)):
-            if nW is not None:
-                _accumulate(nW, _weight_grad(a, d))
-            if nb is not None:
-                _accumulate(nb, _unbroadcast(d, b.shape))
+            _affine_grads(d, a, nW, nb, b.shape)
             # summed as (dq Wqᵀ + dk Wkᵀ) + dv Wvᵀ, the composition's order
             da = d @ W.T if da is None else np.add(da, d @ W.T, out=da)
-        if nx is not None:
-            _accumulate(nx, _layer_norm_backward(da, normed, std, gain))
-        if ngain is not None:
-            _accumulate(ngain, _unbroadcast(da * normed, gain.shape))
-        if nbias is not None:
-            _accumulate(nbias, _unbroadcast(da, bias.shape))
+        _layer_norm_grads(da, normed, std, gain, bias.shape, nodes[:3])
 
     return Tensor._result(out, nodes, _bw)
 

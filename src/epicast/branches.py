@@ -30,11 +30,11 @@ from .tensor import (
     Tensor,
     _accumulate,
     _affine,
+    _affine_grads,
     _input_nodes,
     _select,
     _sigmoid,
     _unbroadcast,
-    _weight_grad,
     concat,
     linear,
     relu,
@@ -251,10 +251,7 @@ def epi_tokenize(
         x2 = H1 if P2 is None else P2
         # blend, then the second linear layer
         g2 = _blend_backward(g, shape, sg, gating_mode, None if ngamma is None else _affine(x2, W2, b2), ngamma)
-        if nW2 is not None:
-            _accumulate(nW2, _weight_grad(x2, g2))
-        if nb2 is not None:
-            _accumulate(nb2, _unbroadcast(g2, b2.shape))
+        _affine_grads(g2, x2, nW2, nb2, b2.shape)
         if nW1 is None and nb1 is None and not learn_edges:
             return
         # the second propagation, relu and the first linear layer
@@ -262,10 +259,7 @@ def epi_tokenize(
         if P2 is not None:
             g1 = _propagate_backward(A_window, s, wf, wb, H1, P2, g1, edge_nodes)
         g1 = _select(mask, g1)
-        if nW1 is not None:
-            _accumulate(nW1, _weight_grad(P1, g1))
-        if nb1 is not None:
-            _accumulate(nb1, _unbroadcast(g1, b1.shape))
+        _affine_grads(g1, P1, nW1, nb1, b1.shape)
         if learn_edges:  # the first propagation, of the window
             _propagate_backward(A_window, s, wf, wb, X_window, P1, g1 @ W1.T, edge_nodes)
 
@@ -296,17 +290,10 @@ def mob_tokenize(M_t: np.ndarray, proj: MobProjector) -> Tensor:
     def _bw(g):
         pre = _affine(M_t, W1, b1)
         mask = pre > 0
-        if nW2 is not None:
-            _accumulate(nW2, _weight_grad(_select(mask, pre), g))
-        if nb2 is not None:
-            _accumulate(nb2, _unbroadcast(g, b2.shape))
+        _affine_grads(g, None if nW2 is None else _select(mask, pre), nW2, nb2, b2.shape)
         if nW1 is None and nb1 is None:
             return
-        g1 = _select(mask, g @ W2.T)
-        if nW1 is not None:
-            _accumulate(nW1, _weight_grad(M_t, g1))
-        if nb1 is not None:
-            _accumulate(nb1, _unbroadcast(g1, b1.shape))
+        _affine_grads(_select(mask, g @ W2.T), M_t, nW1, nb1, b1.shape)
 
     return Tensor._result(out, nodes, _bw)
 

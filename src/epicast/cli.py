@@ -187,6 +187,8 @@ def resolve_config(raw: dict, seed_override=None, out_override=None) -> RunConfi
         if values[key] is not None and not (values[key] and Path(values[key]).exists()):  # Path("") is "."
             raise ConfigError(f"{key} points at a missing file: {values[key]!r}")
     cfg = RunConfig(values=values)
+    if not cfg.variants:
+        raise ConfigError(f"ablate.variants names no variant; choose from {sorted(ABLATION_VARIANTS)}")
     unknown = [v for v in cfg.variants if v not in ABLATION_VARIANTS]
     if unknown:
         raise ConfigError(f"unknown ablation variants {unknown}; choose from {sorted(ABLATION_VARIANTS)}")
@@ -285,9 +287,13 @@ def _checkpoint_path(cfg: RunConfig, out: Path) -> Path:
     return out / "checkpoint.bin"
 
 
-def _check_served_space(model: ModelState, cfg: RunConfig, ds: EpidemicDataset, ckpt: Path) -> None:
-    """A checkpoint serves only the window length, region count and adjacency
-    threshold it was trained on."""
+def _served_model(cfg: RunConfig, out: Path) -> tuple[ModelState, EpidemicDataset]:
+    """The checkpointed model and the dataset it serves.  A checkpoint serves
+    only the window length, region count and adjacency threshold it was
+    trained on."""
+    ckpt = _checkpoint_path(cfg, out)
+    model = load_checkpoint(ckpt)
+    ds = _load_dataset(cfg)
     if model.config.w != cfg["w"]:
         raise CheckpointError(
             f"{ckpt} was trained with w={model.config.w}, but the config sets w={cfg['w']}"
@@ -301,6 +307,7 @@ def _check_served_space(model: ModelState, cfg: RunConfig, ds: EpidemicDataset, 
             f"{ckpt} was trained with epsilon={model.config.epsilon}, "
             f"but the config sets epsilon={cfg['epsilon']}"
         )
+    return model, ds
 
 
 # -- commands -------------------------------------------------------------------------
@@ -343,10 +350,7 @@ def cmd_train(cfg: RunConfig) -> Path:
 def cmd_forecast(cfg: RunConfig) -> Path:
     out = _out_dir(cfg)
     _echo_config(cfg, out, "forecast")
-    ckpt = _checkpoint_path(cfg, out)
-    model = load_checkpoint(ckpt)
-    ds = _load_dataset(cfg)
-    _check_served_space(model, cfg, ds, ckpt)
+    model, ds = _served_model(cfg, out)
     context_end = cfg["forecast.context_end"]
     if context_end is None:
         context_end = ds.T - cfg.split.test_len
@@ -363,10 +367,7 @@ def cmd_forecast(cfg: RunConfig) -> Path:
 def cmd_evaluate(cfg: RunConfig) -> Path:
     out = _out_dir(cfg)
     _echo_config(cfg, out, "evaluate")
-    ckpt = _checkpoint_path(cfg, out)
-    model = load_checkpoint(ckpt)
-    ds = _load_dataset(cfg)
-    _check_served_space(model, cfg, ds, ckpt)
+    model, ds = _served_model(cfg, out)
     horizon = cfg["horizon"]
     context_end = ds.T - cfg.split.test_len
     truth = horizon_truth(ds, context_end, horizon)

@@ -91,6 +91,22 @@ def _csv_rows(text: str):
     return csv.reader(line.group() for line in _LINE.finditer(text))
 
 
+def _records(path, what: str, header: list[str]):
+    """``(where, row)`` for each non-empty data row of the CSV file at `path`,
+    `where` its ``path:line``, after checking the file's header is `header`
+    and each row has that many fields; `what` names the file in a read error."""
+    reader = _csv_rows(read_file(path, DataError, what))
+    first = next(reader, None)
+    if first is None or [h.strip() for h in first] != header:
+        raise MalformedRowError(f"{path}: expected header '{','.join(header)}'")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise MalformedRowError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+        yield f"{path}:{lineno}", row
+
+
 def _parse_date(text: str, where: str) -> dt.date:
     try:
         return dt.date.fromisoformat(text.strip())
@@ -152,32 +168,24 @@ class MobilityTable:
 
 def load_cases(path) -> CaseTable:
     """Parse a case CSV; raises a named DataError per kind of defect."""
-    reader = _csv_rows(read_file(path, DataError, "case file"))
     per_date: dict[dt.date, dict[str, int]] = {}
     regions: set[str] = set()
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != ["date", "region_id", "new_cases"]:
-        raise MalformedRowError(f"{path}: expected header 'date,region_id,new_cases'")
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise MalformedRowError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-        day = _parse_date(row[0], f"{path}:{lineno}")
+    for where, row in _records(path, "case file", ["date", "region_id", "new_cases"]):
+        day = _parse_date(row[0], where)
         region = row[1].strip()
         if not region:
-            raise MalformedRowError(f"{path}:{lineno}: empty region id")
+            raise MalformedRowError(f"{where}: empty region id")
         try:
             count = int(row[2])
         except ValueError as exc:
-            raise MalformedRowError(f"{path}:{lineno}: bad count {row[2]!r}") from exc
+            raise MalformedRowError(f"{where}: bad count {row[2]!r}") from exc
         if count < 0:
-            raise NegativeCountError(f"{path}:{lineno}: negative count {count}")
+            raise NegativeCountError(f"{where}: negative count {count}")
         if count >= 2**63:
-            raise MalformedRowError(f"{path}:{lineno}: count {count} does not fit in 64 bits")
+            raise MalformedRowError(f"{where}: count {count} does not fit in 64 bits")
         bucket = per_date.setdefault(day, {})
         if region in bucket:
-            raise DuplicateRowError(f"{path}:{lineno}: duplicate entry for ({day}, {region})")
+            raise DuplicateRowError(f"{where}: duplicate entry for ({day}, {region})")
         bucket[region] = count
         regions.add(region)
     if not per_date:
@@ -204,25 +212,16 @@ def load_mobility(path, dates: list[dt.date] | None = None) -> MobilityTable:
     file names, zero-weight rows included.  Rows are added in file order, so
     rows repeating a (date, src, dst) sum.
     """
-    reader = _csv_rows(read_file(path, DataError, "mobility file"))
     rows: list[tuple[dt.date, str, str, float]] = []
-    header = next(reader, None)
-    expected = ["date", "src_region", "dst_region", "weight"]
-    if header is None or [h.strip() for h in header] != expected:
-        raise MalformedRowError(f"{path}: expected header 'date,src_region,dst_region,weight'")
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise MalformedRowError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-        day = _parse_date(row[0], f"{path}:{lineno}")
+    for where, row in _records(path, "mobility file", ["date", "src_region", "dst_region", "weight"]):
+        day = _parse_date(row[0], where)
         src, dst = row[1].strip(), row[2].strip()
         try:
             wgt = float(row[3])
         except ValueError as exc:
-            raise MalformedRowError(f"{path}:{lineno}: bad weight {row[3]!r}") from exc
+            raise MalformedRowError(f"{where}: bad weight {row[3]!r}") from exc
         if not np.isfinite(wgt) or wgt < 0:
-            raise NegativeWeightError(f"{path}:{lineno}: negative or non-finite weight {wgt}")
+            raise NegativeWeightError(f"{where}: negative or non-finite weight {wgt}")
         rows.append((day, src, dst, wgt))
     if dates is None:
         dates = sorted({day for day, _, _, _ in rows})

@@ -46,10 +46,13 @@ Besides the primitive ops there are two fused ones, each a single tape node
 with a hand-written backward: ``linear`` (``x @ W + b``) and ``layer_norm``.
 The two tokenizers in ``branches`` and the attention sublayer in ``backbone``
 are fused the same way, from the numpy kernels shared with these ops
-(``_affine``, ``_weight_grad``, ``_sigmoid``, ``_select``, ``_layer_norm``,
-``_exp_normalize``, ``_softmax_backward``).  Their forwards are bitwise equal
-to the same computation composed from the primitives, and tests validate
-both forwards and gradients against that composed form.
+(``_affine``, ``_sigmoid``, ``_select``, ``_layer_norm``, ``_exp_normalize``,
+``_softmax_backward``).  Each gradient rule has one home that every fused
+node calls: ``_affine_grads`` accumulates the W and b gradients of
+``x @ W + b`` (W's as one GEMM, ``_weight_grad``), and ``_layer_norm_grads``
+LayerNorm's input, gain and bias gradients.  Their forwards are bitwise
+equal to the same computation composed from the primitives, and tests
+validate both forwards and gradients against that composed form.
 
 The kernels write into one or two arrays they own, with ``out=`` and in-place
 ops, instead of a fresh input-sized temporary per numpy op: each temporary is
@@ -455,6 +458,16 @@ def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
+def _affine_grads(g: np.ndarray, x: np.ndarray | None, nW, nb, b_shape: tuple) -> None:
+    """Accumulate the gradients of W and b in ``x @ W + b`` for an output
+    gradient g into their nodes nW and nb, None for a constant.  Only W's
+    gradient reads x, which may be None when nW is."""
+    if nW is not None:
+        _accumulate(nW, _weight_grad(x, g))
+    if nb is not None:
+        _accumulate(nb, _unbroadcast(g, b_shape))
+
+
 def linear(x, W, b) -> Tensor:
     """Affine map ``x @ W + b`` as one node: x is (..., in), W (in, out), b (out,)."""
     x, W, b = astensor(x), astensor(W), astensor(b)
@@ -470,10 +483,7 @@ def linear(x, W, b) -> Tensor:
     def _bw(g):
         if nx is not None:
             _accumulate(nx, g @ W_data.T)
-        if nW is not None:
-            _accumulate(nW, _weight_grad(x_data, g))
-        if nb is not None:
-            _accumulate(nb, _unbroadcast(g, b_shape))
+        _affine_grads(g, x_data, nW, nb, b_shape)
 
     return Tensor._result(out, nodes, _bw)
 
@@ -752,15 +762,24 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 
     return out, normed, std
 
 
-def _layer_norm_backward(g: np.ndarray, normed: np.ndarray, std: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    """The gradient of LayerNorm's input for an output gradient g."""
-    gn = g * gain
-    dx = gn - gn.mean(axis=-1, keepdims=True)
-    gn *= normed
-    np.multiply(normed, gn.mean(axis=-1, keepdims=True), out=gn)
-    dx -= gn
-    dx /= std
-    return dx
+def _layer_norm_grads(g: np.ndarray, normed, std: np.ndarray, gain: np.ndarray, bias_shape: tuple, nodes) -> None:
+    """Accumulate LayerNorm's input, gain and bias gradients for an output
+    gradient g into `nodes`, their three nodes, None for a constant.  `normed`
+    and `std` come from ``_layer_norm``; `normed` may be None when only the
+    bias needs a gradient."""
+    nx, ngain, nbias = nodes
+    if nx is not None:
+        gn = g * gain
+        dx = gn - gn.mean(axis=-1, keepdims=True)
+        gn *= normed
+        np.multiply(normed, gn.mean(axis=-1, keepdims=True), out=gn)
+        dx -= gn
+        dx /= std
+        _accumulate(nx, dx)
+    if ngain is not None:
+        _accumulate(ngain, _unbroadcast(g * normed, gain.shape))
+    if nbias is not None:
+        _accumulate(nbias, _unbroadcast(g, bias_shape))
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -775,17 +794,11 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     nodes = _input_nodes(x, gain, bias)
     if nodes is None:
         return Tensor._result(out, (), None)
-    nx, ngain, nbias = nodes
-    gain_shape, bias_shape, gain_data = gain.data.shape, bias.data.shape, gain.data
-    if nx is None and ngain is None:  # only the bias gradient, which reads no array
+    bias_shape, gain_data = bias.data.shape, gain.data
+    if nodes[0] is None and nodes[1] is None:  # only the bias gradient, which reads no array
         normed = None
 
     def _bw(g):
-        if nx is not None:
-            _accumulate(nx, _layer_norm_backward(g, normed, std, gain_data))
-        if ngain is not None:
-            _accumulate(ngain, _unbroadcast(g * normed, gain_shape))
-        if nbias is not None:
-            _accumulate(nbias, _unbroadcast(g, bias_shape))
+        _layer_norm_grads(g, normed, std, gain_data, bias_shape, nodes)
 
     return Tensor._result(out, nodes, _bw)

@@ -208,6 +208,26 @@ class TrainReport:
         }
 
 
+def run_epoch(
+    model: ModelState, ds: EpidemicDataset, train_range: range, val_range: range, cfg: TrainConfig, opt: Adam, epoch: int
+) -> tuple[float, float]:
+    """One full-batch epoch: the training loss, its backward into freshly
+    zeroed gradients, one Adam step, then the validation loss.  Returns both
+    losses; a non-finite one raises TrainingDivergedError naming `epoch`.
+    The gradients stay in place after the step, which reads them only."""
+    loss = training_loss(model, ds, train_range, cfg)
+    loss_value = float(loss.data)
+    if not np.isfinite(loss_value):
+        raise TrainingDivergedError(epoch, loss_value)
+    model.zero_grad()
+    loss.backward()
+    opt.step()
+    val_value = validation_loss(model, ds, val_range, cfg)
+    if not np.isfinite(val_value):
+        raise TrainingDivergedError(epoch, val_value)
+    return loss_value, val_value
+
+
 def train(
     model: ModelState,
     ds: EpidemicDataset,
@@ -232,16 +252,7 @@ def train(
     bad_epochs = 0
 
     for epoch in range(1, cfg.max_epochs + 1):
-        loss = training_loss(model, ds, train_range, cfg)
-        loss_value = float(loss.data)
-        if not np.isfinite(loss_value):
-            raise TrainingDivergedError(epoch, loss_value)
-        model.zero_grad()
-        loss.backward()
-        opt.step()
-        val_value = validation_loss(model, ds, val_range, cfg)
-        if not np.isfinite(val_value):
-            raise TrainingDivergedError(epoch, val_value)
+        loss_value, val_value = run_epoch(model, ds, train_range, val_range, cfg, opt, epoch)
         report.train_losses.append(loss_value)
         report.val_losses.append(val_value)
         report.stopped_epoch = epoch

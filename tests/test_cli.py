@@ -601,6 +601,15 @@ def test_exit_two_on_unknown_ablation_variant(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("variants", ["", ",", " , ,"])
+def test_exit_two_on_empty_ablation_variants(tmp_path, capsys, variants):
+    cfg_file = _write_cfg(tmp_path / "run.cfg", {"ablate.variants": variants})
+    assert main(["ablate", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: ablate.variants names no variant" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["evaluate", "ablate"])
 def test_exit_two_on_horizon_longer_than_test_range(tmp_path, capsys, monkeypatch, command):
     out = tmp_path / "out"

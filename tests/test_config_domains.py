@@ -88,7 +88,7 @@ DOMAINS = {
     "train.patience": Domain("≥ 1", "train", low=1),
     "train.loss_form": Domain("`mean-squared`, `mean-l2-norm`"),
     "forecast.context_end": Domain("w … series length", "forecast", low=W, high=DAYS),
-    "ablate.variants": Domain("a comma-separated subset of the ten variants"),
+    "ablate.variants": Domain("a non-empty comma-separated subset of the ten variants"),
     "report.inputs": Domain("comma-separated metrics.json files"),
     "checkpoint": Domain("a path"),
     "out": Domain("a directory"),

@@ -6,7 +6,25 @@ from pathlib import Path
 
 from test_tensor import OP_CASES
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "epicast"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "epicast"
+
+
+def _callee(call):
+    """The name a call calls: ``f`` for ``f(...)`` and ``x.f(...)``, else None."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _identifiers(tree):
+    """(line, name) of every name the code binds or reads: variables, attributes,
+    keywords, parameters, imports and function names; strings are data, not names."""
+    fields = {ast.Name: "id", ast.Attribute: "attr", ast.keyword: "arg", ast.arg: "arg", ast.alias: "name"}
+    fields[ast.FunctionDef] = "name"
+    for node in ast.walk(tree):
+        name = getattr(node, fields.get(type(node), ""), None)
+        if name:
+            yield node.lineno, name
 
 
 def _slow_powers(tree):
@@ -137,8 +155,7 @@ def _file_reads(tree):
         for node in ast.walk(top):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            func, name = node.func, _callee(node)
             if name == "open":
                 mode = node.args[1] if len(node.args) > 1 else next((k.value for k in node.keywords if k.arg == "mode"), None)
                 if not (isinstance(mode, ast.Constant) and set("wax") & set(mode.value)):
@@ -209,11 +226,9 @@ def _adjacency_names(tree):
     """Lines whose code names the forecast's adjacency source: a variable, attribute,
     keyword, parameter or import containing ``adjacency_mode`` in any case.  A string
     is data, such as the retired checkpoint key `load_checkpoint` drops."""
-    fields = {ast.Name: "id", ast.Attribute: "attr", ast.keyword: "arg", ast.arg: "arg", ast.alias: "name"}
-    for node in ast.walk(tree):
-        name = getattr(node, fields.get(type(node), ""), None)
-        if name and "adjacency_mode" in name.lower():
-            yield node.lineno
+    for line, name in _identifiers(tree):
+        if "adjacency_mode" in name.lower():
+            yield line
 
 
 def test_training_modules_never_name_the_adjacency_source():
@@ -234,3 +249,91 @@ def test_the_check_sees_a_named_adjacency_source():
         "def f(adjacency_mode):\n    pass\nadjacency_mode = 1\nmeta.pop('adjacency_mode')\n"
     )
     assert sorted(_adjacency_names(ast.parse(source))) == [1, 2, 3, 4, 6]
+
+
+def _weight_grad_calls(tree):
+    """Lines that call ``_weight_grad`` outside ``_affine_grads``."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name == "_affine_grads":
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and _callee(node) == "_weight_grad":
+                yield node.lineno
+
+
+def test_the_weight_gradient_is_taken_only_by_affine_grads():
+    hits = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _weight_grad_calls(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not hits, (
+        f"_weight_grad called at {hits}: accumulate the W and b gradients of x @ W + b "
+        "with tensor._affine_grads, the one copy of that rule"
+    )
+
+
+def test_the_check_sees_a_weight_gradient_outside_affine_grads():
+    source = (
+        "def _weight_grad(x, g):\n    return x.T @ g\n"
+        "def _affine_grads(g, x, nW, nb, shape):\n    _accumulate(nW, _weight_grad(x, g))\n"
+        "def fused(g, x):\n    def _bw(g):\n        _accumulate(nW, _weight_grad(x, g))\n"
+        "    return tensor._weight_grad(x, g)\n"
+    )
+    assert sorted(_weight_grad_calls(ast.parse(source))) == [7, 8]
+
+
+def _retired_layer_norm_backward(tree):
+    """Lines that name ``_layer_norm_backward``, whose rule ``_layer_norm_grads`` holds."""
+    return [line for line, name in _identifiers(tree) if name == "_layer_norm_backward"]
+
+
+def test_layer_norm_has_one_backward():
+    hits = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _retired_layer_norm_backward(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not hits, (
+        f"_layer_norm_backward named at {hits}: LayerNorm's input, gain and bias gradients "
+        "have one copy, tensor._layer_norm_grads"
+    )
+
+
+def test_the_check_sees_a_second_layer_norm_backward():
+    source = (
+        "from .tensor import _layer_norm_backward\n"
+        "def _layer_norm_backward(g):\n    return g\n"
+        "dx = tensor._layer_norm_backward(g)\nnote = '_layer_norm_backward'\n"
+    )
+    assert sorted(_retired_layer_norm_backward(ast.parse(source))) == [1, 2, 4]
+
+
+# the parts of a training epoch besides zeroing the gradients, which `train`
+# also does to the restored best parameters
+EPOCH_PARTS = ("training_loss", "validation_loss", "backward", "step")
+
+
+def _epoch_calls(tree):
+    """Names of the calls of ``run_epoch`` and of the epoch's parts, in line order."""
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    return [_callee(c) for c in sorted(calls, key=lambda c: c.lineno) if _callee(c) in ("run_epoch", *EPOCH_PARTS)]
+
+
+def test_train_and_the_ledger_run_one_epoch_function():
+    trainer = ast.parse((SRC / "trainer.py").read_text())
+    train = next(fn for fn in trainer.body if isinstance(fn, ast.FunctionDef) and fn.name == "train")
+    ledger = ast.parse((ROOT / "tools" / "digests.py").read_text())
+    for where, tree in (("trainer.train", train), ("tools/digests.py", ledger)):
+        assert _epoch_calls(tree) == ["run_epoch"], (
+            f"{where} calls {_epoch_calls(tree)}: run an epoch only through trainer.run_epoch, "
+            "so training and the bitwise ledger cannot drift apart"
+        )
+
+
+def test_the_check_sees_an_epoch_written_out():
+    source = (
+        "def train(model):\n    loss = training_loss(model)\n    model.zero_grad()\n    loss.backward()\n"
+        "    opt.step()\n    val = trainer.validation_loss(model)\n    run_epoch(model)\n"
+    )
+    assert _epoch_calls(ast.parse(source)) == ["training_loss", "backward", "step", "validation_loss", "run_epoch"]

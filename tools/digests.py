@@ -6,7 +6,8 @@ the sha256 of
 
 - ``train_losses``, ``gradients``, ``val_losses``: every epoch's training
   loss, every trainable gradient after its backward, and the validation loss
-  after its Adam step;
+  after its Adam step, each epoch run by ``trainer.run_epoch`` as ``train``
+  runs it;
 - ``forecast``: the cases, mobility and adjacency of a multi-step forecast
   from the trained parameters;
 - ``metrics``: the model's and the four baselines' metric reports on it.
@@ -43,7 +44,7 @@ from epicast.data import SplitSpec, split_dataset, synth_sir  # noqa: E402
 from epicast.evalharness import BASELINES, baseline_predict, horizon_truth, metric_report  # noqa: E402
 from epicast.forecaster import forecast  # noqa: E402
 from epicast.model import ModelConfig, build_model  # noqa: E402
-from epicast.trainer import Adam, TrainConfig, training_loss, validation_loss  # noqa: E402
+from epicast.trainer import Adam, TrainConfig, run_epoch  # noqa: E402
 
 LEDGER = HERE / "digests.json"
 WIDTH, DEPTH, HEADS, SEED = 64, 2, 4, 0
@@ -99,14 +100,11 @@ def digest_case(mode: str, shape: tuple, model_kw: dict) -> dict[str, str]:
     trainables = model.trainable_parameters()
     opt = Adam(trainables, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     losses, grads, vals = [], [], []
-    for _ in range(epochs):  # the epoch trainer.train runs
-        loss = training_loss(model, ds, splits.train, cfg)
-        model.zero_grad()
-        loss.backward()
-        losses.append(loss.data)
+    for epoch in range(1, epochs + 1):
+        loss, val = run_epoch(model, ds, splits.train, splits.val, cfg, opt, epoch)
+        losses.append(loss)
         grads.extend(p.grad.copy() for p in trainables)
-        opt.step()
-        vals.append(validation_loss(model, ds, splits.val, cfg))
+        vals.append(val)
 
     context_end = splits.test.start
     result = forecast(model, ds, context_end, steps)
