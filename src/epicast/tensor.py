@@ -775,7 +775,9 @@ def _layer_norm_grads(g: np.ndarray, normed, std: np.ndarray, gain: np.ndarray, 
         np.multiply(normed, gn.mean(axis=-1, keepdims=True), out=gn)
         dx -= gn
         dx /= std
+        del gn  # each input-sized array is freed before the next one is allocated
         _accumulate(nx, dx)
+        del dx
     if ngain is not None:
         _accumulate(ngain, _unbroadcast(g * normed, gain.shape))
     if nbias is not None:
