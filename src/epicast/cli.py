@@ -15,7 +15,8 @@ Exit codes:
 - 3: data error, a ``DataError``: a data file that is a directory, unreadable,
   not UTF-8 or malformed.
 - 4: checkpoint error, a ``CheckpointError``.
-- 5: diverged, a non-finite loss or prediction or a prompt graph without a positive degree.
+- 5: diverged, a non-finite loss or prediction, a numeric overflow or a prompt graph
+  without a positive degree.
 """
 
 from __future__ import annotations

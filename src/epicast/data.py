@@ -274,6 +274,12 @@ class EpidemicDataset:
         return self.w
 
 
+def _adjacency(raw: np.ndarray, flows: np.ndarray, epsilon: float) -> np.ndarray:
+    """The adjacency of mobility `flows`: each flow whose raw-unit value in
+    `raw` exceeds `epsilon`, and 0 elsewhere."""
+    return np.where(raw > epsilon, flows, 0.0)
+
+
 def build_dataset(
     cases: CaseTable,
     mobility: MobilityTable,
@@ -329,7 +335,7 @@ def build_dataset(
 
     counts_model = counts.astype(np.float64) / case_scale[None, :]
     M = M_raw / mob_scale
-    A = np.where(M_raw > epsilon, M, 0.0)
+    A = _adjacency(M_raw, M, epsilon)
     try:
         X = window_features(counts_model, w)
     except MemoryError as exc:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .backbone import DecodeCache, backbone_forward
 from .branches import epi_adapt, epi_token_sequence, mob_adapt, mob_token_sequence, patch_grid
-from .data import ConfigError, EpidemicDataset, window_features
+from .data import ConfigError, EpidemicDataset, _adjacency, window_features
 from .model import ModelState
 from .tensor import no_grad
 
@@ -103,6 +103,7 @@ class ForecastResult:
 
 
 @no_grad()
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def forecast(
     model: ModelState, ds: EpidemicDataset, context_end: int, steps: int, adjacency_mode: str = "predicted"
 ) -> ForecastResult:
@@ -110,7 +111,9 @@ def forecast(
     records no tape.  Each step rolls in the mobility the model predicts, or
     with `adjacency_mode` "window_average" the mean of the last w days' flows
     and with "last" the last day's.  Raises ForecastSizeError when the rollout
-    history does not fit in memory."""
+    history does not fit in memory, and ForecastDivergedError naming the step
+    when a prediction is non-finite or numpy overflows, divides by zero or
+    makes an invalid value."""
     cfg = model.config
     w = cfg.w
     if adjacency_mode not in ADJACENCY_MODES:
@@ -141,41 +144,45 @@ def forecast(
     M[:context_end] = ds.M[:context_end]
     mob_cache, epi_cache = DecodeCache(), DecodeCache()
 
-    for step, t in enumerate(range(context_end, end, w), start=1):
-        grid = patch_grid(0, t, w)
+    try:
+        for step, t in enumerate(range(context_end, end, w), start=1):
+            grid = patch_grid(0, t, w)
 
-        if cfg.mobility_enabled and adjacency_mode == "predicted":
-            mob_out = backbone_forward(mob_token_sequence(model, M[:t], grid), model.backbone, mob_cache)
-            M_next = mob_adapt(mob_out[-1], model.mob_adapter).data
-        elif adjacency_mode == "window_average":
-            M_next = M[t - w : t].mean(axis=0)
-        elif adjacency_mode == "last":
-            M_next = M[t - 1]
-        else:  # mobility branch disabled entirely
-            M_next = np.zeros((ds.N, ds.N))
-        if not np.all(np.isfinite(M_next)):
-            raise ForecastDivergedError(step, "mobility prediction")
+            if cfg.mobility_enabled and adjacency_mode == "predicted":
+                mob_out = backbone_forward(mob_token_sequence(model, M[:t], grid), model.backbone, mob_cache)
+                M_next = mob_adapt(mob_out[-1], model.mob_adapter).data
+            elif adjacency_mode == "window_average":
+                M_next = M[t - w : t].mean(axis=0)
+            elif adjacency_mode == "last":
+                M_next = M[t - 1]
+            else:  # mobility branch disabled entirely
+                M_next = np.zeros((ds.N, ds.N))
+            if not np.all(np.isfinite(M_next)):
+                raise ForecastDivergedError(step, "mobility prediction")
 
-        if t == context_end:
-            X[:t] = window_features(counts[:t], w)
-        else:  # only the rows of the patch generated last step, each from its w days
-            X[t - w : t] = window_features(counts[t - 2 * w + 1 : t], w)[w - 1 :]
-        epi_out = backbone_forward(epi_token_sequence(model, X[:t], A[:t], grid), model.backbone, epi_cache)
-        block = epi_adapt(epi_out[-1], model.epi_adapter).data
-        if not np.all(np.isfinite(block)):
-            raise ForecastDivergedError(step, "case prediction")
+            if t == context_end:
+                X[:t] = window_features(counts[:t], w)
+            else:  # only the rows of the patch generated last step, each from its w days
+                X[t - w : t] = window_features(counts[t - 2 * w + 1 : t], w)[w - 1 :]
+            epi_out = backbone_forward(epi_token_sequence(model, X[:t], A[:t], grid), model.backbone, epi_cache)
+            block = epi_adapt(epi_out[-1], model.epi_adapter).data
+            if not np.all(np.isfinite(block)):
+                raise ForecastDivergedError(step, "case prediction")
 
-        counts[t : t + w] = np.maximum(block, 0.0).T  # block column k is day k of the new patch
-        A[t : t + w] = np.where(M_next * ds.mob_scale > ds.epsilon, M_next, 0.0)
-        M[t : t + w] = M_next
+            counts[t : t + w] = np.maximum(block, 0.0).T  # block column k is day k of the new patch
+            A[t : t + w] = _adjacency(M_next * ds.mob_scale, M_next, ds.epsilon)
+            M[t : t + w] = M_next
 
-    mobility = M[context_end::w] * ds.mob_scale
+        mobility = M[context_end::w] * ds.mob_scale
+        cases = counts[context_end:] * ds.case_scale
+    except FloatingPointError as exc:  # numpy raises on an overflow, an invalid value or a division by zero
+        raise ForecastDivergedError(step, f"value (numpy: {exc})") from exc
     base_date = ds.dates[context_end - 1]
     dates = [base_date + dt.timedelta(days=k + 1) for k in range(horizon)]
     return ForecastResult(
-        cases=counts[context_end:] * ds.case_scale,
+        cases=cases,
         mobility=mobility,
-        adjacency=np.where(mobility > ds.epsilon, mobility, 0.0),
+        adjacency=_adjacency(mobility, mobility, ds.epsilon),
         steps=steps,
         horizon=horizon,
         context_end=context_end,

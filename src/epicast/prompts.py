@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Parameter
+from .tensor import Parameter, _sigmoid
 
 FORWARD_INIT = 1.0
 BACKWARD_INIT = 0.5
@@ -39,8 +39,9 @@ class PromptParams:
         return [self.w_forward, self.w_backward, self.gamma]
 
     def summary(self) -> dict:
-        """Final weights for the explainability report (raw and squashed gates)."""
-        gates = 1.0 / (1.0 + np.exp(-self.gamma.data))
+        """Final weights for the explainability report: raw gates, and squashed
+        by the logistic function the gated blend multiplies by."""
+        gates = _sigmoid(self.gamma.data)
         return {
             "forward_edge": float(self.w_forward.data),
             "backward_edge": float(self.w_backward.data),

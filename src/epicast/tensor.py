@@ -24,6 +24,22 @@ array that no backward reads (a residual sum, a GELU input or output, the
 attention's q, k, v and weights) is freed during the forward as soon as the
 forward drops it.
 
+The fourteen primitives (``add``, ``sub``, ``mul``, ``square``, ``sqrt``,
+``matmul``, ``transpose``, ``reshape``, ``concat``, ``tsum``, ``tmean``,
+``relu``, ``sigmoid``, ``tanh``) are each a forward plus one gradient rule
+per input, a function of the output gradient that captures arrays, shapes
+and axes, never a tensor.  ``_record`` is the one place that builds their
+node: it keeps the rules of the inputs that require a gradient, in input
+order, and drops the others, so an array that only a constant input's rule
+reads (``mul``'s trained operand, when the other is constant) is freed with
+the forward.  Seven nodes are built by hand from ``_input_nodes`` and
+``Tensor._result`` instead, because one rule per input does not fit them:
+``linear``, ``layer_norm`` and the fused nodes of ``backbone`` and
+``branches`` share work or a gradient rule (``_affine_grads``,
+``_layer_norm_grads``) across their inputs, ``getitem``'s backward adds into
+its input's gradient in place, and ``gelu``'s forward decides what its
+backward keeps.
+
 A tape's lifetime follows reference counting alone:
 
 - A node holds its input nodes and a backward closure over saved arrays,
@@ -39,7 +55,8 @@ A tape's lifetime follows reference counting alone:
   dropped, and ``_prev = None`` marks it released.  A second backward through
   a released node raises AutodiffError.
 - Under ``with no_grad():`` ops record nothing and return constants; neither
-  they nor ops whose inputs are all constant build a node or a closure.
+  they nor ops whose inputs are all constant build a node or keep a closure
+  (a primitive's rules are dropped unused; ``concat`` builds none).
   Validation and forecasting run this way.
 
 Besides the primitive ops there are two fused ones, each a single tape node
@@ -308,11 +325,34 @@ class Parameter(Tensor):
 def _input_nodes(*tensors: Tensor) -> tuple | None:
     """The input nodes an op records, one per tensor (None for a constant), or
     None when the op records nothing: under no_grad, or when no input requires
-    a gradient.  An op checks this before it builds its closure."""
+    a gradient.  An op that builds its node by hand checks this before it
+    builds its closure."""
     if not _grad_enabled:
         return None
     nodes = tuple([t._node for t in tensors])
     return None if nodes.count(None) == len(nodes) else nodes
+
+
+def _record(out: np.ndarray, inputs, grads) -> Tensor:
+    """A primitive op's output: `out`, with a tape node when the op records.
+
+    `grads` holds one gradient rule per tensor of `inputs`: ``grads[i](g)`` is
+    input i's gradient for the output gradient g.  Under no_grad, or when no
+    input requires a gradient, the output is a constant.  Otherwise its node's
+    inputs are the nodes of the inputs that require a gradient, and its
+    backward accumulates their rules' gradients in input order.  The rules of
+    constant inputs are dropped here, and with them any array only they read.
+    """
+    if _grad_enabled:
+        pairs = [(t._node, grad) for t, grad in zip(inputs, grads) if t._node is not None]
+        if pairs:
+
+            def _bw(g):
+                for node, grad in pairs:
+                    _accumulate(node, grad(g))
+
+            return Tensor._result(out, tuple([node for node, _ in pairs]), _bw)
+    return Tensor._result(out, (), None)
 
 
 def astensor(x) -> Tensor:
@@ -333,75 +373,29 @@ def constant(data) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
-    out = a.data + b.data
-    nodes = _input_nodes(a, b)
-    if nodes is None:
-        return Tensor._result(out, (), None)
-    na, nb = nodes
     a_shape, b_shape = a.data.shape, b.data.shape
-
-    def _bw(g):
-        if na is not None:
-            _accumulate(na, _unbroadcast(g, a_shape))
-        if nb is not None:
-            _accumulate(nb, _unbroadcast(g, b_shape))
-
-    return Tensor._result(out, nodes, _bw)
+    return _record(a.data + b.data, (a, b), (lambda g: _unbroadcast(g, a_shape), lambda g: _unbroadcast(g, b_shape)))
 
 
 def sub(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
-    out = a.data - b.data
-    nodes = _input_nodes(a, b)
-    if nodes is None:
-        return Tensor._result(out, (), None)
-    na, nb = nodes
     a_shape, b_shape = a.data.shape, b.data.shape
-
-    def _bw(g):
-        if na is not None:
-            _accumulate(na, _unbroadcast(g, a_shape))
-        if nb is not None:
-            _accumulate(nb, -_unbroadcast(g, b_shape))
-
-    return Tensor._result(out, nodes, _bw)
+    return _record(a.data - b.data, (a, b), (lambda g: _unbroadcast(g, a_shape), lambda g: -_unbroadcast(g, b_shape)))
 
 
 def mul(a, b) -> Tensor:
     """Elementwise (and scalar) multiply with numpy broadcasting."""
     a, b = astensor(a), astensor(b)
-    out = a.data * b.data
-    nodes = _input_nodes(a, b)
-    if nodes is None:
-        return Tensor._result(out, (), None)
-    na, nb = nodes
-    a_shape, b_shape = a.data.shape, b.data.shape
+    x, y = a.data, b.data
+    x_shape, y_shape = x.shape, y.shape
     # each input's gradient reads the other operand
-    a_data = a.data if nb is not None else None
-    b_data = b.data if na is not None else None
-
-    def _bw(g):
-        if na is not None:
-            _accumulate(na, _unbroadcast(g * b_data, a_shape))
-        if nb is not None:
-            _accumulate(nb, _unbroadcast(g * a_data, b_shape))
-
-    return Tensor._result(out, nodes, _bw)
+    return _record(x * y, (a, b), (lambda g: _unbroadcast(g * y, x_shape), lambda g: _unbroadcast(g * x, y_shape)))
 
 
 def square(a) -> Tensor:
     a = astensor(a)
     x = a.data
-    out = x * x
-    nodes = _input_nodes(a)
-    if nodes is None:
-        return Tensor._result(out, (), None)
-    (na,) = nodes
-
-    def _bw(g):
-        _accumulate(na, 2.0 * x * g)
-
-    return Tensor._result(out, nodes, _bw)
+    return _record(x * x, (a,), (lambda g: 2.0 * x * g,))
 
 
 def sqrt(a) -> Tensor:
@@ -409,15 +403,7 @@ def sqrt(a) -> Tensor:
     if np.any(a.data < 0):
         raise ValueError("sqrt of negative input")
     root = np.sqrt(a.data)
-    nodes = _input_nodes(a)
-    if nodes is None:
-        return Tensor._result(root, (), None)
-    (na,) = nodes
-
-    def _bw(g):
-        _accumulate(na, g / (2.0 * root))
-
-    return Tensor._result(root, nodes, _bw)
+    return _record(root, (a,), (lambda g: g / (2.0 * root),))
 
 
 # -- matrix ops ------------------------------------------------------------------
@@ -425,24 +411,18 @@ def sqrt(a) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
-    if a.data.ndim < 1 or b.data.ndim < 1:
+    x, y = a.data, b.data
+    if x.ndim < 1 or y.ndim < 1:
         raise ValueError("matmul requires at least 1-d operands")
-    out = a.data @ b.data
-    nodes = _input_nodes(a, b)
-    if nodes is None:
-        return Tensor._result(out, (), None)
-    na, nb = nodes
-    a_shape, b_shape = a.data.shape, b.data.shape
-    a_data = a.data if nb is not None else None
-    b_data = b.data if na is not None else None
-
-    def _bw(g):
-        if na is not None:
-            _accumulate(na, _unbroadcast(g @ np.swapaxes(b_data, -1, -2), a_shape))
-        if nb is not None:
-            _accumulate(nb, _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_shape))
-
-    return Tensor._result(out, nodes, _bw)
+    x_shape, y_shape = x.shape, y.shape
+    return _record(
+        x @ y,
+        (a, b),
+        (
+            lambda g: _unbroadcast(g @ np.swapaxes(y, -1, -2), x_shape),
+            lambda g: _unbroadcast(np.swapaxes(x, -1, -2) @ g, y_shape),
+        ),
+    )
 
 
 def _affine(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -490,50 +470,29 @@ def linear(x, W, b) -> Tensor:
 
 def transpose(a, axes: tuple) -> Tensor:
     a = astensor(a)
-    out = np.transpose(a.data, axes)
-    nodes = _input_nodes(a)
-    if nodes is None:
-        return Tensor._result(out, (), None)
-    (na,) = nodes
-    inv = np.argsort(axes)
-
-    def _bw(g):
-        _accumulate(na, np.transpose(g, inv))
-
-    return Tensor._result(out, nodes, _bw)
+    return _record(np.transpose(a.data, axes), (a,), (lambda g: np.transpose(g, np.argsort(axes)),))
 
 
 def reshape(a, shape) -> Tensor:
     a = astensor(a)
-    out = a.data.reshape(shape)
-    nodes = _input_nodes(a)
-    if nodes is None:
-        return Tensor._result(out, (), None)
-    (na,) = nodes
     a_shape = a.data.shape
+    return _record(a.data.reshape(shape), (a,), (lambda g: g.reshape(a_shape),))
 
-    def _bw(g):
-        _accumulate(na, g.reshape(a_shape))
 
-    return Tensor._result(out, nodes, _bw)
+def _concat_grads(tensors: list, axis: int, ndim: int):
+    """concat's gradient rules, one per input: its slice of g along axis, with
+    bounds summed as Python ints.  A generator, so under no_grad, where
+    ``_record`` never asks for them, none is built."""
+    lead, hi = (slice(None),) * (axis % ndim), 0
+    for t in tensors:
+        lo, hi = hi, hi + t.data.shape[axis]
+        yield lambda g, part=lead + (slice(lo, hi),): g[part]
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [astensor(t) for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    nodes = _input_nodes(*tensors)
-    if nodes is None:
-        return Tensor._result(out, (), None)
-    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
-
-    def _bw(g):
-        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
-            if node is not None:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                _accumulate(node, g[tuple(idx)])
-
-    return Tensor._result(out, nodes, _bw)
+    return _record(out, tensors, _concat_grads(tensors, axis, out.ndim))
 
 
 def _is_basic_index(idx) -> bool:
@@ -568,39 +527,25 @@ def getitem(a, idx) -> Tensor:
 # -- reductions -------------------------------------------------------------------
 
 
+def _sum_grad(g: np.ndarray, axis, keepdims: bool, shape: tuple) -> np.ndarray:
+    """The gradient of an array of `shape` summed over `axis`, for the sum's
+    gradient g: g broadcast back to `shape`."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape)
+
+
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = astensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-    nodes = _input_nodes(a)
-    if nodes is None:
-        return Tensor._result(out, (), None)
-    (na,) = nodes
     a_shape = a.data.shape
-
-    def _bw(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(na, np.broadcast_to(g, a_shape))
-
-    return Tensor._result(out, nodes, _bw)
+    return _record(a.data.sum(axis=axis, keepdims=keepdims), (a,), (lambda g: _sum_grad(g, axis, keepdims, a_shape),))
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = astensor(a)
     mean = a.data.mean(axis=axis, keepdims=keepdims)
-    nodes = _input_nodes(a)
-    if nodes is None:
-        return Tensor._result(mean, (), None)
-    (na,) = nodes
-    a_shape = a.data.shape
-    count = a.data.size / mean.size
-
-    def _bw(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(na, np.broadcast_to(g, a_shape) / count)
-
-    return Tensor._result(mean, nodes, _bw)
+    a_shape, count = a.data.shape, a.data.size / mean.size
+    return _record(mean, (a,), (lambda g: _sum_grad(g, axis, keepdims, a_shape) / count,))
 
 
 # -- nonlinearities ----------------------------------------------------------------
@@ -618,16 +563,7 @@ def _select(mask: np.ndarray, x: np.ndarray) -> np.ndarray:
 def relu(a) -> Tensor:
     a = astensor(a)
     mask = a.data > 0
-    out = _select(mask, a.data)
-    nodes = _input_nodes(a)
-    if nodes is None:
-        return Tensor._result(out, (), None)
-    (na,) = nodes
-
-    def _bw(g):
-        _accumulate(na, _select(mask, g))
-
-    return Tensor._result(out, nodes, _bw)
+    return _record(_select(mask, a.data), (a,), (lambda g: _select(mask, g),))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -639,29 +575,13 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def sigmoid(a) -> Tensor:
     a = astensor(a)
     s = _sigmoid(a.data)
-    nodes = _input_nodes(a)
-    if nodes is None:
-        return Tensor._result(s, (), None)
-    (na,) = nodes
-
-    def _bw(g):
-        _accumulate(na, g * s * (1.0 - s))
-
-    return Tensor._result(s, nodes, _bw)
+    return _record(s, (a,), (lambda g: g * s * (1.0 - s),))
 
 
 def tanh(a) -> Tensor:
     a = astensor(a)
     t = np.tanh(a.data)
-    nodes = _input_nodes(a)
-    if nodes is None:
-        return Tensor._result(t, (), None)
-    (na,) = nodes
-
-    def _bw(g):
-        _accumulate(na, g * (1.0 - t * t))
-
-    return Tensor._result(t, nodes, _bw)
+    return _record(t, (a,), (lambda g: g * (1.0 - t * t),))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)

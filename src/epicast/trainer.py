@@ -28,7 +28,7 @@ class TrainingRangeError(ConfigError):
 
 
 class TrainingDivergedError(RuntimeError):
-    def __init__(self, epoch: int, value: float):
+    def __init__(self, epoch: int, value: float | str):
         super().__init__(f"non-finite loss {value} at epoch {epoch}")
         self.epoch = epoch
 
@@ -208,23 +208,28 @@ class TrainReport:
         }
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def run_epoch(
     model: ModelState, ds: EpidemicDataset, train_range: range, val_range: range, cfg: TrainConfig, opt: Adam, epoch: int
 ) -> tuple[float, float]:
     """One full-batch epoch: the training loss, its backward into freshly
     zeroed gradients, one Adam step, then the validation loss.  Returns both
-    losses; a non-finite one raises TrainingDivergedError naming `epoch`.
-    The gradients stay in place after the step, which reads them only."""
-    loss = training_loss(model, ds, train_range, cfg)
-    loss_value = float(loss.data)
-    if not np.isfinite(loss_value):
-        raise TrainingDivergedError(epoch, loss_value)
-    model.zero_grad()
-    loss.backward()
-    opt.step()
-    val_value = validation_loss(model, ds, val_range, cfg)
-    if not np.isfinite(val_value):
-        raise TrainingDivergedError(epoch, val_value)
+    losses; a non-finite one, or a numpy overflow, division by zero or
+    invalid value anywhere in the epoch, raises TrainingDivergedError naming
+    `epoch`.  The gradients stay in place after the step, which reads them only."""
+    try:
+        loss = training_loss(model, ds, train_range, cfg)
+        loss_value = float(loss.data)
+        if not np.isfinite(loss_value):
+            raise TrainingDivergedError(epoch, loss_value)
+        model.zero_grad()
+        loss.backward()
+        opt.step()
+        val_value = validation_loss(model, ds, val_range, cfg)
+        if not np.isfinite(val_value):
+            raise TrainingDivergedError(epoch, val_value)
+    except FloatingPointError as exc:
+        raise TrainingDivergedError(epoch, f"(numpy: {exc})") from exc
     return loss_value, val_value
 
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from epicast.backbone import BackboneConfig, build_backbone
 from epicast.model import ModelConfig, load_checkpoint, parameter_count, save_checkpoint
 from epicast.serialize import load_tensors, save_tensors
 
+ROOT = Path(__file__).resolve().parent.parent
 FAST = {
     "synth.regions": "4",
     "synth.days": "24",
@@ -281,6 +283,24 @@ def test_exit_five_on_negative_prompt_degree(tmp_path):
     model.prompts.w_backward.data = np.array(-3.0)
     save_checkpoint(model, out / "checkpoint.bin")
     assert main(["forecast", "--config", str(cfg_file), "--out", str(out)]) == 5
+
+
+@pytest.mark.parametrize("value", [1e300, 1e154])
+def test_exit_five_on_a_numeric_overflow(tmp_path, capsys, value):
+    """Epidemic tokens near 1e301 (or 1e155) overflow when LayerNorm squares
+    them: a named divergence at the step, not a warning and a finite forecast."""
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text((ROOT / "configs" / "synthetic.cfg").read_text() + "train.max_epochs = 3\n")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_file), "--out", str(out)]) == 0
+    named, meta = load_tensors(out / "checkpoint.bin")
+    named["epi_proj.l1.W"][...] = value
+    save_tensors(named, out / "checkpoint.bin", meta=meta)
+    capsys.readouterr()
+    assert main(["forecast", "--config", str(cfg_file), "--out", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert "diverged: non-finite value (numpy: overflow encountered" in err and "at forecast step 1" in err, err
+    assert not (out / "forecast.csv").exists()
 
 
 def test_exit_three_on_bad_data(tmp_path):

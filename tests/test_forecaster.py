@@ -1,13 +1,18 @@
 """Iterative multi-step forecasting: shapes, determinism, invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from epicast import forecaster
 from epicast.backbone import BackboneConfig, backbone_forward
 from epicast.data import ConfigError, SirParams, SplitSpec, split_dataset, synth_sir, window_features
 from epicast.forecaster import ForecastDivergedError, InsufficientContextError, forecast
 from epicast.model import ModelConfig, build_model
+from epicast.prompts import PromptGraphError
 from epicast.trainer import TrainConfig, train
 
 
@@ -235,3 +240,27 @@ def test_features_are_the_full_rewindowed_history(monkeypatch, w, context_end):
     assert len(windowed) == 4  # one call per step
     for X in seen:
         assert X.tobytes() == window_features(history[: len(X)], w).tobytes()
+
+
+_SERVED = _ds()
+_PARAMETER_NAMES = [p.name for p in _model(_SERVED).parameters()]
+
+
+@given(name=st.sampled_from(_PARAMETER_NAMES), value=st.floats(allow_nan=False, allow_infinity=False))
+@example(name="epi_proj.l1.W", value=1e300)
+@example(name="epi_proj.l1.W", value=1e154)
+@settings(max_examples=60, deadline=None)
+def test_a_bad_parameter_fails_by_name_or_forecasts_without_warning(name, value):
+    """Any finite value in one checkpoint tensor either forecasts with no
+    numpy warning or fails with a named error: ForecastDivergedError, or
+    PromptGraphError for prompt weights that leave a degree non-positive."""
+    model = _model(_SERVED)
+    (param,) = [p for p in model.parameters() if p.name == name]
+    param.data = np.full_like(param.data, value)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            forecast(model, _SERVED, context_end=24, steps=2)
+        except (ForecastDivergedError, PromptGraphError):
+            return
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], [str(w.message) for w in caught]

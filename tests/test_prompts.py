@@ -1,13 +1,15 @@
 """The prompted graph's normalization, the dense block matrix of the tests'
 reference, and the learnable edge/gate parameters."""
 
+import warnings
+
 import numpy as np
 import pytest
 from composed_reference import block_adjacency, cross_slice_masks, slice_offsets
 
 from epicast.gradcheck import grad_check
 from epicast.prompts import build_prompted_graph, init_prompts
-from epicast.tensor import constant, mul, tsum
+from epicast.tensor import _sigmoid, constant, mul, tsum
 
 
 def test_init_values_w3():
@@ -142,3 +144,15 @@ def test_summary_reports_raw_and_squashed():
     assert s["backward_edge"] == 0.5
     assert s["gamma"] == [1.0, 1.0, 1.0]
     assert s["gate"] == pytest.approx([1 / (1 + np.exp(-1.0))] * 3)
+
+
+def test_summary_gates_are_the_gates_the_blend_multiplies_by():
+    """The reported gate is bitwise the tokenizer's ``_sigmoid(gamma)``, and a
+    large negative gamma reports a gate of 0 without an overflow."""
+    p = init_prompts(3)
+    p.gamma.data = np.array([-0.7, -800.0, 40.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        gates = p.summary()["gate"]
+    assert np.array(gates).tobytes() == _sigmoid(p.gamma.data).tobytes()
+    assert gates[1] == 0.0 and gates[2] == 1.0

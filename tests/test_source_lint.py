@@ -95,23 +95,35 @@ def test_the_check_sees_a_foreign_import():
     assert list(_foreign_imports(ast.parse(source))) == [(7, "scipy.linalg"), (8, "scipy")]
 
 
-def _taping_functions(tree):
-    """Top-level functions that record a tape node with a backward: a call of
-    ``Tensor._result`` whose backward argument is not the literal None."""
+def _builds_a_node(call):
+    """True for a call of ``Tensor._result`` whose backward argument is not the literal None."""
+    func = call.func
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr == "_result"
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "Tensor"
+        and not (len(call.args) > 2 and isinstance(call.args[2], ast.Constant) and call.args[2].value is None)
+    )
+
+
+def _calling(tree, test):
+    """Top-level functions that make a call for which `test` holds."""
     for fn in tree.body:
-        if not isinstance(fn, ast.FunctionDef):
-            continue
-        for node in ast.walk(fn):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "_result"
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "Tensor"
-                and not (len(node.args) > 2 and isinstance(node.args[2], ast.Constant) and node.args[2].value is None)
-            ):
-                yield fn.name
-                break
+        if isinstance(fn, ast.FunctionDef) and any(isinstance(n, ast.Call) and test(n) for n in ast.walk(fn)):
+            yield fn.name
+
+
+def _result_callers(tree):
+    """Top-level functions that build a tape node with a backward themselves."""
+    return _calling(tree, _builds_a_node)
+
+
+def _taping_functions(tree):
+    """Top-level functions that record a tape node with a backward, their own
+    or through ``_record``; ``_record`` itself is the recording rule, not an op."""
+    records = _calling(tree, lambda call: _builds_a_node(call) or _callee(call) == "_record")
+    return [name for name in records if name != "_record"]
 
 
 def _without_fd_case(tree, cases):
@@ -133,12 +145,40 @@ def test_every_taping_op_has_a_finite_difference_case():
 
 def test_the_check_sees_an_op_without_a_case():
     source = (
+        "def _record(out, inputs, grads):\n    return Tensor._result(out, inputs, _bw)\n"
         "def covered(a):\n    return Tensor._result(a.data, (a,), _bw)\n"
         "def fused(a, b):\n    def _bw(g):\n        pass\n    return Tensor._result(a.data + b.data, (a, b), _bw)\n"
+        "def primitive(a):\n    return _record(a.data, (a,), (lambda g: g,))\n"
         "def leaf(x):\n    return Tensor._result(x, (), None)\n"
         "def helper(a):\n    return covered(a)\n"
     )
-    assert _without_fd_case(ast.parse(source), {"covered": lambda a, b: covered(a)}) == ["fused"]  # noqa: F821
+    cases = {"covered": lambda a, b: covered(a)}  # noqa: F821
+    assert _without_fd_case(ast.parse(source), cases) == ["fused", "primitive"]
+
+
+# the ops whose backward shares work between inputs (linear, layer_norm), adds
+# in place (getitem) or is decided by the forward (gelu); every other
+# tensor.py op records through _record's one rule
+OWN_NODES = ("_record", "linear", "getitem", "gelu", "layer_norm")
+
+
+def test_primitives_build_their_node_only_through_record():
+    tree = ast.parse((SRC / "tensor.py").read_text(), filename="tensor.py")
+    hits = [name for name in _result_callers(tree) if name not in OWN_NODES]
+    assert not hits, (
+        f"tensor.py:{hits} build a tape node with Tensor._result: record a primitive with "
+        "_record(out, inputs, grads), one gradient rule per input"
+    )
+
+
+def test_the_check_sees_a_node_built_by_hand():
+    source = (
+        "def _record(out, inputs, grads):\n    return Tensor._result(out, inputs, _bw)\n"
+        "def add(a, b):\n    return _record(a.data + b.data, (a, b), (lambda g: g, lambda g: g))\n"
+        "def tanh(a):\n    def _bw(g):\n        pass\n    return Tensor._result(a.data, (a,), _bw)\n"
+        "def constant(x):\n    return Tensor._result(x, (), None)\n"
+    )
+    assert list(_result_callers(ast.parse(source))) == ["_record", "tanh"]
 
 
 # the one reader, the config's check that a named data file exists before any

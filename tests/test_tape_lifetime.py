@@ -1,6 +1,7 @@
 """Tape lifetime: lazy interior gradients, release after backward, no_grad."""
 
 import gc
+import types
 import weakref
 
 import numpy as np
@@ -12,12 +13,27 @@ import epicast.backbone as backbone_mod
 import epicast.branches as branches_mod
 import epicast.forecaster as forecaster_mod
 import epicast.trainer as trainer_mod
-from epicast.backbone import BackboneConfig
+from epicast.backbone import MODES, BackboneConfig
 from epicast.branches import patch_grid
 from epicast.data import SirParams, SplitSpec, split_dataset, synth_sir
 from epicast.forecaster import forecast
 from epicast.model import ModelConfig, build_model
-from epicast.tensor import AutodiffError, Parameter, Tensor, _Node, add, gelu, mul, no_grad, square, tsum
+from epicast.tensor import (
+    AutodiffError,
+    Parameter,
+    Tensor,
+    _Node,
+    add,
+    concat,
+    constant,
+    gelu,
+    matmul,
+    mul,
+    no_grad,
+    square,
+    sub,
+    tsum,
+)
 from epicast.trainer import TrainConfig, sequence_loss, train, training_loss, validation_loss
 
 
@@ -239,20 +255,26 @@ def test_training_loss_still_records_after_validation():
 # -- what a training tape keeps ----------------------------------------------------------
 
 
-def _arrays_in(value):
-    """The ndarrays in `value`, nested tuples and lists included."""
+def _arrays_in(value, seen):
+    """The ndarrays in `value`, nested tuples and lists included, and those in
+    the closures and defaults of the functions met, each function entered
+    once (`seen` holds their ids).  A tape keeps no Tensor: fails on one."""
+    assert not isinstance(value, Tensor), "a backward closure keeps a Tensor alive, and with it its array"
     if isinstance(value, np.ndarray):
         yield value
     elif isinstance(value, (list, tuple)):
         for item in value:
-            yield from _arrays_in(item)
+            yield from _arrays_in(item, seen)
+    elif isinstance(value, types.FunctionType) and id(value) not in seen:
+        seen.add(id(value))
+        cells = [cell.cell_contents for cell in value.__closure__ or ()]
+        yield from _arrays_in(cells + list(value.__defaults__ or ()), seen)
 
 
 def _closure_arrays(node):
-    """The ndarrays in the cells of a node's backward closure, nested tuples
-    and lists in those cells included."""
-    for cell in getattr(node._backward, "__closure__", None) or ():
-        yield from _arrays_in(cell.cell_contents)
+    """The ndarrays a node's backward closure keeps: in its cells, nested
+    tuples and lists, and the closures of the functions in them included."""
+    yield from _arrays_in(node._backward, set())
 
 
 def _kept_arrays(loss):
@@ -364,6 +386,38 @@ def test_a_tokenizer_node_keeps_only_its_propagated_maps(monkeypatch):
         assert sorted(a.shape for a in arrays if a.size > w * N) == sorted([(w, N, F), (w, N, D)])
         assert all(a.dtype == np.float64 for a in arrays)
     assert all(own(token) == [] for token in mob)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_no_training_tape_keeps_a_tensor(mode):
+    """No backward closure, nor any function it holds, keeps a Tensor: only
+    arrays, shapes and nodes (``_arrays_in`` fails on a Tensor)."""
+    ds, splits, model, _ = _train_setup(mode)
+    assert _kept_arrays(training_loss(model, ds, splits.train, TrainConfig()))
+
+
+def _constant_and_trained():
+    """A constant and an op output that requires a gradient, both (3, 3)."""
+    return constant(np.full((3, 3), 2.0)), add(Parameter(np.ones((3, 3)), name="p"), 1.0)
+
+
+@pytest.mark.parametrize("trained_first", [True, False])
+@pytest.mark.parametrize("op", [mul, matmul])
+def test_a_product_keeps_only_the_constant_operand(op, trained_first):
+    """The trained input's gradient reads the constant's array, which the node
+    keeps; only the constant's gradient would read the op output's array, so
+    the node does not keep that array."""
+    c, h = _constant_and_trained()
+    out = op(h, c) if trained_first else op(c, h)
+    assert [a is c.data for a in _closure_arrays(out._node)] == [True]
+
+
+@pytest.mark.parametrize("trained_first", [True, False])
+@pytest.mark.parametrize("op", [add, sub, lambda a, b: concat([a, b], axis=1)])
+def test_sums_and_concats_keep_no_array(op, trained_first):
+    c, h = _constant_and_trained()
+    out = op(h, c) if trained_first else op(c, h)
+    assert list(_closure_arrays(out._node)) == []
 
 
 def test_gelu_hands_its_input_the_derivative_it_saved():
