@@ -10,8 +10,7 @@ harness around them.
 from .backbone import BackboneConfig, BackboneState, backbone_forward, build_backbone
 from .branches import (
     Adapter,
-    EpiProjector,
-    MobProjector,
+    Projector,
     epi_adapt,
     epi_tokenize,
     mob_adapt,

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ConfigError
-from .serialize import load_tensors, save_tensors
+from .serialize import assign_tensors, load_tensors, save_tensors
 from .tensor import (
     Parameter,
     Tensor,
@@ -112,9 +112,6 @@ class BackboneState:
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())
 
-    def n_params(self) -> int:
-        return sum(p.data.size for p in self.params.values())
-
     def export_weights(self, path) -> None:
         save_tensors(
             {name: p.data for name, p in self.params.items()},
@@ -146,8 +143,10 @@ def _param(state: BackboneState, name: str, data: np.ndarray) -> Parameter:
 def build_backbone(cfg: BackboneConfig, weights_path=None) -> BackboneState:
     """Deterministically construct backbone weights from the config seed.
 
-    `weights_path` optionally points at an exported flat weight file whose
-    tensors replace the seeded ones (names and shapes must match).
+    `weights_path` optionally points at a flat weight file whose tensors
+    replace the seeded ones (names and shapes must match): one that
+    `export_weights` wrote, with short names, or a model checkpoint, with
+    ``backbone.<name>`` names.
     """
     rng = np.random.default_rng(cfg.seed)
     state = BackboneState(config=cfg)
@@ -184,16 +183,9 @@ def build_backbone(cfg: BackboneConfig, weights_path=None) -> BackboneState:
 
     if weights_path is not None:
         tensors, _meta = load_tensors(weights_path)
-        for name, param in state.params.items():
-            full = f"backbone.{name}"
-            if full not in tensors and name not in tensors:
-                raise BackboneConfigError(f"weight file missing tensor {full!r}")
-            arr = tensors.get(full, tensors.get(name))
-            if arr.shape != param.data.shape:
-                raise BackboneConfigError(
-                    f"weight {full!r} has shape {arr.shape}, expected {param.data.shape}"
-                )
-            param.data = arr.astype(np.float64)
+        # `export_weights` writes short names, a checkpoint full ones; a full name wins
+        tensors = {**{f"backbone.{name}": arr for name, arr in tensors.items()}, **tensors}
+        assign_tensors(state.parameters(), tensors, "weight file", BackboneConfigError)
     return state
 
 

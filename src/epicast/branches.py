@@ -52,25 +52,14 @@ def _init_linear(rng: np.random.Generator, fan_in: int, fan_out: int, name: str)
 
 
 @dataclass
-class EpiProjector:
-    """Two message-passing layers taking feature rows to backbone width."""
+class Projector:
+    """Two layers taking n_in features to backbone width D through a hidden
+    width: message passing for the epidemic branch, a feedforward map for the
+    mobility branch."""
 
-    W1: Parameter  # (F, D)
+    W1: Parameter  # (n_in, hidden)
     b1: Parameter
-    W2: Parameter  # (D, D)
-    b2: Parameter
-
-    def parameters(self) -> list[Parameter]:
-        return [self.W1, self.b1, self.W2, self.b2]
-
-
-@dataclass
-class MobProjector:
-    """Two-layer feedforward map from mobility rows (length N) to width D."""
-
-    W1: Parameter  # (N, H)
-    b1: Parameter
-    W2: Parameter  # (H, D)
+    W2: Parameter  # (hidden, D)
     b2: Parameter
 
     def parameters(self) -> list[Parameter]:
@@ -88,16 +77,10 @@ class Adapter:
         return [self.W, self.b]
 
 
-def init_epi_projector(rng: np.random.Generator, F: int, D: int) -> EpiProjector:
-    W1, b1 = _init_linear(rng, F, D, "epi_proj.l1")
-    W2, b2 = _init_linear(rng, D, D, "epi_proj.l2")
-    return EpiProjector(W1, b1, W2, b2)
-
-
-def init_mob_projector(rng: np.random.Generator, N: int, hidden: int, D: int) -> MobProjector:
-    W1, b1 = _init_linear(rng, N, hidden, "mob_proj.l1")
-    W2, b2 = _init_linear(rng, hidden, D, "mob_proj.l2")
-    return MobProjector(W1, b1, W2, b2)
+def init_projector(rng: np.random.Generator, n_in: int, hidden: int, D: int, name: str) -> Projector:
+    W1, b1 = _init_linear(rng, n_in, hidden, f"{name}.l1")
+    W2, b2 = _init_linear(rng, hidden, D, f"{name}.l2")
+    return Projector(W1, b1, W2, b2)
 
 
 def init_adapter(rng: np.random.Generator, D: int, out: int, name: str) -> Adapter:
@@ -185,7 +168,7 @@ def epi_tokenize(
     X_window: np.ndarray,
     A_window: np.ndarray,
     prompts: PromptParams,
-    proj: EpiProjector,
+    proj: Projector,
     gating_mode: str = "gated",
     tokenizer_mode: str = "graph",
 ) -> Tensor:
@@ -266,7 +249,7 @@ def epi_tokenize(
     return Tensor._result(token, nodes, _bw)
 
 
-def mob_tokenize(M_t: np.ndarray, proj: MobProjector) -> Tensor:
+def mob_tokenize(M_t: np.ndarray, proj: Projector) -> Tensor:
     """One mobility token (N, D): each region's outflow row through the MLP
     ``relu(M_t @ W1 + b1) @ W2 + b2``.
 

@@ -61,7 +61,6 @@ from .model import (
     ModelConfig,
     ModelState,
     build_model,
-    count_params,
     load_checkpoint,
     save_checkpoint,
 )
@@ -196,7 +195,9 @@ def resolve_config(raw: dict, seed_override=None, out_override=None) -> RunConfi
     return cfg
 
 
-def _out_dir(cfg: RunConfig) -> Path:
+def _start(cfg: RunConfig, command: str) -> Path:
+    """Make the run's output directory and echo the resolved config into it as
+    ``config_<command>.json``; returns the directory."""
     out = cfg["out"]
     if out is None:
         stamp = dt.datetime.now().strftime("%Y%m%d-%H%M%S")
@@ -206,13 +207,9 @@ def _out_dir(cfg: RunConfig) -> Path:
         path.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # a file, a path under a file, no permission, a NUL byte
         raise ConfigError(f"out {out!r} cannot be made a directory: {exc}") from exc
+    with open(path / f"config_{command}.json", "w") as fh:
+        json.dump({"command": command, "config": cfg.resolved()}, fh, indent=1, sort_keys=True)
     return path
-
-
-def _echo_config(cfg: RunConfig, out: Path, command: str) -> None:
-    doc = {"command": command, "config": cfg.resolved()}
-    with open(out / f"config_{command}.json", "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
 
 
 def _synth_size_error(cfg: RunConfig, exc: MemoryError) -> ConfigError:
@@ -262,6 +259,7 @@ def _configs(cfg: RunConfig, ds: EpidemicDataset) -> tuple[ModelConfig, Backbone
         width=cfg["backbone.width"],
         mob_hidden=cfg["model.mob_hidden"],
         epsilon=cfg["epsilon"],
+        scale=cfg["scale"],
         seed=cfg["seed"],
     )
     backbone_cfg = BackboneConfig(
@@ -290,24 +288,15 @@ def _checkpoint_path(cfg: RunConfig, out: Path) -> Path:
 
 def _served_model(cfg: RunConfig, out: Path) -> tuple[ModelState, EpidemicDataset]:
     """The checkpointed model and the dataset it serves.  A checkpoint serves
-    only the window length, region count and adjacency threshold it was
-    trained on."""
+    only the model space it was trained in: its window length, region count,
+    adjacency threshold and scaling; any other raises CheckpointError."""
     ckpt = _checkpoint_path(cfg, out)
     model = load_checkpoint(ckpt)
     ds = _load_dataset(cfg)
-    if model.config.w != cfg["w"]:
-        raise CheckpointError(
-            f"{ckpt} was trained with w={model.config.w}, but the config sets w={cfg['w']}"
-        )
-    if model.config.n_regions != ds.N:
-        raise CheckpointError(
-            f"{ckpt} was trained on {model.config.n_regions} regions, but the dataset has {ds.N}"
-        )
-    if model.config.epsilon != cfg["epsilon"]:
-        raise CheckpointError(
-            f"{ckpt} was trained with epsilon={model.config.epsilon}, "
-            f"but the config sets epsilon={cfg['epsilon']}"
-        )
+    served = {"w": cfg["w"], "n_regions": ds.N, "epsilon": cfg["epsilon"], "scale": cfg["scale"]}
+    for key, value in served.items():
+        if (trained := getattr(model.config, key)) != value:
+            raise CheckpointError(f"{ckpt} was trained with {key}={trained}, but this run serves {key}={value}")
     return model, ds
 
 
@@ -315,8 +304,7 @@ def _served_model(cfg: RunConfig, out: Path) -> tuple[ModelState, EpidemicDatase
 
 
 def cmd_synth(cfg: RunConfig) -> Path:
-    out = _out_dir(cfg)
-    _echo_config(cfg, out, "synth")
+    out = _start(cfg, "synth")
     cases, mobility = _synth_tables(cfg)
     write_cases_csv(cases, out / "cases.csv")
     write_mobility_csv(mobility, out / "mobility.csv")
@@ -326,8 +314,7 @@ def cmd_synth(cfg: RunConfig) -> Path:
 
 
 def cmd_train(cfg: RunConfig) -> Path:
-    out = _out_dir(cfg)
-    _echo_config(cfg, out, "train")
+    out = _start(cfg, "train")
     ds = _load_dataset(cfg)
     splits = split_dataset(ds, cfg.split)
     model_cfg, backbone_cfg, train_cfg = _configs(cfg, ds)
@@ -339,18 +326,16 @@ def cmd_train(cfg: RunConfig) -> Path:
         json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
     with open(out / "prompts.json", "w") as fh:
         json.dump(report.prompt_summary, fh, indent=1, sort_keys=True)
-    counts = count_params(model)
     print(
         f"train: stopped at epoch {report.stopped_epoch} (best val {report.best_val:.6g} "
-        f"at epoch {report.best_epoch}); trainable {counts.trainable}/{counts.total} "
-        f"({100 * counts.ratio:.2f}%); checkpoint -> {ckpt}"
+        f"at epoch {report.best_epoch}); trainable {report.trainable_params}/{report.total_params} "
+        f"({100 * report.trainable_ratio:.2f}%); checkpoint -> {ckpt}"
     )
     return out
 
 
 def cmd_forecast(cfg: RunConfig) -> Path:
-    out = _out_dir(cfg)
-    _echo_config(cfg, out, "forecast")
+    out = _start(cfg, "forecast")
     model, ds = _served_model(cfg, out)
     context_end = cfg["forecast.context_end"]
     if context_end is None:
@@ -366,8 +351,7 @@ def cmd_forecast(cfg: RunConfig) -> Path:
 
 
 def cmd_evaluate(cfg: RunConfig) -> Path:
-    out = _out_dir(cfg)
-    _echo_config(cfg, out, "evaluate")
+    out = _start(cfg, "evaluate")
     model, ds = _served_model(cfg, out)
     horizon = cfg["horizon"]
     context_end = ds.T - cfg.split.test_len
@@ -389,8 +373,7 @@ def cmd_evaluate(cfg: RunConfig) -> Path:
 
 
 def cmd_ablate(cfg: RunConfig) -> Path:
-    out = _out_dir(cfg)
-    _echo_config(cfg, out, "ablate")
+    out = _start(cfg, "ablate")
     ds = _load_dataset(cfg)
     model_cfg, backbone_cfg, train_cfg = _configs(cfg, ds)
     reports = run_ablation(
@@ -412,8 +395,7 @@ def cmd_ablate(cfg: RunConfig) -> Path:
 
 
 def cmd_report(cfg: RunConfig) -> Path:
-    out = _out_dir(cfg)
-    _echo_config(cfg, out, "report")
+    out = _start(cfg, "report")
     if cfg["report.inputs"] is None:
         raise ConfigError("report.inputs must list metrics.json files (comma separated)")
     reports: list[MetricReport] = []

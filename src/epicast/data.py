@@ -269,10 +269,6 @@ class EpidemicDataset:
     mob_scale: float  # divide raw flows by this to enter model space
     epsilon: float  # adjacency threshold, raw flow units
 
-    @property
-    def F(self) -> int:
-        return self.w
-
 
 def _adjacency(raw: np.ndarray, flows: np.ndarray, epsilon: float) -> np.ndarray:
     """The adjacency of mobility `flows`: each flow whose raw-unit value in

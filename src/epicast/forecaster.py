@@ -12,7 +12,8 @@ windowed feature rows (end, N, w), and the mobility and adjacency tensors
 days are copied in and windowed once; step t reads the views of the first t
 days, windows only the w feature rows of the patch generated before it, and
 writes its own patch into rows t .. t+w in place.  The returned cases,
-mobility and adjacency are slices of that history.
+mobility and adjacency are slices of that history (mobility and adjacency
+one row per patch), mapped back to raw units.
 
 Both backbone passes decode incrementally: step 1 prefills the context grid,
 and each later step runs the backbone on the one position it appended (see
@@ -174,6 +175,7 @@ def forecast(
             M[t : t + w] = M_next
 
         mobility = M[context_end::w] * ds.mob_scale
+        adjacency = A[context_end::w] * ds.mob_scale
         cases = counts[context_end:] * ds.case_scale
     except FloatingPointError as exc:  # numpy raises on an overflow, an invalid value or a division by zero
         raise ForecastDivergedError(step, f"value (numpy: {exc})") from exc
@@ -182,7 +184,7 @@ def forecast(
     return ForecastResult(
         cases=cases,
         mobility=mobility,
-        adjacency=_adjacency(mobility, mobility, ds.epsilon),
+        adjacency=adjacency,
         steps=steps,
         horizon=horizon,
         context_end=context_end,

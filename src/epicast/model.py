@@ -11,17 +11,15 @@ import numpy as np
 from .backbone import BackboneConfig, BackboneState, build_backbone
 from .branches import (
     Adapter,
-    EpiProjector,
     GATING_MODES,
-    MobProjector,
+    Projector,
     TOKENIZER_MODES,
     init_adapter,
-    init_epi_projector,
-    init_mob_projector,
+    init_projector,
 )
 from .data import ConfigError
 from .prompts import PromptParams, init_prompts
-from .serialize import CheckpointError, load_tensors, save_tensors
+from .serialize import CheckpointError, assign_tensors, load_tensors, save_tensors
 from .tensor import Parameter
 
 
@@ -43,6 +41,7 @@ class ModelConfig:
     gating_mode: str = "gated"
     mobility_enabled: bool = True
     epsilon: float = 0.0
+    scale: bool = False  # the run's `scale` key: counts and flows enter model space scaled
     seed: int = 0
 
     def __post_init__(self):
@@ -63,8 +62,8 @@ class ModelConfig:
 @dataclass
 class ModelState:
     config: ModelConfig
-    epi_proj: EpiProjector
-    mob_proj: MobProjector
+    epi_proj: Projector
+    mob_proj: Projector
     epi_adapter: Adapter
     mob_adapter: Adapter
     prompts: PromptParams
@@ -101,7 +100,6 @@ def build_model(cfg: ModelConfig, backbone_cfg: BackboneConfig, backbone_weights
                 f"model width {cfg.width} does not match backbone width {backbone_cfg.width}"
             )
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-    hidden = cfg.mob_hidden or cfg.width
     D = cfg.width
     branches, backbone = _parameter_counts(cfg, backbone_cfg)
     # a trainable parameter comes with its gradient and Adam's two moments
@@ -114,8 +112,8 @@ def build_model(cfg: ModelConfig, backbone_cfg: BackboneConfig, backbone_weights
             )
         return ModelState(
             config=cfg,
-            epi_proj=init_epi_projector(rng, F=cfg.w, D=D),
-            mob_proj=init_mob_projector(rng, N=cfg.n_regions, hidden=hidden, D=D),
+            epi_proj=init_projector(rng, cfg.w, D, D, "epi_proj"),
+            mob_proj=init_projector(rng, cfg.n_regions, cfg.mob_hidden or D, D, "mob_proj"),
             epi_adapter=init_adapter(rng, D=D, out=cfg.w, name="epi_adapter"),
             mob_adapter=init_adapter(rng, D=D, out=cfg.n_regions, name="mob_adapter"),
             prompts=init_prompts(cfg.w),
@@ -212,11 +210,5 @@ def load_checkpoint(path) -> ModelState:
         model = build_model(cfg, backbone_cfg)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad model or backbone config: {exc}") from exc
-    for p in model.parameters():
-        if p.name not in tensors:
-            raise CheckpointError(f"checkpoint missing tensor {p.name!r}")
-        arr = tensors[p.name]
-        if arr.shape != p.data.shape:
-            raise CheckpointError(f"tensor {p.name!r} has shape {arr.shape}, expected {p.data.shape}")
-        p.data = arr
+    assign_tensors(model.parameters(), tensors, "checkpoint", CheckpointError)
     return model

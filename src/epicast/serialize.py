@@ -2,7 +2,8 @@
 
 The sidecar lists tensor names, shapes, and byte offsets into the blob, plus
 an optional free-form ``meta`` dict.  Both model checkpoints and externally
-exported backbone weights use this layout.
+exported backbone weights use this layout, and both are loaded into built
+parameters by ``assign_tensors``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import read_file
+from .tensor import Parameter
 
 
 class CheckpointError(RuntimeError):
@@ -71,7 +73,20 @@ def load_tensors(bin_path) -> tuple[dict[str, np.ndarray], dict]:
             arr = np.frombuffer(blob, dtype="<f8", count=count, offset=entry["offset"])
             if not np.all(np.isfinite(arr)):
                 raise CheckpointError(f"{bin_path}: tensor {entry['name']!r} holds non-finite values")
-            out[entry["name"]] = arr.reshape(shape).astype(np.float64)
+            out[entry["name"]] = arr.reshape(shape).astype(np.float64)  # a fresh, writable copy
     except (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{side}: broken sidecar: {exc!r}") from exc
     return out, meta
+
+
+def assign_tensors(params: list[Parameter], tensors: dict[str, np.ndarray], what: str, error: type[Exception]) -> None:
+    """Replace each parameter's data with the tensor of its name in `tensors`;
+    raises `error`, naming `what` and the tensor, when one is missing or has
+    another shape."""
+    for p in params:
+        if p.name not in tensors:
+            raise error(f"{what} missing tensor {p.name!r}")
+        arr = tensors[p.name]
+        if arr.shape != p.data.shape:
+            raise error(f"{what} tensor {p.name!r} has shape {arr.shape}, expected {p.data.shape}")
+        p.data = arr

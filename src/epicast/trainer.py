@@ -10,7 +10,7 @@ with the full preceding history as context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -195,17 +195,9 @@ class TrainReport:
         return self.trainable_params / self.total_params
 
     def to_dict(self) -> dict:
-        return {
-            "train_losses": self.train_losses,
-            "val_losses": self.val_losses,
-            "stopped_epoch": self.stopped_epoch,
-            "best_epoch": self.best_epoch,
-            "best_val": self.best_val,
-            "prompts": self.prompt_summary,
-            "trainable_params": self.trainable_params,
-            "total_params": self.total_params,
-            "trainable_ratio": self.trainable_ratio,
-        }
+        doc = asdict(self)
+        doc["prompts"] = doc.pop("prompt_summary")
+        return {**doc, "trainable_ratio": self.trainable_ratio}
 
 
 @np.errstate(over="raise", invalid="raise", divide="raise")

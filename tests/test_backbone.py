@@ -19,6 +19,7 @@ from epicast.backbone import (
     build_backbone,
 )
 from epicast.gradcheck import grad_check
+from epicast.model import ModelConfig, build_model, save_checkpoint
 from epicast.tensor import Parameter, Tensor, constant, mul, no_grad, tsum
 
 
@@ -32,7 +33,7 @@ def test_identity_mode_returns_input():
     tokens = _tokens()
     out = backbone_forward(tokens, state)
     np.testing.assert_array_equal(out.data, tokens.data)
-    assert state.n_params() == 0
+    assert sum(p.data.size for p in state.parameters()) == 0
 
 
 @pytest.mark.parametrize("P", [1, 2, 5, 16])
@@ -85,14 +86,12 @@ def test_frozen_mode_has_zero_trainable():
 def test_other_modes_are_trainable(mode):
     state = build_backbone(BackboneConfig(mode=mode, depth=1, width=8, heads=2))
     assert all(not p.frozen for p in state.parameters())
-    assert state.n_params() > 0
+    assert sum(p.data.size for p in state.parameters()) > 0
 
 
 def test_width_sweep_grows_param_count():
-    counts = [
-        build_backbone(BackboneConfig(mode="frozen-transformer", depth=2, width=w, heads=4)).n_params()
-        for w in (64, 128, 256)
-    ]
+    configs = [BackboneConfig(mode="frozen-transformer", depth=2, width=w, heads=4) for w in (64, 128, 256)]
+    counts = [sum(p.data.size for p in build_backbone(cfg).parameters()) for cfg in configs]
     assert counts[0] < counts[1] < counts[2]
 
 
@@ -158,12 +157,17 @@ def test_weight_file_round_trip(tmp_path):
     state = build_backbone(cfg)
     tokens = _tokens(P=4, N=2, D=8, seed=6)
     out_before = backbone_forward(tokens, state).data
-    path = tmp_path / "weights.bin"
-    state.export_weights(path)
+    exported, checkpoint = tmp_path / "weights.bin", tmp_path / "checkpoint.bin"
+    state.export_weights(exported)  # short tensor names
+    save_checkpoint(build_model(ModelConfig(n_regions=2, width=8), cfg), checkpoint)  # backbone.<name>
 
-    rebuilt = build_backbone(BackboneConfig(mode="frozen-transformer", depth=2, width=8, heads=2, seed=999), weights_path=path)
-    out_after = backbone_forward(tokens, rebuilt).data
-    np.testing.assert_array_equal(out_before, out_after)
+    for path in (exported, checkpoint):
+        rebuilt = build_backbone(BackboneConfig(mode="frozen-transformer", depth=2, width=8, heads=2, seed=999), weights_path=path)
+        for p, q in zip(state.parameters(), rebuilt.parameters(), strict=True):
+            assert p.name == q.name
+            np.testing.assert_array_equal(p.data, q.data)
+        out_after = backbone_forward(tokens, rebuilt).data
+        np.testing.assert_array_equal(out_before, out_after)
 
 
 def test_weight_file_shape_mismatch(tmp_path):

@@ -13,13 +13,11 @@ from epicast.backbone import BackboneConfig
 from epicast.branches import (
     GATING_MODES,
     TOKENIZER_MODES,
-    EpiProjector,
-    MobProjector,
+    Projector,
     epi_adapt,
     epi_tokenize,
     init_adapter,
-    init_epi_projector,
-    init_mob_projector,
+    init_projector,
     mob_adapt,
     mob_tokenize,
     patch_grid,
@@ -38,8 +36,8 @@ from epicast.trainer import TrainConfig, training_loss, validation_loss
 def setup():
     rng = np.random.default_rng(0)
     w, n, d = 3, 4, 8
-    proj = init_epi_projector(rng, F=w, D=d)
-    mob = init_mob_projector(rng, N=n, hidden=d, D=d)
+    proj = init_projector(rng, w, d, d, "epi_proj")
+    mob = init_projector(rng, n, d, d, "mob_proj")
     prompts = init_prompts(w)
     X = np.random.default_rng(1).uniform(0, 1, size=(w, n, w))
     A = np.random.default_rng(2).uniform(0, 1, size=(w, n, n))
@@ -129,7 +127,7 @@ def test_gating_modes(setup):
 
 def test_last_gating_equals_gated_at_w1():
     rng = np.random.default_rng(8)
-    proj = init_epi_projector(rng, F=1, D=6)
+    proj = init_projector(rng, 1, 6, 6, "epi_proj")
     prompts = init_prompts(1)
     prompts.gamma.data = np.array([0.37])  # arbitrary, must not matter
     X = np.random.default_rng(9).uniform(0, 1, size=(1, 5, 1))
@@ -224,8 +222,8 @@ def test_fused_tokenizers_are_bitwise_the_composed_ops(
 
     def run(epi, mob):
         p = {name: Parameter(value, name=name, frozen=name in frozen) for name, value in data.items()}
-        proj = EpiProjector(p["W1"], p["b1"], p["W2"], p["b2"])
-        mob_proj = MobProjector(p["mob.W1"], p["mob.b1"], p["mob.W2"], p["mob.b2"])
+        proj = Projector(p["W1"], p["b1"], p["W2"], p["b2"])
+        mob_proj = Projector(p["mob.W1"], p["mob.b1"], p["mob.W2"], p["mob.b2"])
         prompts = PromptParams(p["forward"], p["backward"], p["gamma"])
         epi_tokens = [epi(X[k], A[k], prompts, proj, gating_mode, tokenizer_mode) for k in range(patches)]
         mob_tokens = [mob(M[k], mob_proj) for k in range(patches)]

@@ -122,6 +122,17 @@ def test_train_then_forecast_and_config_echo(tmp_path):
     assert (out / "checkpoint.bin").exists()
     assert (out / "checkpoint.bin.json").exists()
     report = json.loads((out / "train_report.json").read_text())
+    assert set(report) == {
+        "train_losses",
+        "val_losses",
+        "stopped_epoch",
+        "best_epoch",
+        "best_val",
+        "prompts",
+        "trainable_params",
+        "total_params",
+        "trainable_ratio",
+    }
     assert report["stopped_epoch"] >= 1
     assert 0 < report["trainable_ratio"] < 1
     assert report["prompts"]["gamma"]
@@ -516,8 +527,9 @@ def _write_cfg(path, extra=None):
     "served, named",
     [
         ({"w": "1"}, ["w=3", "w=1"]),
-        ({"synth.regions": "5"}, ["4 regions", "has 5"]),
+        ({"synth.regions": "5"}, ["n_regions=4", "n_regions=5"]),
         ({"epsilon": "1000000"}, ["epsilon=0.0", "epsilon=1000000.0"]),
+        ({"scale": "false"}, ["scale=True", "scale=False"]),
     ],
 )
 def test_exit_four_on_checkpoint_served_in_another_model_space(tmp_path, capsys, command, served, named):

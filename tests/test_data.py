@@ -207,7 +207,7 @@ def test_build_dataset_shapes():
     assert ds.X.shape == (10, 5, 3)
     assert ds.M.shape == (10, 5, 5)
     assert ds.A.shape == (10, 5, 5)
-    assert ds.F == ds.w == 3
+    assert ds.X.shape[-1] == ds.w == 3
 
 
 def test_build_dataset_round_trip_reproduces_counts():

@@ -9,7 +9,7 @@ from composed_reference import attention_weights, div, propagate, softmax
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epicast.branches import EpiProjector, MobProjector, epi_tokenize, mob_tokenize
+from epicast.branches import Projector, epi_tokenize, mob_tokenize
 from epicast.gradcheck import grad_check, relative_error
 from epicast.prompts import PromptParams
 from epicast.tensor import (
@@ -194,13 +194,13 @@ OP_CASES = {
         _WINDOW,
         _SLICES,
         PromptParams(sub(square(getitem(b, (0, 0))), 0.3), square(getitem(b, (1, 1))), getitem(a, (slice(None), 0))),
-        EpiProjector(
+        Projector(
             transpose(a, (1, 0)), getitem(b, (slice(None), 3)), getitem(b, (slice(None), slice(0, 3))), tsum(a, axis=1)
         ),
     ),
     # 3 regions, hidden width 4, tokens of width 3
     "mob_tokenize": lambda a, b: mob_tokenize(
-        _MOBILITY, MobProjector(a, getitem(b, 0), transpose(b, (1, 0)), tsum(a, axis=1))
+        _MOBILITY, Projector(a, getitem(b, 0), transpose(b, (1, 0)), tsum(a, axis=1))
     ),
 }
 
