@@ -14,7 +14,9 @@ Exit codes:
 - 2: config error, ``ConfigError`` and its subclasses, a missing data file among them.
 - 3: data error, a ``DataError``: a data file that is a directory, unreadable,
   not UTF-8 or malformed.
-- 4: checkpoint error, a ``CheckpointError``.
+- 4: checkpoint error, a ``CheckpointError``: among them a checkpoint served on a
+  dataset whose served record (region ids in order, ``w``, ``epsilon``, scales)
+  differs from the one ``train`` stored, and a checkpoint with no served record.
 - 5: diverged, a non-finite loss or prediction, a numeric overflow or a prompt graph
   without a positive degree.
 """
@@ -59,7 +61,6 @@ from .evalharness import (
 from .forecaster import ForecastDivergedError, forecast
 from .model import (
     ModelConfig,
-    ModelState,
     build_model,
     load_checkpoint,
     save_checkpoint,
@@ -92,7 +93,7 @@ CONFIG_SCHEMA: dict = {
     "synth.population": (int, SirParams.population),
     "w": (int, ModelConfig.w),
     "horizon": (int, 3),
-    "epsilon": (float, ModelConfig.epsilon),
+    "epsilon": (float, 0.0),
     "scale": (_parse_bool, False),
     "split.test": (int, 3),
     "split.val": (int, 3),
@@ -258,8 +259,6 @@ def _configs(cfg: RunConfig, ds: EpidemicDataset) -> tuple[ModelConfig, Backbone
         w=cfg["w"],
         width=cfg["backbone.width"],
         mob_hidden=cfg["model.mob_hidden"],
-        epsilon=cfg["epsilon"],
-        scale=cfg["scale"],
         seed=cfg["seed"],
     )
     backbone_cfg = BackboneConfig(
@@ -284,20 +283,6 @@ def _checkpoint_path(cfg: RunConfig, out: Path) -> Path:
     if cfg["checkpoint"] is not None:
         return Path(cfg["checkpoint"])
     return out / "checkpoint.bin"
-
-
-def _served_model(cfg: RunConfig, out: Path) -> tuple[ModelState, EpidemicDataset]:
-    """The checkpointed model and the dataset it serves.  A checkpoint serves
-    only the model space it was trained in: its window length, region count,
-    adjacency threshold and scaling; any other raises CheckpointError."""
-    ckpt = _checkpoint_path(cfg, out)
-    model = load_checkpoint(ckpt)
-    ds = _load_dataset(cfg)
-    served = {"w": cfg["w"], "n_regions": ds.N, "epsilon": cfg["epsilon"], "scale": cfg["scale"]}
-    for key, value in served.items():
-        if (trained := getattr(model.config, key)) != value:
-            raise CheckpointError(f"{ckpt} was trained with {key}={trained}, but this run serves {key}={value}")
-    return model, ds
 
 
 # -- commands -------------------------------------------------------------------------
@@ -336,7 +321,8 @@ def cmd_train(cfg: RunConfig) -> Path:
 
 def cmd_forecast(cfg: RunConfig) -> Path:
     out = _start(cfg, "forecast")
-    model, ds = _served_model(cfg, out)
+    model = load_checkpoint(_checkpoint_path(cfg, out))
+    ds = _load_dataset(cfg)
     context_end = cfg["forecast.context_end"]
     if context_end is None:
         context_end = ds.T - cfg.split.test_len
@@ -352,7 +338,8 @@ def cmd_forecast(cfg: RunConfig) -> Path:
 
 def cmd_evaluate(cfg: RunConfig) -> Path:
     out = _start(cfg, "evaluate")
-    model, ds = _served_model(cfg, out)
+    model = load_checkpoint(_checkpoint_path(cfg, out))
+    ds = _load_dataset(cfg)
     horizon = cfg["horizon"]
     context_end = ds.T - cfg.split.test_len
     truth = horizon_truth(ds, context_end, horizon)

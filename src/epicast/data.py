@@ -269,6 +269,14 @@ class EpidemicDataset:
     mob_scale: float  # divide raw flows by this to enter model space
     epsilon: float  # adjacency threshold, raw flow units
 
+    def served_space(self) -> dict:
+        """The model space a model trained on this dataset serves, as a JSON
+        record: the region ids in order (the mobility projector's rows and the
+        mobility adapter's columns), the window length, the adjacency
+        threshold, and the scales that take counts and flows into model space."""
+        return dict(regions=list(self.region_names), w=self.w, epsilon=float(self.epsilon),
+                    case_scale=self.case_scale.tolist(), mob_scale=self.mob_scale)
+
 
 def _adjacency(raw: np.ndarray, flows: np.ndarray, epsilon: float) -> np.ndarray:
     """The adjacency of mobility `flows`: each flow whose raw-unit value in

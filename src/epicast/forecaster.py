@@ -43,6 +43,7 @@ from .backbone import DecodeCache, backbone_forward
 from .branches import epi_adapt, epi_token_sequence, mob_adapt, mob_token_sequence, patch_grid
 from .data import ConfigError, EpidemicDataset, _adjacency, window_features
 from .model import ModelState
+from .serialize import CheckpointError
 from .tensor import no_grad
 
 ADJACENCY_MODES = ("predicted", "window_average", "last")
@@ -114,7 +115,14 @@ def forecast(
     and with "last" the last day's.  Raises ForecastSizeError when the rollout
     history does not fit in memory, and ForecastDivergedError naming the step
     when a prediction is non-finite or numpy overflows, divides by zero or
-    makes an invalid value."""
+    makes an invalid value.  A trained model serves only the dataset space it
+    was trained in: when ``ds.served_space()`` differs from ``model.served``,
+    CheckpointError names the first field that differs.  A model with no
+    served record (never trained by `train`) serves any dataset."""
+    if model.served is not None:
+        for key, value in ds.served_space().items():
+            if (trained := model.served.get(key)) != value:
+                raise CheckpointError(f"model was trained with {key}={trained}, but this dataset serves {key}={value}")
     cfg = model.config
     w = cfg.w
     if adjacency_mode not in ADJACENCY_MODES:

@@ -40,8 +40,6 @@ class ModelConfig:
     tokenizer_mode: str = "graph"
     gating_mode: str = "gated"
     mobility_enabled: bool = True
-    epsilon: float = 0.0
-    scale: bool = False  # the run's `scale` key: counts and flows enter model space scaled
     seed: int = 0
 
     def __post_init__(self):
@@ -53,8 +51,6 @@ class ModelConfig:
             raise ConfigError(f"unknown tokenizer mode {self.tokenizer_mode!r}")
         if self.gating_mode not in GATING_MODES:
             raise ConfigError(f"unknown gating mode {self.gating_mode!r}")
-        if not np.isfinite(self.epsilon):
-            raise ConfigError(f"epsilon must be finite, got {self.epsilon}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -68,6 +64,7 @@ class ModelState:
     mob_adapter: Adapter
     prompts: PromptParams
     backbone: BackboneState
+    served: dict | None = None  # the training dataset's served_space(); None until trained
 
     def parameters(self) -> list[Parameter]:
         out = (
@@ -190,6 +187,7 @@ def save_checkpoint(model: ModelState, path) -> None:
         "kind": "model-checkpoint",
         "model_config": asdict(model.config),
         "backbone_config": asdict(model.backbone.config),
+        "served": model.served,
     }
     save_tensors(named, path, meta=meta)
 
@@ -198,17 +196,15 @@ def load_checkpoint(path) -> ModelState:
     tensors, meta = load_tensors(path)
     if meta.get("kind") != "model-checkpoint":
         raise CheckpointError(f"{path} is not a model checkpoint")
+    # checkpoints written before served records have none, and are refused
+    if not isinstance(served := meta.get("served", ()), (dict, type(None))):
+        raise CheckpointError(f"{path}: meta.served is missing or not an object; retrain the model")
     try:  # unknown keys raise TypeError, out-of-range values ValueError
-        saved = {**meta["model_config"]}
-        # older checkpoints store the forecast's adjacency source, which training
-        # only ever wrote as "predicted"; serving any other value as that would
-        # silently change the forecast
-        if (retired := saved.pop("adjacency_mode", "predicted")) != "predicted":
-            raise CheckpointError(f"{path}: model_config.adjacency_mode is {retired!r}; only 'predicted' loads")
-        cfg = ModelConfig(**saved)
+        cfg = ModelConfig(**meta["model_config"])
         backbone_cfg = BackboneConfig(**meta["backbone_config"])
         model = build_model(cfg, backbone_cfg)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad model or backbone config: {exc}") from exc
     assign_tensors(model.parameters(), tensors, "checkpoint", CheckpointError)
+    model.served = served
     return model

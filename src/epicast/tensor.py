@@ -495,31 +495,26 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _record(out, tensors, _concat_grads(tensors, axis, out.ndim))
 
 
-def _is_basic_index(idx) -> bool:
-    """True for an int, a slice or a tuple of them: each element is hit once."""
-    items = idx if isinstance(idx, tuple) else (idx,)
-    return all(isinstance(i, (int, np.integer, slice)) and not isinstance(i, bool) for i in items)
-
-
 def getitem(a, idx) -> Tensor:
+    """`a[idx]` for a basic index: an int, a slice or a tuple of them, so each
+    element is hit at most once and the backward adds `g` in place.  Any other
+    index (an array, a list, a bool, None or Ellipsis) raises TypeError."""
+    for i in idx if isinstance(idx, tuple) else (idx,):
+        if not isinstance(i, (int, np.integer, slice)) or isinstance(i, bool):
+            raise TypeError(f"getitem takes an int, a slice or a tuple of them, not {type(i).__name__}")
     a = astensor(a)
     out = a.data[idx]
     nodes = _input_nodes(a)
     if nodes is None:
         return Tensor._result(out, (), None)
     (na,) = nodes
-    basic = _is_basic_index(idx)
     # the gradient keeps the memory layout np.zeros_like(a.data) would have,
     # so every later sum over it runs in the same order
     a_shape, a_layout = a.data.shape, _layout(a.data)
 
     def _bw(g):
         grad = _owned_grad(na, a_shape, a_layout)
-        if basic:
-            grad[idx] += g
-        else:
-            # advanced indices may repeat an element; add.at counts every hit
-            np.add.at(grad, idx, g)
+        grad[idx] += g
 
     return Tensor._result(out, nodes, _bw)
 

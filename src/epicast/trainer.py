@@ -235,7 +235,10 @@ def train(
     """Full-batch Adam over the trainable parameters with early stopping.
 
     Stops once validation loss has failed to improve for `patience` epochs
-    and restores the parameters of the best validation epoch.
+    and restores the parameters of the best validation epoch.  Stores
+    ``ds.served_space()`` as ``model.served``, so that `forecast` serves the
+    trained model only on datasets with the same regions, window, threshold
+    and scales.
     """
     grid = patch_grid(train_range.start, train_range.stop, model.config.w)
     if len(grid) < 2:
@@ -267,6 +270,7 @@ def train(
         p.data = saved
         p.zero_grad()
 
+    model.served = ds.served_space()
     counts = count_params(model)
     report.prompt_summary = model.prompts.summary()
     report.trainable_params = counts.trainable

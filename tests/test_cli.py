@@ -490,14 +490,22 @@ def test_exit_two_on_training_range_shorter_than_two_patches(tmp_path, capsys):
             lambda text: text.replace('"depth": 1', '"depth": 1000000').replace('"width": 8', '"width": 512'),
             "backbone.depth=1000000",
         ),
-        (  # older checkpoints stored the forecast's adjacency source; only "predicted" loads
+        (  # older checkpoints stored the forecast's adjacency source; serving it as "predicted" could move the forecast
             lambda text: text.replace('"gating_mode": "gated"', '"adjacency_mode": "last", "gating_mode": "gated"'),
-            "model_config.adjacency_mode is 'last'",
+            "unexpected keyword argument 'adjacency_mode'",
+        ),
+        (  # checkpoints written before served records have none
+            lambda text: text.replace('"served": {', '"unserved": {'),
+            "meta.served is missing or not an object",
+        ),
+        (  # a served record is an object, or null for an untrained model
+            lambda text: text.replace('"served": {', '"served": 4, "unserved": {'),
+            "meta.served is missing or not an object",
         ),
     ],
     ids=[
         "truncated-json", "json-list", "no-total-bytes", "unknown-config-key", "w-zero", "mob-hidden-huge",
-        "depth-huge", "retired-adjacency-mode",
+        "depth-huge", "retired-adjacency-mode", "no-served-record", "served-not-a-record",
     ],
 )
 def test_exit_four_on_broken_checkpoint_sidecar(tmp_path, capsys, monkeypatch, corrupt, message):
@@ -527,9 +535,9 @@ def _write_cfg(path, extra=None):
     "served, named",
     [
         ({"w": "1"}, ["w=3", "w=1"]),
-        ({"synth.regions": "5"}, ["n_regions=4", "n_regions=5"]),
+        ({"synth.regions": "5"}, ["regions=['R000', 'R001', 'R002', 'R003']", "regions=['R000', 'R001', 'R002', 'R003', 'R004']"]),
         ({"epsilon": "1000000"}, ["epsilon=0.0", "epsilon=1000000.0"]),
-        ({"scale": "false"}, ["scale=True", "scale=False"]),
+        ({"scale": "false"}, ["trained with case_scale=[", "serves case_scale=[1.0, 1.0, 1.0, 1.0]"]),
     ],
 )
 def test_exit_four_on_checkpoint_served_in_another_model_space(tmp_path, capsys, command, served, named):
@@ -540,6 +548,22 @@ def test_exit_four_on_checkpoint_served_in_another_model_space(tmp_path, capsys,
     assert main([command, "--config", str(serve_cfg), "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert "checkpoint error" in err and all(part in err for part in named), err
+    assert not (out / "forecast.csv").exists() and not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["forecast", "evaluate"])
+def test_exit_four_on_a_checkpoint_served_on_renamed_regions(tmp_path, capsys, command):
+    # same region count, window, threshold and scaling; only the id R003 is X003
+    data = cmd_synth(_cfg(tmp_path / "data"))
+    paths = {"data.cases": str(data / "cases.csv"), "data.mobility": str(data / "mobility.csv")}
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(_write_cfg(tmp_path / "train.cfg", paths)), "--out", str(out)]) == 0
+    for name in ("cases.csv", "mobility.csv"):
+        (data / name).write_text((data / name).read_text().replace("R003", "X003"))
+    capsys.readouterr()
+    assert main([command, "--config", str(_write_cfg(tmp_path / "serve.cfg", paths)), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "checkpoint error" in err and "'R003']" in err and "'X003']" in err, err
     assert not (out / "forecast.csv").exists() and not (out / "metrics.csv").exists()
 
 

@@ -1,6 +1,7 @@
 """Iterative multi-step forecasting: shapes, determinism, invariants."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,19 +10,31 @@ from hypothesis import strategies as st
 
 from epicast import forecaster
 from epicast.backbone import BackboneConfig, backbone_forward
-from epicast.data import ConfigError, SirParams, SplitSpec, split_dataset, synth_sir, window_features
+from epicast.data import (
+    CaseTable,
+    ConfigError,
+    MobilityTable,
+    SirParams,
+    SplitSpec,
+    build_dataset,
+    split_dataset,
+    synth_sir,
+    synth_sir_tables,
+    window_features,
+)
 from epicast.forecaster import ForecastDivergedError, InsufficientContextError, forecast
 from epicast.model import ModelConfig, build_model
 from epicast.prompts import PromptGraphError
+from epicast.serialize import CheckpointError
 from epicast.trainer import TrainConfig, train
 
 
-def _ds(w=3, days=30, n=4, seed=5, **kw):
-    return synth_sir(n, days, SirParams(beta=0.5, gamma_rec=0.2, population=2000), rng_seed=seed, w=w, scale=True, **kw)
+def _ds(w=3, days=30, n=4, seed=5, scale=True, **kw):
+    return synth_sir(n, days, SirParams(beta=0.5, gamma_rec=0.2, population=2000), rng_seed=seed, w=w, scale=scale, **kw)
 
 
 def _model(ds, width=8, seed=0, mode="frozen-transformer", **cfg_kw):
-    mc = ModelConfig(n_regions=ds.N, w=ds.w, width=width, seed=seed, epsilon=ds.epsilon, **cfg_kw)
+    mc = ModelConfig(n_regions=ds.N, w=ds.w, width=width, seed=seed, **cfg_kw)
     bc = BackboneConfig(mode=mode, depth=2, width=width, heads=2, seed=seed + 1)
     return build_model(mc, bc)
 
@@ -264,3 +277,73 @@ def test_a_bad_parameter_fails_by_name_or_forecasts_without_warning(name, value)
         except (ForecastDivergedError, PromptGraphError):
             return
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], [str(w.message) for w in caught]
+
+
+# -- the served model space ------------------------------------------------------------
+
+
+def _trained(ds):
+    splits = split_dataset(ds, SplitSpec(test_len=3, val_len=3))
+    model, _ = train(_model(ds), ds, splits.train, splits.val, TrainConfig(max_epochs=1))
+    return model
+
+
+def test_a_model_trained_on_scaled_data_refuses_the_unscaled_twin():
+    # served anyway, its forecast would come back in scaled units, hundreds of times too small
+    model = _trained(_ds())
+    assert model.served == _ds().served_space()
+    with pytest.raises(CheckpointError, match=r"trained with case_scale=\[.*serves case_scale=\[1\.0, 1\.0"):
+        forecast(model, _ds(scale=False), context_end=24, steps=1)
+
+
+_TABLES = synth_sir_tables(4, 30, SirParams(beta=0.5, gamma_rec=0.2, population=2000), rng_seed=5)
+_TRAINED = _trained(build_dataset(*_TABLES, w=3, epsilon=0.0, scale=True))
+
+
+@given(
+    order=st.permutations(range(4)),
+    renamed=st.sampled_from([None, 0, 3]),
+    count=st.integers(min_value=2, max_value=4),
+    w=st.integers(min_value=1, max_value=4),
+    epsilon=st.sampled_from([0.0, 1e-9, 50.0]),
+    scale=st.booleans(),
+)
+@example(order=[0, 1, 2, 3], renamed=None, count=4, w=3, epsilon=0.0, scale=True)  # the trained dataset
+@example(order=[3, 2, 1, 0], renamed=None, count=4, w=3, epsilon=0.0, scale=True)  # reversed regions
+@settings(max_examples=40, deadline=None)
+def test_a_trained_model_serves_only_its_training_space(order, renamed, count, w, epsilon, scale):
+    """A model trained by `train` forecasts on a dataset only when its region ids,
+    their order, w, epsilon and the scaling all equal the training dataset's;
+    otherwise CheckpointError names the first field that differs.  A model with
+    no served record forecasts on any dataset of its shape."""
+    cases, mobility = _TABLES
+    keep = list(order)[:count]
+    ids = [cases.regions[i] for i in keep]
+    if renamed is not None and renamed < count:
+        ids[renamed] = "X" + ids[renamed][1:]
+    ds = build_dataset(
+        CaseTable(dates=cases.dates, regions=ids, counts=cases.counts[:, keep]),
+        MobilityTable(dates=mobility.dates, regions=ids, flows=mobility.flows[:, keep][:, :, keep]),
+        w=w,
+        epsilon=epsilon,
+        scale=scale,
+    )
+    differs = [
+        key
+        for key, same in [
+            ("regions", ids == cases.regions),
+            ("w", w == 3),
+            ("epsilon", epsilon == 0.0),
+            ("case_scale", scale),
+        ]
+        if not same
+    ]
+    if differs:
+        with pytest.raises(CheckpointError, match=f"trained with {differs[0]}="):
+            forecast(_TRAINED, ds, context_end=24, steps=1)
+    else:
+        trained = forecast(_TRAINED, ds, context_end=24, steps=1)
+        assert np.all(np.isfinite(trained.cases))
+    if count == 4 and w == 3:
+        unchecked = forecast(replace(_TRAINED, served=None), ds, context_end=24, steps=1)
+        assert unchecked.cases.shape == (3, 4)

@@ -1,0 +1,84 @@
+"""The paper's dataset sizes run without crashing or running out of memory.
+
+Each case is one process under an address-space cap (``RLIMIT_AS``): a
+synthetic SIR dataset of the paper's shape (34, 81, 105 or 129 regions over
+120 days), one training epoch through ``trainer.run_epoch`` and an 8-step
+forecast, at width 64, depth 2 and 4 heads.  Every backbone mode runs at the
+heaviest shape, (129, 120, 3).  The forecast must be finite and nonnegative,
+and the process's peak RSS must stay under a bound of about three times the
+peak measured with one BLAS thread on a 2-CPU x86-64 box with numpy 2.4
+(given per case below).  This is a guard against crashes and memory blow-ups;
+it claims nothing about speed.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ADDRESS_SPACE_CAP = 1 << 30  # bytes; the measured virtual peaks were 157-380 MB
+
+# (N, T, w, backbone mode) -> (measured peak RSS, bound), in MB
+CASES = {
+    (34, 120, 7, "frozen-transformer"): (53, 160),
+    (81, 120, 7, "frozen-transformer"): (88, 270),
+    (105, 120, 3, "frozen-transformer"): (152, 450),
+    (129, 120, 3, "frozen-transformer"): (185, 550),
+    (129, 120, 3, "trainable-transformer"): (238, 720),
+    (129, 120, 3, "rnn"): (138, 420),
+    (129, 120, 3, "mlp"): (159, 480),
+    (129, 120, 3, "identity"): (122, 370),
+}
+
+CHILD = """
+import json, resource, sys
+cap = int(sys.argv[5])
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+import numpy as np
+from epicast.backbone import BackboneConfig
+from epicast.data import SplitSpec, build_dataset, split_dataset, synth_sir_tables
+from epicast.forecaster import forecast
+from epicast.model import ModelConfig, build_model
+from epicast.trainer import Adam, TrainConfig, run_epoch
+
+N, T, w, mode = int(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
+ds = build_dataset(*synth_sir_tables(N, T, rng_seed=1), w=w)
+splits = split_dataset(ds, SplitSpec(test_len=w, val_len=w))
+model = build_model(
+    ModelConfig(n_regions=N, w=w, width=64, seed=0),
+    BackboneConfig(mode=mode, depth=2, width=64, heads=4, seed=0),
+)
+cfg = TrainConfig()
+opt = Adam(model.trainable_parameters(), lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+run_epoch(model, ds, splits.train, splits.val, cfg, opt, 1)  # raises on a non-finite loss
+cases = forecast(model, ds, splits.test.start, 8).cases
+print(json.dumps({
+    "shape": list(cases.shape),
+    "finite": bool(np.isfinite(cases).all()),
+    "min": float(cases.min()),
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+}))
+"""
+
+
+@pytest.mark.parametrize("shape", list(CASES), ids=[f"N{n}-T{t}-w{w}-{m}" for n, t, w, m in CASES])
+def test_paper_size_trains_and_forecasts_within_memory(shape):
+    N, T, w, mode = shape
+    measured, bound = CASES[shape]
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(N), str(T), str(w), mode, str(ADDRESS_SPACE_CAP)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(proc.stdout)
+    assert run["shape"] == [8 * w, N]
+    assert run["finite"] and run["min"] >= 0.0, run
+    assert run["peak_rss_mb"] < bound, f"peak RSS {run['peak_rss_mb']:.0f} MB, measured {measured} MB, bound {bound} MB"
