@@ -189,6 +189,21 @@ def build_backbone(cfg: BackboneConfig, weights_path=None) -> BackboneState:
     return state
 
 
+def parameter_count(cfg: BackboneConfig) -> int:
+    """The number of parameters `build_backbone` allocates for `cfg`."""
+    D, f = cfg.width, cfg.ffn_mult
+    ffn = (D + 1) * f * D + (f * D + 1) * D  # two linears, D -> fD -> D
+    if cfg.mode in ("frozen-transformer", "trainable-transformer"):
+        # position table, final LayerNorm, and per layer two LayerNorms,
+        # four D x D attention linears and the feedforward
+        return cfg.max_positions * D + 2 * D + cfg.depth * (4 * D + 4 * (D + 1) * D + ffn)
+    if cfg.mode == "mlp":
+        return ffn
+    if cfg.mode == "rnn":
+        return 3 * (2 * D + 1) * D  # W, U and b of three gates
+    return 0  # identity
+
+
 def _causal_mask(start: int, P: int) -> np.ndarray:
     """The additive mask of the queries at positions start..P-1 over the keys
     0..P-1: -inf where a key comes after its query, 0 elsewhere."""

@@ -6,14 +6,13 @@ get the next w-day case block.  The generated patch (cases + structure) is
 rolled into the context, so later steps condition on earlier predictions:
 one step is direct forecasting, several steps is multi-step forecasting.
 
-The rollout lives in one preallocated history: counts (end, N), their
-windowed feature rows (end, N, w), and the mobility and adjacency tensors
-(end, N, N), where end is the context end plus steps * w days.  The context
-days are copied in and windowed once; step t reads the views of the first t
-days, windows only the w feature rows of the patch generated before it, and
-writes its own patch into rows t .. t+w in place.  The returned cases,
-mobility and adjacency are slices of that history (mobility and adjacency
-one row per patch), mapped back to raw units.
+The rollout lives in one preallocated history: counts (end, N) and the
+mobility and adjacency tensors (end, N, N), where end is the context end plus
+steps * w days.  The context days are copied in; step t windows the counts of
+its first t days into feature rows, reads the views of the first t days of
+mobility and adjacency, and writes its own patch into rows t .. t+w in place.
+The returned cases, mobility and adjacency are slices of that history
+(mobility and adjacency one row per patch), mapped back to raw units.
 
 Both backbone passes decode incrementally: step 1 prefills the context grid,
 and each later step runs the backbone on the one position it appended (see
@@ -140,7 +139,6 @@ def forecast(
     end = context_end + horizon
     try:
         counts = np.empty((end, ds.N))  # model space
-        X = np.empty((end, ds.N, w))
         A = np.empty((end, ds.N, ds.N))
         M = np.empty((end, ds.N, ds.N))
     except (MemoryError, ValueError) as exc:  # past 2**63 bytes numpy raises ValueError
@@ -169,11 +167,8 @@ def forecast(
             if not np.all(np.isfinite(M_next)):
                 raise ForecastDivergedError(step, "mobility prediction")
 
-            if t == context_end:
-                X[:t] = window_features(counts[:t], w)
-            else:  # only the rows of the patch generated last step, each from its w days
-                X[t - w : t] = window_features(counts[t - 2 * w + 1 : t], w)[w - 1 :]
-            epi_out = backbone_forward(epi_token_sequence(model, X[:t], A[:t], grid), model.backbone, epi_cache)
+            X = window_features(counts[:t], w)
+            epi_out = backbone_forward(epi_token_sequence(model, X, A[:t], grid), model.backbone, epi_cache)
             block = epi_adapt(epi_out[-1], model.epi_adapter).data
             if not np.all(np.isfinite(block)):
                 raise ForecastDivergedError(step, "case prediction")

@@ -26,7 +26,8 @@ class GradCheckReport:
 
 
 def relative_error(analytic: float, numeric: float, guard: float = 1e-6) -> float:
-    """|a - n| scaled by the larger magnitude; 0 when both sit below `guard`.
+    """|a - n| scaled by the larger magnitude, or by `guard` when both sit
+    below it (so 0 when both are 0).
 
     The guard keeps finite-difference noise on near-zero gradients from
     registering as huge relative errors.
@@ -34,10 +35,7 @@ def relative_error(analytic: float, numeric: float, guard: float = 1e-6) -> floa
     denom = max(abs(analytic), abs(numeric))
     if denom < guard:
         denom = guard
-    err = abs(analytic - numeric) / denom
-    if analytic == 0.0 and numeric == 0.0:
-        return 0.0
-    return err
+    return abs(analytic - numeric) / denom
 
 
 def grad_check(f, params: list[Parameter], h: float = 1e-5, guard: float = 1e-6) -> GradCheckReport:

@@ -9,6 +9,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .backbone import BackboneConfig, BackboneState, build_backbone
+from .backbone import parameter_count as backbone_parameter_count
 from .branches import (
     Adapter,
     GATING_MODES,
@@ -91,16 +92,13 @@ def build_model(cfg: ModelConfig, backbone_cfg: BackboneConfig, backbone_weights
     Raises ModelSizeError, naming the size keys, when what training allocates
     for the parameters does not fit in memory: each parameter, and for each
     trainable one its gradient and Adam's two moments."""
-    if "transformer" in backbone_cfg.mode or backbone_cfg.mode in ("mlp", "rnn"):
-        if backbone_cfg.width != cfg.width:
-            raise ValueError(
-                f"model width {cfg.width} does not match backbone width {backbone_cfg.width}"
-            )
+    if backbone_cfg.mode != "identity" and backbone_cfg.width != cfg.width:
+        raise ValueError(f"model width {cfg.width} does not match backbone width {backbone_cfg.width}")
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     D = cfg.width
-    branches, backbone = _parameter_counts(cfg, backbone_cfg)
+    backbone = backbone_parameter_count(backbone_cfg)
     # a trainable parameter comes with its gradient and Adam's two moments
-    nbytes = 8 * (4 * branches + (1 if backbone_cfg.frozen else 4) * backbone)
+    nbytes = 8 * (4 * _branch_parameter_count(cfg) + (1 if backbone_cfg.frozen else 4) * backbone)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     try:
         if nbytes >= memory:  # layers allocate one by one, so no single allocation fails first
@@ -129,27 +127,14 @@ def parameter_count(cfg: ModelConfig, backbone_cfg: BackboneConfig) -> int:
     """The number of parameters `build_model` allocates, worked out from the
     two configs alone, so a model too large to hold is refused before any
     parameter is allocated."""
-    return sum(_parameter_counts(cfg, backbone_cfg))
+    return _branch_parameter_count(cfg) + backbone_parameter_count(backbone_cfg)
 
 
-def _parameter_counts(cfg: ModelConfig, backbone_cfg: BackboneConfig) -> tuple[int, int]:
-    """The parameter counts of the branches and of the backbone."""
-    N, w, D, H, f = cfg.n_regions, cfg.w, cfg.width, cfg.mob_hidden or cfg.width, backbone_cfg.ffn_mult
-    # projectors (w -> D -> D, N -> H -> D), adapters (D -> w, D -> N), and
-    # the prompts' two edge weights and w gates
-    branches = (w + 1) * D + (D + 1) * D + (N + 1) * H + (H + 1) * D + (D + 1) * (w + N) + 2 + w
-    ffn = (D + 1) * f * D + (f * D + 1) * D  # two linears, D -> fD -> D
-    backbone = 0
-    if "transformer" in backbone_cfg.mode:
-        # position table, final LayerNorm, and per layer two LayerNorms,
-        # four D x D attention linears and the feedforward
-        layer = 4 * D + 4 * (D + 1) * D + ffn
-        backbone = backbone_cfg.max_positions * D + 2 * D + backbone_cfg.depth * layer
-    elif backbone_cfg.mode == "mlp":
-        backbone = ffn
-    elif backbone_cfg.mode == "rnn":
-        backbone = 3 * (2 * D + 1) * D  # W, U and b of three gates
-    return branches, backbone
+def _branch_parameter_count(cfg: ModelConfig) -> int:
+    """The parameters of the projectors (w -> D -> D, N -> H -> D), the
+    adapters (D -> w, D -> N), and the prompts' two edge weights and w gates."""
+    N, w, D, H = cfg.n_regions, cfg.w, cfg.width, cfg.mob_hidden or cfg.width
+    return (w + 1) * D + (D + 1) * D + (N + 1) * H + (H + 1) * D + (D + 1) * (w + N) + 2 + w
 
 
 @dataclass(frozen=True)

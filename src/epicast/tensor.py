@@ -24,21 +24,21 @@ array that no backward reads (a residual sum, a GELU input or output, the
 attention's q, k, v and weights) is freed during the forward as soon as the
 forward drops it.
 
-The fourteen primitives (``add``, ``sub``, ``mul``, ``square``, ``sqrt``,
-``matmul``, ``transpose``, ``reshape``, ``concat``, ``tsum``, ``tmean``,
-``relu``, ``sigmoid``, ``tanh``) are each a forward plus one gradient rule
-per input, a function of the output gradient that captures arrays, shapes
-and axes, never a tensor.  ``_record`` is the one place that builds their
-node: it keeps the rules of the inputs that require a gradient, in input
-order, and drops the others, so an array that only a constant input's rule
-reads (``mul``'s trained operand, when the other is constant) is freed with
-the forward.  Seven nodes are built by hand from ``_input_nodes`` and
-``Tensor._result`` instead, because one rule per input does not fit them:
-``linear``, ``layer_norm`` and the fused nodes of ``backbone`` and
-``branches`` share work or a gradient rule (``_affine_grads``,
-``_layer_norm_grads``) across their inputs, ``getitem``'s backward adds into
-its input's gradient in place, and ``gelu``'s forward decides what its
-backward keeps.
+The fifteen primitives (``add``, ``sub``, ``mul``, ``square``, ``sqrt``,
+``matmul``, ``transpose``, ``reshape``, ``concat``, ``getitem``, ``tsum``,
+``tmean``, ``relu``, ``sigmoid``, ``tanh``) are each a forward plus one
+gradient rule per input, a function of the output gradient that captures
+arrays, shapes and axes, never a tensor.  ``getitem``'s rule builds zeros of
+its input's shape and layout and adds the output gradient at the index.
+``_record`` is the one place that builds their node: it keeps the rules of
+the inputs that require a gradient, in input order, and drops the others, so
+an array that only a constant input's rule reads (``mul``'s trained operand,
+when the other is constant) is freed with the forward.  Six nodes are built
+by hand from ``_input_nodes`` and ``Tensor._result`` instead, because one
+rule per input does not fit them: ``linear``, ``layer_norm`` and the fused
+nodes of ``backbone`` and ``branches`` share work or a gradient rule
+(``_affine_grads``, ``_layer_norm_grads``) across their inputs, and
+``gelu``'s forward decides what its backward keeps.
 
 A tape's lifetime follows reference counting alone:
 
@@ -178,18 +178,11 @@ def _layout(a: np.ndarray) -> tuple | None:
     return tuple(sorted(range(a.ndim), key=lambda i: -abs(a.strides[i])))
 
 
-def _owned_grad(node, shape: tuple, layout: tuple | None) -> np.ndarray:
-    """node.grad as an array the node owns, zeroed (laid out as `layout`) or
-    copied on first need."""
-    if node.grad is None:
-        if layout is None:
-            node.grad = np.zeros(shape)
-        else:
-            node.grad = np.zeros([shape[i] for i in layout]).transpose(np.argsort(layout))
-    elif not node._owns_grad:
-        node.grad = np.array(node.grad)
-    node._owns_grad = True
-    return node.grad
+def _zeros(shape: tuple, layout: tuple | None) -> np.ndarray:
+    """Zeros of `shape` laid out in memory as `layout` (from ``_layout``)."""
+    if layout is None:
+        return np.zeros(shape)
+    return np.zeros([shape[i] for i in layout]).transpose(np.argsort(layout))
 
 
 class _Node:
@@ -497,26 +490,22 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 def getitem(a, idx) -> Tensor:
     """`a[idx]` for a basic index: an int, a slice or a tuple of them, so each
-    element is hit at most once and the backward adds `g` in place.  Any other
-    index (an array, a list, a bool, None or Ellipsis) raises TypeError."""
+    element is hit at most once.  Any other index (an array, a list, a bool,
+    None or Ellipsis) raises TypeError."""
     for i in idx if isinstance(idx, tuple) else (idx,):
         if not isinstance(i, (int, np.integer, slice)) or isinstance(i, bool):
             raise TypeError(f"getitem takes an int, a slice or a tuple of them, not {type(i).__name__}")
     a = astensor(a)
-    out = a.data[idx]
-    nodes = _input_nodes(a)
-    if nodes is None:
-        return Tensor._result(out, (), None)
-    (na,) = nodes
-    # the gradient keeps the memory layout np.zeros_like(a.data) would have,
-    # so every later sum over it runs in the same order
+    # the gradient is g at idx in zeros laid out as np.zeros_like(a.data)
+    # would be, so every later sum over it runs in the same order
     a_shape, a_layout = a.data.shape, _layout(a.data)
 
-    def _bw(g):
-        grad = _owned_grad(na, a_shape, a_layout)
+    def _grad(g):
+        grad = _zeros(a_shape, a_layout)
         grad[idx] += g
+        return grad
 
-    return Tensor._result(out, nodes, _bw)
+    return _record(a.data[idx], (a,), (_grad,))
 
 
 # -- reductions -------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epicast import forecaster
-from epicast.backbone import BackboneConfig, backbone_forward
+from epicast.backbone import MODES, BackboneConfig, backbone_forward
 from epicast.data import (
     CaseTable,
     ConfigError,
@@ -82,6 +82,28 @@ def test_prefix_consistency_bitwise():
     two = forecast(model, ds, context_end=24, steps=2)
     assert np.array_equal(one.cases, two.cases[: one.horizon])
     assert np.array_equal(one.mobility[0], two.mobility[0])
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    mode=st.sampled_from(MODES),
+    adjacency_mode=st.sampled_from(forecaster.ADJACENCY_MODES),
+    steps=st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=2, unique=True).map(sorted),
+)
+@settings(max_examples=30, deadline=None)
+def test_a_shorter_forecast_is_the_bitwise_prefix_of_a_longer_one(seed, mode, adjacency_mode, steps):
+    """forecast(steps=j) is bitwise the first j patches of forecast(steps=k)
+    for j < k, in every backbone and adjacency mode, and every output is
+    finite and nonnegative."""
+    ds = _ds(seed=seed)
+    model = _model(ds, mode=mode)
+    j, k = steps
+    short, long = (forecast(model, ds, context_end=24, steps=n, adjacency_mode=adjacency_mode) for n in (j, k))
+    assert short.cases.tobytes() == long.cases[: short.horizon].tobytes()
+    assert short.mobility.tobytes() == long.mobility[:j].tobytes()
+    assert short.adjacency.tobytes() == long.adjacency[:j].tobytes()
+    for out in (long.cases, long.mobility, long.adjacency):
+        assert np.all(np.isfinite(out)) and np.all(out >= 0)
 
 
 def test_everything_nonnegative():
@@ -233,9 +255,9 @@ def test_incremental_decoding_matches_full_recompute(monkeypatch, mode):
 
 @pytest.mark.parametrize("w, context_end", [(1, 5), (3, 24), (3, 25), (7, 14)])
 def test_features_are_the_full_rewindowed_history(monkeypatch, w, context_end):
-    """Step t's feature rows, built a patch at a time, are bitwise what
-    windowing the whole rolled-out history up to day t gives.  Unscaled, so
-    the history is exactly the context counts and the forecast cases."""
+    """Step t's feature rows are bitwise what windowing the whole rolled-out
+    history up to day t gives, with one windowing call per step.  Unscaled,
+    so the history is exactly the context counts and the forecast cases."""
     ds = synth_sir(4, 6 * w + 8, SirParams(beta=0.5, gamma_rec=0.2, population=2000), rng_seed=5, w=w)
     model = _model(ds, seed=2)
     seen, windowed = [], []

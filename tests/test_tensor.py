@@ -17,9 +17,8 @@ from epicast.tensor import (
     Parameter,
     Tensor,
     _layout,
-    _Node,
-    _owned_grad,
     _select,
+    _zeros,
     add,
     concat,
     constant,
@@ -314,23 +313,23 @@ def test_getitem_backward_matches_add_at(idx):
 @given(shape=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4), data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_getitem_gradient_is_laid_out_as_zeros_like(shape, data):
-    """The gradient getitem zeroes for its input, from the shape and layout it
-    recorded, has np.zeros_like(input)'s strides for any view (transposed,
-    strided, reversed, broadcast), so every later sum over it runs in the
-    same order."""
+    """The zeros getitem's gradient rule builds for its input, from the shape
+    and layout it recorded, have np.zeros_like(input)'s strides for any view
+    (transposed, strided, reversed, broadcast), so every later sum over the
+    gradient runs in the same order."""
     x = np.zeros(shape).transpose(data.draw(st.permutations(range(len(shape)))))
     steps = data.draw(st.lists(st.sampled_from([1, 2, -1]), min_size=x.ndim, max_size=x.ndim))
     x = x[tuple(slice(None, None, step) for step in steps)]
     if data.draw(st.booleans()):
         x = np.broadcast_to(x[..., :1], x.shape)  # zero stride on the last axis
-    grad = _owned_grad(_Node((), None), x.shape, _layout(x))
+    grad = _zeros(x.shape, _layout(x))
     assert grad.shape == x.shape and grad.strides == np.zeros_like(x).strides
 
 
 def test_getitem_refuses_an_advanced_index():
     """Only an int, a slice or a tuple of them is taken, before any forward: an
-    advanced index may hit one element twice, which the in-place backward would
-    count once."""
+    advanced index may hit one element twice, which ``grad[idx] += g`` in the
+    backward would count once."""
     a = Parameter(np.zeros((4, 3)), name="a")
     for idx in ([1, 1, 1, 3], np.array([0, 2]), a.data > 0, True, None, Ellipsis, (0, [1, 2]), (slice(1), None)):
         with pytest.raises(TypeError, match="getitem takes an int, a slice or a tuple of them"):

@@ -211,22 +211,29 @@ def test_nonfinite_validation_loss_reported_with_epoch():
 @pytest.mark.parametrize(
     "bad",
     [
-        {"lr": 0.0},
-        {"lr": -1.0},
-        {"lr": float("nan")},
-        {"max_epochs": 0},
-        {"patience": 0},
-        {"beta1": 1.0},
-        {"beta1": -0.1},
-        {"beta2": 1.0},
-        {"eps": 0.0},
-        {"mob_weight": float("nan")},
-        {"mob_weight": float("inf")},
+        pytest.param({"lr": 0.0}, id="bad0"),
+        pytest.param({"lr": -1.0}, id="bad1"),
+        pytest.param({"lr": float("nan")}, id="bad2"),
+        pytest.param({"max_epochs": 0}, id="bad3"),
+        pytest.param({"patience": 0}, id="bad4"),
+        pytest.param({"mob_weight": -1.0}, id="bad5"),
+        pytest.param({"loss_form": "harmonic"}, id="bad6"),
+        pytest.param({"mob_weight": float("nan")}, id="bad9"),
+        pytest.param({"mob_weight": float("inf")}, id="bad10"),
     ],
 )
 def test_train_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
         TrainConfig(**bad)
+
+
+def test_adam_constants_are_not_train_config_options():
+    """No config key sets Adam's beta1, beta2 or eps: they are class constants,
+    read from an instance, and not constructor arguments."""
+    with pytest.raises(TypeError, match="beta1"):
+        TrainConfig(beta1=0.5)
+    cfg = TrainConfig()
+    assert (cfg.beta1, cfg.beta2, cfg.eps) == (0.9, 0.999, 1e-8)
 
 
 def test_too_short_training_range_rejected():
