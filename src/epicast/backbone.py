@@ -18,7 +18,12 @@ and rebuilds the rest in its backward, recomputing attention instead of
 storing it as activation checkpointing does (Chen et al., arXiv 1604.06174;
 FlashAttention, arXiv 2205.14135), so no q, k, v or (N, heads, P, P) weights
 reach the tape.  The causal mask is a plain array, -inf above the diagonal,
-cut to the rows of the positions run.
+cut to the rows of the positions run.  Each feedforward sublayer (LN2,
+``ffn.1``, the GELU and ``ffn.2``) is one node too, ``ffn_sublayer``.  It
+keeps only LN2's normalized input and rebuilds the hidden layer, the GELU
+derivative and, when ``ffn.2`` trains, the GELU output in its backward
+(selective recomputation, Korthikanti et al., arXiv 2205.05198), so no
+(N, P, ffn_mult * D) array reaches the tape.
 
 Inference decodes incrementally, the way language models serve next-token
 prediction.  A ``DecodeCache`` remembers how many positions of a growing
@@ -45,6 +50,7 @@ from .tensor import (
     _affine,
     _affine_grads,
     _exp_normalize,
+    _gelu,
     _input_nodes,
     _layer_norm,
     _layer_norm_grads,
@@ -299,6 +305,51 @@ def attention_sublayer(
     return Tensor._result(out, nodes, _bw)
 
 
+# the parameters of one feedforward sublayer, in the order its node records them
+_FFN = ("ln2.g", "ln2.b", "ffn.1.W", "ffn.1.b", "ffn.2.W", "ffn.2.b")
+
+
+def ffn_sublayer(x: Tensor, state: BackboneState, layer: int) -> Tensor:
+    """One feedforward sublayer, ``ffn.2(gelu(ffn.1(LN2(x))))`` for (N, P, D) x,
+    as one tape node.
+
+    It runs LN2, the first linear layer, the GELU and the second linear layer
+    with the numpy ops of their composition in the same order, and computes
+    no GELU derivative in the forward.  The node keeps only LN2's normalized
+    input and std, no (N, P, ffn_mult * D) array.  Its backward rebuilds
+    LN2's output, the hidden layer (one GEMM) and the GELU derivative, and
+    the GELU output only when ffn.2's weight needs a gradient, then runs the
+    composed ops' backward expressions, freeing each rebuilt array once read,
+    so the output and every gradient are bitwise the composition's.
+    """
+    params = [state.params[f"layer{layer}.{name}"] for name in _FFN]
+    gain, bias, W1, b1, W2, b2 = (t.data for t in params)
+    a, normed, std = _layer_norm(x.data, gain, bias)
+    out = _affine(_gelu(_affine(a, W1, b1))[0], W2, b2)
+    del a
+    nodes = _input_nodes(x, *params)
+    if nodes is None:
+        return Tensor._result(out, (), None)
+    nW1, nb1, nW2, nb2 = nodes[3:]
+
+    def _bw(g):
+        a = normed * gain
+        a += bias
+        h = _affine(a, W1, b1)
+        if nW1 is None:
+            a = None
+        hidden, deriv = _gelu(h, output=nW2 is not None, derivative=True)
+        h = None
+        _affine_grads(g, hidden, nW2, nb2, b2.shape)
+        hidden = None
+        dh = np.multiply(deriv, g @ W2.T, out=deriv)
+        _affine_grads(dh, a, nW1, nb1, b1.shape)
+        a = None
+        _layer_norm_grads(dh @ W1.T, normed, std, gain, bias.shape, nodes[:3])
+
+    return Tensor._result(out, nodes, _bw)
+
+
 def backbone_forward(tokens: Tensor, state: BackboneState, cache: DecodeCache | None = None) -> Tensor:
     """(P, N, D) tokens -> (P, N, D) predictions; output p predicts patch p+1.
 
@@ -342,10 +393,7 @@ def backbone_forward(tokens: Tensor, state: BackboneState, cache: DecodeCache | 
         mask = _causal_mask(start, P)
         for layer in range(cfg.depth):
             x = add(x, attention_sublayer(x, state, layer, mask, cache))
-            ffn_in = layer_norm(x, p[f"layer{layer}.ln2.g"], p[f"layer{layer}.ln2.b"])
-            h = gelu(linear(ffn_in, p[f"layer{layer}.ffn.1.W"], p[f"layer{layer}.ffn.1.b"]))
-            h = linear(h, p[f"layer{layer}.ffn.2.W"], p[f"layer{layer}.ffn.2.b"])
-            x = add(x, h)
+            x = add(x, ffn_sublayer(x, state, layer))
         x = layer_norm(x, p["ln_f.g"], p["ln_f.b"])
     elif cfg.mode == "mlp":
         h = gelu(linear(x, p["mlp.1.W"], p["mlp.1.b"]))

@@ -11,11 +11,12 @@ tokenize every patch of a patch grid and stack the tokens into the (P, N, D)
 sequence that training and forecasting both hand to the backbone.
 
 Each tokenizer call is one fused tape node with a hand-written backward.  The
-epidemic node keeps only its two propagated maps and the degree scale and
-rebuilds its hidden layer and pre-blend slices in backward with one GEMM
-each; the mobility node keeps only its matrix.  Tokens and gradients are
-bitwise those of the same tokenizers composed from primitive tape ops, which
-the tests keep as their reference.
+epidemic node keeps only its first propagated map and the degree scale; its
+backward rebuilds the hidden layer and the pre-blend slices with one GEMM
+each, and the second propagated map from the hidden layer.  The mobility
+node keeps only its matrix.  Tokens and gradients are bitwise those of the
+same tokenizers composed from primitive tape ops, which the tests keep as
+their reference.
 """
 
 from __future__ import annotations
@@ -185,8 +186,8 @@ def epi_tokenize(
     token.
 
     One tape node per call, over the parameters the modes read.  It keeps
-    the two propagated maps and the degree scale, or in "mlp" mode only the
-    window.  Its backward rebuilds H1 and H2 with one GEMM each, then runs the
+    P1 and the degree scale, or in "mlp" mode only the window.  Its backward
+    rebuilds H1 and H2 with one GEMM each and P2 from H1, then runs the
     backward of the composed ops (blend, linear, prop, relu, linear, prop) in
     their order, so the token and every gradient are bitwise those of that
     composition.
@@ -214,10 +215,10 @@ def epi_tokenize(
         P1, edges = X_window, ()
     pre = _affine(P1, W1, b1)
     H1 = _select(pre > 0, pre)
-    P2 = _propagate(A_window, s, wf, wb, H1) if graph_mode else None
     gated = gating_mode != "average"
     sg = _sigmoid(prompts.gamma.data) if gated else None
-    token = _blend(_affine(H1 if P2 is None else P2, W2, b2), sg, gating_mode)
+    x2 = _propagate(A_window, s, wf, wb, H1) if graph_mode else H1  # P2, or H1 in "mlp" mode
+    token = _blend(_affine(x2, W2, b2), sg, gating_mode)
     nodes = _input_nodes(*proj.parameters(), *edges, *((prompts.gamma,) if gated else ()))
     if nodes is None:
         return Tensor._result(token, (), None)
@@ -231,7 +232,7 @@ def epi_tokenize(
         pre = _affine(P1, W1, b1)
         mask = pre > 0
         H1 = _select(mask, pre)
-        x2 = H1 if P2 is None else P2
+        x2 = _propagate(A_window, s, wf, wb, H1) if graph_mode else H1
         # blend, then the second linear layer
         g2 = _blend_backward(g, shape, sg, gating_mode, None if ngamma is None else _affine(x2, W2, b2), ngamma)
         _affine_grads(g2, x2, nW2, nb2, b2.shape)
@@ -239,8 +240,8 @@ def epi_tokenize(
             return
         # the second propagation, relu and the first linear layer
         g1 = g2 @ W2.T
-        if P2 is not None:
-            g1 = _propagate_backward(A_window, s, wf, wb, H1, P2, g1, edge_nodes)
+        if graph_mode:
+            g1 = _propagate_backward(A_window, s, wf, wb, H1, x2, g1, edge_nodes)
         g1 = _select(mask, g1)
         _affine_grads(g1, P1, nW1, nb1, b1.shape)
         if learn_edges:  # the first propagation, of the window

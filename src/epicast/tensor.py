@@ -16,13 +16,13 @@ The tape is kept apart from the data.  A recorded op gets a small node: a
 gradient slot, its input nodes and a backward closure.  The closure captures
 exactly the arrays its backward reads (``mul`` the *other* operand, ``linear``
 its input only when the weight needs a gradient, ``gelu`` its derivative,
-computed in the forward over the tanh's buffer, ``add``, ``reshape`` or
-``tsum`` shapes only, a ``branches`` tokenizer its propagated maps and a
-``backbone`` attention sublayer its normalized input, from which they rebuild
-the rest), and no node ever holds its own output tensor.  So an intermediate
-array that no backward reads (a residual sum, a GELU input or output, the
-attention's q, k, v and weights) is freed during the forward as soon as the
-forward drops it.
+``add``, ``reshape`` or ``tsum`` shapes only, the epidemic tokenizer of
+``branches`` its first propagated map and a ``backbone`` attention or
+feedforward sublayer its normalized input, from which they rebuild the rest),
+and no node ever holds its own output tensor.  So an intermediate array that
+no backward reads (a residual sum, the attention's q, k, v and weights, the
+feedforward's hidden layer, GELU output and GELU derivative) is freed during
+the forward as soon as the forward drops it.
 
 The fifteen primitives (``add``, ``sub``, ``mul``, ``square``, ``sqrt``,
 ``matmul``, ``transpose``, ``reshape``, ``concat``, ``getitem``, ``tsum``,
@@ -33,7 +33,7 @@ its input's shape and layout and adds the output gradient at the index.
 ``_record`` is the one place that builds their node: it keeps the rules of
 the inputs that require a gradient, in input order, and drops the others, so
 an array that only a constant input's rule reads (``mul``'s trained operand,
-when the other is constant) is freed with the forward.  Six nodes are built
+when the other is constant) is freed with the forward.  Seven nodes are built
 by hand from ``_input_nodes`` and ``Tensor._result`` instead, because one
 rule per input does not fit them: ``linear``, ``layer_norm`` and the fused
 nodes of ``backbone`` and ``branches`` share work or a gradient rule
@@ -61,22 +61,22 @@ A tape's lifetime follows reference counting alone:
 
 Besides the primitive ops there are two fused ones, each a single tape node
 with a hand-written backward: ``linear`` (``x @ W + b``) and ``layer_norm``.
-The two tokenizers in ``branches`` and the attention sublayer in ``backbone``
-are fused the same way, from the numpy kernels shared with these ops
-(``_affine``, ``_sigmoid``, ``_select``, ``_layer_norm``, ``_exp_normalize``,
-``_softmax_backward``).  Each gradient rule has one home that every fused
-node calls: ``_affine_grads`` accumulates the W and b gradients of
-``x @ W + b`` (W's as one GEMM, ``_weight_grad``), and ``_layer_norm_grads``
-LayerNorm's input, gain and bias gradients.  Their forwards are bitwise
+The two tokenizers in ``branches`` and the attention and feedforward
+sublayers in ``backbone`` are fused the same way, from the numpy kernels
+shared with these ops (``_affine``, ``_sigmoid``, ``_select``, ``_gelu``,
+``_layer_norm``, ``_exp_normalize``, ``_softmax_backward``).  Each gradient
+rule has one home that every fused node calls: ``_affine_grads`` accumulates
+the W and b gradients of ``x @ W + b`` (W's as one GEMM, ``_weight_grad``),
+and ``_layer_norm_grads`` LayerNorm's input, gain and bias gradients.  Their forwards are bitwise
 equal to the same computation composed from the primitives, and tests
 validate both forwards and gradients against that composed form.
 
 The kernels write into one or two arrays they own, with ``out=`` and in-place
 ops, instead of a fresh input-sized temporary per numpy op: each temporary is
 a new large allocation whose pages fault in on first touch, which costs more
-than the arithmetic.  Where ``gelu`` or the softmax backward still needs a
-temporary, it runs that part in blocks of whole leading-axis rows of about
-32,768 elements (``_blocks``), so the temporary is one block big.  ``_select``
+than the arithmetic.  Where ``_gelu`` or the softmax backward needs a
+temporary, it runs in blocks of whole leading-axis rows of about 32,768
+elements (``_blocks``), so the temporary is one block big.  ``_select``
 is ``np.where(mask, x, 0.0)`` as a bitwise AND, free of the branch per element
 that mispredicts on sign masks.  The kernels run the composed form's numpy
 ops in the same order, so every result is bitwise unchanged.
@@ -586,48 +586,59 @@ def _blocks(*arrays: np.ndarray):
     return (tuple(v[i : i + rows] for v in views) for i in range(0, len(views[0]), rows))
 
 
+def _gelu(x: np.ndarray, output: bool = True, derivative: bool = False):
+    """GELU's output ``0.5 * x * (1 + t)``, ``t = tanh(c * (x + 0.044715 * x * x * x))``,
+    and, with `derivative`, its derivative
+    ``0.5 * (1 + t) + 0.5 * x * (1 - t * t) * c * (1 + 3 * 0.044715 * x * x)``;
+    None for one not asked for.  Each result is one new array in x's layout,
+    computed a block at a time, so t and the other temporaries are one block big.
+    """
+    out = np.empty_like(x) if output else None
+    deriv = np.empty_like(x) if derivative else None
+    for xx, *results in _blocks(x, *(r for r in (out, deriv) if r is not None)):
+        # x * x * x, not x**3: numpy evaluates an integer power above 2 with a
+        # per-element libm pow, tens of times slower than two multiplications
+        t = xx * xx
+        t *= xx
+        t *= 0.044715
+        t += xx
+        t *= _GELU_C
+        np.tanh(t, out=t)
+        if derivative:
+            b = t * t
+            np.subtract(1.0, b, out=b)
+            d = 0.5 * xx
+            d *= b
+            np.multiply(xx, 3 * 0.044715, out=b)
+            b *= xx
+            b += 1.0
+            b *= _GELU_C
+            d *= b  # 0.5 * x * (1 - t * t) * dinner
+        t += 1.0
+        if output:
+            o = results[0]
+            np.multiply(0.5, xx, out=o)
+            o *= t
+        if derivative:
+            dd = results[-1]
+            np.multiply(t, 0.5, out=dd)
+            dd += d
+    return out, deriv
+
+
 def gelu(a) -> Tensor:
     """Gaussian error linear unit (tanh approximation, smooth everywhere).
 
     Forward: ``0.5 * x * (1 + t)`` with ``t = tanh(c * (x + 0.044715 * x * x * x))``;
     backward: ``g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * c * (1 + 3 * 0.044715 * x * x))``.
+    The node keeps only the derivative, from ``_gelu``, and multiplies g into it.
     """
     a = astensor(a)
-    x = a.data
-    # x * x * x, not x**3: numpy evaluates an integer power above 2 with a
-    # per-element libm pow, tens of times slower than two multiplications.
-    # t and out are arrays in x's layout even for a 0-d x, whose x * x would
-    # be a numpy scalar with no buffer to write into.
-    t = np.multiply(x, x, out=np.empty_like(x))
-    t *= x
-    t *= 0.044715
-    t += x
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    out = np.multiply(0.5, x, out=np.empty_like(x))
     nodes = _input_nodes(a)
+    out, deriv = _gelu(a.data, derivative=nodes is not None)
     if nodes is None:
-        for o, tt in _blocks(out, t):
-            o *= 1.0 + tt
         return Tensor._result(out, (), None)
     (na,) = nodes
-    # The backward reads only the derivative: write it over t, block by block,
-    # finishing out from t + 1 on the way, and keep that one array, not x and t.
-    for o, tt, xx in _blocks(out, t, x):
-        b = tt * tt
-        np.subtract(1.0, b, out=b)
-        d = 0.5 * xx
-        d *= b
-        np.multiply(xx, 3 * 0.044715, out=b)
-        b *= xx
-        b += 1.0
-        b *= _GELU_C
-        d *= b  # 0.5 * x * (1 - t * t) * dinner
-        tt += 1.0
-        o *= tt
-        tt *= 0.5
-        tt += d
-    deriv = t
 
     def _bw(g):
         _accumulate(na, np.multiply(deriv, g, out=deriv))

@@ -10,6 +10,9 @@ tokens and gradients.
 ``attention_sublayer`` composes one attention sublayer of the backbone from
 ``layer_norm``, ``linear``, head reshapes and ``attention_weights``, one node
 each; ``epicast.backbone.attention_sublayer`` must match it bit for bit.
+``ffn_sublayer`` composes one feedforward sublayer from ``layer_norm``,
+``linear``, ``gelu`` and ``linear``; ``epicast.backbone.ffn_sublayer`` must
+match it bit for bit.
 ``softmax`` is the primitive op that ``attention_weights`` composes to; epicast
 keeps only its kernels (``tensor._exp_normalize``, ``tensor._softmax_backward``).
 """
@@ -28,6 +31,7 @@ from epicast.tensor import (
     add,
     astensor,
     constant,
+    gelu,
     layer_norm,
     linear,
     matmul,
@@ -253,3 +257,12 @@ def attention_sublayer(x, state, layer: int, mask: np.ndarray, cache: DecodeCach
     mixed = matmul(weights, v)  # (N, H, P, dh)
     merged = reshape(transpose(mixed, (0, 2, 1, 3)), (N, P, D))
     return linear(merged, p[f"layer{layer}.attn.o.W"], p[f"layer{layer}.attn.o.b"])
+
+
+def ffn_sublayer(x, state, layer: int) -> Tensor:
+    """One feedforward sublayer, composed: LN2, the first linear layer, the
+    GELU and the second linear layer."""
+    p = state.params
+    a = layer_norm(x, p[f"layer{layer}.ln2.g"], p[f"layer{layer}.ln2.b"])
+    h = gelu(linear(a, p[f"layer{layer}.ffn.1.W"], p[f"layer{layer}.ffn.1.b"]))
+    return linear(h, p[f"layer{layer}.ffn.2.W"], p[f"layer{layer}.ffn.2.b"])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from composed_reference import attention_sublayer as composed_attention_sublayer
+from composed_reference import ffn_sublayer as composed_ffn_sublayer
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,10 +14,12 @@ from epicast.backbone import (
     DecodeCache,
     DecodeCacheError,
     _ATTENTION,
+    _FFN,
     _causal_mask,
     attention_sublayer,
     backbone_forward,
     build_backbone,
+    ffn_sublayer,
 )
 from epicast.gradcheck import grad_check
 from epicast.model import ModelConfig, build_model, save_checkpoint
@@ -262,9 +265,10 @@ def test_decode_past_max_positions_rejected():
             backbone_forward(tokens, state, cache)
 
 
-def _random_backbone(mode, width, heads, positions, rng):
+def _random_backbone(mode, width, heads, positions, rng, ffn_mult=4):
     """A one-layer transformer with every parameter drawn, gains and biases too."""
-    state = build_backbone(BackboneConfig(mode=mode, depth=1, width=width, heads=heads, max_positions=positions))
+    cfg = BackboneConfig(mode=mode, depth=1, width=width, heads=heads, max_positions=positions, ffn_mult=ffn_mult)
+    state = build_backbone(cfg)
     for p in state.parameters():
         p.data = rng.normal(size=p.data.shape)
     return state
@@ -303,6 +307,43 @@ def test_attention_sublayer_is_bitwise_the_composed_ops(trainable, n, positions,
         return [out.data, x.grad] + [state.params[f"layer0.{name}"].grad for name in _ATTENTION if trainable]
 
     fused, composed = run(attention_sublayer), run(composed_attention_sublayer)
+    for got, want in zip(fused, composed):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@given(
+    trainable=st.booleans(),
+    n=st.integers(min_value=1, max_value=4),
+    positions=st.integers(min_value=1, max_value=7),
+    width=st.integers(min_value=1, max_value=9),
+    ffn_mult=st.integers(min_value=1, max_value=4),
+    transposed=st.booleans(),
+    magnitude=st.floats(min_value=1e-3, max_value=1e3),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_ffn_sublayer_is_bitwise_the_composed_ops(trainable, n, positions, width, ffn_mult, transposed, magnitude, seed):
+    """The fused sublayer's output, x's gradient and, when trainable, the
+    gradients of ln2.g, ln2.b and both linear layers' weights and biases are
+    bitwise those of LN2, linear, gelu and linear composed from one tape node
+    each."""
+    rng = np.random.default_rng(seed)
+    mode = "trainable-transformer" if trainable else "frozen-transformer"
+    x_data = rng.normal(size=(positions, n, width)) * magnitude
+    x_data = x_data.transpose(1, 0, 2) if transposed else np.ascontiguousarray(x_data.transpose(1, 0, 2))
+    g = rng.normal(size=(n, positions, width))
+    params_rng = rng.bit_generator.state
+
+    def run(sublayer):
+        rng.bit_generator.state = params_rng
+        state = _random_backbone(mode, width, 1, positions, rng, ffn_mult)
+        x = Parameter(x_data, name="x")
+        out = sublayer(x, state, 0)
+        tsum(mul(out, constant(g))).backward()
+        return [out.data, x.grad] + [state.params[f"layer0.{name}"].grad for name in _FFN if trainable]
+
+    fused, composed = run(ffn_sublayer), run(composed_ffn_sublayer)
+    assert len(fused) == len(composed) == (8 if trainable else 2)
     for got, want in zip(fused, composed):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 

@@ -24,14 +24,14 @@ ADDRESS_SPACE_CAP = 1 << 30  # bytes; the measured virtual peaks were 157-380 MB
 
 # (N, T, w, backbone mode) -> (measured peak RSS, bound), in MB
 CASES = {
-    (34, 120, 7, "frozen-transformer"): (53, 160),
-    (81, 120, 7, "frozen-transformer"): (88, 270),
-    (105, 120, 3, "frozen-transformer"): (152, 450),
-    (129, 120, 3, "frozen-transformer"): (185, 550),
-    (129, 120, 3, "trainable-transformer"): (238, 720),
-    (129, 120, 3, "rnn"): (138, 420),
-    (129, 120, 3, "mlp"): (159, 480),
-    (129, 120, 3, "identity"): (122, 370),
+    (34, 120, 7, "frozen-transformer"): (50, 160),
+    (81, 120, 7, "frozen-transformer"): (84, 270),
+    (105, 120, 3, "frozen-transformer"): (133, 450),
+    (129, 120, 3, "frozen-transformer"): (165, 550),
+    (129, 120, 3, "trainable-transformer"): (168, 720),
+    (129, 120, 3, "rnn"): (131, 420),
+    (129, 120, 3, "mlp"): (149, 480),
+    (129, 120, 3, "identity"): (121, 370),
 }
 
 CHILD = """

@@ -320,16 +320,21 @@ def test_an_attention_node_keeps_only_its_normalized_input(monkeypatch, mode):
         assert kept.count((ds.N, P, 8)) == 2 * (2 * 2 + 1)
 
 
-@pytest.mark.parametrize("mode, per_gelu", [("frozen-transformer", 1), ("trainable-transformer", 2)])
-def test_training_tape_keeps_the_gelu_derivative_of_the_ffn_width(mode, per_gelu):
-    """Of the (N, P, 4 * width) arrays of each feedforward block, the tape keeps
-    the derivative the GELU backward reads, and the GELU output only when the
-    second layer's W needs a gradient (its backward reads its input); never
-    the GELU input or its tanh."""
+@pytest.mark.parametrize("mode", ["frozen-transformer", "trainable-transformer"])
+def test_an_ffn_node_keeps_only_its_normalized_input(monkeypatch, mode):
+    """Each feedforward sublayer is one node.  Besides parameters, it keeps
+    LN2's normalized input (N, P, D) and its std (N, P, 1): no LN2 output,
+    hidden layer, GELU output or GELU derivative, and no node of the tape
+    keeps an (N, P, 4 * D) array, whether or not ffn.2's weight trains."""
     ds, splits, model, P = _train_setup(mode)
+    ffn = _spy(monkeypatch, backbone_mod, "ffn_sublayer")
     loss = training_loss(model, ds, splits.train, TrainConfig())
-    hidden = [a for a in _kept_arrays(loss) if a.shape == (ds.N, P, 4 * 8)]
-    assert len(hidden) == 2 * 2 * per_gelu  # per layer, per branch
+    assert len(ffn) == 2 * 2  # one per layer, per branch
+    params = {id(p.data) for p in model.parameters()}
+    for out in ffn:
+        own = [a for a in _closure_arrays(out._node) if id(a) not in params]
+        assert sorted(a.shape for a in own) == sorted([(ds.N, P, 8), (ds.N, P, 1)])
+    assert not [a for a in _kept_arrays(loss) if a.shape == (ds.N, P, 4 * 8)]
 
 
 def _tokenizer_tape(monkeypatch):
@@ -366,11 +371,11 @@ def test_a_token_sequence_is_one_concat_and_one_reshape(monkeypatch):
         assert all(node is token._node for node, token in zip(stacked._prev, tokens))
 
 
-def test_a_tokenizer_node_keeps_only_its_propagated_maps(monkeypatch):
+def test_a_tokenizer_node_keeps_only_its_first_propagated_map(monkeypatch):
     """Besides parameters and views of the dataset, an epidemic tokenizer node
-    keeps the propagated maps P1 (w, N, F) and P2 (w, N, D) and arrays no larger
-    than (w, N): no hidden layer H1, no pre-blend H2, no relu mask.  A mobility
-    tokenizer node keeps nothing of its own."""
+    keeps the first propagated map P1 (w, N, F) and arrays no larger than
+    (w, N): no second map P2, hidden layer H1, pre-blend H2 or relu mask.  A
+    mobility tokenizer node keeps nothing of its own."""
     ds, model, loss, epi, mob = _tokenizer_tape(monkeypatch)
     params = {id(p.data) for p in model.parameters()}
 
@@ -379,11 +384,11 @@ def test_a_tokenizer_node_keeps_only_its_propagated_maps(monkeypatch):
         arrays = _closure_arrays(token._node)
         return [a for a in arrays if id(a) not in params and not any(np.shares_memory(a, v) for v in views)]
 
-    w, N, F, D = ds.w, ds.N, ds.X.shape[-1], 8
+    w, N, F = ds.w, ds.N, ds.X.shape[-1]
     assert F > 1  # so P1 is larger than a (w, N) array
     for token in epi:
         arrays = own(token)
-        assert sorted(a.shape for a in arrays if a.size > w * N) == sorted([(w, N, F), (w, N, D)])
+        assert [a.shape for a in arrays if a.size > w * N] == [(w, N, F)]
         assert all(a.dtype == np.float64 for a in arrays)
     assert all(own(token) == [] for token in mob)
 

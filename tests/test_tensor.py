@@ -9,6 +9,7 @@ from composed_reference import attention_weights, div, propagate, softmax
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epicast.backbone import _ATTENTION, _FFN, BackboneConfig, BackboneState, attention_sublayer, ffn_sublayer
 from epicast.branches import Projector, epi_tokenize, mob_tokenize
 from epicast.gradcheck import grad_check, relative_error
 from epicast.prompts import PromptParams
@@ -153,8 +154,37 @@ _WINDOW = np.array(
 )  # fmt: skip
 _MOBILITY = np.array([[0.0, 0.8, 0.3], [0.5, 0.1, 0.0], [0.9, 0.4, 0.2]])
 
-# decode-shaped: 2 queries over 3 keys, each query hiding the keys after it
-_DECODE_MASK = np.triu(np.full((3, 3), -np.inf), k=1)[1:]
+# 3 positions, each query hiding the keys after it; decode-shaped: its last 2 queries
+_CAUSAL_MASK = np.triu(np.full((3, 3), -np.inf), k=1)
+_DECODE_MASK = _CAUSAL_MASK[1:]
+
+
+def _one_layer(names, tensors) -> BackboneState:
+    """A one-layer, two-head backbone of width 4 (feedforward width 8) whose
+    parameters `names` are `tensors`."""
+    cfg = BackboneConfig(mode="trainable-transformer", depth=1, width=4, heads=2, ffn_mult=2)
+    return BackboneState(cfg, {f"layer0.{name}": t for name, t in zip(names, tensors)})
+
+
+def _square(a, b):
+    """A (4, 4) matrix of b's rows and a's first row."""
+    return concat([b, getitem(a, slice(0, 1))], axis=0)
+
+
+def _attention_case(a, b):
+    """An attention sublayer over one region's 3 positions, features a."""
+    sq, (r0, r1, r2) = _square(a, b), (getitem(b, i) for i in range(3))
+    tensors = (r0, r1, sq, r2, transpose(sq, (1, 0)), r1, square(sq), r0, matmul(sq, sq), tsum(b, axis=0))
+    return attention_sublayer(reshape(a, (1, 3, 4)), _one_layer(_ATTENTION, tensors), 0, _CAUSAL_MASK)
+
+
+def _ffn_case(a, b):
+    """A feedforward sublayer over one region's 3 positions, features a."""
+    sq, (r0, r1, r2) = _square(a, b), (getitem(b, i) for i in range(3))
+    W1 = concat([sq, transpose(sq, (1, 0))], axis=1)
+    tensors = (r0, r1, W1, concat([r1, r2]), transpose(W1, (1, 0)), r2)
+    return ffn_sublayer(reshape(a, (1, 3, 4)), _one_layer(_FFN, tensors), 0)
+
 
 OP_CASES = {
     "add": lambda a, b: add(a, b),
@@ -201,13 +231,15 @@ OP_CASES = {
     "mob_tokenize": lambda a, b: mob_tokenize(
         _MOBILITY, Projector(a, getitem(b, 0), transpose(b, (1, 0)), tsum(a, axis=1))
     ),
+    "attention_sublayer": _attention_case,
+    "ffn_sublayer": _ffn_case,
 }
 
 
 # the cases whose output depends on both a and b
 TWO_INPUT_CASES = (
     "add", "sub", "mul", "div", "matmul", "concat", "linear", "layer_norm", "attention_weights", "propagate",
-    "epi_tokenize", "mob_tokenize",
+    "epi_tokenize", "mob_tokenize", "attention_sublayer", "ffn_sublayer",
 )
 
 
