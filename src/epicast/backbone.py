@@ -4,8 +4,9 @@ The default is a randomly initialized, frozen, pre-norm causal transformer:
 every parameter is a constant (frozen=True) that holds no gradient and that no
 optimizer step ever touches, while gradients still flow through its layers to
 the projectors and prompts.  Variants for ablations: the same transformer
-trainable, a position-wise feedforward block, a single gated recurrent layer,
-and a pure identity.
+trainable, a position-wise feedforward block (the transformer's feedforward
+node without LN2, plus the residual), a single gated recurrent layer, and a
+pure identity.
 
 Each region's patch-token sequence is processed as an independent batch item;
 causal masking guarantees the output at position p depends only on positions
@@ -19,11 +20,12 @@ storing it as activation checkpointing does (Chen et al., arXiv 1604.06174;
 FlashAttention, arXiv 2205.14135), so no q, k, v or (N, heads, P, P) weights
 reach the tape.  The causal mask is a plain array, -inf above the diagonal,
 cut to the rows of the positions run.  Each feedforward sublayer (LN2,
-``ffn.1``, the GELU and ``ffn.2``) is one node too, ``ffn_sublayer``.  It
-keeps only LN2's normalized input and rebuilds the hidden layer, the GELU
-derivative and, when ``ffn.2`` trains, the GELU output in its backward
-(selective recomputation, Korthikanti et al., arXiv 2205.05198), so no
-(N, P, ffn_mult * D) array reaches the tape.
+``ffn.1``, the GELU and ``ffn.2``) is one node too, ``ffn_sublayer``, and the
+`mlp` backbone is that node without LN2 (``mlp.1``, the GELU, ``mlp.2``).  It
+keeps only LN2's normalized input, or without LN2 its input, and rebuilds the
+hidden layer, the GELU derivative and, when the second linear layer trains,
+the GELU output in its backward (selective recomputation, Korthikanti et al.,
+arXiv 2205.05198), so no (N, P, ffn_mult * D) array reaches the tape.
 
 Inference decodes incrementally, the way language models serve next-token
 prediction.  A ``DecodeCache`` remembers how many positions of a growing
@@ -47,6 +49,7 @@ from .serialize import assign_tensors, load_tensors, save_tensors
 from .tensor import (
     Parameter,
     Tensor,
+    _accumulate,
     _affine,
     _affine_grads,
     _exp_normalize,
@@ -58,10 +61,8 @@ from .tensor import (
     add,
     concat,
     constant,
-    gelu,
     grad_enabled,
     layer_norm,
-    linear,
     matmul,
     mul,
     sigmoid,
@@ -305,36 +306,42 @@ def attention_sublayer(
     return Tensor._result(out, nodes, _bw)
 
 
-# the parameters of one feedforward sublayer, in the order its node records them
+# the parameters of one transformer feedforward sublayer, in the order its node records them
 _FFN = ("ln2.g", "ln2.b", "ffn.1.W", "ffn.1.b", "ffn.2.W", "ffn.2.b")
 
 
-def ffn_sublayer(x: Tensor, state: BackboneState, layer: int) -> Tensor:
-    """One feedforward sublayer, ``ffn.2(gelu(ffn.1(LN2(x))))`` for (N, P, D) x,
-    as one tape node.
+def ffn_sublayer(x: Tensor, params: list) -> Tensor:
+    """One feedforward sublayer, ``gelu(LN2(x) @ W1 + b1) @ W2 + b2`` for (N, P, D)
+    x, as one tape node.
 
-    It runs LN2, the first linear layer, the GELU and the second linear layer
-    with the numpy ops of their composition in the same order, and computes
-    no GELU derivative in the forward.  The node keeps only LN2's normalized
-    input and std, no (N, P, ffn_mult * D) array.  Its backward rebuilds
+    `params` is ``[ln2.g, ln2.b, W1, b1, W2, b2]``, or ``[W1, b1, W2, b2]`` for
+    a block without LN2 (the `mlp` backbone).  It runs LN2, the first linear
+    layer, the GELU and the second linear layer with the numpy ops of their
+    composition in the same order, and computes no GELU derivative in the
+    forward.  The node keeps only LN2's normalized input and std, or x itself
+    without LN2, and no (N, P, ffn_mult * D) array.  Its backward rebuilds
     LN2's output, the hidden layer (one GEMM) and the GELU derivative, and
-    the GELU output only when ffn.2's weight needs a gradient, then runs the
-    composed ops' backward expressions, freeing each rebuilt array once read,
-    so the output and every gradient are bitwise the composition's.
+    the GELU output only when W2 needs a gradient, then runs the composed
+    ops' backward expressions, freeing each rebuilt array once read, so the
+    output and every gradient are bitwise the composition's.
     """
-    params = [state.params[f"layer{layer}.{name}"] for name in _FFN]
-    gain, bias, W1, b1, W2, b2 = (t.data for t in params)
-    a, normed, std = _layer_norm(x.data, gain, bias)
+    *ln2, W1, b1, W2, b2 = (t.data for t in params)
+    gain, bias = ln2 or (None, None)
+    # without LN2, x stands in for the normalized input the node keeps
+    a, normed, std = (x.data, x.data, None) if gain is None else _layer_norm(x.data, gain, bias)
     out = _affine(_gelu(_affine(a, W1, b1))[0], W2, b2)
     del a
     nodes = _input_nodes(x, *params)
     if nodes is None:
         return Tensor._result(out, (), None)
-    nW1, nb1, nW2, nb2 = nodes[3:]
+    nW1, nb1, nW2, nb2 = nodes[-4:]
 
     def _bw(g):
-        a = normed * gain
-        a += bias
+        if gain is None:
+            a = normed
+        else:
+            a = normed * gain
+            a += bias
         h = _affine(a, W1, b1)
         if nW1 is None:
             a = None
@@ -345,7 +352,10 @@ def ffn_sublayer(x: Tensor, state: BackboneState, layer: int) -> Tensor:
         dh = np.multiply(deriv, g @ W2.T, out=deriv)
         _affine_grads(dh, a, nW1, nb1, b1.shape)
         a = None
-        _layer_norm_grads(dh @ W1.T, normed, std, gain, bias.shape, nodes[:3])
+        if gain is not None:
+            _layer_norm_grads(dh @ W1.T, normed, std, gain, bias.shape, nodes[:3])
+        elif nodes[0] is not None:
+            _accumulate(nodes[0], dh @ W1.T)
 
     return Tensor._result(out, nodes, _bw)
 
@@ -393,11 +403,10 @@ def backbone_forward(tokens: Tensor, state: BackboneState, cache: DecodeCache | 
         mask = _causal_mask(start, P)
         for layer in range(cfg.depth):
             x = add(x, attention_sublayer(x, state, layer, mask, cache))
-            x = add(x, ffn_sublayer(x, state, layer))
+            x = add(x, ffn_sublayer(x, [p[f"layer{layer}.{name}"] for name in _FFN]))
         x = layer_norm(x, p["ln_f.g"], p["ln_f.b"])
     elif cfg.mode == "mlp":
-        h = gelu(linear(x, p["mlp.1.W"], p["mlp.1.b"]))
-        x = add(x, linear(h, p["mlp.2.W"], p["mlp.2.b"]))
+        x = add(x, ffn_sublayer(x, [p["mlp.1.W"], p["mlp.1.b"], p["mlp.2.W"], p["mlp.2.b"]]))
     elif cfg.mode == "rnn":
         h = constant(np.zeros((N, 1, D)) if cache is None or cache.h is None else cache.h)
         outs = []

@@ -117,9 +117,9 @@ def build_model(cfg: ModelConfig, backbone_cfg: BackboneConfig, backbone_weights
     except MemoryError as exc:
         raise ModelSizeError(
             f"model parameters do not fit in memory ({exc}); lower the size keys: "
-            f"n_regions={cfg.n_regions}, w={cfg.w}, backbone.width={cfg.width}, "
-            f"model.mob_hidden={cfg.mob_hidden}, backbone.depth={backbone_cfg.depth}, "
-            f"backbone.max_positions={backbone_cfg.max_positions}, ffn_mult={backbone_cfg.ffn_mult}"
+            f"w={cfg.w}, backbone.width={cfg.width}, model.mob_hidden={cfg.mob_hidden}, "
+            f"backbone.depth={backbone_cfg.depth}, backbone.max_positions={backbone_cfg.max_positions}, "
+            f"or the dataset's region count ({cfg.n_regions})"
         ) from exc
 
 

@@ -15,10 +15,10 @@ inputs are all constant and compute no gradient for a frozen weight.
 The tape is kept apart from the data.  A recorded op gets a small node: a
 gradient slot, its input nodes and a backward closure.  The closure captures
 exactly the arrays its backward reads (``mul`` the *other* operand, ``linear``
-its input only when the weight needs a gradient, ``gelu`` its derivative,
-``add``, ``reshape`` or ``tsum`` shapes only, the epidemic tokenizer of
-``branches`` its first propagated map and a ``backbone`` attention or
-feedforward sublayer its normalized input, from which they rebuild the rest),
+its input only when the weight needs a gradient, ``add``, ``reshape`` or
+``tsum`` shapes only, the epidemic tokenizer of ``branches`` its first
+propagated map and a ``backbone`` attention or feedforward sublayer its
+normalized input, from which they rebuild the rest),
 and no node ever holds its own output tensor.  So an intermediate array that
 no backward reads (a residual sum, the attention's q, k, v and weights, the
 feedforward's hidden layer, GELU output and GELU derivative) is freed during
@@ -33,12 +33,11 @@ its input's shape and layout and adds the output gradient at the index.
 ``_record`` is the one place that builds their node: it keeps the rules of
 the inputs that require a gradient, in input order, and drops the others, so
 an array that only a constant input's rule reads (``mul``'s trained operand,
-when the other is constant) is freed with the forward.  Seven nodes are built
+when the other is constant) is freed with the forward.  Six nodes are built
 by hand from ``_input_nodes`` and ``Tensor._result`` instead, because one
 rule per input does not fit them: ``linear``, ``layer_norm`` and the fused
 nodes of ``backbone`` and ``branches`` share work or a gradient rule
-(``_affine_grads``, ``_layer_norm_grads``) across their inputs, and
-``gelu``'s forward decides what its backward keeps.
+(``_affine_grads``, ``_layer_norm_grads``) across their inputs.
 
 A tape's lifetime follows reference counting alone:
 
@@ -624,26 +623,6 @@ def _gelu(x: np.ndarray, output: bool = True, derivative: bool = False):
             np.multiply(t, 0.5, out=dd)
             dd += d
     return out, deriv
-
-
-def gelu(a) -> Tensor:
-    """Gaussian error linear unit (tanh approximation, smooth everywhere).
-
-    Forward: ``0.5 * x * (1 + t)`` with ``t = tanh(c * (x + 0.044715 * x * x * x))``;
-    backward: ``g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * c * (1 + 3 * 0.044715 * x * x))``.
-    The node keeps only the derivative, from ``_gelu``, and multiplies g into it.
-    """
-    a = astensor(a)
-    nodes = _input_nodes(a)
-    out, deriv = _gelu(a.data, derivative=nodes is not None)
-    if nodes is None:
-        return Tensor._result(out, (), None)
-    (na,) = nodes
-
-    def _bw(g):
-        _accumulate(na, np.multiply(deriv, g, out=deriv))
-
-    return Tensor._result(out, nodes, _bw)
 
 
 def _exp_normalize(shifted: np.ndarray) -> np.ndarray:

@@ -149,7 +149,7 @@ class Adam:
     gradient: a frozen parameter requires none, has no ``grad`` to step on, and
     is dropped up front, so the update loop touches trainables only."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=TrainConfig.lr, beta1=TrainConfig.beta1, beta2=TrainConfig.beta2, eps=TrainConfig.eps):
         self.params = [p for p in params if p.requires_grad]
         self.lr = lr
         self.beta1 = beta1
@@ -243,7 +243,7 @@ def train(
             f"training range of {len(train_range)} days yields {len(grid)} patches; need >= 2"
         )
     trainables = model.trainable_parameters()
-    opt = Adam(trainables, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    opt = Adam(trainables, lr=cfg.lr)
     report = TrainReport()
     bad_epochs = 0
 

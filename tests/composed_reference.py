@@ -10,11 +10,14 @@ tokens and gradients.
 ``attention_sublayer`` composes one attention sublayer of the backbone from
 ``layer_norm``, ``linear``, head reshapes and ``attention_weights``, one node
 each; ``epicast.backbone.attention_sublayer`` must match it bit for bit.
-``ffn_sublayer`` composes one feedforward sublayer from ``layer_norm``,
-``linear``, ``gelu`` and ``linear``; ``epicast.backbone.ffn_sublayer`` must
-match it bit for bit.
-``softmax`` is the primitive op that ``attention_weights`` composes to; epicast
-keeps only its kernels (``tensor._exp_normalize``, ``tensor._softmax_backward``).
+``ffn_sublayer`` composes one feedforward sublayer from ``layer_norm`` (when
+given LN2's gain and bias), ``linear``, ``gelu`` and ``linear``;
+``epicast.backbone.ffn_sublayer`` must match it bit for bit, with LN2 and
+without (the `mlp` backbone).
+``softmax`` is the primitive op that ``attention_weights`` composes to, and
+``gelu`` the one that ``ffn_sublayer`` composes to; epicast keeps only their
+kernels (``tensor._exp_normalize``, ``tensor._softmax_backward``,
+``tensor._gelu``).
 """
 
 import numpy as np
@@ -25,13 +28,13 @@ from epicast.tensor import (
     Tensor,
     _accumulate,
     _exp_normalize,
+    _gelu,
     _input_nodes,
     _softmax_backward,
     _unbroadcast,
     add,
     astensor,
     constant,
-    gelu,
     layer_norm,
     linear,
     matmul,
@@ -259,10 +262,30 @@ def attention_sublayer(x, state, layer: int, mask: np.ndarray, cache: DecodeCach
     return linear(merged, p[f"layer{layer}.attn.o.W"], p[f"layer{layer}.attn.o.b"])
 
 
-def ffn_sublayer(x, state, layer: int) -> Tensor:
-    """One feedforward sublayer, composed: LN2, the first linear layer, the
-    GELU and the second linear layer."""
-    p = state.params
-    a = layer_norm(x, p[f"layer{layer}.ln2.g"], p[f"layer{layer}.ln2.b"])
-    h = gelu(linear(a, p[f"layer{layer}.ffn.1.W"], p[f"layer{layer}.ffn.1.b"]))
-    return linear(h, p[f"layer{layer}.ffn.2.W"], p[f"layer{layer}.ffn.2.b"])
+def gelu(a) -> Tensor:
+    """Gaussian error linear unit (tanh approximation, smooth everywhere).
+
+    Forward: ``0.5 * x * (1 + t)`` with ``t = tanh(c * (x + 0.044715 * x * x * x))``;
+    backward: ``g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * c * (1 + 3 * 0.044715 * x * x))``.
+    The node keeps only the derivative, from ``_gelu``, and multiplies g into it.
+    """
+    a = astensor(a)
+    nodes = _input_nodes(a)
+    out, deriv = _gelu(a.data, derivative=nodes is not None)
+    if nodes is None:
+        return Tensor._result(out, (), None)
+    (na,) = nodes
+
+    def _bw(g):
+        _accumulate(na, np.multiply(deriv, g, out=deriv))
+
+    return Tensor._result(out, nodes, _bw)
+
+
+def ffn_sublayer(x, params) -> Tensor:
+    """One feedforward sublayer, composed: LN2 when `params` starts with its
+    gain and bias (``[ln2.g, ln2.b, W1, b1, W2, b2]``, else ``[W1, b1, W2,
+    b2]``), the first linear layer, the GELU and the second linear layer."""
+    *ln2, W1, b1, W2, b2 = params
+    a = layer_norm(x, *ln2) if ln2 else x
+    return linear(gelu(linear(a, W1, b1)), W2, b2)

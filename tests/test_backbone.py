@@ -313,6 +313,7 @@ def test_attention_sublayer_is_bitwise_the_composed_ops(trainable, n, positions,
 
 @given(
     trainable=st.booleans(),
+    ln2=st.booleans(),
     n=st.integers(min_value=1, max_value=4),
     positions=st.integers(min_value=1, max_value=7),
     width=st.integers(min_value=1, max_value=9),
@@ -322,13 +323,14 @@ def test_attention_sublayer_is_bitwise_the_composed_ops(trainable, n, positions,
     seed=st.integers(min_value=0, max_value=2**16),
 )
 @settings(max_examples=60, deadline=None)
-def test_ffn_sublayer_is_bitwise_the_composed_ops(trainable, n, positions, width, ffn_mult, transposed, magnitude, seed):
+def test_ffn_sublayer_is_bitwise_the_composed_ops(trainable, ln2, n, positions, width, ffn_mult, transposed, magnitude, seed):
     """The fused sublayer's output, x's gradient and, when trainable, the
-    gradients of ln2.g, ln2.b and both linear layers' weights and biases are
-    bitwise those of LN2, linear, gelu and linear composed from one tape node
-    each."""
+    gradients of ln2.g and ln2.b (with LN2) and of both linear layers'
+    weights and biases are bitwise those of LN2 (with LN2; the `mlp` backbone
+    has none), linear, gelu and linear composed from one tape node each."""
     rng = np.random.default_rng(seed)
     mode = "trainable-transformer" if trainable else "frozen-transformer"
+    names = _FFN if ln2 else _FFN[2:]
     x_data = rng.normal(size=(positions, n, width)) * magnitude
     x_data = x_data.transpose(1, 0, 2) if transposed else np.ascontiguousarray(x_data.transpose(1, 0, 2))
     g = rng.normal(size=(n, positions, width))
@@ -337,13 +339,14 @@ def test_ffn_sublayer_is_bitwise_the_composed_ops(trainable, n, positions, width
     def run(sublayer):
         rng.bit_generator.state = params_rng
         state = _random_backbone(mode, width, 1, positions, rng, ffn_mult)
+        params = [state.params[f"layer0.{name}"] for name in names]
         x = Parameter(x_data, name="x")
-        out = sublayer(x, state, 0)
+        out = sublayer(x, params)
         tsum(mul(out, constant(g))).backward()
-        return [out.data, x.grad] + [state.params[f"layer0.{name}"].grad for name in _FFN if trainable]
+        return [out.data, x.grad] + [p.grad for p in params if trainable]
 
     fused, composed = run(ffn_sublayer), run(composed_ffn_sublayer)
-    assert len(fused) == len(composed) == (8 if trainable else 2)
+    assert len(fused) == len(composed) == 2 + (len(names) if trainable else 0)
     for got, want in zip(fused, composed):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 

@@ -349,15 +349,19 @@ def test_exit_two_on_history_longer_than_max_positions(tmp_path, capsys):
         ("backbone.max_positions = 1000000000000000000", "max_positions=1000000000000000000"),
         # layers allocate one by one; width 512 makes it 25 TB, past any machine's memory
         ("backbone.depth = 1000000\nbackbone.width = 512", "backbone.depth=1000000"),
+        # the region count comes from the dataset, not from a model key
+        ("backbone.width = 100000000000", "backbone.width=100000000000"),
     ],
 )
 def test_exit_two_on_parameters_too_large_to_allocate(tmp_path, capsys, monkeypatch, line, sizes):
+    """The error names only keys a config sets, and the dataset's region count."""
     monkeypatch.setattr("epicast.model.build_backbone", _no_backbone)
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("\n".join(f"{k} = {v}" for k, v in FAST.items()) + f"\n{line}\n")
     assert main(["train", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "config error: model parameters do not fit in memory" in err and sizes in err, err
+    assert "the dataset's region count (4)" in err and "ffn_mult" not in err, err
     assert not (tmp_path / "out" / "checkpoint.bin").exists()
 
 

@@ -30,7 +30,7 @@ CASES = {
     (129, 120, 3, "frozen-transformer"): (165, 550),
     (129, 120, 3, "trainable-transformer"): (168, 720),
     (129, 120, 3, "rnn"): (131, 420),
-    (129, 120, 3, "mlp"): (149, 480),
+    (129, 120, 3, "mlp"): (139, 480),
     (129, 120, 3, "identity"): (121, 370),
 }
 

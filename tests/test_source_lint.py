@@ -156,10 +156,9 @@ def test_the_check_sees_an_op_without_a_case():
     assert _without_fd_case(ast.parse(source), cases) == ["fused", "primitive"]
 
 
-# the ops whose backward shares work between inputs (linear, layer_norm) or
-# is decided by the forward (gelu); every other tensor.py op records through
-# _record's one rule
-OWN_NODES = ("_record", "linear", "gelu", "layer_norm")
+# the ops whose backward shares work between inputs (linear, layer_norm);
+# every other tensor.py op records through _record's one rule
+OWN_NODES = ("_record", "linear", "layer_norm")
 
 
 def test_primitives_build_their_node_only_through_record():

@@ -6,6 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
+from composed_reference import gelu
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +27,6 @@ from epicast.tensor import (
     add,
     concat,
     constant,
-    gelu,
     matmul,
     mul,
     no_grad,
@@ -320,20 +320,23 @@ def test_an_attention_node_keeps_only_its_normalized_input(monkeypatch, mode):
         assert kept.count((ds.N, P, 8)) == 2 * (2 * 2 + 1)
 
 
-@pytest.mark.parametrize("mode", ["frozen-transformer", "trainable-transformer"])
+@pytest.mark.parametrize("mode", ["frozen-transformer", "trainable-transformer", "mlp"])
 def test_an_ffn_node_keeps_only_its_normalized_input(monkeypatch, mode):
     """Each feedforward sublayer is one node.  Besides parameters, it keeps
-    LN2's normalized input (N, P, D) and its std (N, P, 1): no LN2 output,
+    LN2's normalized input (N, P, D) and its std (N, P, 1), or in the `mlp`
+    backbone, which has no LN2, its input (N, P, D) alone: no LN2 output,
     hidden layer, GELU output or GELU derivative, and no node of the tape
-    keeps an (N, P, 4 * D) array, whether or not ffn.2's weight trains."""
+    keeps an (N, P, 4 * D) array, whether or not the second layer's weight
+    trains."""
     ds, splits, model, P = _train_setup(mode)
     ffn = _spy(monkeypatch, backbone_mod, "ffn_sublayer")
     loss = training_loss(model, ds, splits.train, TrainConfig())
-    assert len(ffn) == 2 * 2  # one per layer, per branch
+    layers, kept = (1, [(ds.N, P, 8)]) if mode == "mlp" else (2, [(ds.N, P, 8), (ds.N, P, 1)])
+    assert len(ffn) == layers * 2  # one per layer, per branch
     params = {id(p.data) for p in model.parameters()}
     for out in ffn:
         own = [a for a in _closure_arrays(out._node) if id(a) not in params]
-        assert sorted(a.shape for a in own) == sorted([(ds.N, P, 8), (ds.N, P, 1)])
+        assert sorted(a.shape for a in own) == sorted(kept)
     assert not [a for a in _kept_arrays(loss) if a.shape == (ds.N, P, 4 * 8)]
 
 

@@ -5,11 +5,11 @@ import zlib
 
 import numpy as np
 import pytest
-from composed_reference import attention_weights, div, propagate, softmax
+from composed_reference import attention_weights, div, gelu, propagate, softmax
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epicast.backbone import _ATTENTION, _FFN, BackboneConfig, BackboneState, attention_sublayer, ffn_sublayer
+from epicast.backbone import _ATTENTION, BackboneConfig, BackboneState, attention_sublayer, ffn_sublayer
 from epicast.branches import Projector, epi_tokenize, mob_tokenize
 from epicast.gradcheck import grad_check, relative_error
 from epicast.prompts import PromptParams
@@ -23,7 +23,6 @@ from epicast.tensor import (
     add,
     concat,
     constant,
-    gelu,
     getitem,
     layer_norm,
     linear,
@@ -160,9 +159,9 @@ _DECODE_MASK = _CAUSAL_MASK[1:]
 
 
 def _one_layer(names, tensors) -> BackboneState:
-    """A one-layer, two-head backbone of width 4 (feedforward width 8) whose
-    parameters `names` are `tensors`."""
-    cfg = BackboneConfig(mode="trainable-transformer", depth=1, width=4, heads=2, ffn_mult=2)
+    """A one-layer, two-head backbone of width 4 whose parameters `names` are
+    `tensors`."""
+    cfg = BackboneConfig(mode="trainable-transformer", depth=1, width=4, heads=2)
     return BackboneState(cfg, {f"layer0.{name}": t for name, t in zip(names, tensors)})
 
 
@@ -178,12 +177,13 @@ def _attention_case(a, b):
     return attention_sublayer(reshape(a, (1, 3, 4)), _one_layer(_ATTENTION, tensors), 0, _CAUSAL_MASK)
 
 
-def _ffn_case(a, b):
-    """A feedforward sublayer over one region's 3 positions, features a."""
+def _ffn_case(a, b, ln2=True):
+    """A feedforward sublayer over one region's 3 positions, features a; with
+    LN2 or, as in the `mlp` backbone, without."""
     sq, (r0, r1, r2) = _square(a, b), (getitem(b, i) for i in range(3))
     W1 = concat([sq, transpose(sq, (1, 0))], axis=1)
-    tensors = (r0, r1, W1, concat([r1, r2]), transpose(W1, (1, 0)), r2)
-    return ffn_sublayer(reshape(a, (1, 3, 4)), _one_layer(_FFN, tensors), 0)
+    params = [r0, r1, W1, concat([r1, r2]), transpose(W1, (1, 0)), r2]
+    return ffn_sublayer(reshape(a, (1, 3, 4)), params if ln2 else params[2:])
 
 
 OP_CASES = {
@@ -233,13 +233,14 @@ OP_CASES = {
     ),
     "attention_sublayer": _attention_case,
     "ffn_sublayer": _ffn_case,
+    "ffn_sublayer_without_ln2": lambda a, b: _ffn_case(a, b, ln2=False),
 }
 
 
 # the cases whose output depends on both a and b
 TWO_INPUT_CASES = (
     "add", "sub", "mul", "div", "matmul", "concat", "linear", "layer_norm", "attention_weights", "propagate",
-    "epi_tokenize", "mob_tokenize", "attention_sublayer", "ffn_sublayer",
+    "epi_tokenize", "mob_tokenize", "attention_sublayer", "ffn_sublayer", "ffn_sublayer_without_ln2",
 )
 
 
