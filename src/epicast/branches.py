@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import adjacency
 from .prompts import PromptParams, build_prompted_graph
 from .tensor import (
     Parameter,
@@ -313,13 +314,14 @@ def stack_tokens(tokens: list[Tensor]) -> Tensor:
     return reshape(concat(tokens, axis=0), (len(tokens), n, d))
 
 
-def epi_token_sequence(model, X: np.ndarray, A: np.ndarray, grid) -> Tensor:
-    """(P, N, D) epidemic tokens of a ``model.ModelState``, one per patch of `grid`."""
+def epi_token_sequence(model, X: np.ndarray, M: np.ndarray, mask: np.ndarray | None, grid) -> Tensor:
+    """(P, N, D) epidemic tokens of a ``model.ModelState``, one per patch of
+    `grid`, each over the patch's ``data.adjacency`` of mobility `M` and `mask`."""
     cfg = model.config
     tokens = [
         epi_tokenize(
             X[s:e],
-            A[s:e],
+            adjacency(M, mask, slice(s, e)),
             model.prompts,
             model.epi_proj,
             gating_mode=cfg.gating_mode,

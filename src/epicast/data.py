@@ -6,8 +6,10 @@ Two CSV schemas are ingested:
 * mobility: ``date,src_region,dst_region,weight``  (absent pairs = zero flow)
 
 Each loads into a dense table: (T, N) counts, (T, R, R) flows.  ``build_dataset``
-aligns the two into per-day feature rows holding the last ``w`` daily counts,
-per-day mobility matrices, and the adjacency derived from them by thresholding.
+aligns the two into per-day feature rows holding the last ``w`` daily counts and
+per-day mobility matrices.  The adjacency is that mobility, thresholded: with a
+positive ``epsilon`` the dataset keeps a boolean mask of the flows above it, and
+``adjacency`` reads any window's adjacency from the mobility and that mask.
 ``synth_sir`` generates a fully deterministic SIR-on-a-mobility-graph dataset.
 """
 
@@ -254,14 +256,15 @@ def window_features(counts: np.ndarray, w: int) -> np.ndarray:
 
 @dataclass
 class EpidemicDataset:
-    """Aligned per-day case features and mobility/adjacency tensors."""
+    """Aligned per-day case features and mobility, from which ``adjacency``
+    reads the thresholded adjacency of any window."""
 
     N: int
     T: int
     w: int
     X: np.ndarray  # (T, N, F) feature rows, F == w, model space
-    M: np.ndarray  # (T, N, N) mobility, model space
-    A: np.ndarray  # (T, N, N) thresholded mobility, model space
+    M: np.ndarray  # (T, N, N) mobility, model space, no -0.0
+    mask: np.ndarray | None  # (T, N, N) bool, raw flow > epsilon; None when epsilon <= 0
     region_names: list[str]
     dates: list[dt.date]
     counts: np.ndarray  # (T, N) raw integer daily new cases
@@ -278,10 +281,11 @@ class EpidemicDataset:
                     case_scale=self.case_scale.tolist(), mob_scale=self.mob_scale)
 
 
-def _adjacency(raw: np.ndarray, flows: np.ndarray, epsilon: float) -> np.ndarray:
-    """The adjacency of mobility `flows`: each flow whose raw-unit value in
-    `raw` exceeds `epsilon`, and 0 elsewhere."""
-    return np.where(raw > epsilon, flows, 0.0)
+def adjacency(M: np.ndarray, mask: np.ndarray | None, days: slice) -> np.ndarray:
+    """The adjacency of mobility `M` on `days`: each flow where `mask` holds,
+    and 0 elsewhere.  With no mask it is the mobility itself (a view): a flow
+    is >= 0 and never -0.0, so every flow exceeds a threshold <= 0 or is 0.0."""
+    return M[days] if mask is None else np.where(mask[days], M[days], 0.0)
 
 
 def build_dataset(
@@ -324,13 +328,14 @@ def build_dataset(
     mob_t = {day: k for k, day in enumerate(mobility.dates)}
     days = [t for t, day in enumerate(dates) if day in mob_t]
 
-    M_raw = np.zeros((T, N, N), dtype=np.float64)  # days without mobility rows keep zero flow
-    M_raw[np.ix_(days, idx, idx)] = mobility.flows[[mob_t[dates[t]] for t in days]]
+    M = np.zeros((T, N, N), dtype=np.float64)  # days without mobility rows keep zero flow
+    M[np.ix_(days, idx, idx)] = mobility.flows[[mob_t[dates[t]] for t in days]]
+    M += 0.0  # -0.0 flows become 0.0, so that `adjacency` needs no mask at epsilon <= 0
 
     if scale:
         case_scale = counts.max(axis=0).astype(np.float64)
         case_scale[case_scale <= 0] = 1.0
-        mob_scale = float(M_raw.max())
+        mob_scale = float(M.max())
         if mob_scale <= 0:
             mob_scale = 1.0
     else:
@@ -338,8 +343,8 @@ def build_dataset(
         mob_scale = 1.0
 
     counts_model = counts.astype(np.float64) / case_scale[None, :]
-    M = M_raw / mob_scale
-    A = _adjacency(M_raw, M, epsilon)
+    mask = M > epsilon if epsilon > 0 else None  # in raw flow units
+    M /= mob_scale
     try:
         X = window_features(counts_model, w)
     except MemoryError as exc:
@@ -350,7 +355,7 @@ def build_dataset(
         w=w,
         X=X,
         M=M,
-        A=A,
+        mask=mask,
         region_names=list(cases.regions),
         dates=dates,
         counts=counts,

@@ -1,18 +1,20 @@
 """Direct and iterative multi-step forecasting joining the two branches.
 
 Each step first advances the mobility branch to get the next patch's flow
-matrix and its thresholded adjacency, then advances the epidemic branch to
-get the next w-day case block.  The generated patch (cases + structure) is
-rolled into the context, so later steps condition on earlier predictions:
-one step is direct forecasting, several steps is multi-step forecasting.
+matrix, then advances the epidemic branch to get the next w-day case block.
+The generated patch (cases + structure) is rolled into the context, so later
+steps condition on earlier predictions: one step is direct forecasting,
+several steps is multi-step forecasting.
 
-The rollout lives in one preallocated history: counts (end, N) and the
-mobility and adjacency tensors (end, N, N), where end is the context end plus
-steps * w days.  The context days are copied in; step t windows the counts of
-its first t days into feature rows, reads the views of the first t days of
-mobility and adjacency, and writes its own patch into rows t .. t+w in place.
-The returned cases, mobility and adjacency are slices of that history
-(mobility and adjacency one row per patch), mapped back to raw units.
+The rollout lives in one preallocated history: counts (end, N) and mobility
+(end, N, N), where end is the context end plus steps * w days, and with a
+positive threshold the boolean mask (end, N, N) of the flows above it.  The
+context days are copied in; step t windows the counts of its first t days into
+feature rows, reads each patch's adjacency from the first t days of mobility
+and mask by the dataset's rule (``data.adjacency``), and writes its own patch
+into rows t .. t+w in place.  The returned cases and mobility are slices of
+that history (mobility one row per patch), and the adjacency is read from the
+same rows by the same rule, all mapped back to raw units.
 
 Both backbone passes decode incrementally: step 1 prefills the context grid,
 and each later step runs the backbone on the one position it appended (see
@@ -40,7 +42,7 @@ import numpy as np
 
 from .backbone import DecodeCache, backbone_forward
 from .branches import epi_adapt, epi_token_sequence, mob_adapt, mob_token_sequence, patch_grid
-from .data import ConfigError, EpidemicDataset, _adjacency, window_features
+from .data import ConfigError, EpidemicDataset, adjacency, window_features
 from .model import ModelState
 from .serialize import CheckpointError
 from .tensor import no_grad
@@ -139,16 +141,17 @@ def forecast(
     end = context_end + horizon
     try:
         counts = np.empty((end, ds.N))  # model space
-        A = np.empty((end, ds.N, ds.N))
         M = np.empty((end, ds.N, ds.N))
+        mask = None if ds.mask is None else np.empty((end, ds.N, ds.N), dtype=bool)
     except (MemoryError, ValueError) as exc:  # past 2**63 bytes numpy raises ValueError
         raise ForecastSizeError(
             f"a horizon of {horizon} days ({steps} steps of w={w}) from day {context_end} "
             f"does not fit in memory ({exc})"
         ) from exc
     counts[:context_end] = ds.counts[:context_end] / ds.case_scale
-    A[:context_end] = ds.A[:context_end]
     M[:context_end] = ds.M[:context_end]
+    if mask is not None:
+        mask[:context_end] = ds.mask[:context_end]
     mob_cache, epi_cache = DecodeCache(), DecodeCache()
 
     try:
@@ -168,17 +171,18 @@ def forecast(
                 raise ForecastDivergedError(step, "mobility prediction")
 
             X = window_features(counts[:t], w)
-            epi_out = backbone_forward(epi_token_sequence(model, X, A[:t], grid), model.backbone, epi_cache)
+            epi_out = backbone_forward(epi_token_sequence(model, X, M, mask, grid), model.backbone, epi_cache)
             block = epi_adapt(epi_out[-1], model.epi_adapter).data
             if not np.all(np.isfinite(block)):
                 raise ForecastDivergedError(step, "case prediction")
 
             counts[t : t + w] = np.maximum(block, 0.0).T  # block column k is day k of the new patch
-            A[t : t + w] = _adjacency(M_next * ds.mob_scale, M_next, ds.epsilon)
             M[t : t + w] = M_next
+            if mask is not None:
+                mask[t : t + w] = M_next * ds.mob_scale > ds.epsilon
 
         mobility = M[context_end::w] * ds.mob_scale
-        adjacency = A[context_end::w] * ds.mob_scale
+        A = adjacency(M, mask, slice(context_end, None, w)) * ds.mob_scale
         cases = counts[context_end:] * ds.case_scale
     except FloatingPointError as exc:  # numpy raises on an overflow, an invalid value or a division by zero
         raise ForecastDivergedError(step, f"value (numpy: {exc})") from exc
@@ -187,7 +191,7 @@ def forecast(
     return ForecastResult(
         cases=cases,
         mobility=mobility,
-        adjacency=adjacency,
+        adjacency=A,
         steps=steps,
         horizon=horizon,
         context_end=context_end,

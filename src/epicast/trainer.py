@@ -96,15 +96,9 @@ def compute_loss(
 
 
 def sequence_loss(
-    model: ModelState,
-    X: np.ndarray,
-    A: np.ndarray,
-    M: np.ndarray,
-    grid,
-    cfg: TrainConfig,
-    target_tail: int | None = None,
+    model: ModelState, ds: EpidemicDataset, grid, cfg: TrainConfig, target_tail: int | None = None
 ) -> Tensor:
-    """Next-token training loss over a patch grid.
+    """Next-token training loss over a patch grid of `ds`.
 
     Position p's backbone output is the prediction for patch p+1, so targets
     are patches 1..P-1 (0-indexed), read at their last days.  `target_tail`
@@ -116,19 +110,19 @@ def sequence_loss(
         raise ValueError(f"need at least 2 patches for next-token training, got {P}")
     first = 0 if target_tail is None else P - 1 - min(target_tail, P - 1)
     ends = [e - 1 for _, e in grid[first + 1 :]]
-    preds = backbone_forward(epi_token_sequence(model, X, A, grid), model.backbone)
+    preds = backbone_forward(epi_token_sequence(model, ds.X, ds.M, ds.mask, grid), model.backbone)
     x_pred = epi_adapt(preds[first : P - 1], model.epi_adapter)
     m_pred = m_true = None
     if model.config.mobility_enabled:
-        mob_out = backbone_forward(mob_token_sequence(model, M, grid), model.backbone)
+        mob_out = backbone_forward(mob_token_sequence(model, ds.M, grid), model.backbone)
         m_pred = mob_adapt(mob_out[first : P - 1], model.mob_adapter)
-        m_true = M[ends]
-    return compute_loss(x_pred, X[ends], m_pred, m_true, cfg.mob_weight, cfg.loss_form)
+        m_true = ds.M[ends]
+    return compute_loss(x_pred, ds.X[ends], m_pred, m_true, cfg.mob_weight, cfg.loss_form)
 
 
 def training_loss(model: ModelState, ds: EpidemicDataset, train_range: range, cfg: TrainConfig) -> Tensor:
     grid = patch_grid(train_range.start, train_range.stop, model.config.w)
-    return sequence_loss(model, ds.X, ds.A, ds.M, grid, cfg)
+    return sequence_loss(model, ds, grid, cfg)
 
 
 @no_grad()
@@ -137,7 +131,7 @@ def validation_loss(model: ModelState, ds: EpidemicDataset, val_range: range, cf
     context; records no tape."""
     grid = patch_grid(0, val_range.stop, model.config.w)
     tail = sum(1 for s, e in grid if e > val_range.start)
-    loss = sequence_loss(model, ds.X, ds.A, ds.M, grid, cfg, target_tail=tail)
+    loss = sequence_loss(model, ds, grid, cfg, target_tail=tail)
     return float(loss.data)
 
 

@@ -7,6 +7,8 @@ the single fused nodes of ``epicast.branches`` must match them bit for bit,
 tokens and gradients.
 ``block_adjacency`` assembles the dense (w*N)^2 prompted block matrix that
 ``epicast`` never builds, the oracle ``propagate`` is checked against.
+``thresholded_adjacency`` is the adjacency as a second array, which
+``epicast`` reads from the mobility and a mask instead (``data.adjacency``).
 ``attention_sublayer`` composes one attention sublayer of the backbone from
 ``layer_norm``, ``linear``, head reshapes and ``attention_weights``, one node
 each; ``epicast.backbone.attention_sublayer`` must match it bit for bit.
@@ -78,6 +80,12 @@ def slice_offsets(A_window: np.ndarray) -> list[range]:
     """Node-index range of each slice in the block adjacency of (w, N, N) slices."""
     w, n, _ = A_window.shape
     return [range(k * n, (k + 1) * n) for k in range(w)]
+
+
+def thresholded_adjacency(raw: np.ndarray, M: np.ndarray, epsilon: float) -> np.ndarray:
+    """The adjacency of mobility `M` whose raw-unit flows are `raw`: each flow
+    whose raw value exceeds `epsilon`, and 0 elsewhere."""
+    return np.where(raw > epsilon, M, 0.0)
 
 
 def block_adjacency(A_window: np.ndarray, prompts: PromptParams) -> Tensor:

@@ -93,10 +93,10 @@ def test_checkpoint_round_trip(tmp_path):
 
     rng = np.random.default_rng(0)
     X = rng.uniform(0, 1, size=(6, 4, 3))
-    A = rng.uniform(0, 1, size=(6, 4, 4))
+    M = rng.uniform(0, 1, size=(6, 4, 4))
     grid = [(0, 3), (3, 6)]
-    before = epi_token_sequence(model, X, A, grid).data
-    after = epi_token_sequence(loaded, X, A, grid).data
+    before = epi_token_sequence(model, X, M, None, grid).data
+    after = epi_token_sequence(loaded, X, M, None, grid).data
     np.testing.assert_array_equal(before, after)
 
 

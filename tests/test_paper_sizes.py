@@ -24,14 +24,14 @@ ADDRESS_SPACE_CAP = 1 << 30  # bytes; the measured virtual peaks were 157-380 MB
 
 # (N, T, w, backbone mode) -> (measured peak RSS, bound), in MB
 CASES = {
-    (34, 120, 7, "frozen-transformer"): (50, 160),
-    (81, 120, 7, "frozen-transformer"): (84, 270),
-    (105, 120, 3, "frozen-transformer"): (133, 450),
-    (129, 120, 3, "frozen-transformer"): (165, 550),
-    (129, 120, 3, "trainable-transformer"): (168, 720),
-    (129, 120, 3, "rnn"): (131, 420),
-    (129, 120, 3, "mlp"): (139, 480),
-    (129, 120, 3, "identity"): (121, 370),
+    (34, 120, 7, "frozen-transformer"): (48, 160),
+    (81, 120, 7, "frozen-transformer"): (69, 270),
+    (105, 120, 3, "frozen-transformer"): (108, 450),
+    (129, 120, 3, "frozen-transformer"): (133, 550),
+    (129, 120, 3, "trainable-transformer"): (138, 720),
+    (129, 120, 3, "rnn"): (115, 420),
+    (129, 120, 3, "mlp"): (114, 480),
+    (129, 120, 3, "identity"): (89, 370),
 }
 
 CHILD = """

@@ -234,9 +234,9 @@ def test_forward_under_no_grad_is_bitwise_equal(n, w, seed):
     ds = _ds(n=n, days=6 * w + 6, w=w, seed=seed)
     model = _model(ds, seed=seed % 7)
     grid = patch_grid(0, ds.T, w)
-    with_grad = sequence_loss(model, ds.X, ds.A, ds.M, grid, TrainConfig())
+    with_grad = sequence_loss(model, ds, grid, TrainConfig())
     with no_grad():
-        without = sequence_loss(model, ds.X, ds.A, ds.M, grid, TrainConfig())
+        without = sequence_loss(model, ds, grid, TrainConfig())
     assert with_grad.requires_grad and not without.requires_grad
     assert np.asarray(with_grad.data).tobytes() == np.asarray(without.data).tobytes()
 
@@ -383,7 +383,7 @@ def test_a_tokenizer_node_keeps_only_its_first_propagated_map(monkeypatch):
     params = {id(p.data) for p in model.parameters()}
 
     def own(token):
-        views = (ds.X, ds.A, ds.M)
+        views = (ds.X, ds.M)
         arrays = _closure_arrays(token._node)
         return [a for a in arrays if id(a) not in params and not any(np.shares_memory(a, v) for v in views)]
 

@@ -247,7 +247,7 @@ TWO_INPUT_CASES = (
 @pytest.mark.parametrize("frozen", ["a", "b"])
 @pytest.mark.parametrize("name", TWO_INPUT_CASES)
 def test_frozen_input_gets_no_grad_and_leaves_the_other_bitwise(name, frozen):
-    rng = np.random.default_rng(sorted(OP_CASES).index(name))
+    rng = np.random.default_rng(zlib.crc32(name.encode()))  # adding a case re-seeds no other
     data = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(3, 4))}
     weights = rng.normal(size=OP_CASES[name](Tensor(data["a"]), Tensor(data["b"])).data.shape)
 

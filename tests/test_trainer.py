@@ -271,7 +271,7 @@ def _validation_loss_oracle(model, ds, val_range, cfg):
     grid = patch_grid(0, val_range.stop, ds.w)
     P = len(grid)
     first = P - 1 - min(sum(1 for s, e in grid if e > val_range.start), P - 1)
-    preds = backbone_forward(epi_token_sequence(model, ds.X, ds.A, grid), model.backbone)
+    preds = backbone_forward(epi_token_sequence(model, ds.X, ds.M, ds.mask, grid), model.backbone)
     x_pred = epi_adapt(preds[: P - 1], model.epi_adapter)[first:]
     x_true = np.stack([ds.X[e - 1] for s, e in grid[1:]])[first:]
     m_pred = m_true = None

@@ -1,8 +1,8 @@
 """Bitwise ledger: sha256 digests of what epicast computes at fixed shapes.
 
-For each case (a backbone mode at a fixed synthetic shape, and for three
-cases a tokenizer or gating mode other than graph + gated) the ledger holds
-the sha256 of
+For each case (a backbone mode at a fixed synthetic shape, for three cases a
+tokenizer or gating mode other than graph + gated, and for one an adjacency
+threshold above zero) the ledger holds the sha256 of
 
 - ``train_losses``, ``gradients``, ``val_losses``: every epoch's training
   loss, every trainable gradient after its backward, and the validation loss
@@ -57,16 +57,21 @@ LARGE = ("frozen-transformer", (129, 120, 7, False, 1, 3))
 # leaves them in place
 TOKEN_SHAPE = (12, 60, 3, False, 3, 8)
 TOKEN_MODES = ({"tokenizer_mode": "mlp"}, {"gating_mode": "average"}, {"gating_mode": "last"})
+# an adjacency threshold, in raw flow units, that cuts about half of the
+# nonzero flows at TOKEN_SHAPE; every other case runs at the default 0
+EPSILON = 65.0
 
 
 def cases() -> dict[str, tuple]:
-    """Case name -> (backbone mode, shape, ModelConfig keywords), in ledger order."""
+    """Case name -> (backbone mode, shape, ModelConfig keywords, epsilon), in ledger order."""
     out = {}
-    plain = [(m, s, {}) for s in SHAPES for m in MODES] + [(*LARGE, {})]
-    for mode, shape, model_kw in plain + [("frozen-transformer", TOKEN_SHAPE, kw) for kw in TOKEN_MODES]:
+    plain = [(m, s, {}, 0.0) for s in SHAPES for m in MODES] + [(*LARGE, {}, 0.0)]
+    tokens = [("frozen-transformer", TOKEN_SHAPE, kw, 0.0) for kw in TOKEN_MODES]
+    for mode, shape, model_kw, epsilon in plain + tokens + [("frozen-transformer", TOKEN_SHAPE, {}, EPSILON)]:
         N, T, w, scale, _, _ = shape
         name = f"{mode}/N{N}-T{T}-w{w}{'-scaled' if scale else ''}"
-        out[name + "".join(f"/{k.split('_')[0]}-{v}" for k, v in model_kw.items())] = (mode, shape, model_kw)
+        name += "".join(f"/{k.split('_')[0]}-{v}" for k, v in model_kw.items())
+        out[name + (f"/epsilon-{epsilon:g}" if epsilon else "")] = (mode, shape, model_kw, epsilon)
     return out
 
 
@@ -88,9 +93,9 @@ def _sha(arrays) -> str:
     return h.hexdigest()
 
 
-def digest_case(mode: str, shape: tuple, model_kw: dict) -> dict[str, str]:
+def digest_case(mode: str, shape: tuple, model_kw: dict, epsilon: float) -> dict[str, str]:
     N, T, w, scale, epochs, steps = shape
-    ds = synth_sir(N, T, rng_seed=SEED, w=w, scale=scale)
+    ds = synth_sir(N, T, rng_seed=SEED, w=w, scale=scale, epsilon=epsilon)
     splits = split_dataset(ds, SplitSpec(test_len=steps * w, val_len=2 * w))
     model = build_model(
         ModelConfig(n_regions=N, w=w, width=WIDTH, seed=SEED, **model_kw),
