@@ -368,11 +368,7 @@ def backbone_forward(tokens: Tensor, state: BackboneState, cache: DecodeCache | 
     returned and the cache advances to P.
     """
     cfg = state.config
-    if tokens.data.ndim != 3:
-        raise ValueError(f"expected (P, N, D) tokens, got shape {tokens.data.shape}")
     P, N, D = tokens.data.shape
-    if P < 1:
-        raise ValueError("need at least one patch")
     if cfg.mode != "identity" and D != cfg.width:
         raise ValueError(f"token width {D} does not match backbone width {cfg.width}")
     if "transformer" in cfg.mode and P > cfg.max_positions:

@@ -195,16 +195,10 @@ def epi_tokenize(
     """
     X_window = np.asarray(X_window, dtype=np.float64)
     A_window = np.asarray(A_window, dtype=np.float64)
-    if X_window.ndim != 3:
-        raise ValueError(f"expected (w, N, F) features, got {X_window.shape}")
     w, n, F = X_window.shape
     W1, b1, W2, b2 = (p.data for p in proj.parameters())
     if W1.shape[0] != F:
         raise ValueError(f"projector expects F={W1.shape[0]}, features have F={F}")
-    if gating_mode not in GATING_MODES:
-        raise ValueError(f"unknown gating mode {gating_mode!r}")
-    if tokenizer_mode not in TOKENIZER_MODES:
-        raise ValueError(f"unknown tokenizer mode {tokenizer_mode!r}")
     graph_mode = tokenizer_mode == "graph"
     if graph_mode:
         if A_window.shape != (w, n, n):
@@ -237,8 +231,6 @@ def epi_tokenize(
         # blend, then the second linear layer
         g2 = _blend_backward(g, shape, sg, gating_mode, None if ngamma is None else _affine(x2, W2, b2), ngamma)
         _affine_grads(g2, x2, nW2, nb2, b2.shape)
-        if nW1 is None and nb1 is None and not learn_edges:
-            return
         # the second propagation, relu and the first linear layer
         g1 = g2 @ W2.T
         if graph_mode:
@@ -260,8 +252,6 @@ def mob_tokenize(M_t: np.ndarray, proj: Projector) -> Tensor:
     composed ops' backward in their order, so the gradients are bitwise theirs.
     """
     M_t = np.asarray(M_t, dtype=np.float64)
-    if M_t.ndim != 2 or M_t.shape[0] != M_t.shape[1]:
-        raise ValueError(f"expected square mobility matrix, got {M_t.shape}")
     W1, b1, W2, b2 = (p.data for p in proj.parameters())
     if W1.shape[0] != M_t.shape[0]:
         raise ValueError(f"projector expects N={W1.shape[0]}, matrix has N={M_t.shape[0]}")
@@ -276,8 +266,6 @@ def mob_tokenize(M_t: np.ndarray, proj: Projector) -> Tensor:
         pre = _affine(M_t, W1, b1)
         mask = pre > 0
         _affine_grads(g, None if nW2 is None else _select(mask, pre), nW2, nb2, b2.shape)
-        if nW1 is None and nb1 is None:
-            return
         _affine_grads(_select(mask, g @ W2.T), M_t, nW1, nb1, b1.shape)
 
     return Tensor._result(out, nodes, _bw)

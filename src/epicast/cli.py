@@ -13,7 +13,7 @@ Exit codes:
 - 1: anything else.
 - 2: config error, ``ConfigError`` and its subclasses, a missing data file among them.
 - 3: data error, a ``DataError``: a data file that is a directory, unreadable,
-  not UTF-8 or malformed.
+  not UTF-8, malformed or too large to hold.
 - 4: checkpoint error, a ``CheckpointError``: among them a checkpoint served on a
   dataset whose served record (region ids in order, ``w``, ``epsilon``, scales)
   differs from the one ``train`` stored, and a checkpoint with no served record.
@@ -238,18 +238,26 @@ def _synth_tables(cfg: RunConfig) -> tuple[CaseTable, MobilityTable]:
         raise _synth_size_error(cfg, exc) from exc
 
 
+def _held(loader, path: str, **kwargs):
+    """``loader(path, **kwargs)``; a file too large to hold is a data error naming it."""
+    try:
+        return loader(path, **kwargs)
+    except MemoryError as exc:
+        raise DataError(f"{path} is too large to hold ({exc})") from exc
+
+
 def _load_dataset(cfg: RunConfig) -> EpidemicDataset:
     synthetic = cfg["data.cases"] is None
     if synthetic:
         cases, mobility = _synth_tables(cfg)
     else:
-        cases = load_cases(cfg["data.cases"])
-        mobility = load_mobility(cfg["data.mobility"], dates=cases.dates)
+        cases = _held(load_cases, cfg["data.cases"])
+        mobility = _held(load_mobility, cfg["data.mobility"], dates=cases.dates)
     try:
         return build_dataset(cases, mobility, w=cfg["w"], epsilon=cfg["epsilon"], scale=cfg["scale"])
     except MemoryError as exc:
         if not synthetic:  # a data file too large to hold is not a config error
-            raise
+            raise DataError(f"{cfg['data.cases']} with {cfg['data.mobility']} is too large to hold ({exc})") from exc
         raise _synth_size_error(cfg, exc) from exc
 
 

@@ -94,7 +94,7 @@ class ForecastResult:
                 {
                     "step": s + 1,
                     "total_flow": float(M.sum()),
-                    "max_flow": float(M.max()) if M.size else 0.0,
+                    "max_flow": float(M.max()),
                     "edges": int((self.adjacency[s] > 0).sum()),
                 }
             )

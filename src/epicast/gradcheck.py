@@ -21,9 +21,6 @@ class GradCheckReport:
     n_params: int
     per_param: dict = field(default_factory=dict)
 
-    def ok(self, tol: float) -> bool:
-        return self.max_rel_error < tol
-
 
 def relative_error(analytic: float, numeric: float, guard: float = 1e-6) -> float:
     """|a - n| scaled by the larger magnitude, or by `guard` when both sit

@@ -245,9 +245,6 @@ class Tensor:
         None once backward has released them."""
         return () if self._node is None else self._node._prev
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
     def zero_grad(self):
         node = self._node
         if node is not None:
@@ -308,10 +305,6 @@ class Parameter(Tensor):
     @property
     def frozen(self) -> bool:
         return self._node is None
-
-    def __repr__(self):
-        tag = "frozen" if self.frozen else "trainable"
-        return f"Parameter({self.name!r}, shape={self.data.shape}, {tag})"
 
 
 def _input_nodes(*tensors: Tensor) -> tuple | None:
@@ -404,8 +397,6 @@ def sqrt(a) -> Tensor:
 def matmul(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
     x, y = a.data, b.data
-    if x.ndim < 1 or y.ndim < 1:
-        raise ValueError("matmul requires at least 1-d operands")
     x_shape, y_shape = x.shape, y.shape
     return _record(
         x @ y,
@@ -659,8 +650,7 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 
 def _layer_norm_grads(g: np.ndarray, normed, std: np.ndarray, gain: np.ndarray, bias_shape: tuple, nodes) -> None:
     """Accumulate LayerNorm's input, gain and bias gradients for an output
     gradient g into `nodes`, their three nodes, None for a constant.  `normed`
-    and `std` come from ``_layer_norm``; `normed` may be None when only the
-    bias needs a gradient."""
+    and `std` come from ``_layer_norm``."""
     nx, ngain, nbias = nodes
     if nx is not None:
         gn = g * gain
@@ -691,8 +681,6 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     if nodes is None:
         return Tensor._result(out, (), None)
     bias_shape, gain_data = bias.data.shape, gain.data
-    if nodes[0] is None and nodes[1] is None:  # only the bias gradient, which reads no array
-        normed = None
 
     def _bw(g):
         _layer_norm_grads(g, normed, std, gain_data, bias_shape, nodes)

@@ -106,8 +106,6 @@ def sequence_loss(
     scoring): only the positions that predict them are adapted.
     """
     P = len(grid)
-    if P < 2:
-        raise ValueError(f"need at least 2 patches for next-token training, got {P}")
     first = 0 if target_tail is None else P - 1 - min(target_tail, P - 1)
     ends = [e - 1 for _, e in grid[first + 1 :]]
     preds = backbone_forward(epi_token_sequence(model, ds.X, ds.M, ds.mask, grid), model.backbone)

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -433,8 +434,22 @@ def test_dataset_too_large_to_build_is_a_config_error_only_for_synthetic_data(
     err = capsys.readouterr().err
     if synthetic:
         assert code == 2 and "config error: synth.regions = 4 and synth.days = 24" in err, err
-    else:  # a data file too large to hold is not a config error
-        assert code == 1 and "config error" not in err, err
+    else:  # a data file too large to hold is a data error naming the files
+        assert code == 3 and err.startswith(f"data error: {extra['data.cases']} with {extra['data.mobility']}"), err
+
+
+@pytest.mark.parametrize("loader, name", [("load_cases", "cases.csv"), ("load_mobility", "mobility.csv")])
+def test_a_data_file_too_large_to_hold_is_a_data_error_naming_it(tmp_path, capsys, monkeypatch, loader, name):
+    data = cmd_synth(_cfg(tmp_path / "data"))
+    extra = {"data.cases": str(data / "cases.csv"), "data.mobility": str(data / "mobility.csv")}
+
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 PiB")
+
+    monkeypatch.setattr(cli_mod, loader, too_large)
+    code = main(["train", "--config", str(_write_cfg(tmp_path / "run.cfg", extra)), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith(f"data error: {data / name} is too large to hold"), err
 
 
 def test_a_value_error_outside_the_config_checks_is_not_a_config_error(tmp_path, capsys, monkeypatch):
@@ -728,6 +743,20 @@ def test_exit_two_on_report_input_that_is_not_a_metrics_file(tmp_path, capsys, c
     err = capsys.readouterr().err
     assert "config error: report input" in err and message in err, err
     assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
+def test_exit_two_on_report_without_inputs(tmp_path, capsys):
+    assert main(["report", "--config", str(_write_cfg(tmp_path / "report.cfg")), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: report.inputs must list metrics.json files" in capsys.readouterr().err
+
+
+def test_unset_out_writes_a_stamped_run_directory_under_the_working_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--config", str(_write_cfg(tmp_path / "run.cfg"))]) == 0
+    (run,) = (tmp_path / "runs").iterdir()
+    assert re.fullmatch(r"\d{8}-\d{6}-seed7", run.name), run.name
+    assert json.loads((run / "config_synth.json").read_text())["command"] == "synth"
+    assert (run / "cases.csv").is_file()
 
 
 @pytest.mark.parametrize("command", ["train", "synth", "ablate"])

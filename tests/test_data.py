@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import epicast.data as data_mod
 from epicast.data import (
     CaseTable,
+    ConfigError,
     DataError,
     DateFormatError,
     DateGapError,
@@ -108,6 +109,27 @@ def test_load_cases_bad_header(tmp_path):
         load_cases(path)
 
 
+def test_load_cases_header_only_has_no_data_rows(tmp_path):
+    with pytest.raises(MalformedRowError, match="no data rows"):
+        load_cases(_case_csv(tmp_path, []))
+
+
+def test_load_cases_skips_blank_lines(tmp_path):
+    rows = ["2020-03-10,a,1", "2020-03-10,b,2", "2020-03-11,a,3", "2020-03-11,b,4"]
+    plain = load_cases(_case_csv(tmp_path, rows))
+    spaced = load_cases(_case_csv(tmp_path, ["", rows[0], rows[1], "", "", rows[2], rows[3], ""], name="spaced.csv"))
+    assert (spaced.dates, spaced.regions) == (plain.dates, plain.regions)
+    np.testing.assert_array_equal(spaced.counts, plain.counts)
+
+
+def test_case_table_rejects_bad_shape_and_negative_counts():
+    dates = [dt.date(2020, 3, 10), dt.date(2020, 3, 11)]
+    with pytest.raises(MalformedRowError, match=r"counts shape \(2, 3\) != \(2, 2\)"):
+        CaseTable(dates=dates, regions=["a", "b"], counts=np.zeros((2, 3)))
+    with pytest.raises(NegativeCountError, match="case counts must be nonnegative"):
+        CaseTable(dates=dates, regions=["a", "b"], counts=[[0, 1], [-1, 0]])
+
+
 # -- load_mobility --------------------------------------------------------------------
 
 
@@ -122,6 +144,11 @@ def test_load_mobility_empty_file_over_three_dates(tmp_path):
 def test_load_mobility_negative_weight(tmp_path):
     with pytest.raises(NegativeWeightError):
         load_mobility(_mob_csv(tmp_path, ["2020-03-10,a,b,-1"]))
+
+
+def test_load_mobility_bad_weight(tmp_path):
+    with pytest.raises(MalformedRowError, match="bad weight 'heavy'"):
+        load_mobility(_mob_csv(tmp_path, ["2020-03-10,a,b,heavy"]))
 
 
 def test_load_mobility_bad_date(tmp_path):
@@ -297,6 +324,13 @@ def test_build_dataset_rejects_w_longer_than_the_series():
     assert build_dataset(cases, mobility, w=5).X.shape == (5, 2, 5)
     with pytest.raises(ValueError, match="w=6 is longer than the 5-day series"):
         build_dataset(cases, mobility, w=6)
+
+
+@pytest.mark.parametrize("w", [0, -2])
+def test_build_dataset_rejects_nonpositive_w(w):
+    cases, mobility = synth_sir_tables(2, 5, rng_seed=0)
+    with pytest.raises(ConfigError, match=f"window length must be >= 1, got {w}"):
+        build_dataset(cases, mobility, w=w)
 
 
 def test_build_dataset_names_w_when_its_windows_do_not_fit(monkeypatch):

@@ -8,7 +8,9 @@ truncates the file, inserts bytes (invalid UTF-8 included), replaces one CSV
 or JSON field with a token, or swaps the file for a directory.  The config is
 mutated byte by byte only: tests/test_config_domains.py covers its values, and
 a token such as 2**63 in a size key would ask for a long run.  The explicit
-examples are inputs that once exited 1, each with the code it must exit with.
+examples are inputs that once exited 1, each with the code it must exit with,
+and inputs that reach one guard, each with the code and the words of its
+message.
 """
 
 import contextlib
@@ -163,7 +165,8 @@ def template(tmp_path_factory):
     return root
 
 
-@given(case=CASES, expected=st.none())  # an explicit example names the code it must exit with
+# an explicit example names the code it must exit with, or the code and a fragment of its message
+@given(case=CASES, expected=st.none())
 @example(case=("cases", ("replace", "new_cases", "99999999999999999999")), expected=3)
 @example(case=("cases", ("insert", 0.5, b"\xff")), expected=3)
 @example(case=("mobility", ("insert", 0.5, b"\xff")), expected=3)
@@ -182,6 +185,12 @@ def template(tmp_path_factory):
 @example(case=("config under train", ("insert", 1.0, b"checkpoint = cases.csv/checkpoint.bin\n")), expected=4)
 @example(case=("metrics", ("replace", "reports", "[]")), expected=2)
 @example(case=("metrics", ("replace", "dataset", "[[1]]")), expected=2)
+@example(case=("cases", ("replace", "region_id", '""')), expected=(3, "empty region id"))
+@example(case=("mobility", ("replace", "date", "2100-01-01")), expected=(3, "rows on dates outside the expected axis"))
+@example(case=("checkpoint sidecar", ("replace", "kind", '"backbone"')), expected=(4, "is not a model checkpoint"))
+@example(case=("checkpoint sidecar", ("replace", "format", '"npz"')), expected=(4, "unsupported weight format 'npz'"))
+@example(case=("checkpoint sidecar", ("replace", "tokenizer_mode", '"bogus"')), expected=(4, "unknown tokenizer mode"))
+@example(case=("checkpoint sidecar", ("replace", "gating_mode", '"bogus"')), expected=(4, "unknown gating mode"))
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 def test_a_mutated_input_file_never_exits_one(template, case, expected):
     kind, mutation = case
@@ -198,5 +207,6 @@ def test_a_mutated_input_file_never_exits_one(template, case, expected):
     if data is None or (name.endswith((".csv", ".json", ".cfg")) and not _is_utf8(data)):
         assert code == unreadable, (kind, mutation, code, err)
     if expected is not None:
-        assert code == expected, (kind, mutation, code, err)
+        expected_code, says = expected if isinstance(expected, tuple) else (expected, "")
+        assert code == expected_code and says in err, (kind, mutation, code, err)
 

@@ -210,6 +210,15 @@ def test_mobility_divergence_reports_step_index():
         forecast(model, ds, context_end=24, steps=2)
 
 
+def test_case_divergence_reports_step_index():
+    ds = _ds()
+    model = _model(ds)
+    model.epi_adapter.b.data = np.full_like(model.epi_adapter.b.data, np.inf)
+    with pytest.raises(ForecastDivergedError, match="non-finite case prediction at forecast step 1") as exc:
+        forecast(model, ds, context_end=24, steps=2)
+    assert exc.value.step == 1
+
+
 @pytest.mark.parametrize("mode", ["window_average", "last"])
 def test_history_modes_carry_the_rolled_in_structure(mode):
     # from step 2 on, the last w days of the history all hold step 1's matrix

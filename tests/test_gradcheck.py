@@ -56,3 +56,17 @@ def test_frozen_parameter_is_a_named_error():
     frozen = Parameter(np.ones(2), name="backbone.ln_f.g", frozen=True)
     with pytest.raises(ValueError, match=r"'backbone.ln_f.g' is frozen; frozen parameters have no gradient"):
         grad_check(lambda: tsum(mul(live, frozen)), [live, frozen])
+
+
+def test_non_scalar_or_non_finite_f_is_a_named_error():
+    p = Parameter(np.ones(2), name="p")
+    for f in (lambda: mul(p, 2.0), lambda: 1.0):
+        with pytest.raises(ValueError, match="grad_check requires f to return a scalar Tensor"):
+            grad_check(f, [p])
+
+    def overflows():
+        with np.errstate(over="ignore"):
+            return tsum(mul(p, 1e308))
+
+    with pytest.raises(ValueError, match="f is not finite at the current parameters"):
+        grad_check(overflows, [p])

@@ -98,6 +98,16 @@ def test_backward_requires_scalar():
         mul(p, 2.0).backward()
 
 
+def test_backward_on_a_constant_raises():
+    with pytest.raises(AutodiffError, match="backward on a tensor with no recorded inputs"):
+        constant(np.array(2.0)).backward()
+
+
+def test_sqrt_of_a_negative_input_raises():
+    with pytest.raises(ValueError, match="sqrt of negative input"):
+        sqrt(Parameter(np.array([4.0, -1.0]), name="p"))
+
+
 def test_backward_twice_raises():
     p = Parameter(1.5, name="p")
     loss = square(p)
@@ -348,15 +358,24 @@ def test_getitem_backward_matches_add_at(idx):
 def test_getitem_gradient_is_laid_out_as_zeros_like(shape, data):
     """The zeros getitem's gradient rule builds for its input, from the shape
     and layout it recorded, have np.zeros_like(input)'s strides for any view
-    (transposed, strided, reversed, broadcast), so every later sum over the
-    gradient runs in the same order."""
-    x = np.zeros(shape).transpose(data.draw(st.permutations(range(len(shape)))))
+    (C or F order, transposed, strided, reversed, broadcast), so every later
+    sum over the gradient runs in the same order."""
+    x = np.zeros(shape, order=data.draw(st.sampled_from("CF")))
+    x = x.transpose(data.draw(st.permutations(range(len(shape)))))
     steps = data.draw(st.lists(st.sampled_from([1, 2, -1]), min_size=x.ndim, max_size=x.ndim))
     x = x[tuple(slice(None, None, step) for step in steps)]
     if data.draw(st.booleans()):
         x = np.broadcast_to(x[..., :1], x.shape)  # zero stride on the last axis
     grad = _zeros(x.shape, _layout(x))
     assert grad.shape == x.shape and grad.strides == np.zeros_like(x).strides
+
+
+@pytest.mark.parametrize("shape", [(3, 1, 4), (1, 3, 4), (2, 1, 1, 3)])
+def test_an_f_ordered_gradient_is_laid_out_as_zeros_like(shape):
+    """numpy lays out an F-contiguous array's zeros_like in F order; ordering
+    the axes by stride alone would move a length-1 axis, and with it a stride."""
+    x = np.zeros(shape, order="F")
+    assert _zeros(shape, _layout(x)).strides == np.zeros_like(x).strides
 
 
 def test_getitem_refuses_an_advanced_index():
