@@ -10,13 +10,15 @@ two share no parameters.  ``epi_token_sequence`` and ``mob_token_sequence``
 tokenize every patch of a patch grid and stack the tokens into the (P, N, D)
 sequence that training and forecasting both hand to the backbone.
 
-Each tokenizer call is one fused tape node with a hand-written backward.  The
-epidemic node keeps only its first propagated map and the degree scale; its
-backward rebuilds the hidden layer and the pre-blend slices with one GEMM
-each, and the second propagated map from the hidden layer.  The mobility
-node keeps only its matrix.  Tokens and gradients are bitwise those of the
-same tokenizers composed from primitive tape ops, which the tests keep as
-their reference.
+Each tokenizer call is one fused tape node with a hand-written backward, and
+there is one node for both tokenizers (``_projector_node``): a mobility token
+is that node's feedforward ("mlp") mode over a window of one slice, its
+matrix, averaged.  The node keeps only its first propagated map and the
+degree scale, or in the feedforward mode only its window; its backward
+rebuilds the hidden layer and the pre-blend slices with one GEMM each, and
+the second propagated map from the hidden layer.  Tokens and gradients are
+bitwise those of the same tokenizers composed from primitive tape ops, which
+the tests keep as their reference.
 """
 
 from __future__ import annotations
@@ -138,7 +140,9 @@ def _blend(H: np.ndarray, sg: np.ndarray | None, gating_mode: str) -> np.ndarray
     if gating_mode == "gated":
         return (sg.reshape(-1, 1, 1) * H).sum(axis=0)
     if gating_mode == "average":
-        return H.mean(axis=0)
+        # H.mean(axis=0) bitwise, without its wrapper; one slice, as in a
+        # mobility token, is returned as it is (the mean would turn -0.0 into 0.0)
+        return H[0] if len(H) == 1 else H.sum(axis=0) / len(H)
     # keep the last slice's gate so a window of one day degenerates to the
     # gated form exactly
     return sg[-1] * H[-1]
@@ -150,7 +154,7 @@ def _blend_backward(g, shape, sg, gating_mode, H, ngamma) -> np.ndarray:
     gradient reads H, the slices themselves."""
     w = shape[0]
     if gating_mode == "average":
-        return np.broadcast_to(np.expand_dims(g, 0), shape) / w
+        return np.full(shape, g / w)
     if gating_mode == "gated":
         g = np.broadcast_to(np.expand_dims(g, 0), shape)
         if ngamma is not None:
@@ -166,25 +170,20 @@ def _blend_backward(g, shape, sg, gating_mode, H, ngamma) -> np.ndarray:
     return dH
 
 
-def epi_tokenize(
-    X_window: np.ndarray,
-    A_window: np.ndarray,
-    prompts: PromptParams,
-    proj: Projector,
-    gating_mode: str = "gated",
-    tokenizer_mode: str = "graph",
-) -> Tensor:
-    """One epidemic token (N, D) from a w-day window of features and graphs.
+def _projector_node(X_window, A_window, prompts, proj: Projector, gating_mode: str, tokenizer_mode: str) -> Tensor:
+    """One token (N, D) from a w-slice window of features (w, N, F): the one
+    node for both tokenizers.
 
     In "graph" mode the features of all w*N (slice, region) nodes are pushed
     through two message-passing layers over the prompted block graph,
     ``H1 = relu(P1 @ W1 + b1)`` with ``P1 = prop(X)`` and
     ``H2 = P2 @ W2 + b2`` with ``P2 = prop(H1)``, each ``prop`` blockwise
     over the (w, N, N) slices with the closed-form degree; the dense block
-    adjacency is never built.  In "mlp" mode the adjacency is ignored and the
+    adjacency is never built.  In "mlp" mode the adjacency is not read and the
     same weights act as a plain per-node feedforward (P1 is X, P2 is H1).
     Either way the (w, N, D) output H2 is blended over the slices into the
-    token.
+    token.  `A_window` and `prompts` may be None where the modes read
+    neither: "mlp" mode, averaged.
 
     One tape node per call, over the parameters the modes read.  It keeps
     P1 and the degree scale, or in "mlp" mode only the window.  Its backward
@@ -194,19 +193,20 @@ def epi_tokenize(
     composition.
     """
     X_window = np.asarray(X_window, dtype=np.float64)
-    A_window = np.asarray(A_window, dtype=np.float64)
     w, n, F = X_window.shape
     W1, b1, W2, b2 = (p.data for p in proj.parameters())
     if W1.shape[0] != F:
         raise ValueError(f"projector expects F={W1.shape[0]}, features have F={F}")
     graph_mode = tokenizer_mode == "graph"
     if graph_mode:
+        A_window = np.asarray(A_window, dtype=np.float64)
         if A_window.shape != (w, n, n):
             raise ValueError(f"adjacency stack {A_window.shape} does not match features {X_window.shape}")
         s, wf, wb = build_prompted_graph(A_window, prompts), prompts.w_forward.data, prompts.w_backward.data
         P1 = _propagate(A_window, s, wf, wb, X_window)
         edges = (prompts.w_forward, prompts.w_backward)
     else:
+        A_window = s = wf = wb = None  # the backward reads none of them
         P1, edges = X_window, ()
     pre = _affine(P1, W1, b1)
     H1 = _select(pre > 0, pre)
@@ -243,32 +243,25 @@ def epi_tokenize(
     return Tensor._result(token, nodes, _bw)
 
 
+def epi_tokenize(
+    X_window: np.ndarray,
+    A_window: np.ndarray,
+    prompts: PromptParams,
+    proj: Projector,
+    gating_mode: str = "gated",
+    tokenizer_mode: str = "graph",
+) -> Tensor:
+    """One epidemic token (N, D) from a w-day window of features (w, N, F) and
+    graphs (w, N, N): the projector node (``_projector_node``)."""
+    return _projector_node(X_window, A_window, prompts, proj, gating_mode, tokenizer_mode)
+
+
 def mob_tokenize(M_t: np.ndarray, proj: Projector) -> Tensor:
     """One mobility token (N, D): each region's outflow row through the MLP
-    ``relu(M_t @ W1 + b1) @ W2 + b2``.
-
-    One tape node per call, over the four weights.  It keeps nothing but the
-    matrix; its backward rebuilds the hidden layer with one GEMM and runs the
-    composed ops' backward in their order, so the gradients are bitwise theirs.
-    """
-    M_t = np.asarray(M_t, dtype=np.float64)
-    W1, b1, W2, b2 = (p.data for p in proj.parameters())
-    if W1.shape[0] != M_t.shape[0]:
-        raise ValueError(f"projector expects N={W1.shape[0]}, matrix has N={M_t.shape[0]}")
-    pre = _affine(M_t, W1, b1)
-    out = _affine(_select(pre > 0, pre), W2, b2)
-    nodes = _input_nodes(*proj.parameters())
-    if nodes is None:
-        return Tensor._result(out, (), None)
-    nW1, nb1, nW2, nb2 = nodes
-
-    def _bw(g):
-        pre = _affine(M_t, W1, b1)
-        mask = pre > 0
-        _affine_grads(g, None if nW2 is None else _select(mask, pre), nW2, nb2, b2.shape)
-        _affine_grads(_select(mask, g @ W2.T), M_t, nW1, nb1, b1.shape)
-
-    return Tensor._result(out, nodes, _bw)
+    ``relu(M_t @ W1 + b1) @ W2 + b2``, which is the projector node's "mlp"
+    mode over a window of the one slice M_t, averaged (a slice's average is
+    the slice).  Its node keeps nothing but the matrix."""
+    return _projector_node(M_t[None], None, None, proj, "average", "mlp")
 
 
 def epi_adapt(tokens: Tensor, adapter: Adapter) -> Tensor:

@@ -16,7 +16,7 @@ The tape is kept apart from the data.  A recorded op gets a small node: a
 gradient slot, its input nodes and a backward closure.  The closure captures
 exactly the arrays its backward reads (``mul`` the *other* operand, ``linear``
 its input only when the weight needs a gradient, ``add``, ``reshape`` or
-``tsum`` shapes only, the epidemic tokenizer of ``branches`` its first
+``tsum`` shapes only, the tokenizer node of ``branches`` its first
 propagated map and a ``backbone`` attention or feedforward sublayer its
 normalized input, from which they rebuild the rest),
 and no node ever holds its own output tensor.  So an intermediate array that
@@ -33,11 +33,12 @@ its input's shape and layout and adds the output gradient at the index.
 ``_record`` is the one place that builds their node: it keeps the rules of
 the inputs that require a gradient, in input order, and drops the others, so
 an array that only a constant input's rule reads (``mul``'s trained operand,
-when the other is constant) is freed with the forward.  Six nodes are built
+when the other is constant) is freed with the forward.  Five nodes are built
 by hand from ``_input_nodes`` and ``Tensor._result`` instead, because one
-rule per input does not fit them: ``linear``, ``layer_norm`` and the fused
-nodes of ``backbone`` and ``branches`` share work or a gradient rule
-(``_affine_grads``, ``_layer_norm_grads``) across their inputs.
+rule per input does not fit them: ``linear``, ``layer_norm``, the two fused
+sublayers of ``backbone`` and the one node for both tokenizers of
+``branches`` share work or a gradient rule (``_affine_grads``,
+``_layer_norm_grads``) across their inputs.
 
 A tape's lifetime follows reference counting alone:
 

@@ -29,8 +29,8 @@ class TrainingRangeError(ConfigError):
 
 
 class TrainingDivergedError(RuntimeError):
-    def __init__(self, epoch: int, value: float | str):
-        super().__init__(f"non-finite loss {value} at epoch {epoch}")
+    def __init__(self, epoch: int, what: str):
+        super().__init__(f"non-finite {what} at epoch {epoch}")
         self.epoch = epoch
 
 
@@ -202,15 +202,15 @@ def run_epoch(
         loss = training_loss(model, ds, train_range, cfg)
         loss_value = float(loss.data)
         if not np.isfinite(loss_value):
-            raise TrainingDivergedError(epoch, loss_value)
+            raise TrainingDivergedError(epoch, f"loss {loss_value}")
         model.zero_grad()
         loss.backward()
         opt.step()
         val_value = validation_loss(model, ds, val_range, cfg)
         if not np.isfinite(val_value):
-            raise TrainingDivergedError(epoch, val_value)
+            raise TrainingDivergedError(epoch, f"loss {val_value}")
     except FloatingPointError as exc:
-        raise TrainingDivergedError(epoch, f"(numpy: {exc})") from exc
+        raise TrainingDivergedError(epoch, f"value (numpy: {exc})") from exc
     return loss_value, val_value
 
 

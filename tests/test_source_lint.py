@@ -201,8 +201,9 @@ def _file_reads(tree):
                     yield node.lineno, "open"
             elif name in ("read_text", "read_bytes", "exists"):
                 yield node.lineno, name
-            elif name == "load" and isinstance(func.value, ast.Name) and func.value.id == "json":
-                yield node.lineno, "json.load"
+            elif name == "load" and isinstance(func, ast.Attribute):  # json.load, not a bare load(...)
+                if isinstance(func.value, ast.Name) and func.value.id == "json":
+                    yield node.lineno, "json.load"
 
 
 def test_every_input_file_is_read_by_the_one_reader():
@@ -224,9 +225,11 @@ def test_the_check_sees_a_read_outside_the_reader():
         "def text(path):\n    return path.read_text() + path.read_bytes() + json.loads('1')\n"
         "def write(path):\n    with open(path, 'w') as fh, path.open(mode='ab'):\n        pass\n"
         "class Store:\n    def get(self, path):\n        return path.open(mode='r')\n"
+        "def unpack(x, fh):\n    return load(x), json.load(fh)\n"
     )
     assert sorted(_file_reads(ast.parse(source))) == [
         (4, "exists"), (5, "json.load"), (5, "open"), (7, "read_bytes"), (7, "read_text"), (13, "open"),
+        (15, "json.load"),
     ]
 
 

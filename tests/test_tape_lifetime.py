@@ -15,10 +15,11 @@ import epicast.branches as branches_mod
 import epicast.forecaster as forecaster_mod
 import epicast.trainer as trainer_mod
 from epicast.backbone import MODES, BackboneConfig
-from epicast.branches import patch_grid
+from epicast.branches import GATING_MODES, TOKENIZER_MODES, init_projector, patch_grid
 from epicast.data import SirParams, SplitSpec, split_dataset, synth_sir
 from epicast.forecaster import forecast
 from epicast.model import ModelConfig, build_model
+from epicast.prompts import init_prompts
 from epicast.tensor import (
     AutodiffError,
     Parameter,
@@ -394,6 +395,48 @@ def test_a_tokenizer_node_keeps_only_its_first_propagated_map(monkeypatch):
         assert [a.shape for a in arrays if a.size > w * N] == [(w, N, F)]
         assert all(a.dtype == np.float64 for a in arrays)
     assert all(own(token) == [] for token in mob)
+
+
+def _empty_cells(fn):
+    """The free variables of function `fn` whose closure cell was never bound."""
+    empty = []
+    for name, cell in zip(fn.__code__.co_freevars, fn.__closure__ or ()):
+        try:
+            cell.cell_contents
+        except ValueError:
+            empty.append(name)
+    return empty
+
+
+@pytest.mark.parametrize(
+    "tokenizer_mode, gating_mode",
+    [(t, g) for t in TOKENIZER_MODES for g in GATING_MODES] + [("mobility", "average")],  # a mobility token averages
+)
+def test_every_tokenizer_node_is_bound_and_keeps_only_what_it_names(tokenizer_mode, gating_mode):
+    """The projector node of either tokenizer, in every mode, binds every name
+    its backward reads.  Besides parameters and its inputs it keeps P1 (w, N, F)
+    and the degree scale (w, N, 1) in "graph" mode, nothing input-sized in
+    "mlp" mode, whose P1 is the window itself, and no array larger than the
+    (w,) gates.  Only "graph" mode keeps the adjacency."""
+    w, N, F, D = 3, 4, 5, 6
+    rng = np.random.default_rng(11)
+    prompts = init_prompts(w)
+    if tokenizer_mode == "mobility":
+        X, A = rng.uniform(size=(N, N)), None
+        proj = init_projector(rng, N, 7, D, "mob")
+        token = branches_mod.mob_tokenize(X, proj)
+    else:
+        X, A = rng.normal(size=(w, N, F)), rng.uniform(size=(w, N, N))
+        proj = init_projector(rng, F, 7, D, "epi")
+        token = branches_mod.epi_tokenize(X, A, prompts, proj, gating_mode, tokenizer_mode)
+    assert _empty_cells(token._node._backward) == []
+    params = {id(p.data) for p in proj.parameters() + prompts.parameters()}
+    arrays = [a for a in _closure_arrays(token._node) if id(a) not in params]
+    inputs = {"X": X} if A is None else {"X": X, "A": A}
+    kept = [name for name, v in inputs.items() if any(np.shares_memory(a, v) for a in arrays)]
+    assert kept == (["X", "A"] if tokenizer_mode == "graph" else ["X"])
+    own = [a for a in arrays if not any(np.shares_memory(a, v) for v in inputs.values())]
+    assert sorted(a.shape for a in own if a.size > w) == ([(w, N, 1), (w, N, F)] if tokenizer_mode == "graph" else [])
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epicast.backbone import _ATTENTION, BackboneConfig, BackboneState, attention_sublayer, ffn_sublayer
-from epicast.branches import Projector, epi_tokenize, mob_tokenize
+from epicast.branches import Projector, _projector_node, epi_tokenize, mob_tokenize
 from epicast.gradcheck import grad_check, relative_error
 from epicast.prompts import PromptParams
 from epicast.tensor import (
@@ -241,6 +241,16 @@ OP_CASES = {
     "mob_tokenize": lambda a, b: mob_tokenize(
         _MOBILITY, Projector(a, getitem(b, 0), transpose(b, (1, 0)), tsum(a, axis=1))
     ),
+    # the node both tokenizers run, in the mobility form: a window of one slice,
+    # feedforward, averaged
+    "projector_node": lambda a, b: _projector_node(
+        _MOBILITY[None],
+        None,
+        None,
+        Projector(a, tsum(b, axis=0), transpose(b, (1, 0)), getitem(a, (slice(None), 0))),
+        "average",
+        "mlp",
+    ),
     "attention_sublayer": _attention_case,
     "ffn_sublayer": _ffn_case,
     "ffn_sublayer_without_ln2": lambda a, b: _ffn_case(a, b, ln2=False),
@@ -250,7 +260,7 @@ OP_CASES = {
 # the cases whose output depends on both a and b
 TWO_INPUT_CASES = (
     "add", "sub", "mul", "div", "matmul", "concat", "linear", "layer_norm", "attention_weights", "propagate",
-    "epi_tokenize", "mob_tokenize", "attention_sublayer", "ffn_sublayer", "ffn_sublayer_without_ln2",
+    "epi_tokenize", "mob_tokenize", "projector_node", "attention_sublayer", "ffn_sublayer", "ffn_sublayer_without_ln2",
 )
 
 

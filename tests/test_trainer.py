@@ -203,7 +203,7 @@ def test_numpy_overflow_in_an_epoch_reported_with_epoch():
     model = _tiny_model(ds)
     splits = split_dataset(ds, SplitSpec(test_len=3, val_len=3))
     model.epi_adapter.W.data = np.full_like(model.epi_adapter.W.data, 1e308)  # the training forward overflows
-    with pytest.raises(TrainingDivergedError, match=r"non-finite loss \(numpy: overflow .*\) at epoch 1") as exc:
+    with pytest.raises(TrainingDivergedError, match=r"non-finite value \(numpy: overflow .*\) at epoch 1") as exc:
         train(model, ds, splits.train, splits.val, TrainConfig(max_epochs=5))
     assert exc.value.epoch == 1
 
