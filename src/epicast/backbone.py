@@ -27,6 +27,15 @@ hidden layer, the GELU derivative and, when the second linear layer trains,
 the GELU output in its backward (selective recomputation, Korthikanti et al.,
 arXiv 2205.05198), so no (N, P, ffn_mult * D) array reaches the tape.
 
+Past LN1 and LN2, both nodes build their wide arrays one block of whole
+sequences (regions) at a time, about 32,768 elements a block, in the forward
+and in the backward: the (N, heads, P, S) weights and the (N, P,
+ffn_mult * D) hidden layer are never built in full (chunked attention, Rabe
+and Staats, arXiv 2112.05682; chunked feedforward, Reformer, arXiv
+2001.04451).  Each block's result is written into its rows of the whole
+with ``out=``.  Blocks split N only, so each sequence runs the same GEMMs it
+runs unblocked, and every result is bitwise unchanged.
+
 Inference decodes incrementally, the way language models serve next-token
 prediction.  A ``DecodeCache`` remembers how many positions of a growing
 sequence have run and what later positions need from them: each transformer
@@ -57,6 +66,7 @@ from .tensor import (
     _input_nodes,
     _layer_norm,
     _layer_norm_grads,
+    _row_blocks,
     _softmax_backward,
     add,
     concat,
@@ -221,6 +231,23 @@ def _causal_mask(start: int, P: int) -> np.ndarray:
 _ATTENTION = ("ln1.g", "ln1.b", *(f"attn.{nm}.{wb}" for nm in "qkvo" for wb in "Wb"))
 
 
+def _heads(t: np.ndarray, H: int) -> np.ndarray:
+    """(n, P, D) -> (n, H, P, D // H), a view."""
+    n, P, D = t.shape
+    return t.reshape(n, P, H, D // H).transpose(0, 2, 1, 3)
+
+
+def _merge(t: np.ndarray) -> np.ndarray:
+    """(n, H, P, dh) -> (n, P, H * dh), the heads side by side."""
+    n, H, P, dh = t.shape
+    return t.transpose(0, 2, 1, 3).reshape(n, P, H * dh)
+
+
+def _merge_keys(t: np.ndarray) -> np.ndarray:
+    """(n, H, dh, P) -> (n, P, H * dh): k's gradient, made as qᵀ ds, merged."""
+    return _merge(np.swapaxes(t, -1, -2))
+
+
 def _attention_weights(q: np.ndarray, k: np.ndarray, mask: np.ndarray, scale: float) -> np.ndarray:
     """``softmax(q @ kᵀ * scale + mask)`` over the last axis, in one new array."""
     s = q @ np.swapaxes(k, -1, -2)
@@ -240,13 +267,17 @@ def attention_sublayer(
     and the output projection, with the numpy ops of their composition in the
     same order.  `mask` is the additive (P, S) causal mask.  With a `cache`,
     the keys and values of the cached positions join this call's (a decode
-    step), and the cache keeps the joined arrays.
+    step), and the cache keeps the joined arrays.  The weights and the mix
+    run one block of whole sequences at a time (``_row_blocks``), so no
+    (N, heads, P, S) array is built.
 
     The node keeps only LN1's normalized input and std.  Its backward rebuilds
-    LN1's output, q, k and v (one GEMM each) and the weights, and the merged
-    heads only when the output projection's weight needs a gradient, then
-    runs the composed ops' backward expressions, freeing each rebuilt array
-    once read, so the output and every gradient are bitwise the composition's.
+    LN1's output, then for each block of sequences q, k and v (one GEMM
+    each), the weights and the softmax backward, and writes the block's rows
+    of the gradient of LN1's output.  It keeps the mix, or q's, k's or v's
+    gradient, for every sequence only when the output projection, or that
+    projection, trains, so each weight gradient stays one GEMM.  The output
+    and every gradient are bitwise the composition's.
     """
     N, P, D = x.data.shape
     H = state.config.heads
@@ -255,14 +286,8 @@ def attention_sublayer(
     params = [state.params[f"layer{layer}.{name}"] for name in _ATTENTION]
     gain, bias, Wq, bq, Wk, bk, Wv, bv, Wo, bo = (t.data for t in params)
 
-    def heads(t):  # (N, P, D) -> (N, H, P, dh)
-        return t.reshape(N, P, H, dh).transpose(0, 2, 1, 3)
-
-    def merge(t):  # (N, H, P, dh) -> (N, P, D)
-        return t.transpose(0, 2, 1, 3).reshape(N, P, D)
-
     a, normed, std = _layer_norm(x.data, gain, bias)
-    q, k, v = (heads(_affine(a, W, b)) for W, b in ((Wq, bq), (Wk, bk), (Wv, bv)))
+    q, k, v = (_heads(_affine(a, W, b), H) for W, b in ((Wq, bq), (Wk, bk), (Wv, bv)))
     del a
     if cache is not None:
         if layer < len(cache.kv):  # decode: attend to the cached positions too
@@ -271,7 +296,12 @@ def attention_sublayer(
             cache.kv[layer] = (k, v)
         else:  # prefill
             cache.kv.append((k, v))
-    out = _affine(merge(_attention_weights(q, k, mask, scale) @ v), Wo, bo)
+    blocks = _row_blocks(N, H * P * k.shape[2])
+    mixed = np.empty(q.shape)
+    for rows in blocks:
+        np.matmul(_attention_weights(q[rows], k[rows], mask, scale), v[rows], out=mixed[rows])
+    out = _affine(_merge(mixed), Wo, bo)
+    del mixed
     nodes = _input_nodes(x, *params)
     if nodes is None:
         return Tensor._result(out, (), None)
@@ -281,26 +311,35 @@ def attention_sublayer(
     def _bw(g):
         a = normed * gain
         a += bias
-        q, k, v = (heads(_affine(a, W, b)) for _, _, W, b in projections)
-        if all(nW is None for nW, _, _, _ in projections):
-            a = None
-        weights = _attention_weights(q, k, mask, scale)
-        _affine_grads(g, None if nWo is None else merge(weights @ v), nWo, nbo, bo.shape)
-        dmixed = heads(g @ Wo.T)
-        dv = merge(np.swapaxes(weights, -1, -2) @ dmixed)
-        ds = dmixed @ np.swapaxes(v, -1, -2)
-        dmixed = v = None
-        _softmax_backward(ds, weights)
-        weights = None
-        ds *= scale
-        dq = merge(ds @ k)
-        dk = merge(np.swapaxes(np.swapaxes(q, -1, -2) @ ds, -1, -2))
-        ds = q = k = None
-        da = None
-        for (nW, nb, W, b), d in zip(projections, (dq, dk, dv)):
-            _affine_grads(d, a, nW, nb, b.shape)
+        mixed = None if nWo is None else np.empty((N, H, P, dh))
+        # q's, k's and v's gradient for every sequence, kept for a projection
+        # that trains, laid out as the matmuls that make them lay them out
+        # (k's as qᵀ ds), so each merges into the composition's layout
+        shapes = ((N, H, P, dh), (N, H, dh, P), (N, H, P, dh))
+        gathered = [None if nW is None and nb is None else np.empty(s) for (nW, nb, _, _), s in zip(projections, shapes)]
+        da = np.empty((N, P, D))
+        for rows in blocks:
+            q, k, v = (_heads(_affine(a[rows], W, b), H) for _, _, W, b in projections)
+            weights = _attention_weights(q, k, mask, scale)
+            if mixed is not None:
+                np.matmul(weights, v, out=mixed[rows])
+            dmixed = _heads(g[rows] @ Wo.T, H)
+            ds = dmixed @ np.swapaxes(v, -1, -2)
+            v = None
+            _softmax_backward(ds, weights)
+            ds *= scale
+            factors = ((ds, k), (np.swapaxes(q, -1, -2), ds), (np.swapaxes(weights, -1, -2), dmixed))
+            dq, dkT, dv = (np.matmul(*f, out=None if w is None else w[rows]) for f, w in zip(factors, gathered))
+            factors = ds = q = k = weights = dmixed = None
             # summed as (dq Wqᵀ + dk Wkᵀ) + dv Wvᵀ, the composition's order
-            da = d @ W.T if da is None else np.add(da, d @ W.T, out=da)
+            da_rows = np.matmul(_merge(dq), Wq.T, out=da[rows])
+            da_rows += _merge_keys(dkT) @ Wk.T
+            da_rows += _merge(dv) @ Wv.T
+        _affine_grads(g, None if mixed is None else _merge(mixed), nWo, nbo, bo.shape)
+        mixed = None
+        for (nW, nb, _, b), d, merge in zip(projections, gathered, (_merge, _merge_keys, _merge)):
+            _affine_grads(None if d is None else merge(d), a, nW, nb, b.shape)
+        a = gathered = None
         _layer_norm_grads(da, normed, std, gain, bias.shape, nodes[:3])
 
     return Tensor._result(out, nodes, _bw)
@@ -317,19 +356,27 @@ def ffn_sublayer(x: Tensor, params: list) -> Tensor:
     `params` is ``[ln2.g, ln2.b, W1, b1, W2, b2]``, or ``[W1, b1, W2, b2]`` for
     a block without LN2 (the `mlp` backbone).  It runs LN2, the first linear
     layer, the GELU and the second linear layer with the numpy ops of their
-    composition in the same order, and computes no GELU derivative in the
-    forward.  The node keeps only LN2's normalized input and std, or x itself
-    without LN2, and no (N, P, ffn_mult * D) array.  Its backward rebuilds
-    LN2's output, the hidden layer (one GEMM) and the GELU derivative, and
-    the GELU output only when W2 needs a gradient, then runs the composed
-    ops' backward expressions, freeing each rebuilt array once read, so the
-    output and every gradient are bitwise the composition's.
+    composition in the same order, one block of whole sequences at a time
+    (``_row_blocks``) past LN2, so no (N, P, ffn_mult * D) array is built, and
+    computes no GELU derivative in the forward.  The node keeps only LN2's
+    normalized input and std, or x itself without LN2.  Its backward rebuilds
+    LN2's output, then for each block of sequences the hidden layer (one
+    GEMM), the GELU derivative and the block's gradient of LN2's output.  It
+    gathers the GELU output over every sequence only when W2 needs a
+    gradient, and the hidden layer's gradient only when W1 or b1 does, so
+    each weight gradient stays one GEMM.  The output and every gradient are
+    bitwise the composition's.
     """
     *ln2, W1, b1, W2, b2 = (t.data for t in params)
     gain, bias = ln2 or (None, None)
     # without LN2, x stands in for the normalized input the node keeps
     a, normed, std = (x.data, x.data, None) if gain is None else _layer_norm(x.data, gain, bias)
-    out = _affine(_gelu(_affine(a, W1, b1))[0], W2, b2)
+    N, P, D = a.shape
+    F = W1.shape[1]
+    blocks = _row_blocks(N, P * F)
+    out = np.empty((N, P, D))
+    for rows in blocks:
+        _affine(_gelu(_affine(a[rows], W1, b1))[0], W2, b2, out=out[rows])
     del a
     nodes = _input_nodes(x, *params)
     if nodes is None:
@@ -342,20 +389,27 @@ def ffn_sublayer(x: Tensor, params: list) -> Tensor:
         else:
             a = normed * gain
             a += bias
-        h = _affine(a, W1, b1)
-        if nW1 is None:
-            a = None
-        hidden, deriv = _gelu(h, output=nW2 is not None, derivative=True)
-        h = None
+        hidden = None if nW2 is None else np.empty((N, P, F))
+        dh = None if nW1 is None and nb1 is None else np.empty((N, P, F))
+        da = np.empty((N, P, D))
+        for rows in blocks:
+            h = _affine(a[rows], W1, b1)
+            gelu, deriv = _gelu(h, output=hidden is not None, derivative=True)
+            h = None
+            if hidden is not None:
+                hidden[rows] = gelu
+            gelu = None
+            d = np.multiply(deriv, g[rows] @ W2.T, out=deriv if dh is None else dh[rows])
+            np.matmul(d, W1.T, out=da[rows])
+            d = deriv = None
         _affine_grads(g, hidden, nW2, nb2, b2.shape)
         hidden = None
-        dh = np.multiply(deriv, g @ W2.T, out=deriv)
         _affine_grads(dh, a, nW1, nb1, b1.shape)
-        a = None
+        a = dh = None
         if gain is not None:
-            _layer_norm_grads(dh @ W1.T, normed, std, gain, bias.shape, nodes[:3])
+            _layer_norm_grads(da, normed, std, gain, bias.shape, nodes[:3])
         elif nodes[0] is not None:
-            _accumulate(nodes[0], dh @ W1.T)
+            _accumulate(nodes[0], da)
 
     return Tensor._result(out, nodes, _bw)
 

@@ -74,9 +74,11 @@ validate both forwards and gradients against that composed form.
 The kernels write into one or two arrays they own, with ``out=`` and in-place
 ops, instead of a fresh input-sized temporary per numpy op: each temporary is
 a new large allocation whose pages fault in on first touch, which costs more
-than the arithmetic.  Where ``_gelu`` or the softmax backward needs a
-temporary, it runs in blocks of whole leading-axis rows of about 32,768
-elements (``_blocks``), so the temporary is one block big.  ``_select``
+than the arithmetic.  The attention and feedforward sublayers of
+``backbone`` run their wide part, the GELU and the softmax backward
+included, one block of whole sequences of about 32,768 elements at a time
+(``_row_blocks``), each block's result written into its rows of the whole
+with ``out=``, so a kernel's temporaries are one block big.  ``_select``
 is ``np.where(mask, x, 0.0)`` as a bitwise AND, free of the branch per element
 that mispredicts on sign masks.  The kernels run the composed form's numpy
 ops in the same order, so every result is bitwise unchanged.
@@ -409,9 +411,9 @@ def matmul(a, b) -> Tensor:
     )
 
 
-def _affine(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``x @ W + b`` in one new array."""
-    out = x @ W
+def _affine(x: np.ndarray, W: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``x @ W + b`` in one new array, or written into `out`."""
+    out = np.matmul(x, W, out=out)
     out += b
     return out
 
@@ -562,58 +564,58 @@ def tanh(a) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-_BLOCK = 1 << 15  # elements per block of a blocked kernel
+_BLOCK = 1 << 15  # elements per block of whole sequences (``_row_blocks``)
 
 
-def _blocks(*arrays: np.ndarray):
-    """Matching blocks of whole leading-axis rows of same-shape arrays, about
-    ``_BLOCK`` elements each (one row if a row is larger), for running a
-    kernel one block at a time.  A block-sized temporary comes from memory the
-    allocator already holds; an input-sized one is a fresh allocation whose
-    pages fault in on first touch.  Elementwise results, and reductions over
-    the last axis, do not depend on the blocking."""
-    views = [np.atleast_2d(a) for a in arrays]
-    rows = max(1, _BLOCK // max(1, views[0][0].size))
-    return (tuple(v[i : i + rows] for v in views) for i in range(0, len(views[0]), rows))
+def _row_blocks(n: int, row_size: int) -> list[slice]:
+    """Slices of whole leading-axis rows, of `n` rows of `row_size` elements
+    each, about ``_BLOCK`` elements a slice (one row if a row is larger), for
+    running a kernel one block at a time.  A block-sized temporary comes from
+    memory the allocator already holds; an input-sized one is a fresh
+    allocation whose pages fault in on first touch.  Elementwise results,
+    and reductions over the last axis, do not depend on the blocking."""
+    rows = max(1, _BLOCK // max(1, row_size))
+    return [slice(i, i + rows) for i in range(0, n, rows)]
 
 
 def _gelu(x: np.ndarray, output: bool = True, derivative: bool = False):
     """GELU's output ``0.5 * x * (1 + t)``, ``t = tanh(c * (x + 0.044715 * x * x * x))``,
     and, with `derivative`, its derivative
     ``0.5 * (1 + t) + 0.5 * x * (1 - t * t) * c * (1 + 3 * 0.044715 * x * x)``;
-    None for one not asked for.  Each result is one new array in x's layout,
-    computed a block at a time, so t and the other temporaries are one block big.
+    None for one not asked for.  Each result is one new array in x's layout.
+    t and the other temporaries are x's size, so a caller with a large x
+    passes it one block at a time (``_row_blocks``).
     """
     out = np.empty_like(x) if output else None
     deriv = np.empty_like(x) if derivative else None
-    for xx, *results in _blocks(x, *(r for r in (out, deriv) if r is not None)):
-        # x * x * x, not x**3: numpy evaluates an integer power above 2 with a
-        # per-element libm pow, tens of times slower than two multiplications
-        t = xx * xx
-        t *= xx
-        t *= 0.044715
-        t += xx
-        t *= _GELU_C
-        np.tanh(t, out=t)
-        if derivative:
-            b = t * t
-            np.subtract(1.0, b, out=b)
-            d = 0.5 * xx
-            d *= b
-            np.multiply(xx, 3 * 0.044715, out=b)
-            b *= xx
-            b += 1.0
-            b *= _GELU_C
-            d *= b  # 0.5 * x * (1 - t * t) * dinner
-        t += 1.0
-        if output:
-            o = results[0]
-            np.multiply(0.5, xx, out=o)
-            o *= t
-        if derivative:
-            dd = results[-1]
-            np.multiply(t, 0.5, out=dd)
-            dd += d
+    # 1-d views of a 0-d x and its results: an op on 0-d arrays returns a
+    # scalar, which takes no out=
+    x, o, dd = (None if a is None else np.atleast_1d(a) for a in (x, out, deriv))
+    # x * x * x, not x**3: numpy evaluates an integer power above 2 with a
+    # per-element libm pow, tens of times slower than two multiplications
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    if derivative:
+        b = t * t
+        np.subtract(1.0, b, out=b)
+        d = 0.5 * x
+        d *= b
+        np.multiply(x, 3 * 0.044715, out=b)
+        b *= x
+        b += 1.0
+        b *= _GELU_C
+        d *= b  # 0.5 * x * (1 - t * t) * dinner
+    t += 1.0
+    if output:
+        np.multiply(0.5, x, out=o)
+        o *= t
+    if derivative:
+        np.multiply(t, 0.5, out=dd)
+        dd += d
     return out, deriv
 
 
@@ -626,10 +628,9 @@ def _exp_normalize(shifted: np.ndarray) -> np.ndarray:
 
 def _softmax_backward(g: np.ndarray, s: np.ndarray) -> np.ndarray:
     """``(g - (g * s).sum(-1)) * s``, the softmax backward, written over `g`,
-    with one block-sized temporary."""
-    for gg, ss in _blocks(g, s):
-        gg -= (gg * ss).sum(axis=-1, keepdims=True)
-        gg *= ss
+    with one temporary of g's size."""
+    g -= (g * s).sum(axis=-1, keepdims=True)
+    g *= s
     return g
 
 

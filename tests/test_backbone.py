@@ -1,5 +1,7 @@
 """Backbone modes: determinism, causality, freezing, weight files."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from composed_reference import attention_sublayer as composed_attention_sublayer
@@ -7,6 +9,7 @@ from composed_reference import ffn_sublayer as composed_ffn_sublayer
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import epicast.tensor as tensor_mod
 from epicast.backbone import (
     MODES,
     BackboneConfig,
@@ -282,14 +285,19 @@ def _random_backbone(mode, width, heads, positions, rng, ffn_mult=4):
     dh=st.integers(min_value=1, max_value=4),
     transposed=st.booleans(),
     magnitude=st.floats(min_value=1e-3, max_value=1e3),
+    rows=st.integers(min_value=1, max_value=4),
     seed=st.integers(min_value=0, max_value=2**16),
 )
 @settings(max_examples=60, deadline=None)
-def test_attention_sublayer_is_bitwise_the_composed_ops(trainable, n, positions, heads, dh, transposed, magnitude, seed):
+def test_attention_sublayer_is_bitwise_the_composed_ops(
+    trainable, n, positions, heads, dh, transposed, magnitude, rows, seed
+):
     """The fused sublayer's output, x's gradient and, when trainable, the
     gradients of ln1.g, ln1.b and the q/k/v/o weights and biases are bitwise
     those of LN1, the projections, attention_weights, the mix and the merge
-    composed from one tape node each."""
+    composed from one tape node each, run `rows` sequences at a time: one
+    block when rows >= n, else several, the last one ragged when rows does
+    not divide n."""
     rng = np.random.default_rng(seed)
     mode = "trainable-transformer" if trainable else "frozen-transformer"
     width = heads * dh
@@ -306,7 +314,10 @@ def test_attention_sublayer_is_bitwise_the_composed_ops(trainable, n, positions,
         tsum(mul(out, constant(g))).backward()
         return [out.data, x.grad] + [state.params[f"layer0.{name}"].grad for name in _ATTENTION if trainable]
 
-    fused, composed = run(attention_sublayer), run(composed_attention_sublayer)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor_mod, "_BLOCK", rows * heads * positions * positions)
+        fused = run(attention_sublayer)
+    composed = run(composed_attention_sublayer)
     for got, want in zip(fused, composed):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -320,14 +331,19 @@ def test_attention_sublayer_is_bitwise_the_composed_ops(trainable, n, positions,
     ffn_mult=st.integers(min_value=1, max_value=4),
     transposed=st.booleans(),
     magnitude=st.floats(min_value=1e-3, max_value=1e3),
+    rows=st.integers(min_value=1, max_value=4),
     seed=st.integers(min_value=0, max_value=2**16),
 )
 @settings(max_examples=60, deadline=None)
-def test_ffn_sublayer_is_bitwise_the_composed_ops(trainable, ln2, n, positions, width, ffn_mult, transposed, magnitude, seed):
+def test_ffn_sublayer_is_bitwise_the_composed_ops(
+    trainable, ln2, n, positions, width, ffn_mult, transposed, magnitude, rows, seed
+):
     """The fused sublayer's output, x's gradient and, when trainable, the
     gradients of ln2.g and ln2.b (with LN2) and of both linear layers'
     weights and biases are bitwise those of LN2 (with LN2; the `mlp` backbone
-    has none), linear, gelu and linear composed from one tape node each."""
+    has none), linear, gelu and linear composed from one tape node each, run
+    `rows` sequences at a time: one block when rows >= n, else several, the
+    last one ragged when rows does not divide n."""
     rng = np.random.default_rng(seed)
     mode = "trainable-transformer" if trainable else "frozen-transformer"
     names = _FFN if ln2 else _FFN[2:]
@@ -345,7 +361,10 @@ def test_ffn_sublayer_is_bitwise_the_composed_ops(trainable, ln2, n, positions, 
         tsum(mul(out, constant(g))).backward()
         return [out.data, x.grad] + [p.grad for p in params if trainable]
 
-    fused, composed = run(ffn_sublayer), run(composed_ffn_sublayer)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor_mod, "_BLOCK", rows * positions * ffn_mult * width)
+        fused = run(ffn_sublayer)
+    composed = run(composed_ffn_sublayer)
     assert len(fused) == len(composed) == 2 + (len(names) if trainable else 0)
     for got, want in zip(fused, composed):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -356,19 +375,22 @@ def test_ffn_sublayer_is_bitwise_the_composed_ops(trainable, ln2, n, positions, 
     chunks=st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=4),
     heads=st.integers(min_value=1, max_value=3),
     dh=st.integers(min_value=1, max_value=3),
+    rows=st.integers(min_value=1, max_value=3),
     seed=st.integers(min_value=0, max_value=2**16),
 )
 @settings(max_examples=30, deadline=None)
-def test_attention_sublayer_decodes_bitwise_as_the_composed_ops(n, chunks, heads, dh, seed):
+def test_attention_sublayer_decodes_bitwise_as_the_composed_ops(n, chunks, heads, dh, rows, seed):
     """A prefill and decode steps through a DecodeCache: every output and the
-    cached keys and values are bitwise the composed sublayer's."""
+    cached keys and values are bitwise the composed sublayer's, the fused one
+    run `rows` sequences at a time."""
     rng = np.random.default_rng(seed)
     width, cuts = heads * dh, [0, *np.cumsum(chunks)]
     state = _random_backbone("frozen-transformer", width, heads, cuts[-1], rng)
     x = rng.normal(size=(n, cuts[-1], width))
     caches = DecodeCache(), DecodeCache()
-    with no_grad():
+    with no_grad(), pytest.MonkeyPatch.context() as mp:
         for start, end in zip(cuts[:-1], cuts[1:]):
+            mp.setattr(tensor_mod, "_BLOCK", rows * heads * (end - start) * end)
             outs = [
                 sublayer(Tensor(x[:, start:end]), state, 0, _causal_mask(start, end), cache).data
                 for sublayer, cache in zip((attention_sublayer, composed_attention_sublayer), caches)
@@ -376,3 +398,39 @@ def test_attention_sublayer_decodes_bitwise_as_the_composed_ops(n, chunks, heads
             assert outs[0].tobytes() == outs[1].tobytes()
             for fused, composed in zip(caches[0].kv[0], caches[1].kv[0]):
                 assert fused.tobytes() == composed.tobytes()
+
+
+def _peak_rise(run) -> int:
+    """The most bytes held, as tracemalloc counts them, while `run()` runs,
+    above what was held when it started."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("sublayer", ["attention", "ffn"])
+def test_a_frozen_sublayer_never_holds_a_full_wide_array(sublayer):
+    """Forward plus backward of a frozen sublayer, at a shape of many blocks of
+    sequences: the most memory held never reaches the size of one
+    (N, heads, P, P) weights array or one (N, P, ffn_mult * D) hidden layer,
+    with every input-sized array counted in (here 1/32 of the wide one)."""
+    N, P, D, heads, ffn_mult = 64, 64, 8, 4, 32
+    wide = N * P * (heads * P if sublayer == "attention" else ffn_mult * D) * 8
+    assert wide // 8 >= 4 * tensor_mod._BLOCK  # four blocks of sequences or more
+    rng = np.random.default_rng(0)
+    state = _random_backbone("frozen-transformer", D, heads, P, rng, ffn_mult)
+    x = Parameter(rng.normal(size=(N, P, D)), name="x")
+    g = constant(rng.normal(size=(N, P, D)))
+
+    def run():
+        if sublayer == "attention":
+            out = attention_sublayer(x, state, 0, _causal_mask(0, P))
+        else:
+            out = ffn_sublayer(x, [state.params[f"layer0.{name}"] for name in _FFN])
+        tsum(mul(out, g)).backward()
+
+    assert _peak_rise(run) < wide

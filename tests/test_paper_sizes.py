@@ -24,14 +24,14 @@ ADDRESS_SPACE_CAP = 1 << 30  # bytes; the measured virtual peaks were 157-380 MB
 
 # (N, T, w, backbone mode) -> (measured peak RSS, bound), in MB
 CASES = {
-    (34, 120, 7, "frozen-transformer"): (48, 160),
+    (34, 120, 7, "frozen-transformer"): (46, 160),
     (81, 120, 7, "frozen-transformer"): (69, 270),
-    (105, 120, 3, "frozen-transformer"): (108, 450),
-    (129, 120, 3, "frozen-transformer"): (133, 550),
-    (129, 120, 3, "trainable-transformer"): (138, 720),
+    (105, 120, 3, "frozen-transformer"): (96, 450),
+    (129, 120, 3, "frozen-transformer"): (116, 550),
+    (129, 120, 3, "trainable-transformer"): (129, 720),
     (129, 120, 3, "rnn"): (115, 420),
-    (129, 120, 3, "mlp"): (114, 480),
-    (129, 120, 3, "identity"): (89, 370),
+    (129, 120, 3, "mlp"): (105, 480),
+    (129, 120, 3, "identity"): (90, 370),
 }
 
 CHILD = """

@@ -13,9 +13,10 @@ threshold above zero) the ledger holds the sha256 of
 - ``metrics``: the model's and the four baselines' metric reports on it.
 
 A change meant to keep every number bitwise unchanged must leave every digest
-in place.  The digests hold for one numpy, one BLAS and one BLAS thread count,
-which the file records; under another environment ``--check`` says so instead
-of failing.
+in place.  The digests hold for one numpy, one BLAS, one BLAS thread count and
+one CPU core type that OpenBLAS picks its kernels for at run time (a GEMM's
+last bits differ between kernels), which the file records; under another
+environment ``--check`` says so instead of failing.
 
     python tools/digests.py --check    # compare with tools/digests.json; exit 1 if a digest moved
     python tools/digests.py --record   # rewrite tools/digests.json
@@ -26,6 +27,7 @@ of failing.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -75,12 +77,27 @@ def cases() -> dict[str, tuple]:
     return out
 
 
+def openblas_core() -> str | None:
+    """The core type whose kernels numpy's bundled OpenBLAS runs (the CPU's,
+    or ``OPENBLAS_CORETYPE``'s), or None where that library or its
+    ``scipy_openblas_get_corename64_`` is not found."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 def environment() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "openblas_core": openblas_core(),
     }
 
 
