@@ -4,37 +4,46 @@ The default is a randomly initialized, frozen, pre-norm causal transformer:
 every parameter is a constant (frozen=True) that holds no gradient and that no
 optimizer step ever touches, while gradients still flow through its layers to
 the projectors and prompts.  Variants for ablations: the same transformer
-trainable, a position-wise feedforward block (the transformer's feedforward
-node without LN2, plus the residual), a single gated recurrent layer, and a
-pure identity.
+trainable, a position-wise feedforward block (the transformer's residual
+feedforward node without LN2), a single gated recurrent layer, and a pure
+identity.
 
 Each region's patch-token sequence is processed as an independent batch item;
 causal masking guarantees the output at position p depends only on positions
-<= p, and that output is read as the prediction for patch p+1.  Each
-attention sublayer (LN1, the q/k/v projections, the weights
-``softmax(q kᵀ / sqrt(dh) + mask)``, the mix, the head merge and the output
-projection) is one tape node, ``attention_sublayer``, in training,
-validation and cached decoding alike.  It keeps only LN1's normalized input
-and rebuilds the rest in its backward, recomputing attention instead of
-storing it as activation checkpointing does (Chen et al., arXiv 1604.06174;
-FlashAttention, arXiv 2205.14135), so no q, k, v or (N, heads, P, P) weights
-reach the tape.  The causal mask is a plain array, -inf above the diagonal,
-cut to the rows of the positions run.  Each feedforward sublayer (LN2,
-``ffn.1``, the GELU and ``ffn.2``) is one node too, ``ffn_sublayer``, and the
-`mlp` backbone is that node without LN2 (``mlp.1``, the GELU, ``mlp.2``).  It
-keeps only LN2's normalized input, or without LN2 its input, and rebuilds the
-hidden layer, the GELU derivative and, when the second linear layer trains,
-the GELU output in its backward (selective recomputation, Korthikanti et al.,
-arXiv 2205.05198), so no (N, P, ffn_mult * D) array reaches the tape.
+<= p, and that output is read as the prediction for patch p+1.
 
-Past LN1 and LN2, both nodes build their wide arrays one block of whole
-sequences (regions) at a time, about 32,768 elements a block, in the forward
-and in the backward: the (N, heads, P, S) weights and the (N, P,
-ffn_mult * D) hidden layer are never built in full (chunked attention, Rabe
-and Staats, arXiv 2112.05682; chunked feedforward, Reformer, arXiv
-2001.04451).  Each block's result is written into its rows of the whole
-with ``out=``.  Blocks split N only, so each sequence runs the same GEMMs it
-runs unblocked, and every result is bitwise unchanged.
+Each residual sublayer is one tape node that returns its residual sum
+``x + f(x)``, in training, validation and cached decoding alike:
+``attention_sublayer`` (LN1, the q/k/v projections, the weights
+``softmax(q kᵀ / sqrt(dh) + mask)``, the mix, the head merge and the output
+projection) and ``ffn_sublayer`` (LN2, ``ffn.1``, the GELU and ``ffn.2``; the
+`mlp` backbone is that node without LN2: ``mlp.1``, the GELU, ``mlp.2``).
+The causal mask is a plain array, -inf above the diagonal, cut to the rows of
+the positions run, and no masked score is exponentiated.  A node keeps only
+its LayerNorm's normalized input and std, or without LN2 its input, and
+rebuilds the rest in its backward, recomputing attention instead of storing
+it as activation checkpointing does (Chen et al., arXiv 1604.06174;
+FlashAttention, arXiv 2205.14135; selective recomputation, Korthikanti et
+al., arXiv 2205.05198).  So no q, k, v, attention weights, hidden layer or
+GELU output reaches the tape.
+
+The block rule: past its input, a sublayer runs one block of whole
+sequences (regions) at a time, in the forward (LayerNorm, the projections,
+the weights and mix or the hidden layer, the output projection and the
+residual sum) and in the backward (the rebuilt LayerNorm output, the same
+recomputation, LayerNorm's input gradient and the residual's ``g + dx``).
+``_row_blocks`` sizes a block by a row's whole working set, about 1 MiB a
+block and two sequences at least (chunked attention, Rabe and Staats, arXiv
+2112.05682; chunked feedforward, Reformer, arXiv 2001.04451).  Each block
+writes its rows with ``out=`` into the kept normalized input and std, the
+output, a decode cache's joined keys and values, and x's gradient, so no
+input-sized temporary and no (N, heads, P, S) or (N, P, ffn_mult * D) array
+is built.  An array is gathered for every sequence only where a weight, bias
+or LayerNorm gain that reads it trains, so each parameter gradient stays one
+GEMM or one reduction; the frozen default gathers none.  Blocks split N
+only, each sequence runs the GEMMs it runs unblocked, each array keeps the
+memory layout the composed ops give it, and every result is bitwise the
+composition's (``tests/composed_reference.py`` plus a residual ``add``).
 
 Inference decodes incrementally, the way language models serve next-token
 prediction.  A ``DecodeCache`` remembers how many positions of a growing
@@ -66,6 +75,7 @@ from .tensor import (
     _input_nodes,
     _layer_norm,
     _layer_norm_grads,
+    _layer_norm_input_grad,
     _row_blocks,
     _softmax_backward,
     add,
@@ -249,35 +259,58 @@ def _merge_keys(t: np.ndarray) -> np.ndarray:
 
 
 def _attention_weights(q: np.ndarray, k: np.ndarray, mask: np.ndarray, scale: float) -> np.ndarray:
-    """``softmax(q @ kᵀ * scale + mask)`` over the last axis, in one new array."""
+    """``softmax(q @ kᵀ * scale + mask)`` over the last axis, in one new array;
+    no masked score is exponentiated (``_exp_normalize``)."""
     s = q @ np.swapaxes(k, -1, -2)
     s *= scale
     s += mask
-    s -= s.max(axis=-1, keepdims=True)
-    return _exp_normalize(s)
+    s -= np.maximum.reduce(s, axis=-1, keepdims=True)
+    return _exp_normalize(s, np.isneginf(mask))
+
+
+def _ln_output(normed: np.ndarray, gain, bias, rows: slice = slice(None)) -> np.ndarray:
+    """The rows of LayerNorm's output, rebuilt from its normalized input:
+    the input rows themselves when there is no LayerNorm (`gain` None)."""
+    if gain is None:
+        return normed[rows]
+    a = normed[rows] * gain
+    a += bias
+    return a
+
+
+def _residual_input_grad(dx: np.ndarray, rows: slice, g: np.ndarray, da: np.ndarray, normed, std, gain) -> None:
+    """Write the rows of x's gradient in ``x + f(LN(x))``: the output gradient
+    g plus LayerNorm's input gradient for the gradient `da` of its output (da
+    itself when there is no LayerNorm)."""
+    if gain is None:
+        np.add(g[rows], da, out=dx[rows])
+    else:
+        _layer_norm_input_grad(da, normed[rows], std[rows], gain, out=dx[rows])
+        dx[rows] += g[rows]
 
 
 def attention_sublayer(
     x: Tensor, state: BackboneState, layer: int, mask: np.ndarray, cache: DecodeCache | None = None
 ) -> Tensor:
-    """One attention sublayer, ``o(attend(LN1(x)))`` for (N, P, D) x, as one tape node.
+    """One residual attention sublayer, ``x + o(attend(LN1(x)))`` for (N, P, D)
+    x, as one tape node.
 
     It runs LN1, the q/k/v projections, the weights
-    ``softmax(q kᵀ / sqrt(dh) + mask)`` of each head, the mix, the head merge
-    and the output projection, with the numpy ops of their composition in the
-    same order.  `mask` is the additive (P, S) causal mask.  With a `cache`,
-    the keys and values of the cached positions join this call's (a decode
-    step), and the cache keeps the joined arrays.  The weights and the mix
-    run one block of whole sequences at a time (``_row_blocks``), so no
-    (N, heads, P, S) array is built.
+    ``softmax(q kᵀ / sqrt(dh) + mask)`` of each head, the mix, the head merge,
+    the output projection and the residual sum, with the numpy ops of their
+    composition in the same order, one block of whole sequences at a time
+    (``_row_blocks``).  `mask` is the additive (P, S) causal mask.  With a
+    `cache`, the keys and values of the cached positions join this call's (a
+    decode step), and the cache keeps the joined arrays.
 
-    The node keeps only LN1's normalized input and std.  Its backward rebuilds
-    LN1's output, then for each block of sequences q, k and v (one GEMM
-    each), the weights and the softmax backward, and writes the block's rows
-    of the gradient of LN1's output.  It keeps the mix, or q's, k's or v's
-    gradient, for every sequence only when the output projection, or that
-    projection, trains, so each weight gradient stays one GEMM.  The output
-    and every gradient are bitwise the composition's.
+    The node keeps only LN1's normalized input and std.  Its backward
+    rebuilds, for each block of sequences, LN1's output, q, k and v (one GEMM
+    each), the weights and the softmax backward, then the block's gradient of
+    LN1's output and its rows of x's gradient, the residual's included.  It
+    gathers LN1's output, the mix, q's, k's or v's gradient, or the gradient
+    of LN1's output for every sequence only when a weight or gain that reads
+    it trains, so each parameter gradient stays one GEMM or one reduction.
+    The output and every gradient are bitwise the composition's.
     """
     N, P, D = x.data.shape
     H = state.config.heads
@@ -285,62 +318,97 @@ def attention_sublayer(
     scale = 1.0 / np.sqrt(dh)
     params = [state.params[f"layer{layer}.{name}"] for name in _ATTENTION]
     gain, bias, Wq, bq, Wk, bk, Wv, bv, Wo, bo = (t.data for t in params)
+    past = cache.kv[layer][0].shape[2] if cache is not None and layer < len(cache.kv) else 0
+    S = past + P
+    # a sequence's working set at the backward's peak: three (H, P, S) arrays
+    # (the weights, their gradient and the softmax backward's product) and
+    # eight (P, D) or (S, D) ones
+    blocks = _row_blocks(N, P * (3 * H * S + 8 * D))
 
-    a, normed, std = _layer_norm(x.data, gain, bias)
-    q, k, v = (_heads(_affine(a, W, b), H) for W, b in ((Wq, bq), (Wk, bk), (Wv, bv)))
-    del a
-    if cache is not None:
-        if layer < len(cache.kv):  # decode: attend to the cached positions too
-            k_past, v_past = cache.kv[layer]
-            k, v = np.concatenate([k_past, k], axis=2), np.concatenate([v_past, v], axis=2)
-            cache.kv[layer] = (k, v)
-        else:  # prefill
-            cache.kv.append((k, v))
-    blocks = _row_blocks(N, H * P * k.shape[2])
-    mixed = np.empty(q.shape)
+    normed = np.empty_like(x.data)  # in x's layout, as LN1 would make it
+    std = np.empty_like(normed[..., :1])
+    out = np.empty((N, P, D))
+    # a cache's keys and values for every sequence, the cached positions first
+    joined = None if cache is None else [np.empty((N, S, D)) for _ in range(2)]
+    if past:
+        for j, kept in zip(joined, cache.kv[layer]):
+            j[:, :past] = _merge(kept)
     for rows in blocks:
-        np.matmul(_attention_weights(q[rows], k[rows], mask, scale), v[rows], out=mixed[rows])
-    out = _affine(_merge(mixed), Wo, bo)
-    del mixed
+        a = _layer_norm(x.data[rows], gain, bias, normed=normed[rows], std=std[rows])[0]
+        q = _heads(_affine(a, Wq, bq), H)
+        if joined is None:
+            k, v = (_heads(_affine(a, W, b), H) for W, b in ((Wk, bk), (Wv, bv)))
+        else:
+            for W, b, j in zip((Wk, Wv), (bk, bv), joined):
+                _affine(a, W, b, out=j[rows, past:])
+            k, v = (_heads(j[rows], H) for j in joined)
+        del a
+        weights = _attention_weights(q, k, mask, scale)
+        del q, k
+        mixed = weights @ v
+        del weights, v
+        _affine(_merge(mixed), Wo, bo, out=out[rows])
+        del mixed
+        out[rows] += x.data[rows]
+    if cache is not None:
+        kv = tuple(_heads(j, H) for j in joined)
+        if past:
+            cache.kv[layer] = kv
+        else:
+            cache.kv.append(kv)
     nodes = _input_nodes(x, *params)
     if nodes is None:
         return Tensor._result(out, (), None)
+    nx, ngain, nbias = nodes[:3]
     projections = tuple(zip(nodes[3:9:2], nodes[4:9:2], (Wq, Wk, Wv), (bq, bk, bv)))
     nWo, nbo = nodes[9:]
 
     def _bw(g):
-        a = normed * gain
-        a += bias
+        # LN1's output for every sequence only for a projection weight that trains
+        a = _ln_output(normed, gain, bias) if any(nW is not None for nW, _, _, _ in projections) else None
         mixed = None if nWo is None else np.empty((N, H, P, dh))
         # q's, k's and v's gradient for every sequence, kept for a projection
         # that trains, laid out as the matmuls that make them lay them out
         # (k's as qᵀ ds), so each merges into the composition's layout
         shapes = ((N, H, P, dh), (N, H, dh, P), (N, H, P, dh))
         gathered = [None if nW is None and nb is None else np.empty(s) for (nW, nb, _, _), s in zip(projections, shapes)]
-        da = np.empty((N, P, D))
+        da = None if ngain is None and nbias is None else np.empty((N, P, D))
+        dx = None if nx is None else np.empty((N, P, D))
         for rows in blocks:
-            q, k, v = (_heads(_affine(a[rows], W, b), H) for _, _, W, b in projections)
+            a_rows = _ln_output(normed, gain, bias, rows) if a is None else a[rows]
+            q, k, v = (_heads(_affine(a_rows, W, b), H) for _, _, W, b in projections)
+            del a_rows
             weights = _attention_weights(q, k, mask, scale)
             if mixed is not None:
                 np.matmul(weights, v, out=mixed[rows])
             dmixed = _heads(g[rows] @ Wo.T, H)
             ds = dmixed @ np.swapaxes(v, -1, -2)
-            v = None
+            del v
             _softmax_backward(ds, weights)
             ds *= scale
             factors = ((ds, k), (np.swapaxes(q, -1, -2), ds), (np.swapaxes(weights, -1, -2), dmixed))
             dq, dkT, dv = (np.matmul(*f, out=None if w is None else w[rows]) for f, w in zip(factors, gathered))
-            factors = ds = q = k = weights = dmixed = None
+            del factors, ds, q, k, weights, dmixed
             # summed as (dq Wqᵀ + dk Wkᵀ) + dv Wvᵀ, the composition's order
-            da_rows = np.matmul(_merge(dq), Wq.T, out=da[rows])
+            da_rows = np.matmul(_merge(dq), Wq.T, out=None if da is None else da[rows])
+            del dq
             da_rows += _merge_keys(dkT) @ Wk.T
+            del dkT
             da_rows += _merge(dv) @ Wv.T
+            del dv
+            if dx is not None:
+                _residual_input_grad(dx, rows, g, da_rows, normed, std, gain)
+            del da_rows
         _affine_grads(g, None if mixed is None else _merge(mixed), nWo, nbo, bo.shape)
         mixed = None
         for (nW, nb, _, b), d, merge in zip(projections, gathered, (_merge, _merge_keys, _merge)):
             _affine_grads(None if d is None else merge(d), a, nW, nb, b.shape)
         a = gathered = None
-        _layer_norm_grads(da, normed, std, gain, bias.shape, nodes[:3])
+        if dx is not None:
+            _accumulate(nx, dx)
+            dx = None
+        if da is not None:
+            _layer_norm_grads(da, normed, std, gain, bias.shape, (None, ngain, nbias))
 
     return Tensor._result(out, nodes, _bw)
 
@@ -350,66 +418,76 @@ _FFN = ("ln2.g", "ln2.b", "ffn.1.W", "ffn.1.b", "ffn.2.W", "ffn.2.b")
 
 
 def ffn_sublayer(x: Tensor, params: list) -> Tensor:
-    """One feedforward sublayer, ``gelu(LN2(x) @ W1 + b1) @ W2 + b2`` for (N, P, D)
-    x, as one tape node.
+    """One residual feedforward sublayer, ``x + gelu(LN2(x) @ W1 + b1) @ W2 + b2``
+    for (N, P, D) x, as one tape node.
 
     `params` is ``[ln2.g, ln2.b, W1, b1, W2, b2]``, or ``[W1, b1, W2, b2]`` for
     a block without LN2 (the `mlp` backbone).  It runs LN2, the first linear
-    layer, the GELU and the second linear layer with the numpy ops of their
-    composition in the same order, one block of whole sequences at a time
-    (``_row_blocks``) past LN2, so no (N, P, ffn_mult * D) array is built, and
-    computes no GELU derivative in the forward.  The node keeps only LN2's
-    normalized input and std, or x itself without LN2.  Its backward rebuilds
-    LN2's output, then for each block of sequences the hidden layer (one
-    GEMM), the GELU derivative and the block's gradient of LN2's output.  It
-    gathers the GELU output over every sequence only when W2 needs a
-    gradient, and the hidden layer's gradient only when W1 or b1 does, so
-    each weight gradient stays one GEMM.  The output and every gradient are
-    bitwise the composition's.
+    layer, the GELU, the second linear layer and the residual sum with the
+    numpy ops of their composition in the same order, one block of whole
+    sequences at a time (``_row_blocks``), and computes no GELU derivative in
+    the forward.  The node keeps only LN2's normalized input and std, or x
+    itself without LN2.  Its backward rebuilds, for each block of sequences,
+    LN2's output, the hidden layer (one GEMM) and the GELU derivative, then
+    the block's gradient of LN2's output and its rows of x's gradient, the
+    residual's included.  It gathers LN2's output, the GELU output, the
+    hidden layer's gradient or the gradient of LN2's output for every
+    sequence only when a weight, bias or gain that reads it trains, so each
+    parameter gradient stays one GEMM or one reduction.  The output and every
+    gradient are bitwise the composition's.
     """
     *ln2, W1, b1, W2, b2 = (t.data for t in params)
     gain, bias = ln2 or (None, None)
-    # without LN2, x stands in for the normalized input the node keeps
-    a, normed, std = (x.data, x.data, None) if gain is None else _layer_norm(x.data, gain, bias)
-    N, P, D = a.shape
+    N, P, D = x.data.shape
     F = W1.shape[1]
-    blocks = _row_blocks(N, P * F)
+    # a sequence's working set at the backward's peak: four (P, F) arrays (the
+    # GELU derivative, its temporaries and W2's product) and four (P, D) ones
+    blocks = _row_blocks(N, P * (4 * F + 4 * D))
+    # without LN2, x stands in for the normalized input the node keeps
+    normed, std = (x.data, None) if gain is None else (np.empty_like(x.data), np.empty_like(x.data[..., :1]))
     out = np.empty((N, P, D))
     for rows in blocks:
-        _affine(_gelu(_affine(a[rows], W1, b1))[0], W2, b2, out=out[rows])
-    del a
+        a = x.data[rows] if gain is None else _layer_norm(x.data[rows], gain, bias, normed=normed[rows], std=std[rows])[0]
+        _affine(_gelu(_affine(a, W1, b1))[0], W2, b2, out=out[rows])
+        del a
+        out[rows] += x.data[rows]
     nodes = _input_nodes(x, *params)
     if nodes is None:
         return Tensor._result(out, (), None)
-    nW1, nb1, nW2, nb2 = nodes[-4:]
+    nx, *ln2_nodes, nW1, nb1, nW2, nb2 = nodes
+    ngain, nbias = ln2_nodes or (None, None)
 
     def _bw(g):
-        if gain is None:
-            a = normed
-        else:
-            a = normed * gain
-            a += bias
+        # LN2's output for every sequence only when W1 trains
+        a = None if nW1 is None else _ln_output(normed, gain, bias)
         hidden = None if nW2 is None else np.empty((N, P, F))
         dh = None if nW1 is None and nb1 is None else np.empty((N, P, F))
-        da = np.empty((N, P, D))
+        da = None if ngain is None and nbias is None else np.empty((N, P, D))
+        dx = None if nx is None else np.empty((N, P, D))
         for rows in blocks:
-            h = _affine(a[rows], W1, b1)
+            h = _affine(_ln_output(normed, gain, bias, rows) if a is None else a[rows], W1, b1)
             gelu, deriv = _gelu(h, output=hidden is not None, derivative=True)
-            h = None
+            del h
             if hidden is not None:
                 hidden[rows] = gelu
-            gelu = None
+            del gelu
             d = np.multiply(deriv, g[rows] @ W2.T, out=deriv if dh is None else dh[rows])
-            np.matmul(d, W1.T, out=da[rows])
-            d = deriv = None
+            del deriv
+            if dx is not None or da is not None:
+                da_rows = np.matmul(d, W1.T, out=None if da is None else da[rows])
+                if dx is not None:
+                    _residual_input_grad(dx, rows, g, da_rows, normed, std, gain)
+                del da_rows
+            del d
         _affine_grads(g, hidden, nW2, nb2, b2.shape)
         hidden = None
         _affine_grads(dh, a, nW1, nb1, b1.shape)
         a = dh = None
-        if gain is not None:
-            _layer_norm_grads(da, normed, std, gain, bias.shape, nodes[:3])
-        elif nodes[0] is not None:
-            _accumulate(nodes[0], da)
+        if dx is not None:
+            _accumulate(nx, dx)
+            dx = None
+        if da is not None:
+            _layer_norm_grads(da, normed, std, gain, bias.shape, (None, ngain, nbias))
 
     return Tensor._result(out, nodes, _bw)
 
@@ -452,11 +530,11 @@ def backbone_forward(tokens: Tensor, state: BackboneState, cache: DecodeCache | 
         x = add(x, p["pos_emb"][start:P])
         mask = _causal_mask(start, P)
         for layer in range(cfg.depth):
-            x = add(x, attention_sublayer(x, state, layer, mask, cache))
-            x = add(x, ffn_sublayer(x, [p[f"layer{layer}.{name}"] for name in _FFN]))
+            x = attention_sublayer(x, state, layer, mask, cache)
+            x = ffn_sublayer(x, [p[f"layer{layer}.{name}"] for name in _FFN])
         x = layer_norm(x, p["ln_f.g"], p["ln_f.b"])
     elif cfg.mode == "mlp":
-        x = add(x, ffn_sublayer(x, [p["mlp.1.W"], p["mlp.1.b"], p["mlp.2.W"], p["mlp.2.b"]]))
+        x = ffn_sublayer(x, [p["mlp.1.W"], p["mlp.1.b"], p["mlp.2.W"], p["mlp.2.b"]])
     elif cfg.mode == "rnn":
         h = constant(np.zeros((N, 1, D)) if cache is None or cache.h is None else cache.h)
         outs = []

@@ -161,9 +161,9 @@ class MobilityTable:
         self.flows = np.asarray(self.flows, dtype=np.float64)
         if self.flows.shape != (T, R, R):
             raise MalformedRowError(f"flows shape {self.flows.shape} != ({T}, {R}, {R})")
-        bad = np.argwhere(~(np.isfinite(self.flows) & (self.flows >= 0)))
-        if len(bad):
-            t, i, j = bad[0]
+        # two reductions, no array of the table's size, unless a flow is bad
+        if not (self.flows.min(initial=0.0) >= 0.0 and self.flows.max(initial=0.0) < np.inf):
+            t, i, j = np.argwhere(~(np.isfinite(self.flows) & (self.flows >= 0)))[0]
             wgt = self.flows[t, i, j]
             raise NegativeWeightError(f"flow {self.regions[i]}->{self.regions[j]} on {self.dates[t]} has weight {wgt}")
 
@@ -329,7 +329,9 @@ def build_dataset(
     days = [t for t, day in enumerate(dates) if day in mob_t]
 
     M = np.zeros((T, N, N), dtype=np.float64)  # days without mobility rows keep zero flow
-    M[np.ix_(days, idx, idx)] = mobility.flows[[mob_t[dates[t]] for t in days]]
+    cells = np.ix_(idx, idx)
+    for t in days:  # one day at a time: no copy of the whole table
+        M[t][cells] = mobility.flows[mob_t[dates[t]]]
     M += 0.0  # -0.0 flows become 0.0, so that `adjacency` needs no mask at epsilon <= 0
 
     if scale:
@@ -454,8 +456,11 @@ def simulate_sir(
     base = rng.uniform(0.0, 0.02 * p.population, size=(n_regions, n_regions))
     base *= rng.random((n_regions, n_regions)) < 0.5
     np.fill_diagonal(base, rng.uniform(0.2, 0.4, size=n_regions) * p.population)
-    noise = rng.uniform(-0.1, 0.1, size=(n_days, n_regions, n_regions))
-    M = np.maximum(base[None] * (1.0 + noise), 0.0)
+    # base * (1 + noise), clipped at 0, in place in the noise's array
+    M = rng.uniform(-0.1, 0.1, size=(n_days, n_regions, n_regions))
+    M += 1.0
+    M *= base[None]
+    np.maximum(M, 0.0, out=M)
 
     S = pop.copy()
     I = np.zeros(n_regions, dtype=np.int64)

@@ -54,8 +54,10 @@ class InsufficientContextError(ConfigError):
     pass
 
 
-class ForecastSizeError(ConfigError):
-    """A forecast horizon whose rollout history cannot be allocated."""
+class ForecastSizeError(ConfigError, MemoryError):
+    """A forecast whose rollout history, or one step's working set, does not
+    fit in memory: a config error naming the size keys, and a MemoryError to
+    whoever catches those."""
 
 
 class ForecastDivergedError(RuntimeError):
@@ -114,7 +116,8 @@ def forecast(
     records no tape.  Each step rolls in the mobility the model predicts, or
     with `adjacency_mode` "window_average" the mean of the last w days' flows
     and with "last" the last day's.  Raises ForecastSizeError when the rollout
-    history does not fit in memory, and ForecastDivergedError naming the step
+    history or a step's working set does not fit in memory, naming the step
+    and the size keys for the latter, and ForecastDivergedError naming the step
     when a prediction is non-finite or numpy overflows, divides by zero or
     makes an invalid value.  A trained model serves only the dataset space it
     was trained in: when ``ds.served_space()`` differs from ``model.served``,
@@ -186,6 +189,11 @@ def forecast(
         cases = counts[context_end:] * ds.case_scale
     except FloatingPointError as exc:  # numpy raises on an overflow, an invalid value or a division by zero
         raise ForecastDivergedError(step, f"value (numpy: {exc})") from exc
+    except MemoryError as exc:
+        raise ForecastSizeError(
+            f"forecast step {step} of {steps} does not fit in memory ({exc}); lower the size keys: "
+            f"{model.working_set_keys(end)}"
+        ) from exc
     base_date = ds.dates[context_end - 1]
     dates = [base_date + dt.timedelta(days=k + 1) for k in range(horizon)]
     return ForecastResult(

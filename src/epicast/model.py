@@ -85,6 +85,15 @@ class ModelState:
         for p in self.parameters():
             p.zero_grad()
 
+    def working_set_keys(self, days: int) -> str:
+        """The size keys, with their values, of what an epoch or a forecast
+        step over `days` days of history allocates, for an error message."""
+        cfg, bb = self.config, self.backbone.config
+        return (
+            f"w={cfg.w}, backbone.width={bb.width}, backbone.depth={bb.depth}, backbone.heads={bb.heads}, "
+            f"model.mob_hidden={cfg.mob_hidden}, or the dataset's size ({cfg.n_regions} regions, {days} days)"
+        )
+
 
 def build_model(cfg: ModelConfig, backbone_cfg: BackboneConfig, backbone_weights=None) -> ModelState:
     """Construct all branch parameters (seeded) around a built backbone.

@@ -17,12 +17,12 @@ gradient slot, its input nodes and a backward closure.  The closure captures
 exactly the arrays its backward reads (``mul`` the *other* operand, ``linear``
 its input only when the weight needs a gradient, ``add``, ``reshape`` or
 ``tsum`` shapes only, the tokenizer node of ``branches`` its first
-propagated map and a ``backbone`` attention or feedforward sublayer its
-normalized input, from which they rebuild the rest),
-and no node ever holds its own output tensor.  So an intermediate array that
-no backward reads (a residual sum, the attention's q, k, v and weights, the
-feedforward's hidden layer, GELU output and GELU derivative) is freed during
-the forward as soon as the forward drops it.
+propagated map and a ``backbone`` residual sublayer its normalized input,
+from which they rebuild the rest), and no node ever holds its own output
+tensor.  So an intermediate array that no backward reads (the backbone's
+output, the attention's q, k, v and weights, the feedforward's hidden layer,
+GELU output and GELU derivative) is freed during the forward as soon as the
+forward drops it.
 
 The fifteen primitives (``add``, ``sub``, ``mul``, ``square``, ``sqrt``,
 ``matmul``, ``transpose``, ``reshape``, ``concat``, ``getitem``, ``tsum``,
@@ -67,21 +67,28 @@ shared with these ops (``_affine``, ``_sigmoid``, ``_select``, ``_gelu``,
 ``_layer_norm``, ``_exp_normalize``, ``_softmax_backward``).  Each gradient
 rule has one home that every fused node calls: ``_affine_grads`` accumulates
 the W and b gradients of ``x @ W + b`` (W's as one GEMM, ``_weight_grad``),
-and ``_layer_norm_grads`` LayerNorm's input, gain and bias gradients.  Their forwards are bitwise
-equal to the same computation composed from the primitives, and tests
-validate both forwards and gradients against that composed form.
+and ``_layer_norm_grads`` LayerNorm's input (``_layer_norm_input_grad``, which
+the sublayers call one block at a time), gain and bias gradients.  Their
+forwards are bitwise equal to the same computation composed from the
+primitives, and tests validate both forwards and gradients against that
+composed form.
 
 The kernels write into one or two arrays they own, with ``out=`` and in-place
 ops, instead of a fresh input-sized temporary per numpy op: each temporary is
 a new large allocation whose pages fault in on first touch, which costs more
-than the arithmetic.  The attention and feedforward sublayers of
-``backbone`` run their wide part, the GELU and the softmax backward
-included, one block of whole sequences of about 32,768 elements at a time
-(``_row_blocks``), each block's result written into its rows of the whole
-with ``out=``, so a kernel's temporaries are one block big.  ``_select``
-is ``np.where(mask, x, 0.0)`` as a bitwise AND, free of the branch per element
-that mispredicts on sign masks.  The kernels run the composed form's numpy
-ops in the same order, so every result is bitwise unchanged.
+than the arithmetic.  ``_layer_norm`` writes its normalized input and std,
+``_layer_norm_input_grad`` its gradient, into arrays the caller passes, and
+``_gelu`` asked for the derivative alone writes it over its input.  The
+residual sublayers of ``backbone`` run every kernel past their input one
+block of whole sequences at a time (``_row_blocks``; the block rule is
+stated in ``backbone``), so a kernel's temporaries are one block big.
+``_row_mean`` and ``_exp_normalize`` call numpy's reductions without the
+Python wrappers of ``mean`` and ``sum``, which a kernel run once per block
+would pay on every call, and ``_exp_normalize`` never exponentiates a masked
+score.  ``_select`` is ``np.where(mask, x, 0.0)`` as a bitwise AND, free of
+the branch per element that mispredicts on sign masks.  The kernels run the
+composed form's numpy ops in the same order, so every result is bitwise
+unchanged.
 
 At import, ``mallopt`` raises glibc's mmap and trim thresholds, so arrays up
 to 32 MiB come from the heap and freed heap pages stay mapped: otherwise
@@ -564,17 +571,19 @@ def tanh(a) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-_BLOCK = 1 << 15  # elements per block of whole sequences (``_row_blocks``)
+_BLOCK = 1 << 17  # elements of working set per block of whole sequences (``_row_blocks``)
 
 
 def _row_blocks(n: int, row_size: int) -> list[slice]:
-    """Slices of whole leading-axis rows, of `n` rows of `row_size` elements
-    each, about ``_BLOCK`` elements a slice (one row if a row is larger), for
-    running a kernel one block at a time.  A block-sized temporary comes from
-    memory the allocator already holds; an input-sized one is a fresh
+    """Slices of whole leading-axis rows for running a kernel one block at a
+    time, where `row_size` counts the elements a row's working set holds:
+    about ``_BLOCK`` (1 MiB) of working set a slice, and never fewer than two
+    rows, because each block pays a fixed cost of numpy calls (about 0.1 ms
+    for a sublayer's forward and backward).  A block-sized temporary comes
+    from memory the allocator already holds; an input-sized one is a fresh
     allocation whose pages fault in on first touch.  Elementwise results,
     and reductions over the last axis, do not depend on the blocking."""
-    rows = max(1, _BLOCK // max(1, row_size))
+    rows = max(2, _BLOCK // row_size)
     return [slice(i, i + rows) for i in range(0, n, rows)]
 
 
@@ -582,12 +591,13 @@ def _gelu(x: np.ndarray, output: bool = True, derivative: bool = False):
     """GELU's output ``0.5 * x * (1 + t)``, ``t = tanh(c * (x + 0.044715 * x * x * x))``,
     and, with `derivative`, its derivative
     ``0.5 * (1 + t) + 0.5 * x * (1 - t * t) * c * (1 + 3 * 0.044715 * x * x)``;
-    None for one not asked for.  Each result is one new array in x's layout.
-    t and the other temporaries are x's size, so a caller with a large x
-    passes it one block at a time (``_row_blocks``).
+    None for one not asked for.  The output is one new array in x's layout.
+    The derivative is one too, or, without the output, written over x, which
+    it no longer needs.  t and the other temporaries are x's size, so a
+    caller with a large x passes it one block at a time (``_row_blocks``).
     """
     out = np.empty_like(x) if output else None
-    deriv = np.empty_like(x) if derivative else None
+    deriv = (np.empty_like(x) if output else x) if derivative else None
     # 1-d views of a 0-d x and its results: an op on 0-d arrays returns a
     # scalar, which takes no out=
     x, o, dd = (None if a is None else np.atleast_1d(a) for a in (x, out, deriv))
@@ -613,34 +623,53 @@ def _gelu(x: np.ndarray, output: bool = True, derivative: bool = False):
     if output:
         np.multiply(0.5, x, out=o)
         o *= t
-    if derivative:
+    if derivative:  # the last reader of x is done
         np.multiply(t, 0.5, out=dd)
         dd += d
     return out, deriv
 
 
-def _exp_normalize(shifted: np.ndarray) -> np.ndarray:
-    """Softmax of rows already shifted by their max, in place in `shifted`."""
+def _row_mean(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``x.mean(axis=-1, keepdims=True)`` bit for bit, numpy's own sum and
+    division, without the Python wrapper that a kernel run once per block
+    pays on every call; written into `out` when given."""
+    mean = np.add.reduce(x, axis=-1, keepdims=True, out=out)
+    mean /= x.shape[-1]
+    return mean
+
+
+def _exp_normalize(shifted: np.ndarray, masked: np.ndarray) -> np.ndarray:
+    """Softmax of rows already shifted by their max, in place in `shifted`.
+
+    `masked`, broadcast against `shifted`, marks its -inf entries.  They are
+    zeroed before the exp and after it instead of exponentiated, because
+    numpy's exp of -inf takes a slow path: on a (10, 4, 60, 60) block whose
+    causal half is -inf the exp took 1.4 times as long.  exp(-inf) is +0.0,
+    so the result is bitwise the plain softmax's."""
+    np.copyto(shifted, 0.0, where=masked)
     np.exp(shifted, out=shifted)
-    shifted /= shifted.sum(axis=-1, keepdims=True)
+    np.copyto(shifted, 0.0, where=masked)
+    shifted /= np.add.reduce(shifted, axis=-1, keepdims=True)
     return shifted
 
 
 def _softmax_backward(g: np.ndarray, s: np.ndarray) -> np.ndarray:
     """``(g - (g * s).sum(-1)) * s``, the softmax backward, written over `g`,
     with one temporary of g's size."""
-    g -= (g * s).sum(axis=-1, keepdims=True)
+    g -= np.add.reduce(g * s, axis=-1, keepdims=True)
     g *= s
     return g
 
 
-def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5, normed=None, std=None):
     """LayerNorm's output ``normed * gain + bias``, its normalized input and
     the std it was divided by, running the numpy ops of the composition
-    ``(x - mean) / sqrt(var + eps) * gain + bias`` in the same order."""
-    normed = x - x.mean(axis=-1, keepdims=True)  # centered, until divided by std
+    ``(x - mean) / sqrt(var + eps) * gain + bias`` in the same order.  The
+    normalized input and the std are new arrays in x's layout, or written
+    into `normed` and `std` when given."""
+    normed = np.subtract(x, _row_mean(x), out=normed)  # centered, until divided by std
     out = normed * normed
-    std = out.mean(axis=-1, keepdims=True)
+    std = _row_mean(out, out=std)
     std += eps
     np.sqrt(std, out=std)
     normed /= std
@@ -649,21 +678,26 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 
     return out, normed, std
 
 
+def _layer_norm_input_grad(g: np.ndarray, normed: np.ndarray, std: np.ndarray, gain: np.ndarray, out=None) -> np.ndarray:
+    """LayerNorm's input gradient for an output gradient g, in one new array
+    in g's layout or written into `out`, with one temporary of g's size.
+    `normed` and `std` come from ``_layer_norm``."""
+    gn = g * gain
+    dx = np.subtract(gn, _row_mean(gn), out=out)
+    gn *= normed
+    np.multiply(normed, _row_mean(gn), out=gn)
+    dx -= gn
+    dx /= std
+    return dx
+
+
 def _layer_norm_grads(g: np.ndarray, normed, std: np.ndarray, gain: np.ndarray, bias_shape: tuple, nodes) -> None:
     """Accumulate LayerNorm's input, gain and bias gradients for an output
     gradient g into `nodes`, their three nodes, None for a constant.  `normed`
     and `std` come from ``_layer_norm``."""
     nx, ngain, nbias = nodes
     if nx is not None:
-        gn = g * gain
-        dx = gn - gn.mean(axis=-1, keepdims=True)
-        gn *= normed
-        np.multiply(normed, gn.mean(axis=-1, keepdims=True), out=gn)
-        dx -= gn
-        dx /= std
-        del gn  # each input-sized array is freed before the next one is allocated
-        _accumulate(nx, dx)
-        del dx
+        _accumulate(nx, _layer_norm_input_grad(g, normed, std, gain))
     if ngain is not None:
         _accumulate(ngain, _unbroadcast(g * normed, gain.shape))
     if nbias is not None:

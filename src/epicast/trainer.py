@@ -28,6 +28,11 @@ class TrainingRangeError(ConfigError):
     """A training range too short to hold the two patches next-token training needs."""
 
 
+class TrainingMemoryError(ConfigError, MemoryError):
+    """An epoch whose working set does not fit in memory: a config error
+    naming the size keys, and a MemoryError to whoever catches those."""
+
+
 class TrainingDivergedError(RuntimeError):
     def __init__(self, epoch: int, what: str):
         super().__init__(f"non-finite {what} at epoch {epoch}")
@@ -197,7 +202,9 @@ def run_epoch(
     zeroed gradients, one Adam step, then the validation loss.  Returns both
     losses; a non-finite one, or a numpy overflow, division by zero or
     invalid value anywhere in the epoch, raises TrainingDivergedError naming
-    `epoch`.  The gradients stay in place after the step, which reads them only."""
+    `epoch`, and an allocation that fails raises TrainingMemoryError naming
+    `epoch` and the size keys.  The gradients stay in place after the step,
+    which reads them only."""
     try:
         loss = training_loss(model, ds, train_range, cfg)
         loss_value = float(loss.data)
@@ -211,6 +218,11 @@ def run_epoch(
             raise TrainingDivergedError(epoch, f"loss {val_value}")
     except FloatingPointError as exc:
         raise TrainingDivergedError(epoch, f"value (numpy: {exc})") from exc
+    except MemoryError as exc:
+        raise TrainingMemoryError(
+            f"epoch {epoch} does not fit in memory ({exc}); lower the size keys: "
+            f"{model.working_set_keys(val_range.stop)}"
+        ) from exc
     return loss_value, val_value
 
 

@@ -11,15 +11,16 @@ tokens and gradients.
 ``epicast`` reads from the mobility and a mask instead (``data.adjacency``).
 ``attention_sublayer`` composes one attention sublayer of the backbone from
 ``layer_norm``, ``linear``, head reshapes and ``attention_weights``, one node
-each; ``epicast.backbone.attention_sublayer`` must match it bit for bit.
-``ffn_sublayer`` composes one feedforward sublayer from ``layer_norm`` (when
-given LN2's gain and bias), ``linear``, ``gelu`` and ``linear``;
-``epicast.backbone.ffn_sublayer`` must match it bit for bit, with LN2 and
-without (the `mlp` backbone).
+each; ``epicast.backbone.attention_sublayer`` must match it plus a residual
+``add`` bit for bit.  ``ffn_sublayer`` composes one feedforward sublayer from
+``layer_norm`` (when given LN2's gain and bias), ``linear``, ``gelu`` and
+``linear``; ``epicast.backbone.ffn_sublayer`` must match it plus a residual
+``add`` bit for bit, with LN2 and without (the `mlp` backbone).
 ``softmax`` is the primitive op that ``attention_weights`` composes to, and
 ``gelu`` the one that ``ffn_sublayer`` composes to; epicast keeps only their
 kernels (``tensor._exp_normalize``, ``tensor._softmax_backward``,
-``tensor._gelu``).
+``tensor._gelu``).  Both softmax references exponentiate every entry, -inf
+included, where ``tensor._exp_normalize`` skips the masked ones.
 """
 
 import numpy as np
@@ -29,7 +30,6 @@ from epicast.prompts import PromptParams, build_prompted_graph
 from epicast.tensor import (
     Tensor,
     _accumulate,
-    _exp_normalize,
     _gelu,
     _input_nodes,
     _softmax_backward,
@@ -185,6 +185,14 @@ def mob_tokenize(M_t, proj):
     return linear(relu(linear(constant(M_t), proj.W1, proj.b1)), proj.W2, proj.b2)
 
 
+def _exp(shifted: np.ndarray) -> np.ndarray:
+    """Softmax of rows already shifted by their max, in place, every entry
+    exponentiated: the plain form ``tensor._exp_normalize`` must match."""
+    np.exp(shifted, out=shifted)
+    shifted /= shifted.sum(axis=-1, keepdims=True)
+    return shifted
+
+
 def softmax(a) -> Tensor:
     """Softmax along the last axis, stabilized by max subtraction.
 
@@ -192,7 +200,7 @@ def softmax(a) -> Tensor:
     """
     a = astensor(a)
     x = a.data
-    s = _exp_normalize(x - np.max(x, axis=-1, keepdims=True))
+    s = _exp(x - np.max(x, axis=-1, keepdims=True))
     nodes = _input_nodes(a)
     if nodes is None:
         return Tensor._result(s, (), None)
@@ -220,7 +228,7 @@ def attention_weights(q, k, mask: np.ndarray, scale: float) -> Tensor:
     s *= scale
     s += mask
     s -= s.max(axis=-1, keepdims=True)
-    _exp_normalize(s)
+    _exp(s)
     nodes = _input_nodes(q, k)
     if nodes is None:
         return Tensor._result(s, (), None)

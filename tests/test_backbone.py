@@ -9,7 +9,7 @@ from composed_reference import ffn_sublayer as composed_ffn_sublayer
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import epicast.tensor as tensor_mod
+import epicast.backbone as backbone_mod
 from epicast.backbone import (
     MODES,
     BackboneConfig,
@@ -26,7 +26,7 @@ from epicast.backbone import (
 )
 from epicast.gradcheck import grad_check
 from epicast.model import ModelConfig, build_model, save_checkpoint
-from epicast.tensor import Parameter, Tensor, constant, mul, no_grad, tsum
+from epicast.tensor import Parameter, Tensor, _row_blocks, add, constant, mul, no_grad, tsum
 
 
 def _tokens(P=5, N=3, D=8, seed=0):
@@ -268,6 +268,16 @@ def test_decode_past_max_positions_rejected():
             backbone_forward(tokens, state, cache)
 
 
+def _blocks_of(rows):
+    """A ``_row_blocks`` that cuts `rows` sequences a block, whatever their size."""
+    return lambda n, row_size: [slice(i, i + rows) for i in range(0, n, rows)]
+
+
+def _residual(sublayer):
+    """``x + sublayer(x, ...)`` composed with an ``add`` node."""
+    return lambda x, *args: add(x, sublayer(x, *args))
+
+
 def _random_backbone(mode, width, heads, positions, rng, ffn_mult=4):
     """A one-layer transformer with every parameter drawn, gains and biases too."""
     cfg = BackboneConfig(mode=mode, depth=1, width=width, heads=heads, max_positions=positions, ffn_mult=ffn_mult)
@@ -292,12 +302,12 @@ def _random_backbone(mode, width, heads, positions, rng, ffn_mult=4):
 def test_attention_sublayer_is_bitwise_the_composed_ops(
     trainable, n, positions, heads, dh, transposed, magnitude, rows, seed
 ):
-    """The fused sublayer's output, x's gradient and, when trainable, the
-    gradients of ln1.g, ln1.b and the q/k/v/o weights and biases are bitwise
-    those of LN1, the projections, attention_weights, the mix and the merge
-    composed from one tape node each, run `rows` sequences at a time: one
-    block when rows >= n, else several, the last one ragged when rows does
-    not divide n."""
+    """The fused residual sublayer's output, x's gradient and, when trainable,
+    the gradients of ln1.g, ln1.b and the q/k/v/o weights and biases are
+    bitwise those of LN1, the projections, attention_weights, the mix, the
+    merge and the residual add composed from one tape node each, run `rows`
+    sequences at a time: one block when rows >= n, else several, the last one
+    ragged when rows does not divide n."""
     rng = np.random.default_rng(seed)
     mode = "trainable-transformer" if trainable else "frozen-transformer"
     width = heads * dh
@@ -315,9 +325,9 @@ def test_attention_sublayer_is_bitwise_the_composed_ops(
         return [out.data, x.grad] + [state.params[f"layer0.{name}"].grad for name in _ATTENTION if trainable]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tensor_mod, "_BLOCK", rows * heads * positions * positions)
+        mp.setattr(backbone_mod, "_row_blocks", _blocks_of(rows))
         fused = run(attention_sublayer)
-    composed = run(composed_attention_sublayer)
+    composed = run(_residual(composed_attention_sublayer))
     for got, want in zip(fused, composed):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -338,12 +348,12 @@ def test_attention_sublayer_is_bitwise_the_composed_ops(
 def test_ffn_sublayer_is_bitwise_the_composed_ops(
     trainable, ln2, n, positions, width, ffn_mult, transposed, magnitude, rows, seed
 ):
-    """The fused sublayer's output, x's gradient and, when trainable, the
-    gradients of ln2.g and ln2.b (with LN2) and of both linear layers'
+    """The fused residual sublayer's output, x's gradient and, when trainable,
+    the gradients of ln2.g and ln2.b (with LN2) and of both linear layers'
     weights and biases are bitwise those of LN2 (with LN2; the `mlp` backbone
-    has none), linear, gelu and linear composed from one tape node each, run
-    `rows` sequences at a time: one block when rows >= n, else several, the
-    last one ragged when rows does not divide n."""
+    has none), linear, gelu, linear and the residual add composed from one
+    tape node each, run `rows` sequences at a time: one block when rows >= n,
+    else several, the last one ragged when rows does not divide n."""
     rng = np.random.default_rng(seed)
     mode = "trainable-transformer" if trainable else "frozen-transformer"
     names = _FFN if ln2 else _FFN[2:]
@@ -362,9 +372,9 @@ def test_ffn_sublayer_is_bitwise_the_composed_ops(
         return [out.data, x.grad] + [p.grad for p in params if trainable]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tensor_mod, "_BLOCK", rows * positions * ffn_mult * width)
+        mp.setattr(backbone_mod, "_row_blocks", _blocks_of(rows))
         fused = run(ffn_sublayer)
-    composed = run(composed_ffn_sublayer)
+    composed = run(_residual(composed_ffn_sublayer))
     assert len(fused) == len(composed) == 2 + (len(names) if trainable else 0)
     for got, want in zip(fused, composed):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -381,19 +391,20 @@ def test_ffn_sublayer_is_bitwise_the_composed_ops(
 @settings(max_examples=30, deadline=None)
 def test_attention_sublayer_decodes_bitwise_as_the_composed_ops(n, chunks, heads, dh, rows, seed):
     """A prefill and decode steps through a DecodeCache: every output and the
-    cached keys and values are bitwise the composed sublayer's, the fused one
-    run `rows` sequences at a time."""
+    cached keys and values are bitwise the composed residual sublayer's, the
+    fused one run `rows` sequences at a time, so each block writes its rows
+    of the joined keys and values."""
     rng = np.random.default_rng(seed)
     width, cuts = heads * dh, [0, *np.cumsum(chunks)]
     state = _random_backbone("frozen-transformer", width, heads, cuts[-1], rng)
     x = rng.normal(size=(n, cuts[-1], width))
     caches = DecodeCache(), DecodeCache()
     with no_grad(), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(backbone_mod, "_row_blocks", _blocks_of(rows))
         for start, end in zip(cuts[:-1], cuts[1:]):
-            mp.setattr(tensor_mod, "_BLOCK", rows * heads * (end - start) * end)
             outs = [
                 sublayer(Tensor(x[:, start:end]), state, 0, _causal_mask(start, end), cache).data
-                for sublayer, cache in zip((attention_sublayer, composed_attention_sublayer), caches)
+                for sublayer, cache in zip((attention_sublayer, _residual(composed_attention_sublayer)), caches)
             ]
             assert outs[0].tobytes() == outs[1].tobytes()
             for fused, composed in zip(caches[0].kv[0], caches[1].kv[0]):
@@ -413,24 +424,32 @@ def _peak_rise(run) -> int:
 
 
 @pytest.mark.parametrize("sublayer", ["attention", "ffn"])
-def test_a_frozen_sublayer_never_holds_a_full_wide_array(sublayer):
-    """Forward plus backward of a frozen sublayer, at a shape of many blocks of
-    sequences: the most memory held never reaches the size of one
-    (N, heads, P, P) weights array or one (N, P, ffn_mult * D) hidden layer,
-    with every input-sized array counted in (here 1/32 of the wide one)."""
-    N, P, D, heads, ffn_mult = 64, 64, 8, 4, 32
+def test_a_frozen_sublayer_never_holds_a_full_wide_array(sublayer, monkeypatch):
+    """Forward plus backward of a frozen residual sublayer, at a shape of many
+    blocks of sequences: the most memory held stays under four (N, P, D)
+    arrays (the kept normalized input, the output, the input gradient and one
+    more), so neither LN's output, q, k, v, the mix nor their gradients are
+    built for every sequence, nor one (N, heads, P, P) weights array or one
+    (N, P, ffn_mult * D) hidden layer."""
+    N, P, D, heads, ffn_mult = 1024, 32, 8, 4, 32
+    full = N * P * D * 8
     wide = N * P * (heads * P if sublayer == "attention" else ffn_mult * D) * 8
-    assert wide // 8 >= 4 * tensor_mod._BLOCK  # four blocks of sequences or more
     rng = np.random.default_rng(0)
     state = _random_backbone("frozen-transformer", D, heads, P, rng, ffn_mult)
     x = Parameter(rng.normal(size=(N, P, D)), name="x")
     g = constant(rng.normal(size=(N, P, D)))
+    cuts = []
+    monkeypatch.setattr(backbone_mod, "_row_blocks", lambda n, size: cuts.append(_row_blocks(n, size)) or cuts[-1])
 
     def run():
         if sublayer == "attention":
             out = attention_sublayer(x, state, 0, _causal_mask(0, P))
         else:
             out = ffn_sublayer(x, [state.params[f"layer0.{name}"] for name in _FFN])
-        tsum(mul(out, g)).backward()
+        loss = tsum(mul(out, g))
+        del out  # the caller's output dies with the forward, as in the backbone
+        loss.backward()
 
-    assert _peak_rise(run) < wide
+    peak = _peak_rise(run)
+    assert len(cuts) == 1 and len(cuts[0]) >= 64  # many blocks of sequences
+    assert peak < 4 * full < wide, f"peak {peak / 2**20:.2f} MB, four (N, P, D) arrays {4 * full / 2**20:.2f} MB"

@@ -11,6 +11,8 @@ import pytest
 
 import epicast.cli as cli_mod
 import epicast.data as data_mod
+import epicast.forecaster as forecaster_mod
+import epicast.trainer as trainer_mod
 from epicast.cli import (
     ConfigError,
     cmd_ablate,
@@ -415,6 +417,31 @@ def test_exit_two_on_sizes_too_large_to_allocate(tmp_path, capsys, command, extr
     assert main([command, "--config", str(_write_cfg(tmp_path / "bad.cfg", extra)), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error:" in err and named in err, err
+
+
+@pytest.mark.parametrize(
+    "command, module, name, named",
+    [
+        ("train", trainer_mod, "training_loss", "epoch 1 does not fit in memory"),
+        ("forecast", forecaster_mod, "backbone_forward", "forecast step 1 of 1 does not fit in memory"),
+    ],
+)
+def test_exit_two_when_an_epoch_or_a_forecast_step_does_not_fit(tmp_path, capsys, monkeypatch, command, module, name, named):
+    out = tmp_path / "out"
+    if command == "forecast":  # serving needs a trained checkpoint
+        assert main(["train", "--config", str(_write_cfg(tmp_path / "ok.cfg")), "--out", str(out)]) == 0
+
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 PiB")
+
+    monkeypatch.setattr(module, name, too_large)
+    capsys.readouterr()
+    assert main([command, "--config", str(_write_cfg(tmp_path / "run.cfg")), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"config error: {named} (Unable to allocate 1.00 PiB); lower the size keys: w=3, backbone.width=8, "
+        "backbone.depth=1, backbone.heads=2, model.mob_hidden=0, or the dataset's size (4 regions, "
+    ), err
 
 
 @pytest.mark.parametrize("synthetic", [True, False])

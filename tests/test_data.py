@@ -3,6 +3,7 @@
 import csv
 import datetime as dt
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -201,6 +202,9 @@ def test_mobility_table_rejects_bad_shape_and_names_first_bad_flow():
     with pytest.raises(NegativeWeightError, match="a->b on 2020-03-11"):
         MobilityTable(dates=dates, regions=["a", "b"], flows=flows)
     flows[1, 0, 1] = np.inf
+    with pytest.raises(NegativeWeightError, match="a->b on 2020-03-11"):
+        MobilityTable(dates=dates, regions=["a", "b"], flows=flows)
+    flows[1, 1, 0] = 0.0  # the infinite flow alone
     with pytest.raises(NegativeWeightError, match="a->b on 2020-03-11"):
         MobilityTable(dates=dates, regions=["a", "b"], flows=flows)
 
@@ -445,6 +449,26 @@ def test_synth_tables_hand_over_the_simulated_mobility():
     assert mobility.regions == cases.regions
     assert mobility.flows.shape == sim.mobility.shape
     assert mobility.flows.tobytes() == sim.mobility.tobytes()
+
+
+def test_set_up_holds_no_second_mobility_series():
+    """Simulating and validating the (T, N, N) mobility series, and joining it
+    into a dataset, never hold a second array of its size: each traced peak
+    stays under 1.25 times the series."""
+    tracemalloc.start()
+    try:
+        cases, mobility = synth_sir_tables(60, 120, rng_seed=1)
+        synth_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        ds = build_dataset(cases, mobility, w=3)
+        dataset_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    series = mobility.flows.nbytes
+    assert ds.M.nbytes == series
+    assert synth_peak < 1.25 * series, f"synth_sir_tables peak {synth_peak / series:.2f} series"
+    assert dataset_peak < 1.25 * series, f"build_dataset peak {dataset_peak / series:.2f} series"
 
 
 def test_sir_population_conserved_exactly():

@@ -9,10 +9,16 @@ and the process's peak RSS must stay under a bound of about three times the
 peak measured with one BLAS thread on a 2-CPU x86-64 box with numpy 2.4
 (given per case below).  This is a guard against crashes and memory blow-ups;
 it claims nothing about speed.
+
+A shortfall inside an epoch or a forecast step is a named config error (exit
+2), not a crash: a CLI child at (129, 120, 3) caps its own address space,
+once set-up is done, at what it has mapped plus a few MB, so the cap binds
+on any machine.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,13 +31,13 @@ ADDRESS_SPACE_CAP = 1 << 30  # bytes; the measured virtual peaks were 157-380 MB
 # (N, T, w, backbone mode) -> (measured peak RSS, bound), in MB
 CASES = {
     (34, 120, 7, "frozen-transformer"): (46, 160),
-    (81, 120, 7, "frozen-transformer"): (69, 270),
+    (81, 120, 7, "frozen-transformer"): (68, 270),
     (105, 120, 3, "frozen-transformer"): (96, 450),
-    (129, 120, 3, "frozen-transformer"): (116, 550),
+    (129, 120, 3, "frozen-transformer"): (117, 550),
     (129, 120, 3, "trainable-transformer"): (129, 720),
     (129, 120, 3, "rnn"): (115, 420),
-    (129, 120, 3, "mlp"): (105, 480),
-    (129, 120, 3, "identity"): (90, 370),
+    (129, 120, 3, "mlp"): (102, 480),
+    (129, 120, 3, "identity"): (89, 370),
 }
 
 CHILD = """
@@ -82,3 +88,53 @@ def test_paper_size_trains_and_forecasts_within_memory(shape):
     assert run["shape"] == [8 * w, N]
     assert run["finite"] and run["min"] >= 0.0, run
     assert run["peak_rss_mb"] < bound, f"peak RSS {run['peak_rss_mb']:.0f} MB, measured {measured} MB, bound {bound} MB"
+
+
+SHORTFALL_CHILD = """
+import re, resource, sys
+import numpy as np
+from epicast import cli, forecaster, trainer
+
+np.ones((64, 64)) @ np.ones((64, 64))  # OpenBLAS allocates its buffers at its first GEMM: before the cap
+module = {"run_epoch": trainer, "backbone_forward": forecaster}[sys.argv[1]]
+real = getattr(module, sys.argv[1])
+calls = []
+
+def capped(*args, **kwargs):
+    if not calls:  # cap once, at the first call
+        mapped = int(re.search(r"VmSize:\\s+(\\d+) kB", open("/proc/self/status").read()).group(1)) << 10
+        resource.setrlimit(resource.RLIMIT_AS, (mapped + (4 << 20), resource.getrlimit(resource.RLIMIT_AS)[1]))
+    calls.append(1)
+    return real(*args, **kwargs)
+
+setattr(module, sys.argv[1], capped)
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+PAPER_CONFIG = "synth.regions = 129\nsynth.days = 120\nw = 3\nhorizon = 24\nsplit.test = 3\nsplit.val = 3\ntrain.max_epochs = 1\n"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the mapped size from /proc")
+@pytest.mark.parametrize(
+    "command, capped, named",
+    [
+        ("train", "run_epoch", "epoch 1 does not fit in memory"),
+        ("forecast", "backbone_forward", "forecast step 1 of 8 does not fit in memory"),
+    ],
+)
+def test_a_memory_shortfall_inside_an_epoch_or_a_step_is_a_named_config_error(tmp_path, command, capped, named):
+    """The child caps its address space when the first epoch, or the first
+    forecast step's first backbone call, starts: the allocation that fails
+    there exits 2 naming the epoch or step and the size keys, not exit 1."""
+    config = tmp_path / "paper.cfg"
+    config.write_text(PAPER_CONFIG)
+    args = ["--config", str(config), "--out", str(tmp_path / "out")]
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
+    if command == "forecast":  # serving needs a trained checkpoint
+        trained = subprocess.run([sys.executable, "-m", "epicast", "train", *args], capture_output=True, text=True, env=env, timeout=300)
+        assert trained.returncode == 0, trained.stderr
+    proc = subprocess.run(
+        [sys.executable, "-c", SHORTFALL_CHILD, capped, command, *args], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert re.match(f"config error: {named} \\(.+\\); lower the size keys: w=3, backbone.width=64", proc.stderr), proc.stderr

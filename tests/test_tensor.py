@@ -16,8 +16,12 @@ from epicast.prompts import PromptParams
 from epicast.tensor import (
     AutodiffError,
     Parameter,
+    _BLOCK,
     Tensor,
+    _exp_normalize,
+    _gelu,
     _layout,
+    _row_blocks,
     _select,
     _zeros,
     add,
@@ -588,6 +592,39 @@ def test_gelu_is_bitwise_the_composed_expression(inputs):
     ref_out, ref_grad = _gelu_composed(x, g)
     _assert_bitwise(out.data, ref_out)
     _assert_bitwise(_node_grads(out, g, [a])[0], ref_grad)
+
+
+def test_row_blocks_cut_whole_rows_of_about_a_block_and_two_at_least():
+    assert _row_blocks(10, _BLOCK // 3) == [slice(0, 3), slice(3, 6), slice(6, 9), slice(9, 12)]
+    assert _row_blocks(5, 10 * _BLOCK) == [slice(0, 2), slice(2, 4), slice(4, 6)]
+    assert _row_blocks(1, 1) == [slice(0, _BLOCK)]
+
+
+@given(_kernel_inputs(min_dims=0))
+@settings(max_examples=30, deadline=None)
+def test_gelu_derivative_alone_is_written_over_its_input(inputs):
+    """Asked for the derivative only, ``_gelu`` writes it over its input, which
+    is its last reader: the same bytes it makes next to the output."""
+    x, _ = inputs
+    _, want = _gelu(x.copy(), derivative=True)
+    h = x.copy()
+    out, deriv = _gelu(h, output=False, derivative=True)
+    assert out is None and deriv is h
+    _assert_bitwise(deriv, want)
+
+
+@given(_kernel_inputs(min_dims=2), st.integers(min_value=1, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_exp_normalize_skips_masked_scores_bitwise(inputs, k):
+    """Masked scores zeroed around the exp, not exponentiated: the bytes of
+    the plain softmax, which takes exp(-inf) = 0."""
+    x, _ = inputs
+    masked = np.triu(np.ones(x.shape[-2:], dtype=bool), k=k)  # -inf above a diagonal, as a causal mask
+    shifted = x + np.where(masked, -np.inf, 0.0)
+    shifted -= shifted.max(axis=-1, keepdims=True)
+    want = np.exp(shifted)
+    want /= want.sum(axis=-1, keepdims=True)
+    _assert_bitwise(_exp_normalize(shifted, masked), want)
 
 
 @given(_kernel_inputs())
