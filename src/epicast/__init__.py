@@ -37,13 +37,10 @@ from .evalharness import (
     MetricReport,
     baseline_predict,
     emit_report,
-    mae,
     metric_report,
-    rmse,
     run_ablation,
 )
 from .forecaster import ForecastResult, forecast
-from .gradcheck import GradCheckReport, grad_check
 from .model import ModelConfig, ModelState, build_model, count_params, load_checkpoint, save_checkpoint
 from .prompts import PromptGraphError, PromptParams, build_prompted_graph, init_prompts
 from .tensor import Parameter, Tensor

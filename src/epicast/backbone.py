@@ -52,8 +52,8 @@ layer's keys and values, or the recurrent hidden state.  The first call
 prefills the whole context, computing exactly what a call without a cache
 computes; each later call runs only the positions appended since.  Positions
 stay absolute (``pos_emb[p]``), so a cached prefix is valid only while the
-sequence grows at its end.  Cached arrays have no tape behind them, so a
-cache is refused while gradients are recorded.
+sequence grows at its end.  Cached arrays have no tape behind them, so
+passing a cache while gradients are recorded raises ``DecodeCacheError``.
 """
 
 from __future__ import annotations

@@ -3,18 +3,22 @@
 Epidemic branch: message passing over the prompted block graph of a token
 window, blockwise over its per-day slices and normalized by
 ``prompts.build_prompted_graph``, followed by gated blending of the per-slice
-embeddings into one backbone-width token per region.  Mobility branch: a
-two-layer feedforward map from a region's outflow row to a token.  Each
-branch has its own adapter (token -> case block, token -> mobility row); the
-two share no parameters.  ``epi_token_sequence`` and ``mob_token_sequence``
-tokenize every patch of a patch grid and stack the tokens into the (P, N, D)
-sequence that training and forecasting both hand to the backbone.
+embeddings into one backbone-width token per region.  Each message-passing
+layer is one batched matmul over the (w, N, N) slices plus the two shifted
+cross-day terms.  Mobility branch: a two-layer feedforward map from a
+region's outflow row to a token.  Each branch has its own adapter (token ->
+case block, token -> mobility row); the two share no parameters.
+``epi_token_sequence`` and ``mob_token_sequence`` tokenize every patch of a
+patch grid and stack the tokens into the (P, N, D) sequence that training and
+forecasting both hand to the backbone.
 
 Each tokenizer call is one fused tape node with a hand-written backward, and
 there is one node for both tokenizers (``_projector_node``): a mobility token
 is that node's feedforward ("mlp") mode over a window of one slice, its
-matrix, averaged.  The node keeps only its first propagated map and the
-degree scale, or in the feedforward mode only its window; its backward
+matrix, averaged.  The node records the parameters its mode reads: the four
+projector weights, plus the two prompt edge weights in the graph mode and the
+gates unless blending averages.  It keeps only its first propagated map and
+the degree scale, or in the feedforward mode only its window; its backward
 rebuilds the hidden layer and the pre-blend slices with one GEMM each, and
 the second propagated map from the hidden layer.  Tokens and gradients are
 bitwise those of the same tokenizers composed from primitive tape ops, which

@@ -217,7 +217,7 @@ def _synth_size_error(cfg: RunConfig, exc: MemoryError) -> ConfigError:
     """A synthetic series too large to allocate, as a config error naming its size keys."""
     return ConfigError(
         f"synth.regions = {cfg['synth.regions']} and synth.days = {cfg['synth.days']} "
-        f"do not fit in memory ({exc})"
+        f"do not fit in memory ({str(exc) or 'out of memory building the synthetic dataset'})"
     )
 
 
@@ -243,7 +243,8 @@ def _held(loader, path: str, **kwargs):
     try:
         return loader(path, **kwargs)
     except MemoryError as exc:
-        raise DataError(f"{path} is too large to hold ({exc})") from exc
+        # a bare MemoryError says nothing, so say what ran out
+        raise DataError(f"{path} is too large to hold ({str(exc) or 'out of memory parsing the file'})") from exc
 
 
 def _load_dataset(cfg: RunConfig) -> EpidemicDataset:
@@ -257,7 +258,8 @@ def _load_dataset(cfg: RunConfig) -> EpidemicDataset:
         return build_dataset(cases, mobility, w=cfg["w"], epsilon=cfg["epsilon"], scale=cfg["scale"])
     except MemoryError as exc:
         if not synthetic:  # a data file too large to hold is not a config error
-            raise DataError(f"{cfg['data.cases']} with {cfg['data.mobility']} is too large to hold ({exc})") from exc
+            why = str(exc) or "out of memory building the dataset"
+            raise DataError(f"{cfg['data.cases']} with {cfg['data.mobility']} is too large to hold ({why})") from exc
         raise _synth_size_error(cfg, exc) from exc
 
 

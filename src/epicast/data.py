@@ -218,6 +218,8 @@ def load_mobility(path, dates: list[dt.date] | None = None) -> MobilityTable:
     for where, row in _records(path, "mobility file", ["date", "src_region", "dst_region", "weight"]):
         day = _parse_date(row[0], where)
         src, dst = row[1].strip(), row[2].strip()
+        if not (src and dst):
+            raise MalformedRowError(f"{where}: empty region id")
         try:
             wgt = float(row[3])
         except ValueError as exc:

@@ -44,14 +44,6 @@ def _errors(y, y_hat) -> np.ndarray:
     return y - y_hat
 
 
-def rmse(y: np.ndarray, y_hat: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(_errors(y, y_hat) ** 2)))
-
-
-def mae(y: np.ndarray, y_hat: np.ndarray) -> float:
-    return float(np.mean(np.abs(_errors(y, y_hat))))
-
-
 @dataclass
 class MetricReport:
     dataset: str
@@ -88,7 +80,8 @@ def metric_report(
     truth: np.ndarray, pred: np.ndarray, dataset: str, horizon: int, model: str, config: dict | None = None
 ) -> MetricReport:
     """Per-region metrics over an (h, N) truth/prediction pair, region-averaged;
-    a region is one contiguous row of the (N, h) errors, so it scores exactly as `rmse`/`mae`."""
+    a region is one contiguous row of the (N, h) errors, so it reduces exactly as
+    that region's errors alone would, and a one-region report gives the whole-array metric."""
     err = np.ascontiguousarray(_errors(truth, pred).T)
     r = np.sqrt(np.mean(err**2, axis=1))
     m = np.mean(np.abs(err), axis=1)

@@ -19,9 +19,15 @@ same rows by the same rule, all mapped back to raw units.
 Both backbone passes decode incrementally: step 1 prefills the context grid,
 and each later step runs the backbone on the one position it appended (see
 ``backbone.DecodeCache``).  The grid only grows at its end, because its first
-day stays fixed as the context advances by whole patches.  Tokens are still
-recomputed over the whole grid at every step, because the benchmark's traced
-self-check pins one tokenizer call per patch and step.
+day stays fixed as the context advances by whole patches.  So an 8-step
+forecast from 8 context patches runs 30 backbone positions over its two
+branches (8 + 7 each), where a full recompute at every step runs 184
+(8 + 9 + ... + 15 each).  Step 1 is bitwise a full recompute; later steps agree
+with one to within 1e-12 of their largest value, not bitwise, because their
+matrix products run over other shapes and may sum in another order.  Tokens
+are still recomputed over the whole grid at every step, because the
+benchmark's traced self-check pins one tokenizer call per patch and step; a
+token cache waits until that check counts patches tokenized instead of calls.
 
 Feature rows for generated days are built by the same windowing code used at
 ingestion, so training and inference see identically constructed inputs.

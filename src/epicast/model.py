@@ -132,13 +132,6 @@ def build_model(cfg: ModelConfig, backbone_cfg: BackboneConfig, backbone_weights
         ) from exc
 
 
-def parameter_count(cfg: ModelConfig, backbone_cfg: BackboneConfig) -> int:
-    """The number of parameters `build_model` allocates, worked out from the
-    two configs alone, so a model too large to hold is refused before any
-    parameter is allocated."""
-    return _branch_parameter_count(cfg) + backbone_parameter_count(backbone_cfg)
-
-
 def _branch_parameter_count(cfg: ModelConfig) -> int:
     """The parameters of the projectors (w -> D -> D, N -> H -> D), the
     adapters (D -> w, D -> N), and the prompts' two edge weights and w gates."""
@@ -150,10 +143,6 @@ def _branch_parameter_count(cfg: ModelConfig) -> int:
 class ParamCount:
     trainable: int
     total: int
-
-    @property
-    def ratio(self) -> float:
-        return self.trainable / self.total
 
 
 def count_params(model: ModelState) -> ParamCount:

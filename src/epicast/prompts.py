@@ -7,7 +7,9 @@ present -> past), shared across all regions and slice pairs.  The graph is
 never built: ``build_prompted_graph`` returns its symmetric normalization, the
 one array message passing needs besides the slices and the two scalars.  A
 length-w gate vector weights the per-slice embeddings when they are blended
-into the final token.
+into the final token.  The dense block graph is built only in the tests
+(``tests/composed_reference.py``), as the oracle the propagation and the
+closed-form degree are held to.
 """
 
 from __future__ import annotations

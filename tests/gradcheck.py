@@ -1,4 +1,5 @@
-"""Finite-difference validation of analytic gradients.
+"""Finite-difference validation of analytic gradients: the tests' oracle for
+every hand-written backward.
 
 Central differences are the independent oracle here: they only ever call the
 forward pass, so agreement with the tape's backward pass is meaningful
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Parameter, Tensor
+from epicast.tensor import Parameter, Tensor
 
 
 @dataclass

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from composed_reference import attention_sublayer as composed_attention_sublayer
 from composed_reference import ffn_sublayer as composed_ffn_sublayer
+from gradcheck import grad_check
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,6 @@ from epicast.backbone import (
     build_backbone,
     ffn_sublayer,
 )
-from epicast.gradcheck import grad_check
 from epicast.model import ModelConfig, build_model, save_checkpoint
 from epicast.tensor import Parameter, Tensor, _row_blocks, add, constant, mul, no_grad, tsum
 

@@ -5,6 +5,7 @@ import sys
 import composed_reference as composed
 import numpy as np
 import pytest
+from gradcheck import grad_check
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,6 @@ from epicast.branches import (
 )
 from epicast.data import SirParams, SplitSpec, split_dataset, synth_sir
 from epicast.forecaster import forecast
-from epicast.gradcheck import grad_check
 from epicast.model import ModelConfig, build_model
 from epicast.prompts import PromptGraphError, PromptParams, init_prompts
 from epicast.tensor import Parameter, Tensor, add, constant, matmul, mul, reshape, sqrt, transpose, tsum

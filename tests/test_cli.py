@@ -25,8 +25,8 @@ from epicast.cli import (
     parse_config_file,
     resolve_config,
 )
-from epicast.backbone import BackboneConfig, build_backbone
-from epicast.model import ModelConfig, load_checkpoint, parameter_count, save_checkpoint
+from epicast.backbone import BackboneConfig, build_backbone, parameter_count
+from epicast.model import ModelConfig, _branch_parameter_count, load_checkpoint, save_checkpoint
 from epicast.serialize import load_tensors, save_tensors
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -382,7 +382,8 @@ def test_exit_two_when_gradients_and_adam_moments_do_not_fit(tmp_path, capsys, m
     model_cfg = ModelConfig(n_regions=4, w=3, width=8)
 
     def nbytes(depth):
-        return 8 * parameter_count(model_cfg, BackboneConfig("trainable-transformer", depth=depth, width=8, heads=2))
+        backbone_cfg = BackboneConfig("trainable-transformer", depth=depth, width=8, heads=2)
+        return 8 * (_branch_parameter_count(model_cfg) + parameter_count(backbone_cfg))
 
     depth = memory // 2 // (nbytes(1) - nbytes(0))
     assert nbytes(depth) < memory <= 4 * nbytes(depth)  # under a bound on the parameters alone
@@ -453,16 +454,24 @@ def test_dataset_too_large_to_build_is_a_config_error_only_for_synthetic_data(
         data = cmd_synth(_cfg(tmp_path / "data"))
         extra = {"data.cases": str(data / "cases.csv"), "data.mobility": str(data / "mobility.csv")}
 
-    def too_large(*args, **kwargs):
-        raise MemoryError("Unable to allocate 1.00 PiB")
+    cfg_file = _write_cfg(tmp_path / "run.cfg", extra)
+    # a bare MemoryError says nothing, so the message says what ran out
+    for error, why in ((MemoryError("Unable to allocate 1.00 PiB"), "Unable to allocate 1.00 PiB"),
+                       (MemoryError(), "out of memory building the synthetic dataset" if synthetic else
+                        "out of memory building the dataset")):  # fmt: skip
 
-    monkeypatch.setattr(cli_mod, "build_dataset", too_large)
-    code = main(["train", "--config", str(_write_cfg(tmp_path / "run.cfg", extra)), "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
-    if synthetic:
-        assert code == 2 and "config error: synth.regions = 4 and synth.days = 24" in err, err
-    else:  # a data file too large to hold is a data error naming the files
-        assert code == 3 and err.startswith(f"data error: {extra['data.cases']} with {extra['data.mobility']}"), err
+        def too_large(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli_mod, "build_dataset", too_large)
+        code = main(["train", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        if synthetic:
+            assert code == 2 and "config error: synth.regions = 4 and synth.days = 24" in err, err
+        else:  # a data file too large to hold is a data error naming the files
+            named = f"data error: {extra['data.cases']} with {extra['data.mobility']} is too large to hold"
+            assert code == 3 and err.startswith(named), err
+        assert f"({why})" in err, err
 
 
 @pytest.mark.parametrize("loader, name", [("load_cases", "cases.csv"), ("load_mobility", "mobility.csv")])
@@ -470,13 +479,18 @@ def test_a_data_file_too_large_to_hold_is_a_data_error_naming_it(tmp_path, capsy
     data = cmd_synth(_cfg(tmp_path / "data"))
     extra = {"data.cases": str(data / "cases.csv"), "data.mobility": str(data / "mobility.csv")}
 
-    def too_large(*args, **kwargs):
-        raise MemoryError("Unable to allocate 1.00 PiB")
+    cfg_file = _write_cfg(tmp_path / "run.cfg", extra)
+    # a bare MemoryError says nothing, so the message says what ran out
+    for error, why in ((MemoryError("Unable to allocate 1.00 PiB"), "Unable to allocate 1.00 PiB"),
+                       (MemoryError(), "out of memory parsing the file")):  # fmt: skip
 
-    monkeypatch.setattr(cli_mod, loader, too_large)
-    code = main(["train", "--config", str(_write_cfg(tmp_path / "run.cfg", extra)), "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
-    assert code == 3 and err.startswith(f"data error: {data / name} is too large to hold"), err
+        def too_large(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli_mod, loader, too_large)
+        code = main(["train", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3 and err.startswith(f"data error: {data / name} is too large to hold ({why})"), err
 
 
 def test_a_value_error_outside_the_config_checks_is_not_a_config_error(tmp_path, capsys, monkeypatch):

@@ -157,6 +157,12 @@ def test_load_mobility_bad_date(tmp_path):
         load_mobility(_mob_csv(tmp_path, ["10/03/2020,a,b,1.0"]))
 
 
+@pytest.mark.parametrize("row", ["2020-03-10,a, ,1.0", "2020-03-10,,b,1.0"])
+def test_load_mobility_empty_region_id(tmp_path, row):
+    with pytest.raises(MalformedRowError, match=r"mob.csv:3: empty region id"):
+        load_mobility(_mob_csv(tmp_path, ["2020-03-10,a,b,1.0", row]))
+
+
 def test_load_mobility_malformed_row(tmp_path):
     with pytest.raises(MalformedRowError):
         load_mobility(_mob_csv(tmp_path, ["2020-03-10,a,b"]))

@@ -23,10 +23,8 @@ from epicast.evalharness import (
     emit_report,
     horizon_truth,
     load_reference_results,
-    mae,
     metric_report,
     reference_for,
-    rmse,
     run_ablation,
 )
 from epicast.forecaster import forecast
@@ -51,21 +49,26 @@ def mae_loop(y, y_hat):
     return acc / len(y)
 
 
+def _metrics(y, y_hat):
+    """(RMSE, MAE) of a whole series: the metrics of a one-region report."""
+    rep = metric_report(np.reshape(y, (-1, 1)), np.reshape(y_hat, (-1, 1)), "synthetic", len(y), "model")
+    assert rep.per_region_rmse == [rep.region_avg_rmse] and rep.per_region_mae == [rep.region_avg_mae]
+    return rep.region_avg_rmse, rep.region_avg_mae
+
+
 def test_metrics_identity():
     y = np.array([1.0, 2.0, 3.0])
-    assert rmse(y, y) == 0.0
-    assert mae(y, y) == 0.0
+    assert _metrics(y, y) == (0.0, 0.0)
 
 
 def test_metrics_hand_oracle():
-    y, y_hat = np.array([0.0, 0.0]), np.array([3.0, 4.0])
-    assert rmse(y, y_hat) == pytest.approx(math.sqrt(12.5), abs=1e-12)
-    assert mae(y, y_hat) == pytest.approx(3.5, abs=1e-12)
+    r, m = _metrics(np.array([0.0, 0.0]), np.array([3.0, 4.0]))
+    assert r == pytest.approx(math.sqrt(12.5), abs=1e-12)
+    assert m == pytest.approx(3.5, abs=1e-12)
 
 
 def test_metrics_single_point():
-    assert rmse([2.0], [5.0]) == pytest.approx(3.0)
-    assert mae([2.0], [5.0]) == pytest.approx(3.0)
+    assert _metrics([2.0], [5.0]) == pytest.approx((3.0, 3.0))
 
 
 def test_metrics_match_loop_oracle_100_pairs():
@@ -74,9 +77,10 @@ def test_metrics_match_loop_oracle_100_pairs():
         h = rng.integers(1, 30)
         y = rng.normal(size=h) * rng.uniform(0.1, 100)
         y_hat = rng.normal(size=h) * rng.uniform(0.1, 100)
-        assert rmse(y, y_hat) == pytest.approx(rmse_loop(y, y_hat), rel=1e-9, abs=1e-9)
-        assert mae(y, y_hat) == pytest.approx(mae_loop(y, y_hat), rel=1e-9, abs=1e-9)
-        assert rmse(y, y_hat) >= mae(y, y_hat) - 1e-12
+        r, m = _metrics(y, y_hat)
+        assert r == pytest.approx(rmse_loop(y, y_hat), rel=1e-9, abs=1e-9)
+        assert m == pytest.approx(mae_loop(y, y_hat), rel=1e-9, abs=1e-9)
+        assert r >= m - 1e-12
 
 
 @given(
@@ -87,14 +91,15 @@ def test_metrics_match_loop_oracle_100_pairs():
 def test_rmse_dominates_mae(y, seed):
     y = np.array(y)
     y_hat = y + np.random.default_rng(seed).normal(size=y.shape)
-    assert rmse(y, y_hat) >= mae(y, y_hat) - 1e-12
+    r, m = _metrics(y, y_hat)
+    assert r >= m - 1e-12
 
 
 def test_metrics_reject_bad_shapes():
-    with pytest.raises(ValueError):
-        rmse([1.0, 2.0], [1.0])
-    with pytest.raises(ValueError):
-        mae([], [])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        _metrics([1.0, 2.0], [1.0])
+    with pytest.raises(ValueError, match="empty horizon"):
+        _metrics([], [])
 
 
 def test_metric_report_region_average():
@@ -118,8 +123,9 @@ def test_metric_report_equals_column_metrics_bitwise(h, n, seed, scale):
     truth = rng.normal(size=(h, n)) * scale
     pred = rng.normal(size=(h, n)) * scale
     rep = metric_report(truth, pred, "synthetic", h, "model")
-    assert rep.per_region_rmse == [rmse(truth[:, i], pred[:, i]) for i in range(n)]
-    assert rep.per_region_mae == [mae(truth[:, i], pred[:, i]) for i in range(n)]
+    alone = [metric_report(truth[:, [i]], pred[:, [i]], "synthetic", h, "model") for i in range(n)]
+    assert rep.per_region_rmse == [r.region_avg_rmse for r in alone]
+    assert rep.per_region_mae == [r.region_avg_mae for r in alone]
     assert rep.region_avg_rmse == float(np.mean(rep.per_region_rmse))
     assert rep.region_avg_mae == float(np.mean(rep.per_region_mae))
 

@@ -186,6 +186,7 @@ def template(tmp_path_factory):
 @example(case=("metrics", ("replace", "reports", "[]")), expected=2)
 @example(case=("metrics", ("replace", "dataset", "[[1]]")), expected=2)
 @example(case=("cases", ("replace", "region_id", '""')), expected=(3, "empty region id"))
+@example(case=("mobility", ("replace", "dst_region", '""')), expected=(3, "empty region id"))
 @example(case=("mobility", ("replace", "date", "2100-01-01")), expected=(3, "rows on dates outside the expected axis"))
 @example(case=("checkpoint sidecar", ("replace", "kind", '"backbone"')), expected=(4, "is not a model checkpoint"))
 @example(case=("checkpoint sidecar", ("replace", "format", '"npz"')), expected=(4, "unsupported weight format 'npz'"))

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 from composed_reference import gelu
+from gradcheck import grad_check
 
-from epicast.gradcheck import grad_check
 from epicast.tensor import Parameter, add, constant, matmul, mul, transpose, tsum
 
 

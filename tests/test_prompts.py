@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 from composed_reference import block_adjacency, cross_slice_masks, slice_offsets
+from gradcheck import grad_check
 
-from epicast.gradcheck import grad_check
 from epicast.prompts import build_prompted_graph, init_prompts
 from epicast.tensor import _sigmoid, constant, mul, tsum
 

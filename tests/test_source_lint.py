@@ -1,6 +1,10 @@
 """Source checks for numeric pitfalls and coverage gaps that tests of values cannot see."""
 
 import ast
+import os
+import re
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -379,3 +383,67 @@ def test_the_check_sees_an_epoch_written_out():
         "    opt.step()\n    val = trainer.validation_loss(model)\n    run_epoch(model)\n"
     )
     assert _epoch_calls(ast.parse(source)) == ["training_loss", "backward", "step", "validation_loss", "run_epoch"]
+
+
+def _unentered(root):
+    """`tools/linetrace.py --commands` of the tree at `root`: the six commands
+    under a call tracer, reporting each `src/` function none of them enters."""
+    tool = root / "tools" / "linetrace.py"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run(
+        [sys.executable, str(tool), "--commands"], cwd=root, env=env, capture_output=True, text=True, timeout=600
+    )
+
+
+def test_every_src_function_runs_under_a_command():
+    run = _unentered(ROOT)
+    assert run.returncode == 0, (
+        f"{run.stdout}{run.stderr}\na src/ function that no command enters: delete it, move it to "
+        "the tests, or give it a reason in tools/linetrace.py's EXEMPT"
+    )
+
+
+def test_the_check_sees_a_function_no_command_calls(tmp_path):
+    src = tmp_path / "src" / "epicast"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "tools").mkdir()
+    shutil.copy(ROOT / "tools" / "linetrace.py", tmp_path / "tools")
+    with open(src / "evalharness.py", "a") as fh:
+        fh.write("\n\ndef orphan():\n    return 0\n")
+    model = src / "model.py"
+    model.write_text(model.read_text().replace("def backbone_hash(", "def backbone_digest("))
+    run = _unentered(tmp_path)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "evalharness.orphan: NOT EXEMPT" in run.stdout, run.stdout
+    assert "model.backbone_digest: NOT EXEMPT" in run.stdout, run.stdout
+    assert "stale exemption: model.backbone_hash" in run.stdout, run.stdout
+    assert "data.synth_sir: tools/digests.py builds every ledger case with it" in run.stdout, run.stdout
+
+
+def _layout_files(readme):
+    """The files README's layout block names: its ``src/epicast/`` rows, two
+    spaces in, and its ``tools/`` rows; wrapped description lines name none."""
+    block = readme.split("## Layout", 1)[1].split("```")[1]
+    return {f"src/epicast/{name}" for name in re.findall(r"^  (\w+\.py) ", block, re.M)} | set(
+        re.findall(r"^(tools/\w+\.py) ", block, re.M)
+    )
+
+
+def test_readme_layout_names_every_module_and_tool():
+    modules = {f"src/epicast/{p.name}" for p in SRC.glob("*.py") if p.stem not in ("__init__", "__main__")}
+    tools = {f"tools/{p.name}" for p in (ROOT / "tools").glob("*.py")}
+    files, named = modules | tools, _layout_files((ROOT / "README.md").read_text())
+    assert named == files, (
+        f"README's layout names {sorted(named - files)}, which do not exist, and omits {sorted(files - named)}"
+    )
+
+
+def test_the_check_sees_a_stale_layout_line():
+    readme = (
+        "# x\n\n## Layout\n\n```\nsrc/epicast/\n  tensor.py       autodiff\n  gradcheck.py    gradient checking\n"
+        "  trainer.py      the epoch, which\n                  tools/digests.py runs\ntests/            suite\n"
+        "tools/loc.py      code lines\n```\n\n## Install\n\n```\n  cli.py  x\n```\n"
+    )
+    assert _layout_files(readme) == {
+        "src/epicast/tensor.py", "src/epicast/gradcheck.py", "src/epicast/trainer.py", "tools/loc.py"
+    }  # fmt: skip

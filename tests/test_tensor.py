@@ -6,12 +6,12 @@ import zlib
 import numpy as np
 import pytest
 from composed_reference import attention_weights, div, gelu, propagate, softmax
+from gradcheck import grad_check, relative_error
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epicast.backbone import _ATTENTION, BackboneConfig, BackboneState, attention_sublayer, ffn_sublayer
 from epicast.branches import Projector, _projector_node, epi_tokenize, mob_tokenize
-from epicast.gradcheck import grad_check, relative_error
 from epicast.prompts import PromptParams
 from epicast.tensor import (
     AutodiffError,
