@@ -253,7 +253,7 @@ def _load_dataset(cfg: RunConfig) -> EpidemicDataset:
         cases, mobility = _synth_tables(cfg)
     else:
         cases = _held(load_cases, cfg["data.cases"])
-        mobility = _held(load_mobility, cfg["data.mobility"], dates=cases.dates)
+        mobility = _held(load_mobility, cfg["data.mobility"], cases=cases)
     try:
         return build_dataset(cases, mobility, w=cfg["w"], epsilon=cfg["epsilon"], scale=cfg["scale"])
     except MemoryError as exc:

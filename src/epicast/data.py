@@ -5,10 +5,11 @@ Two CSV schemas are ingested:
 * cases:    ``date,region_id,new_cases``  (one row per day and region)
 * mobility: ``date,src_region,dst_region,weight``  (absent pairs = zero flow)
 
-Each loads into a dense table: (T, N) counts, (T, R, R) flows.  ``build_dataset``
-aligns the two into per-day feature rows holding the last ``w`` daily counts and
-per-day mobility matrices.  The adjacency is that mobility, thresholded: with a
-positive ``epsilon`` the dataset keeps a boolean mask of the flows above it, and
+Each loads into a dense table on one axis: (T, N) counts, and (T, N, N) flows
+on the case file's dates and regions.  ``build_dataset`` turns the two into
+per-day feature rows holding the last ``w`` daily counts and per-day mobility
+matrices.  The adjacency is that mobility, thresholded: with a positive
+``epsilon`` the dataset keeps a boolean mask of the flows above it, and
 ``adjacency`` reads any window's adjacency from the mobility and that mask.
 ``synth_sir`` generates a fully deterministic SIR-on-a-mobility-graph dataset.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 import re
 from dataclasses import dataclass
 
@@ -57,10 +59,6 @@ class NegativeWeightError(DataError):
 
 
 class RegionMismatchError(DataError):
-    pass
-
-
-class EmptyOverlapError(DataError):
     pass
 
 
@@ -205,18 +203,26 @@ def load_cases(path) -> CaseTable:
     return CaseTable(dates=dates, regions=region_list, counts=counts)
 
 
-def load_mobility(path, dates: list[dt.date] | None = None) -> MobilityTable:
-    """Parse a mobility CSV into a dense table.
+def load_mobility(path, cases: CaseTable) -> MobilityTable:
+    """Parse a mobility CSV into a dense table on the case table's axes.
 
-    When `dates` is given it fixes the date axis (so an empty file yields
-    all-zero flows over those dates); otherwise the axis is the sorted set of
-    dates present in the file.  The region axis is the sorted set of ids the
-    file names, zero-weight rows included.  Rows are added in file order, so
-    rows repeating a (date, src, dst) sum.
+    The table's dates and regions are those of `cases`, so an empty file
+    yields all-zero flows and unlisted pairs or days keep zero flow.  Each row
+    is added into the table as it is read, in file order, so rows repeating a
+    (date, src, dst) sum.  A row on a date the case file lacks, or naming a
+    region it lacks, fails at its own ``path:line``.
     """
-    rows: list[tuple[dt.date, str, str, float]] = []
+    t_of = {day: t for t, day in enumerate(cases.dates)}
+    r_of = {region: i for i, region in enumerate(cases.regions)}
+    t_of_text: dict[str, int] = {}  # each distinct date text is parsed once
+    flows = np.zeros((len(cases.dates), len(cases.regions), len(cases.regions)), dtype=np.float64)
     for where, row in _records(path, "mobility file", ["date", "src_region", "dst_region", "weight"]):
-        day = _parse_date(row[0], where)
+        t = t_of_text.get(row[0])
+        if t is None:
+            day = _parse_date(row[0], where)
+            if day not in t_of:
+                raise MalformedRowError(f"{where}: rows on dates outside the expected axis: {day} is not a case date")
+            t = t_of_text[row[0]] = t_of[day]
         src, dst = row[1].strip(), row[2].strip()
         if not (src and dst):
             raise MalformedRowError(f"{where}: empty region id")
@@ -224,22 +230,13 @@ def load_mobility(path, dates: list[dt.date] | None = None) -> MobilityTable:
             wgt = float(row[3])
         except ValueError as exc:
             raise MalformedRowError(f"{where}: bad weight {row[3]!r}") from exc
-        if not np.isfinite(wgt) or wgt < 0:
+        if not math.isfinite(wgt) or wgt < 0:
             raise NegativeWeightError(f"{where}: negative or non-finite weight {wgt}")
-        rows.append((day, src, dst, wgt))
-    if dates is None:
-        dates = sorted({day for day, _, _, _ in rows})
-    else:
-        outside = {day for day, _, _, _ in rows} - set(dates)
-        if outside:
-            raise MalformedRowError(f"{path}: rows on dates outside the expected axis: {sorted(outside)[:3]}")
-    regions = sorted({src for _, src, _, _ in rows} | {dst for _, _, dst, _ in rows})
-    t_of = {day: t for t, day in enumerate(dates)}
-    r_of = {region: i for i, region in enumerate(regions)}
-    flows = np.zeros((len(dates), len(regions), len(regions)), dtype=np.float64)
-    for day, src, dst, wgt in rows:
-        flows[t_of[day], r_of[src], r_of[dst]] += wgt
-    return MobilityTable(dates=list(dates), regions=regions, flows=flows)
+        i, j = r_of.get(src), r_of.get(dst)
+        if i is None or j is None:
+            raise RegionMismatchError(f"{where}: mobility references unknown region {src if i is None else dst!r}")
+        flows[t, i, j] += wgt
+    return MobilityTable(dates=list(cases.dates), regions=list(cases.regions), flows=flows)
 
 
 # -- dense dataset -----------------------------------------------------------------
@@ -297,44 +294,30 @@ def build_dataset(
     epsilon: float = 0.0,
     scale: bool = False,
 ) -> EpidemicDataset:
-    """Join the two tables over their date overlap and window the features.
+    """Window the case features and take the mobility, two tables on one axis.
 
-    With ``scale`` on, counts are divided by each region's series maximum and
-    flows by the global flow maximum; forecasts are mapped back to raw units
-    on output.  Scaling uses the whole series (the toggle conditions the
-    optimization, it is not a fitted preprocessing step).
+    The tables must share their dates and regions, as ``load_mobility`` and
+    ``synth_sir_tables`` make them; tables whose dates or regions differ raise
+    a DataError naming the axis.  With ``scale`` on, counts are divided by
+    each region's series maximum and flows by the global flow maximum;
+    forecasts are mapped back to raw units on output.  Scaling uses the whole
+    series (the toggle conditions the optimization, it is not a fitted
+    preprocessing step).
     """
     if w < 1:
         raise ConfigError(f"window length must be >= 1, got {w}")
     if not np.isfinite(epsilon):
         raise ConfigError(f"epsilon must be finite, got {epsilon}")
-    if not mobility.dates:
-        raise EmptyOverlapError("mobility table has no dates")
-    start = max(cases.dates[0], mobility.dates[0])
-    end = min(cases.dates[-1], mobility.dates[-1])
-    if start > end:
-        raise EmptyOverlapError(f"case dates end {cases.dates[-1]}, mobility starts {mobility.dates[0]}")
-    unknown = set(mobility.regions) - set(cases.regions)
-    if unknown:
-        raise RegionMismatchError(f"mobility references unknown regions: {sorted(unknown)[:3]}")
-
-    c0 = cases.dates.index(start)
-    c1 = cases.dates.index(end)
-    dates = cases.dates[c0 : c1 + 1]
-    counts = cases.counts[c0 : c1 + 1]
+    if mobility.dates != cases.dates:
+        raise DataError("the mobility table's dates differ from the case table's")
+    if mobility.regions != cases.regions:
+        raise RegionMismatchError("the mobility table's regions differ from the case table's")
+    counts = cases.counts
     T, N = counts.shape
     if w > T:
         raise ConfigError(f"window length w={w} is longer than the {T}-day series: no patch fits")
-    region_index = {r: i for i, r in enumerate(cases.regions)}
-    idx = [region_index[r] for r in mobility.regions]
-    mob_t = {day: k for k, day in enumerate(mobility.dates)}
-    days = [t for t, day in enumerate(dates) if day in mob_t]
-
-    M = np.zeros((T, N, N), dtype=np.float64)  # days without mobility rows keep zero flow
-    cells = np.ix_(idx, idx)
-    for t in days:  # one day at a time: no copy of the whole table
-        M[t][cells] = mobility.flows[mob_t[dates[t]]]
-    M += 0.0  # -0.0 flows become 0.0, so that `adjacency` needs no mask at epsilon <= 0
+    # a C-ordered copy in which -0.0 flows become 0.0, so that `adjacency` needs no mask at epsilon <= 0
+    M = np.add(mobility.flows, 0.0, order="C")
 
     if scale:
         case_scale = counts.max(axis=0).astype(np.float64)
@@ -352,7 +335,8 @@ def build_dataset(
     try:
         X = window_features(counts_model, w)
     except MemoryError as exc:
-        raise ConfigError(f"window length w={w} over {T} days and {N} regions does not fit in memory ({exc})") from exc
+        why = str(exc) or "out of memory building the windows"
+        raise ConfigError(f"window length w={w} over {T} days and {N} regions does not fit in memory ({why})") from exc
     return EpidemicDataset(
         N=N,
         T=T,
@@ -361,7 +345,7 @@ def build_dataset(
         M=M,
         mask=mask,
         region_names=list(cases.regions),
-        dates=dates,
+        dates=list(cases.dates),
         counts=counts,
         case_scale=case_scale,
         mob_scale=mob_scale,

@@ -155,7 +155,7 @@ def forecast(
     except (MemoryError, ValueError) as exc:  # past 2**63 bytes numpy raises ValueError
         raise ForecastSizeError(
             f"a horizon of {horizon} days ({steps} steps of w={w}) from day {context_end} "
-            f"does not fit in memory ({exc})"
+            f"does not fit in memory ({str(exc) or 'out of memory allocating the rollout history'})"
         ) from exc
     counts[:context_end] = ds.counts[:context_end] / ds.case_scale
     M[:context_end] = ds.M[:context_end]
@@ -197,8 +197,8 @@ def forecast(
         raise ForecastDivergedError(step, f"value (numpy: {exc})") from exc
     except MemoryError as exc:
         raise ForecastSizeError(
-            f"forecast step {step} of {steps} does not fit in memory ({exc}); lower the size keys: "
-            f"{model.working_set_keys(end)}"
+            f"forecast step {step} of {steps} does not fit in memory ({str(exc) or 'out of memory running the step'}); "
+            f"lower the size keys: {model.working_set_keys(end)}"
         ) from exc
     base_date = ds.dates[context_end - 1]
     dates = [base_date + dt.timedelta(days=k + 1) for k in range(horizon)]

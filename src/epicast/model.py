@@ -125,8 +125,8 @@ def build_model(cfg: ModelConfig, backbone_cfg: BackboneConfig, backbone_weights
         )
     except MemoryError as exc:
         raise ModelSizeError(
-            f"model parameters do not fit in memory ({exc}); lower the size keys: "
-            f"w={cfg.w}, backbone.width={cfg.width}, model.mob_hidden={cfg.mob_hidden}, "
+            f"model parameters do not fit in memory ({str(exc) or 'out of memory allocating the parameters'}); "
+            f"lower the size keys: w={cfg.w}, backbone.width={cfg.width}, model.mob_hidden={cfg.mob_hidden}, "
             f"backbone.depth={backbone_cfg.depth}, backbone.max_positions={backbone_cfg.max_positions}, "
             f"or the dataset's region count ({cfg.n_regions})"
         ) from exc

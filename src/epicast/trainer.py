@@ -220,8 +220,8 @@ def run_epoch(
         raise TrainingDivergedError(epoch, f"value (numpy: {exc})") from exc
     except MemoryError as exc:
         raise TrainingMemoryError(
-            f"epoch {epoch} does not fit in memory ({exc}); lower the size keys: "
-            f"{model.working_set_keys(val_range.stop)}"
+            f"epoch {epoch} does not fit in memory ({str(exc) or 'out of memory running the epoch'}); "
+            f"lower the size keys: {model.working_set_keys(val_range.stop)}"
         ) from exc
     return loss_value, val_value
 

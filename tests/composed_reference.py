@@ -266,9 +266,17 @@ def attention_sublayer(x, state, layer: int, mask: np.ndarray, cache: DecodeCach
     q, k, v = split(proj("q")), split(proj("k")), split(proj("v"))
     if cache is not None:
         if layer < len(cache.kv):  # decode: attend to the cached positions too
-            k_past, v_past = cache.kv[layer]
-            k = constant(np.concatenate([k_past, k.data], axis=2))
-            v = constant(np.concatenate([v_past, v.data], axis=2))
+            # joined as the backbone joins them: the cached positions, then
+            # this call's, in one (N, S, D) buffer read through its head view,
+            # so the mix multiplies values laid out as the backbone's
+            joined = []
+            for kept, new in zip(cache.kv[layer], (k, v)):
+                past = kept.shape[2]
+                buffer = np.empty((N, past + P, D))
+                buffer[:, :past] = kept.transpose(0, 2, 1, 3).reshape(N, past, D)
+                buffer[:, past:] = new.data.transpose(0, 2, 1, 3).reshape(N, P, D)
+                joined.append(constant(buffer.reshape(N, past + P, H, dh).transpose(0, 2, 1, 3)))
+            k, v = joined
             cache.kv[layer] = (k.data, v.data)
         else:  # prefill
             cache.kv.append((k.data, v.data))

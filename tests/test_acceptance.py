@@ -315,7 +315,7 @@ def test_criterion_11_real_data_smoke(tmp_path):
                 pytest.skip(f"{cases_path} missing")
             cases = load_cases(cases_path)
             assert cases.n_regions == expected_regions, name
-            load_mobility(mobility_path, dates=cases.dates)
+            load_mobility(mobility_path, cases)
 
         england = data_dir / "England_cases.csv"
         raw = {

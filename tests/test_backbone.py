@@ -7,7 +7,7 @@ import pytest
 from composed_reference import attention_sublayer as composed_attention_sublayer
 from composed_reference import ffn_sublayer as composed_ffn_sublayer
 from gradcheck import grad_check
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import epicast.backbone as backbone_mod
@@ -388,6 +388,7 @@ def test_ffn_sublayer_is_bitwise_the_composed_ops(
     rows=st.integers(min_value=1, max_value=3),
     seed=st.integers(min_value=0, max_value=2**16),
 )
+@example(n=1, chunks=[1, 1, 1, 1], heads=2, dh=1, rows=1, seed=0)  # a one-position step over joined keys and values
 @settings(max_examples=30, deadline=None)
 def test_attention_sublayer_decodes_bitwise_as_the_composed_ops(n, chunks, heads, dh, rows, seed):
     """A prefill and decode steps through a DecodeCache: every output and the

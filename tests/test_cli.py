@@ -343,22 +343,32 @@ def test_exit_two_on_history_longer_than_max_positions(tmp_path, capsys):
     assert not (tmp_path / "out" / "checkpoint.bin").exists()
 
 
+def _no_backbone(*args, **kwargs):
+    raise AssertionError("backbone parameters allocated before the size check")
+
+
+def _bare_memory_error(*args, **kwargs):
+    raise MemoryError()
+
+
 @pytest.mark.parametrize(
-    "line, sizes",
+    "line, sizes, backbone",
     [
-        ("model.mob_hidden = 100000000000", "mob_hidden=100000000000"),
-        ("backbone.max_positions = 100000000000", "max_positions=100000000000"),
-        ("model.mob_hidden = 1000000000000000000", "mob_hidden=1000000000000000000"),  # past 2**63 bytes
-        ("backbone.max_positions = 1000000000000000000", "max_positions=1000000000000000000"),
+        ("model.mob_hidden = 100000000000", "mob_hidden=100000000000", None),
+        ("backbone.max_positions = 100000000000", "max_positions=100000000000", None),
+        ("model.mob_hidden = 1000000000000000000", "mob_hidden=1000000000000000000", None),  # past 2**63 bytes
+        ("backbone.max_positions = 1000000000000000000", "max_positions=1000000000000000000", None),
         # layers allocate one by one; width 512 makes it 25 TB, past any machine's memory
-        ("backbone.depth = 1000000\nbackbone.width = 512", "backbone.depth=1000000"),
+        ("backbone.depth = 1000000\nbackbone.width = 512", "backbone.depth=1000000", None),
         # the region count comes from the dataset, not from a model key
-        ("backbone.width = 100000000000", "backbone.width=100000000000"),
+        ("backbone.width = 100000000000", "backbone.width=100000000000", None),
+        # a bare MemoryError says nothing, so the message says what ran out
+        ("backbone.depth = 1", "memory (out of memory allocating the parameters); lower", _bare_memory_error),
     ],
 )
-def test_exit_two_on_parameters_too_large_to_allocate(tmp_path, capsys, monkeypatch, line, sizes):
+def test_exit_two_on_parameters_too_large_to_allocate(tmp_path, capsys, monkeypatch, line, sizes, backbone):
     """The error names only keys a config sets, and the dataset's region count."""
-    monkeypatch.setattr("epicast.model.build_backbone", _no_backbone)
+    monkeypatch.setattr("epicast.model.build_backbone", backbone or _no_backbone)
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("\n".join(f"{k} = {v}" for k, v in FAST.items()) + f"\n{line}\n")
     assert main(["train", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
@@ -366,10 +376,6 @@ def test_exit_two_on_parameters_too_large_to_allocate(tmp_path, capsys, monkeypa
     assert "config error: model parameters do not fit in memory" in err and sizes in err, err
     assert "the dataset's region count (4)" in err and "ffn_mult" not in err, err
     assert not (tmp_path / "out" / "checkpoint.bin").exists()
-
-
-def _no_backbone(*args, **kwargs):
-    raise AssertionError("backbone parameters allocated before the size check")
 
 
 def test_exit_two_when_gradients_and_adam_moments_do_not_fit(tmp_path, capsys, monkeypatch):
@@ -396,6 +402,16 @@ def test_exit_two_when_gradients_and_adam_moments_do_not_fit(tmp_path, capsys, m
     assert not (tmp_path / "out" / "checkpoint.bin").exists()
 
 
+class _NumpyWithoutEmpty:
+    """numpy, except that ``empty`` raises a MemoryError with no text."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, *args, **kwargs):
+        raise MemoryError()
+
+
 # Sizes whose arrays are larger than the 128 TiB user address space, so the
 # allocation fails at once on any machine, whatever its overcommit setting.
 @pytest.mark.parametrize(
@@ -408,12 +424,17 @@ def test_exit_two_when_gradients_and_adam_moments_do_not_fit(tmp_path, capsys, m
         ("train", {"w": str(10**13), "horizon": str(10**13)}, "w=10000000000000"),
         ("synth", {"synth.days": str(10**17)}, "synth.regions = 4 and synth.days = 100000000000000000"),  # past 2**63 bytes
         ("train", {"synth.regions": str(10**20)}, "synth.regions = 100000000000000000000 and synth.days = 24"),
+        # a bare MemoryError says nothing, so the message says what ran out
+        ("forecast", {}, "horizon of 3 days (1 steps of w=3) from day 21 does not fit in memory "
+         "(out of memory allocating the rollout history)"),
     ],
 )
-def test_exit_two_on_sizes_too_large_to_allocate(tmp_path, capsys, command, extra, named):
+def test_exit_two_on_sizes_too_large_to_allocate(tmp_path, capsys, monkeypatch, command, extra, named):
     out = tmp_path / "out"
     if command == "forecast":  # serving needs a trained checkpoint
         assert main(["train", "--config", str(_write_cfg(tmp_path / "ok.cfg")), "--out", str(out)]) == 0
+    if not extra:  # the rollout history's first allocation fails with no text
+        monkeypatch.setattr(forecaster_mod, "np", _NumpyWithoutEmpty())
     capsys.readouterr()
     assert main([command, "--config", str(_write_cfg(tmp_path / "bad.cfg", extra)), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -421,28 +442,34 @@ def test_exit_two_on_sizes_too_large_to_allocate(tmp_path, capsys, command, extr
 
 
 @pytest.mark.parametrize(
-    "command, module, name, named",
+    "command, module, name, named, bare",
     [
-        ("train", trainer_mod, "training_loss", "epoch 1 does not fit in memory"),
-        ("forecast", forecaster_mod, "backbone_forward", "forecast step 1 of 1 does not fit in memory"),
+        ("train", trainer_mod, "training_loss", "epoch 1 does not fit in memory", "out of memory running the epoch"),
+        ("forecast", forecaster_mod, "backbone_forward", "forecast step 1 of 1 does not fit in memory",
+         "out of memory running the step"),
     ],
 )
-def test_exit_two_when_an_epoch_or_a_forecast_step_does_not_fit(tmp_path, capsys, monkeypatch, command, module, name, named):
+def test_exit_two_when_an_epoch_or_a_forecast_step_does_not_fit(
+    tmp_path, capsys, monkeypatch, command, module, name, named, bare
+):
     out = tmp_path / "out"
     if command == "forecast":  # serving needs a trained checkpoint
         assert main(["train", "--config", str(_write_cfg(tmp_path / "ok.cfg")), "--out", str(out)]) == 0
+    # a bare MemoryError says nothing, so the message says what ran out
+    for error, why in ((MemoryError("Unable to allocate 1.00 PiB"), "Unable to allocate 1.00 PiB"),
+                       (MemoryError(), bare)):  # fmt: skip
 
-    def too_large(*args, **kwargs):
-        raise MemoryError("Unable to allocate 1.00 PiB")
+        def too_large(*args, **kwargs):
+            raise error
 
-    monkeypatch.setattr(module, name, too_large)
-    capsys.readouterr()
-    assert main([command, "--config", str(_write_cfg(tmp_path / "run.cfg")), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(
-        f"config error: {named} (Unable to allocate 1.00 PiB); lower the size keys: w=3, backbone.width=8, "
-        "backbone.depth=1, backbone.heads=2, model.mob_hidden=0, or the dataset's size (4 regions, "
-    ), err
+        monkeypatch.setattr(module, name, too_large)
+        capsys.readouterr()
+        assert main([command, "--config", str(_write_cfg(tmp_path / "run.cfg")), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: {named} ({why}); lower the size keys: w=3, backbone.width=8, "
+            "backbone.depth=1, backbone.heads=2, model.mob_hidden=0, or the dataset's size (4 regions, "
+        ), err
 
 
 @pytest.mark.parametrize("synthetic", [True, False])

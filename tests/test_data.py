@@ -19,7 +19,6 @@ from epicast.data import (
     DateFormatError,
     DateGapError,
     DuplicateRowError,
-    EmptyOverlapError,
     InvalidSplitError,
     MalformedRowError,
     MobilityTable,
@@ -134,49 +133,90 @@ def test_case_table_rejects_bad_shape_and_negative_counts():
 # -- load_mobility --------------------------------------------------------------------
 
 
+def _axis(regions=("a", "b", "c"), days=3):
+    """A case table of zero counts on `days` days from 2020-03-10 over `regions`:
+    the axes a mobility file loads onto."""
+    dates = [dt.date(2020, 3, 10) + dt.timedelta(days=d) for d in range(days)]
+    return CaseTable(dates=dates, regions=list(regions), counts=np.zeros((days, len(regions)), dtype=np.int64))
+
+
 def test_load_mobility_empty_file_over_three_dates(tmp_path):
-    dates = [dt.date(2020, 3, 10) + dt.timedelta(days=d) for d in range(3)]
-    table = load_mobility(_mob_csv(tmp_path, []), dates=dates)
-    assert table.dates == dates
-    assert table.regions == []
-    assert table.flows.shape == (3, 0, 0)
+    cases = _axis(("a", "b"))
+    table = load_mobility(_mob_csv(tmp_path, []), cases)
+    assert table.dates == cases.dates
+    assert table.regions == ["a", "b"]
+    assert table.flows.shape == (3, 2, 2) and not table.flows.any()
 
 
 def test_load_mobility_negative_weight(tmp_path):
     with pytest.raises(NegativeWeightError):
-        load_mobility(_mob_csv(tmp_path, ["2020-03-10,a,b,-1"]))
+        load_mobility(_mob_csv(tmp_path, ["2020-03-10,a,b,-1"]), _axis())
 
 
 def test_load_mobility_bad_weight(tmp_path):
     with pytest.raises(MalformedRowError, match="bad weight 'heavy'"):
-        load_mobility(_mob_csv(tmp_path, ["2020-03-10,a,b,heavy"]))
+        load_mobility(_mob_csv(tmp_path, ["2020-03-10,a,b,heavy"]), _axis())
 
 
 def test_load_mobility_bad_date(tmp_path):
     with pytest.raises(DateFormatError):
-        load_mobility(_mob_csv(tmp_path, ["10/03/2020,a,b,1.0"]))
+        load_mobility(_mob_csv(tmp_path, ["10/03/2020,a,b,1.0"]), _axis())
 
 
 @pytest.mark.parametrize("row", ["2020-03-10,a, ,1.0", "2020-03-10,,b,1.0"])
 def test_load_mobility_empty_region_id(tmp_path, row):
     with pytest.raises(MalformedRowError, match=r"mob.csv:3: empty region id"):
-        load_mobility(_mob_csv(tmp_path, ["2020-03-10,a,b,1.0", row]))
+        load_mobility(_mob_csv(tmp_path, ["2020-03-10,a,b,1.0", row]), _axis())
 
 
 def test_load_mobility_malformed_row(tmp_path):
     with pytest.raises(MalformedRowError):
-        load_mobility(_mob_csv(tmp_path, ["2020-03-10,a,b"]))
+        load_mobility(_mob_csv(tmp_path, ["2020-03-10,a,b"]), _axis())
 
 
 def test_load_mobility_dense_axes_and_summed_duplicates(tmp_path):
+    """The table lies on the case table's axes, regions no row names (d) and
+    days no row falls on (the 12th) included, and repeated rows sum."""
     rows = ["2020-03-11,b,a,2.5", "2020-03-10,c,c,0", "2020-03-11,b,a,1.25", "2020-03-10,a,b,4"]
-    table = load_mobility(_mob_csv(tmp_path, rows))
-    assert table.dates == [dt.date(2020, 3, 10), dt.date(2020, 3, 11)]
-    assert table.regions == ["a", "b", "c"]  # the zero-weight row still names c
-    expected = np.zeros((2, 3, 3))
+    cases = _axis(("a", "b", "c", "d"))
+    table = load_mobility(_mob_csv(tmp_path, rows), cases)
+    assert table.dates == cases.dates
+    assert table.regions == ["a", "b", "c", "d"]
+    expected = np.zeros((3, 4, 4))
     expected[0, 0, 1] = 4.0
     expected[1, 1, 0] = 3.75
     np.testing.assert_array_equal(table.flows, expected)
+
+
+@pytest.mark.parametrize("row", ["2020-03-13,a,b,1.0", "2020-03-09,a,b,1.0"])
+def test_load_mobility_fails_at_a_row_on_a_date_outside_the_case_dates(tmp_path, row):
+    path = _mob_csv(tmp_path, ["2020-03-10,a,b,1.0", "2020-03-12,b,a,2.0", row, "2020-03-11,a,b,-1"])
+    with pytest.raises(MalformedRowError, match=r"mob.csv:4: rows on dates outside the expected axis: 2020-03-"):
+        load_mobility(path, _axis())
+
+
+@pytest.mark.parametrize("row", ["2020-03-11,ghost,a,1.0", "2020-03-11,a,ghost,0"])
+def test_load_mobility_fails_at_a_row_naming_a_region_the_case_file_lacks(tmp_path, row):
+    path = _mob_csv(tmp_path, ["2020-03-10,a,b,1.0", row, "2020-03-12,a,b,-1"])
+    with pytest.raises(RegionMismatchError, match=r"mob.csv:3: mobility references unknown region 'ghost'"):
+        load_mobility(path, _axis())
+
+
+def test_load_mobility_holds_no_row_objects(tmp_path):
+    """Loading a (34, 120) mobility file holds the file's bytes, its text and the
+    table, and no Python object per row: the traced peak stays under three
+    times the file's size plus the table's."""
+    cases, mobility = synth_sir_tables(34, 120, rng_seed=1)
+    path = tmp_path / "mob.csv"
+    write_mobility_csv(mobility, path)
+    tracemalloc.start()
+    try:
+        table = load_mobility(path, cases)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < 3 * size + table.flows.nbytes, f"peak {peak / 2**20:.1f} MB for a {size / 2**20:.1f} MB file"
 
 
 # fields and line endings a CSV line can hold, quoted newlines and a NUL included
@@ -223,7 +263,7 @@ def _tiny_tables(counts_by_day):
     regions = ["r0"]
     counts = np.array([[c] for c in counts_by_day])
     cases = CaseTable(dates=dates, regions=regions, counts=counts)
-    mobility = MobilityTable(dates=dates, regions=[], flows=np.zeros((len(dates), 0, 0)))
+    mobility = MobilityTable(dates=dates, regions=regions, flows=np.zeros((len(dates), 1, 1)))
     return cases, mobility
 
 
@@ -277,11 +317,21 @@ def test_build_dataset_rejects_nonfinite_epsilon(epsilon):
 
 
 def test_build_dataset_empty_overlap():
+    """Tables on other dates are refused, whether they overlap or not: there is
+    no join."""
     cases, _ = _tiny_tables([1, 2, 3])
-    far = [dt.date(2022, 1, 1) + dt.timedelta(days=d) for d in range(3)]
-    mobility = MobilityTable(dates=far, regions=[], flows=np.zeros((3, 0, 0)))
-    with pytest.raises(EmptyOverlapError):
-        build_dataset(cases, mobility, w=2)
+    for first in (dt.date(2022, 1, 1), dt.date(2021, 1, 2)):
+        dates = [first + dt.timedelta(days=d) for d in range(3)]
+        mobility = MobilityTable(dates=dates, regions=["r0"], flows=np.zeros((3, 1, 1)))
+        with pytest.raises(DataError, match="the mobility table's dates differ from the case table's"):
+            build_dataset(cases, mobility, w=2)
+
+
+def test_build_dataset_refuses_regions_in_another_order():
+    cases = CaseTable(dates=[dt.date(2021, 1, 1)], regions=["a", "b"], counts=[[1, 2]])
+    mobility = MobilityTable(dates=cases.dates, regions=["b", "a"], flows=np.zeros((1, 2, 2)))
+    with pytest.raises(RegionMismatchError, match="the mobility table's regions differ from the case table's"):
+        build_dataset(cases, mobility, w=1)
 
 
 @st.composite
@@ -298,9 +348,9 @@ def _mobility_rows(draw):
     return regions, n_days, rows
 
 
-@given(data=_mobility_rows(), fix_axis=st.booleans(), scale=st.booleans())
+@given(data=_mobility_rows(), scale=st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_build_dataset_mobility_matches_row_oracle(tmp_path_factory, data, fix_axis, scale):
+def test_build_dataset_mobility_matches_row_oracle(tmp_path_factory, data, scale):
     regions, n_days, rows = data
     dates = [dt.date(2021, 1, 1) + dt.timedelta(days=d) for d in range(n_days)]
     cases = CaseTable(dates=dates, regions=regions, counts=np.ones((n_days, len(regions)), dtype=np.int64))
@@ -308,22 +358,14 @@ def test_build_dataset_mobility_matches_row_oracle(tmp_path_factory, data, fix_a
         tmp_path_factory.mktemp("mob"),
         [f"{dates[d].isoformat()},{src},{dst},{wgt!r}" for d, src, dst, wgt in rows],
     )
-    mobility = load_mobility(path, dates=dates if fix_axis else None)
-    if not fix_axis and not rows:
-        with pytest.raises(EmptyOverlapError):
-            build_dataset(cases, mobility, w=2, scale=scale)
-        return
-    kept = dates if fix_axis else dates[min(r[0] for r in rows) : max(r[0] for r in rows) + 1]
-    ds = build_dataset(cases, mobility, w=min(2, len(kept)), scale=scale)  # w <= T, so 1-day joins build too
+    ds = build_dataset(cases, load_mobility(path, cases), w=min(2, n_days), scale=scale)
 
     # oracle: add every row, in file order, into the day and region pair it names
-    assert ds.dates == kept
+    assert ds.dates == dates
     index = {r: i for i, r in enumerate(regions)}
-    M_raw = np.zeros((len(kept), len(regions), len(regions)))
-    for t, day in enumerate(kept):
-        for d, src, dst, wgt in rows:
-            if dates[d] == day:
-                M_raw[t, index[src], index[dst]] += wgt
+    M_raw = np.zeros((n_days, len(regions), len(regions)))
+    for d, src, dst, wgt in rows:
+        M_raw[d, index[src], index[dst]] += wgt
     mob_scale = (float(M_raw.max()) or 1.0) if scale else 1.0
     assert ds.mob_scale == mob_scale
     assert ds.M.tobytes() == (M_raw / mob_scale).tobytes()
@@ -345,13 +387,17 @@ def test_build_dataset_rejects_nonpositive_w(w):
 
 def test_build_dataset_names_w_when_its_windows_do_not_fit(monkeypatch):
     cases, mobility = synth_sir_tables(2, 5, rng_seed=0)
+    # a bare MemoryError says nothing, so the message says what ran out
+    for error, why in ((MemoryError("Unable to allocate 1.00 PiB"), "Unable to allocate 1.00 PiB"),
+                       (MemoryError(), "out of memory building the windows")):  # fmt: skip
 
-    def too_large(counts, w):
-        raise MemoryError("Unable to allocate 1.00 PiB")
+        def too_large(counts, w):
+            raise error
 
-    monkeypatch.setattr(data_mod, "window_features", too_large)
-    with pytest.raises(ValueError, match="window length w=3 over 5 days and 2 regions does not fit in memory"):
-        build_dataset(cases, mobility, w=3)
+        monkeypatch.setattr(data_mod, "window_features", too_large)
+        with pytest.raises(ValueError) as info:
+            build_dataset(cases, mobility, w=3)
+        assert str(info.value) == f"window length w=3 over 5 days and 2 regions does not fit in memory ({why})"
 
 
 def test_adjacency_threshold_sparsity():
@@ -524,7 +570,7 @@ def test_csv_round_trip(tmp_path):
     write_cases_csv(cases, tmp_path / "cases.csv")
     write_mobility_csv(mobility, tmp_path / "mob.csv")
     cases2 = load_cases(tmp_path / "cases.csv")
-    mobility2 = load_mobility(tmp_path / "mob.csv", dates=cases2.dates)
+    mobility2 = load_mobility(tmp_path / "mob.csv", cases2)
     assert cases2.regions == cases.regions
     assert cases2.dates == cases.dates
     np.testing.assert_array_equal(cases2.counts, cases.counts)

@@ -5,9 +5,9 @@ synthetic SIR dataset of the paper's shape (34, 81, 105 or 129 regions over
 120 days), one training epoch through ``trainer.run_epoch`` and an 8-step
 forecast, at width 64, depth 2 and 4 heads.  Every backbone mode runs at the
 heaviest shape, (129, 120, 3).  The forecast must be finite and nonnegative,
-and the process's peak RSS must stay under a bound of about three times the
-peak measured with one BLAS thread on a 2-CPU x86-64 box with numpy 2.4
-(given per case below).  This is a guard against crashes and memory blow-ups;
+and the process's own peak RSS (``VmHWM``) must stay under a bound of about
+three times the peak measured with one BLAS thread on a 2-CPU x86-64 box with
+numpy 2.4 (given per case below).  This is a guard against crashes and memory blow-ups;
 it claims nothing about speed.
 
 A shortfall inside an epoch or a forecast step is a named config error (exit
@@ -30,10 +30,10 @@ ADDRESS_SPACE_CAP = 1 << 30  # bytes; the measured virtual peaks were 157-380 MB
 
 # (N, T, w, backbone mode) -> (measured peak RSS, bound), in MB
 CASES = {
-    (34, 120, 7, "frozen-transformer"): (46, 160),
-    (81, 120, 7, "frozen-transformer"): (68, 270),
+    (34, 120, 7, "frozen-transformer"): (47, 160),
+    (81, 120, 7, "frozen-transformer"): (67, 270),
     (105, 120, 3, "frozen-transformer"): (96, 450),
-    (129, 120, 3, "frozen-transformer"): (117, 550),
+    (129, 120, 3, "frozen-transformer"): (116, 550),
     (129, 120, 3, "trainable-transformer"): (129, 720),
     (129, 120, 3, "rnn"): (115, 420),
     (129, 120, 3, "mlp"): (102, 480),
@@ -41,7 +41,7 @@ CASES = {
 }
 
 CHILD = """
-import json, resource, sys
+import json, re, resource, sys
 cap = int(sys.argv[5])
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 import numpy as np
@@ -66,7 +66,8 @@ print(json.dumps({
     "shape": list(cases.shape),
     "finite": bool(np.isfinite(cases).all()),
     "min": float(cases.min()),
-    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    # the child's own peak: ru_maxrss would carry the launching process's peak across the exec
+    "peak_rss_mb": int(re.search(r"VmHWM:\\s+(\\d+) kB", open("/proc/self/status").read()).group(1)) / 1024,
 }))
 """
 
