@@ -262,7 +262,7 @@ class EpidemicDataset:
     T: int
     w: int
     X: np.ndarray  # (T, N, F) feature rows, F == w, model space
-    M: np.ndarray  # (T, N, N) mobility, model space, no -0.0
+    M: np.ndarray  # (T, N, N) mobility, model space, no -0.0; may be the mobility table's own flows
     mask: np.ndarray | None  # (T, N, N) bool, raw flow > epsilon; None when epsilon <= 0
     region_names: list[str]
     dates: list[dt.date]
@@ -303,6 +303,12 @@ def build_dataset(
     forecasts are mapped back to raw units on output.  Scaling uses the whole
     series (the toggle conditions the optimization, it is not a fitted
     preprocessing step).
+
+    The dataset's ``M`` is the mobility table's own ``flows`` array, not a
+    copy, when ``scale`` is off, the array is C-ordered and no flow is -0.0;
+    otherwise it is a new array.  Either way nothing here writes into the
+    caller's tables, and a caller that later writes into a shared ``flows``
+    changes the dataset's mobility with it.
     """
     if w < 1:
         raise ConfigError(f"window length must be >= 1, got {w}")
@@ -316,13 +322,12 @@ def build_dataset(
     T, N = counts.shape
     if w > T:
         raise ConfigError(f"window length w={w} is longer than the {T}-day series: no patch fits")
-    # a C-ordered copy in which -0.0 flows become 0.0, so that `adjacency` needs no mask at epsilon <= 0
-    M = np.add(mobility.flows, 0.0, order="C")
+    flows = mobility.flows
 
     if scale:
         case_scale = counts.max(axis=0).astype(np.float64)
         case_scale[case_scale <= 0] = 1.0
-        mob_scale = float(M.max())
+        mob_scale = float(flows.max())
         if mob_scale <= 0:
             mob_scale = 1.0
     else:
@@ -330,8 +335,14 @@ def build_dataset(
         mob_scale = 1.0
 
     counts_model = counts.astype(np.float64) / case_scale[None, :]
-    mask = M > epsilon if epsilon > 0 else None  # in raw flow units
-    M /= mob_scale
+    mask = flows > epsilon if epsilon > 0 else None  # in raw flow units
+    # model-space flows are C-ordered and hold no -0.0, so that `adjacency` needs no mask at
+    # epsilon <= 0; an unscaled table that already is so is used as it is, any other is copied
+    if scale or not flows.flags.c_contiguous or np.signbit(flows).any():
+        M = np.add(flows, 0.0, order="C")  # -0.0 + 0.0 is 0.0
+        M /= mob_scale
+    else:
+        M = flows
     try:
         X = window_features(counts_model, w)
     except MemoryError as exc:
@@ -529,9 +540,11 @@ def write_cases_csv(cases: CaseTable, path) -> None:
 
 
 def write_mobility_csv(mobility: MobilityTable, path) -> None:
+    """Write each nonzero flow as one row; a weight is its float's ``repr``,
+    so ``load_mobility`` reads back the table bitwise."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "src_region", "dst_region", "weight"])
         for t, i, j in np.argwhere(mobility.flows):  # nonzero entries in (t, i, j) order
             day, src, dst = mobility.dates[t], mobility.regions[i], mobility.regions[j]
-            writer.writerow([day.isoformat(), src, dst, f"{mobility.flows[t, i, j]:.10g}"])
+            writer.writerow([day.isoformat(), src, dst, repr(float(mobility.flows[t, i, j]))])

@@ -2,7 +2,8 @@
 
 RMSE and MAE are computed per region over the horizon, in one reduction over
 the (N, h) errors, and then averaged with an unweighted mean across regions;
-the baselines are whole-array expressions too.  Published reference numbers
+the baselines are whole-array expressions too, LIN_REG a closed-form
+least-squares line per region (no LAPACK solver).  Published reference numbers
 for the four public COVID datasets ship as a static JSON file and are only
 ever displayed next to fresh results, clearly labeled, never asserted.
 """
@@ -110,7 +111,12 @@ def horizon_truth(ds: EpidemicDataset, context_end: int, horizon: int) -> np.nda
 
 
 def baseline_predict(kind: str, ds: EpidemicDataset, context_end: int, h: int) -> np.ndarray:
-    """Per-region h-day predictions from raw counts observed before context_end."""
+    """Per-region h-day predictions from raw counts observed before context_end.
+
+    AVG is the mean of the whole context, AVG_WINDOW the mean of its last
+    min(h, context_end) days, LAST_DAY its last day, and LIN_REG each region's
+    least-squares line over the context days, fitted in closed form (slope =
+    centred covariance over centred variance) and extrapolated h days."""
     if kind not in BASELINES:
         raise ValueError(f"unknown baseline {kind!r}; choose from {BASELINES}")
     if h < 1:
@@ -119,9 +125,11 @@ def baseline_predict(kind: str, ds: EpidemicDataset, context_end: int, h: int) -
     if context_end < min_ctx:
         raise ValueError(f"{kind} needs at least {min_ctx} context days, got {context_end}")
     hist = ds.counts[:context_end].astype(np.float64)  # (t, N)
-    if kind == "LIN_REG":  # one least-squares line per region, extrapolated
-        slope, intercept = np.polyfit(np.arange(context_end, dtype=np.float64), hist, 1)
-        return np.outer(np.arange(context_end, context_end + h, dtype=np.float64), slope) + intercept
+    if kind == "LIN_REG":  # one least-squares line per region, in closed form, extrapolated
+        x = np.arange(context_end, dtype=np.float64) - (context_end - 1) / 2  # the days, centred
+        level = hist.mean(axis=0)
+        slope = x @ (hist - level) / (x @ x)
+        return np.outer(x[-1] + np.arange(1, h + 1, dtype=np.float64), slope) + level
     if kind == "AVG":
         level = hist.mean(axis=0)
     elif kind == "AVG_WINDOW":

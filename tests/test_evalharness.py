@@ -2,6 +2,7 @@
 
 import csv
 import math
+import sys
 import tempfile
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -158,6 +159,21 @@ def test_avg_window_definition():
 def test_lin_reg_exact_line():
     ds = _history_ds(np.array([[2.0], [4.0], [6.0]]))
     np.testing.assert_allclose(baseline_predict("LIN_REG", ds, 3, 2), [[8.0], [10.0]], atol=1e-9)
+
+
+def test_lin_reg_runs_no_lapack_solver(monkeypatch):
+    """LIN_REG fits its lines in closed form: with every binding of numpy's
+    least-squares solver (LAPACK's gelsd) made to raise, it still predicts."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LIN_REG called a least-squares solver")
+
+    lstsq = np.linalg.lstsq
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "numpy" and getattr(module, "lstsq", None) is lstsq:
+            monkeypatch.setattr(module, "lstsq", refuse)
+    ds = _history_ds(np.array([[2.0, 5.0], [4.0, 5.0], [6.0, 5.0]]))
+    np.testing.assert_allclose(baseline_predict("LIN_REG", ds, 3, 2), [[8.0, 5.0], [10.0, 5.0]], atol=1e-9)
 
 
 def test_avg_over_everything():
