@@ -22,7 +22,6 @@ from .data import (
     ConfigError,
     DataError,
     EpidemicDataset,
-    MobilityTable,
     SirParams,
     SplitSpec,
     build_dataset,

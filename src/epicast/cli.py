@@ -30,13 +30,14 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .backbone import BackboneConfig
 from .data import (
     CaseTable,
     ConfigError,
     DataError,
     EpidemicDataset,
-    MobilityTable,
     SirParams,
     SplitSpec,
     build_dataset,
@@ -144,7 +145,7 @@ class RunConfig:
 
 def parse_config_file(path) -> dict:
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(read_file(path, ConfigError, "config file").splitlines(), start=1):
+    for lineno, line in enumerate("".join(read_file(path, ConfigError, "config file")).splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -221,9 +222,9 @@ def _synth_size_error(cfg: RunConfig, exc: MemoryError) -> ConfigError:
     )
 
 
-def _synth_tables(cfg: RunConfig) -> tuple[CaseTable, MobilityTable]:
-    """The synthetic SIR tables the `synth.*` keys describe; a series too
-    large to allocate is a config error."""
+def _synth_tables(cfg: RunConfig) -> tuple[CaseTable, np.ndarray]:
+    """The synthetic SIR case table and flows array the `synth.*` keys
+    describe; a series too large to allocate is a config error."""
     try:
         params = SirParams(
             beta=cfg["synth.beta"],
@@ -250,12 +251,12 @@ def _held(loader, path: str, **kwargs):
 def _load_dataset(cfg: RunConfig) -> EpidemicDataset:
     synthetic = cfg["data.cases"] is None
     if synthetic:
-        cases, mobility = _synth_tables(cfg)
+        cases, flows = _synth_tables(cfg)
     else:
         cases = _held(load_cases, cfg["data.cases"])
-        mobility = _held(load_mobility, cfg["data.mobility"], cases=cases)
+        flows = _held(load_mobility, cfg["data.mobility"], cases=cases)
     try:
-        return build_dataset(cases, mobility, w=cfg["w"], epsilon=cfg["epsilon"], scale=cfg["scale"])
+        return build_dataset(cases, flows, w=cfg["w"], epsilon=cfg["epsilon"], scale=cfg["scale"])
     except MemoryError as exc:
         if not synthetic:  # a data file too large to hold is not a config error
             why = str(exc) or "out of memory building the dataset"
@@ -300,9 +301,9 @@ def _checkpoint_path(cfg: RunConfig, out: Path) -> Path:
 
 def cmd_synth(cfg: RunConfig) -> Path:
     out = _start(cfg, "synth")
-    cases, mobility = _synth_tables(cfg)
+    cases, flows = _synth_tables(cfg)
     write_cases_csv(cases, out / "cases.csv")
-    write_mobility_csv(mobility, out / "mobility.csv")
+    write_mobility_csv(cases, flows, out / "mobility.csv")
     print(f"synth: wrote {out/'cases.csv'} and {out/'mobility.csv'} "
           f"({cases.n_regions} regions x {cases.n_days} days)")
     return out
@@ -398,7 +399,7 @@ def cmd_report(cfg: RunConfig) -> Path:
     reports: list[MetricReport] = []
     for part in cfg["report.inputs"].split(","):
         path = part.strip()
-        text = read_file(path, ConfigError, "report input")
+        text = "".join(read_file(path, ConfigError, "report input"))
         try:  # not JSON or nested too deeply, not an object, no reports, or an entry with a bad key
             entries = json.loads(text).get("reports")
             if not entries:

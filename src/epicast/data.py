@@ -5,13 +5,15 @@ Two CSV schemas are ingested:
 * cases:    ``date,region_id,new_cases``  (one row per day and region)
 * mobility: ``date,src_region,dst_region,weight``  (absent pairs = zero flow)
 
-Each loads into a dense table on one axis: (T, N) counts, and (T, N, N) flows
-on the case file's dates and regions.  ``build_dataset`` turns the two into
-per-day feature rows holding the last ``w`` daily counts and per-day mobility
-matrices.  The adjacency is that mobility, thresholded: with a positive
-``epsilon`` the dataset keeps a boolean mask of the flows above it, and
-``adjacency`` reads any window's adjacency from the mobility and that mask.
-``synth_sir`` generates a fully deterministic SIR-on-a-mobility-graph dataset.
+Each file is read in one streamed pass, line by line, onto one axis: the case
+file loads into a ``CaseTable`` of (T, N) counts, and the mobility file into a
+plain (T, N, N) flows array on that table's dates and regions.
+``build_dataset`` turns the two into per-day feature rows holding the last
+``w`` daily counts and per-day mobility matrices.  The adjacency is that
+mobility, thresholded: with a positive ``epsilon`` the dataset keeps a
+boolean mask of the flows above it, and ``adjacency`` reads any window's
+adjacency from the mobility and that mask.  ``synth_sir`` generates a fully
+deterministic SIR-on-a-mobility-graph dataset.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,52 +67,59 @@ class InvalidSplitError(DataError, ConfigError):
     """A split that holds out nothing or the whole series."""
 
 
-def read_file(path, error: type[Exception], what: str, binary: bool = False) -> str | bytes:
-    """The contents of the input file at `path`: UTF-8 text, or bytes with `binary`.
+def read_file(path, error: type[Exception], what: str, binary: bool = False):
+    """The input file at `path`: its bytes with `binary`, else its UTF-8 lines.
 
     Every input file is read here, so what an unreadable file means is decided
     in one place: one that is missing, a directory, unreadable or not UTF-8
-    raises `error` with a message that starts with `what` and the path."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        return data if binary else data.decode("utf-8")
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL byte in the path
-        raise error(f"{what} {path}: {exc}") from exc
+    raises `error` with a message that starts with `what` and the path.
+
+    A text read yields the file's lines as it reads them, each with its
+    terminator, split where a file opened with ``newline=""`` splits them
+    (at "\\r\\n", "\\r" or "\\n"), so no copy of the whole file is held.  The
+    file is opened at the first line asked for and decoded in pieces as it is
+    read, so a decode error surfaces when the reading reaches the piece that
+    holds the bad bytes, after the lines of the pieces before it; the byte
+    position it names counts from the start of that piece."""
+
+    def read():
+        try:
+            with open(path, "rb") if binary else open(path, encoding="utf-8", newline="") as fh:
+                yield from (fh.read(),) if binary else fh
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL byte in the path
+            raise error(f"{what} {path}: {exc}") from exc
+
+    return b"".join(read()) if binary else read()  # join returns a lone bytes chunk as it is
 
 
-# one line of text with its terminator, split where a file opened with
-# newline="" splits it: at "\r\n", "\r" or "\n"
-_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+def _records(path, what: str, header: list[str], parse) -> None:
+    """Call `parse(row)` on each non-empty data row of the CSV file at `path`,
+    in file order, after checking the file's header is `header` and each row
+    has that many fields; `what` names the file in a read error.
 
-
-def _csv_rows(text: str):
-    """A csv.reader over `text`, fed its lines one at a time, so parsing holds
-    no second copy of the file (an io.StringIO would, at 4 bytes a character)."""
-    return csv.reader(line.group() for line in _LINE.finditer(text))
-
-
-def _records(path, what: str, header: list[str]):
-    """``(where, row)`` for each non-empty data row of the CSV file at `path`,
-    `where` its ``path:line``, after checking the file's header is `header`
-    and each row has that many fields; `what` names the file in a read error."""
-    reader = _csv_rows(read_file(path, DataError, what))
+    A DataError that a row raises gets the row's ``path:line`` put before its
+    message, the line being the last one the row spans (a quoted field may
+    hold a line break), so that text is built only for a bad row."""
+    reader = csv.reader(read_file(path, DataError, what))
     first = next(reader, None)
     if first is None or [h.strip() for h in first] != header:
         raise MalformedRowError(f"{path}: expected header '{','.join(header)}'")
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise MalformedRowError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-        yield f"{path}:{lineno}", row
+    for row in reader:
+        try:
+            if len(row) == len(header):
+                parse(row)
+            elif row:
+                raise MalformedRowError(f"expected {len(header)} fields, got {len(row)}")
+        except DataError as exc:
+            exc.args = (f"{path}:{reader.line_num}: {exc}",)
+            raise
 
 
-def _parse_date(text: str, where: str) -> dt.date:
+def _parse_date(text: str) -> dt.date:
     try:
         return dt.date.fromisoformat(text.strip())
     except ValueError as exc:
-        raise DateFormatError(f"{where}: bad date {text!r} (expected ISO-8601)") from exc
+        raise DateFormatError(f"bad date {text!r} (expected ISO-8601)") from exc
 
 
 # -- tables ---------------------------------------------------------------------
@@ -127,9 +135,16 @@ class CaseTable:
 
     def __post_init__(self):
         T, N = len(self.dates), len(self.regions)
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.shape != (T, N):
-            raise MalformedRowError(f"counts shape {self.counts.shape} != ({T}, {N})")
+        counts = np.asarray(self.counts)
+        if counts.shape != (T, N):
+            raise MalformedRowError(f"counts shape {counts.shape} != ({T}, {N})")
+        if counts.dtype.kind == "f":  # a float count must be a finite integer that int64 holds
+            bad = ~((counts == np.trunc(counts)) & (np.abs(counts) < 2.0**63))  # NaN and inf fail
+            if bad.any():
+                t, i = np.argwhere(bad)[0]
+                what = f"count {counts[t, i]} of {self.regions[i]} on {self.dates[t]}"
+                raise MalformedRowError(f"{what} is not an integer in int64's range")
+        self.counts = np.asarray(counts, dtype=np.int64)
         if np.any(self.counts < 0):
             raise NegativeCountError("case counts must be nonnegative")
         for a, b in zip(self.dates, self.dates[1:]):
@@ -145,49 +160,31 @@ class CaseTable:
         return len(self.dates)
 
 
-@dataclass
-class MobilityTable:
-    """Daily directed flows as a dense table: ``flows[t, i, j]`` is the flow
-    from ``regions[i]`` to ``regions[j]`` on ``dates[t]``; unlisted pairs are zero."""
-
-    dates: list[dt.date]
-    regions: list[str]
-    flows: np.ndarray  # (T, R, R) float64, finite and >= 0
-
-    def __post_init__(self):
-        T, R = len(self.dates), len(self.regions)
-        self.flows = np.asarray(self.flows, dtype=np.float64)
-        if self.flows.shape != (T, R, R):
-            raise MalformedRowError(f"flows shape {self.flows.shape} != ({T}, {R}, {R})")
-        # two reductions, no array of the table's size, unless a flow is bad
-        if not (self.flows.min(initial=0.0) >= 0.0 and self.flows.max(initial=0.0) < np.inf):
-            t, i, j = np.argwhere(~(np.isfinite(self.flows) & (self.flows >= 0)))[0]
-            wgt = self.flows[t, i, j]
-            raise NegativeWeightError(f"flow {self.regions[i]}->{self.regions[j]} on {self.dates[t]} has weight {wgt}")
-
-
 def load_cases(path) -> CaseTable:
     """Parse a case CSV; raises a named DataError per kind of defect."""
     per_date: dict[dt.date, dict[str, int]] = {}
     regions: set[str] = set()
-    for where, row in _records(path, "case file", ["date", "region_id", "new_cases"]):
-        day = _parse_date(row[0], where)
+
+    def add(row: list[str]) -> None:
+        day = _parse_date(row[0])
         region = row[1].strip()
         if not region:
-            raise MalformedRowError(f"{where}: empty region id")
+            raise MalformedRowError("empty region id")
         try:
             count = int(row[2])
         except ValueError as exc:
-            raise MalformedRowError(f"{where}: bad count {row[2]!r}") from exc
+            raise MalformedRowError(f"bad count {row[2]!r}") from exc
         if count < 0:
-            raise NegativeCountError(f"{where}: negative count {count}")
+            raise NegativeCountError(f"negative count {count}")
         if count >= 2**63:
-            raise MalformedRowError(f"{where}: count {count} does not fit in 64 bits")
+            raise MalformedRowError(f"count {count} does not fit in 64 bits")
         bucket = per_date.setdefault(day, {})
         if region in bucket:
-            raise DuplicateRowError(f"{where}: duplicate entry for ({day}, {region})")
+            raise DuplicateRowError(f"duplicate entry for ({day}, {region})")
         bucket[region] = count
         regions.add(region)
+
+    _records(path, "case file", ["date", "region_id", "new_cases"], add)
     if not per_date:
         raise MalformedRowError(f"{path}: no data rows")
     dates = sorted(per_date)
@@ -203,40 +200,44 @@ def load_cases(path) -> CaseTable:
     return CaseTable(dates=dates, regions=region_list, counts=counts)
 
 
-def load_mobility(path, cases: CaseTable) -> MobilityTable:
-    """Parse a mobility CSV into a dense table on the case table's axes.
+def load_mobility(path, cases: CaseTable) -> np.ndarray:
+    """Parse a mobility CSV into the (T, N, N) float64 flows array on the case
+    table's axis: ``flows[t, i, j]`` is the flow from ``cases.regions[i]`` to
+    ``cases.regions[j]`` on ``cases.dates[t]``.
 
-    The table's dates and regions are those of `cases`, so an empty file
-    yields all-zero flows and unlisted pairs or days keep zero flow.  Each row
-    is added into the table as it is read, in file order, so rows repeating a
-    (date, src, dst) sum.  A row on a date the case file lacks, or naming a
-    region it lacks, fails at its own ``path:line``.
+    An empty file yields all-zero flows, and unlisted pairs or days keep zero
+    flow.  Each row is added into the array as it is read, in file order, so
+    rows repeating a (date, src, dst) sum.  A row on a date the case file
+    lacks, or naming a region it lacks, fails at its own ``path:line``.
     """
     t_of = {day: t for t, day in enumerate(cases.dates)}
     r_of = {region: i for i, region in enumerate(cases.regions)}
     t_of_text: dict[str, int] = {}  # each distinct date text is parsed once
     flows = np.zeros((len(cases.dates), len(cases.regions), len(cases.regions)), dtype=np.float64)
-    for where, row in _records(path, "mobility file", ["date", "src_region", "dst_region", "weight"]):
+
+    def add(row: list[str]) -> None:
         t = t_of_text.get(row[0])
         if t is None:
-            day = _parse_date(row[0], where)
+            day = _parse_date(row[0])
             if day not in t_of:
-                raise MalformedRowError(f"{where}: rows on dates outside the expected axis: {day} is not a case date")
+                raise MalformedRowError(f"rows on dates outside the expected axis: {day} is not a case date")
             t = t_of_text[row[0]] = t_of[day]
         src, dst = row[1].strip(), row[2].strip()
         if not (src and dst):
-            raise MalformedRowError(f"{where}: empty region id")
+            raise MalformedRowError("empty region id")
         try:
             wgt = float(row[3])
         except ValueError as exc:
-            raise MalformedRowError(f"{where}: bad weight {row[3]!r}") from exc
+            raise MalformedRowError(f"bad weight {row[3]!r}") from exc
         if not math.isfinite(wgt) or wgt < 0:
-            raise NegativeWeightError(f"{where}: negative or non-finite weight {wgt}")
+            raise NegativeWeightError(f"negative or non-finite weight {wgt}")
         i, j = r_of.get(src), r_of.get(dst)
         if i is None or j is None:
-            raise RegionMismatchError(f"{where}: mobility references unknown region {src if i is None else dst!r}")
+            raise RegionMismatchError(f"mobility references unknown region {src if i is None else dst!r}")
         flows[t, i, j] += wgt
-    return MobilityTable(dates=list(cases.dates), regions=list(cases.regions), flows=flows)
+
+    _records(path, "mobility file", ["date", "src_region", "dst_region", "weight"], add)
+    return flows
 
 
 # -- dense dataset -----------------------------------------------------------------
@@ -262,7 +263,7 @@ class EpidemicDataset:
     T: int
     w: int
     X: np.ndarray  # (T, N, F) feature rows, F == w, model space
-    M: np.ndarray  # (T, N, N) mobility, model space, no -0.0; may be the mobility table's own flows
+    M: np.ndarray  # (T, N, N) mobility, model space, no -0.0; may be the caller's flows array
     mask: np.ndarray | None  # (T, N, N) bool, raw flow > epsilon; None when epsilon <= 0
     region_names: list[str]
     dates: list[dt.date]
@@ -289,40 +290,46 @@ def adjacency(M: np.ndarray, mask: np.ndarray | None, days: slice) -> np.ndarray
 
 def build_dataset(
     cases: CaseTable,
-    mobility: MobilityTable,
+    flows: np.ndarray,
     w: int,
     epsilon: float = 0.0,
     scale: bool = False,
 ) -> EpidemicDataset:
-    """Window the case features and take the mobility, two tables on one axis.
+    """Window the case features and take the mobility, a table and a flows
+    array on one axis.
 
-    The tables must share their dates and regions, as ``load_mobility`` and
-    ``synth_sir_tables`` make them; tables whose dates or regions differ raise
-    a DataError naming the axis.  With ``scale`` on, counts are divided by
-    each region's series maximum and flows by the global flow maximum;
-    forecasts are mapped back to raw units on output.  Scaling uses the whole
-    series (the toggle conditions the optimization, it is not a fitted
-    preprocessing step).
+    `flows` is the (T, N, N) array on the case table's dates and regions that
+    ``load_mobility`` and ``synth_sir_tables`` return: ``flows[t, i, j]`` is
+    the flow from region i to region j on day t.  An array of another shape
+    raises a MalformedRowError, and a negative or non-finite flow a
+    NegativeWeightError naming the regions and the date.  With ``scale`` on,
+    counts are divided by each region's series maximum and flows by the
+    global flow maximum; forecasts are mapped back to raw units on output.
+    Scaling uses the whole series (the toggle conditions the optimization, it
+    is not a fitted preprocessing step).
 
-    The dataset's ``M`` is the mobility table's own ``flows`` array, not a
-    copy, when ``scale`` is off, the array is C-ordered and no flow is -0.0;
+    The dataset's ``M`` is the caller's `flows` array itself, not a copy, when
+    ``scale`` is off, the array is C-ordered float64 and no flow is -0.0;
     otherwise it is a new array.  Either way nothing here writes into the
-    caller's tables, and a caller that later writes into a shared ``flows``
+    caller's arrays, and a caller that later writes into a shared `flows`
     changes the dataset's mobility with it.
     """
     if w < 1:
         raise ConfigError(f"window length must be >= 1, got {w}")
     if not np.isfinite(epsilon):
         raise ConfigError(f"epsilon must be finite, got {epsilon}")
-    if mobility.dates != cases.dates:
-        raise DataError("the mobility table's dates differ from the case table's")
-    if mobility.regions != cases.regions:
-        raise RegionMismatchError("the mobility table's regions differ from the case table's")
     counts = cases.counts
     T, N = counts.shape
     if w > T:
         raise ConfigError(f"window length w={w} is longer than the {T}-day series: no patch fits")
-    flows = mobility.flows
+    flows = np.asarray(flows, dtype=np.float64)
+    if flows.shape != (T, N, N):
+        raise MalformedRowError(f"flows shape {flows.shape} != ({T}, {N}, {N})")
+    # two reductions, no array of the table's size, unless a flow is bad
+    if not (flows.min(initial=0.0) >= 0.0 and flows.max(initial=0.0) < np.inf):
+        t, i, j = np.argwhere(~(np.isfinite(flows) & (flows >= 0)))[0]
+        regions = cases.regions
+        raise NegativeWeightError(f"flow {regions[i]}->{regions[j]} on {cases.dates[t]} has weight {flows[t, i, j]}")
 
     if scale:
         case_scale = counts.max(axis=0).astype(np.float64)
@@ -504,14 +511,13 @@ def synth_sir_tables(
     n_days: int,
     sir_params: SirParams | None = None,
     rng_seed: int = 0,
-) -> tuple[CaseTable, MobilityTable]:
+) -> tuple[CaseTable, np.ndarray]:
+    """The case table and the (T, N, N) flows array of a synthetic run."""
     sim = simulate_sir(n_regions, n_days, sir_params, rng_seed)
     start = dt.date(2021, 1, 1)
     dates = [start + dt.timedelta(days=t) for t in range(n_days)]
     regions = [f"R{i:03d}" for i in range(n_regions)]
-    cases = CaseTable(dates=dates, regions=regions, counts=sim.counts)
-    mobility = MobilityTable(dates=list(dates), regions=list(regions), flows=sim.mobility)
-    return cases, mobility
+    return CaseTable(dates=dates, regions=regions, counts=sim.counts), sim.mobility
 
 
 def synth_sir(
@@ -523,8 +529,8 @@ def synth_sir(
     epsilon: float = 0.0,
     scale: bool = False,
 ) -> EpidemicDataset:
-    cases, mobility = synth_sir_tables(n_regions, n_days, sir_params, rng_seed)
-    return build_dataset(cases, mobility, w=w, epsilon=epsilon, scale=scale)
+    cases, flows = synth_sir_tables(n_regions, n_days, sir_params, rng_seed)
+    return build_dataset(cases, flows, w=w, epsilon=epsilon, scale=scale)
 
 
 # -- CSV emission ---------------------------------------------------------------------
@@ -539,12 +545,13 @@ def write_cases_csv(cases: CaseTable, path) -> None:
                 writer.writerow([day.isoformat(), region, int(cases.counts[t, i])])
 
 
-def write_mobility_csv(mobility: MobilityTable, path) -> None:
-    """Write each nonzero flow as one row; a weight is its float's ``repr``,
-    so ``load_mobility`` reads back the table bitwise."""
+def write_mobility_csv(cases: CaseTable, flows: np.ndarray, path) -> None:
+    """Write each nonzero flow of the (T, N, N) `flows` on `cases`' axis as
+    one row; a weight is its float's ``repr``, so ``load_mobility`` reads
+    back the array bitwise."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "src_region", "dst_region", "weight"])
-        for t, i, j in np.argwhere(mobility.flows):  # nonzero entries in (t, i, j) order
-            day, src, dst = mobility.dates[t], mobility.regions[i], mobility.regions[j]
-            writer.writerow([day.isoformat(), src, dst, repr(float(mobility.flows[t, i, j]))])
+        for t, i, j in np.argwhere(flows):  # nonzero entries in (t, i, j) order
+            day, src, dst = cases.dates[t], cases.regions[i], cases.regions[j]
+            writer.writerow([day.isoformat(), src, dst, repr(float(flows[t, i, j]))])

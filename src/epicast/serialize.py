@@ -56,7 +56,7 @@ def load_tensors(bin_path) -> tuple[dict[str, np.ndarray], dict]:
     blob = read_file(bin_path, CheckpointError, "weight file", binary=True)
     side = sidecar_path(bin_path)
     try:  # bad or too deeply nested JSON, a non-object document, a missing key, or a bad shape or offset
-        doc = json.loads(read_file(side, CheckpointError, "sidecar"))
+        doc = json.loads("".join(read_file(side, CheckpointError, "sidecar")))
         if doc.get("format") != "flat-f8-le":
             raise CheckpointError(f"{side}: unsupported weight format {doc.get('format')!r}")
         meta = doc.get("meta", {})

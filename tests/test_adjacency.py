@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from epicast import branches
 from epicast.backbone import BackboneConfig
 from epicast.branches import patch_grid
-from epicast.data import CaseTable, MobilityTable, SplitSpec, build_dataset, split_dataset
+from epicast.data import CaseTable, SplitSpec, build_dataset, split_dataset
 from epicast.forecaster import ADJACENCY_MODES, forecast
 from epicast.model import ModelConfig, build_model
 from epicast.trainer import TrainConfig, training_loss, validation_loss
@@ -30,7 +30,7 @@ def _tables(rng, n, days):
     dates = [dt.date(2021, 1, 1) + dt.timedelta(days=t) for t in range(days)]
     regions = [f"R{i}" for i in range(n)]
     cases = CaseTable(dates, regions, rng.integers(0, 50, size=(days, n)))
-    return cases, MobilityTable(list(dates), list(regions), flows)
+    return cases, flows
 
 
 def _windows(run):
@@ -60,10 +60,9 @@ def _windows(run):
 @settings(max_examples=25, deadline=None)
 def test_every_window_and_generated_row_is_the_thresholded_mobility(seed, n, w, extra, epsilon, scale, adjacency_mode):
     rng = np.random.default_rng(seed)
-    cases, mobility = _tables(rng, n, 5 * w + extra)
-    ds = build_dataset(cases, mobility, w=w, epsilon=epsilon, scale=scale)
+    cases, raw = _tables(rng, n, 5 * w + extra)
+    ds = build_dataset(cases, raw, w=w, epsilon=epsilon, scale=scale)
     assert (ds.mask is None) == (epsilon <= 0)
-    raw = mobility.flows
     np.testing.assert_array_equal(ds.M, raw / ds.mob_scale)  # equal up to the sign of zero
     assert not np.signbit(ds.M).any()  # a -0.0 flow enters model space as 0.0
     reference = thresholded_adjacency(raw, ds.M, epsilon)

@@ -162,6 +162,21 @@ def test_train_forecast_bitwise_determinism(tmp_path):
     assert (a / "forecast.csv").read_bytes() == (b / "forecast.csv").read_bytes()
 
 
+def test_the_csv_path_is_the_synthetic_path(tmp_path):
+    """`train` and `forecast` on the CSV files `synth` writes give a checkpoint,
+    a sidecar and a forecast byte-equal to those of the same config run on the
+    synthetic tables, with scaling and a positive adjacency threshold."""
+    synthetic = {"synth.regions": "6", "synth.days": "40", "train.max_epochs": "3", "seed": "2", "epsilon": "50.0"}
+    data = cmd_synth(_cfg(tmp_path / "data", synthetic))
+    files = dict(synthetic, **{"data.cases": str(data / "cases.csv"), "data.mobility": str(data / "mobility.csv")})
+    runs = []
+    for tag, extra in (("synthetic", synthetic), ("files", files)):
+        runs.append(cmd_train(_cfg(tmp_path / tag, extra)))
+        cmd_forecast(_cfg(tmp_path / tag, extra))
+    for name in ("checkpoint.bin", "checkpoint.bin.json", "forecast.csv"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+
 def test_evaluate_reports_model_and_baselines(tmp_path):
     cmd_train(_cfg(tmp_path / "run"))
     out = cmd_evaluate(_cfg(tmp_path / "run"))

@@ -1,7 +1,6 @@
 """Data pipeline: CSV ingestion, windowing, splitting, synthetic SIR."""
 
 import csv
-import dataclasses
 import datetime as dt
 import io
 import tempfile
@@ -24,7 +23,6 @@ from epicast.data import (
     DuplicateRowError,
     InvalidSplitError,
     MalformedRowError,
-    MobilityTable,
     NegativeCountError,
     NegativeWeightError,
     RegionMismatchError,
@@ -133,6 +131,41 @@ def test_case_table_rejects_bad_shape_and_negative_counts():
         CaseTable(dates=dates, regions=["a", "b"], counts=[[0, 1], [-1, 0]])
 
 
+@pytest.mark.parametrize("bad", [1.7, -0.5, np.nan, np.inf, -np.inf, 1e30, 2.0**63])
+def test_case_table_refuses_a_count_that_is_not_an_integer_in_int64(bad):
+    """A float count must be a finite integer that int64 holds, and the error
+    names it, its region and its day; an integral float such as 3.0 passes."""
+    dates = [dt.date(2020, 3, 10), dt.date(2020, 3, 11)]
+    assert CaseTable(dates, ["a", "b"], np.array([[3.0, 0.0], [2.0**62, 1.0]])).counts.tolist() == [[3, 0], [2**62, 1]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy warning on the way
+        with pytest.raises(MalformedRowError) as info:
+            CaseTable(dates, ["a", "b"], np.array([[3.0, 0.0], [1.0, bad]]))
+    assert str(info.value) == f"count {bad} of b on 2020-03-11 is not an integer in int64's range"
+
+
+def test_a_bad_row_after_a_quoted_line_break_is_named_by_its_own_line(tmp_path):
+    """A quoted field may hold a line break, so a row's line is the reader's
+    line count, not the row's index."""
+    path = _write(tmp_path / "c.csv", 'date,region_id,new_cases\n2021-01-01,"a\nb",1\n2021-01-01,c,x\n')
+    with pytest.raises(MalformedRowError, match=r"c.csv:4: bad count 'x'"):
+        load_cases(path)
+
+
+def test_a_decode_error_surfaces_where_the_reading_reaches_the_bad_bytes(tmp_path):
+    """The file is decoded in pieces as it is read: a malformed row read before
+    a piece holding bytes that are not UTF-8 fails first, and bytes in the
+    piece read first fail before any row; both are data errors."""
+    path = tmp_path / "c.csv"
+    path.write_bytes(b"date,region_id,new_cases\n2021-01-01,a,x\n" + b"\n" * 2**16 + b"\xff\n")
+    with pytest.raises(MalformedRowError, match=r"c.csv:2: bad count 'x'"):
+        load_cases(path)
+    path.write_bytes(b"date,region_id,new_cases\n2021-01-01,a,x\n\xff\n")
+    with pytest.raises(DataError, match=r"case file .*c.csv: 'utf-8' codec can't decode byte 0xff") as info:
+        load_cases(path)
+    assert type(info.value) is DataError
+
+
 # -- load_mobility --------------------------------------------------------------------
 
 
@@ -144,11 +177,8 @@ def _axis(regions=("a", "b", "c"), days=3):
 
 
 def test_load_mobility_empty_file_over_three_dates(tmp_path):
-    cases = _axis(("a", "b"))
-    table = load_mobility(_mob_csv(tmp_path, []), cases)
-    assert table.dates == cases.dates
-    assert table.regions == ["a", "b"]
-    assert table.flows.shape == (3, 2, 2) and not table.flows.any()
+    flows = load_mobility(_mob_csv(tmp_path, []), _axis(("a", "b")))
+    assert flows.shape == (3, 2, 2) and flows.dtype == np.float64 and not flows.any()
 
 
 def test_load_mobility_negative_weight(tmp_path):
@@ -178,17 +208,14 @@ def test_load_mobility_malformed_row(tmp_path):
 
 
 def test_load_mobility_dense_axes_and_summed_duplicates(tmp_path):
-    """The table lies on the case table's axes, regions no row names (d) and
+    """The flows lie on the case table's axes, regions no row names (d) and
     days no row falls on (the 12th) included, and repeated rows sum."""
     rows = ["2020-03-11,b,a,2.5", "2020-03-10,c,c,0", "2020-03-11,b,a,1.25", "2020-03-10,a,b,4"]
-    cases = _axis(("a", "b", "c", "d"))
-    table = load_mobility(_mob_csv(tmp_path, rows), cases)
-    assert table.dates == cases.dates
-    assert table.regions == ["a", "b", "c", "d"]
+    flows = load_mobility(_mob_csv(tmp_path, rows), _axis(("a", "b", "c", "d")))
     expected = np.zeros((3, 4, 4))
     expected[0, 0, 1] = 4.0
     expected[1, 1, 0] = 3.75
-    np.testing.assert_array_equal(table.flows, expected)
+    np.testing.assert_array_equal(flows, expected)
 
 
 @pytest.mark.parametrize("row", ["2020-03-13,a,b,1.0", "2020-03-09,a,b,1.0"])
@@ -206,20 +233,20 @@ def test_load_mobility_fails_at_a_row_naming_a_region_the_case_file_lacks(tmp_pa
 
 
 def test_load_mobility_holds_no_row_objects(tmp_path):
-    """Loading a (34, 120) mobility file holds the file's bytes, its text and the
-    table, and no Python object per row: the traced peak stays under three
-    times the file's size plus the table's."""
-    cases, mobility = synth_sir_tables(34, 120, rng_seed=1)
+    """Loading a (34, 120) mobility file streams it: it holds the flows array,
+    no copy of the file and no Python object per row, so the traced peak
+    stays under the array's size plus 1 MiB."""
+    cases, flows = synth_sir_tables(34, 120, rng_seed=1)
     path = tmp_path / "mob.csv"
-    write_mobility_csv(mobility, path)
+    write_mobility_csv(cases, flows, path)
     tracemalloc.start()
     try:
-        table = load_mobility(path, cases)
+        loaded = load_mobility(path, cases)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     size = path.stat().st_size
-    assert peak < 3 * size + table.flows.nbytes, f"peak {peak / 2**20:.1f} MB for a {size / 2**20:.1f} MB file"
+    assert peak < loaded.nbytes + 2**20, f"peak {peak / 2**20:.2f} MiB for a {size / 2**20:.1f} MiB file"
 
 
 # fields and line endings a CSV line can hold, quoted newlines and a NUL included
@@ -228,9 +255,12 @@ _CSV_PIECES = ("a", "1", " ", "é", ",", '"', '""', "\r", "\n", "\r\n", '"x\ry"'
 
 @given(text=st.lists(st.sampled_from(_CSV_PIECES), max_size=40).map("".join))
 @settings(max_examples=300, deadline=None)
-def test_csv_rows_are_those_of_the_file_object(text):
-    """The lazily split lines give csv.reader exactly the rows, or the error,
-    that reading the text as a file opened with newline="" gives."""
+def test_csv_rows_are_those_of_the_file_object(tmp_path_factory, text):
+    """The lines `read_file` yields for a file holding `text` are those of the
+    text read as a file opened with newline="", and give csv.reader exactly
+    the rows, or the error, that those give."""
+    path = tmp_path_factory.mktemp("csv") / "f.csv"
+    path.write_bytes(text.encode())
 
     def rows(reader):
         try:
@@ -238,24 +268,9 @@ def test_csv_rows_are_those_of_the_file_object(text):
         except csv.Error as exc:
             return repr(exc)
 
-    assert rows(data_mod._csv_rows(text)) == rows(csv.reader(io.StringIO(text, newline="")))
-
-
-def test_mobility_table_rejects_bad_shape_and_names_first_bad_flow():
-    dates = [dt.date(2020, 3, 10), dt.date(2020, 3, 11)]
-    with pytest.raises(MalformedRowError):
-        MobilityTable(dates=dates, regions=["a", "b"], flows=np.zeros((2, 2, 3)))
-    flows = np.zeros((2, 2, 2))
-    flows[1, 0, 1] = -1.0
-    flows[1, 1, 0] = np.nan
-    with pytest.raises(NegativeWeightError, match="a->b on 2020-03-11"):
-        MobilityTable(dates=dates, regions=["a", "b"], flows=flows)
-    flows[1, 0, 1] = np.inf
-    with pytest.raises(NegativeWeightError, match="a->b on 2020-03-11"):
-        MobilityTable(dates=dates, regions=["a", "b"], flows=flows)
-    flows[1, 1, 0] = 0.0  # the infinite flow alone
-    with pytest.raises(NegativeWeightError, match="a->b on 2020-03-11"):
-        MobilityTable(dates=dates, regions=["a", "b"], flows=flows)
+    assert list(data_mod.read_file(path, DataError, "file")) == io.StringIO(text, newline="").readlines()
+    expected = rows(csv.reader(io.StringIO(text, newline="")))
+    assert rows(csv.reader(data_mod.read_file(path, DataError, "file"))) == expected
 
 
 # -- build_dataset --------------------------------------------------------------------
@@ -265,9 +280,7 @@ def _tiny_tables(counts_by_day):
     dates = [dt.date(2021, 1, 1) + dt.timedelta(days=d) for d in range(len(counts_by_day))]
     regions = ["r0"]
     counts = np.array([[c] for c in counts_by_day])
-    cases = CaseTable(dates=dates, regions=regions, counts=counts)
-    mobility = MobilityTable(dates=dates, regions=regions, flows=np.zeros((len(dates), 1, 1)))
-    return cases, mobility
+    return CaseTable(dates=dates, regions=regions, counts=counts), np.zeros((len(dates), 1, 1))
 
 
 def test_build_dataset_window_definition():
@@ -302,14 +315,29 @@ def test_build_dataset_scaled_round_trip():
     assert ds.X.max() <= 1.0 + 1e-12
 
 
-def test_build_dataset_region_mismatch():
+@pytest.mark.parametrize("shape", [(3, 2, 2), (2, 1, 1), (4, 1, 1), (3, 1), (3, 1, 1, 1)])
+def test_build_dataset_refuses_flows_of_another_shape(shape):
+    """The flows must be the (T, N, N) array on the case table's axis: a
+    region or a day too many or too few, or another rank, is refused."""
     cases, _ = _tiny_tables([1, 2, 3])
-    dates = cases.dates
-    flows = np.zeros((3, 2, 2))
-    flows[0, 0, 1] = 1.0  # ghost -> r0 on the first day
-    mobility = MobilityTable(dates=dates, regions=["ghost", "r0"], flows=flows)
-    with pytest.raises(RegionMismatchError):
-        build_dataset(cases, mobility, w=2)
+    with pytest.raises(MalformedRowError, match=rf"flows shape \({', '.join(map(str, shape))},?\) != \(3, 1, 1\)"):
+        build_dataset(cases, np.zeros(shape), w=2)
+
+
+def test_build_dataset_names_the_first_bad_flow():
+    dates = [dt.date(2020, 3, 10), dt.date(2020, 3, 11)]
+    cases = CaseTable(dates=dates, regions=["a", "b"], counts=np.zeros((2, 2), dtype=np.int64))
+    flows = np.zeros((2, 2, 2))
+    flows[1, 0, 1] = -1.0
+    flows[1, 1, 0] = np.nan
+    with pytest.raises(NegativeWeightError, match="flow a->b on 2020-03-11 has weight -1.0"):
+        build_dataset(cases, flows, w=1)
+    flows[1, 0, 1] = np.inf
+    with pytest.raises(NegativeWeightError, match="flow a->b on 2020-03-11 has weight inf"):
+        build_dataset(cases, flows, w=1)
+    flows[1, 1, 0] = 0.0  # the infinite flow alone
+    with pytest.raises(NegativeWeightError, match="flow a->b on 2020-03-11 has weight inf"):
+        build_dataset(cases, flows, w=1)
 
 
 @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
@@ -317,24 +345,6 @@ def test_build_dataset_rejects_nonfinite_epsilon(epsilon):
     cases, mobility = _tiny_tables([1, 2, 3])
     with pytest.raises(ValueError, match="epsilon must be finite"):
         build_dataset(cases, mobility, w=2, epsilon=epsilon)
-
-
-def test_build_dataset_empty_overlap():
-    """Tables on other dates are refused, whether they overlap or not: there is
-    no join."""
-    cases, _ = _tiny_tables([1, 2, 3])
-    for first in (dt.date(2022, 1, 1), dt.date(2021, 1, 2)):
-        dates = [first + dt.timedelta(days=d) for d in range(3)]
-        mobility = MobilityTable(dates=dates, regions=["r0"], flows=np.zeros((3, 1, 1)))
-        with pytest.raises(DataError, match="the mobility table's dates differ from the case table's"):
-            build_dataset(cases, mobility, w=2)
-
-
-def test_build_dataset_refuses_regions_in_another_order():
-    cases = CaseTable(dates=[dt.date(2021, 1, 1)], regions=["a", "b"], counts=[[1, 2]])
-    mobility = MobilityTable(dates=cases.dates, regions=["b", "a"], flows=np.zeros((1, 2, 2)))
-    with pytest.raises(RegionMismatchError, match="the mobility table's regions differ from the case table's"):
-        build_dataset(cases, mobility, w=1)
 
 
 @st.composite
@@ -499,42 +509,41 @@ def test_sir_different_seeds_differ():
 def test_synth_tables_hand_over_the_simulated_mobility():
     params = SirParams(beta=0.5, gamma_rec=0.2)
     sim = simulate_sir(6, 20, params, rng_seed=3)
-    cases, mobility = synth_sir_tables(6, 20, params, rng_seed=3)
-    assert mobility.dates == cases.dates
-    assert mobility.regions == cases.regions
-    assert mobility.flows.shape == sim.mobility.shape
-    assert mobility.flows.tobytes() == sim.mobility.tobytes()
+    cases, flows = synth_sir_tables(6, 20, params, rng_seed=3)
+    assert cases.counts.tobytes() == sim.counts.tobytes()
+    assert flows.shape == sim.mobility.shape
+    assert flows.tobytes() == sim.mobility.tobytes()
 
 
 def test_set_up_holds_no_second_mobility_series():
     """Simulating and validating the (T, N, N) mobility series, and joining it
     into a dataset, never hold a second array of its size: synthesis peaks
-    under 1.25 series, and an unscaled dataset's M is the table's own flows,
-    so `build_dataset` peaks under 0.25 series.  A scaled table and one
-    holding -0.0 are copied, and the caller's table comes back byte-equal."""
+    under 1.25 series, and an unscaled dataset's M is the caller's flows
+    array, so `build_dataset` peaks under 0.25 series.  Scaled flows and flows
+    holding -0.0 are copied, and the caller's array comes back byte-equal."""
     build_dataset(*synth_sir_tables(2, 2), w=1)  # the modules numpy imports on first use are not traced
     tracemalloc.start()
     try:
-        cases, mobility = synth_sir_tables(60, 120, rng_seed=1)
+        cases, flows = synth_sir_tables(60, 120, rng_seed=1)
         synth_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        ds = build_dataset(cases, mobility, w=3)
+        ds = build_dataset(cases, flows, w=3)
         dataset_peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    series = mobility.flows.nbytes
-    assert np.shares_memory(ds.M, mobility.flows)
+    series = flows.nbytes
+    assert np.shares_memory(ds.M, flows)
     assert synth_peak < 1.25 * series, f"synth_sir_tables peak {synth_peak / series:.2f} series"
     assert dataset_peak < 0.25 * series, f"build_dataset peak {dataset_peak / series:.2f} series"
 
-    signed = mobility.flows.copy()
+    signed = flows.copy()
     signed[signed == 0] = -0.0
-    for table, scale in ((mobility, True), (dataclasses.replace(mobility, flows=signed), False)):
-        before = table.flows.tobytes()
-        ds = build_dataset(cases, table, w=3, scale=scale)
-        assert table.flows.tobytes() == before
-        assert not np.shares_memory(ds.M, table.flows)
+    for given_flows, scale in ((flows, True), (signed, False)):
+        before = given_flows.tobytes()
+        ds = build_dataset(cases, given_flows, w=3, scale=scale)
+        assert given_flows.tobytes() == before
+        assert not np.shares_memory(ds.M, given_flows)
         assert not np.signbit(ds.M).any()
 
 
@@ -589,13 +598,12 @@ def test_sir_epidemic_actually_happens():
 def test_csv_round_trip(n, days, seed):
     """Synthetic tables written as CSV files load back bitwise: every weight
     is written exactly (``repr``), and every count as an integer."""
-    cases, mobility = synth_sir_tables(n, days, rng_seed=seed)
+    cases, flows = synth_sir_tables(n, days, rng_seed=seed)
     with tempfile.TemporaryDirectory() as tmp:
         write_cases_csv(cases, Path(tmp) / "cases.csv")
-        write_mobility_csv(mobility, Path(tmp) / "mob.csv")
+        write_mobility_csv(cases, flows, Path(tmp) / "mob.csv")
         cases2 = load_cases(Path(tmp) / "cases.csv")
-        mobility2 = load_mobility(Path(tmp) / "mob.csv", cases2)
+        flows2 = load_mobility(Path(tmp) / "mob.csv", cases2)
     assert (cases2.dates, cases2.regions) == (cases.dates, cases.regions)
-    assert (mobility2.dates, mobility2.regions) == (mobility.dates, mobility.regions)
     assert cases2.counts.tobytes() == cases.counts.tobytes()
-    assert mobility2.flows.tobytes() == mobility.flows.tobytes()
+    assert flows2.tobytes() == flows.tobytes()

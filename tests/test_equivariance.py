@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epicast.backbone import MODES, BackboneConfig
-from epicast.data import CaseTable, MobilityTable, SplitSpec, build_dataset, split_dataset, synth_sir_tables
+from epicast.data import CaseTable, SplitSpec, build_dataset, split_dataset, synth_sir_tables
 from epicast.forecaster import forecast
 from epicast.model import ModelConfig, build_model
 from epicast.trainer import TrainConfig, training_loss
@@ -30,12 +30,12 @@ def _assert_close(got, want, scale=None):
     assert np.max(np.abs(got - want), initial=0.0) <= RTOL * scale
 
 
-def _relabeled(cases: CaseTable, mobility: MobilityTable, perm: np.ndarray):
-    """The same tables with region i of the new order being region perm[i]."""
+def _relabeled(cases: CaseTable, flows: np.ndarray, perm: np.ndarray):
+    """The same table and flows with region i of the new order being region perm[i]."""
     names = [cases.regions[i] for i in perm]
     return (
         CaseTable(cases.dates, names, cases.counts[:, perm]),
-        MobilityTable(mobility.dates, names, mobility.flows[:, perm][:, :, perm]),
+        flows[:, perm][:, :, perm],
     )
 
 
@@ -60,9 +60,9 @@ def test_relabeling_regions_permutes_gradients_and_forecasts(n, w, patches, mode
     perm = np.array(data.draw(st.permutations(range(n)), label="perm"))
     seed = data.draw(st.integers(min_value=0, max_value=2**16), label="seed")
     days = (patches + 2 + STEPS) * w
-    cases, mobility = synth_sir_tables(n, days, rng_seed=seed)
+    cases, flows = synth_sir_tables(n, days, rng_seed=seed)
     results = []
-    for tables in ((cases, mobility), _relabeled(cases, mobility, perm)):
+    for tables in ((cases, flows), _relabeled(cases, flows, perm)):
         ds = build_dataset(*tables, w=w, scale=scale)
         model = build_model(
             ModelConfig(n_regions=n, w=w, width=8, seed=seed % 7),

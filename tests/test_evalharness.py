@@ -305,7 +305,7 @@ def test_adj2aver_matches_full_on_direct_forecast_with_constant_adjacency():
     # patch rolls into the context, so on a direct forecast the averaged-
     # adjacency variant coincides with the full model; with all window
     # adjacencies equal, the substituted matrix is exactly that constant
-    from epicast.data import CaseTable, MobilityTable, build_dataset
+    from epicast.data import CaseTable, build_dataset
     from epicast.forecaster import forecast
     from epicast.model import build_model
     from epicast.trainer import train
@@ -320,8 +320,7 @@ def test_adj2aver_matches_full_on_direct_forecast_with_constant_adjacency():
     cases = CaseTable(dates=dates, regions=regions, counts=counts)
     const_flow = np.zeros((3, 3))
     const_flow[0, 1], const_flow[1, 2], const_flow[2, 0], const_flow[0, 0] = 5.0, 2.0, 7.0, 9.0
-    mobility = MobilityTable(dates=dates, regions=regions, flows=np.tile(const_flow, (days, 1, 1)))
-    ds = build_dataset(cases, mobility, w=3)
+    ds = build_dataset(cases, np.tile(const_flow, (days, 1, 1)), w=3)
 
     mc = ModelConfig(n_regions=3, w=3, width=8, seed=0)
     bc = BackboneConfig(depth=1, width=8, heads=2, seed=1)

@@ -13,7 +13,6 @@ from epicast.backbone import MODES, BackboneConfig, backbone_forward
 from epicast.data import (
     CaseTable,
     ConfigError,
-    MobilityTable,
     SirParams,
     SplitSpec,
     build_dataset,
@@ -347,14 +346,14 @@ def test_a_trained_model_serves_only_its_training_space(order, renamed, count, w
     their order, w, epsilon and the scaling all equal the training dataset's;
     otherwise CheckpointError names the first field that differs.  A model with
     no served record forecasts on any dataset of its shape."""
-    cases, mobility = _TABLES
+    cases, flows = _TABLES
     keep = list(order)[:count]
     ids = [cases.regions[i] for i in keep]
     if renamed is not None and renamed < count:
         ids[renamed] = "X" + ids[renamed][1:]
     ds = build_dataset(
         CaseTable(dates=cases.dates, regions=ids, counts=cases.counts[:, keep]),
-        MobilityTable(dates=mobility.dates, regions=ids, flows=mobility.flows[:, keep][:, :, keep]),
+        flows[:, keep][:, :, keep],
         w=w,
         epsilon=epsilon,
         scale=scale,

@@ -27,10 +27,10 @@ N, DAYS, W = 10, 60, 3
 SPEC = SplitSpec(test_len=2 * W, val_len=2 * W)
 
 
-def _run(cases, mobility, scale):
+def _run(cases, flows, scale):
     """Training and validation losses, checkpoint bytes and a forecast from the
     first test day, as bytes."""
-    ds = build_dataset(cases, mobility, w=W, scale=scale)
+    ds = build_dataset(cases, flows, w=W, scale=scale)
     splits = split_dataset(ds, SPEC)
     model = build_model(
         ModelConfig(n_regions=N, w=W, width=8, seed=0),
@@ -46,20 +46,20 @@ def _run(cases, mobility, scale):
     return losses, checkpoint, fc.cases.tobytes() + fc.mobility.tobytes() + fc.adjacency.tobytes()
 
 
-def _perturbed_from(day, cases, mobility, perturb_seed, bump):
-    """The tables with every count and flow from `day` on perturbed."""
+def _perturbed_from(day, cases, flows, perturb_seed, bump):
+    """The case table and flows with every count and flow from `day` on perturbed."""
     rng = np.random.default_rng(perturb_seed)
-    counts, flows = cases.counts.copy(), mobility.flows.copy()
+    counts, flows = cases.counts.copy(), flows.copy()
     counts[day:] += rng.integers(1, bump + 1, size=counts[day:].shape)
     flows[day:] = rng.random(flows[day:].shape) * bump
-    return dataclasses.replace(cases, counts=counts), dataclasses.replace(mobility, flows=flows)
+    return dataclasses.replace(cases, counts=counts), flows
 
 
 def _assert_no_peek(scale, data_seed, perturb_seed, bump):
-    cases, mobility = synth_sir_tables(N, DAYS, SirParams(beta=0.5, gamma_rec=0.2, population=5000), data_seed)
+    cases, flows = synth_sir_tables(N, DAYS, SirParams(beta=0.5, gamma_rec=0.2, population=5000), data_seed)
     first_test_day = split_dataset(DAYS, SPEC).test.start
-    perturbed = _run(*_perturbed_from(first_test_day, cases, mobility, perturb_seed, bump), scale)
-    assert _run(cases, mobility, scale) == perturbed
+    perturbed = _run(*_perturbed_from(first_test_day, cases, flows, perturb_seed, bump), scale)
+    assert _run(cases, flows, scale) == perturbed
 
 
 _perturbations = given(
@@ -111,7 +111,7 @@ def test_days_from_train_stop_reach_no_training_loss_or_gradient(
     unchanged, in every backbone mode."""
     spec = SplitSpec(test_len=test_len, val_len=val_len)
     days = lead % w + patches * w + val_len + test_len
-    cases, mobility = synth_sir_tables(n, days, SirParams(beta=0.5, gamma_rec=0.2, population=5000), seed)
+    cases, flows = synth_sir_tables(n, days, SirParams(beta=0.5, gamma_rec=0.2, population=5000), seed)
     train_stop = split_dataset(days, spec).train.stop
 
     def loss_and_grads(tables):
@@ -124,6 +124,6 @@ def test_days_from_train_stop_reach_no_training_loss_or_gradient(
         loss.backward()
         return [np.asarray(loss.data).tobytes()] + [p.grad.tobytes() for p in model.trainable_parameters()]
 
-    assert loss_and_grads((cases, mobility)) == loss_and_grads(
-        _perturbed_from(train_stop, cases, mobility, seed + 1, bump)
+    assert loss_and_grads((cases, flows)) == loss_and_grads(
+        _perturbed_from(train_stop, cases, flows, seed + 1, bump)
     )

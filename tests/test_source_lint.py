@@ -429,6 +429,40 @@ def _layout_files(readme):
     )
 
 
+def test_loc_compares_each_file_with_a_git_revision(tmp_path):
+    """`tools/loc.py --base REV` prints each package file's code lines at REV
+    and in the tree, those added or deleted since included, with the
+    differences and the totals; a name that is no revision is refused."""
+    src = tmp_path / "src" / "epicast"
+    src.mkdir(parents=True)
+    (tmp_path / "tools").mkdir()
+    shutil.copy(ROOT / "tools" / "loc.py", tmp_path / "tools")
+    (src / "a.py").write_text('"""Doc."""\nx = 1\n# comment\n\ndef f():\n    """Doc."""\n    return x\n')
+    (src / "b.py").write_text("import os\n")
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "src"], ["commit", "-q", "-m", "base"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    with open(src / "a.py", "a") as fh:
+        fh.write("y = 2\n")
+    (src / "b.py").unlink()
+    (src / "c.py").write_text("z = (\n    1,\n)\n")
+
+    def loc(*args):
+        tool = tmp_path / "tools" / "loc.py"
+        return subprocess.run([sys.executable, str(tool), *args], capture_output=True, text=True)
+
+    assert loc("--base", "HEAD").stdout.splitlines() == [
+        "  base    tree    diff  file",
+        "     3       4      +1  a.py",
+        "     1       0      -1  b.py",
+        "     0       3      +3  c.py",
+        "     4       7      +3  total",
+    ]
+    assert loc().stdout.splitlines() == ["     4  a.py", "     3  c.py", "     7  total"]
+    refused = loc("--base", "no-such-rev")
+    assert refused.returncode == 2 and "'no-such-rev' is not a git revision" in refused.stderr
+
+
 def test_readme_layout_names_every_module_and_tool():
     modules = {f"src/epicast/{p.name}" for p in SRC.glob("*.py") if p.stem not in ("__init__", "__main__")}
     tools = {f"tools/{p.name}" for p in (ROOT / "tools").glob("*.py")}
