@@ -138,12 +138,18 @@ class CaseTable:
         counts = np.asarray(self.counts)
         if counts.shape != (T, N):
             raise MalformedRowError(f"counts shape {counts.shape} != ({T}, {N})")
-        if counts.dtype.kind == "f":  # a float count must be a finite integer that int64 holds
+        # numpy holds Python ints past 64 bits as objects
+        ints = counts.dtype.kind in "iu" or (counts.dtype == object and all(type(c) is int for c in counts.flat))
+        if ints:  # an integer count must be one that int64 holds
+            bad = (counts < -(2**63)) | (counts >= 2**63)
+        elif counts.dtype.kind == "f":  # a float count must be a finite integer that int64 holds
             bad = ~((counts == np.trunc(counts)) & (np.abs(counts) < 2.0**63))  # NaN and inf fail
-            if bad.any():
-                t, i = np.argwhere(bad)[0]
-                what = f"count {counts[t, i]} of {self.regions[i]} on {self.dates[t]}"
-                raise MalformedRowError(f"{what} is not an integer in int64's range")
+        else:
+            raise MalformedRowError(f"counts of dtype {counts.dtype} are neither integers nor floats")
+        if bad.any():
+            t, i = np.argwhere(bad)[0]
+            what = f"count {counts[t, i]} of {self.regions[i]} on {self.dates[t]}"
+            raise MalformedRowError(f"{what} is not an integer in int64's range")
         self.counts = np.asarray(counts, dtype=np.int64)
         if np.any(self.counts < 0):
             raise NegativeCountError("case counts must be nonnegative")

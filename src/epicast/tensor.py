@@ -15,30 +15,31 @@ inputs are all constant and compute no gradient for a frozen weight.
 The tape is kept apart from the data.  A recorded op gets a small node: a
 gradient slot, its input nodes and a backward closure.  The closure captures
 exactly the arrays its backward reads (``mul`` the *other* operand, ``linear``
-its input only when the weight needs a gradient, ``add``, ``reshape`` or
-``tsum`` shapes only, the tokenizer node of ``branches`` its first
-propagated map and a ``backbone`` residual sublayer its normalized input,
-from which they rebuild the rest), and no node ever holds its own output
-tensor.  So an intermediate array that no backward reads (the backbone's
-output, the attention's q, k, v and weights, the feedforward's hidden layer,
-GELU output and GELU derivative) is freed during the forward as soon as the
-forward drops it.
+its input only when the weight needs a gradient, ``add`` or ``reshape``
+shapes only, the tokenizer node of ``branches`` its first propagated map, a
+``backbone`` residual sublayer its normalized input and the loss node of
+``trainer`` each branch's error, from which they rebuild the rest), and no
+node ever holds its own output tensor.  So an intermediate array that no
+backward reads (the backbone's output, the attention's q, k, v and weights,
+the feedforward's hidden layer, GELU output and GELU derivative) is freed
+during the forward as soon as the forward drops it.
 
-The fifteen primitives (``add``, ``sub``, ``mul``, ``square``, ``sqrt``,
-``matmul``, ``transpose``, ``reshape``, ``concat``, ``getitem``, ``tsum``,
-``tmean``, ``relu``, ``sigmoid``, ``tanh``) are each a forward plus one
-gradient rule per input, a function of the output gradient that captures
-arrays, shapes and axes, never a tensor.  ``getitem``'s rule builds zeros of
-its input's shape and layout and adds the output gradient at the index.
-``_record`` is the one place that builds their node: it keeps the rules of
-the inputs that require a gradient, in input order, and drops the others, so
-an array that only a constant input's rule reads (``mul``'s trained operand,
-when the other is constant) is freed with the forward.  Five nodes are built
-by hand from ``_input_nodes`` and ``Tensor._result`` instead, because one
-rule per input does not fit them: ``linear``, ``layer_norm``, the two fused
-sublayers of ``backbone`` and the one node for both tokenizers of
-``branches`` share work or a gradient rule (``_affine_grads``,
-``_layer_norm_grads``) across their inputs.
+The ten primitives (``add``, ``mul``, ``matmul``, ``transpose``,
+``reshape``, ``concat``, ``getitem``, ``relu``, ``sigmoid``, ``tanh``) are
+each a forward plus one gradient rule per input, a function of the output
+gradient that captures arrays, shapes and axes, never a tensor.
+``getitem``'s rule builds zeros of its input's shape and layout and adds the
+output gradient at the index.  ``_record`` is the one place that builds their
+node: it keeps the rules of the inputs that require a gradient, in input
+order, and drops the others, so an array that only a constant input's rule
+reads (``mul``'s trained operand, when the other is constant) is freed with
+the forward.  Six nodes are built by hand from ``_input_nodes`` and
+``Tensor._result`` instead, because one rule per input does not fit them:
+``linear``, ``layer_norm``, the two fused sublayers of ``backbone``, the one
+node for both tokenizers of ``branches`` and the loss node of ``trainer``
+(``compute_loss``) share work or a gradient rule (``_affine_grads``,
+``_layer_norm_grads``, the loss's one rule for both branches) across their
+inputs.
 
 A tape's lifetime follows reference counting alone:
 
@@ -61,17 +62,19 @@ A tape's lifetime follows reference counting alone:
 
 Besides the primitive ops there are two fused ones, each a single tape node
 with a hand-written backward: ``linear`` (``x @ W + b``) and ``layer_norm``.
-The two tokenizers in ``branches`` and the attention and feedforward
-sublayers in ``backbone`` are fused the same way, from the numpy kernels
-shared with these ops (``_affine``, ``_sigmoid``, ``_select``, ``_gelu``,
-``_layer_norm``, ``_exp_normalize``, ``_softmax_backward``).  Each gradient
-rule has one home that every fused node calls: ``_affine_grads`` accumulates
-the W and b gradients of ``x @ W + b`` (W's as one GEMM, ``_weight_grad``),
-and ``_layer_norm_grads`` LayerNorm's input (``_layer_norm_input_grad``, which
-the sublayers call one block at a time), gain and bias gradients.  Their
-forwards are bitwise equal to the same computation composed from the
-primitives, and tests validate both forwards and gradients against that
-composed form.
+The two tokenizers in ``branches``, the attention and feedforward sublayers
+in ``backbone`` and the training loss in ``trainer`` are fused the same way,
+the first four from the numpy kernels shared with these ops (``_affine``,
+``_sigmoid``, ``_select``, ``_gelu``, ``_layer_norm``, ``_exp_normalize``,
+``_softmax_backward``).  Each gradient rule has one home that every fused
+node calls: ``_affine_grads`` accumulates the W and b gradients of
+``x @ W + b`` (W's as one GEMM, ``_weight_grad``), and ``_layer_norm_grads``
+LayerNorm's input (``_layer_norm_input_grad``, which the sublayers call one
+block at a time), gain and bias gradients.  Their forwards are bitwise
+equal to the same computation composed from primitive ops, and tests validate
+both forwards and gradients against that composed form.  Ops that only such
+compositions use (``sub``, ``square``, ``sqrt``, ``tsum``, ``tmean``,
+``softmax``, ``gelu``) live with the tests, not here.
 
 The kernels write into one or two arrays they own, with ``out=`` and in-place
 ops, instead of a fresh input-sized temporary per numpy op: each temporary is
@@ -372,12 +375,6 @@ def add(a, b) -> Tensor:
     return _record(a.data + b.data, (a, b), (lambda g: _unbroadcast(g, a_shape), lambda g: _unbroadcast(g, b_shape)))
 
 
-def sub(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
-    a_shape, b_shape = a.data.shape, b.data.shape
-    return _record(a.data - b.data, (a, b), (lambda g: _unbroadcast(g, a_shape), lambda g: -_unbroadcast(g, b_shape)))
-
-
 def mul(a, b) -> Tensor:
     """Elementwise (and scalar) multiply with numpy broadcasting."""
     a, b = astensor(a), astensor(b)
@@ -385,20 +382,6 @@ def mul(a, b) -> Tensor:
     x_shape, y_shape = x.shape, y.shape
     # each input's gradient reads the other operand
     return _record(x * y, (a, b), (lambda g: _unbroadcast(g * y, x_shape), lambda g: _unbroadcast(g * x, y_shape)))
-
-
-def square(a) -> Tensor:
-    a = astensor(a)
-    x = a.data
-    return _record(x * x, (a,), (lambda g: 2.0 * x * g,))
-
-
-def sqrt(a) -> Tensor:
-    a = astensor(a)
-    if np.any(a.data < 0):
-        raise ValueError("sqrt of negative input")
-    root = np.sqrt(a.data)
-    return _record(root, (a,), (lambda g: g / (2.0 * root),))
 
 
 # -- matrix ops ------------------------------------------------------------------
@@ -506,30 +489,6 @@ def getitem(a, idx) -> Tensor:
         return grad
 
     return _record(a.data[idx], (a,), (_grad,))
-
-
-# -- reductions -------------------------------------------------------------------
-
-
-def _sum_grad(g: np.ndarray, axis, keepdims: bool, shape: tuple) -> np.ndarray:
-    """The gradient of an array of `shape` summed over `axis`, for the sum's
-    gradient g: g broadcast back to `shape`."""
-    if axis is not None and not keepdims:
-        g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, shape)
-
-
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = astensor(a)
-    a_shape = a.data.shape
-    return _record(a.data.sum(axis=axis, keepdims=keepdims), (a,), (lambda g: _sum_grad(g, axis, keepdims, a_shape),))
-
-
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = astensor(a)
-    mean = a.data.mean(axis=axis, keepdims=keepdims)
-    a_shape, count = a.data.shape, a.data.size / mean.size
-    return _record(mean, (a,), (lambda g: _sum_grad(g, axis, keepdims, a_shape) / count,))
 
 
 # -- nonlinearities ----------------------------------------------------------------

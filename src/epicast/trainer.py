@@ -3,13 +3,18 @@
 Every epoch runs full-batch next-token prediction over the training patches:
 each branch's token sequence goes through the (possibly frozen) backbone, the
 per-patch predictions are adapted back to case blocks / mobility rows, and the
-token-wise losses are combined as epidemic + weight * mobility.  Validation
-loss is the same objective restricted to patches inside the validation range,
-with the full preceding history as context.
+token-wise losses are combined as epidemic + weight * mobility.  Each branch's
+loss is the mean over tokens of a token's squared L2 error, or of the norm
+itself (``loss_form``).  The combined loss is one tape node
+(``compute_loss``) with a hand-written backward, bitwise equal to the same
+loss composed from primitive ops.  Validation loss is the same objective
+restricted to patches inside the validation range, with the full preceding
+history as context.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import ClassVar
 
@@ -19,7 +24,7 @@ from .backbone import backbone_forward
 from .branches import epi_adapt, epi_token_sequence, mob_adapt, mob_token_sequence, patch_grid
 from .data import ConfigError, EpidemicDataset
 from .model import ModelState, count_params
-from .tensor import Tensor, add, constant, mul, no_grad, sqrt, square, sub, tmean, tsum
+from .tensor import Tensor, _accumulate, _input_nodes, no_grad
 
 LOSS_FORMS = ("mean-squared", "mean-l2-norm")
 
@@ -64,19 +69,6 @@ class TrainConfig:
             raise ConfigError(f"unknown loss form {self.loss_form!r}; choose from {LOSS_FORMS}")
 
 
-def _token_discrepancy(pred: Tensor, true: np.ndarray, loss_form: str) -> Tensor:
-    """Mean over tokens of the per-token discrepancy (squared or plain L2 norm)."""
-    if pred.data.shape != true.shape:
-        raise ValueError(f"prediction shape {pred.data.shape} != target shape {true.shape}")
-    diff = sub(pred, constant(true))
-    sumsq = tsum(square(diff), axis=-1)
-    if loss_form == "mean-squared":
-        return tmean(sumsq)
-    # tiny shift keeps the norm differentiable at an exact hit; invisible at
-    # double precision for any nonzero error
-    return tmean(sqrt(add(sumsq, 1e-24)))
-
-
 def compute_loss(
     x_pred: Tensor,
     x_true: np.ndarray,
@@ -85,16 +77,52 @@ def compute_loss(
     mob_weight: float = 1.0,
     loss_form: str = "mean-squared",
 ) -> Tensor:
-    """Combined token-wise loss: epidemic branch + mob_weight * mobility branch."""
+    """Combined token-wise loss, epidemic branch + mob_weight * mobility branch.
+
+    Each branch's term is the mean over tokens of a token's squared L2 error
+    or, in the "mean-l2-norm" form, of the norm itself.  One tape node over
+    the predictions that require a gradient (x first, then m), which keeps
+    each branch's error and, in the norm form, its per-token norms.  Forward
+    and gradients run the numpy ops of the composed form (difference, square,
+    sum over the last axis, optional shifted square root, mean, weighted sum)
+    in the same order, so both are bitwise equal to it.
+    """
     if not (np.isfinite(mob_weight) and mob_weight >= 0):
         raise ValueError(f"mobility loss weight must be finite and >= 0, got {mob_weight}")
     if loss_form not in LOSS_FORMS:
         raise ValueError(f"unknown loss form {loss_form!r}")
-    loss = _token_discrepancy(x_pred, np.asarray(x_true, dtype=np.float64), loss_form)
+    branches = [(x_pred, x_true, None)]
     if m_pred is not None:
-        mob = _token_discrepancy(m_pred, np.asarray(m_true, dtype=np.float64), loss_form)
-        loss = add(loss, mul(mob, mob_weight))
-    return loss
+        branches.append((m_pred, m_true, mob_weight))
+    kept = []
+    for pred, true, weight in branches:
+        true = np.asarray(true, dtype=np.float64)
+        if pred.data.shape != true.shape:
+            raise ValueError(f"prediction shape {pred.data.shape} != target shape {true.shape}")
+        diff = pred.data - true
+        per = (diff * diff).sum(axis=-1)
+        norms = None
+        if loss_form == "mean-l2-norm":
+            # tiny shift keeps the norm differentiable at an exact hit;
+            # invisible at double precision for any nonzero error
+            per = norms = np.sqrt(per + 1e-24)
+        loss = per.mean() if weight is None else loss + per.mean() * weight
+        kept.append((diff, norms, weight))
+    nodes = _input_nodes(*[pred for pred, _, _ in branches])
+    if nodes is None:
+        return Tensor._result(loss, (), None)
+    # only the branches whose prediction requires a gradient keep their arrays
+    kept = [(node, *saved) for node, saved in zip(nodes, kept) if node is not None]
+
+    def _bw(g):
+        for node, diff, norms, weight in kept:
+            shape = diff.shape[:-1]
+            gp = np.broadcast_to(g if weight is None else g * weight, shape) / math.prod(shape)
+            if norms is not None:
+                gp = gp / (2.0 * norms)
+            _accumulate(node, 2.0 * diff * np.broadcast_to(np.expand_dims(gp, -1), diff.shape))
+
+    return Tensor._result(loss, nodes, _bw)
 
 
 # -- sequence forward ---------------------------------------------------------------

@@ -21,6 +21,12 @@ each; ``epicast.backbone.attention_sublayer`` must match it plus a residual
 kernels (``tensor._exp_normalize``, ``tensor._softmax_backward``,
 ``tensor._gelu``).  Both softmax references exponentiate every entry, -inf
 included, where ``tensor._exp_normalize`` skips the masked ones.
+``sub``, ``square``, ``sqrt``, ``tsum`` and ``tmean`` (with ``_sum_grad``, the
+rule of both reductions) are primitive ops that no ``epicast`` path records;
+the tests compose references and test losses from them.  ``compute_loss``
+composes the training loss from them, one node per op;
+``epicast.trainer.compute_loss``, one node, must match it bit for bit, loss
+and gradients.
 """
 
 import numpy as np
@@ -32,6 +38,7 @@ from epicast.tensor import (
     _accumulate,
     _gelu,
     _input_nodes,
+    _record,
     _softmax_backward,
     _unbroadcast,
     add,
@@ -44,9 +51,7 @@ from epicast.tensor import (
     relu,
     reshape,
     sigmoid,
-    tmean,
     transpose,
-    tsum,
 )
 
 
@@ -68,6 +73,66 @@ def div(a, b) -> Tensor:
             _accumulate(nb, _unbroadcast(-g * a_data / (b_data * b_data), b_shape))
 
     return Tensor._result(out, nodes, _bw)
+
+
+def sub(a, b) -> Tensor:
+    a, b = astensor(a), astensor(b)
+    a_shape, b_shape = a.data.shape, b.data.shape
+    return _record(a.data - b.data, (a, b), (lambda g: _unbroadcast(g, a_shape), lambda g: -_unbroadcast(g, b_shape)))
+
+
+def square(a) -> Tensor:
+    a = astensor(a)
+    x = a.data
+    return _record(x * x, (a,), (lambda g: 2.0 * x * g,))
+
+
+def sqrt(a) -> Tensor:
+    a = astensor(a)
+    if np.any(a.data < 0):
+        raise ValueError("sqrt of negative input")
+    root = np.sqrt(a.data)
+    return _record(root, (a,), (lambda g: g / (2.0 * root),))
+
+
+def _sum_grad(g: np.ndarray, axis, keepdims: bool, shape: tuple) -> np.ndarray:
+    """The gradient of an array of `shape` summed over `axis`, for the sum's
+    gradient g: g broadcast back to `shape`."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape)
+
+
+def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+    a = astensor(a)
+    a_shape = a.data.shape
+    return _record(a.data.sum(axis=axis, keepdims=keepdims), (a,), (lambda g: _sum_grad(g, axis, keepdims, a_shape),))
+
+
+def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+    a = astensor(a)
+    mean = a.data.mean(axis=axis, keepdims=keepdims)
+    a_shape, count = a.data.shape, a.data.size / mean.size
+    return _record(mean, (a,), (lambda g: _sum_grad(g, axis, keepdims, a_shape) / count,))
+
+
+def token_discrepancy(pred: Tensor, true: np.ndarray, loss_form: str) -> Tensor:
+    """Mean over tokens of the per-token discrepancy (squared or plain L2 norm), composed."""
+    diff = sub(pred, constant(true))
+    sumsq = tsum(square(diff), axis=-1)
+    if loss_form == "mean-squared":
+        return tmean(sumsq)
+    return tmean(sqrt(add(sumsq, 1e-24)))
+
+
+def compute_loss(x_pred, x_true, m_pred, m_true, mob_weight=1.0, loss_form="mean-squared") -> Tensor:
+    """The training loss, epidemic branch + mob_weight * mobility branch,
+    composed: one node per op."""
+    loss = token_discrepancy(x_pred, np.asarray(x_true, dtype=np.float64), loss_form)
+    if m_pred is not None:
+        mob = token_discrepancy(m_pred, np.asarray(m_true, dtype=np.float64), loss_form)
+        loss = add(loss, mul(mob, mob_weight))
+    return loss
 
 
 def cross_slice_masks(w: int, n: int) -> tuple[np.ndarray, np.ndarray]:

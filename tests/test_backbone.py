@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from composed_reference import attention_sublayer as composed_attention_sublayer
 from composed_reference import ffn_sublayer as composed_ffn_sublayer
+from composed_reference import tsum
 from gradcheck import grad_check
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,7 @@ from epicast.backbone import (
     ffn_sublayer,
 )
 from epicast.model import ModelConfig, build_model, save_checkpoint
-from epicast.tensor import Parameter, Tensor, _row_blocks, add, constant, mul, no_grad, tsum
+from epicast.tensor import Parameter, Tensor, _row_blocks, add, constant, mul, no_grad
 
 
 def _tokens(P=5, N=3, D=8, seed=0):

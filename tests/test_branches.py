@@ -5,6 +5,7 @@ import sys
 import composed_reference as composed
 import numpy as np
 import pytest
+from composed_reference import sqrt, tsum
 from gradcheck import grad_check
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,7 @@ from epicast.data import SirParams, SplitSpec, split_dataset, synth_sir
 from epicast.forecaster import forecast
 from epicast.model import ModelConfig, build_model
 from epicast.prompts import PromptGraphError, PromptParams, init_prompts
-from epicast.tensor import Parameter, Tensor, add, constant, matmul, mul, reshape, sqrt, transpose, tsum
+from epicast.tensor import Parameter, Tensor, add, constant, matmul, mul, reshape, transpose
 from epicast.trainer import TrainConfig, training_loss, validation_loss
 
 

@@ -144,6 +144,35 @@ def test_case_table_refuses_a_count_that_is_not_an_integer_in_int64(bad):
     assert str(info.value) == f"count {bad} of b on 2020-03-11 is not an integer in int64's range"
 
 
+@pytest.mark.parametrize(
+    "bad", [np.uint64(2**63), 2**64, -(2**63) - 1], ids=["uint64", "int_past_64_bits", "int_below_int64"]
+)
+def test_case_table_refuses_an_integer_count_outside_int64(bad):
+    """An integer count, of an unsigned dtype or a Python int past 64 bits,
+    must fit in int64, and the error names it, its region and its day;
+    integers that fit pass."""
+    dates = [dt.date(2020, 3, 10), dt.date(2020, 3, 11)]
+    assert CaseTable(dates, ["a", "b"], np.array([[3, 0], [2**63 - 1, 1]], dtype=np.uint64)).counts[1, 0] == 2**63 - 1
+    assert CaseTable(dates, ["a", "b"], [[3, 0], [2**62, 1]]).counts.dtype == np.int64
+    counts = np.array([[3, 0], [1, bad]], dtype=np.uint64) if isinstance(bad, np.uint64) else [[3, 0], [1, bad]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy warning on the way
+        with pytest.raises(MalformedRowError) as info:
+            CaseTable(dates, ["a", "b"], counts)
+    assert str(info.value) == f"count {bad} of b on 2020-03-11 is not an integer in int64's range"
+
+
+@pytest.mark.parametrize("bad", ["3", 3 + 1j], ids=["str", "complex"])
+def test_case_table_refuses_a_count_that_is_neither_an_integer_nor_a_float(bad):
+    """A string or complex count is refused, not cast, and with no numpy warning."""
+    dates = [dt.date(2020, 3, 10), dt.date(2020, 3, 11)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MalformedRowError) as info:
+            CaseTable(dates, ["a", "b"], np.array([[bad, bad], [bad, bad]]))
+    assert str(info.value) == f"counts of dtype {np.asarray(bad).dtype} are neither integers nor floats"
+
+
 def test_a_bad_row_after_a_quoted_line_break_is_named_by_its_own_line(tmp_path):
     """A quoted field may hold a line break, so a row's line is the reader's
     line count, not the row's index."""

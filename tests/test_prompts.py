@@ -5,11 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
-from composed_reference import block_adjacency, cross_slice_masks, slice_offsets
+from composed_reference import block_adjacency, cross_slice_masks, slice_offsets, tsum
 from gradcheck import grad_check
 
 from epicast.prompts import build_prompted_graph, init_prompts
-from epicast.tensor import _sigmoid, constant, mul, tsum
+from epicast.tensor import _sigmoid, constant, mul
 
 
 def test_init_values_w3():

@@ -135,12 +135,21 @@ def _without_fd_case(tree, cases):
     return [name for name in _taping_functions(tree) if name not in covered]
 
 
-def test_every_taping_op_has_a_finite_difference_case():
-    hits = [
+# every module whose functions may record a tape node: epicast's own and the
+# composed references the tests hold epicast's nodes to
+TAPING_SOURCES = (*sorted(SRC.glob("*.py")), ROOT / "tests" / "composed_reference.py")
+
+
+def _ops_without_fd_case(cases):
+    return [
         f"{path.name}:{name}"
-        for path in (SRC / "tensor.py", SRC / "branches.py", SRC / "backbone.py")
-        for name in _without_fd_case(ast.parse(path.read_text(), filename=str(path)), OP_CASES)
+        for path in TAPING_SOURCES
+        for name in _without_fd_case(ast.parse(path.read_text(), filename=str(path)), cases)
     ]
+
+
+def test_every_taping_op_has_a_finite_difference_case():
+    hits = _ops_without_fd_case(OP_CASES)
     assert not hits, (
         f"{hits} record a tape node with a hand-written backward but no OP_CASES entry in "
         "tests/test_tensor.py calls them, so no finite-difference check covers that backward"
@@ -158,6 +167,12 @@ def test_the_check_sees_an_op_without_a_case():
     )
     cases = {"covered": lambda a, b: covered(a)}  # noqa: F821
     assert _without_fd_case(ast.parse(source), cases) == ["fused", "primitive"]
+    # every epicast module is scanned, the trainer's loss node included, and so
+    # are the composed references
+    assert {path.name for path in TAPING_SOURCES} >= {"trainer.py", "data.py", "composed_reference.py"}
+    dropped = ("loss_mean_squared", "loss_mean_l2_norm", "div")
+    rest = {name: case for name, case in OP_CASES.items() if name not in dropped}
+    assert _ops_without_fd_case(rest) == ["trainer.py:compute_loss", "composed_reference.py:div"]
 
 
 # the ops whose backward shares work between inputs (linear, layer_norm);

@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from composed_reference import gelu
+from composed_reference import gelu, square, sub, tsum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,9 +31,6 @@ from epicast.tensor import (
     matmul,
     mul,
     no_grad,
-    square,
-    sub,
-    tsum,
 )
 from epicast.trainer import TrainConfig, sequence_loss, train, training_loss, validation_loss
 

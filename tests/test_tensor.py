@@ -5,7 +5,7 @@ import zlib
 
 import numpy as np
 import pytest
-from composed_reference import attention_weights, div, gelu, propagate, softmax
+from composed_reference import attention_weights, div, gelu, propagate, softmax, sqrt, square, sub, tmean, tsum
 from gradcheck import grad_check, relative_error
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,14 +36,10 @@ from epicast.tensor import (
     relu,
     reshape,
     sigmoid,
-    sqrt,
-    square,
-    sub,
     tanh,
-    tmean,
     transpose,
-    tsum,
 )
+from epicast.trainer import compute_loss
 
 
 def test_sigmoid_symmetry_point():
@@ -258,6 +254,10 @@ OP_CASES = {
     "attention_sublayer": _attention_case,
     "ffn_sublayer": _ffn_case,
     "ffn_sublayer_without_ln2": lambda a, b: _ffn_case(a, b, ln2=False),
+    # the training loss: epidemic predictions a and mobility predictions b,
+    # 3 tokens of 4 features each, against rows of the window
+    "loss_mean_squared": lambda a, b: compute_loss(a, _WINDOW[:, 0], b, _WINDOW[:, 1], 0.7, "mean-squared"),
+    "loss_mean_l2_norm": lambda a, b: compute_loss(a, _WINDOW[:, 0], b, _WINDOW[:, 1], 0.7, "mean-l2-norm"),
 }
 
 
@@ -265,6 +265,7 @@ OP_CASES = {
 TWO_INPUT_CASES = (
     "add", "sub", "mul", "div", "matmul", "concat", "linear", "layer_norm", "attention_weights", "propagate",
     "epi_tokenize", "mob_tokenize", "projector_node", "attention_sublayer", "ffn_sublayer", "ffn_sublayer_without_ln2",
+    "loss_mean_squared", "loss_mean_l2_norm",
 )
 
 

@@ -4,14 +4,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from composed_reference import compute_loss as composed_loss
+from composed_reference import tsum
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import epicast.trainer as trainer_mod
 from epicast.backbone import BackboneConfig, backbone_forward
 from epicast.branches import epi_adapt, epi_token_sequence, mob_adapt, mob_token_sequence, patch_grid
 from epicast.data import SplitSpec, SirParams, split_dataset, synth_sir
 from epicast.model import ModelConfig, backbone_hash, build_model
-from epicast.tensor import Parameter, Tensor, constant, mul, no_grad, tsum
+from epicast.tensor import Parameter, Tensor, constant, mul, no_grad
 from epicast.trainer import (
+    LOSS_FORMS,
     Adam,
     TrainConfig,
     TrainingDivergedError,
@@ -72,6 +77,71 @@ def test_loss_rejects_bad_inputs():
         compute_loss(pred, np.zeros((1, 1, 2)), None, None, mob_weight=float("nan"))
     with pytest.raises(ValueError):
         compute_loss(pred, np.zeros((1, 1, 2)), None, None, loss_form="harmonic")
+
+
+def _loss_and_grads(loss_fn, preds, trues, mob_weight, loss_form):
+    """The loss `loss_fn` records over predictions `preds` ((data, trained)
+    pairs, the mobility's None when absent), its data, and the gradient array
+    each trained prediction is handed (None for a constant)."""
+    tensors = [None if p is None else Parameter(p[0], name=f"p{i}", frozen=not p[1]) for i, p in enumerate(preds)]
+    for t in tensors:
+        if t is not None and t.requires_grad:
+            t._node.grad = None  # so the leaf adopts the array the loss hands it
+    loss = loss_fn(tensors[0], trues[0], tensors[1], trues[1], mob_weight, loss_form)
+    if loss.requires_grad:
+        loss.backward()
+    return loss.data, [None if t is None else t.grad for t in tensors]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 5), st.integers(1, 3), st.integers(1, 4)),
+    mob_features=st.none() | st.integers(1, 3),
+    loss_form=st.sampled_from(LOSS_FORMS),
+    mob_weight=st.sampled_from([0.0, 1.0, None]) | st.floats(0.0, 10.0),  # None: one drawn from the seed
+    trained=st.sampled_from([(True, True), (True, False), (False, True), (False, False)]),
+    hits=st.sampled_from(["none", "some", "all"]),
+    fortran=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_loss_node_is_bitwise_the_composed_loss(
+    shape, mob_features, loss_form, mob_weight, trained, hits, fortran, seed
+):
+    """One node, the loss and the gradient array handed to each prediction (its
+    bytes and strides) equal those of the per-op composition: over size-1 axes,
+    a zero mobility weight, no mobility branch, a constant prediction, a
+    non-C layout and exact hits (an error of zero, where the norm form's
+    gradient rests on its shift)."""
+    rng = np.random.default_rng(seed)
+    mob_weight = rng.uniform(0.0, 10.0) if mob_weight is None else mob_weight
+    preds, trues = [], []
+    for features, live in zip((shape[2], mob_features), trained):
+        pred = true = None
+        if features is not None:
+            pred = rng.normal(size=shape[:2] + (features,))
+            true = rng.normal(size=pred.shape)
+            hit = rng.random(shape[:2]) < {"none": 0.0, "some": 0.5, "all": 1.0}[hits]
+            true[hit] = pred[hit]
+            pred = (np.asfortranarray(pred) if fortran else pred, live)
+        preds.append(pred)
+        trues.append(true)
+    fused, composed = (_loss_and_grads(f, preds, trues, mob_weight, loss_form) for f in (compute_loss, composed_loss))
+    assert np.asarray(fused[0]).tobytes() == np.asarray(composed[0]).tobytes()
+    for got, want in zip(fused[1], composed[1]):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.tobytes() == want.tobytes() and got.strides == want.strides
+    with no_grad():
+        unrecorded, _ = _loss_and_grads(compute_loss, preds, trues, mob_weight, loss_form)
+    assert np.asarray(unrecorded).tobytes() == np.asarray(fused[0]).tobytes()
+
+
+def test_a_loss_records_one_node_over_the_predictions():
+    rng = np.random.default_rng(5)
+    x, m = Parameter(rng.normal(size=(2, 3, 4)), name="x"), Parameter(rng.normal(size=(2, 3, 3)), name="m")
+    for loss_form in LOSS_FORMS:
+        loss = compute_loss(x, rng.normal(size=(2, 3, 4)), m, rng.normal(size=(2, 3, 3)), 0.5, loss_form)
+        assert loss._prev == (x._node, m._node)
 
 
 # -- Adam ----------------------------------------------------------------------------
