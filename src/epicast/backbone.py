@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ConfigError
+from .data import ConfigError, check_field_types
 from .serialize import assign_tensors, load_tensors, save_tensors
 from .tensor import (
     Parameter,
@@ -112,6 +112,7 @@ class BackboneConfig:
     ffn_mult: int = 4
 
     def __post_init__(self):
+        check_field_types(self, BackboneConfigError)
         if self.mode not in MODES:
             raise BackboneConfigError(f"unknown backbone mode {self.mode!r}; choose from {MODES}")
         if self.width < 1 or self.depth < 0:

@@ -299,14 +299,15 @@ def stack_tokens(tokens: list[Tensor]) -> Tensor:
     return reshape(concat(tokens, axis=0), (len(tokens), n, d))
 
 
-def epi_token_sequence(model, X: np.ndarray, M: np.ndarray, mask: np.ndarray | None, grid) -> Tensor:
+def epi_token_sequence(model, X: np.ndarray, M: np.ndarray, epsilon: float, mob_scale: float, grid) -> Tensor:
     """(P, N, D) epidemic tokens of a ``model.ModelState``, one per patch of
-    `grid`, each over the patch's ``data.adjacency`` of mobility `M` and `mask`."""
+    `grid`, each over the patch's ``data.adjacency`` of model-space mobility
+    `M` at threshold `epsilon` and scale `mob_scale`."""
     cfg = model.config
     tokens = [
         epi_tokenize(
             X[s:e],
-            adjacency(M, mask, slice(s, e)),
+            adjacency(M, epsilon, mob_scale, slice(s, e)),
             model.prompts,
             model.epi_proj,
             gating_mode=cfg.gating_mode,

@@ -10,9 +10,10 @@ file loads into a ``CaseTable`` of (T, N) counts, and the mobility file into a
 plain (T, N, N) flows array on that table's dates and regions.
 ``build_dataset`` turns the two into per-day feature rows holding the last
 ``w`` daily counts and per-day mobility matrices.  The adjacency is that
-mobility, thresholded: with a positive ``epsilon`` the dataset keeps a
-boolean mask of the flows above it, and ``adjacency`` reads any window's
-adjacency from the mobility and that mask.  ``synth_sir`` generates a fully
+mobility, thresholded, and is never stored: ``adjacency`` reads any window's
+adjacency from model-space mobility, the threshold ``epsilon`` and the scale
+``mob_scale``, by the one rule that a flow is an edge when its raw value
+``M * mob_scale`` exceeds ``epsilon``.  ``synth_sir`` generates a fully
 deterministic SIR-on-a-mobility-graph dataset.
 """
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -33,6 +34,18 @@ class DataError(Exception):
 
 class ConfigError(ValueError):
     """A configured value outside its domain; the CLI exits 2 on it and its subclasses."""
+
+
+def check_field_types(config, error: type[ConfigError] = ConfigError) -> None:
+    """Raise `error` naming the first ``int`` field of dataclass `config` that
+    holds no integer (a numpy integer is one, a bool is not), or the first
+    ``bool`` field that holds no bool."""
+    for f in fields(config):
+        value, kind = getattr(config, f.name), getattr(f.type, "__name__", f.type)  # a class, or its name
+        if kind == "int" and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+            raise error(f"{f.name} must be an integer, got {value!r}")
+        if kind == "bool" and not isinstance(value, bool):
+            raise error(f"{f.name} must be true or false, got {value!r}")
 
 
 class MalformedRowError(DataError):
@@ -263,14 +276,14 @@ def window_features(counts: np.ndarray, w: int) -> np.ndarray:
 @dataclass
 class EpidemicDataset:
     """Aligned per-day case features and mobility, from which ``adjacency``
-    reads the thresholded adjacency of any window."""
+    reads the thresholded adjacency of any window at the dataset's
+    ``epsilon`` and ``mob_scale``; no threshold mask is kept."""
 
     N: int
     T: int
     w: int
     X: np.ndarray  # (T, N, F) feature rows, F == w, model space
     M: np.ndarray  # (T, N, N) mobility, model space, no -0.0; may be the caller's flows array
-    mask: np.ndarray | None  # (T, N, N) bool, raw flow > epsilon; None when epsilon <= 0
     region_names: list[str]
     dates: list[dt.date]
     counts: np.ndarray  # (T, N) raw integer daily new cases
@@ -287,11 +300,12 @@ class EpidemicDataset:
                     case_scale=self.case_scale.tolist(), mob_scale=self.mob_scale)
 
 
-def adjacency(M: np.ndarray, mask: np.ndarray | None, days: slice) -> np.ndarray:
-    """The adjacency of mobility `M` on `days`: each flow where `mask` holds,
-    and 0 elsewhere.  With no mask it is the mobility itself (a view): a flow
-    is >= 0 and never -0.0, so every flow exceeds a threshold <= 0 or is 0.0."""
-    return M[days] if mask is None else np.where(mask[days], M[days], 0.0)
+def adjacency(M: np.ndarray, epsilon: float, mob_scale: float, days: slice) -> np.ndarray:
+    """The adjacency of model-space mobility `M` on `days`: each flow whose raw
+    value ``M * mob_scale`` exceeds `epsilon`, and 0 elsewhere.  With
+    ``epsilon <= 0`` it is the mobility itself (a view): a flow is >= 0 and
+    never -0.0, so every flow exceeds such a threshold or is 0.0."""
+    return M[days] if epsilon <= 0 else np.where(M[days] * mob_scale > epsilon, M[days], 0.0)
 
 
 def build_dataset(
@@ -348,9 +362,8 @@ def build_dataset(
         mob_scale = 1.0
 
     counts_model = counts.astype(np.float64) / case_scale[None, :]
-    mask = flows > epsilon if epsilon > 0 else None  # in raw flow units
-    # model-space flows are C-ordered and hold no -0.0, so that `adjacency` needs no mask at
-    # epsilon <= 0; an unscaled table that already is so is used as it is, any other is copied
+    # model-space flows are C-ordered and hold no -0.0, so that `adjacency` is a view of them
+    # at epsilon <= 0; an unscaled table that already is so is used as it is, any other is copied
     if scale or not flows.flags.c_contiguous or np.signbit(flows).any():
         M = np.add(flows, 0.0, order="C")  # -0.0 + 0.0 is 0.0
         M /= mob_scale
@@ -367,7 +380,6 @@ def build_dataset(
         w=w,
         X=X,
         M=M,
-        mask=mask,
         region_names=list(cases.regions),
         dates=list(cases.dates),
         counts=counts,

@@ -7,14 +7,15 @@ steps condition on earlier predictions: one step is direct forecasting,
 several steps is multi-step forecasting.
 
 The rollout lives in one preallocated history: counts (end, N) and mobility
-(end, N, N), where end is the context end plus steps * w days, and with a
-positive threshold the boolean mask (end, N, N) of the flows above it.  The
-context days are copied in; step t windows the counts of its first t days into
-feature rows, reads each patch's adjacency from the first t days of mobility
-and mask by the dataset's rule (``data.adjacency``), and writes its own patch
-into rows t .. t+w in place.  The returned cases and mobility are slices of
-that history (mobility one row per patch), and the adjacency is read from the
-same rows by the same rule, all mapped back to raw units.
+(end, N, N), where end is the context end plus steps * w days; no threshold
+mask is kept.  The context days are copied in; step t windows the counts of
+its first t days into feature rows, reads each patch's adjacency from the
+first t days of mobility by the dataset's one rule (``data.adjacency`` at its
+``epsilon`` and ``mob_scale``), and writes its own patch into rows t .. t+w in
+place.  So context and generated rows are thresholded alike.  The returned
+cases and mobility are slices of that history (mobility one row per patch), and
+the adjacency is read from the same rows by the same rule, all mapped back to
+raw units.
 
 Both backbone passes decode incrementally: step 1 prefills the context grid,
 and each later step runs the backbone on the one position it appended (see
@@ -151,7 +152,6 @@ def forecast(
     try:
         counts = np.empty((end, ds.N))  # model space
         M = np.empty((end, ds.N, ds.N))
-        mask = None if ds.mask is None else np.empty((end, ds.N, ds.N), dtype=bool)
     except (MemoryError, ValueError) as exc:  # past 2**63 bytes numpy raises ValueError
         raise ForecastSizeError(
             f"a horizon of {horizon} days ({steps} steps of w={w}) from day {context_end} "
@@ -159,8 +159,6 @@ def forecast(
         ) from exc
     counts[:context_end] = ds.counts[:context_end] / ds.case_scale
     M[:context_end] = ds.M[:context_end]
-    if mask is not None:
-        mask[:context_end] = ds.mask[:context_end]
     mob_cache, epi_cache = DecodeCache(), DecodeCache()
 
     try:
@@ -180,18 +178,16 @@ def forecast(
                 raise ForecastDivergedError(step, "mobility prediction")
 
             X = window_features(counts[:t], w)
-            epi_out = backbone_forward(epi_token_sequence(model, X, M, mask, grid), model.backbone, epi_cache)
+            epi_out = backbone_forward(epi_token_sequence(model, X, M, ds.epsilon, ds.mob_scale, grid), model.backbone, epi_cache)
             block = epi_adapt(epi_out[-1], model.epi_adapter).data
             if not np.all(np.isfinite(block)):
                 raise ForecastDivergedError(step, "case prediction")
 
             counts[t : t + w] = np.maximum(block, 0.0).T  # block column k is day k of the new patch
             M[t : t + w] = M_next
-            if mask is not None:
-                mask[t : t + w] = M_next * ds.mob_scale > ds.epsilon
 
         mobility = M[context_end::w] * ds.mob_scale
-        A = adjacency(M, mask, slice(context_end, None, w)) * ds.mob_scale
+        A = adjacency(M, ds.epsilon, ds.mob_scale, slice(context_end, None, w)) * ds.mob_scale
         cases = counts[context_end:] * ds.case_scale
     except FloatingPointError as exc:  # numpy raises on an overflow, an invalid value or a division by zero
         raise ForecastDivergedError(step, f"value (numpy: {exc})") from exc

@@ -18,7 +18,7 @@ from .branches import (
     init_adapter,
     init_projector,
 )
-from .data import ConfigError
+from .data import ConfigError, check_field_types
 from .prompts import PromptParams, init_prompts
 from .serialize import CheckpointError, assign_tensors, load_tensors, save_tensors
 from .tensor import Parameter
@@ -44,6 +44,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_regions < 1 or self.w < 1 or self.width < 1:
             raise ConfigError("n_regions, w, and width must all be positive")
         if self.mob_hidden < 0:

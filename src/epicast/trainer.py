@@ -141,7 +141,7 @@ def sequence_loss(
     P = len(grid)
     first = 0 if target_tail is None else P - 1 - min(target_tail, P - 1)
     ends = [e - 1 for _, e in grid[first + 1 :]]
-    preds = backbone_forward(epi_token_sequence(model, ds.X, ds.M, ds.mask, grid), model.backbone)
+    preds = backbone_forward(epi_token_sequence(model, ds.X, ds.M, ds.epsilon, ds.mob_scale, grid), model.backbone)
     x_pred = epi_adapt(preds[first : P - 1], model.epi_adapter)
     m_pred = m_true = None
     if model.config.mobility_enabled:
@@ -152,7 +152,11 @@ def sequence_loss(
 
 
 def training_loss(model: ModelState, ds: EpidemicDataset, train_range: range, cfg: TrainConfig) -> Tensor:
+    """Next-token loss over the patches of `train_range`; raises
+    TrainingRangeError when the range holds fewer than the two patches it needs."""
     grid = patch_grid(train_range.start, train_range.stop, model.config.w)
+    if len(grid) < 2:
+        raise TrainingRangeError(f"training range of {len(train_range)} days yields {len(grid)} patches; need >= 2")
     return sequence_loss(model, ds, grid, cfg)
 
 
@@ -269,11 +273,6 @@ def train(
     trained model only on datasets with the same regions, window, threshold
     and scales.
     """
-    grid = patch_grid(train_range.start, train_range.stop, model.config.w)
-    if len(grid) < 2:
-        raise TrainingRangeError(
-            f"training range of {len(train_range)} days yields {len(grid)} patches; need >= 2"
-        )
     trainables = model.trainable_parameters()
     opt = Adam(trainables, lr=cfg.lr)
     report = TrainReport()

@@ -8,7 +8,7 @@ tokens and gradients.
 ``block_adjacency`` assembles the dense (w*N)^2 prompted block matrix that
 ``epicast`` never builds, the oracle ``propagate`` is checked against.
 ``thresholded_adjacency`` is the adjacency as a second array, which
-``epicast`` reads from the mobility and a mask instead (``data.adjacency``).
+``epicast`` reads from the mobility on demand instead (``data.adjacency``).
 ``attention_sublayer`` composes one attention sublayer of the backbone from
 ``layer_norm``, ``linear``, head reshapes and ``attention_weights``, one node
 each; ``epicast.backbone.attention_sublayer`` must match it plus a residual

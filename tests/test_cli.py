@@ -604,10 +604,16 @@ def test_exit_two_on_training_range_shorter_than_two_patches(tmp_path, capsys):
             lambda text: text.replace('"served": {', '"served": 4, "unserved": {'),
             "meta.served is missing or not an object",
         ),
+        (lambda text: text.replace('"heads": 2', '"heads": 2.0'), "heads must be an integer, got 2.0"),
+        (
+            lambda text: text.replace('"mobility_enabled": true', '"mobility_enabled": "no"'),
+            "mobility_enabled must be true or false, got 'no'",
+        ),
     ],
     ids=[
         "truncated-json", "json-list", "no-total-bytes", "unknown-config-key", "w-zero", "mob-hidden-huge",
-        "depth-huge", "retired-adjacency-mode", "no-served-record", "served-not-a-record",
+        "depth-huge", "retired-adjacency-mode", "no-served-record", "served-not-a-record", "heads-float",
+        "mobility-enabled-string",
     ],
 )
 def test_exit_four_on_broken_checkpoint_sidecar(tmp_path, capsys, monkeypatch, corrupt, message):

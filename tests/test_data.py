@@ -329,7 +329,8 @@ def test_build_dataset_shapes():
     ds = synth_sir(5, 10, rng_seed=0, w=3)
     assert ds.X.shape == (10, 5, 3)
     assert ds.M.shape == (10, 5, 5)
-    assert ds.mask is None  # epsilon 0: the mobility is its own adjacency
+    A = adjacency(ds.M, ds.epsilon, ds.mob_scale, slice(None))
+    assert np.shares_memory(A, ds.M) and A.tobytes() == ds.M.tobytes()  # epsilon 0: the mobility is its own adjacency
     assert ds.X.shape[-1] == ds.w == 3
 
 
@@ -445,10 +446,10 @@ def test_build_dataset_names_w_when_its_windows_do_not_fit(monkeypatch):
 def test_adjacency_threshold_sparsity():
     ds = synth_sir(5, 12, rng_seed=4, w=3, epsilon=10.0)
     raw_M = ds.M * ds.mob_scale
-    A = adjacency(ds.M, ds.mask, slice(None))
+    A = adjacency(ds.M, ds.epsilon, ds.mob_scale, slice(None))
     np.testing.assert_array_equal(A > 0, raw_M > 10.0)
     assert np.all((A > 0) <= (ds.M > 0))  # A positive implies M positive
-    assert ds.mask.dtype == bool and not np.shares_memory(A, ds.M)
+    assert not np.shares_memory(A, ds.M)
 
 
 @pytest.mark.parametrize("T, w", [(9, 4), (9, 1), (1, 1), (1, 3), (5, 5), (4, 7), (30, 7)])

@@ -5,7 +5,7 @@ import pytest
 
 from epicast.backbone import MODES, BackboneConfig, parameter_count
 from epicast.branches import epi_token_sequence
-from epicast.data import SplitSpec, split_dataset, synth_sir
+from epicast.data import ConfigError, SplitSpec, split_dataset, synth_sir
 from epicast.model import (
     EmptyModelError,
     ModelConfig,
@@ -94,8 +94,8 @@ def test_checkpoint_round_trip(tmp_path):
     X = rng.uniform(0, 1, size=(6, 4, 3))
     M = rng.uniform(0, 1, size=(6, 4, 4))
     grid = [(0, 3), (3, 6)]
-    before = epi_token_sequence(model, X, M, None, grid).data
-    after = epi_token_sequence(loaded, X, M, None, grid).data
+    before = epi_token_sequence(model, X, M, 0.0, 1.0, grid).data
+    after = epi_token_sequence(loaded, X, M, 0.0, 1.0, grid).data
     np.testing.assert_array_equal(before, after)
 
 
@@ -178,6 +178,22 @@ def test_backbone_hash_tracks_backbone_only():
 def test_model_config_rejects_a_negative_seed():
     with pytest.raises(ValueError):
         ModelConfig(n_regions=4, seed=-1)
+
+
+@pytest.mark.parametrize(
+    "config, field, value",
+    [(ModelConfig, "w", 3.0), (ModelConfig, "seed", True), (ModelConfig, "mobility_enabled", "no"),
+     (ModelConfig, "mobility_enabled", 1), (BackboneConfig, "heads", 2.0), (BackboneConfig, "ffn_mult", "4")],
+)  # fmt: skip
+def test_a_config_field_of_the_wrong_type_is_refused_by_name(config, field, value):
+    kind = "true or false" if field == "mobility_enabled" else "an integer"
+    with pytest.raises(ConfigError, match=f"^{field} must be {kind}, got {value!r}$"):
+        config(**({"n_regions": 4} if config is ModelConfig else {}), **{field: value})
+
+
+def test_a_config_takes_numpy_integers():
+    assert ModelConfig(n_regions=np.int64(4), w=np.int32(3), seed=np.uint8(1)).w == 3
+    assert BackboneConfig(width=np.int64(8), heads=np.int16(2), depth=np.int64(1)).heads == 2
 
 
 def test_width_mismatch_rejected():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from composed_reference import compute_loss as composed_loss
 from composed_reference import tsum
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import epicast.trainer as trainer_mod
@@ -22,6 +22,7 @@ from epicast.trainer import (
     TrainingDivergedError,
     TrainingRangeError,
     compute_loss,
+    run_epoch,
     train,
     training_loss,
     validation_loss,
@@ -104,6 +105,12 @@ def _loss_and_grads(loss_fn, preds, trues, mob_weight, loss_form):
     fortran=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
+# a trained mobility prediction at weight 2.5 over 6 tokens: 2.5 / 6 != 2.5 * (1.0 / 6), so
+# these fail a backward that scales by the reciprocal of the token count, in either form
+@example(shape=(3, 2, 2), mob_features=3, loss_form="mean-squared", mob_weight=2.5, trained=(True, True),
+         hits="none", fortran=False, seed=1)  # fmt: skip
+@example(shape=(3, 2, 2), mob_features=3, loss_form="mean-l2-norm", mob_weight=2.5, trained=(True, True),
+         hits="none", fortran=False, seed=1)  # fmt: skip
 def test_the_loss_node_is_bitwise_the_composed_loss(
     shape, mob_features, loss_form, mob_weight, trained, hits, fortran, seed
 ):
@@ -323,6 +330,19 @@ def test_too_short_training_range_rejected():
         train(model, ds, range(0, 4), range(4, 8), TrainConfig())
 
 
+def test_run_epoch_refuses_a_one_patch_training_range_before_it_steps():
+    """The rule lives in ``training_loss``, so an epoch run on its own raises
+    the same TrainingRangeError, not a divergence of the empty loss, and
+    leaves every parameter as it was."""
+    ds = _tiny_ds()
+    model = _tiny_model(ds)
+    before = [p.data.tobytes() for p in model.parameters()]
+    opt = Adam(model.trainable_parameters())
+    with pytest.raises(TrainingRangeError, match="^training range of 4 days yields 1 patches; need >= 2$"):
+        run_epoch(model, ds, range(0, 4), range(4, 8), TrainConfig(), opt, 1)
+    assert opt.t == 0 and [p.data.tobytes() for p in model.parameters()] == before
+
+
 def test_training_deterministic():
     ds = _tiny_ds()
     splits = split_dataset(ds, SplitSpec(test_len=3, val_len=3))
@@ -351,7 +371,7 @@ def _validation_loss_oracle(model, ds, val_range, cfg):
     grid = patch_grid(0, val_range.stop, ds.w)
     P = len(grid)
     first = P - 1 - min(sum(1 for s, e in grid if e > val_range.start), P - 1)
-    preds = backbone_forward(epi_token_sequence(model, ds.X, ds.M, ds.mask, grid), model.backbone)
+    preds = backbone_forward(epi_token_sequence(model, ds.X, ds.M, ds.epsilon, ds.mob_scale, grid), model.backbone)
     x_pred = epi_adapt(preds[: P - 1], model.epi_adapter)[first:]
     x_true = np.stack([ds.X[e - 1] for s, e in grid[1:]])[first:]
     m_pred = m_true = None
