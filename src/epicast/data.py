@@ -39,11 +39,15 @@ class ConfigError(ValueError):
 def check_field_types(config, error: type[ConfigError] = ConfigError) -> None:
     """Raise `error` naming the first ``int`` field of dataclass `config` that
     holds no integer (a numpy integer is one, a bool is not), or the first
-    ``bool`` field that holds no bool."""
+    ``bool`` field that holds no bool.  A numpy integer is replaced by the
+    Python int it holds, so a narrow one neither overflows nor rounds in the
+    arithmetic the config sizes."""
     for f in fields(config):
         value, kind = getattr(config, f.name), getattr(f.type, "__name__", f.type)  # a class, or its name
         if kind == "int" and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
             raise error(f"{f.name} must be an integer, got {value!r}")
+        if kind == "int" and isinstance(value, np.integer):
+            object.__setattr__(config, f.name, int(value))  # the configs are frozen dataclasses
         if kind == "bool" and not isinstance(value, bool):
             raise error(f"{f.name} must be true or false, got {value!r}")
 

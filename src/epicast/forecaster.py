@@ -6,16 +6,21 @@ The generated patch (cases + structure) is rolled into the context, so later
 steps condition on earlier predictions: one step is direct forecasting,
 several steps is multi-step forecasting.
 
-The rollout lives in one preallocated history: counts (end, N) and mobility
-(end, N, N), where end is the context end plus steps * w days; no threshold
-mask is kept.  The context days are copied in; step t windows the counts of
-its first t days into feature rows, reads each patch's adjacency from the
-first t days of mobility by the dataset's one rule (``data.adjacency`` at its
-``epsilon`` and ``mob_scale``), and writes its own patch into rows t .. t+w in
-place.  So context and generated rows are thresholded alike.  The returned
-cases and mobility are slices of that history (mobility one row per patch), and
-the adjacency is read from the same rows by the same rule, all mapped back to
-raw units.
+The rollout keeps only what it generates: counts (end, N), where end is the
+context end plus steps * w days, and one predicted flow matrix per generated
+patch, (steps, N, N); no threshold mask is kept.  The context counts are
+copied in, and the context's mobility is read from the dataset's ``M``
+itself, never copied.  The patch grid is aligned backward from each step's
+day t, which is the context end plus whole patches, so no patch spans the
+context and the generated days: a generated patch's w-day window is its one
+matrix broadcast over the w days (``_Rollout``).  Step t windows the counts
+of its first t days into feature rows, reads each patch's adjacency from that
+mobility by the dataset's one rule (``data.adjacency`` at its ``epsilon`` and
+``mob_scale``), and writes its own patch's counts into rows t .. t+w and its
+matrix into the buffer.  So context and generated rows are thresholded alike.
+The returned cases are the generated counts, the mobility the buffer and the
+adjacency the buffer read by the same rule, each mapped back to raw units
+into a new array, so none shares memory with the dataset.
 
 Both backbone passes decode incrementally: step 1 prefills the context grid,
 and each later step runs the backbone on the one position it appended (see
@@ -65,6 +70,27 @@ class ForecastSizeError(ConfigError, MemoryError):
     """A forecast whose rollout history, or one step's working set, does not
     fit in memory: a config error naming the size keys, and a MemoryError to
     whoever catches those."""
+
+
+class _Rollout:
+    """A rollout's model-space mobility, indexed by day: the days before C are
+    the (C, N, N) `context`, a view of the dataset's ``M``, and each later
+    w-day patch is its one matrix of `generated` (steps, N, N), broadcast
+    over its days.  It serves ``epi_token_sequence`` and
+    ``mob_token_sequence``, which index mobility only by a day or by a
+    patch's slice of days; such a slice lies within one part."""
+
+    def __init__(self, context: np.ndarray, generated: np.ndarray, w: int):
+        self.context, self.generated, self.w = context, generated, w
+
+    def __getitem__(self, days):
+        C = len(self.context)
+        if isinstance(days, slice):
+            if days.stop <= C:
+                return self.context[days]
+            matrix = self.generated[(days.start - C) // self.w]
+            return np.broadcast_to(matrix, (days.stop - days.start, *matrix.shape))
+        return self.context[days] if days < C else self.generated[(days - C) // self.w]
 
 
 class ForecastDivergedError(RuntimeError):
@@ -151,14 +177,14 @@ def forecast(
     end = context_end + horizon
     try:
         counts = np.empty((end, ds.N))  # model space
-        M = np.empty((end, ds.N, ds.N))
+        generated = np.empty((steps, ds.N, ds.N))  # model space, one matrix per generated patch
     except (MemoryError, ValueError) as exc:  # past 2**63 bytes numpy raises ValueError
         raise ForecastSizeError(
             f"a horizon of {horizon} days ({steps} steps of w={w}) from day {context_end} "
             f"does not fit in memory ({str(exc) or 'out of memory allocating the rollout history'})"
         ) from exc
     counts[:context_end] = ds.counts[:context_end] / ds.case_scale
-    M[:context_end] = ds.M[:context_end]
+    M = _Rollout(ds.M[:context_end], generated, w)
     mob_cache, epi_cache = DecodeCache(), DecodeCache()
 
     try:
@@ -166,7 +192,7 @@ def forecast(
             grid = patch_grid(0, t, w)
 
             if cfg.mobility_enabled and adjacency_mode == "predicted":
-                mob_out = backbone_forward(mob_token_sequence(model, M[:t], grid), model.backbone, mob_cache)
+                mob_out = backbone_forward(mob_token_sequence(model, M, grid), model.backbone, mob_cache)
                 M_next = mob_adapt(mob_out[-1], model.mob_adapter).data
             elif adjacency_mode == "window_average":
                 M_next = M[t - w : t].mean(axis=0)
@@ -184,10 +210,10 @@ def forecast(
                 raise ForecastDivergedError(step, "case prediction")
 
             counts[t : t + w] = np.maximum(block, 0.0).T  # block column k is day k of the new patch
-            M[t : t + w] = M_next
+            generated[step - 1] = M_next
 
-        mobility = M[context_end::w] * ds.mob_scale
-        A = adjacency(M, ds.epsilon, ds.mob_scale, slice(context_end, None, w)) * ds.mob_scale
+        mobility = generated * ds.mob_scale
+        A = adjacency(generated, ds.epsilon, ds.mob_scale, slice(None)) * ds.mob_scale
         cases = counts[context_end:] * ds.case_scale
     except FloatingPointError as exc:  # numpy raises on an overflow, an invalid value or a division by zero
         raise ForecastDivergedError(step, f"value (numpy: {exc})") from exc

@@ -27,23 +27,29 @@ def sidecar_path(bin_path) -> Path:
 
 
 def save_tensors(named: dict[str, np.ndarray], bin_path, meta: dict | None = None) -> Path:
-    """Write tensors to `bin_path` and an index to `bin_path + '.json'`; raises
-    CheckpointError, naming the path, when either cannot be written."""
+    """Write tensors to `bin_path` and an index to `bin_path + '.json'`, with
+    numpy scalars in `meta` stored as the Python values they hold.  Raises
+    CheckpointError, naming the path, when either file cannot be written, and
+    before any file is opened when a tensor or the index cannot be encoded."""
     bin_path = Path(bin_path)
-    index = []
-    offset = 0
+    arrays, index, offset = [], [], 0
+    try:  # a tensor that is not numeric, or a meta value JSON cannot hold
+        for name, arr in named.items():
+            shape = list(np.shape(arr))  # before ascontiguousarray, which promotes 0-d to 1-d
+            arrays.append(np.ascontiguousarray(arr, dtype="<f8"))
+            index.append({"name": name, "shape": shape, "offset": offset})
+            offset += arrays[-1].nbytes
+        doc = {"format": "flat-f8-le", "total_bytes": offset, "tensors": index, "meta": meta or {}}
+        text = json.dumps(doc, indent=1, sort_keys=True, default=np.generic.item)  # a TypeError for a non-numpy value
+    except (RecursionError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"cannot write weight file {bin_path}: {exc}") from exc
     try:  # a parent that is a file, no permission, or a NUL byte in the path
         bin_path.parent.mkdir(parents=True, exist_ok=True)
         with open(bin_path, "wb") as fh:
-            for name, arr in named.items():
-                shape = list(np.shape(arr))  # before ascontiguousarray, which promotes 0-d to 1-d
-                arr = np.ascontiguousarray(arr, dtype="<f8")
+            for arr in arrays:
                 fh.write(arr.tobytes())
-                index.append({"name": name, "shape": shape, "offset": offset})
-                offset += arr.nbytes
-        doc = {"format": "flat-f8-le", "total_bytes": offset, "tensors": index, "meta": meta or {}}
         with open(sidecar_path(bin_path), "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
+            fh.write(text)
     except (OSError, ValueError) as exc:
         raise CheckpointError(f"cannot write weight file {bin_path}: {exc}") from exc
     return bin_path

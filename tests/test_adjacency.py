@@ -147,7 +147,7 @@ def test_a_positive_epsilon_costs_build_dataset_no_memory(scale):
 
 
 def test_a_positive_epsilon_costs_a_forecast_no_memory():
-    """The rollout reads each window's adjacency from its mobility history and
+    """The rollout thresholds each window's adjacency as it reads it and
     keeps no threshold mask, so an 8-step forecast at (34, 120, 7) from the
     whole series peaks at a positive epsilon within 4 KiB of its peak at
     epsilon 0.  An (end, N, N) bool mask history would add end * N**2 bytes,
@@ -162,3 +162,36 @@ def test_a_positive_epsilon_costs_a_forecast_no_memory():
     forecast(model, datasets[1], 120, 8)  # the first call's caches and imports are not traced
     at_zero, at_epsilon = (_peak_rise(lambda: forecast(model, ds, 120, 8)) for ds in datasets)
     assert abs(at_epsilon - at_zero) <= 4096, (at_zero, at_epsilon)
+
+
+def _forecast_peaks(n, w, context_ends):
+    """The traced peak rise of an 8-step forecast from each of `context_ends`
+    at (n, 120, w), by a small frozen transformer."""
+    cases, flows = synth_sir_tables(n, 120, rng_seed=1)
+    ds = build_dataset(cases, flows, w=w, scale=True)
+    model = build_model(
+        ModelConfig(n_regions=n, w=w, width=4, seed=0),
+        BackboneConfig(mode="frozen-transformer", depth=1, width=4, heads=2, seed=1),
+    )
+    forecast(model, ds, context_ends[0], 8)  # the first call's caches and imports are not traced
+    return [_peak_rise(lambda: forecast(model, ds, end, 8)) for end in context_ends]
+
+
+def test_no_rollout_array_grows_with_the_context_times_n_squared():
+    """The rollout reads its context's mobility from the dataset and keeps one
+    flow matrix per generated patch, so at (34, 120, 7) moving the context end
+    from day 64 to day 120 raises an 8-step forecast's peak by less than one
+    (56, N, N) float64 array, 517,888 bytes: what grows is the features and
+    the backbone's cache, by context * N (278,232 bytes measured).  A history
+    that copies the context days adds that array on top (parent: 796,136)."""
+    n = 34
+    at_64, at_120 = _forecast_peaks(n, 7, (64, 120))
+    assert at_120 - at_64 < 56 * n * n * 8, (at_64, at_120)
+
+
+def test_an_8_step_forecast_at_england_size_keeps_no_context_flows():
+    """At (129, 120, 3) from day 96 an 8-step forecast peaks at 4,528,728
+    traced bytes; the bound is about 1.2 times that.  Copying the 96 context
+    days of flows into an (end, N, N) history costs 12.8 MB more."""
+    (peak,) = _forecast_peaks(129, 3, (96,))
+    assert peak < 5_500_000, peak

@@ -47,6 +47,25 @@ def test_direct_forecast_shape():
     assert res.steps == 1
 
 
+@pytest.mark.parametrize("epsilon", [0.0, 40.0])
+@pytest.mark.parametrize("adjacency_mode", forecaster.ADJACENCY_MODES)
+def test_a_forecast_leaves_the_dataset_as_it_was_and_returns_its_own_arrays(adjacency_mode, epsilon):
+    """The rollout reads the context's mobility through a view of ``ds.M``, and
+    an unscaled ``ds.M`` is the caller's flows array itself: a forecast writes
+    none of the dataset's arrays, and what it returns shares no memory with
+    them, at a zero threshold (where the rule returns the mobility itself) and
+    at a positive one."""
+    cases, flows = synth_sir_tables(4, 30, rng_seed=3)
+    ds = build_dataset(cases, flows, w=3, epsilon=epsilon, scale=False)
+    assert ds.M is flows
+    before = [a.tobytes() for a in (ds.M, ds.X, ds.counts)]
+    res = forecast(_model(ds), ds, context_end=24, steps=3, adjacency_mode=adjacency_mode)
+    assert [a.tobytes() for a in (ds.M, ds.X, ds.counts)] == before
+    for out in (res.cases, res.mobility, res.adjacency):
+        for held in (ds.M, ds.X, ds.counts):
+            assert not np.shares_memory(out, held)
+
+
 def test_two_step_w7_gives_14_days():
     ds = _ds(w=7, days=42)
     model = _model(ds)

@@ -1,5 +1,8 @@
 """Model assembly, parameter accounting, and checkpoints."""
 
+import re
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,7 @@ from epicast.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from epicast.serialize import CheckpointError, load_tensors, save_tensors
+from epicast.serialize import CheckpointError, load_tensors, save_tensors, sidecar_path
 from epicast.trainer import TrainConfig, train
 
 
@@ -161,6 +164,62 @@ def test_checkpoint_bytes_deterministic(tmp_path):
     assert (tmp_path / "a.bin.json").read_bytes() == (tmp_path / "b.bin.json").read_bytes()
 
 
+def test_a_model_built_from_numpy_integers_saves_as_from_python_ints(tmp_path):
+    """The configs hold numpy integers, narrow ones too, as Python ints, so the
+    model's pair is byte-equal to that of the same model built from Python
+    ints (an int16 width once rounded the init scale in float32), and loads."""
+    numpy_built = build_model(
+        ModelConfig(n_regions=np.int64(4), w=np.int32(3), width=np.int64(8), seed=np.uint8(0)),
+        BackboneConfig(mode="frozen-transformer", depth=np.int64(2), width=np.int16(8), heads=np.int64(2), seed=np.int64(1)),
+    )
+    save_checkpoint(numpy_built, tmp_path / "numpy.bin")
+    save_checkpoint(_model(), tmp_path / "python.bin")
+    for name in ("numpy.bin", "numpy.bin.json"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / name.replace("numpy", "python")).read_bytes()
+    assert load_checkpoint(tmp_path / "numpy.bin").config == _model().config
+
+
+def test_numpy_scalars_in_meta_are_stored_as_python_values(tmp_path):
+    path = tmp_path / "w.bin"
+    meta = {"n": np.int64(3), "f": np.float32(0.5), "g": np.float64(0.1), "b": np.bool_(True), "list": [np.uint8(7)]}
+    save_tensors({"x": np.ones(2)}, path, meta=meta)
+    loaded = load_tensors(path)[1]
+    assert loaded == {"n": 3, "f": 0.5, "g": 0.1, "b": True, "list": [7]}
+    assert [type(loaded[k]) for k in ("n", "f", "g", "b")] == [int, float, float, bool]
+
+
+def _circular():
+    meta = {}
+    meta["self"] = meta
+    return meta
+
+
+@pytest.mark.parametrize(
+    "named, meta, message",
+    [
+        ({"x": np.ones(3)}, {"value": 1j}, "'complex' object"),
+        ({"x": np.ones(3)}, {"value": np.complex128(1j)}, "'complex' object"),
+        ({"x": np.ones(3)}, {"value": {"deep": [object()]}}, "'object' object"),
+        ({"x": np.ones(3)}, _circular(), "Circular reference"),
+        ({"x": np.array(["a"])}, {}, "could not convert string to float"),
+    ],
+    ids=["complex", "numpy-complex", "object", "circular", "string-tensor"],
+)
+def test_an_unencodable_save_writes_nothing_and_names_the_path(tmp_path, named, meta, message):
+    """A tensor or a meta value that cannot be encoded fails as CheckpointError
+    before any file is opened: the previous pair at the path stays byte for
+    byte, and a new path gets no file and no directory."""
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(_model(), path)
+    before = path.read_bytes(), sidecar_path(path).read_bytes()
+    fresh = tmp_path / "new" / "ckpt.bin"
+    for target in (path, fresh):
+        with pytest.raises(CheckpointError, match=f"^cannot write weight file {re.escape(str(target))}: .*{message}"):
+            save_tensors(named, target, meta=meta)
+    assert (path.read_bytes(), sidecar_path(path).read_bytes()) == before
+    assert not fresh.parent.exists()
+
+
 def test_checkpoint_missing_file(tmp_path):
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "missing.bin")
@@ -192,8 +251,10 @@ def test_a_config_field_of_the_wrong_type_is_refused_by_name(config, field, valu
 
 
 def test_a_config_takes_numpy_integers():
-    assert ModelConfig(n_regions=np.int64(4), w=np.int32(3), seed=np.uint8(1)).w == 3
-    assert BackboneConfig(width=np.int64(8), heads=np.int16(2), depth=np.int64(1)).heads == 2
+    config = ModelConfig(n_regions=np.int64(4), w=np.int32(3), seed=np.uint8(1))
+    backbone = BackboneConfig(width=np.int64(8), heads=np.int16(2), depth=np.int64(1))
+    assert (config.w, backbone.heads) == (3, 2)
+    assert {type(v) for v in (*asdict(config).values(), *asdict(backbone).values())} <= {int, float, str, bool}
 
 
 def test_width_mismatch_rejected():
