@@ -299,26 +299,27 @@ def stack_tokens(tokens: list[Tensor]) -> Tensor:
     return reshape(concat(tokens, axis=0), (len(tokens), n, d))
 
 
-def epi_token_sequence(model, X: np.ndarray, M: np.ndarray, epsilon: float, mob_scale: float, grid) -> Tensor:
+def epi_token_sequence(model, X: np.ndarray, windows, epsilon: float, mob_scale: float, grid) -> Tensor:
     """(P, N, D) epidemic tokens of a ``model.ModelState``, one per patch of
-    `grid`, each over the patch's ``data.adjacency`` of model-space mobility
-    `M` at threshold `epsilon` and scale `mob_scale`."""
+    `grid`, each over the ``data.adjacency`` of its (w, N, N) model-space
+    mobility window from `windows` at threshold `epsilon` and scale
+    `mob_scale`; raises ValueError when `windows` and `grid` differ in length."""
     cfg = model.config
     tokens = [
         epi_tokenize(
             X[s:e],
-            adjacency(M, epsilon, mob_scale, slice(s, e)),
+            adjacency(window, epsilon, mob_scale),
             model.prompts,
             model.epi_proj,
             gating_mode=cfg.gating_mode,
             tokenizer_mode=cfg.tokenizer_mode,
         )
-        for s, e in grid
+        for (s, e), window in zip(grid, windows, strict=True)
     ]
     return stack_tokens(tokens)
 
 
-def mob_token_sequence(model, M: np.ndarray, grid) -> Tensor:
-    """(P, N, D) mobility tokens of a ``model.ModelState``, one per patch of
-    `grid` from its last day."""
-    return stack_tokens([mob_tokenize(M[e - 1], model.mob_proj) for s, e in grid])
+def mob_token_sequence(model, windows) -> Tensor:
+    """(P, N, D) mobility tokens of a ``model.ModelState``, one per (w, N, N)
+    mobility window of `windows`, from its last day."""
+    return stack_tokens([mob_tokenize(window[-1], model.mob_proj) for window in windows])

@@ -145,14 +145,17 @@ class RunConfig:
 
 def parse_config_file(path) -> dict:
     raw: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate("".join(read_file(path, ConfigError, "config file")).splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, value = stripped.split("=", 1)
-        raw[key.strip()] = value.strip()
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} given twice (first on line {first_line[key]})")
+        first_line[key], raw[key] = lineno, value
     return raw
 
 

@@ -304,12 +304,13 @@ class EpidemicDataset:
                     case_scale=self.case_scale.tolist(), mob_scale=self.mob_scale)
 
 
-def adjacency(M: np.ndarray, epsilon: float, mob_scale: float, days: slice) -> np.ndarray:
-    """The adjacency of model-space mobility `M` on `days`: each flow whose raw
-    value ``M * mob_scale`` exceeds `epsilon`, and 0 elsewhere.  With
-    ``epsilon <= 0`` it is the mobility itself (a view): a flow is >= 0 and
-    never -0.0, so every flow exceeds such a threshold or is 0.0."""
-    return M[days] if epsilon <= 0 else np.where(M[days] * mob_scale > epsilon, M[days], 0.0)
+def adjacency(M: np.ndarray, epsilon: float, mob_scale: float) -> np.ndarray:
+    """The adjacency of model-space mobility `M`, a patch's window of days or
+    any stack of flow matrices: each flow whose raw value ``M * mob_scale``
+    exceeds `epsilon`, and 0 elsewhere.  With ``epsilon <= 0`` it is `M`
+    itself: a flow is >= 0 and never -0.0, so every flow exceeds such a
+    threshold or is 0.0."""
+    return M if epsilon <= 0 else np.where(M * mob_scale > epsilon, M, 0.0)
 
 
 def build_dataset(
@@ -399,6 +400,7 @@ class SplitSpec:
     val_len: int
 
     def __post_init__(self):
+        check_field_types(self, InvalidSplitError)
         if self.test_len < 1 or self.val_len < 1:
             raise InvalidSplitError("test_len and val_len must both be positive")
 
@@ -432,6 +434,7 @@ class SirParams:
     population: int = 5000  # per region
 
     def __post_init__(self):
+        check_field_types(self)
         if self.beta < 0 or not np.isfinite(self.beta):
             raise ConfigError(f"beta must be >= 0, got {self.beta}")
         if not (0 < self.gamma_rec < 1):

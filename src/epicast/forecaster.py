@@ -9,13 +9,14 @@ several steps is multi-step forecasting.
 The rollout keeps only what it generates: counts (end, N), where end is the
 context end plus steps * w days, and one predicted flow matrix per generated
 patch, (steps, N, N); no threshold mask is kept.  The context counts are
-copied in, and the context's mobility is read from the dataset's ``M``
-itself, never copied.  The patch grid is aligned backward from each step's
-day t, which is the context end plus whole patches, so no patch spans the
-context and the generated days: a generated patch's w-day window is its one
-matrix broadcast over the w days (``_Rollout``).  Step t windows the counts
-of its first t days into feature rows, reads each patch's adjacency from that
-mobility by the dataset's one rule (``data.adjacency`` at its ``epsilon`` and
+copied in.  The rollout's mobility is a list of (w, N, N) windows, one per
+patch of the grid: it starts as the context grid's views of the dataset's
+``M``, never copied, and each step appends its generated matrix broadcast
+over its w days.  The patch grid is aligned backward from each step's day t,
+which is the context end plus whole patches, so it only grows at its end and
+stays one patch per window.  Step t windows the counts of its first t days
+into feature rows, reads each patch's adjacency from its window by the
+dataset's one rule (``data.adjacency`` at its ``epsilon`` and
 ``mob_scale``), and writes its own patch's counts into rows t .. t+w and its
 matrix into the buffer.  So context and generated rows are thresholded alike.
 The returned cases are the generated counts, the mobility the buffer and the
@@ -70,27 +71,6 @@ class ForecastSizeError(ConfigError, MemoryError):
     """A forecast whose rollout history, or one step's working set, does not
     fit in memory: a config error naming the size keys, and a MemoryError to
     whoever catches those."""
-
-
-class _Rollout:
-    """A rollout's model-space mobility, indexed by day: the days before C are
-    the (C, N, N) `context`, a view of the dataset's ``M``, and each later
-    w-day patch is its one matrix of `generated` (steps, N, N), broadcast
-    over its days.  It serves ``epi_token_sequence`` and
-    ``mob_token_sequence``, which index mobility only by a day or by a
-    patch's slice of days; such a slice lies within one part."""
-
-    def __init__(self, context: np.ndarray, generated: np.ndarray, w: int):
-        self.context, self.generated, self.w = context, generated, w
-
-    def __getitem__(self, days):
-        C = len(self.context)
-        if isinstance(days, slice):
-            if days.stop <= C:
-                return self.context[days]
-            matrix = self.generated[(days.start - C) // self.w]
-            return np.broadcast_to(matrix, (days.stop - days.start, *matrix.shape))
-        return self.context[days] if days < C else self.generated[(days - C) // self.w]
 
 
 class ForecastDivergedError(RuntimeError):
@@ -184,7 +164,7 @@ def forecast(
             f"does not fit in memory ({str(exc) or 'out of memory allocating the rollout history'})"
         ) from exc
     counts[:context_end] = ds.counts[:context_end] / ds.case_scale
-    M = _Rollout(ds.M[:context_end], generated, w)
+    windows = [ds.M[s:e] for s, e in patch_grid(0, context_end, w)]
     mob_cache, epi_cache = DecodeCache(), DecodeCache()
 
     try:
@@ -192,28 +172,29 @@ def forecast(
             grid = patch_grid(0, t, w)
 
             if cfg.mobility_enabled and adjacency_mode == "predicted":
-                mob_out = backbone_forward(mob_token_sequence(model, M, grid), model.backbone, mob_cache)
+                mob_out = backbone_forward(mob_token_sequence(model, windows), model.backbone, mob_cache)
                 M_next = mob_adapt(mob_out[-1], model.mob_adapter).data
             elif adjacency_mode == "window_average":
-                M_next = M[t - w : t].mean(axis=0)
+                M_next = windows[-1].mean(axis=0)
             elif adjacency_mode == "last":
-                M_next = M[t - 1]
+                M_next = windows[-1][-1]
             else:  # mobility branch disabled entirely
                 M_next = np.zeros((ds.N, ds.N))
             if not np.all(np.isfinite(M_next)):
                 raise ForecastDivergedError(step, "mobility prediction")
 
             X = window_features(counts[:t], w)
-            epi_out = backbone_forward(epi_token_sequence(model, X, M, ds.epsilon, ds.mob_scale, grid), model.backbone, epi_cache)
+            epi_out = backbone_forward(epi_token_sequence(model, X, windows, ds.epsilon, ds.mob_scale, grid), model.backbone, epi_cache)
             block = epi_adapt(epi_out[-1], model.epi_adapter).data
             if not np.all(np.isfinite(block)):
                 raise ForecastDivergedError(step, "case prediction")
 
             counts[t : t + w] = np.maximum(block, 0.0).T  # block column k is day k of the new patch
             generated[step - 1] = M_next
+            windows.append(np.broadcast_to(generated[step - 1], (w, ds.N, ds.N)))
 
         mobility = generated * ds.mob_scale
-        A = adjacency(generated, ds.epsilon, ds.mob_scale, slice(None)) * ds.mob_scale
+        A = adjacency(generated, ds.epsilon, ds.mob_scale) * ds.mob_scale
         cases = counts[context_end:] * ds.case_scale
     except FloatingPointError as exc:  # numpy raises on an overflow, an invalid value or a division by zero
         raise ForecastDivergedError(step, f"value (numpy: {exc})") from exc

@@ -22,7 +22,7 @@ import numpy as np
 
 from .backbone import backbone_forward
 from .branches import epi_adapt, epi_token_sequence, mob_adapt, mob_token_sequence, patch_grid
-from .data import ConfigError, EpidemicDataset
+from .data import ConfigError, EpidemicDataset, check_field_types
 from .model import ModelState, count_params
 from .tensor import Tensor, _accumulate, _input_nodes, no_grad
 
@@ -57,6 +57,7 @@ class TrainConfig:
     eps: ClassVar[float] = 1e-8
 
     def __post_init__(self):
+        check_field_types(self)
         if not (np.isfinite(self.mob_weight) and self.mob_weight >= 0):
             raise ConfigError(f"mobility loss weight must be finite and >= 0, got {self.mob_weight}")
         if not (np.isfinite(self.lr) and self.lr > 0):
@@ -141,11 +142,12 @@ def sequence_loss(
     P = len(grid)
     first = 0 if target_tail is None else P - 1 - min(target_tail, P - 1)
     ends = [e - 1 for _, e in grid[first + 1 :]]
-    preds = backbone_forward(epi_token_sequence(model, ds.X, ds.M, ds.epsilon, ds.mob_scale, grid), model.backbone)
+    windows = [ds.M[s:e] for s, e in grid]
+    preds = backbone_forward(epi_token_sequence(model, ds.X, windows, ds.epsilon, ds.mob_scale, grid), model.backbone)
     x_pred = epi_adapt(preds[first : P - 1], model.epi_adapter)
     m_pred = m_true = None
     if model.config.mobility_enabled:
-        mob_out = backbone_forward(mob_token_sequence(model, ds.M, grid), model.backbone)
+        mob_out = backbone_forward(mob_token_sequence(model, windows), model.backbone)
         m_pred = mob_adapt(mob_out[first : P - 1], model.mob_adapter)
         m_true = ds.M[ends]
     return compute_loss(x_pred, ds.X[ends], m_pred, m_true, cfg.mob_weight, cfg.loss_form)

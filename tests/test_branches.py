@@ -17,6 +17,7 @@ from epicast.branches import (
     TOKENIZER_MODES,
     Projector,
     epi_adapt,
+    epi_token_sequence,
     epi_tokenize,
     init_adapter,
     init_projector,
@@ -361,3 +362,20 @@ def test_stack_tokens(setup):
     assert seq.data.shape == (2, n, d)
     np.testing.assert_array_equal(seq.data[0], t1.data)
     np.testing.assert_array_equal(seq.data[1], t2.data)
+
+
+@pytest.mark.parametrize("n_windows", [1, 3])
+def test_a_windows_list_unlike_the_grid_raises(n_windows):
+    """A token sequence takes one mobility window per patch: a `windows` list
+    shorter or longer than the grid raises ValueError, where a plain zip would
+    quietly tokenize the shorter of the two."""
+    model = build_model(
+        ModelConfig(n_regions=4, w=3, width=8, seed=0),
+        BackboneConfig(mode="frozen-transformer", depth=1, width=8, heads=2, seed=1),
+    )
+    rng = np.random.default_rng(0)
+    X, M = rng.uniform(0, 1, size=(9, 4, 3)), rng.uniform(0, 1, size=(9, 4, 4))
+    grid = [(3, 6), (6, 9)]
+    windows = [M[s : s + 3] for s in range(0, 3 * n_windows, 3)]
+    with pytest.raises(ValueError):
+        epi_token_sequence(model, X, windows, 0.0, 1.0, grid)

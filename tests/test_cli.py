@@ -70,6 +70,15 @@ def test_parse_config_file(tmp_path):
     assert raw == {"w": "3", "horizon": "6", "seed": "11"}
 
 
+def test_a_config_key_given_twice_is_rejected(tmp_path):
+    """A key given twice names the file, both lines and the key, rather than
+    silently taking the last value."""
+    path = tmp_path / "run.cfg"
+    path.write_text("w = 3\nhorizon = 6\n w=7  # again\n")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:3: key 'w' given twice \(first on line 1\)$"):
+        parse_config_file(path)
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError):
         resolve_config({"window": "3"})
@@ -254,10 +263,10 @@ def test_exit_two_on_unknown_key(tmp_path):
     ],
 )
 def test_exit_two_on_out_of_range_config_value(tmp_path, capsys, line):
-    cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text("\n".join(f"{k} = {v}" for k, v in FAST.items()) + f"\n{line}\n")
+    cfg_file = _write_cfg(tmp_path / "bad.cfg", dict([line.split(" = ")]))
     assert main(["train", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err and "given twice" not in err, err
     assert not (tmp_path / "out" / "checkpoint.bin").exists()
 
 
@@ -296,8 +305,9 @@ def test_exit_two_on_out_of_range_config_value_with_csv_data(tmp_path, capsys, c
     ],
 )
 def test_exit_two_on_out_of_range_synth_value(tmp_path, capsys, command, line, message):
+    key, value = line.split(" = ")
     cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text(f"synth.regions = 4\nsynth.days = 40\n{line}\n")
+    cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in {"synth.regions": "4", "synth.days": "40", key: value}.items()))
     assert main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "config error: synth:" in err and message in err, err
@@ -319,7 +329,9 @@ def test_exit_five_on_a_numeric_overflow(tmp_path, capsys, value):
     """Epidemic tokens near 1e301 (or 1e155) overflow when LayerNorm squares
     them: a named divergence at the step, not a warning and a finite forecast."""
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text((ROOT / "configs" / "synthetic.cfg").read_text() + "train.max_epochs = 3\n")
+    text = (ROOT / "configs" / "synthetic.cfg").read_text()
+    assert "train.max_epochs = 300\n" in text
+    cfg_file.write_text(text.replace("train.max_epochs = 300\n", "train.max_epochs = 3\n"))
     out = tmp_path / "out"
     assert main(["train", "--config", str(cfg_file), "--out", str(out)]) == 0
     named, meta = load_tensors(out / "checkpoint.bin")
@@ -384,8 +396,7 @@ def _bare_memory_error(*args, **kwargs):
 def test_exit_two_on_parameters_too_large_to_allocate(tmp_path, capsys, monkeypatch, line, sizes, backbone):
     """The error names only keys a config sets, and the dataset's region count."""
     monkeypatch.setattr("epicast.model.build_backbone", backbone or _no_backbone)
-    cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text("\n".join(f"{k} = {v}" for k, v in FAST.items()) + f"\n{line}\n")
+    cfg_file = _write_cfg(tmp_path / "bad.cfg", dict(kv.split(" = ") for kv in line.splitlines()))
     assert main(["train", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "config error: model parameters do not fit in memory" in err and sizes in err, err

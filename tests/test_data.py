@@ -329,7 +329,7 @@ def test_build_dataset_shapes():
     ds = synth_sir(5, 10, rng_seed=0, w=3)
     assert ds.X.shape == (10, 5, 3)
     assert ds.M.shape == (10, 5, 5)
-    A = adjacency(ds.M, ds.epsilon, ds.mob_scale, slice(None))
+    A = adjacency(ds.M, ds.epsilon, ds.mob_scale)
     assert np.shares_memory(A, ds.M) and A.tobytes() == ds.M.tobytes()  # epsilon 0: the mobility is its own adjacency
     assert ds.X.shape[-1] == ds.w == 3
 
@@ -446,7 +446,7 @@ def test_build_dataset_names_w_when_its_windows_do_not_fit(monkeypatch):
 def test_adjacency_threshold_sparsity():
     ds = synth_sir(5, 12, rng_seed=4, w=3, epsilon=10.0)
     raw_M = ds.M * ds.mob_scale
-    A = adjacency(ds.M, ds.epsilon, ds.mob_scale, slice(None))
+    A = adjacency(ds.M, ds.epsilon, ds.mob_scale)
     np.testing.assert_array_equal(A > 0, raw_M > 10.0)
     assert np.all((A > 0) <= (ds.M > 0))  # A positive implies M positive
     assert not np.shares_memory(A, ds.M)
@@ -496,6 +496,14 @@ def test_split_rejects_nonpositive_parts():
         SplitSpec(test_len=0, val_len=3)
 
 
+@pytest.mark.parametrize("name, value", [("test_len", 3.0), ("val_len", True)])
+def test_split_rejects_a_length_that_is_no_integer(name, value):
+    """A float or bool length is the split's own config error (exit 2), not a
+    bare TypeError once the range is built."""
+    with pytest.raises(InvalidSplitError, match=f"^{name} must be an integer, got {value!r}$"):
+        SplitSpec(**{"test_len": 3, "val_len": 3, name: value})
+
+
 @given(
     T=st.integers(min_value=3, max_value=400),
     test_len=st.integers(min_value=1, max_value=100),
@@ -520,6 +528,14 @@ def test_sir_zero_beta_means_no_spread():
     sim = simulate_sir(4, 15, params, rng_seed=0)
     assert sim.counts[0, 1] > 0  # the seeding day
     assert (sim.counts[1:] == 0).all()
+
+
+@pytest.mark.parametrize("name, value", [("seed_region", 1.0), ("seed_region", False), ("population", 2000.0)])
+def test_sir_params_reject_a_seed_region_or_population_that_is_no_integer(name, value):
+    """A float seed region is a ConfigError naming the field, not a bare
+    IndexError once the simulation seeds it; a float population likewise."""
+    with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {value!r}$"):
+        SirParams(**{name: value})
 
 
 def test_sir_determinism():

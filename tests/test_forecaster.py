@@ -290,9 +290,9 @@ def test_features_are_the_full_rewindowed_history(monkeypatch, w, context_end):
     seen, windowed = [], []
     original = forecaster.epi_token_sequence
 
-    def spy(model, X, M, epsilon, mob_scale, grid):
+    def spy(model, X, windows, epsilon, mob_scale, grid):
         seen.append(X.copy())
-        return original(model, X, M, epsilon, mob_scale, grid)
+        return original(model, X, windows, epsilon, mob_scale, grid)
 
     monkeypatch.setattr(forecaster, "epi_token_sequence", spy)
     monkeypatch.setattr(forecaster, "window_features", lambda *a: windowed.append(a) or window_features(*a))

@@ -97,8 +97,9 @@ def test_checkpoint_round_trip(tmp_path):
     X = rng.uniform(0, 1, size=(6, 4, 3))
     M = rng.uniform(0, 1, size=(6, 4, 4))
     grid = [(0, 3), (3, 6)]
-    before = epi_token_sequence(model, X, M, 0.0, 1.0, grid).data
-    after = epi_token_sequence(loaded, X, M, 0.0, 1.0, grid).data
+    windows = [M[s:e] for s, e in grid]
+    before = epi_token_sequence(model, X, windows, 0.0, 1.0, grid).data
+    after = epi_token_sequence(loaded, X, windows, 0.0, 1.0, grid).data
     np.testing.assert_array_equal(before, after)
 
 

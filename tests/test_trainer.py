@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import epicast.trainer as trainer_mod
 from epicast.backbone import BackboneConfig, backbone_forward
 from epicast.branches import epi_adapt, epi_token_sequence, mob_adapt, mob_token_sequence, patch_grid
-from epicast.data import SplitSpec, SirParams, split_dataset, synth_sir
+from epicast.data import ConfigError, SplitSpec, SirParams, split_dataset, synth_sir
 from epicast.model import ModelConfig, backbone_hash, build_model
 from epicast.tensor import Parameter, Tensor, constant, mul, no_grad
 from epicast.trainer import (
@@ -307,10 +307,13 @@ def test_nonfinite_validation_loss_reported_with_epoch():
         pytest.param({"loss_form": "harmonic"}, id="bad6"),
         pytest.param({"mob_weight": float("nan")}, id="bad9"),
         pytest.param({"mob_weight": float("inf")}, id="bad10"),
+        # a count that is no integer fails here, not as a bare TypeError once training runs
+        pytest.param({"max_epochs": 2.0}, id="bad11"),
+        pytest.param({"patience": True}, id="bad12"),
     ],
 )
 def test_train_config_rejects_bad_values(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         TrainConfig(**bad)
 
 
@@ -371,12 +374,13 @@ def _validation_loss_oracle(model, ds, val_range, cfg):
     grid = patch_grid(0, val_range.stop, ds.w)
     P = len(grid)
     first = P - 1 - min(sum(1 for s, e in grid if e > val_range.start), P - 1)
-    preds = backbone_forward(epi_token_sequence(model, ds.X, ds.M, ds.epsilon, ds.mob_scale, grid), model.backbone)
+    windows = [ds.M[s:e] for s, e in grid]
+    preds = backbone_forward(epi_token_sequence(model, ds.X, windows, ds.epsilon, ds.mob_scale, grid), model.backbone)
     x_pred = epi_adapt(preds[: P - 1], model.epi_adapter)[first:]
     x_true = np.stack([ds.X[e - 1] for s, e in grid[1:]])[first:]
     m_pred = m_true = None
     if model.config.mobility_enabled:
-        mob_out = backbone_forward(mob_token_sequence(model, ds.M, grid), model.backbone)
+        mob_out = backbone_forward(mob_token_sequence(model, windows), model.backbone)
         m_pred = mob_adapt(mob_out[: P - 1], model.mob_adapter)[first:]
         m_true = np.stack([ds.M[e - 1] for s, e in grid[1:]])[first:]
     return float(compute_loss(x_pred, x_true, m_pred, m_true, cfg.mob_weight, cfg.loss_form).data)

@@ -1,8 +1,9 @@
 """Bitwise ledger: sha256 digests of what epicast computes at fixed shapes.
 
 For each case (a backbone mode at a fixed synthetic shape, for three cases a
-tokenizer or gating mode other than graph + gated, and for one an adjacency
-threshold above zero) the ledger holds the sha256 of
+tokenizer or gating mode other than graph + gated, for one an adjacency
+threshold above zero, and for one a forecast in each history adjacency
+mode rather than the predicted mobility) the ledger holds the sha256 of
 
 - ``train_losses``, ``gradients``, ``val_losses``: every epoch's training
   loss, every trainable gradient after its backward, and the validation loss
@@ -10,7 +11,9 @@ threshold above zero) the ledger holds the sha256 of
   runs it;
 - ``forecast``: the cases, mobility and adjacency of a multi-step forecast
   from the trained parameters;
-- ``metrics``: the model's and the four baselines' metric reports on it.
+- ``metrics``: the model's and the four baselines' metric reports on it;
+- for the history case, ``forecast/<mode>`` and ``metrics/<mode>`` in place
+  of those two, one pair per history adjacency mode, from one training run.
 
 A change meant to keep every number bitwise unchanged must leave every digest
 in place.  The digests hold for one numpy, one BLAS, one BLAS thread count and
@@ -62,18 +65,26 @@ TOKEN_MODES = ({"tokenizer_mode": "mlp"}, {"gating_mode": "average"}, {"gating_m
 # an adjacency threshold, in raw flow units, that cuts about half of the
 # nonzero flows at TOKEN_SHAPE; every other case runs at the default 0
 EPSILON = 65.0
+# the forecast adjacency modes besides "predicted" (the paper's Adj2Aver and
+# Adj2Last), both forecast from one frozen transformer trained at TOKEN_SHAPE
+HISTORY_MODES = ("window_average", "last")
 
 
 def cases() -> dict[str, tuple]:
-    """Case name -> (backbone mode, shape, ModelConfig keywords, epsilon), in ledger order."""
+    """Case name -> (backbone mode, shape, ModelConfig keywords, epsilon[,
+    history adjacency modes]), in ledger order."""
     out = {}
     plain = [(m, s, {}, 0.0) for s in SHAPES for m in MODES] + [(*LARGE, {}, 0.0)]
     tokens = [("frozen-transformer", TOKEN_SHAPE, kw, 0.0) for kw in TOKEN_MODES]
-    for mode, shape, model_kw, epsilon in plain + tokens + [("frozen-transformer", TOKEN_SHAPE, {}, EPSILON)]:
-        N, T, w, scale, _, _ = shape
+    threshold = [("frozen-transformer", TOKEN_SHAPE, {}, EPSILON)]
+    history = [("frozen-transformer", TOKEN_SHAPE, {}, 0.0, HISTORY_MODES)]
+    for case in plain + tokens + threshold + history:
+        mode, (N, T, w, scale, _, _), model_kw, epsilon, *history_modes = case
         name = f"{mode}/N{N}-T{T}-w{w}{'-scaled' if scale else ''}"
         name += "".join(f"/{k.split('_')[0]}-{v}" for k, v in model_kw.items())
-        out[name + (f"/epsilon-{epsilon:g}" if epsilon else "")] = (mode, shape, model_kw, epsilon)
+        name += f"/epsilon-{epsilon:g}" if epsilon else ""
+        name += "".join(f"/adjacency-{'+'.join(modes)}" for modes in history_modes)
+        out[name] = case
     return out
 
 
@@ -110,7 +121,9 @@ def _sha(arrays) -> str:
     return h.hexdigest()
 
 
-def digest_case(mode: str, shape: tuple, model_kw: dict, epsilon: float) -> dict[str, str]:
+def digest_case(
+    mode: str, shape: tuple, model_kw: dict, epsilon: float, history_modes: tuple[str, ...] = ()
+) -> dict[str, str]:
     N, T, w, scale, epochs, steps = shape
     ds = synth_sir(N, T, rng_seed=SEED, w=w, scale=scale, epsilon=epsilon)
     splits = split_dataset(ds, SplitSpec(test_len=steps * w, val_len=2 * w))
@@ -128,22 +141,21 @@ def digest_case(mode: str, shape: tuple, model_kw: dict, epsilon: float) -> dict
         grads.extend(p.grad.copy() for p in trainables)
         vals.append(val)
 
+    out = {"train_losses": _sha(losses), "gradients": _sha(grads), "val_losses": _sha(vals)}
     context_end = splits.test.start
-    result = forecast(model, ds, context_end, steps)
-    truth = horizon_truth(ds, context_end, result.horizon)
-    reports = [metric_report(truth, result.cases, "synthetic", result.horizon, "model")]
-    reports += [
-        metric_report(truth, baseline_predict(k, ds, context_end, result.horizon), "synthetic", result.horizon, k)
-        for k in BASELINES
-    ]
-    metrics = json.dumps([r.to_dict() for r in reports], sort_keys=True).encode()
-    return {
-        "train_losses": _sha(losses),
-        "gradients": _sha(grads),
-        "val_losses": _sha(vals),
-        "forecast": _sha([result.cases, result.mobility, result.adjacency]),
-        "metrics": hashlib.sha256(metrics).hexdigest(),
-    }
+    for adjacency_mode in history_modes or ("predicted",):
+        result = forecast(model, ds, context_end, steps, adjacency_mode)
+        truth = horizon_truth(ds, context_end, result.horizon)
+        reports = [metric_report(truth, result.cases, "synthetic", result.horizon, "model")]
+        reports += [
+            metric_report(truth, baseline_predict(k, ds, context_end, result.horizon), "synthetic", result.horizon, k)
+            for k in BASELINES
+        ]
+        metrics = json.dumps([r.to_dict() for r in reports], sort_keys=True).encode()
+        suffix = f"/{adjacency_mode}" if history_modes else ""
+        out["forecast" + suffix] = _sha([result.cases, result.mobility, result.adjacency])
+        out["metrics" + suffix] = hashlib.sha256(metrics).hexdigest()
+    return out
 
 
 def main(argv=None) -> int:
