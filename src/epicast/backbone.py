@@ -58,6 +58,7 @@ passing a cache while gradients are recorded raises ``DecodeCacheError``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,14 +163,40 @@ class DecodeCache:
     h: np.ndarray | None = None
 
 
-def _param(state: BackboneState, name: str, data: np.ndarray) -> Parameter:
-    p = Parameter(data, name=f"backbone.{name}", frozen=state.config.frozen)
-    state.params[name] = p
-    return p
+def _declare(cfg: BackboneConfig) -> tuple[list, list, list]:
+    """Each mode's parameters in draw order, as ``(name, shape, init)``; `init`
+    is the std of a normal draw, ``np.zeros`` or ``np.ones``.
+
+    Three parts: those before the layers, those of one transformer layer
+    (``_ATTENTION + _FFN``, named without their ``layer<i>.`` prefix) and those
+    after.  `mlp` and `rnn` have only a first part, `identity` nothing."""
+    D, F = cfg.width, cfg.ffn_mult * cfg.width
+
+    def lin(name, fan_in, fan_out):
+        return [(f"{name}.W", (fan_in, fan_out), 1.0 / np.sqrt(fan_in)), (f"{name}.b", (fan_out,), np.zeros)]
+
+    def ln(name):
+        return [(f"{name}.g", (D,), np.ones), (f"{name}.b", (D,), np.zeros)]
+
+    if "transformer" in cfg.mode:
+        attention = [entry for nm in "qkvo" for entry in lin(f"attn.{nm}", D, D)]
+        layer = [*ln("ln1"), *attention, *ln("ln2"), *lin("ffn.1", D, F), *lin("ffn.2", F, D)]
+        return [("pos_emb", (cfg.max_positions, D), 0.1)], layer, ln("ln_f")
+    if cfg.mode == "mlp":
+        return [*lin("mlp.1", D, F), *lin("mlp.2", F, D)], [], []
+    if cfg.mode == "rnn":  # W, U and b of each of three gates
+        std = 1.0 / np.sqrt(D)
+        gates = (((f"rnn.W{g}", (D, D), std), (f"rnn.U{g}", (D, D), std), (f"rnn.b{g}", (D,), np.zeros)) for g in "zrh")
+        return [entry for gate in gates for entry in gate], [], []
+    return [], [], []  # identity
 
 
 def build_backbone(cfg: BackboneConfig, weights_path=None) -> BackboneState:
     """Deterministically construct backbone weights from the config seed.
+
+    The parameters are `_declare`'s, drawn in order from one generator seeded
+    with ``cfg.seed``: the first part, the layer part once per layer as
+    ``layer0.`` ... ``layer{depth-1}.``, then the last part.
 
     `weights_path` optionally points at a flat weight file whose tensors
     replace the seeded ones (names and shapes must match): one that
@@ -178,36 +205,11 @@ def build_backbone(cfg: BackboneConfig, weights_path=None) -> BackboneState:
     """
     rng = np.random.default_rng(cfg.seed)
     state = BackboneState(config=cfg)
-    D = cfg.width
-
-    def lin(name, fan_in, fan_out):
-        _param(state, f"{name}.W", rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out)))
-        _param(state, f"{name}.b", np.zeros(fan_out))
-
-    if cfg.mode in ("frozen-transformer", "trainable-transformer"):
-        _param(state, "pos_emb", rng.normal(0.0, 0.1, size=(cfg.max_positions, D)))
-        for layer in range(cfg.depth):
-            pre = f"layer{layer}"
-            _param(state, f"{pre}.ln1.g", np.ones(D))
-            _param(state, f"{pre}.ln1.b", np.zeros(D))
-            for nm in ("q", "k", "v", "o"):
-                lin(f"{pre}.attn.{nm}", D, D)
-            _param(state, f"{pre}.ln2.g", np.ones(D))
-            _param(state, f"{pre}.ln2.b", np.zeros(D))
-            lin(f"{pre}.ffn.1", D, cfg.ffn_mult * D)
-            lin(f"{pre}.ffn.2", cfg.ffn_mult * D, D)
-        _param(state, "ln_f.g", np.ones(D))
-        _param(state, "ln_f.b", np.zeros(D))
-    elif cfg.mode == "mlp":
-        lin("mlp.1", D, cfg.ffn_mult * D)
-        lin("mlp.2", cfg.ffn_mult * D, D)
-    elif cfg.mode == "rnn":
-        for gate in ("z", "r", "h"):
-            _param(state, f"rnn.W{gate}", rng.normal(0.0, 1.0 / np.sqrt(D), size=(D, D)))
-            _param(state, f"rnn.U{gate}", rng.normal(0.0, 1.0 / np.sqrt(D), size=(D, D)))
-            _param(state, f"rnn.b{gate}", np.zeros(D))
-    elif cfg.mode == "identity":
-        pass
+    first, layer, last = _declare(cfg)
+    layers = [(f"layer{i}.{name}", shape, init) for i in range(cfg.depth) for name, shape, init in layer]
+    for name, shape, init in [*first, *layers, *last]:
+        data = init(shape) if callable(init) else rng.normal(0.0, init, size=shape)
+        state.params[name] = Parameter(data, name=f"backbone.{name}", frozen=cfg.frozen)
 
     if weights_path is not None:
         tensors, _meta = load_tensors(weights_path)
@@ -218,18 +220,10 @@ def build_backbone(cfg: BackboneConfig, weights_path=None) -> BackboneState:
 
 
 def parameter_count(cfg: BackboneConfig) -> int:
-    """The number of parameters `build_backbone` allocates for `cfg`."""
-    D, f = cfg.width, cfg.ffn_mult
-    ffn = (D + 1) * f * D + (f * D + 1) * D  # two linears, D -> fD -> D
-    if cfg.mode in ("frozen-transformer", "trainable-transformer"):
-        # position table, final LayerNorm, and per layer two LayerNorms,
-        # four D x D attention linears and the feedforward
-        return cfg.max_positions * D + 2 * D + cfg.depth * (4 * D + 4 * (D + 1) * D + ffn)
-    if cfg.mode == "mlp":
-        return ffn
-    if cfg.mode == "rnn":
-        return 3 * (2 * D + 1) * D  # W, U and b of three gates
-    return 0  # identity
+    """The number of parameters `build_backbone` allocates for `cfg`, summed
+    from `_declare` without listing the layers, so O(1) in ``cfg.depth``."""
+    first, layer, last = (sum(math.prod(shape) for _, shape, _ in part) for part in _declare(cfg))
+    return first + cfg.depth * layer + last
 
 
 def _causal_mask(start: int, P: int) -> np.ndarray:

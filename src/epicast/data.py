@@ -37,19 +37,26 @@ class ConfigError(ValueError):
 
 
 def check_field_types(config, error: type[ConfigError] = ConfigError) -> None:
-    """Raise `error` naming the first ``int`` field of dataclass `config` that
-    holds no integer (a numpy integer is one, a bool is not), or the first
-    ``bool`` field that holds no bool.  A numpy integer is replaced by the
-    Python int it holds, so a narrow one neither overflows nor rounds in the
+    """Raise `error` naming the first field of dataclass `config` whose value
+    its type does not admit: an ``int`` field an integer (a numpy integer is
+    one, a bool is not), a ``float`` field a real number (an int, a float, a
+    numpy integer or a numpy floating, not a bool) and a ``bool`` field a
+    bool.  An int or float field is replaced by the Python int or float it
+    holds, so a narrow numpy one neither overflows nor rounds in the
     arithmetic the config sizes."""
+    numbers = {"int": ((int, np.integer), "an integer"), "float": ((int, float, np.integer, np.floating), "a real number")}
     for f in fields(config):
         value, kind = getattr(config, f.name), getattr(f.type, "__name__", f.type)  # a class, or its name
-        if kind == "int" and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
-            raise error(f"{f.name} must be an integer, got {value!r}")
-        if kind == "int" and isinstance(value, np.integer):
-            object.__setattr__(config, f.name, int(value))  # the configs are frozen dataclasses
         if kind == "bool" and not isinstance(value, bool):
             raise error(f"{f.name} must be true or false, got {value!r}")
+        if kind in numbers:
+            admitted, noun = numbers[kind]
+            if isinstance(value, bool) or not isinstance(value, admitted):
+                raise error(f"{f.name} must be {noun}, got {value!r}")
+            try:
+                object.__setattr__(config, f.name, int(value) if kind == "int" else float(value))  # the configs are frozen
+            except OverflowError:
+                raise error(f"{f.name} is too large for a float, got {value!r}") from None
 
 
 class MalformedRowError(DataError):

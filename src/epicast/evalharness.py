@@ -124,6 +124,8 @@ def baseline_predict(kind: str, ds: EpidemicDataset, context_end: int, h: int) -
     min_ctx = 2 if kind == "LIN_REG" else 1
     if context_end < min_ctx:
         raise ValueError(f"{kind} needs at least {min_ctx} context days, got {context_end}")
+    if context_end > len(ds.counts):
+        raise ValueError(f"context_end={context_end} is past the series end, ds.T = {len(ds.counts)}")
     hist = ds.counts[:context_end].astype(np.float64)  # (t, N)
     if kind == "LIN_REG":  # one least-squares line per region, in closed form, extrapolated
         x = np.arange(context_end, dtype=np.float64) - (context_end - 1) / 2  # the days, centred

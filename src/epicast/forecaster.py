@@ -135,7 +135,10 @@ def forecast(
     makes an invalid value.  A trained model serves only the dataset space it
     was trained in: when ``ds.served_space()`` differs from ``model.served``,
     CheckpointError names the first field that differs.  A model with no
-    served record (never trained by `train`) serves any dataset."""
+    served record (never trained by `train`) serves any dataset.  `steps` and
+    `context_end` are integers (a numpy integer is one, a bool is not); any
+    other value raises what the range check of each raises, ValueError or
+    InsufficientContextError."""
     if model.served is not None:
         for key, value in ds.served_space().items():
             if (trained := model.served.get(key)) != value:
@@ -144,6 +147,10 @@ def forecast(
     w = cfg.w
     if adjacency_mode not in ADJACENCY_MODES:
         raise ConfigError(f"unknown adjacency mode {adjacency_mode!r}; choose from {ADJACENCY_MODES}")
+    for name, value, error in (("steps", steps, ValueError), ("context_end", context_end, InsufficientContextError)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):  # a numpy integer is one
+            raise error(f"{name} must be an integer, got {value!r}")
+    steps, context_end = int(steps), int(context_end)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if context_end > ds.T:

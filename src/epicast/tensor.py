@@ -620,16 +620,19 @@ def _softmax_backward(g: np.ndarray, s: np.ndarray) -> np.ndarray:
     return g
 
 
-def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5, normed=None, std=None):
+_LN_EPS = 1e-5  # added to LayerNorm's variance
+
+
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, normed=None, std=None):
     """LayerNorm's output ``normed * gain + bias``, its normalized input and
     the std it was divided by, running the numpy ops of the composition
-    ``(x - mean) / sqrt(var + eps) * gain + bias`` in the same order.  The
+    ``(x - mean) / sqrt(var + _LN_EPS) * gain + bias`` in the same order.  The
     normalized input and the std are new arrays in x's layout, or written
     into `normed` and `std` when given."""
     normed = np.subtract(x, _row_mean(x), out=normed)  # centered, until divided by std
     out = normed * normed
     std = _row_mean(out, out=std)
-    std += eps
+    std += _LN_EPS
     np.sqrt(std, out=std)
     normed /= std
     np.multiply(normed, gain, out=out)
@@ -663,15 +666,15 @@ def _layer_norm_grads(g: np.ndarray, normed, std: np.ndarray, gain: np.ndarray, 
         _accumulate(nbias, _unbroadcast(g, bias_shape))
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     One node; the forward runs the numpy ops of the composition
-    ``(x - mean) / sqrt(var + eps) * gain + bias`` in the same order, so the
+    ``(x - mean) / sqrt(var + _LN_EPS) * gain + bias`` in the same order, so the
     output is bitwise equal to it.
     """
     x, gain, bias = astensor(x), astensor(gain), astensor(bias)
-    out, normed, std = _layer_norm(x.data, gain.data, bias.data, eps)
+    out, normed, std = _layer_norm(x.data, gain.data, bias.data)
     nodes = _input_nodes(x, gain, bias)
     if nodes is None:
         return Tensor._result(out, (), None)

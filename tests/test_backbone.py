@@ -1,5 +1,7 @@
 """Backbone modes: determinism, causality, freezing, weight files."""
 
+import hashlib
+import time
 import tracemalloc
 
 import numpy as np
@@ -25,6 +27,7 @@ from epicast.backbone import (
     backbone_forward,
     build_backbone,
     ffn_sublayer,
+    parameter_count,
 )
 from epicast.model import ModelConfig, build_model, save_checkpoint
 from epicast.tensor import Parameter, Tensor, _row_blocks, add, constant, mul, no_grad
@@ -80,6 +83,39 @@ def test_same_seed_same_bytes():
     for pa, pb in zip(a.parameters(), b.parameters()):
         assert pa.name == pb.name
         assert pa.data.tobytes() == pb.data.tobytes()
+
+
+# sha256 of every parameter's name, shape and little-endian bytes, in
+# `parameters()` order; drawing and filling call no BLAS routine, so these
+# hold on any OpenBLAS core
+_INIT_DIGESTS = {
+    "frozen-transformer": "13f9cb4314f8ee9b6cd793b2e40a283c7b6ab1a09d724e2f61425ca42932d9d8",
+    "trainable-transformer": "13f9cb4314f8ee9b6cd793b2e40a283c7b6ab1a09d724e2f61425ca42932d9d8",
+    "mlp": "e8cc163f7a564a37d931a281e65b0df5ef9820494d3d46d764604c4e0425d6ee",
+    "rnn": "03529105c3acbe60246edc573912dd4fd811a613d885e2d751761b74256fa71a",
+    "identity": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_seeded_initialization_is_pinned(mode):
+    cfg = BackboneConfig(mode, depth=2, width=8, heads=2, max_positions=7, ffn_mult=3, seed=5)
+    digest = hashlib.sha256()
+    for p in build_backbone(cfg).parameters():
+        digest.update(p.name.encode())
+        digest.update(repr(p.data.shape).encode())
+        digest.update(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+    assert digest.hexdigest() == _INIT_DIGESTS[mode]
+
+
+def test_parameter_count_does_not_list_layers():
+    start = time.perf_counter()
+    count = parameter_count(BackboneConfig("trainable-transformer", depth=10**12, width=8, heads=2))
+    assert time.perf_counter() - start < 1.0
+    # 64 x 8 positions and the final LayerNorm's 16, then per layer two
+    # LayerNorms (32), four 8 x 8 attention linears (288) and the 8 -> 32 -> 8
+    # feedforward (552)
+    assert count == 64 * 8 + 16 + 10**12 * (32 + 288 + 552)
 
 
 def test_frozen_mode_has_zero_trainable():

@@ -3,6 +3,7 @@
 import csv
 import datetime as dt
 import io
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -535,6 +536,14 @@ def test_sir_params_reject_a_seed_region_or_population_that_is_no_integer(name, 
     """A float seed region is a ConfigError naming the field, not a bare
     IndexError once the simulation seeds it; a float population likewise."""
     with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {value!r}$"):
+        SirParams(**{name: value})
+
+
+@pytest.mark.parametrize("name, value", [("beta", "0.4"), ("gamma_rec", None), ("beta", 1j), ("gamma_rec", False)])
+def test_sir_params_reject_a_rate_that_is_no_real_number(name, value):
+    """A string, None, complex or bool rate is a ConfigError naming the
+    field, not a bare TypeError from its range check."""
+    with pytest.raises(ConfigError, match=f"^{name} must be a real number, got {re.escape(repr(value))}$"):
         SirParams(**{name: value})
 
 

@@ -18,6 +18,7 @@ from epicast.backbone import BackboneConfig, build_backbone
 from epicast.data import SirParams, SplitSpec, split_dataset, synth_sir
 from epicast.evalharness import (
     ABLATION_VARIANTS,
+    BASELINES,
     MetricReport,
     apply_variant,
     baseline_predict,
@@ -244,6 +245,17 @@ def test_baseline_errors():
         baseline_predict("LIN_REG", ds, 1, 2)  # needs two context days
     with pytest.raises(ValueError):
         baseline_predict("AVG", ds, 1, 0)
+
+
+@pytest.mark.parametrize("kind", BASELINES)
+def test_baselines_refuse_a_context_past_the_series_end(kind):
+    """A context that ends past the last day is refused, not cut to the days
+    there are (or a bare matmul error for LIN_REG); one ending on it is not."""
+    ds = _history_ds(np.arange(30.0).reshape(30, 1))
+    assert baseline_predict(kind, ds, 30, 2).shape == (2, 1)
+    for context_end in (31, 100):
+        with pytest.raises(ValueError, match=f"^context_end={context_end} is past the series end, ds.T = 30$"):
+            baseline_predict(kind, ds, context_end, 2)
 
 
 # -- ablations ------------------------------------------------------------------------------

@@ -154,6 +154,19 @@ def test_insufficient_context_rejected():
         forecast(model, ds, context_end=28, steps=0)
 
 
+@pytest.mark.parametrize("name, value", [("steps", 2.0), ("steps", True), ("context_end", 24.0), ("context_end", True)])
+def test_a_step_count_or_context_end_that_is_no_integer_is_refused(name, value):
+    """A float or bool raises the error of the argument's range check, naming
+    the value, not a bare TypeError from the rollout; a numpy integer is one."""
+    ds = _ds()
+    model = _model(ds)
+    error = InsufficientContextError if name == "context_end" else ValueError
+    with pytest.raises(error, match=f"^{name} must be an integer, got {value!r}$") as raised:
+        forecast(model, ds, **{"context_end": 24, "steps": 2, name: value})
+    assert (type(raised.value) is InsufficientContextError) == (name == "context_end")
+    np.testing.assert_array_equal(forecast(model, ds, np.int64(24), np.int8(2)).cases, forecast(model, ds, 24, 2).cases)
+
+
 def test_forecast_dates_continue_calendar():
     ds = _ds()
     model = _model(ds)

@@ -310,11 +310,31 @@ def test_nonfinite_validation_loss_reported_with_epoch():
         # a count that is no integer fails here, not as a bare TypeError once training runs
         pytest.param({"max_epochs": 2.0}, id="bad11"),
         pytest.param({"patience": True}, id="bad12"),
+        pytest.param({"lr": 10**400}, id="bad13"),  # an int no float holds
     ],
 )
 def test_train_config_rejects_bad_values(bad):
     with pytest.raises(ConfigError):
         TrainConfig(**bad)
+
+
+@pytest.mark.parametrize(
+    "name, value", [("lr", "0.1"), ("mob_weight", None), ("lr", 1 + 0j), ("mob_weight", np.array([1.0, 2.0])), ("lr", True)]
+)
+def test_train_config_rejects_a_rate_or_weight_that_is_no_real_number(name, value):
+    """A string, None, a complex, an array or a bool rate or weight is a
+    ConfigError naming the field, not a bare TypeError from its range check,
+    and a bool is not taken for 1."""
+    with pytest.raises(ConfigError, match=f"^{name} must be a real number, got "):
+        TrainConfig(**{name: value})
+
+
+def test_float_fields_keep_the_python_float_a_number_holds():
+    cfg = TrainConfig(lr=np.float32(0.5), mob_weight=2)
+    params = SirParams(beta=np.int64(1), gamma_rec=np.float16(0.25))
+    assert [(type(v), v) for v in (cfg.lr, cfg.mob_weight, params.beta, params.gamma_rec)] == [
+        (float, 0.5), (float, 2.0), (float, 1.0), (float, 0.25)
+    ]
 
 
 def test_adam_constants_are_not_train_config_options():
